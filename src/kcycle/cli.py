@@ -13,14 +13,7 @@ import argparse
 import json
 import sys
 
-from .ccengine import (
-    characteristic_cycle,
-    check_cc_agreement,
-    check_microlocal,
-    check_smallness,
-    check_transversality,
-    cross_check,
-)
+from .ccengine import SUITES, characteristic_cycle, cross_check
 from .orbits import ClosurePoset, Kind, Setup, enumerate_orbits, format_orbit, parse_orbit
 
 SCHEMA_VERSION = "kcycle/1"
@@ -51,13 +44,21 @@ def build_parser() -> argparse.ArgumentParser:
            formats=("text", "json", "dot"))
     verify = sub.add_parser("verify", help="run verification suites")
     common(verify)
-    verify.add_argument("--suite", default="all",
-                        choices=["microlocal", "transversality", "smallness",
-                                 "crosscheck", "all"])
-    verify.add_argument("--trials", type=int, default=20,
-                        help="samples per check (default 20)")
+    verify.add_argument("--suite", default="all", choices=[*SUITES, "all"])
+    verify.add_argument("--trials", type=_positive_int, default=20,
+                        help="samples per check, at least 1 (default 20)")
     verify.add_argument("--seed", type=int, default=0)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _setup_from_args(args) -> Setup:
@@ -135,21 +136,11 @@ def cmd_poset(setup: Setup) -> dict:
     return doc
 
 
-_SUITES = {
-    "crosscheck": lambda setup, trials, seed: check_cc_agreement(setup),
-    "microlocal": lambda setup, trials, seed: check_microlocal(
-        setup, trials=trials, seed=seed),
-    "smallness": lambda setup, trials, seed: check_smallness(setup),
-    "transversality": lambda setup, trials, seed: check_transversality(
-        setup, points=trials, seed=seed),
-}
-
-
 def cmd_verify(setup: Setup, suite: str, trials: int, seed: int) -> tuple:
     if suite == "all":
         rows = cross_check(setup, trials=trials, points=trials, seed=seed).rows
     else:
-        rows = _SUITES[suite](setup, trials, seed)
+        rows = SUITES[suite](setup, trials, trials, seed)
     doc = _document("verify", setup)
     doc["suite"] = suite
     doc["trials"] = trials
@@ -248,8 +239,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return exit_code

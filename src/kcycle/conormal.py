@@ -7,26 +7,17 @@ shape for Hom(U, C^n/U), and the two pair by the entrywise trace form.
 
 For GLpq orbits the conormal space is a pair of literal blocks: the
 maps sending C^q/U into U cap C^p and C^p/U into U cap C^q.  For Sp/SO
-it is computed as the annihilator of the image of the action
-differential.  Both routes are available for GLpq and must agree.
+it is the kernel of the sparse action image of Lie(K), the same matrix
+whose rank gives the orbit dimension.  Both routes are available for
+GLpq and must agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Tuple
+from dataclasses import dataclass, field
 
-from .exactla import QMatrix, QQ, SeedStream, Subspace, rank, solve_homogeneous
-from .orbits import (
-    BasePoint,
-    IntersectionOrbit,
-    Kind,
-    Setup,
-    lie_algebra_basis,
-    orbit_dimension,
-    tangent_vector,
-)
+from .exactla import QMatrix, QQ, SeedStream, Subspace, kernel, rank
+from .orbits import BasePoint, Kind, Setup, action_image
 
 
 @dataclass(frozen=True)
@@ -48,6 +39,7 @@ class AdaptedChart:
 class ConormalVector:
     chart: AdaptedChart
     matrix: QMatrix  # k rows, n-k columns
+    retries: int = field(default=0, compare=False)  # resamples the draw needed
 
     def block(self, rg: int, cg: int) -> QMatrix:
         return self.matrix.submatrix(self.chart.row_block(rg), self.chart.col_block(cg))
@@ -83,9 +75,7 @@ def conormal_space(base: BasePoint) -> Subspace:
 
 def conormal_space_from_action(base: BasePoint) -> Subspace:
     """Annihilator of the action image; the route that needs no block pattern."""
-    funcs = [tangent_vector(base, x).flatten() for x in lie_algebra_basis(base.setup)]
-    k, nk = base.setup.k, base.setup.n - base.setup.k
-    return solve_homogeneous(funcs, k * nk)
+    return kernel(action_image(base.setup, base.orbit))
 
 
 def max_conormal_rank(setup: Setup, orbit) -> int:
@@ -104,23 +94,32 @@ def _matrix_from_flat(flat, k: int, nk: int) -> QMatrix:
 RETRY_BUDGET = 8
 
 
-def _sample(base: BasePoint, seed: int, height_bound: int) -> Tuple[QMatrix, int]:
+def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> ConormalVector:
+    """Deterministic covector in the conormal space, generic for GLpq.
+
+    GLpq samples are resampled (at most RETRY_BUDGET times) until both
+    blocks reach full rank, so the matrix rank equals max_conormal_rank;
+    the returned vector records how many resamples that took.
+    """
     setup = base.setup
     k, nk = setup.k, setup.n - setup.k
-    space = conormal_space(base)
-    if space.dim == 0:
-        raise ValueError("open orbit has no conormal directions to sample")
+    chart = AdaptedChart(base)
     rng = SeedStream(seed).derive("conormal-sample")
     if setup.kind != Kind.GLPQ:
+        space = conormal_space(base)
+        if space.dim == 0:
+            raise ValueError("open orbit has no conormal directions to sample")
         coeffs = [rng.randint(-height_bound, height_bound) for _ in range(space.dim)]
         flat = [
             sum(c * space.basis[i, j] for j, c in enumerate(coeffs))
             for i in range(k * nk)
         ]
-        return _matrix_from_flat(flat, k, nk), 0
-    chart = AdaptedChart(base)
+        return ConormalVector(chart, _matrix_from_flat(flat, k, nk))
     hr, hc = len(chart.row_block(0)), len(chart.col_block(2))
     lr, lc = len(chart.row_block(1)), len(chart.col_block(0))
+    # the two blocks span the conormal space: codim s(q-k+s) + t(p-k+t)
+    if hr * hc + lr * lc == 0:
+        raise ValueError("open orbit has no conormal directions to sample")
     for attempt in range(RETRY_BUDGET + 1):
         rows = [[QQ(0)] * nk for _ in range(k)]
         for j in chart.row_block(0):
@@ -129,27 +128,10 @@ def _sample(base: BasePoint, seed: int, height_bound: int) -> Tuple[QMatrix, int
         for j in chart.row_block(1):
             for c in chart.col_block(0):
                 rows[j][c] = QQ(rng.randint(-height_bound, height_bound))
-        m = QMatrix.from_rows(rows)
-        xi = ConormalVector(chart, m)
+        xi = ConormalVector(chart, QMatrix.from_rows(rows), attempt)
         if rank(xi.h_block) == min(hr, hc) and rank(xi.l_block) == min(lr, lc):
-            return m, attempt
+            return xi
     raise RuntimeError(
         f"no generic covector within {RETRY_BUDGET} resamples; "
         "this indicates a bug, not bad luck"
     )
-
-
-def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> ConormalVector:
-    """Deterministic covector in the conormal space, generic for GLpq.
-
-    GLpq samples are resampled (at most RETRY_BUDGET times) until both
-    blocks reach full rank, so the matrix rank equals max_conormal_rank.
-    """
-    m, _ = _sample(base, seed, height_bound)
-    return ConormalVector(AdaptedChart(base), m)
-
-
-def sampling_retries(base: BasePoint, seed: int, height_bound: int = 100) -> int:
-    """How many resamples the genericity loop needed (harness statistic)."""
-    _, attempts = _sample(base, seed, height_bound)
-    return attempts

@@ -4,8 +4,9 @@ Restricting the invariant form of an isotropy setup to a moving k-plane
 gives a k x k Gram matrix that varies over a chart of the Grassmannian.
 The map lands in the space of symmetric or alternating matrices, and its
 rank drops exactly on the radical-stratification.  This module evaluates
-that section, checks it is transverse to the rank strata, and transports
-known cycle data for matrix strata back to orbit labels.
+that section and checks it is transverse to the rank strata; that
+transversality is what lets ccengine.pullback_cc transport known cycle
+data for matrix strata back to orbit labels.
 """
 
 from __future__ import annotations
@@ -15,24 +16,13 @@ from dataclasses import dataclass
 from .exactla import QMatrix, SeedStream, Subspace, rank
 from .matrixstrata import (
     Flavor,
-    cc_table,
     coordinate_basis,
     flavor_coords,
     flavor_dim,
     is_flavored,
     trace_pairing,
 )
-from .orbits import (
-    Kind,
-    RadicalOrbit,
-    Setup,
-    SplitOrbit,
-    check_orbit,
-    form_matrix,
-    is_split_setup,
-    normalize,
-    valid_orbit,
-)
+from .orbits import Kind, Setup, form_matrix, is_split_setup, normalize
 
 
 @dataclass(frozen=True)
@@ -214,38 +204,3 @@ def run_transversality_suite(setup: Setup, points: int = 100,
                 failures += 1
         results.append(ChartSuiteResult(center_last, points, failures))
     return TransversalityResult(work, tuple(results))
-
-
-def pullback_cc(setup: Setup, orbit):
-    """Transport the cycle of a matrix rank stratum to orbit labels.
-
-    The Gram section is a (transverse) map from the chart to flavored
-    matrices carrying the radical stratification to the rank one, so
-    cycle data pulls back term by term.  Rank values below 2k - n never
-    occur on a k-plane, because the Gram matrix always contains an
-    invertible block of that size; strata concentrated there relabel to
-    radical sizes exceeding n - k and are discarded.
-    """
-    from .ccengine import CharacteristicCycle
-
-    if setup.kind == Kind.GLPQ:
-        raise ValueError("pullback route needs an invariant form")
-    check_orbit(setup, orbit)
-    if isinstance(orbit, SplitOrbit):
-        # both split orbits are smooth points of the stratification
-        return CharacteristicCycle.from_multiplicities(setup, orbit, {orbit: 1})
-    norm = normalize(setup)
-    work = norm.setup
-    i = norm.to_normalized(orbit).i
-    flavor = Flavor.SKEW if work.kind == Kind.SP else Flavor.SYMMETRIC
-    table = cc_table(flavor, work.k, work.k - i)
-    mults = {}
-    for sid, mult in table.terms:
-        jlab = work.k - sid.rank
-        if is_split_setup(work) and jlab == work.k:
-            for sign in (1, -1):
-                mults[SplitOrbit(sign)] = mult
-        elif valid_orbit(work, RadicalOrbit(jlab)):
-            mults[RadicalOrbit(jlab)] = mult
-    back = {norm.from_normalized(lab): m for lab, m in mults.items()}
-    return CharacteristicCycle.from_multiplicities(setup, orbit, back)

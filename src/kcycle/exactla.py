@@ -121,9 +121,6 @@ class QMatrix:
             [[self[i, j] for j in col_idx] for i in row_idx]
         )
 
-    def flatten(self) -> tuple:
-        return self.entries
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 

@@ -12,9 +12,14 @@ Supported groups K acting on Gr(k, C^n):
     locus splits into two closed orbits (the two ruling families).
 
 The module provides orbit enumeration, closure posets, explicit base
-points with adapted bases, orbit dimensions via the rank of the action
-differential, and the relabelling maps induced by swapping the summands
-or passing to annihilators / orthogonal complements.
+points with adapted bases, and the relabelling maps induced by swapping
+the summands or passing to annihilators / orthogonal complements.
+
+Lie(K) is stored by the nonzero entries of its basis elements, and
+action_image builds the image of the action differential at a base
+point from them, one sparse row per element, for all three kinds.  Its
+rank is the orbit dimension; its kernel is the conormal space that
+conormal.conormal_space_from_action returns.
 """
 
 from __future__ import annotations
@@ -437,11 +442,6 @@ def _check_base_point(bp: BasePoint) -> None:
             assert split_family(setup, Subspace.from_matrix(u)) == orbit.sign
 
 
-@lru_cache(maxsize=None)
-def _basis_inverse(bp: BasePoint) -> QMatrix:
-    return inverse(bp.basis)
-
-
 # ---------------------------------------------------------------------------
 # classifying arbitrary points
 
@@ -495,17 +495,20 @@ def annihilator(u: Subspace) -> Subspace:
 
 @lru_cache(maxsize=None)
 def lie_algebra_basis(setup: Setup) -> tuple:
-    """Basis matrices of Lie(K) acting on C^n."""
+    """Basis of Lie(K) acting on C^n, each element as its nonzero entries.
+
+    An element is a tuple of (row, col, value) triples: the single unit
+    entry of E_ab for GLpq, and at most two entries for Sp/SO, whose
+    basis is the solution space of X^T J + J X = 0 for the form J.
+    """
     n = setup.n
     if setup.kind == Kind.GLPQ:
-        out = []
-        for block in (range(setup.p), range(setup.p, n)):
-            for a in block:
-                for b in block:
-                    rows = [[QQ(0)] * n for _ in range(n)]
-                    rows[a][b] = QQ(1)
-                    out.append(QMatrix.from_rows(rows))
-        return tuple(out)
+        return tuple(
+            ((a, b, QQ(1)),)
+            for block in (range(setup.p), range(setup.p, n))
+            for a in block
+            for b in block
+        )
     j = form_matrix(setup.kind, n)
     # X^T J + J X = 0, as linear conditions on the n^2 entries of X
     constraints = []
@@ -517,44 +520,45 @@ def lie_algebra_basis(setup: Setup) -> tuple:
                 func[c * n + b] += j[a, c]
             constraints.append(func)
     sol = solve_homogeneous(constraints, n * n)
-    out = []
-    for col in range(sol.dim):
-        flat = sol.basis.col(col)
-        out.append(QMatrix.from_rows([flat[r * n:(r + 1) * n] for r in range(n)]))
+    out = tuple(
+        tuple((*divmod(idx, n), v) for idx, v in enumerate(sol.basis.col(col)) if v)
+        for col in range(sol.dim)
+    )
     expected = n * (n + 1) // 2 if setup.kind == Kind.SP else n * (n - 1) // 2
     assert len(out) == expected
-    return tuple(out)
+    return out
 
 
-def tangent_vector(bp: BasePoint, x: QMatrix) -> QMatrix:
-    """Action of a Lie algebra element as a k x (n-k) chart matrix.
+def action_image(setup: Setup, orbit) -> QMatrix:
+    """Image of Lie(K) in the tangent space at the orbit's base point.
 
-    Row j holds the complement coordinates of x . u_j, i.e. the image of
-    x in Hom(U, C^n/U) written in the adapted basis.
+    Row r is the action of the r-th element x of lie_algebra_basis, as
+    a k x (n-k) chart matrix flattened row-major: entry (j, c) is the
+    c-th complement coordinate of x . u_j in the adapted basis B, i.e.
+    the sum of value * B^-1[k+c, a] * B[b, j] over the entries (a, b) of x.
     """
-    n, k = bp.setup.n, bp.setup.k
-    coords = _basis_inverse(bp).mul(x).mul(bp.u_matrix)  # n x k
-    return coords.submatrix(range(k, n), range(k)).transpose()
-
-
-def _action_rows(setup: Setup, bp: BasePoint) -> list:
-    if setup.kind == Kind.GLPQ:
-        # E_ab acts by an outer product; skip the generic n^3 multiply
-        binv = _basis_inverse(bp)
-        u = bp.u_matrix
-        n, k = setup.n, setup.k
-        rows = []
-        for block in (range(setup.p), range(setup.p, n)):
-            for a in block:
-                for b in block:
-                    rows.append(
-                        [binv[k + c, a] * u[b, j] for j in range(k) for c in range(n - k)]
-                    )
-        return rows
-    return [tangent_vector(bp, x).flatten() for x in lie_algebra_basis(setup)]
+    bp = base_point(setup, orbit)
+    n, k = setup.n, setup.k
+    nk = n - k
+    basis, binv = bp.basis, inverse(bp.basis)
+    rows = []
+    for x in lie_algebra_basis(setup):
+        row = [QQ(0)] * (k * nk)
+        for a, b, v in x:
+            for j in range(k):
+                ub = basis[b, j]
+                if ub:
+                    for c in range(nk):
+                        row[j * nk + c] += v * binv[k + c, a] * ub
+        rows.append(row)
+    return QMatrix.from_rows(rows)
 
 
 @lru_cache(maxsize=None)
 def orbit_dimension(setup: Setup, orbit) -> int:
-    bp = base_point(setup, orbit)
-    return rank(QMatrix.from_rows(_action_rows(setup, bp)))
+    """Rank of the action image.
+
+    The int is cached; the action-image matrices are not, since keeping
+    one per orbit raises peak memory for no reuse.
+    """
+    return rank(action_image(setup, orbit))

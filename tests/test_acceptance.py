@@ -9,9 +9,9 @@ import subprocess
 import sys
 import time
 
-from kcycle.ccengine import characteristic_cycle
+from kcycle.ccengine import characteristic_cycle, pullback_cc
 from kcycle.conormal import conormal_space, max_conormal_rank, sample_conormal
-from kcycle.degeneracy import pullback_cc, run_transversality_suite
+from kcycle.degeneracy import run_transversality_suite
 from kcycle.exactla import QMatrix, SeedStream, rank
 from kcycle.matrixstrata import (
     Flavor,

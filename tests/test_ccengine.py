@@ -8,8 +8,8 @@ from kcycle.ccengine import (
     check_cc_agreement,
     check_smallness,
     cross_check,
+    pullback_cc,
 )
-from kcycle.degeneracy import pullback_cc
 from kcycle.orbits import (
     Kind,
     RadicalOrbit,

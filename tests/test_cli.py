@@ -4,7 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from kcycle import cli
+from kcycle import ccengine, cli
 from kcycle.ccengine import CheckRow
 
 SCHEMA = json.loads(
@@ -98,15 +98,27 @@ def test_usage_errors(capsys):
         ["cc"] + SO63 + ["--orbit", "rad9"],
         ["orbits", "--kind", "xx", "--n", "4", "--k", "2"],
         ["nonsense"],
+        ["verify"] + GLPQ + ["--trials", "0"],
+        ["verify"] + SO63 + ["--suite", "transversality", "--trials", "-3"],
     ]
     for argv in cases:
-        code, _, _ = run(capsys, argv)
+        code, out, _ = run(capsys, argv)
         assert code == 2, argv
+        assert out == "", argv
+
+
+def test_out_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "orbits.json"
+    code, out, err = run(capsys, ["orbits"] + SO63 + ["--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not target.exists()
 
 
 def test_failed_check_exits_one(capsys, monkeypatch):
     bad = [CheckRow("microlocal-empty", "q(0,0)<-q(1,1)", False, "witness found")]
-    monkeypatch.setattr(cli, "check_microlocal", lambda *a, **kw: bad)
+    monkeypatch.setattr(ccengine, "check_microlocal", lambda *a, **kw: bad)
     code, out, _ = run(capsys, ["verify"] + GLPQ + ["--suite", "microlocal"])
     assert code == 1
     assert "FAIL" in out

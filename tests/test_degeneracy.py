@@ -1,9 +1,9 @@
 import pytest
 
+from kcycle.ccengine import pullback_cc
 from kcycle.degeneracy import (
     ChartPoint,
     FormJ,
-    pullback_cc,
     random_chart_point,
     run_transversality_suite,
     section_differential_image,

@@ -1,0 +1,70 @@
+"""Golden stdout digests.
+
+Each entry pins the SHA-256 of the stdout of one CLI invocation, so a
+change that should leave the output alone can show that it did: the
+bytes, not only their run-to-run identity, must match.  The digests
+were taken before the Lie-algebra action image was rebuilt on sparse
+basis elements and must not be re-recorded to make a change pass;
+update one only for a change that is meant to alter that output, and
+say so where the change is described.
+"""
+
+import hashlib
+
+import pytest
+
+from kcycle import cli
+
+GLPQ52 = ["--kind", "glpq", "--n", "5", "--k", "2", "--p", "3", "--q", "2"]
+GLPQ63 = ["--kind", "glpq", "--n", "6", "--k", "3", "--p", "4", "--q", "2"]
+SP64 = ["--kind", "sp", "--n", "6", "--k", "4"]
+SO63 = ["--kind", "so", "--n", "6", "--k", "3"]
+SO74 = ["--kind", "so", "--n", "7", "--k", "4"]
+SO84 = ["--kind", "so", "--n", "8", "--k", "4"]
+JSON = ["--format", "json"]
+DOT = ["--format", "dot"]
+VERIFY = ["--suite", "all", "--seed", "42"] + JSON
+
+GOLDEN = [
+    (["orbits"] + GLPQ52 + JSON,
+     "fac3793273c0b5bf0e953943729a89145f7c937759eb61a3004645ffb7856e38"),
+    (["cc"] + GLPQ52 + JSON,
+     "8a1fb76135d62d3816cdc491697129d9fb782bcce5b9ea35cbff6053d59d1486"),
+    (["poset"] + GLPQ52 + JSON,
+     "cd9e68fec16a825ac5d884e820b90330aeae6615583219880701444a522dcbaa"),
+    (["poset"] + GLPQ52 + DOT,
+     "a07a56bff12b4d928223505d5bfc6b8de7f0b1a129d9e7ee2060138ffefacf3c"),
+    (["orbits"] + SP64 + JSON,
+     "18f93f94b3f0514fa53a2f300564c85ba677c0a5dd827a79125a0789ff7589b9"),
+    (["cc"] + SP64 + JSON,
+     "df54a38870aa43e158053ff08a47d6a1c26270a8c5e69c874d36af14f7683047"),
+    (["poset"] + SP64 + JSON,
+     "3627968e2100397c049cbdeeeff7045a0186d6cc33deafb8536470b72238f45d"),
+    (["poset"] + SP64 + DOT,
+     "4109a86fc55053b90c2b750ead1c72af8a7e73b594171ba4780d66d163a22171"),
+    (["orbits"] + SO84 + JSON,
+     "41cedc27da15b87e2640c3bf7c0077ef09f1d0a8e189aa27d544b436d02e154c"),
+    (["cc"] + SO84 + JSON,
+     "2a9edf56b3ba3696193c69e277a9d01c59c7117e37c973d0c2d0412c34bbacb6"),
+    (["poset"] + SO84 + JSON,
+     "c6bd1079df25ef21cef6141ef87f15780c7a39167b3a3dfe7e844c763a5ffb5d"),
+    (["poset"] + SO84 + DOT,
+     "5f5d19d49694875d80613f4946178ee6d6f5b108bcf120605901f760d8353f4c"),
+    (["verify"] + GLPQ63 + VERIFY,
+     "b95a539b1a56ae2fae05e0dd6f61dbcd3ecd893e25de21b9580ccffd5d0f3e92"),
+    (["verify"] + GLPQ52 + VERIFY,
+     "30c81c1a18cccc85b4c7b0f1360174198a706b095d4a744f78c9992e00e78e9f"),
+    (["verify"] + SP64 + VERIFY,
+     "4ba547fd5dcc80ce787878244c6315ddabb574093bf304b5df10a8e78915046b"),
+    (["verify"] + SO63 + VERIFY,
+     "96aa5543c72b5b040ba5c257acdf8ee70a41ad34b11c6b265c80c50ab81d9ae8"),
+    (["verify"] + SO74 + VERIFY,
+     "65ce1eefedc4ea418fe29c5770c8f881bf30926b66e6783afcc28fe4afaf203c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_digest(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

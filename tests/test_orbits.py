@@ -1,6 +1,6 @@
 import pytest
 
-from kcycle.exactla import Subspace, rank
+from kcycle.exactla import QMatrix, Subspace, inverse, rank
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -8,6 +8,7 @@ from kcycle.orbits import (
     RadicalOrbit,
     Setup,
     SplitOrbit,
+    action_image,
     annihilator,
     base_point,
     enumerate_orbits,
@@ -239,16 +240,44 @@ def test_split_families():
     assert split_reference(setup) == plus
 
 
+def _dense(n, entries):
+    """The n x n matrix with the given (row, col, value) entries."""
+    rows = [[0] * n for _ in range(n)]
+    for a, b, v in entries:
+        rows[a][b] += v
+    return QMatrix.from_rows(rows)
+
+
 def test_lie_algebra_dimensions():
     assert len(lie_algebra_basis(Setup(Kind.SP, 4, 2))) == 10
     assert len(lie_algebra_basis(Setup(Kind.SO, 4, 2))) == 6
     assert len(lie_algebra_basis(Setup(Kind.SO, 5, 2))) == 10
     assert len(lie_algebra_basis(glpq(4, 2, 2, 2))) == 8
+    # sparse elements: one unit entry for GLpq, at most two for Sp/SO
+    assert all(len(x) == 1 for x in lie_algebra_basis(glpq(4, 2, 2, 2)))
     # every generator preserves the form
     for setup in [Setup(Kind.SP, 6, 2), Setup(Kind.SO, 7, 3)]:
         j = form_matrix(setup.kind, setup.n)
-        for x in lie_algebra_basis(setup):
+        for entries in lie_algebra_basis(setup):
+            assert 1 <= len(entries) <= 2
+            x = _dense(setup.n, entries)
             assert x.transpose().mul(j).add(j.mul(x)).is_zero()
+
+
+def test_action_image_matches_dense_action():
+    # reference: x . u_j in the adapted basis B is B^-1 X U, column j
+    for setup in [glpq(6, 3, 4, 2), Setup(Kind.SP, 6, 4), Setup(Kind.SO, 7, 3),
+                  Setup(Kind.SO, 8, 4)]:
+        n, k = setup.n, setup.k
+        for orbit in enumerate_orbits(setup):
+            bp = base_point(setup, orbit)
+            binv = inverse(bp.basis)
+            image = action_image(setup, orbit)
+            assert image.nrows == len(lie_algebra_basis(setup))
+            for r, entries in enumerate(lie_algebra_basis(setup)):
+                coords = binv.mul(_dense(n, entries)).mul(bp.u_matrix)
+                want = coords.submatrix(range(k, n), range(k)).transpose()
+                assert image.row(r) == want.entries
 
 
 def test_orbit_dimension_examples():
