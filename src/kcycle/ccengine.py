@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degeneracy
-from .matrixstrata import Flavor, cc_table
+from .matrixstrata import cc_table
 from .orbits import (
     Kind,
     RadicalOrbit,
@@ -146,8 +146,7 @@ def pullback_cc(setup: Setup, orbit) -> CharacteristicCycle:
     norm = normalize(setup)
     work = norm.setup
     i = norm.to_normalized(orbit).i
-    flavor = Flavor.SKEW if work.kind == Kind.SP else Flavor.SYMMETRIC
-    table = cc_table(flavor, work.k, work.k - i)
+    table = cc_table(degeneracy.form_flavor(work.kind), work.k, work.k - i)
     mults = {}
     for sid, mult in table.terms:
         jlab = work.k - sid.rank

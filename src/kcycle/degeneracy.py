@@ -7,6 +7,11 @@ rank drops exactly on the radical-stratification.  This module evaluates
 that section and checks it is transverse to the rank strata; that
 transversality is what lets ccengine.pullback_cc transport known cycle
 data for matrix strata back to orbit labels.
+
+The functions take a normalized setup (k >= n - k).  The section is
+orbits.gram_matrix of the chart frame and its differential is read off
+the signs of the antidiagonal form, so J is never multiplied densely.
+form_flavor is the one map from a setup kind to its matrix flavor.
 """
 
 from __future__ import annotations
@@ -14,42 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactla import QMatrix, SeedStream, Subspace, rank
-from .matrixstrata import (
-    Flavor,
-    coordinate_basis,
-    flavor_coords,
-    flavor_dim,
-    is_flavored,
-    trace_pairing,
-)
-from .orbits import Kind, Setup, form_matrix, is_split_setup, normalize
+from .matrixstrata import Flavor, coordinate_basis, flavor_coords, flavor_dim, trace_pairing
+from .orbits import Kind, Setup, form_sign, gram_matrix, is_split_setup, normalize
 
 
-@dataclass(frozen=True)
-class FormJ:
-    """An invariant bilinear form on the ambient space."""
-
-    n: int
-    flavor: Flavor
-    matrix: QMatrix
-
-    def __post_init__(self):
-        if self.matrix.nrows != self.n or self.matrix.ncols != self.n:
-            raise ValueError("form matrix must be n x n")
-        if not is_flavored(self.matrix, self.flavor):
-            raise ValueError(f"form matrix is not {self.flavor.value}")
-        if rank(self.matrix) != self.n:
-            raise ValueError("form must be nondegenerate")
-
-    @classmethod
-    def for_setup(cls, setup: Setup) -> "FormJ":
-        if setup.kind == Kind.SP:
-            flavor = Flavor.SKEW
-        elif setup.kind == Kind.SO:
-            flavor = Flavor.SYMMETRIC
-        else:
-            raise ValueError("no invariant form for a splitting-type setup")
-        return cls(setup.n, flavor, form_matrix(setup.kind, setup.n))
+def form_flavor(kind: Kind) -> Flavor:
+    """The symmetry of the invariant form, hence of every Gram matrix."""
+    if kind == Kind.GLPQ:
+        raise ValueError("no invariant form for a splitting-type setup")
+    return Flavor.SKEW if kind == Kind.SP else Flavor.SYMMETRIC
 
 
 @dataclass(frozen=True)
@@ -67,10 +45,9 @@ def random_chart_point(n: int, k: int, rng: SeedStream, height_bound: int = 9) -
     return ChartPoint(QMatrix.from_rows(rows))
 
 
-def _frame(j: FormJ, a: ChartPoint, k: int, center_last: bool) -> QMatrix:
-    n = j.n
-    if not 1 <= k <= n - 1:
-        raise ValueError("k out of range")
+def _frame(setup: Setup, a: ChartPoint, center_last: bool) -> QMatrix:
+    n, k = setup.n, setup.k
+    form_flavor(setup.kind)  # raises for GLpq, which has no form
     if k < n - k:
         raise ValueError("chart sections require k >= n - k")
     if a.a.nrows != n - k or a.a.ncols != k:
@@ -83,49 +60,53 @@ def _frame(j: FormJ, a: ChartPoint, k: int, center_last: bool) -> QMatrix:
     return ident.vstack(a.a)
 
 
-def section_value(j: FormJ, a: ChartPoint, k: int, center_last: bool = False) -> QMatrix:
+def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMatrix:
     """Gram matrix of the form on the plane with chart coordinates ``a``.
 
     The default chart consists of graphs over span{e_1..e_k}; with
     ``center_last`` (square case only) the plane is a graph over
     span{e_{k+1}..e_n} instead.
     """
-    m = _frame(j, a, k, center_last)
-    return m.transpose().mul(j.matrix).mul(m)
+    return gram_matrix(setup, _frame(setup, a, center_last))
 
 
-def _differential_values(j: FormJ, a: ChartPoint, k: int,
+def _differential_values(setup: Setup, a: ChartPoint,
                          center_last: bool = False) -> list:
-    # one flavored k x k matrix per coordinate direction of the chart
-    n = j.n
-    m = _frame(j, a, k, center_last)
-    jm = j.matrix.mul(m)
+    """One flavored k x k matrix per chart direction (r, c), row-major.
+
+    Moving a[r, c] moves frame row r' (r, or k + r in the standard
+    chart), so the derivative of M^T J M is D + sign * D^T, where D is
+    zero except row c = eps_{r'} * M[n-1-r', :] and sign is the symmetry
+    of J.
+    """
+    n, k = setup.n, setup.k
+    m = _frame(setup, a, center_last)
+    sign = 1 if form_flavor(setup.kind) == Flavor.SYMMETRIC else -1
     out = []
-    zero_k = QMatrix.zeros(k, k)
-    sign = 1 if j.flavor == Flavor.SYMMETRIC else -1
     for r in range(n - k):
+        moved = r if center_last else k + r
+        eps = form_sign(setup.kind, n, moved)
+        row = [eps * x for x in m.row(n - 1 - moved)]
         for c in range(k):
-            e = QMatrix.from_rows(
-                [[1 if (i, jj) == (r, c) else 0 for jj in range(k)]
-                 for i in range(n - k)]
-            )
-            mdot = e.vstack(zero_k) if center_last else zero_k.vstack(e)
-            d = mdot.transpose().mul(jm)
-            out.append(d.add(d.transpose().scale(sign)))
+            d = [[0] * k for _ in range(k)]
+            for y in range(k):
+                d[c][y] += row[y]
+                d[y][c] += sign * row[y]
+            out.append(QMatrix.from_rows(d))
     return out
 
 
-def section_differential_image(j: FormJ, a: ChartPoint, k: int,
+def section_differential_image(setup: Setup, a: ChartPoint,
                                center_last: bool = False) -> Subspace:
     """Image of the derivative of the section at ``a``, in flavor coordinates."""
-    values = _differential_values(j, a, k, center_last)
+    flavor = form_flavor(setup.kind)
     return Subspace.span(
-        flavor_dim(j.flavor, k),
-        [flavor_coords(v, j.flavor) for v in values],
+        flavor_dim(flavor, setup.k),
+        [flavor_coords(v, flavor) for v in _differential_values(setup, a, center_last)],
     )
 
 
-def verify_transversality(j: FormJ, a: ChartPoint, k: int,
+def verify_transversality(setup: Setup, a: ChartPoint,
                           center_last: bool = False) -> bool:
     """Check the section meets the stratum of its value transversally.
 
@@ -135,16 +116,18 @@ def verify_transversality(j: FormJ, a: ChartPoint, k: int,
     to the image of the differential, which is a rank condition on the
     stacked constraints.
     """
-    x = section_value(j, a, k, center_last)
-    top = k if j.flavor == Flavor.SYMMETRIC else k - (k % 2)
+    k = setup.k
+    flavor = form_flavor(setup.kind)
+    x = section_value(setup, a, center_last)
+    top = k if flavor == Flavor.SYMMETRIC else k - (k % 2)
     if rank(x) == top:
         # values of maximal rank sit on the open stratum, whose tangent
         # space is everything
         return True
-    basis = coordinate_basis(j.flavor, k)
-    d = flavor_dim(j.flavor, k)
+    basis = coordinate_basis(flavor, k)
+    d = flavor_dim(flavor, k)
     rows = []
-    for img in _differential_values(j, a, k, center_last):
+    for img in _differential_values(setup, a, center_last):
         rows.append([trace_pairing(bc, img) for bc in basis])
     products = [x.mul(bc) for bc in basis]
     for rr in range(k):
@@ -187,7 +170,6 @@ def run_transversality_suite(setup: Setup, points: int = 100,
     if setup.kind == Kind.GLPQ:
         raise ValueError("transversality sweeps need an invariant form")
     work = normalize(setup).setup
-    j = FormJ.for_setup(work)
     n, k = work.n, work.k
     charts = [False]
     if is_split_setup(work):
@@ -200,7 +182,7 @@ def run_transversality_suite(setup: Setup, points: int = 100,
         failures = 0
         for _ in range(points):
             a = random_chart_point(n, k, rng)
-            if not verify_transversality(j, a, k, center_last):
+            if not verify_transversality(work, a, center_last):
                 failures += 1
         results.append(ChartSuiteResult(center_last, points, failures))
     return TransversalityResult(work, tuple(results))

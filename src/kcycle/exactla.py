@@ -97,9 +97,6 @@ class QMatrix:
             tuple(a + b for a, b in zip(self.entries, other.entries)),
         )
 
-    def sub(self, other: "QMatrix") -> "QMatrix":
-        return self.add(other.scale(-1))
-
     def scale(self, c) -> "QMatrix":
         c = _q(c)
         return QMatrix(self.nrows, self.ncols, tuple(c * x for x in self.entries))

@@ -15,10 +15,14 @@ The module provides orbit enumeration, closure posets, explicit base
 points with adapted bases, and the relabelling maps induced by swapping
 the summands or passing to annihilators / orthogonal complements.
 
-Lie(K) is stored by the nonzero entries of its basis elements, and
-action_image builds the image of the action differential at a base
-point from them, one sparse row per element, for all three kinds.  Its
-rank is the orbit dimension; its kernel is the conormal space that
+The invariant form of Sp/SO is the signed antidiagonal J with
+J[a, n-1-a] = form_sign(kind, n, a), and everything form-related is
+derived from those signs without a dense product: Gram matrices,
+orthogonal complements, and the closed-form basis of Lie(K).  Lie(K) is
+stored by the nonzero entries of its basis elements, and action_image
+builds the image of the action differential at a base point from them,
+one sparse row per element, for all three kinds.  Its rank is the orbit
+dimension; its kernel is the conormal space that
 conormal.conormal_space_from_action returns.
 """
 
@@ -302,23 +306,41 @@ class ClosurePoset:
 # ---------------------------------------------------------------------------
 # bilinear forms and base points
 
-@lru_cache(maxsize=None)
-def form_matrix(kind: Kind, n: int) -> QMatrix:
-    """The antidiagonal form: symmetric for SO, symplectic for Sp."""
+def form_sign(kind: Kind, n: int, a: int) -> int:
+    """The sign eps_a of the invariant form, J[a, n-1-a] = eps_a.
+
+    J is antidiagonal: eps_a = +1 throughout for SO (symmetric), and +1
+    on the first half, -1 on the second for Sp (symplectic).
+    """
     assert kind in (Kind.SP, Kind.SO)
-    rows = [[QQ(0)] * n for _ in range(n)]
-    for a in range(n):
-        if kind == Kind.SO:
-            rows[a][n - 1 - a] = QQ(1)
-        else:
-            rows[a][n - 1 - a] = QQ(1) if a < n // 2 else QQ(-1)
-    return QMatrix.from_rows(rows)
+    return 1 if kind == Kind.SO or a < n // 2 else -1
+
+
+def form_matrix(kind: Kind, n: int) -> QMatrix:
+    """J as a dense n x n matrix, a reference for the sparse formulas."""
+    return QMatrix.from_rows(
+        [[form_sign(kind, n, a) if b == n - 1 - a else 0 for b in range(n)]
+         for a in range(n)]
+    )
 
 
 def gram_matrix(setup: Setup, u: QMatrix) -> QMatrix:
-    """Restriction of the form to the columns of u."""
-    j = form_matrix(setup.kind, setup.n)
-    return u.transpose().mul(j).mul(u)
+    """Restriction of the form to the columns of u.
+
+    Entry (x, y) is the sum over a of eps_a * u[a, x] * u[n-1-a, y].
+    """
+    n, k = u.nrows, u.ncols
+    out = [[0] * k for _ in range(k)]
+    for a in range(n):
+        row, partner = u.row(a), u.row(n - 1 - a)
+        eps = form_sign(setup.kind, n, a)
+        for x in range(k):
+            if row[x]:
+                v = eps * row[x]
+                for y in range(k):
+                    if partner[y]:
+                        out[x][y] += v * partner[y]
+    return QMatrix.from_rows(out)
 
 
 def _e(n: int, idx: int) -> list:
@@ -477,9 +499,11 @@ def split_family(setup: Setup, u: Subspace) -> int:
 
 def perp(setup: Setup, u: Subspace) -> Subspace:
     """Orthogonal complement with respect to the form (Sp/SO)."""
-    j = form_matrix(setup.kind, setup.n)
+    n = setup.n
+    # the functional w -> v^T J w has coefficient eps_{n-1-b} v[n-1-b] at b
     return solve_homogeneous(
-        [u.basis.transpose().mul(j).row(r) for r in range(u.dim)], setup.n
+        [[form_sign(setup.kind, n, n - 1 - b) * v[n - 1 - b] for b in range(n)]
+         for v in (u.basis.col(r) for r in range(u.dim))], n
     )
 
 
@@ -497,9 +521,12 @@ def annihilator(u: Subspace) -> Subspace:
 def lie_algebra_basis(setup: Setup) -> tuple:
     """Basis of Lie(K) acting on C^n, each element as its nonzero entries.
 
-    An element is a tuple of (row, col, value) triples: the single unit
-    entry of E_ab for GLpq, and at most two entries for Sp/SO, whose
-    basis is the solution space of X^T J + J X = 0 for the form J.
+    An element is a tuple of (row, col, value) triples.  For GLpq it is
+    the single unit entry of E_ab.  For Sp/SO, X^T J + J X = 0 ties entry
+    (a, b) to entry (n-1-b, n-1-a) with coefficient -eps_a * eps_b, so
+    each such pair spans one element; a self-paired entry (a + b = n-1)
+    stands alone for Sp and is forced to zero for SO.  The elements have
+    disjoint supports, hence are independent.
     """
     n = setup.n
     if setup.kind == Kind.GLPQ:
@@ -509,24 +536,16 @@ def lie_algebra_basis(setup: Setup) -> tuple:
             for a in block
             for b in block
         )
-    j = form_matrix(setup.kind, n)
-    # X^T J + J X = 0, as linear conditions on the n^2 entries of X
-    constraints = []
+    out = []
     for a in range(n):
         for b in range(n):
-            func = [QQ(0)] * (n * n)
-            for c in range(n):
-                func[c * n + a] += j[c, b]
-                func[c * n + b] += j[a, c]
-            constraints.append(func)
-    sol = solve_homogeneous(constraints, n * n)
-    out = tuple(
-        tuple((*divmod(idx, n), v) for idx, v in enumerate(sol.basis.col(col)) if v)
-        for col in range(sol.dim)
-    )
-    expected = n * (n + 1) // 2 if setup.kind == Kind.SP else n * (n - 1) // 2
-    assert len(out) == expected
-    return out
+            pa, pb = n - 1 - b, n - 1 - a
+            if (a, b) < (pa, pb):
+                coeff = -form_sign(setup.kind, n, a) * form_sign(setup.kind, n, b)
+                out.append(((a, b, QQ(1)), (pa, pb, QQ(coeff))))
+            elif (a, b) == (pa, pb) and setup.kind == Kind.SP:
+                out.append(((a, b, QQ(1)),))
+    return tuple(out)
 
 
 def action_image(setup: Setup, orbit) -> QMatrix:

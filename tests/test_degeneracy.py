@@ -1,16 +1,17 @@
 import pytest
 
+from kcycle import degeneracy
 from kcycle.ccengine import pullback_cc
 from kcycle.degeneracy import (
     ChartPoint,
-    FormJ,
+    form_flavor,
     random_chart_point,
     run_transversality_suite,
     section_differential_image,
     section_value,
     verify_transversality,
 )
-from kcycle.exactla import QMatrix, SeedStream, Subspace, rank
+from kcycle.exactla import QQ, QMatrix, SeedStream, Subspace, rank
 from kcycle.matrixstrata import Flavor, conormal_solutions, flavor_dim, is_flavored
 from kcycle.orbits import (
     IntersectionOrbit,
@@ -19,6 +20,7 @@ from kcycle.orbits import (
     Setup,
     SplitOrbit,
     enumerate_orbits,
+    form_matrix,
     orbit_of,
 )
 
@@ -32,26 +34,24 @@ def _zero_chart(n, k):
 
 def test_section_values_are_flavored():
     for setup in (SO53, SP64, Setup(Kind.SP, 6, 3), Setup(Kind.SO, 7, 4)):
-        j = FormJ.for_setup(setup)
         rng = SeedStream(3).derive("flavored-check", setup.describe())
         for _ in range(8):
             a = random_chart_point(setup.n, setup.k, rng)
-            x = section_value(j, a, setup.k)
-            assert is_flavored(x, j.flavor)
+            x = section_value(setup, a)
+            assert is_flavored(x, form_flavor(setup.kind))
 
 
 def test_overlap_block_is_constant():
     # graph planes always contain the pairing of the middle coordinates
     for setup in (SO53, SP64, Setup(Kind.SO, 8, 6)):
         n, k = setup.n, setup.k
-        j = FormJ.for_setup(setup)
         overlap = list(range(n - k, k))
-        jblock = j.matrix.submatrix(overlap, overlap)
+        jblock = form_matrix(setup.kind, n).submatrix(overlap, overlap)
         assert rank(jblock) == 2 * k - n
         rng = SeedStream(5).derive("overlap", setup.describe())
         for _ in range(6):
             a = random_chart_point(n, k, rng)
-            x = section_value(j, a, k)
+            x = section_value(setup, a)
             assert x.submatrix(overlap, overlap) == jblock
             assert rank(x) >= 2 * k - n
 
@@ -59,23 +59,22 @@ def test_overlap_block_is_constant():
 def test_zero_chart_value_and_differential():
     for setup in (SO53, SP64, Setup(Kind.SP, 6, 3), Setup(Kind.SO, 6, 3)):
         n, k = setup.n, setup.k
-        j = FormJ.for_setup(setup)
-        x0 = section_value(j, _zero_chart(n, k), k)
+        flavor = form_flavor(setup.kind)
+        x0 = section_value(setup, _zero_chart(n, k))
         assert rank(x0) == 2 * k - n
-        image = section_differential_image(j, _zero_chart(n, k), k)
-        assert image.dim == flavor_dim(j.flavor, k) - flavor_dim(j.flavor, 2 * k - n)
-        assert verify_transversality(j, _zero_chart(n, k), k)
+        image = section_differential_image(setup, _zero_chart(n, k))
+        assert image.dim == flavor_dim(flavor, k) - flavor_dim(flavor, 2 * k - n)
+        assert verify_transversality(setup, _zero_chart(n, k))
 
 
 def test_rank_matches_orbit_classification():
     for setup in (SO53, Setup(Kind.SP, 6, 4)):
         n, k = setup.n, setup.k
-        j = FormJ.for_setup(setup)
         rng = SeedStream(11).derive("classify", setup.describe())
         seen = set()
         for _ in range(30):
             a = random_chart_point(n, k, rng, height_bound=3)
-            x = section_value(j, a, k)
+            x = section_value(setup, a)
             ident = QMatrix.identity(k)
             plane = Subspace.from_matrix(ident.vstack(a.a))
             orbit = orbit_of(setup, plane)
@@ -117,38 +116,62 @@ def test_transversality_on_the_degenerate_locus():
     # in this chart the section drops rank exactly on 2 a1 = 2 a2 a4 + a3^2,
     # so integer points of that surface exercise the full constraint check
     setup = Setup(Kind.SO, 5, 4)
-    j = FormJ.for_setup(setup)
     rng = SeedStream(23).derive("degenerate-locus")
     hits = 0
     for _ in range(20):
         a2, a4, b = (rng.randint(-4, 4) for _ in range(3))
         a = ChartPoint(QMatrix.from_rows([[a2 * a4 + 2 * b * b, a2, 2 * b, a4]]))
-        x = section_value(j, a, 4)
+        x = section_value(setup, a)
         assert rank(x) == 3
-        assert verify_transversality(j, a, 4)
+        assert verify_transversality(setup, a)
         hits += 1
     assert hits == 20
 
 
-def test_perpendicularity_alone_is_not_enough():
+def test_perpendicularity_alone_is_not_enough(monkeypatch):
     # at the zero chart the Gram matrix is singular, so covectors
     # annihilating the stratum tangent space exist in abundance; only
     # the differential rows rule them out
-    j = FormJ.for_setup(SO53)
-    x0 = section_value(j, _zero_chart(5, 3), 3)
-    leftover = conormal_solutions(x0, j.flavor)
+    x0 = section_value(SO53, _zero_chart(5, 3))
+    leftover = conormal_solutions(x0, Flavor.SYMMETRIC)
     assert leftover.dim == 3
-    assert verify_transversality(j, _zero_chart(5, 3), 3)
+    assert verify_transversality(SO53, _zero_chart(5, 3))
+    monkeypatch.setattr(degeneracy, "_differential_values", lambda *args: [])
+    assert not verify_transversality(SO53, _zero_chart(5, 3))
+
+
+def test_differential_is_the_exact_central_difference():
+    # the section is quadratic, so its derivative in direction E_rc is
+    # exactly (S(a + E_rc) - S(a - E_rc)) / 2
+    cases = [(SO53, False), (SP64, False), (Setup(Kind.SP, 8, 5), False),
+             (Setup(Kind.SO, 8, 4), False), (Setup(Kind.SO, 8, 4), True)]
+    for setup, center_last in cases:
+        n, k = setup.n, setup.k
+        rng = SeedStream(13).derive("central-difference", setup.describe(), center_last)
+        for a in (_zero_chart(n, k), random_chart_point(n, k, rng, height_bound=4)):
+            values = degeneracy._differential_values(setup, a, center_last)
+            assert len(values) == (n - k) * k
+            for r in range(n - k):
+                for c in range(k):
+                    e = QMatrix.from_rows([[int((i, j) == (r, c)) for j in range(k)]
+                                           for i in range(n - k)])
+                    plus = section_value(setup, ChartPoint(a.a.add(e)), center_last)
+                    minus = section_value(setup, ChartPoint(a.a.add(e.scale(-1))),
+                                          center_last)
+                    assert values[r * k + c] == plus.add(minus.scale(-1)).scale(QQ(1, 2))
 
 
 def test_chart_preconditions():
-    j = FormJ.for_setup(SO53)
     with pytest.raises(ValueError):
-        section_value(j, ChartPoint(QMatrix.zeros(3, 2)), 2)
+        section_value(Setup(Kind.SO, 5, 2), ChartPoint(QMatrix.zeros(3, 2)))
     with pytest.raises(ValueError):
-        section_value(j, _zero_chart(5, 3), 3, center_last=True)
+        section_value(SO53, ChartPoint(QMatrix.zeros(3, 2)))
     with pytest.raises(ValueError):
-        FormJ.for_setup(Setup(Kind.GLPQ, 4, 2, p=2, q=2))
+        section_value(SO53, _zero_chart(5, 3), center_last=True)
+    with pytest.raises(ValueError):
+        form_flavor(Kind.GLPQ)
+    with pytest.raises(ValueError):
+        section_value(Setup(Kind.GLPQ, 4, 2, p=2, q=2), _zero_chart(4, 2))
     with pytest.raises(ValueError):
         pullback_cc(Setup(Kind.GLPQ, 4, 2, p=2, q=2), IntersectionOrbit(0, 0))
 

@@ -1,4 +1,5 @@
-"""The package's internal import graph has no cycles.
+"""The package's internal import graph has no cycles, and the package
+imports nothing outside the standard library.
 
 Every import of a kcycle module is counted, including imports inside
 function bodies, since those hide a cycle from module load order but
@@ -6,6 +7,7 @@ not from the design.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kcycle"
@@ -52,3 +54,18 @@ def test_import_graph_is_acyclic():
 
     for mod in sorted(graph):
         visit(mod)
+
+
+def test_no_runtime_dependencies():
+    # absolute imports only; relative ones stay inside the package
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.stem, node.module))
+            elif isinstance(node, ast.Import):
+                found.update((path.stem, alias.name) for alias in node.names)
+    assert ("exactla", "fractions") in found  # the walk sees imports
+    outside = sorted(f"{mod}: {name}" for mod, name in found
+                     if name.split(".")[0] not in sys.stdlib_module_names | {"kcycle"})
+    assert not outside, "imports outside the standard library: " + ", ".join(outside)

@@ -1,6 +1,8 @@
 import pytest
 
-from kcycle.exactla import QMatrix, Subspace, inverse, rank
+from kcycle.degeneracy import form_flavor
+from kcycle.exactla import QMatrix, Subspace, inverse, random_matrix, rank
+from kcycle.matrixstrata import is_flavored
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -163,6 +165,13 @@ def test_sp_so_duality_preserves_radical():
             up = perp(setup, u)
             assert up.dim == 4
             assert orbit_of(dual, up) == RadicalOrbit(orbit.i)
+        # perp against the dense form, on planes off the coordinate axes
+        j = form_matrix(setup.kind, setup.n)
+        for seed in range(3):
+            u = Subspace.from_matrix(random_matrix(6, 2, seed, height_bound=5))
+            up = perp(setup, u)
+            assert up.dim == 4
+            assert u.basis.transpose().mul(j).mul(up.basis).is_zero()
 
 
 def test_duality_preserves_order_and_codim():
@@ -215,6 +224,12 @@ def test_base_point_examples():
     g = gram_matrix(bp.setup, bp.u_matrix)
     assert g.is_zero()
     assert bp.u_matrix.col(0) == tuple([1, 0, 0, 0])
+    # the sparse Gram matrix is the dense u^T J u
+    for setup in [Setup(Kind.SP, 6, 3), Setup(Kind.SO, 7, 4), Setup(Kind.SO, 8, 2)]:
+        j = form_matrix(setup.kind, setup.n)
+        for seed in range(4):
+            u = random_matrix(setup.n, 3, seed, height_bound=5)
+            assert gram_matrix(setup, u) == u.transpose().mul(j).mul(u)
 
 
 def test_base_point_invariants_sweep():
@@ -255,13 +270,25 @@ def test_lie_algebra_dimensions():
     assert len(lie_algebra_basis(glpq(4, 2, 2, 2))) == 8
     # sparse elements: one unit entry for GLpq, at most two for Sp/SO
     assert all(len(x) == 1 for x in lie_algebra_basis(glpq(4, 2, 2, 2)))
-    # every generator preserves the form
-    for setup in [Setup(Kind.SP, 6, 2), Setup(Kind.SO, 7, 3)]:
-        j = form_matrix(setup.kind, setup.n)
-        for entries in lie_algebra_basis(setup):
-            assert 1 <= len(entries) <= 2
-            x = _dense(setup.n, entries)
-            assert x.transpose().mul(j).add(j.mul(x)).is_zero()
+    # every generator preserves the form, and the closed-form elements
+    # are independent; the form itself is flavored and nondegenerate
+    for n in range(2, 9):
+        for kind in (Kind.SP, Kind.SO):
+            if kind == Kind.SP and n % 2:
+                continue
+            setup = Setup(kind, n, 1)
+            j = form_matrix(kind, n)
+            assert is_flavored(j, form_flavor(kind))
+            assert rank(j) == n
+            dense = []
+            for entries in lie_algebra_basis(setup):
+                assert 1 <= len(entries) <= 2
+                x = _dense(n, entries)
+                assert x.transpose().mul(j).add(j.mul(x)).is_zero()
+                dense.append(x.entries)
+            want = n * (n + 1) // 2 if kind == Kind.SP else n * (n - 1) // 2
+            assert len(dense) == want
+            assert rank(QMatrix.from_rows(dense)) == want
 
 
 def test_action_image_matches_dense_action():
