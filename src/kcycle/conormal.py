@@ -15,8 +15,9 @@ GLpq and must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .exactla import QMatrix, QQ, SeedStream, Subspace, kernel, rank
+from .exactla import QMatrix, SeedStream, Subspace, kernel, rank
 from .orbits import BasePoint, Kind, Setup, action_image
 
 
@@ -27,12 +28,10 @@ class AdaptedChart:
     base: BasePoint
 
     def row_block(self, g: int) -> range:
-        off = sum(self.base.row_groups[:g])
-        return range(off, off + self.base.row_groups[g])
+        return self.base.row_blocks[g]
 
     def col_block(self, g: int) -> range:
-        off = sum(self.base.col_groups[:g])
-        return range(off, off + self.base.col_groups[g])
+        return self.base.col_blocks[g]
 
 
 @dataclass(frozen=True)
@@ -44,20 +43,20 @@ class ConormalVector:
     def block(self, rg: int, cg: int) -> QMatrix:
         return self.matrix.submatrix(self.chart.row_block(rg), self.chart.col_block(cg))
 
-    @property
+    @cached_property
     def h_block(self) -> QMatrix:
         """Rows U cap C^p, columns C^q/U: the map h of the codifferential."""
         return self.block(0, 2)
 
-    @property
+    @cached_property
     def l_block(self) -> QMatrix:
         """Rows U cap C^q, columns C^p/U: the map l of the codifferential."""
         return self.block(1, 0)
 
 
 def _unit(k: int, nk: int, j: int, c: int) -> list:
-    v = [QQ(0)] * (k * nk)
-    v[j * nk + c] = QQ(1)
+    v = [0] * (k * nk)
+    v[j * nk + c] = 1
     return v
 
 
@@ -121,13 +120,13 @@ def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> Cono
     if hr * hc + lr * lc == 0:
         raise ValueError("open orbit has no conormal directions to sample")
     for attempt in range(RETRY_BUDGET + 1):
-        rows = [[QQ(0)] * nk for _ in range(k)]
+        rows = [[0] * nk for _ in range(k)]
         for j in chart.row_block(0):
             for c in chart.col_block(2):
-                rows[j][c] = QQ(rng.randint(-height_bound, height_bound))
+                rows[j][c] = rng.randint(-height_bound, height_bound)
         for j in chart.row_block(1):
             for c in chart.col_block(0):
-                rows[j][c] = QQ(rng.randint(-height_bound, height_bound))
+                rows[j][c] = rng.randint(-height_bound, height_bound)
         xi = ConormalVector(chart, QMatrix.from_rows(rows), attempt)
         if rank(xi.h_block) == min(hr, hc) and rank(xi.l_block) == min(lr, lc):
             return xi

@@ -10,7 +10,8 @@ data for matrix strata back to orbit labels.
 
 The functions take a normalized setup (k >= n - k).  The section is
 orbits.gram_matrix of the chart frame and its differential is read off
-the signs of the antidiagonal form, so J is never multiplied densely.
+the signs of the antidiagonal form, so J is never multiplied densely;
+the transversality constraints are read off entries the same way.
 form_flavor is the one map from a setup kind to its matrix flavor.
 """
 
@@ -19,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactla import QMatrix, SeedStream, Subspace, rank
-from .matrixstrata import Flavor, coordinate_basis, flavor_coords, flavor_dim, trace_pairing
+from .matrixstrata import (
+    Flavor, flavor_coords, flavor_dim, flavor_sign, pairing_row, product_rows,
+)
 from .orbits import Kind, Setup, form_sign, gram_matrix, is_split_setup, normalize
 
 
@@ -81,7 +84,7 @@ def _differential_values(setup: Setup, a: ChartPoint,
     """
     n, k = setup.n, setup.k
     m = _frame(setup, a, center_last)
-    sign = 1 if form_flavor(setup.kind) == Flavor.SYMMETRIC else -1
+    sign = flavor_sign(form_flavor(setup.kind))
     out = []
     for r in range(n - k):
         moved = r if center_last else k + r
@@ -114,7 +117,7 @@ def verify_transversality(setup: Setup, a: ChartPoint,
     trace-pairing annihilator is {C : xC = 0}.  Transversality of the
     section at ``a`` says no nonzero such C is also trace-perpendicular
     to the image of the differential, which is a rank condition on the
-    stacked constraints.
+    stacked constraints of _constraint_rows.
     """
     k = setup.k
     flavor = form_flavor(setup.kind)
@@ -124,16 +127,19 @@ def verify_transversality(setup: Setup, a: ChartPoint,
         # values of maximal rank sit on the open stratum, whose tangent
         # space is everything
         return True
-    basis = coordinate_basis(flavor, k)
-    d = flavor_dim(flavor, k)
-    rows = []
-    for img in _differential_values(setup, a, center_last):
-        rows.append([trace_pairing(bc, img) for bc in basis])
-    products = [x.mul(bc) for bc in basis]
-    for rr in range(k):
-        for cc in range(k):
-            rows.append([products[b][rr, cc] for b in range(d)])
-    return rank(QMatrix.from_rows(rows)) == d
+    rows = _constraint_rows(setup, a, center_last, x)
+    return rank(QMatrix.from_rows(rows)) == flavor_dim(flavor, k)
+
+
+def _constraint_rows(setup: Setup, a: ChartPoint, center_last: bool, x: QMatrix) -> list:
+    """verify_transversality's functionals on C in flavor coordinates.
+
+    First tr(C v) for each differential value v, then the entries of xC,
+    each read off one or two entries of v or x.
+    """
+    flavor = form_flavor(setup.kind)
+    rows = [pairing_row(v, flavor) for v in _differential_values(setup, a, center_last)]
+    return rows + product_rows(x, flavor)
 
 
 @dataclass(frozen=True)

@@ -2,30 +2,40 @@
 
 Everything downstream (orbit dimensions, conormal spaces, rank tests,
 transversality certificates) reduces to ranks and kernels of small
-matrices with rational entries, so this module keeps all arithmetic in
-``fractions.Fraction`` and never touches floating point.
+matrices with rational entries, nearly all of them integral.  Entries
+are therefore stored integer-first and in canonical form: an entry is a
+Python int exactly when its value is integral, and a
+``fractions.Fraction`` only when it is not.  A float entry raises
+TypeError, so a stray true division can never reach exact data.  Rank
+and reduced echelon forms are computed by elimination on integer rows;
+only rref's final division by its pivots can produce a Fraction.
 """
 
 from __future__ import annotations
 
+import operator
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 QQ = Fraction
 
 
-def _q(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _q(x):
+    """The canonical entry for x: an int if x is integral, else a Fraction."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if isinstance(x, float):
+        raise TypeError(f"float entry {x!r} is not exact; use an int or a Fraction")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Immutable matrix with Fraction entries, stored row-major."""
+    """Immutable matrix of canonical exact entries, stored row-major."""
 
     nrows: int
     ncols: int
@@ -33,32 +43,27 @@ class QMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "QMatrix":
-        rows = [tuple(_q(x) for x in row) for row in rows]
-        if rows:
-            ncols = len(rows[0])
-            assert all(len(r) == ncols for r in rows), "ragged rows"
-        else:
-            ncols = 0
-        flat = tuple(x for row in rows for x in row)
+        rows = list(rows)
+        ncols = len(rows[0]) if rows else 0
+        assert all(len(r) == ncols for r in rows), "ragged rows"
+        flat = tuple([x if type(x) is int else _q(x) for row in rows for x in row])
         return cls(len(rows), ncols, flat)
 
     @classmethod
     def from_cols(cls, ncols_ambient: int, cols: Iterable[Sequence]) -> "QMatrix":
         cols = list(cols)
-        rows = [[_q(col[i]) for col in cols] for i in range(ncols_ambient)]
+        rows = [[col[i] for col in cols] for i in range(ncols_ambient)]
         return cls.from_rows(rows) if cols else cls(ncols_ambient, 0, ())
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls(nrows, ncols, (QQ(0),) * (nrows * ncols))
+        return cls(nrows, ncols, (0,) * (nrows * ncols))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls.from_rows(
-            [[QQ(1) if i == j else QQ(0) for j in range(n)] for i in range(n)]
-        )
+        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.ncols + j]
 
@@ -72,34 +77,23 @@ class QMatrix:
         return [list(self.row(i)) for i in range(self.nrows)]
 
     def transpose(self) -> "QMatrix":
-        return QMatrix.from_rows(
-            [[self[i, j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        return QMatrix.from_rows([self.col(j) for j in range(self.ncols)])
 
     def mul(self, other: "QMatrix") -> "QMatrix":
         assert self.ncols == other.nrows, "shape mismatch in product"
-        out = []
-        for i in range(self.nrows):
-            ri = self.row(i)
-            out.append(
-                [
-                    sum(ri[a] * other.entries[a * other.ncols + j] for a in range(self.ncols))
-                    for j in range(other.ncols)
-                ]
-            )
-        return QMatrix.from_rows(out)
+        cols = [other.col(j) for j in range(other.ncols)]
+        return QMatrix.from_rows(
+            [[sum(map(operator.mul, self.row(i), c)) for c in cols] for i in range(self.nrows)]
+        )
 
     def add(self, other: "QMatrix") -> "QMatrix":
         assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return QMatrix(
-            self.nrows,
-            self.ncols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+        return QMatrix(self.nrows, self.ncols,
+                       tuple(_q(a + b) for a, b in zip(self.entries, other.entries)))
 
     def scale(self, c) -> "QMatrix":
         c = _q(c)
-        return QMatrix(self.nrows, self.ncols, tuple(c * x for x in self.entries))
+        return QMatrix(self.nrows, self.ncols, tuple(_q(c * x) for x in self.entries))
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
         assert self.nrows == other.nrows
@@ -109,33 +103,30 @@ class QMatrix:
 
     def vstack(self, other: "QMatrix") -> "QMatrix":
         assert self.ncols == other.ncols
-        return QMatrix(
-            self.nrows + other.nrows, self.ncols, self.entries + other.entries
-        )
+        return QMatrix(self.nrows + other.nrows, self.ncols, self.entries + other.entries)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
-        return QMatrix.from_rows(
-            [[self[i, j] for j in col_idx] for i in row_idx]
-        )
+        return QMatrix.from_rows([[self[i, j] for j in col_idx] for i in row_idx])
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
     def int_rows(self) -> list:
-        """Rows rescaled to coprime integers; ranks are unchanged."""
+        """Rows as lists of ints, each scaled by a positive rational.
+
+        Rows of an integral matrix come back as they are; a row holding
+        Fractions is cleared of denominators and divided by its content.
+        Row spaces, hence ranks and reduced echelon forms, are unchanged.
+        """
+        if all(type(x) is int for x in self.entries):
+            return self.rows()
         out = []
         for i in range(self.nrows):
             row = self.row(i)
-            denom = 1
-            for x in row:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-            ints = [int(x * denom) for x in row]
-            g = 0
-            for v in ints:
-                g = gcd(g, abs(v))
-            if g > 1:
-                ints = [v // g for v in ints]
-            out.append(ints)
+            d = lcm(*(x.denominator for x in row))
+            ints = [x.numerator * (d // x.denominator) for x in row]
+            g = gcd(*ints) or 1
+            out.append([v // g for v in ints])
         return out
 
     def __repr__(self) -> str:
@@ -148,59 +139,58 @@ class QMatrix:
 def rank(m: QMatrix) -> int:
     """Exact rank, by fraction-free (Bareiss) elimination on integer rows."""
     rows = [r for r in m.int_rows() if any(r)]
-    if not rows:
-        return 0
-    ncols = m.ncols
     r = 0
     prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
+    for c in range(m.ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
+        top = rows[r]
+        pv = top[c]
         # every remaining row is updated, even at xi == 0: the exactness
         # of the division rests on all rows carrying the same minor scale
         for i in range(r + 1, len(rows)):
             xi = rows[i][c]
-            rows[i] = [
-                (rows[i][j] * pv - xi * rows[r][j]) // prev for j in range(ncols)
-            ]
+            rows[i] = [(x * pv - xi * y) // prev for x, y in zip(rows[i], top)]
         prev = pv
         r += 1
-        if r == len(rows):
-            break
     return r
 
 
 def rref(m: QMatrix):
-    """Reduced row echelon form; returns (pivot column list, row list)."""
-    rows = [list(m.row(i)) for i in range(m.nrows)]
+    """Reduced row echelon form; returns (pivot column list, row list).
+
+    Elimination is fraction-free: a row is cleared by cross-multiplying
+    it with the pivot row and dividing out its content, so the rows stay
+    integral until each pivot row is divided by its pivot at the end.
+    """
+    rows = m.int_rows()
     pivots = []
-    r = 0
     for c in range(m.ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
+    for i, c in enumerate(pivots):
+        pv = rows[i][c]
+        rows[i] = [x // pv if x % pv == 0 else Fraction(x, pv) for x in rows[i]]
     return pivots, rows
 
 
@@ -210,8 +200,8 @@ def kernel(m: QMatrix) -> "Subspace":
     free = [c for c in range(m.ncols) if c not in pivots]
     cols = []
     for f in free:
-        v = [QQ(0)] * m.ncols
-        v[f] = QQ(1)
+        v = [0] * m.ncols
+        v[f] = 1
         for r_i, c in enumerate(pivots):
             v[c] = -rows[r_i][f]
         cols.append(v)
@@ -234,7 +224,7 @@ def solve(m: QMatrix, v: Sequence):
     pivots, rows = rref(aug)
     if m.ncols in pivots:
         return None
-    x = [QQ(0)] * m.ncols
+    x = [0] * m.ncols
     for r_i, c in enumerate(pivots):
         x[c] = rows[r_i][m.ncols]
     return x
@@ -265,7 +255,7 @@ class Subspace:
         if not vecs:
             return cls(ambient_dim, QMatrix(ambient_dim, 0, ()))
         _, rows = rref(QMatrix.from_rows(vecs))
-        rows = [r for r in rows if any(x != 0 for x in r)]
+        rows = [r for r in rows if any(r)]
         return cls(ambient_dim, QMatrix.from_rows(rows).transpose() if rows
                    else QMatrix(ambient_dim, 0, ()))
 
@@ -286,9 +276,7 @@ class Subspace:
         return self.basis.ncols
 
     def contains_vector(self, v: Sequence) -> bool:
-        if self.dim == 0:
-            return all(_q(x) == 0 for x in v)
-        return solve(self.basis, [_q(x) for x in v]) is not None
+        return solve(self.basis, v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         assert self.ambient_dim == other.ambient_dim

@@ -4,7 +4,10 @@ The general linear group acts by congruence x -> AxA^T; orbits are the
 rank strata (rank is even in the skew case).  The conormal direction
 test, tangent spaces, and the known characteristic cycle table for
 these strata live here.  Everything is written in upper-triangle
-coordinates so that dimension counts are exact integers.
+coordinates so that dimension counts are exact integers.  The trace
+pairing with a coordinate basis matrix, and the product by one, touch
+one or two entries, so pairing_row and product_rows read them off
+instead of forming the dense basis matrices.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .exactla import QMatrix, QQ, SeedStream, Subspace, rank, random_matrix_from, solve_homogeneous
+from .exactla import QMatrix, SeedStream, Subspace, rank, random_matrix_from, solve_homogeneous
 
 
 class Flavor(str, Enum):
@@ -25,28 +28,36 @@ def flavor_dim(flavor: Flavor, m: int) -> int:
     return m * (m + 1) // 2 if flavor == Flavor.SYMMETRIC else m * (m - 1) // 2
 
 
+def flavor_sign(flavor: Flavor) -> int:
+    """x^T = sign * x for matrices of the flavor."""
+    return 1 if flavor == Flavor.SYMMETRIC else -1
+
+
+def coordinate_pairs(flavor: Flavor, m: int) -> list:
+    """Positions (a, b), a <= b, of the upper-triangle coordinates, in order."""
+    start = 0 if flavor == Flavor.SYMMETRIC else 1
+    return [(a, b) for a in range(m) for b in range(a + start, m)]
+
+
 @lru_cache(maxsize=None)
 def coordinate_basis(flavor: Flavor, m: int) -> tuple:
-    """Basis matrices matching the upper-triangle coordinate order."""
+    """Basis matrices matching the upper-triangle coordinate order.
+
+    The matrix of (a, b) has 1 at (a, b) and sign at (b, a).
+    """
     out = []
-    for a in range(m):
-        for b in range(a, m):
-            rows = [[QQ(0)] * m for _ in range(m)]
-            if a == b:
-                if flavor == Flavor.SKEW:
-                    continue
-                rows[a][a] = QQ(1)
-            else:
-                rows[a][b] = QQ(1)
-                rows[b][a] = QQ(1) if flavor == Flavor.SYMMETRIC else QQ(-1)
-            out.append(QMatrix.from_rows(rows))
+    for a, b in coordinate_pairs(flavor, m):
+        rows = [[0] * m for _ in range(m)]
+        rows[b][a] = flavor_sign(flavor)
+        rows[a][b] = 1
+        out.append(QMatrix.from_rows(rows))
     return tuple(out)
 
 
 def is_flavored(x: QMatrix, flavor: Flavor) -> bool:
     if x.nrows != x.ncols:
         return False
-    sign = 1 if flavor == Flavor.SYMMETRIC else -1
+    sign = flavor_sign(flavor)
     return all(
         x[a, b] == sign * x[b, a] for a in range(x.nrows) for b in range(a, x.ncols)
     )
@@ -54,10 +65,7 @@ def is_flavored(x: QMatrix, flavor: Flavor) -> bool:
 
 def flavor_coords(x: QMatrix, flavor: Flavor) -> tuple:
     assert is_flavored(x, flavor), "matrix does not have the stated symmetry"
-    m = x.nrows
-    if flavor == Flavor.SYMMETRIC:
-        return tuple(x[a, b] for a in range(m) for b in range(a, m))
-    return tuple(x[a, b] for a in range(m) for b in range(a + 1, m))
+    return tuple(x[a, b] for a, b in coordinate_pairs(flavor, x.nrows))
 
 
 def flavor_from_coords(coords, flavor: Flavor, m: int) -> QMatrix:
@@ -71,8 +79,41 @@ def flavor_from_coords(coords, flavor: Flavor, m: int) -> QMatrix:
 
 
 def trace_pairing(c: QMatrix, d: QMatrix):
-    """tr(c d), the pairing identifying the flavor space with its dual."""
+    """tr(c d), the pairing identifying the flavor space with its dual.
+
+    Dense; pairing_row is the same pairing against the coordinate basis.
+    """
     return sum(c[a, b] * d[b, a] for a in range(c.nrows) for b in range(c.ncols))
+
+
+def pairing_row(d: QMatrix, flavor: Flavor) -> list:
+    """trace_pairing(bc, d) for each matrix bc of coordinate_basis.
+
+    The pairing with the (a, b) basis matrix is d[b, a] + sign * d[a, b],
+    or d[a, a] on the diagonal, so it is read off two entries of d.
+    """
+    sign = flavor_sign(flavor)
+    return [d[a, a] if a == b else d[b, a] + sign * d[a, b]
+            for a, b in coordinate_pairs(flavor, d.nrows)]
+
+
+def product_rows(x: QMatrix, flavor: Flavor) -> list:
+    """Entry (r, c) of x C as a functional of C's flavor coordinates.
+
+    Row r * m + c holds (x bc)[r, c] for each matrix bc of
+    coordinate_basis.  Column b of x bc is column a of x and, off the
+    diagonal, column a of x bc is sign times column b of x.
+    """
+    m = x.nrows
+    sign = flavor_sign(flavor)
+    pairs = coordinate_pairs(flavor, m)
+    out = []
+    for r in range(m):
+        xr = x.row(r)
+        for c in range(m):
+            out.append([(xr[a] if c == b else 0) + (sign * xr[b] if c == a != b else 0)
+                        for a, b in pairs])
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -145,8 +186,8 @@ def tangent_space_at(x: QMatrix, flavor: Flavor) -> Subspace:
     vecs = []
     for a in range(m):
         for b in range(m):
-            rows = [[QQ(0)] * m for _ in range(m)]
-            rows[a][b] = QQ(1)
+            rows = [[0] * m for _ in range(m)]
+            rows[a][b] = 1
             y = QMatrix.from_rows(rows)
             vecs.append(flavor_coords(y.mul(x).add(x.mul(y.transpose())), flavor))
     return Subspace.span(flavor_dim(flavor, m), vecs)
@@ -155,28 +196,21 @@ def tangent_space_at(x: QMatrix, flavor: Flavor) -> Subspace:
 def conormal_solutions(x: QMatrix, flavor: Flavor) -> Subspace:
     """All flavor matrices c with xc = 0, in flavor coordinates."""
     assert is_flavored(x, flavor)
-    m = x.nrows
-    basis = coordinate_basis(flavor, m)
-    images = [x.mul(b) for b in basis]
-    funcs = []
-    for a in range(m):
-        for b in range(m):
-            funcs.append([img[a, b] for img in images])
-    return solve_homogeneous(funcs, flavor_dim(flavor, m))
+    return solve_homogeneous(product_rows(x, flavor), flavor_dim(flavor, x.nrows))
 
 
 def random_flavored_matrix(flavor: Flavor, m: int, r: int, seed: int, height_bound: int = 9) -> QMatrix:
     """Deterministic random matrix of the flavor with exact rank r."""
     StratumId(flavor, m, r)  # validates the pair
     rng = SeedStream(seed).derive("flavored", flavor.value, m, r)
-    rows = [[QQ(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     if flavor == Flavor.SYMMETRIC:
         for j in range(r):
-            rows[j][j] = QQ(1)
+            rows[j][j] = 1
     else:
         for j in range(0, r, 2):
-            rows[j][j + 1] = QQ(1)
-            rows[j + 1][j] = QQ(-1)
+            rows[j][j + 1] = 1
+            rows[j + 1][j] = -1
     d = QMatrix.from_rows(rows)
     while True:
         a = random_matrix_from(rng, m, m, height_bound)

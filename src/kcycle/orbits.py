@@ -31,10 +31,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Optional
 
-from .exactla import QMatrix, QQ, Subspace, inverse, rank, solve_homogeneous
+from .exactla import QMatrix, Subspace, inverse, rank, solve_homogeneous
 
 
 class Kind(str, Enum):
@@ -344,8 +345,8 @@ def gram_matrix(setup: Setup, u: QMatrix) -> QMatrix:
 
 
 def _e(n: int, idx: int) -> list:
-    v = [QQ(0)] * n
-    v[idx] = QQ(1)
+    v = [0] * n
+    v[idx] = 1
     return v
 
 
@@ -366,6 +367,16 @@ class BasePoint:
     row_groups: tuple
     col_groups: tuple
 
+    @cached_property
+    def row_blocks(self) -> tuple:
+        """row_groups as consecutive ranges of the first k columns."""
+        return _consecutive_ranges(self.row_groups)
+
+    @cached_property
+    def col_blocks(self) -> tuple:
+        """col_groups as consecutive ranges of the n-k complement columns."""
+        return _consecutive_ranges(self.col_groups)
+
     @property
     def u_matrix(self) -> QMatrix:
         n, k = self.setup.n, self.setup.k
@@ -376,6 +387,10 @@ class BasePoint:
         return Subspace.from_matrix(self.u_matrix)
 
 
+def _consecutive_ranges(sizes) -> tuple:
+    return tuple(range(end - size, end) for size, end in zip(sizes, accumulate(sizes)))
+
+
 def _glpq_base_columns(setup: Setup, orbit: IntersectionOrbit):
     n, k, p, q = setup.n, setup.k, setup.p, setup.q
     s, t = orbit.s, orbit.t
@@ -384,7 +399,7 @@ def _glpq_base_columns(setup: Setup, orbit: IntersectionOrbit):
     cols += [_e(n, p + b) for b in range(t)]
     for j in range(m):
         v = _e(n, s + j)
-        v[p + t + j] = QQ(1)
+        v[p + t + j] = 1
         cols.append(v)
     comp = [_e(n, a) for a in range(k - t, p)]          # pure p, count p-k+t
     comp += [_e(n, a) for a in range(s, k - t)]         # overlap, count m
@@ -414,7 +429,7 @@ def _radical_base_columns(setup: Setup, i: int):
             # anisotropic diagonal vector across the middle pair
             a, b = i + f, n - 1 - (i + f)
             v = _e(n, a)
-            v[b] = QQ(1)
+            v[b] = 1
             cols.append(v)
             used.add(a)
     comp = [_e(n, a) for a in range(n) if a not in used]
@@ -531,7 +546,7 @@ def lie_algebra_basis(setup: Setup) -> tuple:
     n = setup.n
     if setup.kind == Kind.GLPQ:
         return tuple(
-            ((a, b, QQ(1)),)
+            ((a, b, 1),)
             for block in (range(setup.p), range(setup.p, n))
             for a in block
             for b in block
@@ -542,9 +557,9 @@ def lie_algebra_basis(setup: Setup) -> tuple:
             pa, pb = n - 1 - b, n - 1 - a
             if (a, b) < (pa, pb):
                 coeff = -form_sign(setup.kind, n, a) * form_sign(setup.kind, n, b)
-                out.append(((a, b, QQ(1)), (pa, pb, QQ(coeff))))
+                out.append(((a, b, 1), (pa, pb, coeff)))
             elif (a, b) == (pa, pb) and setup.kind == Kind.SP:
-                out.append(((a, b, QQ(1)),))
+                out.append(((a, b, 1),))
     return tuple(out)
 
 
@@ -562,7 +577,7 @@ def action_image(setup: Setup, orbit) -> QMatrix:
     basis, binv = bp.basis, inverse(bp.basis)
     rows = []
     for x in lie_algebra_basis(setup):
-        row = [QQ(0)] * (k * nk)
+        row = [0] * (k * nk)
         for a, b, v in x:
             for j in range(k):
                 ub = basis[b, j]

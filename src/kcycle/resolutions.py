@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .exactla import QMatrix, QQ, SeedStream, Subspace, kernel, rank, solve
+from .exactla import QMatrix, SeedStream, Subspace, kernel, rank, solve
 from .conormal import ConormalVector, sample_conormal
 from .orbits import (
     BasePoint,
@@ -76,7 +76,7 @@ def _ambient_columns(bp: BasePoint, block: QMatrix, row_vectors: list) -> list:
     """Images of the relevant complement vectors, as ambient vectors."""
     out = []
     for c in range(block.ncols):
-        vec = [QQ(0)] * bp.setup.n
+        vec = [0] * bp.setup.n
         for r in range(block.nrows):
             coeff = block[r, c]
             if coeff:
@@ -137,14 +137,14 @@ def kernel_membership_Ztilde(xi: ConormalVector, s: int, t: int) -> Tuple[bool, 
     lifted = []
     for j in range(s_prime - s):
         col = ker.basis.col(j)
-        vec = [QQ(0)] * n
+        vec = [0] * n
         for c, coeff in enumerate(col):
             if coeff:
                 basis_col = bp.basis.col(cg_off + c)
                 vec = [a + coeff * b for a, b in zip(vec, basis_col)]
         lifted.append(vec)
     u_and_p = [bp.basis.col(j) for j in range(k)] + \
-        [[QQ(1) if i == a else QQ(0) for i in range(n)] for a in range(p)]
+        [[int(i == a) for i in range(n)] for a in range(p)]
     v = Subspace.span(n, u_and_p + lifted)
     assert v.dim == k + p - s
     w = _extend_inside(_ambient_columns(bp, l, _u_cap_q_vectors(bp)), t, _u_cap_q_vectors(bp), n)
@@ -178,7 +178,7 @@ def witness_satisfies_Ztilde(xi: ConormalVector, s: int, t: int, wit: Witness) -
     if wit.v.dim != k + p - s or wit.w.dim != t:
         return False
     u = bp.u
-    cp = Subspace.span(n, [[QQ(1) if i == a else QQ(0) for i in range(n)] for a in range(p)])
+    cp = Subspace.span(n, [[int(i == a) for i in range(n)] for a in range(p)])
     if not (wit.v.contains(u) and wit.v.contains(cp)):
         return False
     # h must vanish identically on V

@@ -214,6 +214,8 @@ def test_criterion_6_matrix_stratum_geometry():
             )
             assert conormal_condition(x, c) == perpendicular
             pair_checks += 1
+    elapsed = time.monotonic() - started
+    assert elapsed < 30.0
     _passed("criterion 6 (matrix stratum geometry)", started,
             f"{complement_checks} complements, {pair_checks} pairs")
 
@@ -253,6 +255,8 @@ def test_criterion_7_conormal_structure():
             )
             assert observed == expected, (setup, orbit)
             rank_checks += 1
+    elapsed = time.monotonic() - started
+    assert elapsed < 30.0
     _passed("criterion 7 (conormal structure)", started,
             f"{dim_checks} dimension sums, {rank_checks} rank maxima")
 

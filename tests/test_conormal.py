@@ -131,6 +131,25 @@ def test_retry_statistics():
     assert worst <= 3
 
 
+def test_blocks_are_sliced_once():
+    # block ranges are computed once per base point and blocks once per
+    # sample, so the sampler and the membership tests share the objects
+    for setup in SWEEP[:5]:
+        for orbit in enumerate_orbits(setup):
+            bp = base_point(setup, orbit)
+            for groups, block in ((bp.row_groups, AdaptedChart.row_block),
+                                  (bp.col_groups, AdaptedChart.col_block)):
+                for g, size in enumerate(groups):
+                    off = sum(groups[:g])
+                    assert block(AdaptedChart(bp), g) == range(off, off + size)
+                    assert block(AdaptedChart(bp), g) is block(AdaptedChart(bp), g)
+            if conormal_space(bp).dim == 0:
+                continue
+            xi = sample_conormal(bp, seed=3)
+            assert xi.h_block is xi.h_block and xi.h_block == xi.block(0, 2)
+            assert xi.l_block is xi.l_block and xi.l_block == xi.block(1, 0)
+
+
 def test_sample_on_open_orbit_rejected():
     setup = glpq(6, 2, 3, 3)
     bp = base_point(setup, IntersectionOrbit(0, 0))

@@ -12,7 +12,14 @@ from kcycle.degeneracy import (
     verify_transversality,
 )
 from kcycle.exactla import QQ, QMatrix, SeedStream, Subspace, rank
-from kcycle.matrixstrata import Flavor, conormal_solutions, flavor_dim, is_flavored
+from kcycle.matrixstrata import (
+    Flavor,
+    conormal_solutions,
+    coordinate_basis,
+    flavor_dim,
+    is_flavored,
+    trace_pairing,
+)
 from kcycle.orbits import (
     IntersectionOrbit,
     Kind,
@@ -138,6 +145,31 @@ def test_perpendicularity_alone_is_not_enough(monkeypatch):
     assert verify_transversality(SO53, _zero_chart(5, 3))
     monkeypatch.setattr(degeneracy, "_differential_values", lambda *args: [])
     assert not verify_transversality(SO53, _zero_chart(5, 3))
+
+
+def test_constraint_rows_match_dense_products():
+    # the sparse rows must equal the trace pairings with, and the products
+    # by, the dense coordinate basis matrices, on and off the degenerate locus
+    cases = [(SP64, False), (SO53, False),
+             (Setup(Kind.SO, 8, 4), False), (Setup(Kind.SO, 8, 4), True)]
+    for setup, center_last in cases:
+        n, k = setup.n, setup.k
+        flavor = form_flavor(setup.kind)
+        basis = coordinate_basis(flavor, k)
+        top = k if flavor == Flavor.SYMMETRIC else k - (k % 2)
+        rng = SeedStream(29).derive("dense-constraints", setup.describe(), center_last)
+        points = [_zero_chart(n, k)]
+        points += [random_chart_point(n, k, rng, height_bound=1) for _ in range(40)]
+        seen = set()
+        for a in points:
+            x = section_value(setup, a, center_last)
+            seen.add(rank(x) < top)
+            dense = [[trace_pairing(bc, v) for bc in basis]
+                     for v in degeneracy._differential_values(setup, a, center_last)]
+            products = [x.mul(bc) for bc in basis]
+            dense += [[p[r, c] for p in products] for r in range(k) for c in range(k)]
+            assert degeneracy._constraint_rows(setup, a, center_last, x) == dense
+        assert seen == {True, False}, (setup, center_last)
 
 
 def test_differential_is_the_exact_central_difference():

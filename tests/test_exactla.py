@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import pytest
 import sympy
 
 from kcycle.exactla import (
@@ -210,3 +211,76 @@ def test_randint_bounds():
     rng = SeedStream(5)
     vals = [rng.randint(-3, 3) for _ in range(300)]
     assert min(vals) == -3 and max(vals) == 3
+
+
+def _canonical(values) -> bool:
+    """Every value an int, or a Fraction that is not integral."""
+    return all(type(x) is int or (type(x) is F and x.denominator != 1) for x in values)
+
+
+def test_float_entries_rejected():
+    builds = [
+        lambda: QMatrix.from_rows([[0.1]]),
+        lambda: QMatrix.from_cols(1, [[0.5]]),
+        lambda: QMatrix.identity(2).scale(0.5),
+        lambda: Subspace.span(2, [[1.0, 0]]),
+        lambda: solve(QMatrix.identity(1), [0.25]),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_entries_are_canonical():
+    m = QMatrix.from_rows([[F(4, 2), F(1, 3), 7, True, F(-6, 3)]])
+    assert [type(x) for x in m.entries] == [int, F, int, int, int]
+    assert m.entries == (2, F(1, 3), 7, 1, -2)
+    half = QMatrix.from_rows([[F(1, 2), F(3, 2)]])
+    assert half.add(half).entries == (1, 3) and _canonical(half.add(half).entries)
+    assert half.scale(F(2, 3)).entries == (F(1, 3), 1)
+    assert _canonical(half.scale(F(2, 3)).entries)
+    assert _canonical(QMatrix.identity(3).entries + QMatrix.zeros(2, 2).entries)
+    # rref divides its pivot rows through Fractions, never two ints
+    pivots, rows = rref(QMatrix.from_rows([[2, 1, 4], [6, 3, 1]]))
+    assert pivots == [0, 2]
+    assert rows == [[1, F(1, 2), 0], [0, 0, 1]]
+    assert _canonical(rows[0] + rows[1])
+
+
+def test_int_core_agrees_with_fraction_input():
+    # integer input, the same written as Fractions, and each row divided
+    # by a small integer must give one answer, with canonical entries
+    rng = SeedStream(404)
+    inverses = 0
+    for trial in range(60):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 3 == 0:
+            r = rng.randint(0, min(nr, nc))
+            a = random_matrix(nr, r, seed=rng.next_u64(), height_bound=5)
+            b = random_matrix(r, nc, seed=rng.next_u64(), height_bound=5)
+            ints = a.mul(b).rows() if r else QMatrix.zeros(nr, nc).rows()
+        else:
+            ints = random_matrix(nr, nc, seed=rng.next_u64(), height_bound=9).rows()
+        divs = [rng.randint(2, 7) for _ in range(nr)]
+        fracs = [[F(x) for x in row] for row in ints]
+        scaled = [[F(x, d) for x in row] for row, d in zip(ints, divs)]
+        m_int, m_frac, m_scaled = (QMatrix.from_rows(x) for x in (ints, fracs, scaled))
+        assert m_int == m_frac and _canonical(m_int.entries) and _canonical(m_scaled.entries)
+        assert rank(m_int) == rank(m_scaled) == to_sympy(m_int).rank(), (trial, ints)
+        kernels = [kernel(m) for m in (m_int, m_frac, m_scaled)]
+        assert kernels[0] == kernels[1] == kernels[2]
+        spans = [Subspace.span(nc, rows) for rows in (ints, fracs, scaled)]
+        assert spans[0] == spans[1] == spans[2]
+        for sub in kernels + spans:
+            assert _canonical(sub.basis.entries)
+        v = [rng.randint(-9, 9) for _ in range(nr)]
+        sols = [solve(m_int, v), solve(m_frac, [F(x) for x in v]),
+                solve(m_scaled, [F(x, d) for x, d in zip(v, divs)])]
+        assert sols[0] == sols[1] == sols[2]
+        assert sols[0] is None or _canonical(sols[0])
+        if nr == nc and rank(m_int) == nr:
+            inv = inverse(m_int)
+            assert inv == inverse(m_frac) and _canonical(inv.entries)
+            assert m_int.mul(inv) == QMatrix.identity(nr)
+            inverses += 1
+    assert inverses >= 3

@@ -13,6 +13,8 @@ from kcycle.matrixstrata import (
     flavor_dim,
     flavor_from_coords,
     is_flavored,
+    pairing_row,
+    product_rows,
     random_flavored_matrix,
     tangent_space_at,
     trace_pairing,
@@ -104,6 +106,19 @@ def test_solutions_annihilate_tangent_vectors():
             y = random_matrix(4, 4, seed=rng.next_u64(), height_bound=9)
             d = y.mul(x).add(x.mul(y.transpose()))
             assert trace_pairing(c, d) == 0
+
+
+def test_sparse_rows_match_dense_basis():
+    rng = SeedStream(41)
+    for flavor in Flavor:
+        for m in range(1, 6):
+            basis = coordinate_basis(flavor, m)
+            for _ in range(4):
+                d = random_matrix(m, m, seed=rng.next_u64(), height_bound=9)
+                assert pairing_row(d, flavor) == [trace_pairing(bc, d) for bc in basis]
+                products = [d.mul(bc) for bc in basis]
+                assert product_rows(d, flavor) == [
+                    [p[r, c] for p in products] for r in range(m) for c in range(m)]
 
 
 def test_tangent_examples():
