@@ -207,7 +207,7 @@ def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
             verdict = verify_microlocal_empty(setup, target, stratum,
                                               trials=trials, seed=seed)
             subject = f"{format_orbit(setup, target)}<-{format_orbit(setup, stratum)}"
-            notes = [f"{verdict.kind.value}, {verdict.trials} trials"]
+            notes = [f"{verdict.kind.value}, {trials} trials"]
             if verdict.outside_strict_hypothesis:
                 notes.append("square case, outside the strict regime")
             if verdict.witness is not None:

@@ -88,11 +88,10 @@ def _document(command: str, setup: Setup) -> dict:
     }
 
 
-def _orbit_rows(setup: Setup) -> list:
-    poset = ClosurePoset(setup)
+def _orbit_rows(poset: ClosurePoset) -> list:
     return [
         {
-            "label": format_orbit(setup, orbit),
+            "label": format_orbit(poset.setup, orbit),
             "dimension": poset.dimension[orbit],
             "codimension": poset.codim(orbit),
         }
@@ -102,7 +101,7 @@ def _orbit_rows(setup: Setup) -> list:
 
 def cmd_orbits(setup: Setup) -> dict:
     doc = _document("orbits", setup)
-    doc["orbits"] = _orbit_rows(setup)
+    doc["orbits"] = _orbit_rows(ClosurePoset(setup))
     return doc
 
 
@@ -128,7 +127,7 @@ def cmd_cc(setup: Setup, orbit_label: str | None) -> dict:
 def cmd_poset(setup: Setup) -> dict:
     poset = ClosurePoset(setup)
     doc = _document("poset", setup)
-    doc["orbits"] = _orbit_rows(setup)
+    doc["orbits"] = _orbit_rows(poset)
     doc["covers"] = [
         {"lower": format_orbit(setup, lo), "upper": format_orbit(setup, up)}
         for lo, up in poset.covers()
@@ -141,6 +140,8 @@ def cmd_verify(setup: Setup, suite: str, trials: int, seed: int) -> tuple:
         rows = cross_check(setup, trials=trials, points=trials, seed=seed).rows
     else:
         rows = SUITES[suite](setup, trials, trials, seed)
+    if not rows:
+        raise ValueError(f"suite {suite} has no checks for {setup.describe()}")
     doc = _document("verify", setup)
     doc["suite"] = suite
     doc["trials"] = trials

@@ -10,6 +10,9 @@ maps sending C^q/U into U cap C^p and C^p/U into U cap C^q.  For Sp/SO
 it is the kernel of the sparse action image of Lie(K), the same matrix
 whose rank gives the orbit dimension.  Both routes are available for
 GLpq and must agree.
+
+Block ranges are the base point's own; a covector caches its h and l
+block ranks, which the sampler and the membership tests both read.
 """
 
 from __future__ import annotations
@@ -22,26 +25,13 @@ from .orbits import BasePoint, Kind, Setup, action_image
 
 
 @dataclass(frozen=True)
-class AdaptedChart:
-    """Index bookkeeping for the block structure of a base point's chart."""
-
-    base: BasePoint
-
-    def row_block(self, g: int) -> range:
-        return self.base.row_blocks[g]
-
-    def col_block(self, g: int) -> range:
-        return self.base.col_blocks[g]
-
-
-@dataclass(frozen=True)
 class ConormalVector:
-    chart: AdaptedChart
+    base: BasePoint
     matrix: QMatrix  # k rows, n-k columns
     retries: int = field(default=0, compare=False)  # resamples the draw needed
 
     def block(self, rg: int, cg: int) -> QMatrix:
-        return self.matrix.submatrix(self.chart.row_block(rg), self.chart.col_block(cg))
+        return self.matrix.submatrix(self.base.row_blocks[rg], self.base.col_blocks[cg])
 
     @cached_property
     def h_block(self) -> QMatrix:
@@ -52,6 +42,14 @@ class ConormalVector:
     def l_block(self) -> QMatrix:
         """Rows U cap C^q, columns C^p/U: the map l of the codifferential."""
         return self.block(1, 0)
+
+    @cached_property
+    def h_rank(self) -> int:
+        return rank(self.h_block)
+
+    @cached_property
+    def l_rank(self) -> int:
+        return rank(self.l_block)
 
 
 def _unit(k: int, nk: int, j: int, c: int) -> list:
@@ -65,9 +63,9 @@ def conormal_space(base: BasePoint) -> Subspace:
     setup = base.setup
     k, nk = setup.k, setup.n - setup.k
     if setup.kind == Kind.GLPQ:
-        chart = AdaptedChart(base)
-        vecs = [_unit(k, nk, j, c) for j in chart.row_block(0) for c in chart.col_block(2)]
-        vecs += [_unit(k, nk, j, c) for j in chart.row_block(1) for c in chart.col_block(0)]
+        rows, cols = base.row_blocks, base.col_blocks
+        vecs = [_unit(k, nk, j, c) for j in rows[0] for c in cols[2]]
+        vecs += [_unit(k, nk, j, c) for j in rows[1] for c in cols[0]]
         return Subspace.span(k * nk, vecs)
     return conormal_space_from_action(base)
 
@@ -98,11 +96,10 @@ def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> Cono
 
     GLpq samples are resampled (at most RETRY_BUDGET times) until both
     blocks reach full rank, so the matrix rank equals max_conormal_rank;
-    the returned vector records how many resamples that took.
+    the returned vector keeps its resample count and block ranks.
     """
     setup = base.setup
     k, nk = setup.k, setup.n - setup.k
-    chart = AdaptedChart(base)
     rng = SeedStream(seed).derive("conormal-sample")
     if setup.kind != Kind.GLPQ:
         space = conormal_space(base)
@@ -113,22 +110,23 @@ def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> Cono
             sum(c * space.basis[i, j] for j, c in enumerate(coeffs))
             for i in range(k * nk)
         ]
-        return ConormalVector(chart, _matrix_from_flat(flat, k, nk))
-    hr, hc = len(chart.row_block(0)), len(chart.col_block(2))
-    lr, lc = len(chart.row_block(1)), len(chart.col_block(0))
+        return ConormalVector(base, _matrix_from_flat(flat, k, nk))
+    h_rows, h_cols = base.row_blocks[0], base.col_blocks[2]
+    l_rows, l_cols = base.row_blocks[1], base.col_blocks[0]
     # the two blocks span the conormal space: codim s(q-k+s) + t(p-k+t)
-    if hr * hc + lr * lc == 0:
+    if len(h_rows) * len(h_cols) + len(l_rows) * len(l_cols) == 0:
         raise ValueError("open orbit has no conormal directions to sample")
+    h_full, l_full = min(len(h_rows), len(h_cols)), min(len(l_rows), len(l_cols))
     for attempt in range(RETRY_BUDGET + 1):
         rows = [[0] * nk for _ in range(k)]
-        for j in chart.row_block(0):
-            for c in chart.col_block(2):
+        for j in h_rows:
+            for c in h_cols:
                 rows[j][c] = rng.randint(-height_bound, height_bound)
-        for j in chart.row_block(1):
-            for c in chart.col_block(0):
+        for j in l_rows:
+            for c in l_cols:
                 rows[j][c] = rng.randint(-height_bound, height_bound)
-        xi = ConormalVector(chart, QMatrix.from_rows(rows), attempt)
-        if rank(xi.h_block) == min(hr, hc) and rank(xi.l_block) == min(lr, lc):
+        xi = ConormalVector(base, QMatrix.from_rows(rows), attempt)
+        if xi.h_rank == h_full and xi.l_rank == l_full:
             return xi
     raise RuntimeError(
         f"no generic covector within {RETRY_BUDGET} resamples; "

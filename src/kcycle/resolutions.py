@@ -6,9 +6,11 @@ when n-k >= p, and a second one whose V-component is a large subspace
 containing U + C^p, applicable when n-k <= p.  A covector xi conormal
 to a smaller orbit lies in the image of the codifferential exactly when
 two submatrix ranks of xi stay below thresholds; which thresholds
-depends on the resolution.  Emptiness of the microlocal fiber over a
-generic covector is what kills the extra terms in the characteristic
-cycle, so the tests here are the engine behind irreducibility claims.
+depends on the resolution.  The tests read the block ranks the sampler
+certified and cached on xi; they rank nothing themselves.  Emptiness of
+the microlocal fiber over a generic covector is what kills the extra
+terms in the characteristic cycle, so the tests here are the engine
+behind irreducibility claims.
 
 Radical strata (Sp/SO) have an analogous resolution remembering a
 subspace of the radical; it is generally not small, and only its fiber
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .exactla import QMatrix, SeedStream, Subspace, kernel, rank, solve
+from .exactla import QMatrix, SeedStream, Subspace, kernel, solve
 from .conormal import ConormalVector, sample_conormal
 from .orbits import (
     BasePoint,
@@ -52,11 +54,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class MicrolocalVerdict:
-    setup: Setup
-    target: object
-    stratum: object
     kind: ResolutionKind
-    trials: int
     empty_in_all_trials: bool
     witness: Optional[Witness]
     outside_strict_hypothesis: bool
@@ -106,11 +104,11 @@ def kernel_membership_Z(xi: ConormalVector, s: int, t: int) -> Tuple[bool, Optio
     the map l (rows U cap C^q, columns C^p/U) has rank <= t; then V, W
     are the column spaces grown to dimensions s and t.
     """
-    bp = xi.chart.base
+    bp = xi.base
     assert bp.setup.kind == Kind.GLPQ
-    h, l = xi.h_block, xi.l_block
-    if rank(h) > s or rank(l) > t:
+    if xi.h_rank > s or xi.l_rank > t:
         return False, None
+    h, l = xi.h_block, xi.l_block
     n = bp.setup.n
     v = _extend_inside(_ambient_columns(bp, h, _u_cap_p_vectors(bp)), s, _u_cap_p_vectors(bp), n)
     w = _extend_inside(_ambient_columns(bp, l, _u_cap_q_vectors(bp)), t, _u_cap_q_vectors(bp), n)
@@ -123,13 +121,13 @@ def kernel_membership_Ztilde(xi: ConormalVector, s: int, t: int) -> Tuple[bool, 
     The V-side budget drops to n-k-p+s: h must vanish on a subspace of
     dimension k+p-s containing U + C^p, which caps its rank there.
     """
-    bp = xi.chart.base
+    bp = xi.base
     setup = bp.setup
     assert setup.kind == Kind.GLPQ
     n, k, p = setup.n, setup.k, setup.p
-    h, l = xi.h_block, xi.l_block
-    if rank(h) > n - k - p + s or rank(l) > t:
+    if xi.h_rank > n - k - p + s or xi.l_rank > t:
         return False, None
+    h, l = xi.h_block, xi.l_block
     s_prime = bp.row_groups[0]
     # lift kernel vectors of h from pure C^q/U coordinates into C^n
     ker = kernel(h)
@@ -158,7 +156,7 @@ def _pure_q_coords(bp: BasePoint, vec) -> list:
 
 
 def witness_satisfies_Z(xi: ConormalVector, s: int, t: int, wit: Witness) -> bool:
-    bp = xi.chart.base
+    bp = xi.base
     n = bp.setup.n
     u_cap_p = Subspace.span(n, _u_cap_p_vectors(bp))
     u_cap_q = Subspace.span(n, _u_cap_q_vectors(bp))
@@ -172,7 +170,7 @@ def witness_satisfies_Z(xi: ConormalVector, s: int, t: int, wit: Witness) -> boo
 
 
 def witness_satisfies_Ztilde(xi: ConormalVector, s: int, t: int, wit: Witness) -> bool:
-    bp = xi.chart.base
+    bp = xi.base
     setup = bp.setup
     n, k, p = setup.n, setup.k, setup.p
     if wit.v.dim != k + p - s or wit.w.dim != t:
@@ -232,8 +230,7 @@ def verify_microlocal_empty(
             found = wit
             break
     return MicrolocalVerdict(
-        setup=setup, target=target_orbit, stratum=stratum_orbit, kind=kind,
-        trials=trials, empty_in_all_trials=empty, witness=found,
+        kind=kind, empty_in_all_trials=empty, witness=found,
         outside_strict_hypothesis=(norm.setup.n == 2 * norm.setup.k),
     )
 

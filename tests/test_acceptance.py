@@ -5,9 +5,11 @@ it names, prints a single pass line with its timing, and enforces the
 stated runtime budget where one exists.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from kcycle.ccengine import characteristic_cycle, pullback_cc
 from kcycle.conormal import conormal_space, max_conormal_rank, sample_conormal
@@ -263,14 +265,18 @@ def test_criterion_7_conormal_structure():
 
 def test_criterion_8_reproducible_reports():
     started = time.monotonic()
+    # the child interpreter does not see pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for argv in (
         ["--kind", "glpq", "--n", "5", "--k", "2", "--p", "3", "--q", "2"],
         ["--kind", "so", "--n", "6", "--k", "3"],
     ):
         cmd = [sys.executable, "-m", "kcycle.cli", "verify",
                "--suite", "all", "--seed", "42", "--format", "json"] + argv
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         assert first.stdout
     _passed("criterion 8 (byte-identical verify reports)", started,

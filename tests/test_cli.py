@@ -50,6 +50,18 @@ def test_documents_validate_against_schema(capsys):
         jsonschema.validate(doc, SCHEMA)
 
 
+def test_schema_matches_the_parser(capsys):
+    assert set(SCHEMA["properties"]["suite"]["enum"]) == {*ccengine.SUITES, "all"}
+    _, out, _ = run(capsys, ["verify"] + GLPQ + ["--suite", "smallness",
+                                                 "--format", "json"])
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    for bad in (0, -3):
+        doc["trials"] = bad
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, SCHEMA)
+
+
 def test_documents_round_trip(capsys):
     for argv in (["cc"] + SO63, ["poset"] + GLPQ):
         _, out, _ = run(capsys, argv + ["--format", "json"])
@@ -101,10 +113,19 @@ def test_usage_errors(capsys):
         ["verify"] + GLPQ + ["--trials", "0"],
         ["verify"] + SO63 + ["--suite", "transversality", "--trials", "-3"],
     ]
-    for argv in cases:
-        code, out, _ = run(capsys, argv)
+    # suites that examine nothing on the setup must not report a pass
+    vacuous = [
+        ["verify"] + SO63 + ["--suite", "microlocal"],
+        ["verify"] + SP63 + ["--suite", "microlocal", "--format", "json"],
+        ["verify"] + GLPQ + ["--suite", "crosscheck"],
+        ["verify"] + GLPQ + ["--suite", "transversality"],
+    ]
+    for argv in cases + vacuous:
+        code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == "", argv
+        if argv in vacuous:
+            assert err.startswith("error: suite ") and len(err.splitlines()) == 1
 
 
 def test_out_into_missing_directory(capsys, tmp_path):

@@ -2,7 +2,6 @@ import pytest
 
 from kcycle.exactla import SeedStream, rank
 from kcycle.conormal import (
-    AdaptedChart,
     conormal_space,
     conormal_space_from_action,
     max_conormal_rank,
@@ -132,22 +131,26 @@ def test_retry_statistics():
 
 
 def test_blocks_are_sliced_once():
-    # block ranges are computed once per base point and blocks once per
-    # sample, so the sampler and the membership tests share the objects
+    # block ranges are computed once per base point, blocks and their ranks
+    # once per sample, so the sampler and the membership tests share them
     for setup in SWEEP[:5]:
         for orbit in enumerate_orbits(setup):
             bp = base_point(setup, orbit)
-            for groups, block in ((bp.row_groups, AdaptedChart.row_block),
-                                  (bp.col_groups, AdaptedChart.col_block)):
+            for groups, blocks in ((bp.row_groups, "row_blocks"),
+                                   (bp.col_groups, "col_blocks")):
+                assert getattr(bp, blocks) is getattr(bp, blocks)
                 for g, size in enumerate(groups):
                     off = sum(groups[:g])
-                    assert block(AdaptedChart(bp), g) == range(off, off + size)
-                    assert block(AdaptedChart(bp), g) is block(AdaptedChart(bp), g)
+                    assert getattr(bp, blocks)[g] == range(off, off + size)
             if conormal_space(bp).dim == 0:
                 continue
             xi = sample_conormal(bp, seed=3)
             assert xi.h_block is xi.h_block and xi.h_block == xi.block(0, 2)
             assert xi.l_block is xi.l_block and xi.l_block == xi.block(1, 0)
+            # the sampler's genericity check left both full ranks cached
+            h, l = xi.h_block, xi.l_block
+            assert xi.__dict__["h_rank"] == rank(h) == min(h.nrows, h.ncols)
+            assert xi.__dict__["l_rank"] == rank(l) == min(l.nrows, l.ncols)
 
 
 def test_sample_on_open_orbit_rejected():
@@ -171,7 +174,6 @@ def test_rank_bounded_by_formula():
 def test_block_pattern_zero_elsewhere():
     bp = base_point(glpq(7, 3, 4, 3), IntersectionOrbit(1, 1))
     xi = sample_conormal(bp, seed=9)
-    chart = AdaptedChart(bp)
     for rg in range(3):
         for cg in range(3):
             blk = xi.block(rg, cg)

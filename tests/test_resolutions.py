@@ -1,7 +1,8 @@
 import pytest
 
+from kcycle import conormal, exactla, resolutions
 from kcycle.exactla import QMatrix, SeedStream
-from kcycle.conormal import AdaptedChart, ConormalVector, conormal_space, sample_conormal
+from kcycle.conormal import ConormalVector, conormal_space, sample_conormal
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -32,7 +33,7 @@ def glpq(n, k, p, q):
 
 def zero_covector(bp):
     setup = bp.setup
-    return ConormalVector(AdaptedChart(bp), QMatrix.zeros(setup.k, setup.n - setup.k))
+    return ConormalVector(bp, QMatrix.zeros(setup.k, setup.n - setup.k))
 
 
 def proper_pairs(setup):
@@ -97,6 +98,60 @@ def test_membership_monotone_in_thresholds():
                 for s2, t2 in grid:
                     if s2 >= s1 and t2 >= t1 and got[(s1, t1)]:
                         assert got[(s2, t2)]
+
+
+def test_membership_reads_the_sampled_ranks(monkeypatch):
+    # the sampler certified both block ranks; membership must not redo them
+    samples = []
+    for setup, member in [(glpq(6, 2, 3, 3), kernel_membership_Z),
+                          (glpq(5, 2, 4, 1), kernel_membership_Ztilde)]:
+        for orbit in enumerate_orbits(setup):
+            bp = base_point(setup, orbit)
+            if conormal_space(bp).dim:
+                samples.append((member, orbit, sample_conormal(bp, seed=11)))
+
+    def no_rank(m):
+        raise AssertionError("a sampled block was ranked again")
+
+    monkeypatch.setattr(conormal, "rank", no_rank)
+    monkeypatch.setattr(resolutions, "rank", no_rank, raising=False)
+    hits = 0
+    for member, orbit, xi in samples:
+        for s in range(orbit.s + 1):
+            for t in range(orbit.t + 1):
+                hits += member(xi, s, t)[0]
+    assert 0 < hits < sum((o.s + 1) * (o.t + 1) for _, o, _ in samples)
+
+
+def test_rank_calls_per_drawn_sample(monkeypatch):
+    # a draw ranks h, and l only when h came out full: a kept sample costs
+    # exactly two rank calls, a rejected draw one or two, membership none
+    real_rank, real_sample = exactla.rank, resolutions.sample_conormal
+    full, deficient, retries = [], [], []
+
+    def counting_rank(m):
+        r = real_rank(m)
+        (full if r == min(m.nrows, m.ncols) else deficient).append(m)
+        return r
+
+    def low_height_sample(bp, seed):
+        # entries in {-1, 0, 1} make singular blocks, and so retries, common
+        xi = real_sample(bp, seed, height_bound=1)
+        retries.append(xi.retries)
+        return xi
+
+    for module in (exactla, conormal, resolutions):
+        monkeypatch.setattr(module, "rank", counting_rank, raising=False)
+    monkeypatch.setattr(resolutions, "sample_conormal", low_height_sample)
+    setup = glpq(6, 2, 3, 3)
+    for target, stratum in proper_pairs(setup):
+        verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=3)
+        assert verdict.empty_in_all_trials
+    kept, rejected = len(retries), sum(retries)
+    assert rejected > 0, "no retry was exercised"
+    # every rejected draw stops at exactly one rank-deficient block
+    assert len(deficient) == rejected
+    assert 2 * kept <= len(full) <= 2 * kept + rejected
 
 
 def test_verify_empty_all_pairs_small_setups():
