@@ -36,6 +36,8 @@ from .resolutions import (
     is_small,
     resolution_for,
     verify_microlocal_empty,
+    witness_satisfies_Z,
+    witness_satisfies_Ztilde,
 )
 
 
@@ -212,8 +214,20 @@ def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
                 notes.append("square case, outside the strict regime")
             if verdict.witness is not None:
                 notes.append("witness found")
-            rows.append(CheckRow("microlocal-empty", subject,
-                                 verdict.empty_in_all_trials, "; ".join(notes)))
+            # any witness fails the row; checking it tells a genuine
+            # counterexample from a fault in the membership test
+            satisfies = (witness_satisfies_Z if verdict.kind == ResolutionKind.Z
+                         else witness_satisfies_Ztilde)
+            bad = sum(not satisfies(xi, *verdict.thresholds, wit)
+                      for xi, wit in verdict.hits)
+            if bad:
+                notes.append(f"witness check failed on {bad} of "
+                             f"{len(verdict.hits)} witnesses")
+            if verdict.disagreements:
+                notes.append("block-shape verdict contradicted by "
+                             f"{verdict.disagreements} of {trials} trials")
+            ok = verdict.empty_in_all_trials and not verdict.disagreements
+            rows.append(CheckRow("microlocal-empty", subject, ok, "; ".join(notes)))
     return rows
 
 

@@ -5,6 +5,12 @@ order, and run the verification suites.  Output goes to stdout (or
 --out) as plain text, a stable JSON document, or GraphViz source for
 the closure diagram.  JSON documents carry a schema version and are
 byte-identical across runs with the same arguments and seed.
+
+Exit codes: 0 on success, 1 when a verify suite reports a failed check,
+2 on bad input or an unwritable --out file, and 3 when the conormal
+sampler finds no generic covector within its resample budget, which
+means a bug, not a failed check.  Codes 2 and 3 leave stdout empty;
+stderr gets argparse's usage message, or one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 import sys
 
 from .ccengine import SUITES, characteristic_cycle, cross_check
+from .conormal import NoGenericCovector
 from .orbits import ClosurePoset, Kind, Setup, enumerate_orbits, format_orbit, parse_orbit
 
 SCHEMA_VERSION = "kcycle/1"
@@ -239,6 +246,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NoGenericCovector as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

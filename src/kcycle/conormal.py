@@ -11,8 +11,12 @@ it is the kernel of the sparse action image of Lie(K), the same matrix
 whose rank gives the orbit dimension.  Both routes are available for
 GLpq and must agree.
 
-Block ranges are the base point's own; a covector caches its h and l
-block ranks, which the sampler and the membership tests both read.
+Block ranges are the base point's own.  A GLpq sample draws only its
+two blocks, each straight into its own matrix, and ranks them to
+certify it generic; a block with no rows or no columns has rank 0 and
+is never ranked.  Only a kept draw has its blocks placed into a
+k x (n-k) matrix; the covector also keeps both blocks and both ranks,
+which the membership tests read.
 """
 
 from __future__ import annotations
@@ -22,6 +26,15 @@ from functools import cached_property
 
 from .exactla import QMatrix, SeedStream, Subspace, kernel, rank
 from .orbits import BasePoint, Kind, Setup, action_image
+
+
+def _block_rank(block: QMatrix) -> int:
+    """Rank of a block; one with no rows or no columns is 0 without elimination."""
+    return rank(block) if block.nrows and block.ncols else 0
+
+
+class NoGenericCovector(RuntimeError):
+    """The sampler found no generic covector within its resample budget: a bug."""
 
 
 @dataclass(frozen=True)
@@ -45,11 +58,23 @@ class ConormalVector:
 
     @cached_property
     def h_rank(self) -> int:
-        return rank(self.h_block)
+        return _block_rank(self.h_block)
 
     @cached_property
     def l_rank(self) -> int:
-        return rank(self.l_block)
+        return _block_rank(self.l_block)
+
+
+def block_shapes(base: BasePoint) -> tuple:
+    """((rows, cols) of h, (rows, cols) of l) at a GLpq base point."""
+    return ((base.row_groups[0], base.col_groups[2]),
+            (base.row_groups[1], base.col_groups[0]))
+
+
+def generic_block_ranks(base: BasePoint) -> tuple:
+    """The ranks of h and l on a generic covector: each block's full rank."""
+    (hr, hc), (lr, lc) = block_shapes(base)
+    return min(hr, hc), min(lr, lc)
 
 
 def _unit(k: int, nk: int, j: int, c: int) -> list:
@@ -84,6 +109,17 @@ def max_conormal_rank(setup: Setup, orbit) -> int:
     return min(s, n - k - p + s) + min(t, n - k - q + t)
 
 
+def _place_blocks(base: BasePoint, h: QMatrix, l: QMatrix) -> QMatrix:
+    """The k x (n-k) matrix with h and l at their ranges, zero elsewhere."""
+    nk = base.setup.n - base.setup.k
+    flat = [0] * (base.setup.k * nk)
+    rows, cols = base.row_blocks, base.col_blocks
+    for blk, rr, cc in ((h, rows[0], cols[2]), (l, rows[1], cols[0])):
+        for a, j in enumerate(rr):
+            flat[j * nk + cc.start:j * nk + cc.stop] = blk.row(a)
+    return QMatrix(base.setup.k, nk, tuple(flat))
+
+
 def _matrix_from_flat(flat, k: int, nk: int) -> QMatrix:
     return QMatrix.from_rows([list(flat[r * nk:(r + 1) * nk]) for r in range(k)])
 
@@ -94,9 +130,10 @@ RETRY_BUDGET = 8
 def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> ConormalVector:
     """Deterministic covector in the conormal space, generic for GLpq.
 
-    GLpq samples are resampled (at most RETRY_BUDGET times) until both
-    blocks reach full rank, so the matrix rank equals max_conormal_rank;
-    the returned vector keeps its resample count and block ranks.
+    A GLpq sample is drawn as its two blocks and resampled (at most
+    RETRY_BUDGET times) until both reach full rank, so the matrix rank
+    equals max_conormal_rank; the returned vector keeps its resample
+    count, both blocks and their ranks.
     """
     setup = base.setup
     k, nk = setup.k, setup.n - setup.k
@@ -111,24 +148,26 @@ def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> Cono
             for i in range(k * nk)
         ]
         return ConormalVector(base, _matrix_from_flat(flat, k, nk))
-    h_rows, h_cols = base.row_blocks[0], base.col_blocks[2]
-    l_rows, l_cols = base.row_blocks[1], base.col_blocks[0]
+    (hr, hc), (lr, lc) = block_shapes(base)
     # the two blocks span the conormal space: codim s(q-k+s) + t(p-k+t)
-    if len(h_rows) * len(h_cols) + len(l_rows) * len(l_cols) == 0:
+    if hr * hc + lr * lc == 0:
         raise ValueError("open orbit has no conormal directions to sample")
-    h_full, l_full = min(len(h_rows), len(h_cols)), min(len(l_rows), len(l_cols))
+    h_full, l_full = generic_block_ranks(base)
+    randint, lo, hi = rng.randint, -height_bound, height_bound
     for attempt in range(RETRY_BUDGET + 1):
-        rows = [[0] * nk for _ in range(k)]
-        for j in h_rows:
-            for c in h_cols:
-                rows[j][c] = rng.randint(-height_bound, height_bound)
-        for j in l_rows:
-            for c in l_cols:
-                rows[j][c] = rng.randint(-height_bound, height_bound)
-        xi = ConormalVector(base, QMatrix.from_rows(rows), attempt)
-        if xi.h_rank == h_full and xi.l_rank == l_full:
+        # h row-major, then l row-major: entries are ints, already canonical
+        h = QMatrix(hr, hc, tuple([randint(lo, hi) for _ in range(hr * hc)]))
+        l = QMatrix(lr, lc, tuple([randint(lo, hi) for _ in range(lr * lc)]))
+        h_rank = _block_rank(h)
+        if h_rank < h_full:
+            continue
+        l_rank = _block_rank(l)
+        if l_rank == l_full:
+            xi = ConormalVector(base, _place_blocks(base, h, l), attempt)
+            # the blocks and ranks just certified, as the cached properties hold them
+            xi.__dict__.update(h_block=h, l_block=l, h_rank=h_rank, l_rank=l_rank)
             return xi
-    raise RuntimeError(
+    raise NoGenericCovector(
         f"no generic covector within {RETRY_BUDGET} resamples; "
         "this indicates a bug, not bad luck"
     )

@@ -106,6 +106,8 @@ class QMatrix:
         return QMatrix(self.nrows + other.nrows, self.ncols, self.entries + other.entries)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
+        if not row_idx:
+            return QMatrix(0, len(col_idx), ())
         return QMatrix.from_rows([[self[i, j] for j in col_idx] for i in row_idx])
 
     def is_zero(self) -> bool:

@@ -6,11 +6,15 @@ when n-k >= p, and a second one whose V-component is a large subspace
 containing U + C^p, applicable when n-k <= p.  A covector xi conormal
 to a smaller orbit lies in the image of the codifferential exactly when
 two submatrix ranks of xi stay below thresholds; which thresholds
-depends on the resolution.  The tests read the block ranks the sampler
-certified and cached on xi; they rank nothing themselves.  Emptiness of
-the microlocal fiber over a generic covector is what kills the extra
-terms in the characteristic cycle, so the tests here are the engine
-behind irreducibility claims.
+depends on the resolution.  The sampler draws only those two blocks,
+ranks each non-empty one once to certify xi generic, and never ranks a
+block with no rows or no columns; the tests read the certified ranks
+and rank nothing themselves.  Since a generic xi has both blocks at
+full rank, the block shapes alone decide membership, and every sampled
+trial must agree with that verdict.  Emptiness of the microlocal fiber
+over a generic covector is what kills the extra terms in the
+characteristic cycle, so the tests here are the engine behind
+irreducibility claims.
 
 Radical strata (Sp/SO) have an analogous resolution remembering a
 subspace of the radical; it is generally not small, and only its fiber
@@ -24,7 +28,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .exactla import QMatrix, SeedStream, Subspace, kernel, solve
-from .conormal import ConormalVector, sample_conormal
+from .conormal import ConormalVector, generic_block_ranks, sample_conormal
 from .orbits import (
     BasePoint,
     ClosurePoset,
@@ -54,10 +58,29 @@ class Witness:
 
 @dataclass(frozen=True)
 class MicrolocalVerdict:
+    """Membership of sampled covectors, set against the block-shape verdict.
+
+    ``generic_empty`` is what the block shapes predict for a generic
+    covector; ``disagreements`` counts the trials whose membership test
+    contradicted it.  ``hits`` pairs each member covector with its
+    witness, and ``thresholds`` are the target's (s, t) in normalized
+    coordinates, as the ``witness_satisfies_*`` references take them.
+    """
+
     kind: ResolutionKind
-    empty_in_all_trials: bool
-    witness: Optional[Witness]
+    thresholds: Tuple[int, int]
+    generic_empty: bool
+    disagreements: int
+    hits: tuple  # (ConormalVector, Witness) pairs
     outside_strict_hypothesis: bool
+
+    @property
+    def empty_in_all_trials(self) -> bool:
+        return not self.hits
+
+    @property
+    def witness(self) -> Optional[Witness]:
+        return self.hits[0][1] if self.hits else None
 
 
 def _u_cap_p_vectors(bp: BasePoint) -> list:
@@ -206,6 +229,14 @@ def verify_microlocal_empty(
 
     The verdict being empty in all trials is the evidence that the
     stratum contributes nothing to the target's characteristic cycle.
+    It is also decided exactly: a generic covector has h and l at full
+    rank, so with h_full = min(|rows|, |cols|) of h (likewise l_full),
+    it lies in the image of Z iff h_full <= s and l_full <= t, and in
+    that of Ztilde iff h_full <= n-k-p+s and l_full <= t.  This is a
+    second statement of the membership caps, read off the block shapes
+    rather than the sampled ranks: every trial runs, and each one whose
+    membership test disagrees with it is counted, which guards the caps
+    and rank reads inside ``kernel_membership_*``.
     """
     if setup.kind != Kind.GLPQ:
         raise ValueError("microlocal emptiness testing is for GLpq setups")
@@ -216,22 +247,26 @@ def verify_microlocal_empty(
         raise ValueError("stratum must lie strictly below target")
     kind = resolution_for(norm.setup)
     membership = kernel_membership_Z if kind == ResolutionKind.Z else kernel_membership_Ztilde
-    bp = base_point(norm.setup, strat)
+    work = norm.setup
+    bp = base_point(work, strat)
+    h_full, l_full = generic_block_ranks(bp)
+    h_cap = tgt.s if kind == ResolutionKind.Z else work.n - work.k - work.p + tgt.s
+    generic_member = h_full <= h_cap and l_full <= tgt.t
     rng = SeedStream(seed).derive(
-        "microlocal", norm.setup.describe(),
-        format_orbit(norm.setup, tgt), format_orbit(norm.setup, strat))
-    empty = True
-    found = None
+        "microlocal", work.describe(),
+        format_orbit(work, tgt), format_orbit(work, strat))
+    hits = []
+    disagreements = 0
     for _ in range(trials):
         xi = sample_conormal(bp, rng.next_u64())
         hit, wit = membership(xi, tgt.s, tgt.t)
         if hit:
-            empty = False
-            found = wit
-            break
+            hits.append((xi, wit))
+        disagreements += hit != generic_member
     return MicrolocalVerdict(
-        kind=kind, empty_in_all_trials=empty, witness=found,
-        outside_strict_hypothesis=(norm.setup.n == 2 * norm.setup.k),
+        kind=kind, thresholds=(tgt.s, tgt.t), generic_empty=not generic_member,
+        disagreements=disagreements, hits=tuple(hits),
+        outside_strict_hypothesis=(work.n == 2 * work.k),
     )
 
 

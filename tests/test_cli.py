@@ -4,7 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from kcycle import ccengine, cli
+from kcycle import ccengine, cli, conormal
 from kcycle.ccengine import CheckRow
 
 SCHEMA = json.loads(
@@ -144,6 +144,26 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "1 checks failed" in out
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    # a rank that never finds a block full leaves the sampler no generic covector
+    monkeypatch.setattr(conormal, "rank", lambda m: 0)
+    code, out, err = run(capsys, ["verify"] + GLPQ + ["--suite", "microlocal"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal: no generic covector within ")
+    assert len(err.splitlines()) == 1
+
+
+def test_other_runtime_errors_keep_their_traceback(monkeypatch):
+    # only the sampler's budget fault maps to exit 3; any other bug escapes
+    def broken(*args):
+        raise RuntimeError("a bug elsewhere")
+
+    monkeypatch.setattr(cli, "characteristic_cycle", broken)
+    with pytest.raises(RuntimeError, match="a bug elsewhere"):
+        cli.main(["cc"] + SO63)
 
 
 def test_verify_bytes_are_reproducible(capsys, tmp_path):

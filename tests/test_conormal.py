@@ -1,6 +1,6 @@
 import pytest
 
-from kcycle.exactla import SeedStream, rank
+from kcycle.exactla import QMatrix, SeedStream, rank
 from kcycle.conormal import (
     conormal_space,
     conormal_space_from_action,
@@ -151,6 +151,34 @@ def test_blocks_are_sliced_once():
             h, l = xi.h_block, xi.l_block
             assert xi.__dict__["h_rank"] == rank(h) == min(h.nrows, h.ncols)
             assert xi.__dict__["l_rank"] == rank(l) == min(l.nrows, l.ncols)
+
+
+def test_sampled_blocks_place_into_the_matrix():
+    # a GLpq sample is drawn as its two blocks and its matrix placed from
+    # them; slicing the matrix gives the same blocks back
+    for setup in SWEEP[:5] + [glpq(7, 3, 4, 3)]:
+        for orbit in enumerate_orbits(setup):
+            bp = base_point(setup, orbit)
+            if conormal_space(bp).dim == 0:
+                continue
+            xi = sample_conormal(bp, seed=4)
+            h, l = xi.h_block, xi.l_block
+            assert (h.nrows, h.ncols) == (bp.row_groups[0], bp.col_groups[2])
+            assert (l.nrows, l.ncols) == (bp.row_groups[1], bp.col_groups[0])
+            nk = setup.n - setup.k
+            placed = [[0] * nk for _ in range(setup.k)]
+            for blk, rows, cols in ((h, bp.row_blocks[0], bp.col_blocks[2]),
+                                    (l, bp.row_blocks[1], bp.col_blocks[0])):
+                for a, j in enumerate(rows):
+                    for b, c in enumerate(cols):
+                        placed[j][c] = blk[a, b]
+            assert xi.matrix == QMatrix.from_rows(placed)
+            assert xi.block(0, 2) == h and xi.block(1, 0) == l
+    # an empty block keeps its other size when sliced back out
+    xi = sample_conormal(base_point(glpq(5, 2, 3, 2), IntersectionOrbit(1, 0)), seed=4)
+    assert xi.l_block == xi.block(1, 0) == QMatrix(0, 1, ())
+    xi = sample_conormal(base_point(glpq(6, 3, 4, 2), IntersectionOrbit(1, 1)), seed=4)
+    assert xi.h_block == xi.block(0, 2) == QMatrix(1, 0, ())
 
 
 def test_sample_on_open_orbit_rejected():

@@ -103,6 +103,16 @@ def test_rank_low_rank_products():
         assert rank(m) == to_sympy(m).rank()
 
 
+def test_submatrix_keeps_both_sizes():
+    m = QMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert m.submatrix([1], [0, 2]) == QMatrix.from_rows([[4, 6]])
+    # an empty row or column selection still knows the other size
+    assert m.submatrix([], [2]) == QMatrix(0, 1, ())
+    assert m.submatrix(range(0), range(3)) == QMatrix(0, 3, ())
+    assert m.submatrix([0, 1], []) == QMatrix(2, 0, ())
+    assert m.submatrix([], []) == QMatrix(0, 0, ())
+
+
 def test_rref_shape_and_pivots():
     m = QMatrix.from_rows([[0, 2, 4], [1, 1, 1]])
     pivots, rows = rref(m)

@@ -1,6 +1,7 @@
 import pytest
 
 from kcycle import conormal, exactla, resolutions
+from kcycle.ccengine import check_microlocal
 from kcycle.exactla import QMatrix, SeedStream
 from kcycle.conormal import ConormalVector, conormal_space, sample_conormal
 from kcycle.orbits import (
@@ -124,34 +125,116 @@ def test_membership_reads_the_sampled_ranks(monkeypatch):
 
 
 def test_rank_calls_per_drawn_sample(monkeypatch):
-    # a draw ranks h, and l only when h came out full: a kept sample costs
-    # exactly two rank calls, a rejected draw one or two, membership none
+    # a draw ranks h when h has rows and columns, then l likewise but only
+    # when h came out full; a block with no rows or no columns is never
+    # ranked, and membership ranks nothing
     real_rank, real_sample = exactla.rank, resolutions.sample_conormal
-    full, deficient, retries = [], [], []
+    calls, samples = [], []
 
     def counting_rank(m):
         r = real_rank(m)
-        (full if r == min(m.nrows, m.ncols) else deficient).append(m)
+        calls.append(((m.nrows, m.ncols), r == min(m.nrows, m.ncols)))
         return r
 
     def low_height_sample(bp, seed):
         # entries in {-1, 0, 1} make singular blocks, and so retries, common
+        first = len(calls)
         xi = real_sample(bp, seed, height_bound=1)
-        retries.append(xi.retries)
+        samples.append((xi, calls[first:]))
         return xi
 
     for module in (exactla, conormal, resolutions):
         monkeypatch.setattr(module, "rank", counting_rank, raising=False)
     monkeypatch.setattr(resolutions, "sample_conormal", low_height_sample)
-    setup = glpq(6, 2, 3, 3)
-    for target, stratum in proper_pairs(setup):
-        verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=3)
-        assert verdict.empty_in_all_trials
-    kept, rejected = len(retries), sum(retries)
+    for setup in (glpq(6, 2, 3, 3), glpq(5, 2, 3, 2)):
+        for target, stratum in proper_pairs(setup):
+            verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=3)
+            assert verdict.empty_in_all_trials
+    assert sum(len(drawn) for _, drawn in samples) == len(calls)
+    assert all(rows and cols for (rows, cols), _ in calls), "an empty block was ranked"
+    empty_h = empty_l = rejected = 0
+    for xi, drawn in samples:
+        h_shape, l_shape = conormal.block_shapes(xi.base)
+        empty_h += 0 in h_shape
+        empty_l += 0 in l_shape
+        # walk the sample's draws through the rule, one recorded call at a time
+        pos = 0
+        for draw in range(xi.retries + 1):
+            full = []
+            if 0 not in h_shape:
+                assert drawn[pos][0] == h_shape
+                full.append(drawn[pos][1])
+                pos += 1
+            if all(full) and 0 not in l_shape:
+                assert drawn[pos][0] == l_shape
+                full.append(drawn[pos][1])
+                pos += 1
+            kept = draw == xi.retries
+            assert all(full) == kept
+            rejected += not kept
+        assert pos == len(drawn)
     assert rejected > 0, "no retry was exercised"
-    # every rejected draw stops at exactly one rank-deficient block
-    assert len(deficient) == rejected
-    assert 2 * kept <= len(full) <= 2 * kept + rejected
+    assert empty_h and empty_l, "no empty block was drawn"
+
+
+def own_stratum_membership(real):
+    # answers for the covector's own stratum, not for the target it is asked
+    # about: always a member, with a witness sized for the wrong thresholds
+    return lambda xi, s, t: real(xi, xi.base.orbit.s, xi.base.orbit.t)
+
+
+def test_every_trial_must_agree_with_the_block_shapes(monkeypatch):
+    setup = glpq(6, 2, 3, 3)
+    target, stratum = IntersectionOrbit(1, 0), IntersectionOrbit(1, 1)
+    honest = verify_microlocal_empty(setup, target, stratum, trials=8, seed=2)
+    assert honest.generic_empty and honest.disagreements == 0
+    assert honest.hits == () and honest.thresholds == (1, 0)
+    real, wrong = kernel_membership_Z, own_stratum_membership(kernel_membership_Z)
+    answers = iter([real, real, wrong] + [real] * 5)
+    monkeypatch.setattr(resolutions, "kernel_membership_Z",
+                        lambda xi, s, t: next(answers)(xi, s, t))
+    flipped = verify_microlocal_empty(setup, target, stratum, trials=8, seed=2)
+    # every trial still runs; the one that flipped is counted, and kept
+    assert flipped.generic_empty and flipped.disagreements == 1
+    assert len(flipped.hits) == 1 and flipped.witness is flipped.hits[0][1]
+    assert not flipped.empty_in_all_trials
+
+
+def test_check_microlocal_checks_every_witness(monkeypatch):
+    setup = glpq(6, 2, 3, 3)
+    monkeypatch.setattr(resolutions, "kernel_membership_Z",
+                        own_stratum_membership(kernel_membership_Z))
+    rows = check_microlocal(setup, trials=3, seed=1)
+    assert rows and not any(r.ok for r in rows)
+    for row in rows:
+        assert "witness found" in row.detail
+        assert "witness check failed on 3 of 3 witnesses" in row.detail
+        assert "block-shape verdict contradicted by 3 of 3 trials" in row.detail
+
+
+def test_a_contradicted_shape_verdict_fails_the_row(monkeypatch):
+    # block shapes that predict membership where no trial finds any fail the
+    # row, though there is no witness
+    monkeypatch.setattr(resolutions, "generic_block_ranks", lambda bp: (0, 0))
+    rows = check_microlocal(glpq(6, 2, 3, 3), trials=2, seed=1)
+    assert rows and not any(r.ok for r in rows)
+    for row in rows:
+        assert "witness found" not in row.detail
+        assert "block-shape verdict contradicted by 2 of 2 trials" in row.detail
+
+
+def test_genuine_witnesses_pass_their_check(monkeypatch):
+    # zero covectors lie in every kernel image, with witnesses that hold up:
+    # the rows fail on the shape verdict alone, not on the witness check
+    monkeypatch.setattr(resolutions, "sample_conormal",
+                        lambda bp, seed: zero_covector(bp))
+    for setup in (glpq(6, 2, 3, 3), glpq(5, 3, 4, 1)):
+        rows = check_microlocal(setup, trials=2, seed=1)
+        assert rows and not any(r.ok for r in rows)
+        for row in rows:
+            assert "witness found" in row.detail
+            assert "witness check failed" not in row.detail
+            assert "block-shape verdict contradicted by 2 of 2 trials" in row.detail
 
 
 def test_verify_empty_all_pairs_small_setups():
