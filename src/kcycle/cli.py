@@ -25,6 +25,10 @@ from .orbits import ClosurePoset, Kind, Setup, enumerate_orbits, format_orbit, p
 
 SCHEMA_VERSION = "kcycle/1"
 
+# SeedStream keeps 64 bits of its seed: any other seed would run the
+# samples of a different one while recording its own
+SEED_MAX = (1 << 64) - 1
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,17 +58,29 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     verify.add_argument("--trials", type=_positive_int, default=20,
                         help="samples per check, at least 1 (default 20)")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_seed, default=0,
+                        help=f"sampling seed, 0 to {SEED_MAX} (default 0)")
     return parser
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _int(text)
+    if not 0 <= value <= SEED_MAX:
+        raise argparse.ArgumentTypeError(f"must be between 0 and {SEED_MAX}, got {value}")
     return value
 
 

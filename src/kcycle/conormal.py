@@ -12,11 +12,11 @@ whose rank gives the orbit dimension.  Both routes are available for
 GLpq and must agree.
 
 Block ranges are the base point's own.  A GLpq sample draws only its
-two blocks, each straight into its own matrix, and ranks them to
-certify it generic; a block with no rows or no columns has rank 0 and
-is never ranked.  Only a kept draw has its blocks placed into a
-k x (n-k) matrix; the covector also keeps both blocks and both ranks,
-which the membership tests read.
+two blocks, in one batch per attempt, each straight into its own
+matrix, and ranks them to certify it generic; a block with no rows or
+no columns has rank 0 and is never ranked.  Only a kept draw has its
+blocks placed into a k x (n-k) matrix; the covector also keeps both
+blocks and both ranks, which the membership tests read.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> Cono
         space = conormal_space(base)
         if space.dim == 0:
             raise ValueError("open orbit has no conormal directions to sample")
-        coeffs = [rng.randint(-height_bound, height_bound) for _ in range(space.dim)]
+        coeffs = rng.randints(space.dim, -height_bound, height_bound)
         flat = [
             sum(c * space.basis[i, j] for j, c in enumerate(coeffs))
             for i in range(k * nk)
@@ -153,11 +153,13 @@ def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> Cono
     if hr * hc + lr * lc == 0:
         raise ValueError("open orbit has no conormal directions to sample")
     h_full, l_full = generic_block_ranks(base)
-    randint, lo, hi = rng.randint, -height_bound, height_bound
+    nh = hr * hc
     for attempt in range(RETRY_BUDGET + 1):
-        # h row-major, then l row-major: entries are ints, already canonical
-        h = QMatrix(hr, hc, tuple([randint(lo, hi) for _ in range(hr * hc)]))
-        l = QMatrix(lr, lc, tuple([randint(lo, hi) for _ in range(lr * lc)]))
+        # one batch per attempt, h row-major then l row-major: entries
+        # are ints, already canonical
+        draw = rng.randints(nh + lr * lc, -height_bound, height_bound)
+        h = QMatrix(hr, hc, tuple(draw[:nh]))
+        l = QMatrix(lr, lc, tuple(draw[nh:]))
         h_rank = _block_rank(h)
         if h_rank < h_full:
             continue

@@ -9,15 +9,19 @@ transversality is what lets ccengine.pullback_cc transport known cycle
 data for matrix strata back to orbit labels.
 
 The functions take a normalized setup (k >= n - k).  The section is
-orbits.gram_matrix of the chart frame and its differential is read off
-the signs of the antidiagonal form, so J is never multiplied densely;
-the transversality constraints are read off entries the same way.
-form_flavor is the one map from a setup kind to its matrix flavor.
+orbits.gram_matrix of the chart frame, summed over the frame's nonzero
+entries only, and its differential is read off the signs of the
+antidiagonal form, so J is never multiplied densely; the transversality
+constraints are read off entries the same way.  A chart point is drawn
+in one batch straight into its matrix, and its frame is one tuple
+concatenation with a cached identity block.  form_flavor is the one map
+from a setup kind to its matrix flavor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactla import QMatrix, SeedStream, Subspace, rank
 from .matrixstrata import (
@@ -41,11 +45,14 @@ class ChartPoint:
 
 
 def random_chart_point(n: int, k: int, rng: SeedStream, height_bound: int = 9) -> ChartPoint:
-    rows = [
-        [rng.randint(-height_bound, height_bound) for _ in range(k)]
-        for _ in range(n - k)
-    ]
-    return ChartPoint(QMatrix.from_rows(rows))
+    # row-major draws of ints, already canonical
+    draws = rng.randints((n - k) * k, -height_bound, height_bound)
+    return ChartPoint(QMatrix(n - k, k, tuple(draws)))
+
+
+@lru_cache(maxsize=16)
+def _identity_entries(k: int) -> tuple:
+    return QMatrix.identity(k).entries
 
 
 def _frame(setup: Setup, a: ChartPoint, center_last: bool) -> QMatrix:
@@ -57,10 +64,8 @@ def _frame(setup: Setup, a: ChartPoint, center_last: bool) -> QMatrix:
         raise ValueError("chart point must be (n-k) x k")
     if center_last and n != 2 * k:
         raise ValueError("the opposite chart only exists at n = 2k")
-    ident = QMatrix.identity(k)
-    if center_last:
-        return a.a.vstack(ident)
-    return ident.vstack(a.a)
+    ident = _identity_entries(k)
+    return QMatrix(n, k, a.a.entries + ident if center_last else ident + a.a.entries)
 
 
 def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMatrix:

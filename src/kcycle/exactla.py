@@ -8,7 +8,14 @@ Python int exactly when its value is integral, and a
 ``fractions.Fraction`` only when it is not.  A float entry raises
 TypeError, so a stray true division can never reach exact data.  Rank
 and reduced echelon forms are computed by elimination on integer rows;
-only rref's final division by its pivots can produce a Fraction.
+only rref's final division by its pivots can produce a Fraction.  An
+integral matrix goes into rank's elimination as row slices of its
+entries, with no scan or copy through int_rows; only a matrix holding a
+Fraction is cleared of denominators first.
+
+Random draws come from SeedStream, a splitmix64 generator whose
+randints(count, lo, hi) gives in one loop exactly the values, and the
+final state, of count calls to randint.
 """
 
 from __future__ import annotations
@@ -21,6 +28,11 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 QQ = Fraction
+
+
+def _all_int(entries) -> bool:
+    """True when every entry is an int, by one type scan at C level."""
+    return {int}.issuperset(map(type, entries))
 
 
 def _q(x):
@@ -46,8 +58,15 @@ class QMatrix:
         rows = list(rows)
         ncols = len(rows[0]) if rows else 0
         assert all(len(r) == ncols for r in rows), "ragged rows"
-        flat = tuple([x if type(x) is int else _q(x) for row in rows for x in row])
-        return cls(len(rows), ncols, flat)
+        return cls.from_flat(len(rows), ncols, [x for row in rows for x in row])
+
+    @classmethod
+    def from_flat(cls, nrows: int, ncols: int, flat: Iterable) -> "QMatrix":
+        """Row-major entries made canonical; all-int entries are kept as they are."""
+        flat = tuple(flat)
+        if not _all_int(flat):
+            flat = tuple(map(_q, flat))
+        return cls(nrows, ncols, flat)
 
     @classmethod
     def from_cols(cls, ncols_ambient: int, cols: Iterable[Sequence]) -> "QMatrix":
@@ -101,10 +120,6 @@ class QMatrix:
             [list(self.row(i)) + list(other.row(i)) for i in range(self.nrows)]
         )
 
-    def vstack(self, other: "QMatrix") -> "QMatrix":
-        assert self.ncols == other.ncols
-        return QMatrix(self.nrows + other.nrows, self.ncols, self.entries + other.entries)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
         if not row_idx:
             return QMatrix(0, len(col_idx), ())
@@ -120,7 +135,7 @@ class QMatrix:
         Fractions is cleared of denominators and divided by its content.
         Row spaces, hence ranks and reduced echelon forms, are unchanged.
         """
-        if all(type(x) is int for x in self.entries):
+        if _all_int(self.entries):
             return self.rows()
         out = []
         for i in range(self.nrows):
@@ -139,11 +154,22 @@ class QMatrix:
 
 
 def rank(m: QMatrix) -> int:
-    """Exact rank, by fraction-free (Bareiss) elimination on integer rows."""
-    rows = [r for r in m.int_rows() if any(r)]
+    """Exact rank, by fraction-free (Bareiss) elimination on integer rows.
+
+    An integral matrix is eliminated on row slices of its entries, which
+    the loop replaces and never mutates; only a matrix holding a
+    Fraction is rescaled to integer rows by int_rows.
+    """
+    e, nc = m.entries, m.ncols
+    if not nc:
+        return 0
+    if _all_int(e):
+        rows = [r for r in (e[i:i + nc] for i in range(0, len(e), nc)) if any(r)]
+    else:
+        rows = [r for r in m.int_rows() if any(r)]
     r = 0
     prev = 1
-    for c in range(m.ncols):
+    for c in range(nc):
         if r == len(rows):
             break
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -329,12 +355,25 @@ class SeedStream:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        return _mix64(self.state)
+        return self.randints(1, 0, _MASK64)[0]
 
     def randint(self, lo: int, hi: int) -> int:
+        return self.randints(1, lo, hi)[0]
+
+    def randints(self, count: int, lo: int, hi: int) -> list:
+        """count draws from [lo, hi]: the values, and final state, of count randint calls."""
         assert lo <= hi
-        return lo + self.next_u64() % (hi - lo + 1)
+        span, mask = hi - lo + 1, _MASK64
+        z = self.state
+        out = []
+        for _ in range(count):
+            z = (z + 0x9E3779B97F4A7C15) & mask
+            # _mix64(z), inlined: this loop is the one copy of the draw
+            x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
+            out.append(lo + (x ^ (x >> 31)) % span)
+        self.state = z
+        return out
 
     def derive(self, *tags) -> "SeedStream":
         x = self.state
@@ -353,9 +392,6 @@ def random_matrix(nrows: int, ncols: int, seed: int, height_bound: int = 100) ->
 
 
 def random_matrix_from(rng: SeedStream, nrows: int, ncols: int, height_bound: int = 100) -> QMatrix:
-    return QMatrix.from_rows(
-        [
-            [rng.randint(-height_bound, height_bound) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-    )
+    # row-major draws of ints, already canonical
+    return QMatrix(nrows, ncols,
+                   tuple(rng.randints(nrows * ncols, -height_bound, height_bound)))

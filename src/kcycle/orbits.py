@@ -329,19 +329,24 @@ def gram_matrix(setup: Setup, u: QMatrix) -> QMatrix:
     """Restriction of the form to the columns of u.
 
     Entry (x, y) is the sum over a of eps_a * u[a, x] * u[n-1-a, y].
+    Each row's nonzero (column, value) pairs are collected once, and
+    each a multiplies only the nonzeros of row a by those of row n-1-a.
     """
-    n, k = u.nrows, u.ncols
-    out = [[0] * k for _ in range(k)]
-    for a in range(n):
-        row, partner = u.row(a), u.row(n - 1 - a)
+    n, k, e = u.nrows, u.ncols, u.entries
+    nonzero = [[(x, v) for x, v in enumerate(e[a * k:(a + 1) * k]) if v]
+               for a in range(n)]
+    out = [0] * (k * k)
+    for a, row in enumerate(nonzero):
+        partner = nonzero[n - 1 - a]
+        if not partner:
+            continue
         eps = form_sign(setup.kind, n, a)
-        for x in range(k):
-            if row[x]:
-                v = eps * row[x]
-                for y in range(k):
-                    if partner[y]:
-                        out[x][y] += v * partner[y]
-    return QMatrix.from_rows(out)
+        for x, v in row:
+            v *= eps
+            x *= k
+            for y, w in partner:
+                out[x + y] += v * w
+    return QMatrix.from_flat(k, k, out)
 
 
 def _e(n: int, idx: int) -> list:

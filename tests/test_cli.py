@@ -60,6 +60,15 @@ def test_schema_matches_the_parser(capsys):
         doc["trials"] = bad
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, SCHEMA)
+    _, out, _ = run(capsys, ["verify"] + GLPQ + ["--suite", "smallness", "--format",
+                                                 "json", "--seed", str(cli.SEED_MAX)])
+    doc = json.loads(out)
+    assert doc["seed"] == cli.SEED_MAX
+    jsonschema.validate(doc, SCHEMA)
+    for bad in (-1, cli.SEED_MAX + 1):
+        doc["seed"] = bad
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, SCHEMA)
 
 
 def test_documents_round_trip(capsys):
@@ -112,6 +121,10 @@ def test_usage_errors(capsys):
         ["nonsense"],
         ["verify"] + GLPQ + ["--trials", "0"],
         ["verify"] + SO63 + ["--suite", "transversality", "--trials", "-3"],
+        # a seed outside [0, 2^64) would alias one inside it
+        ["verify"] + SO63 + ["--seed", "-1"],
+        ["verify"] + SO63 + ["--seed", str(1 << 64)],
+        ["verify"] + SO63 + ["--seed", "x"],
     ]
     # suites that examine nothing on the setup must not report a pass
     vacuous = [

@@ -82,8 +82,8 @@ def test_rank_matches_orbit_classification():
         for _ in range(30):
             a = random_chart_point(n, k, rng, height_bound=3)
             x = section_value(setup, a)
-            ident = QMatrix.identity(k)
-            plane = Subspace.from_matrix(ident.vstack(a.a))
+            frame = QMatrix.from_rows(QMatrix.identity(k).rows() + a.a.rows())
+            plane = Subspace.from_matrix(frame)
             orbit = orbit_of(setup, plane)
             assert isinstance(orbit, RadicalOrbit)
             assert orbit.i == k - rank(x)

@@ -224,12 +224,45 @@ def test_base_point_examples():
     g = gram_matrix(bp.setup, bp.u_matrix)
     assert g.is_zero()
     assert bp.u_matrix.col(0) == tuple([1, 0, 0, 0])
-    # the sparse Gram matrix is the dense u^T J u
+
+
+def test_gram_matrix_matches_dense():
+    # the sparse Gram matrix is the dense u^T J u: on random matrices, on
+    # the frames transversality samples (identity block on top, or below
+    # for the opposite chart) and on Fraction bases, with canonical entries
+    from fractions import Fraction as F
+
+    from kcycle.degeneracy import _frame, random_chart_point
+    from kcycle.exactla import SeedStream
+
     for setup in [Setup(Kind.SP, 6, 3), Setup(Kind.SO, 7, 4), Setup(Kind.SO, 8, 2)]:
         j = form_matrix(setup.kind, setup.n)
         for seed in range(4):
             u = random_matrix(setup.n, 3, seed, height_bound=5)
             assert gram_matrix(setup, u) == u.transpose().mul(j).mul(u)
+    rng = SeedStream(31)
+    checked = 0
+    for setup in [Setup(Kind.SO, 8, 4), Setup(Kind.SP, 8, 4), Setup(Kind.SO, 7, 4),
+                  Setup(Kind.SP, 6, 4), Setup(Kind.SO, 6, 3)]:
+        n, k = setup.n, setup.k
+        j = form_matrix(setup.kind, n)
+        for center_last in (False, True) if n == 2 * k else (False,):
+            for _ in range(5):
+                u = _frame(setup, random_chart_point(n, k, rng, height_bound=3), center_last)
+                scaled = QMatrix.from_rows(
+                    [[F(x, 1 + (a + c) % 3) for c, x in enumerate(row)]
+                     for a, row in enumerate(u.rows())])
+                for m in (u, scaled):
+                    g = gram_matrix(setup, m)
+                    assert g == m.transpose().mul(j).mul(m)
+                    assert all(type(x) is int or (type(x) is F and x.denominator != 1)
+                               for x in g.entries)
+                    checked += 1
+    # Fraction products that sum to an integer come back as an int
+    halves = QMatrix.from_rows([[F(1, 2), 0], [F(1, 2), 1], [F(1, 2), 0], [F(1, 2), 0]])
+    g = gram_matrix(Setup(Kind.SO, 4, 2), halves)
+    assert g.entries == (1, F(1, 2), F(1, 2), 0) and type(g.entries[0]) is int
+    assert checked == 2 * 5 * 8
 
 
 def test_base_point_invariants_sweep():
