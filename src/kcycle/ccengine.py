@@ -17,14 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degeneracy
+from .exactla import check_seed
 from .matrixstrata import cc_table
 from .orbits import (
     Kind,
     RadicalOrbit,
     Setup,
     SplitOrbit,
+    _closure_leq,
     check_orbit,
-    closure_leq,
     enumerate_orbits,
     format_orbit,
     is_split_setup,
@@ -33,9 +34,10 @@ from .orbits import (
 )
 from .resolutions import (
     ResolutionKind,
+    draw_conormals,
     is_small,
+    judge_microlocal,
     resolution_for,
-    verify_microlocal_empty,
     witness_satisfies_Z,
     witness_satisfies_Ztilde,
 )
@@ -67,7 +69,8 @@ class CharacteristicCycle:
             seen.add(orbit)
             if not (isinstance(mult, int) and mult > 0):
                 raise ValueError("multiplicities are positive integers")
-            if not closure_leq(self.setup, orbit, self.target):
+            # the target is the lead term, checked on the first pass
+            if not _closure_leq(self.setup, orbit, self.target):
                 raise ValueError("terms must lie in the closure of the target")
 
     @classmethod
@@ -196,39 +199,51 @@ def check_cc_agreement(setup: Setup) -> list:
     return rows
 
 
+def _microlocal_row(setup: Setup, target, stratum, verdict, trials: int) -> CheckRow:
+    subject = f"{format_orbit(setup, target)}<-{format_orbit(setup, stratum)}"
+    notes = [f"{verdict.kind.value}, {trials} trials"]
+    if verdict.outside_strict_hypothesis:
+        notes.append("square case, outside the strict regime")
+    if verdict.witness is not None:
+        notes.append("witness found")
+    # any witness fails the row; checking it tells a genuine
+    # counterexample from a fault in the membership test
+    satisfies = (witness_satisfies_Z if verdict.kind == ResolutionKind.Z
+                 else witness_satisfies_Ztilde)
+    bad = sum(not satisfies(xi, *verdict.thresholds, wit)
+              for xi, wit in verdict.hits)
+    if bad:
+        notes.append(f"witness check failed on {bad} of "
+                     f"{len(verdict.hits)} witnesses")
+    if verdict.disagreements:
+        notes.append("block-shape verdict contradicted by "
+                     f"{verdict.disagreements} of {trials} trials")
+    ok = verdict.empty_in_all_trials and not verdict.disagreements
+    return CheckRow("microlocal-empty", subject, ok, "; ".join(notes))
+
+
 def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
-    """Sampled vanishing of generic conormals on smaller strata."""
+    """Sampled vanishing of generic conormals on smaller strata.
+
+    Each stratum's covectors are drawn once and judged against every
+    target above it; rows come in target order.
+    """
+    check_seed(seed)
     if setup.kind != Kind.GLPQ:
         return []
-    rows = []
     orbits = enumerate_orbits(setup)
-    for target in orbits:
-        for stratum in orbits:
-            if stratum == target or not closure_leq(setup, stratum, target):
-                continue
-            verdict = verify_microlocal_empty(setup, target, stratum,
-                                              trials=trials, seed=seed)
-            subject = f"{format_orbit(setup, target)}<-{format_orbit(setup, stratum)}"
-            notes = [f"{verdict.kind.value}, {trials} trials"]
-            if verdict.outside_strict_hypothesis:
-                notes.append("square case, outside the strict regime")
-            if verdict.witness is not None:
-                notes.append("witness found")
-            # any witness fails the row; checking it tells a genuine
-            # counterexample from a fault in the membership test
-            satisfies = (witness_satisfies_Z if verdict.kind == ResolutionKind.Z
-                         else witness_satisfies_Ztilde)
-            bad = sum(not satisfies(xi, *verdict.thresholds, wit)
-                      for xi, wit in verdict.hits)
-            if bad:
-                notes.append(f"witness check failed on {bad} of "
-                             f"{len(verdict.hits)} witnesses")
-            if verdict.disagreements:
-                notes.append("block-shape verdict contradicted by "
-                             f"{verdict.disagreements} of {trials} trials")
-            ok = verdict.empty_in_all_trials and not verdict.disagreements
-            rows.append(CheckRow("microlocal-empty", subject, ok, "; ".join(notes)))
-    return rows
+    # judged one stratum at a time, so that only one stratum's draws are
+    # alive: holding each until its last target raises a sweep's peak memory
+    rows = {}
+    for stratum in orbits:
+        above = [t for t in orbits if t != stratum and _closure_leq(setup, stratum, t)]
+        if not above:
+            continue
+        drawn = draw_conormals(setup, stratum, trials=trials, seed=seed)
+        for target in above:
+            verdict = judge_microlocal(setup, target, stratum, drawn)
+            rows[target, stratum] = _microlocal_row(setup, target, stratum, verdict, trials)
+    return [rows[t, s] for t in orbits for s in orbits if (t, s) in rows]
 
 
 def check_smallness(setup: Setup) -> list:
@@ -293,6 +308,7 @@ SUITES = {
 def cross_check(setup: Setup, trials: int = 20, points: int = 100,
                 seed: int = 0) -> VerificationReport:
     """Run every verification route that applies to the setup."""
+    check_seed(seed)
     rows = []
     for run in SUITES.values():
         rows.extend(run(setup, trials, points, seed))

@@ -21,13 +21,10 @@ import sys
 
 from .ccengine import SUITES, characteristic_cycle, cross_check
 from .conormal import NoGenericCovector
+from .exactla import SEED_MAX
 from .orbits import ClosurePoset, Kind, Setup, enumerate_orbits, format_orbit, parse_orbit
 
 SCHEMA_VERSION = "kcycle/1"
-
-# SeedStream keeps 64 bits of its seed: any other seed would run the
-# samples of a different one while recording its own
-SEED_MAX = (1 << 64) - 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,25 +33,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="orbit closures on Grassmannians and their characteristic cycles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the setup options, shared through parents=: each add_argument call
+    # builds a formatter, which queries the terminal size
+    setup_opts = argparse.ArgumentParser(add_help=False)
+    setup_opts.add_argument("--kind", required=True, choices=[k.value for k in Kind])
+    setup_opts.add_argument("--n", required=True, type=int)
+    setup_opts.add_argument("--k", required=True, type=int)
+    setup_opts.add_argument("--p", type=int)
+    setup_opts.add_argument("--q", type=int)
 
-    def common(p, formats=("text", "json")):
-        p.add_argument("--kind", required=True, choices=[k.value for k in Kind])
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--k", required=True, type=int)
-        p.add_argument("--p", type=int)
-        p.add_argument("--q", type=int)
+    def command(name, summary, formats=("text", "json")):
+        p = sub.add_parser(name, help=summary, parents=[setup_opts])
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="FILE")
+        return p
 
-    common(sub.add_parser("orbits", help="list the orbits with dimensions"))
-    cc = sub.add_parser("cc", help="characteristic cycles of orbit closures")
-    common(cc)
+    command("orbits", "list the orbits with dimensions")
+    cc = command("cc", "characteristic cycles of orbit closures")
     cc.add_argument("--orbit", metavar="LABEL",
                     help="only this orbit (default: all)")
-    common(sub.add_parser("poset", help="closure order and covers"),
-           formats=("text", "json", "dot"))
-    verify = sub.add_parser("verify", help="run verification suites")
-    common(verify)
+    command("poset", "closure order and covers", formats=("text", "json", "dot"))
+    verify = command("verify", "run verification suites")
     verify.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     verify.add_argument("--trials", type=_positive_int, default=20,
                         help="samples per check, at least 1 (default 20)")

@@ -21,6 +21,7 @@ blocks and both ranks, which the membership tests read.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -126,6 +127,9 @@ def _matrix_from_flat(flat, k: int, nk: int) -> QMatrix:
 
 RETRY_BUDGET = 8
 
+# the sampler's derive tag, hashed once as derive would hash the string
+_SAMPLE_TAG = zlib.crc32(b"conormal-sample")
+
 
 def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> ConormalVector:
     """Deterministic covector in the conormal space, generic for GLpq.
@@ -137,7 +141,7 @@ def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> Cono
     """
     setup = base.setup
     k, nk = setup.k, setup.n - setup.k
-    rng = SeedStream(seed).derive("conormal-sample")
+    rng = SeedStream(seed).derive(_SAMPLE_TAG)
     if setup.kind != Kind.GLPQ:
         space = conormal_space(base)
         if space.dim == 0:

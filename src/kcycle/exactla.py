@@ -335,6 +335,12 @@ class Subspace:
 
 
 _MASK64 = (1 << 64) - 1
+SEED_MAX = _MASK64  # seeds are 0..SEED_MAX; any other would alias one of them
+
+
+def check_seed(seed: int) -> None:
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed must be between 0 and {SEED_MAX}, got {seed}")
 
 
 def _mix64(z: int) -> int:
@@ -352,7 +358,8 @@ class SeedStream:
     """
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        check_seed(seed)
+        self.state = seed
 
     def next_u64(self) -> int:
         return self.randints(1, 0, _MASK64)[0]

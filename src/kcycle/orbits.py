@@ -264,6 +264,11 @@ def closure_leq(setup: Setup, a, b) -> bool:
     """True when orbit a lies in the closure of orbit b."""
     check_orbit(setup, a)
     check_orbit(setup, b)
+    return _closure_leq(setup, a, b)
+
+
+def _closure_leq(setup: Setup, a, b) -> bool:
+    """closure_leq on labels known valid, such as enumerate_orbits output."""
     if isinstance(a, IntersectionOrbit):
         return a.s >= b.s and a.t >= b.t
     ai = a.i if isinstance(a, RadicalOrbit) else setup.k
@@ -282,7 +287,7 @@ class ClosurePoset:
         self.dimension = {o: orbit_dimension(setup, o) for o in self.orbits}
 
     def leq(self, a, b) -> bool:
-        return closure_leq(self.setup, a, b)
+        return _closure_leq(self.setup, a, b)
 
     def codim(self, orbit) -> int:
         return self.setup.dim_gr - self.dimension[orbit]

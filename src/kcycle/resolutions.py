@@ -11,10 +11,16 @@ ranks each non-empty one once to certify xi generic, and never ranks a
 block with no rows or no columns; the tests read the certified ranks
 and rank nothing themselves.  Since a generic xi has both blocks at
 full rank, the block shapes alone decide membership, and every sampled
-trial must agree with that verdict.  Emptiness of the microlocal fiber
-over a generic covector is what kills the extra terms in the
-characteristic cycle, so the tests here are the engine behind
-irreducibility claims.
+trial must agree with that verdict.
+
+Covectors are drawn per stratum and judged per target.  They are
+conormal at the stratum's base point, and the target enters only
+through the membership thresholds, so the draws are seeded by the
+setup and stratum alone (``draw_conormals``) and one set of draws is
+judged against every target above the stratum (``judge_microlocal``).
+Emptiness of the microlocal fiber over a generic covector is what
+kills the extra terms in the characteristic cycle, so the tests here
+are the engine behind irreducibility claims.
 
 Radical strata (Sp/SO) have an analogous resolution remembering a
 subspace of the radical; it is generally not small, and only its fiber
@@ -35,6 +41,7 @@ from .orbits import (
     Kind,
     RadicalOrbit,
     Setup,
+    _closure_leq,
     base_point,
     closure_leq,
     format_orbit,
@@ -222,43 +229,58 @@ def resolution_for(setup: Setup) -> ResolutionKind:
     return ResolutionKind.Z if work.n - work.k >= work.p else ResolutionKind.ZTILDE
 
 
-def verify_microlocal_empty(
-    setup: Setup, target_orbit, stratum_orbit, trials: int = 20, seed: int = 0
-) -> MicrolocalVerdict:
-    """Sample covectors conormal to the stratum; none may lie in the kernel image.
-
-    The verdict being empty in all trials is the evidence that the
-    stratum contributes nothing to the target's characteristic cycle.
-    It is also decided exactly: a generic covector has h and l at full
-    rank, so with h_full = min(|rows|, |cols|) of h (likewise l_full),
-    it lies in the image of Z iff h_full <= s and l_full <= t, and in
-    that of Ztilde iff h_full <= n-k-p+s and l_full <= t.  This is a
-    second statement of the membership caps, read off the block shapes
-    rather than the sampled ranks: every trial runs, and each one whose
-    membership test disagrees with it is counted, which guards the caps
-    and rank reads inside ``kernel_membership_*``.
-    """
+def _strict_pair(setup: Setup, target_orbit, stratum_orbit) -> tuple:
+    """Normalized setup, target and stratum, the stratum strictly below the target."""
     if setup.kind != Kind.GLPQ:
         raise ValueError("microlocal emptiness testing is for GLpq setups")
     norm = normalize(setup)
     tgt = norm.to_normalized(target_orbit)
     strat = norm.to_normalized(stratum_orbit)
-    if tgt == strat or not closure_leq(norm.setup, strat, tgt):
+    if tgt == strat or not _closure_leq(norm.setup, strat, tgt):
         raise ValueError("stratum must lie strictly below target")
-    kind = resolution_for(norm.setup)
+    return norm.setup, tgt, strat
+
+
+def draw_conormals(setup: Setup, stratum_orbit, trials: int = 20, seed: int = 0) -> tuple:
+    """trials generic covectors conormal to the stratum at its base point.
+
+    The stream is derived from the seed, the normalized setup and the
+    stratum alone, so every target above the stratum can judge the same
+    draws.
+    """
+    if setup.kind != Kind.GLPQ:
+        raise ValueError("microlocal emptiness testing is for GLpq setups")
+    norm = normalize(setup)
+    work, strat = norm.setup, norm.to_normalized(stratum_orbit)
+    bp = base_point(work, strat)
+    rng = SeedStream(seed).derive("microlocal", work.describe(), format_orbit(work, strat))
+    return tuple(sample_conormal(bp, rng.next_u64()) for _ in range(trials))
+
+
+def judge_microlocal(setup: Setup, target_orbit, stratum_orbit, covectors) -> MicrolocalVerdict:
+    """The target's verdict over covectors conormal to the stratum.
+
+    A generic covector has h and l at full rank, so with h_full =
+    min(|rows|, |cols|) of h (likewise l_full), it lies in the image of
+    Z iff h_full <= s and l_full <= t, and in that of Ztilde iff h_full
+    <= n-k-p+s and l_full <= t.  This is a second statement of the
+    membership caps, read off the block shapes rather than the sampled
+    ranks: every covector is tested, and each one whose membership test
+    disagrees with it is counted, which guards the caps and rank reads
+    inside ``kernel_membership_*``.
+    """
+    work, tgt, strat = _strict_pair(setup, target_orbit, stratum_orbit)
+    kind = resolution_for(work)
     membership = kernel_membership_Z if kind == ResolutionKind.Z else kernel_membership_Ztilde
-    work = norm.setup
     bp = base_point(work, strat)
     h_full, l_full = generic_block_ranks(bp)
     h_cap = tgt.s if kind == ResolutionKind.Z else work.n - work.k - work.p + tgt.s
     generic_member = h_full <= h_cap and l_full <= tgt.t
-    rng = SeedStream(seed).derive(
-        "microlocal", work.describe(),
-        format_orbit(work, tgt), format_orbit(work, strat))
     hits = []
     disagreements = 0
-    for _ in range(trials):
-        xi = sample_conormal(bp, rng.next_u64())
+    for xi in covectors:
+        if xi.base is not bp and xi.base != bp:
+            raise ValueError("covectors must be conormal to the stratum at its base point")
         hit, wit = membership(xi, tgt.s, tgt.t)
         if hit:
             hits.append((xi, wit))
@@ -270,37 +292,65 @@ def verify_microlocal_empty(
     )
 
 
+def verify_microlocal_empty(
+    setup: Setup, target_orbit, stratum_orbit, trials: int = 20, seed: int = 0
+) -> MicrolocalVerdict:
+    """Sample covectors conormal to the stratum; none may lie in the kernel image.
+
+    The verdict being empty in all trials is the evidence that the
+    stratum contributes nothing to the target's characteristic cycle.
+    The covectors are drawn per stratum (``draw_conormals``): the
+    target does not enter their seed, so the draws are the ones every
+    other target above the stratum is judged on.  They are judged per
+    target (``judge_microlocal``), which also decides the verdict
+    exactly from the block shapes and counts the trials that contradict
+    it.
+    """
+    _strict_pair(setup, target_orbit, stratum_orbit)
+    covectors = draw_conormals(setup, stratum_orbit, trials=trials, seed=seed)
+    return judge_microlocal(setup, target_orbit, stratum_orbit, covectors)
+
+
 def _radical_index(setup: Setup, orbit) -> int:
     return orbit.i if isinstance(orbit, RadicalOrbit) else setup.k
 
 
-def fiber_dimension(setup: Setup, kind: ResolutionKind, target, stratum) -> int:
-    """Dimension of the resolution fiber over a point of the stratum."""
+def _check_kind(setup: Setup, kind: ResolutionKind) -> None:
     if kind == ResolutionKind.ZI:
         if setup.kind == Kind.GLPQ:
             raise ValueError("radical resolution needs an Sp/SO setup")
-        if not closure_leq(setup, stratum, target):
-            raise ValueError("stratum must lie in the target's closure")
-        i = _radical_index(setup, target)
-        ip = _radical_index(setup, stratum)
-        return i * (ip - i)
-    if setup.kind != Kind.GLPQ:
+    elif setup.kind != Kind.GLPQ:
         raise ValueError("subspace-pair resolutions need a GLpq setup")
-    norm = normalize(setup)
-    tgt = norm.to_normalized(target)
-    strat = norm.to_normalized(stratum)
-    if not closure_leq(norm.setup, strat, tgt):
-        raise ValueError("stratum must lie in the target's closure")
+
+
+def _fiber_dimension(work: Setup, kind: ResolutionKind, tgt, strat) -> int:
+    """fiber_dimension on valid labels, strat in tgt's closure, normalized for GLpq."""
+    if kind == ResolutionKind.ZI:
+        i = _radical_index(work, tgt)
+        return i * (_radical_index(work, strat) - i)
     s, t = tgt.s, tgt.t
     sp, tp = strat.s, strat.t
     if kind == ResolutionKind.Z:
         return s * (sp - s) + t * (tp - t)
-    n, k, p = norm.setup.n, norm.setup.k, norm.setup.p
+    n, k, p = work.n, work.k, work.p
     return (sp - s) * (n - k - p + s) + t * (tp - t)
+
+
+def fiber_dimension(setup: Setup, kind: ResolutionKind, target, stratum) -> int:
+    """Dimension of the resolution fiber over a point of the stratum."""
+    _check_kind(setup, kind)
+    work, tgt, strat = setup, target, stratum
+    if setup.kind == Kind.GLPQ:
+        norm = normalize(setup)
+        work, tgt, strat = norm.setup, norm.to_normalized(target), norm.to_normalized(stratum)
+    if not closure_leq(work, strat, tgt):
+        raise ValueError("stratum must lie in the target's closure")
+    return _fiber_dimension(work, kind, tgt, strat)
 
 
 def is_small(setup: Setup, kind: ResolutionKind, target) -> bool:
     """Strict fiber bound 2*dim(fiber) < codim(stratum) below the target."""
+    _check_kind(setup, kind)
     if setup.kind == Kind.GLPQ:
         norm = normalize(setup)
         work, tgt = norm.setup, norm.to_normalized(target)
@@ -311,7 +361,7 @@ def is_small(setup: Setup, kind: ResolutionKind, target) -> bool:
     for stratum in pos.orbits:
         if stratum == tgt or not pos.leq(stratum, tgt):
             continue
-        fib = fiber_dimension(work, kind, tgt, stratum)
+        fib = _fiber_dimension(work, kind, tgt, stratum)
         if 2 * fib >= top - pos.dimension[stratum]:
             return False
     return True

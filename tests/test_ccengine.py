@@ -6,10 +6,13 @@ from kcycle.ccengine import (
     VerificationReport,
     characteristic_cycle,
     check_cc_agreement,
+    check_microlocal,
     check_smallness,
     cross_check,
     pullback_cc,
 )
+from kcycle.degeneracy import run_transversality_suite
+from kcycle.exactla import SEED_MAX
 from kcycle.orbits import (
     Kind,
     RadicalOrbit,
@@ -207,3 +210,17 @@ def test_report_collects_failures():
     report = VerificationReport(Setup(Kind.SP, 4, 2), (row,))
     assert not report.all_ok
     assert report.failures() == [row]
+
+
+def test_seeded_suites_reject_out_of_range_seeds():
+    glpq, so = Setup(Kind.GLPQ, 4, 2, p=2, q=2), Setup(Kind.SO, 6, 3)
+    for bad in (-1, SEED_MAX + 1):
+        with pytest.raises(ValueError):
+            run_transversality_suite(so, points=1, seed=bad)
+        for setup in (glpq, so):
+            with pytest.raises(ValueError):
+                check_microlocal(setup, trials=1, seed=bad)
+            with pytest.raises(ValueError):
+                cross_check(setup, trials=1, points=1, seed=bad)
+    for setup in (glpq, so):
+        assert cross_check(setup, trials=1, points=1, seed=SEED_MAX).all_ok

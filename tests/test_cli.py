@@ -16,6 +16,89 @@ SO63 = ["--kind", "so", "--n", "6", "--k", "3"]
 SP63 = ["--kind", "sp", "--n", "6", "--k", "3"]
 
 
+# --help text of the parser and of each subcommand at 80 columns, recorded
+# before the shared options moved into a parent parser
+HELP = {
+    "": (
+        "usage: kcycle [-h] {orbits,cc,poset,verify} ...\n"
+        "\n"
+        "orbit closures on Grassmannians and their characteristic cycles\n"
+        "\n"
+        "positional arguments:\n"
+        "  {orbits,cc,poset,verify}\n"
+        "    orbits              list the orbits with dimensions\n"
+        "    cc                  characteristic cycles of orbit closures\n"
+        "    poset               closure order and covers\n"
+        "    verify              run verification suites\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "orbits": (
+        "usage: kcycle orbits [-h] --kind {glpq,sp,so} --n N --k K [--p P] [--q Q]\n"
+        "                     [--format {text,json}] [--out FILE]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --kind {glpq,sp,so}\n"
+        "  --n N\n"
+        "  --k K\n"
+        "  --p P\n"
+        "  --q Q\n"
+        "  --format {text,json}\n"
+        "  --out FILE\n"
+    ),
+    "cc": (
+        "usage: kcycle cc [-h] --kind {glpq,sp,so} --n N --k K [--p P] [--q Q]\n"
+        "                 [--format {text,json}] [--out FILE] [--orbit LABEL]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --kind {glpq,sp,so}\n"
+        "  --n N\n"
+        "  --k K\n"
+        "  --p P\n"
+        "  --q Q\n"
+        "  --format {text,json}\n"
+        "  --out FILE\n"
+        "  --orbit LABEL         only this orbit (default: all)\n"
+    ),
+    "poset": (
+        "usage: kcycle poset [-h] --kind {glpq,sp,so} --n N --k K [--p P] [--q Q]\n"
+        "                    [--format {text,json,dot}] [--out FILE]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --kind {glpq,sp,so}\n"
+        "  --n N\n"
+        "  --k K\n"
+        "  --p P\n"
+        "  --q Q\n"
+        "  --format {text,json,dot}\n"
+        "  --out FILE\n"
+    ),
+    "verify": (
+        "usage: kcycle verify [-h] --kind {glpq,sp,so} --n N --k K [--p P] [--q Q]\n"
+        "                     [--format {text,json}] [--out FILE]\n"
+        "                     [--suite {crosscheck,microlocal,smallness,transversality,all}]\n"
+        "                     [--trials TRIALS] [--seed SEED]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --kind {glpq,sp,so}\n"
+        "  --n N\n"
+        "  --k K\n"
+        "  --p P\n"
+        "  --q Q\n"
+        "  --format {text,json}\n"
+        "  --out FILE\n"
+        "  --suite {crosscheck,microlocal,smallness,transversality,all}\n"
+        "  --trials TRIALS       samples per check, at least 1 (default 20)\n"
+        "  --seed SEED           sampling seed, 0 to 18446744073709551615 (default 0)\n"
+    ),
+}
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -201,3 +284,17 @@ def test_out_file_replaces_stdout(capsys, tmp_path):
     assert doc["command"] == "orbits"
     assert [row["label"] for row in doc["orbits"]] == \
         ["rad0", "rad1", "rad2", "rad3+", "rad3-"]
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, text in HELP.items():
+        argv = [command, "--help"] if command else ["--help"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == "", argv
+        assert out == text, argv
+    code, out, err = run(capsys, ["verify"] + SO63 + ["--seed", "-1"])
+    assert code == 2 and out == ""
+    usage = HELP["verify"].split("\n\n")[0] + "\n"
+    assert err == usage + ("kcycle verify: error: argument --seed: must be between "
+                           "0 and 18446744073709551615, got -1\n")

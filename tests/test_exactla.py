@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from kcycle.exactla import (
+    SEED_MAX,
     QMatrix,
     SeedStream,
     Subspace,
@@ -206,6 +207,15 @@ def test_seed_stream_determinism():
     assert SeedStream(1).derive("x").state == SeedStream(1).derive("x").state
     assert SeedStream(1).derive("x").state != SeedStream(1).derive("y").state
     assert SeedStream(1).derive("x", 2).state != SeedStream(1).derive("x", 3).state
+
+
+def test_seed_stream_rejects_out_of_range_seeds():
+    # a seed outside [0, 2^64) would alias one inside it
+    assert SeedStream(SEED_MAX).state == SEED_MAX == (1 << 64) - 1
+    assert SeedStream(0).state == 0
+    for bad in (-1, SEED_MAX + 1):
+        with pytest.raises(ValueError, match="seed must be between 0 and"):
+            SeedStream(bad)
 
 
 def test_random_matrix_frozen_bytes():

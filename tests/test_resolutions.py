@@ -17,8 +17,10 @@ from kcycle.orbits import (
 )
 from kcycle.resolutions import (
     ResolutionKind,
+    draw_conormals,
     fiber_dimension,
     is_small,
+    judge_microlocal,
     kernel_membership_Z,
     kernel_membership_Ztilde,
     resolution_for,
@@ -237,6 +239,63 @@ def test_genuine_witnesses_pass_their_check(monkeypatch):
             assert "block-shape verdict contradicted by 2 of 2 trials" in row.detail
 
 
+@pytest.mark.parametrize("setup", [glpq(6, 2, 3, 3), glpq(8, 4, 4, 4)])
+def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
+    # both setups are normalized, so a target's thresholds are its own label
+    real_sample = resolutions.sample_conormal
+    draws, judged = [], []
+
+    def counting_sample(bp, seed):
+        xi = real_sample(bp, seed)
+        draws.append(xi)
+        return xi
+
+    def counting(real):
+        def member(xi, s, t):
+            judged.append((xi, (s, t)))
+            return real(xi, s, t)
+        return member
+
+    monkeypatch.setattr(resolutions, "sample_conormal", counting_sample)
+    for name in ("kernel_membership_Z", "kernel_membership_Ztilde"):
+        monkeypatch.setattr(resolutions, name, counting(getattr(resolutions, name)))
+    trials = 20
+    rows = check_microlocal(setup, trials=trials, seed=5)
+    pairs = proper_pairs(setup)
+    below = {stratum for _, stratum in pairs}
+    assert len(rows) == len(pairs) and all(r.ok for r in rows)
+    assert len(draws) == trials * len(below)
+    assert len(judged) == trials * len(pairs)
+    by_stratum = {}
+    for xi in draws:
+        by_stratum.setdefault(xi.base.orbit, []).append(xi)
+    assert set(by_stratum) == below
+    # each pair judges its stratum's draws, the very objects
+    expected = [(id(xi), (target.s, target.t))
+                for target, stratum in pairs for xi in by_stratum[stratum]]
+    assert sorted((id(xi), st) for xi, st in judged) == sorted(expected)
+    assert [r.subject for r in rows] == \
+        [f"q({t.s},{t.t})<-q({s.s},{s.t})" for t, s in pairs]
+
+
+def test_a_membership_fault_at_one_target_fails_only_its_rows(monkeypatch):
+    # the draws are shared between targets; the judging is not
+    setup = glpq(8, 4, 4, 4)
+    real, wrong = kernel_membership_Z, own_stratum_membership(kernel_membership_Z)
+    targets = sorted({target for target, _ in proper_pairs(setup)},
+                     key=lambda o: (o.s, o.t))
+    assert len(targets) > 1
+    for bad in targets:
+        monkeypatch.setattr(
+            resolutions, "kernel_membership_Z",
+            lambda xi, s, t: (wrong if (s, t) == (bad.s, bad.t) else real)(xi, s, t))
+        rows = check_microlocal(setup, trials=2, seed=1)
+        failed = {r.subject for r in rows if not r.ok}
+        prefix = f"q({bad.s},{bad.t})<-"
+        assert failed == {r.subject for r in rows if r.subject.startswith(prefix)}
+        assert failed
+
+
 def test_verify_empty_all_pairs_small_setups():
     for setup in [glpq(6, 2, 3, 3), glpq(5, 2, 3, 2)]:
         for target, stratum in proper_pairs(setup):
@@ -271,6 +330,10 @@ def test_verify_empty_rejects_bad_pairs():
         verify_microlocal_empty(setup, IntersectionOrbit(1, 1), IntersectionOrbit(0, 0))
     with pytest.raises(ValueError):
         verify_microlocal_empty(Setup(Kind.SO, 6, 2), RadicalOrbit(1), RadicalOrbit(2))
+    # covectors drawn at another stratum cannot be judged as this one's
+    drawn = draw_conormals(setup, IntersectionOrbit(2, 0), trials=2, seed=1)
+    with pytest.raises(ValueError, match="conormal to the stratum"):
+        judge_microlocal(setup, IntersectionOrbit(0, 0), IntersectionOrbit(1, 1), drawn)
 
 
 def test_verdict_deterministic():
