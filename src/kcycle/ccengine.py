@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degeneracy
-from .exactla import check_seed
+from .exactla import check_count, check_seed
 from .matrixstrata import cc_table
 from .orbits import (
     Kind,
@@ -25,6 +25,7 @@ from .orbits import (
     Setup,
     SplitOrbit,
     _closure_leq,
+    base_point,
     check_orbit,
     enumerate_orbits,
     format_orbit,
@@ -38,8 +39,6 @@ from .resolutions import (
     is_small,
     judge_microlocal,
     resolution_for,
-    witness_satisfies_Z,
-    witness_satisfies_Ztilde,
 )
 
 
@@ -202,36 +201,34 @@ def check_cc_agreement(setup: Setup) -> list:
 def _microlocal_row(setup: Setup, target, stratum, verdict, trials: int) -> CheckRow:
     subject = f"{format_orbit(setup, target)}<-{format_orbit(setup, stratum)}"
     notes = [f"{verdict.kind.value}, {trials} trials"]
-    if verdict.outside_strict_hypothesis:
+    if setup.n == 2 * setup.k:
         notes.append("square case, outside the strict regime")
-    if verdict.witness is not None:
+    if verdict.hits:
         notes.append("witness found")
-    # any witness fails the row; checking it tells a genuine
-    # counterexample from a fault in the membership test
-    satisfies = (witness_satisfies_Z if verdict.kind == ResolutionKind.Z
-                 else witness_satisfies_Ztilde)
-    bad = sum(not satisfies(xi, *verdict.thresholds, wit)
-              for xi, wit in verdict.hits)
-    if bad:
-        notes.append(f"witness check failed on {bad} of "
+    if verdict.bad_witnesses:
+        notes.append(f"witness check failed on {verdict.bad_witnesses} of "
                      f"{len(verdict.hits)} witnesses")
     if verdict.disagreements:
         notes.append("block-shape verdict contradicted by "
                      f"{verdict.disagreements} of {trials} trials")
-    ok = verdict.empty_in_all_trials and not verdict.disagreements
+    ok = not verdict.hits and not verdict.disagreements
     return CheckRow("microlocal-empty", subject, ok, "; ".join(notes))
 
 
 def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
     """Sampled vanishing of generic conormals on smaller strata.
 
-    Each stratum's covectors are drawn once and judged against every
-    target above it; rows come in target order.
+    Each label is normalized once; each stratum's covectors are drawn
+    once and judged against every target above it; rows come in target
+    order.
     """
     check_seed(seed)
+    check_count("trials", trials)
     if setup.kind != Kind.GLPQ:
         return []
+    norm = normalize(setup)
     orbits = enumerate_orbits(setup)
+    label = {o: norm.to_normalized(o) for o in orbits}
     # judged one stratum at a time, so that only one stratum's draws are
     # alive: holding each until its last target raises a sweep's peak memory
     rows = {}
@@ -239,9 +236,9 @@ def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
         above = [t for t in orbits if t != stratum and _closure_leq(setup, stratum, t)]
         if not above:
             continue
-        drawn = draw_conormals(setup, stratum, trials=trials, seed=seed)
+        drawn = draw_conormals(base_point(norm.setup, label[stratum]), trials=trials, seed=seed)
         for target in above:
-            verdict = judge_microlocal(setup, target, stratum, drawn)
+            verdict = judge_microlocal(label[target], drawn)
             rows[target, stratum] = _microlocal_row(setup, target, stratum, verdict, trials)
     return [rows[t, s] for t in orbits for s in orbits if (t, s) in rows]
 
@@ -309,6 +306,8 @@ def cross_check(setup: Setup, trials: int = 20, points: int = 100,
                 seed: int = 0) -> VerificationReport:
     """Run every verification route that applies to the setup."""
     check_seed(seed)
+    check_count("trials", trials)
+    check_count("points", points)
     rows = []
     for run in SUITES.values():
         rows.extend(run(setup, trials, points, seed))

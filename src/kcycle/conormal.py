@@ -11,12 +11,12 @@ it is the kernel of the sparse action image of Lie(K), the same matrix
 whose rank gives the orbit dimension.  Both routes are available for
 GLpq and must agree.
 
-Block ranges are the base point's own.  A GLpq sample draws only its
-two blocks, in one batch per attempt, each straight into its own
-matrix, and ranks them to certify it generic; a block with no rows or
-no columns has rank 0 and is never ranked.  Only a kept draw has its
-blocks placed into a k x (n-k) matrix; the covector also keeps both
-blocks and both ranks, which the membership tests read.
+Sampling is for GLpq.  A sampled covector is its two blocks: the
+sampler draws h and l, in one batch per attempt, each straight into
+its own matrix, and ranks them to certify the draw generic; a block
+with no rows or no columns has rank 0 and is never ranked.  The
+covector keeps both blocks and both ranks, which the membership tests
+read.  Its k x (n-k) matrix is placed from the blocks only when read.
 """
 
 from __future__ import annotations
@@ -40,30 +40,26 @@ class NoGenericCovector(RuntimeError):
 
 @dataclass(frozen=True)
 class ConormalVector:
+    """A GLpq covector at a base point, held as its two blocks and their ranks."""
+
     base: BasePoint
-    matrix: QMatrix  # k rows, n-k columns
+    h_block: QMatrix  # rows U cap C^p, columns C^q/U: the map h of the codifferential
+    l_block: QMatrix  # rows U cap C^q, columns C^p/U: the map l of the codifferential
+    h_rank: int
+    l_rank: int
     retries: int = field(default=0, compare=False)  # resamples the draw needed
 
-    def block(self, rg: int, cg: int) -> QMatrix:
-        return self.matrix.submatrix(self.base.row_blocks[rg], self.base.col_blocks[cg])
-
     @cached_property
-    def h_block(self) -> QMatrix:
-        """Rows U cap C^p, columns C^q/U: the map h of the codifferential."""
-        return self.block(0, 2)
-
-    @cached_property
-    def l_block(self) -> QMatrix:
-        """Rows U cap C^q, columns C^p/U: the map l of the codifferential."""
-        return self.block(1, 0)
-
-    @cached_property
-    def h_rank(self) -> int:
-        return _block_rank(self.h_block)
-
-    @cached_property
-    def l_rank(self) -> int:
-        return _block_rank(self.l_block)
+    def matrix(self) -> QMatrix:
+        """The k x (n-k) matrix with h and l at their ranges, zero elsewhere."""
+        setup = self.base.setup
+        nk = setup.n - setup.k
+        flat = [0] * (setup.k * nk)
+        rows, cols = self.base.row_blocks, self.base.col_blocks
+        for blk, rr, cc in ((self.h_block, rows[0], cols[2]), (self.l_block, rows[1], cols[0])):
+            for a, j in enumerate(rr):
+                flat[j * nk + cc.start:j * nk + cc.stop] = blk.row(a)
+        return QMatrix(setup.k, nk, tuple(flat))
 
 
 def block_shapes(base: BasePoint) -> tuple:
@@ -110,21 +106,6 @@ def max_conormal_rank(setup: Setup, orbit) -> int:
     return min(s, n - k - p + s) + min(t, n - k - q + t)
 
 
-def _place_blocks(base: BasePoint, h: QMatrix, l: QMatrix) -> QMatrix:
-    """The k x (n-k) matrix with h and l at their ranges, zero elsewhere."""
-    nk = base.setup.n - base.setup.k
-    flat = [0] * (base.setup.k * nk)
-    rows, cols = base.row_blocks, base.col_blocks
-    for blk, rr, cc in ((h, rows[0], cols[2]), (l, rows[1], cols[0])):
-        for a, j in enumerate(rr):
-            flat[j * nk + cc.start:j * nk + cc.stop] = blk.row(a)
-    return QMatrix(base.setup.k, nk, tuple(flat))
-
-
-def _matrix_from_flat(flat, k: int, nk: int) -> QMatrix:
-    return QMatrix.from_rows([list(flat[r * nk:(r + 1) * nk]) for r in range(k)])
-
-
 RETRY_BUDGET = 8
 
 # the sampler's derive tag, hashed once as derive would hash the string
@@ -132,26 +113,15 @@ _SAMPLE_TAG = zlib.crc32(b"conormal-sample")
 
 
 def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> ConormalVector:
-    """Deterministic covector in the conormal space, generic for GLpq.
+    """Deterministic generic covector in the conormal space of a GLpq orbit.
 
-    A GLpq sample is drawn as its two blocks and resampled (at most
-    RETRY_BUDGET times) until both reach full rank, so the matrix rank
-    equals max_conormal_rank; the returned vector keeps its resample
-    count, both blocks and their ranks.
+    The two blocks are drawn and resampled (at most RETRY_BUDGET times)
+    until both reach full rank, so the matrix rank equals
+    max_conormal_rank; the returned vector keeps its resample count.
     """
-    setup = base.setup
-    k, nk = setup.k, setup.n - setup.k
+    if base.setup.kind != Kind.GLPQ:
+        raise ValueError("conormal sampling is for GLpq setups")
     rng = SeedStream(seed).derive(_SAMPLE_TAG)
-    if setup.kind != Kind.GLPQ:
-        space = conormal_space(base)
-        if space.dim == 0:
-            raise ValueError("open orbit has no conormal directions to sample")
-        coeffs = rng.randints(space.dim, -height_bound, height_bound)
-        flat = [
-            sum(c * space.basis[i, j] for j, c in enumerate(coeffs))
-            for i in range(k * nk)
-        ]
-        return ConormalVector(base, _matrix_from_flat(flat, k, nk))
     (hr, hc), (lr, lc) = block_shapes(base)
     # the two blocks span the conormal space: codim s(q-k+s) + t(p-k+t)
     if hr * hc + lr * lc == 0:
@@ -169,10 +139,7 @@ def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> Cono
             continue
         l_rank = _block_rank(l)
         if l_rank == l_full:
-            xi = ConormalVector(base, _place_blocks(base, h, l), attempt)
-            # the blocks and ranks just certified, as the cached properties hold them
-            xi.__dict__.update(h_block=h, l_block=l, h_rank=h_rank, l_rank=l_rank)
-            return xi
+            return ConormalVector(base, h, l, h_rank, l_rank, attempt)
     raise NoGenericCovector(
         f"no generic covector within {RETRY_BUDGET} resamples; "
         "this indicates a bug, not bad luck"

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactla import QMatrix, SeedStream, Subspace, rank
+from .exactla import QMatrix, SeedStream, Subspace, check_count, rank
 from .matrixstrata import (
     Flavor, flavor_coords, flavor_dim, flavor_sign, pairing_row, product_rows,
 )
@@ -180,6 +180,7 @@ def run_transversality_suite(setup: Setup, points: int = 100,
     """
     if setup.kind == Kind.GLPQ:
         raise ValueError("transversality sweeps need an invariant form")
+    check_count("points", points)
     work = normalize(setup).setup
     n, k = work.n, work.k
     charts = [False]

@@ -343,6 +343,12 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be between 0 and {SEED_MAX}, got {seed}")
 
 
+def check_count(name: str, count: int) -> None:
+    """A sampled check that examined nothing could not fail: count must be positive."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64

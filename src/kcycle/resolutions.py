@@ -5,22 +5,18 @@ pairs of subspaces (V, W) inside U cap C^p and U cap C^q, applicable
 when n-k >= p, and a second one whose V-component is a large subspace
 containing U + C^p, applicable when n-k <= p.  A covector xi conormal
 to a smaller orbit lies in the image of the codifferential exactly when
-two submatrix ranks of xi stay below thresholds; which thresholds
-depends on the resolution.  The sampler draws only those two blocks,
-ranks each non-empty one once to certify xi generic, and never ranks a
-block with no rows or no columns; the tests read the certified ranks
-and rank nothing themselves.  Since a generic xi has both blocks at
-full rank, the block shapes alone decide membership, and every sampled
-trial must agree with that verdict.
+the ranks of its two blocks h and l stay below thresholds that depend
+on the resolution; the tests read the ranks the sampler certified.  A
+generic xi has both blocks at full rank, so the block shapes alone
+decide membership; every trial must agree, and every witness is checked.
 
-Covectors are drawn per stratum and judged per target.  They are
-conormal at the stratum's base point, and the target enters only
-through the membership thresholds, so the draws are seeded by the
-setup and stratum alone (``draw_conormals``) and one set of draws is
-judged against every target above the stratum (``judge_microlocal``).
-Emptiness of the microlocal fiber over a generic covector is what
-kills the extra terms in the characteristic cycle, so the tests here
-are the engine behind irreducibility claims.
+Everything here past ``verify_microlocal_empty``, the one entry that
+validates and normalizes original labels, works in normalized labels:
+covectors are drawn once per stratum (``draw_conormals``) and judged
+per target (``judge_microlocal``, which reads the setup and stratum off
+the covectors' base point and picks the resolution).  Emptiness of the
+microlocal fiber over a generic covector is what kills the extra terms
+in the characteristic cycle.
 
 Radical strata (Sp/SO) have an analogous resolution remembering a
 subspace of the radical; it is generally not small, and only its fiber
@@ -33,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .exactla import QMatrix, SeedStream, Subspace, kernel, solve
+from .exactla import QMatrix, SeedStream, Subspace, check_count, kernel, solve
 from .conormal import ConormalVector, generic_block_ranks, sample_conormal
 from .orbits import (
     BasePoint,
@@ -70,8 +66,9 @@ class MicrolocalVerdict:
     ``generic_empty`` is what the block shapes predict for a generic
     covector; ``disagreements`` counts the trials whose membership test
     contradicted it.  ``hits`` pairs each member covector with its
-    witness, and ``thresholds`` are the target's (s, t) in normalized
-    coordinates, as the ``witness_satisfies_*`` references take them.
+    witness, and ``bad_witnesses`` counts the witnesses that fail their
+    resolution's check.  ``thresholds`` are the target's (s, t) in
+    normalized coordinates.
     """
 
     kind: ResolutionKind
@@ -79,25 +76,12 @@ class MicrolocalVerdict:
     generic_empty: bool
     disagreements: int
     hits: tuple  # (ConormalVector, Witness) pairs
-    outside_strict_hypothesis: bool
-
-    @property
-    def empty_in_all_trials(self) -> bool:
-        return not self.hits
-
-    @property
-    def witness(self) -> Optional[Witness]:
-        return self.hits[0][1] if self.hits else None
+    bad_witnesses: int
 
 
-def _u_cap_p_vectors(bp: BasePoint) -> list:
-    s_prime = bp.row_groups[0]
-    return [bp.basis.col(r) for r in range(s_prime)]
-
-
-def _u_cap_q_vectors(bp: BasePoint) -> list:
-    s_prime, t_prime = bp.row_groups[0], bp.row_groups[1]
-    return [bp.basis.col(s_prime + b) for b in range(t_prime)]
+def _group_vectors(bp: BasePoint, g: int) -> list:
+    """Basis vectors of U in row group g: U cap C^p for 0, U cap C^q for 1."""
+    return [bp.basis.col(j) for j in bp.row_blocks[g]]
 
 
 def _ambient_columns(bp: BasePoint, block: QMatrix, row_vectors: list) -> list:
@@ -127,6 +111,19 @@ def _extend_inside(span_vectors: list, target_dim: int, pool: list, n: int) -> S
     return cur
 
 
+def _grown_image(bp: BasePoint, block: QMatrix, g: int, dim: int) -> Subspace:
+    """The block's column images in row group g, grown inside the group to dim."""
+    vecs = _group_vectors(bp, g)
+    return _extend_inside(_ambient_columns(bp, block, vecs), dim, vecs, bp.setup.n)
+
+
+def _holds_image(bp: BasePoint, block: QMatrix, g: int, dim: int, space: Subspace) -> bool:
+    """space has dimension dim, lies in row group g and contains the block's image."""
+    n, vecs = bp.setup.n, _group_vectors(bp, g)
+    return (space.dim == dim and Subspace.span(n, vecs).contains(space)
+            and space.contains(Subspace.span(n, _ambient_columns(bp, block, vecs))))
+
+
 def kernel_membership_Z(xi: ConormalVector, s: int, t: int) -> Tuple[bool, Optional[Witness]]:
     """Does xi lie in the codifferential image of the (V, W) resolution?
 
@@ -138,11 +135,7 @@ def kernel_membership_Z(xi: ConormalVector, s: int, t: int) -> Tuple[bool, Optio
     assert bp.setup.kind == Kind.GLPQ
     if xi.h_rank > s or xi.l_rank > t:
         return False, None
-    h, l = xi.h_block, xi.l_block
-    n = bp.setup.n
-    v = _extend_inside(_ambient_columns(bp, h, _u_cap_p_vectors(bp)), s, _u_cap_p_vectors(bp), n)
-    w = _extend_inside(_ambient_columns(bp, l, _u_cap_q_vectors(bp)), t, _u_cap_q_vectors(bp), n)
-    return True, Witness(v, w)
+    return True, Witness(_grown_image(bp, xi.h_block, 0, s), _grown_image(bp, xi.l_block, 1, t))
 
 
 def kernel_membership_Ztilde(xi: ConormalVector, s: int, t: int) -> Tuple[bool, Optional[Witness]]:
@@ -157,26 +150,14 @@ def kernel_membership_Ztilde(xi: ConormalVector, s: int, t: int) -> Tuple[bool, 
     n, k, p = setup.n, setup.k, setup.p
     if xi.h_rank > n - k - p + s or xi.l_rank > t:
         return False, None
-    h, l = xi.h_block, xi.l_block
-    s_prime = bp.row_groups[0]
     # lift kernel vectors of h from pure C^q/U coordinates into C^n
-    ker = kernel(h)
-    cg_off = k + bp.col_groups[0] + bp.col_groups[1]
-    lifted = []
-    for j in range(s_prime - s):
-        col = ker.basis.col(j)
-        vec = [0] * n
-        for c, coeff in enumerate(col):
-            if coeff:
-                basis_col = bp.basis.col(cg_off + c)
-                vec = [a + coeff * b for a, b in zip(vec, basis_col)]
-        lifted.append(vec)
+    q_vectors = [bp.basis.col(k + c) for c in bp.col_blocks[2]]
+    lifted = _ambient_columns(bp, kernel(xi.h_block).basis, q_vectors)[:bp.row_groups[0] - s]
     u_and_p = [bp.basis.col(j) for j in range(k)] + \
         [[int(i == a) for i in range(n)] for a in range(p)]
     v = Subspace.span(n, u_and_p + lifted)
     assert v.dim == k + p - s
-    w = _extend_inside(_ambient_columns(bp, l, _u_cap_q_vectors(bp)), t, _u_cap_q_vectors(bp), n)
-    return True, Witness(v, w)
+    return True, Witness(v, _grown_image(bp, xi.l_block, 1, t))
 
 
 def _pure_q_coords(bp: BasePoint, vec) -> list:
@@ -187,27 +168,18 @@ def _pure_q_coords(bp: BasePoint, vec) -> list:
 
 def witness_satisfies_Z(xi: ConormalVector, s: int, t: int, wit: Witness) -> bool:
     bp = xi.base
-    n = bp.setup.n
-    u_cap_p = Subspace.span(n, _u_cap_p_vectors(bp))
-    u_cap_q = Subspace.span(n, _u_cap_q_vectors(bp))
-    if wit.v.dim != s or wit.w.dim != t:
-        return False
-    if not (u_cap_p.contains(wit.v) and u_cap_q.contains(wit.w)):
-        return False
-    h_img = Subspace.span(n, _ambient_columns(bp, xi.h_block, _u_cap_p_vectors(bp)))
-    l_img = Subspace.span(n, _ambient_columns(bp, xi.l_block, _u_cap_q_vectors(bp)))
-    return wit.v.contains(h_img) and wit.w.contains(l_img)
+    return (_holds_image(bp, xi.h_block, 0, s, wit.v)
+            and _holds_image(bp, xi.l_block, 1, t, wit.w))
 
 
 def witness_satisfies_Ztilde(xi: ConormalVector, s: int, t: int, wit: Witness) -> bool:
     bp = xi.base
     setup = bp.setup
     n, k, p = setup.n, setup.k, setup.p
-    if wit.v.dim != k + p - s or wit.w.dim != t:
+    if wit.v.dim != k + p - s:
         return False
-    u = bp.u
     cp = Subspace.span(n, [[int(i == a) for i in range(n)] for a in range(p)])
-    if not (wit.v.contains(u) and wit.v.contains(cp)):
+    if not (wit.v.contains(bp.u) and wit.v.contains(cp)):
         return False
     # h must vanish identically on V
     h = xi.h_block
@@ -216,79 +188,72 @@ def witness_satisfies_Ztilde(xi: ConormalVector, s: int, t: int, wit: Witness) -
         for r in range(h.nrows):
             if sum(h[r, c] * coords[c] for c in range(h.ncols)) != 0:
                 return False
-    u_cap_q = Subspace.span(n, _u_cap_q_vectors(bp))
-    l_img = Subspace.span(n, _ambient_columns(bp, xi.l_block, _u_cap_q_vectors(bp)))
-    return u_cap_q.contains(wit.w) and wit.w.contains(l_img)
+    return _holds_image(bp, xi.l_block, 1, t, wit.w)
+
+
+def _glpq_resolution(work: Setup) -> ResolutionKind:
+    """The subspace-pair resolution a normalized GLpq setup calls for."""
+    return ResolutionKind.Z if work.n - work.k >= work.p else ResolutionKind.ZTILDE
 
 
 def resolution_for(setup: Setup) -> ResolutionKind:
     """Which resolution the normalized parameters call for."""
     if setup.kind != Kind.GLPQ:
         return ResolutionKind.ZI
-    work = normalize(setup).setup
-    return ResolutionKind.Z if work.n - work.k >= work.p else ResolutionKind.ZTILDE
+    return _glpq_resolution(normalize(setup).setup)
 
 
-def _strict_pair(setup: Setup, target_orbit, stratum_orbit) -> tuple:
-    """Normalized setup, target and stratum, the stratum strictly below the target."""
-    if setup.kind != Kind.GLPQ:
-        raise ValueError("microlocal emptiness testing is for GLpq setups")
-    norm = normalize(setup)
-    tgt = norm.to_normalized(target_orbit)
-    strat = norm.to_normalized(stratum_orbit)
-    if tgt == strat or not _closure_leq(norm.setup, strat, tgt):
-        raise ValueError("stratum must lie strictly below target")
-    return norm.setup, tgt, strat
-
-
-def draw_conormals(setup: Setup, stratum_orbit, trials: int = 20, seed: int = 0) -> tuple:
+def draw_conormals(base: BasePoint, trials: int = 20, seed: int = 0) -> tuple:
     """trials generic covectors conormal to the stratum at its base point.
 
-    The stream is derived from the seed, the normalized setup and the
-    stratum alone, so every target above the stratum can judge the same
-    draws.
+    ``base`` is the normalized stratum's base point.  The stream is
+    derived from the seed, the setup and the stratum alone, so every
+    target above the stratum can judge the same draws.
     """
-    if setup.kind != Kind.GLPQ:
-        raise ValueError("microlocal emptiness testing is for GLpq setups")
-    norm = normalize(setup)
-    work, strat = norm.setup, norm.to_normalized(stratum_orbit)
-    bp = base_point(work, strat)
+    work, strat = base.setup, base.orbit
     rng = SeedStream(seed).derive("microlocal", work.describe(), format_orbit(work, strat))
-    return tuple(sample_conormal(bp, rng.next_u64()) for _ in range(trials))
+    return tuple(sample_conormal(base, rng.next_u64()) for _ in range(trials))
 
 
-def judge_microlocal(setup: Setup, target_orbit, stratum_orbit, covectors) -> MicrolocalVerdict:
-    """The target's verdict over covectors conormal to the stratum.
+def judge_microlocal(target, covectors) -> MicrolocalVerdict:
+    """The verdict of ``target``, a normalized label, over covectors at one base point.
 
-    A generic covector has h and l at full rank, so with h_full =
-    min(|rows|, |cols|) of h (likewise l_full), it lies in the image of
-    Z iff h_full <= s and l_full <= t, and in that of Ztilde iff h_full
-    <= n-k-p+s and l_full <= t.  This is a second statement of the
-    membership caps, read off the block shapes rather than the sampled
-    ranks: every covector is tested, and each one whose membership test
-    disagrees with it is counted, which guards the caps and rank reads
-    inside ``kernel_membership_*``.
+    A generic covector has h and l at full rank, so it lies in the image
+    of Z iff h_full <= s and l_full <= t, and in that of Ztilde iff
+    h_full <= n-k-p+s and l_full <= t.  Every covector is tested, and
+    each test that disagrees with this shape verdict is counted, which
+    guards the caps and rank reads of ``kernel_membership_*``.  Every
+    witness is checked: that tells a genuine counterexample from a
+    fault in the membership test.
     """
-    work, tgt, strat = _strict_pair(setup, target_orbit, stratum_orbit)
-    kind = resolution_for(work)
-    membership = kernel_membership_Z if kind == ResolutionKind.Z else kernel_membership_Ztilde
-    bp = base_point(work, strat)
+    if not covectors:
+        raise ValueError("no covectors to judge")
+    bp = covectors[0].base
+    if any(xi.base is not bp and xi.base != bp for xi in covectors):
+        raise ValueError("covectors must be conormal at one base point")
+    work, strat = bp.setup, bp.orbit
+    if target == strat or not _closure_leq(work, strat, target):
+        raise ValueError("stratum must lie strictly below target")
+    s, t = target.s, target.t
+    kind = _glpq_resolution(work)
+    if kind == ResolutionKind.Z:
+        membership, satisfies, h_cap = kernel_membership_Z, witness_satisfies_Z, s
+    else:
+        membership, satisfies = kernel_membership_Ztilde, witness_satisfies_Ztilde
+        h_cap = work.n - work.k - work.p + s
     h_full, l_full = generic_block_ranks(bp)
-    h_cap = tgt.s if kind == ResolutionKind.Z else work.n - work.k - work.p + tgt.s
-    generic_member = h_full <= h_cap and l_full <= tgt.t
+    generic_member = h_full <= h_cap and l_full <= t
     hits = []
-    disagreements = 0
+    disagreements = bad = 0
     for xi in covectors:
-        if xi.base is not bp and xi.base != bp:
-            raise ValueError("covectors must be conormal to the stratum at its base point")
-        hit, wit = membership(xi, tgt.s, tgt.t)
+        hit, wit = membership(xi, s, t)
         if hit:
             hits.append((xi, wit))
+            bad += not satisfies(xi, s, t, wit)
         disagreements += hit != generic_member
     return MicrolocalVerdict(
-        kind=kind, thresholds=(tgt.s, tgt.t), generic_empty=not generic_member,
-        disagreements=disagreements, hits=tuple(hits),
-        outside_strict_hypothesis=(work.n == 2 * work.k),
+        kind=kind, thresholds=(s, t), generic_empty=not generic_member,
+        disagreements=disagreements, hits=tuple(hits), bad_witnesses=bad,
     )
 
 
@@ -297,18 +262,18 @@ def verify_microlocal_empty(
 ) -> MicrolocalVerdict:
     """Sample covectors conormal to the stratum; none may lie in the kernel image.
 
-    The verdict being empty in all trials is the evidence that the
-    stratum contributes nothing to the target's characteristic cycle.
-    The covectors are drawn per stratum (``draw_conormals``): the
-    target does not enter their seed, so the draws are the ones every
-    other target above the stratum is judged on.  They are judged per
-    target (``judge_microlocal``), which also decides the verdict
-    exactly from the block shapes and counts the trials that contradict
-    it.
+    The one entry on original labels: it validates the setup, labels
+    and trial count, then draws at the normalized stratum and judges
+    for the normalized target.  No hits is the evidence that the stratum
+    contributes nothing to the target's characteristic cycle.
     """
-    _strict_pair(setup, target_orbit, stratum_orbit)
-    covectors = draw_conormals(setup, stratum_orbit, trials=trials, seed=seed)
-    return judge_microlocal(setup, target_orbit, stratum_orbit, covectors)
+    if setup.kind != Kind.GLPQ:
+        raise ValueError("microlocal emptiness testing is for GLpq setups")
+    check_count("trials", trials)
+    norm = normalize(setup)
+    tgt, strat = norm.to_normalized(target_orbit), norm.to_normalized(stratum_orbit)
+    covectors = draw_conormals(base_point(norm.setup, strat), trials=trials, seed=seed)
+    return judge_microlocal(tgt, covectors)
 
 
 def _radical_index(setup: Setup, orbit) -> int:

@@ -130,7 +130,7 @@ def test_criterion_3_microlocal_vanishing():
                     continue
                 verdict = verify_microlocal_empty(setup, target, stratum,
                                                   trials=20, seed=0)
-                assert verdict.empty_in_all_trials, (setup, target, stratum)
+                assert verdict.hits == (), (setup, target, stratum)
                 assert verdict.generic_empty and verdict.disagreements == 0
                 pairs += 1
     elapsed = time.monotonic() - started

@@ -14,6 +14,7 @@ from kcycle.ccengine import (
 from kcycle.degeneracy import run_transversality_suite
 from kcycle.exactla import SEED_MAX
 from kcycle.orbits import (
+    IntersectionOrbit,
     Kind,
     RadicalOrbit,
     Setup,
@@ -22,6 +23,7 @@ from kcycle.orbits import (
     enumerate_orbits,
     normalize,
 )
+from kcycle.resolutions import verify_microlocal_empty
 
 
 def _all_setups(max_n, kinds=(Kind.GLPQ, Kind.SP, Kind.SO)):
@@ -224,3 +226,21 @@ def test_seeded_suites_reject_out_of_range_seeds():
                 cross_check(setup, trials=1, points=1, seed=bad)
     for setup in (glpq, so):
         assert cross_check(setup, trials=1, points=1, seed=SEED_MAX).all_ok
+
+
+def test_sampled_checks_reject_counts_below_one():
+    # a check that examined nothing must not report ok
+    glpq, so = Setup(Kind.GLPQ, 4, 2, p=2, q=2), Setup(Kind.SO, 6, 3)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="points"):
+            run_transversality_suite(so, points=bad)
+        with pytest.raises(ValueError, match="trials"):
+            verify_microlocal_empty(glpq, IntersectionOrbit(1, 0), IntersectionOrbit(1, 1),
+                                    trials=bad)
+        for setup in (glpq, so):
+            with pytest.raises(ValueError, match="trials"):
+                check_microlocal(setup, trials=bad)
+            with pytest.raises(ValueError, match="trials"):
+                cross_check(setup, trials=bad, points=1)
+            with pytest.raises(ValueError, match="points"):
+                cross_check(setup, trials=1, points=bad)

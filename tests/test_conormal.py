@@ -71,19 +71,23 @@ def test_two_routes_one_answer():
 
 
 def test_pairing_annihilates_tangent():
+    # every conormal basis vector, and on GLpq a sample's placed matrix,
+    # pairs to zero with every tangent vector
     for setup in SWEEP:
         for orbit in enumerate_orbits(setup):
             bp = base_point(setup, orbit)
             space = conormal_space(bp)
             if space.dim == 0:
                 continue
-            xi = sample_conormal(bp, seed=5)
+            covectors = [space.basis.col(j) for j in range(space.dim)]
+            if setup.kind == Kind.GLPQ:
+                covectors.append(sample_conormal(bp, seed=5).matrix.entries)
             # one row per Lie algebra basis element: its tangent vector
             tangents = action_image(setup, orbit)
             assert tangents.nrows == len(lie_algebra_basis(setup))
-            for r in range(tangents.nrows):
-                pairing = sum(a * b for a, b in zip(xi.matrix.entries, tangents.row(r)))
-                assert pairing == 0
+            for xi in covectors:
+                for r in range(tangents.nrows):
+                    assert sum(a * b for a, b in zip(xi, tangents.row(r))) == 0
 
 
 def test_action_dim_cross_check_example():
@@ -145,17 +149,19 @@ def test_blocks_are_sliced_once():
             if conormal_space(bp).dim == 0:
                 continue
             xi = sample_conormal(bp, seed=3)
-            assert xi.h_block is xi.h_block and xi.h_block == xi.block(0, 2)
-            assert xi.l_block is xi.l_block and xi.l_block == xi.block(1, 0)
-            # the sampler's genericity check left both full ranks cached
+            # the sampler's genericity check left both full ranks on the covector
             h, l = xi.h_block, xi.l_block
-            assert xi.__dict__["h_rank"] == rank(h) == min(h.nrows, h.ncols)
-            assert xi.__dict__["l_rank"] == rank(l) == min(l.nrows, l.ncols)
+            assert xi.h_rank == rank(h) == min(h.nrows, h.ncols)
+            assert xi.l_rank == rank(l) == min(l.nrows, l.ncols)
+
+
+def block(xi, rg, cg):
+    return xi.matrix.submatrix(xi.base.row_blocks[rg], xi.base.col_blocks[cg])
 
 
 def test_sampled_blocks_place_into_the_matrix():
-    # a GLpq sample is drawn as its two blocks and its matrix placed from
-    # them; slicing the matrix gives the same blocks back
+    # a GLpq sample is its two blocks and its matrix is placed from them;
+    # slicing the matrix gives the same blocks back
     for setup in SWEEP[:5] + [glpq(7, 3, 4, 3)]:
         for orbit in enumerate_orbits(setup):
             bp = base_point(setup, orbit)
@@ -173,12 +179,12 @@ def test_sampled_blocks_place_into_the_matrix():
                     for b, c in enumerate(cols):
                         placed[j][c] = blk[a, b]
             assert xi.matrix == QMatrix.from_rows(placed)
-            assert xi.block(0, 2) == h and xi.block(1, 0) == l
+            assert block(xi, 0, 2) == h and block(xi, 1, 0) == l
     # an empty block keeps its other size when sliced back out
     xi = sample_conormal(base_point(glpq(5, 2, 3, 2), IntersectionOrbit(1, 0)), seed=4)
-    assert xi.l_block == xi.block(1, 0) == QMatrix(0, 1, ())
+    assert xi.l_block == block(xi, 1, 0) == QMatrix(0, 1, ())
     xi = sample_conormal(base_point(glpq(6, 3, 4, 2), IntersectionOrbit(1, 1)), seed=4)
-    assert xi.h_block == xi.block(0, 2) == QMatrix(1, 0, ())
+    assert xi.h_block == block(xi, 0, 2) == QMatrix(1, 0, ())
 
 
 def test_sample_on_open_orbit_rejected():
@@ -186,6 +192,14 @@ def test_sample_on_open_orbit_rejected():
     bp = base_point(setup, IntersectionOrbit(0, 0))
     with pytest.raises(ValueError):
         sample_conormal(bp, seed=1)
+
+
+def test_sampling_is_for_glpq():
+    # Sp/SO conormal spaces are the action image's kernel; nothing samples them
+    for setup in SWEEP[5:]:
+        for orbit in enumerate_orbits(setup):
+            with pytest.raises(ValueError, match="GLpq"):
+                sample_conormal(base_point(setup, orbit), seed=1)
 
 
 def test_rank_bounded_by_formula():
@@ -204,7 +218,7 @@ def test_block_pattern_zero_elsewhere():
     xi = sample_conormal(bp, seed=9)
     for rg in range(3):
         for cg in range(3):
-            blk = xi.block(rg, cg)
+            blk = block(xi, rg, cg)
             if (rg, cg) in ((0, 2), (1, 0)):
                 continue
             assert blk.is_zero()

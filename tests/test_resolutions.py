@@ -1,6 +1,6 @@
 import pytest
 
-from kcycle import conormal, exactla, resolutions
+from kcycle import ccengine, conormal, exactla, orbits, resolutions
 from kcycle.ccengine import check_microlocal
 from kcycle.exactla import QMatrix, SeedStream
 from kcycle.conormal import ConormalVector, conormal_space, sample_conormal
@@ -35,8 +35,8 @@ def glpq(n, k, p, q):
 
 
 def zero_covector(bp):
-    setup = bp.setup
-    return ConormalVector(bp, QMatrix.zeros(setup.k, setup.n - setup.k))
+    (hr, hc), (lr, lc) = conormal.block_shapes(bp)
+    return ConormalVector(bp, QMatrix.zeros(hr, hc), QMatrix.zeros(lr, lc), 0, 0)
 
 
 def proper_pairs(setup):
@@ -151,7 +151,7 @@ def test_rank_calls_per_drawn_sample(monkeypatch):
     for setup in (glpq(6, 2, 3, 3), glpq(5, 2, 3, 2)):
         for target, stratum in proper_pairs(setup):
             verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=3)
-            assert verdict.empty_in_all_trials
+            assert verdict.hits == ()
     assert sum(len(drawn) for _, drawn in samples) == len(calls)
     assert all(rows and cols for (rows, cols), _ in calls), "an empty block was ranked"
     empty_h = empty_l = rejected = 0
@@ -191,15 +191,16 @@ def test_every_trial_must_agree_with_the_block_shapes(monkeypatch):
     honest = verify_microlocal_empty(setup, target, stratum, trials=8, seed=2)
     assert honest.generic_empty and honest.disagreements == 0
     assert honest.hits == () and honest.thresholds == (1, 0)
+    assert honest.bad_witnesses == 0
     real, wrong = kernel_membership_Z, own_stratum_membership(kernel_membership_Z)
     answers = iter([real, real, wrong] + [real] * 5)
     monkeypatch.setattr(resolutions, "kernel_membership_Z",
                         lambda xi, s, t: next(answers)(xi, s, t))
     flipped = verify_microlocal_empty(setup, target, stratum, trials=8, seed=2)
     # every trial still runs; the one that flipped is counted, and kept
+    # with its witness, which is sized for the wrong thresholds
     assert flipped.generic_empty and flipped.disagreements == 1
-    assert len(flipped.hits) == 1 and flipped.witness is flipped.hits[0][1]
-    assert not flipped.empty_in_all_trials
+    assert len(flipped.hits) == 1 and flipped.bad_witnesses == 1
 
 
 def test_check_microlocal_checks_every_witness(monkeypatch):
@@ -278,6 +279,46 @@ def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
         [f"q({t.s},{t.t})<-q({s.s},{s.t})" for t, s in pairs]
 
 
+@pytest.mark.parametrize("setup", [glpq(8, 4, 4, 4), glpq(7, 3, 4, 3), glpq(7, 4, 3, 4)])
+def test_check_microlocal_normalizes_once(monkeypatch, setup):
+    # labels are normalized and validated once per orbit, not once per
+    # (target, stratum) pair; glpq(7,4,3,4) is both swapped and dualized
+    calls = {"normalize": 0, "relabel_orbit": 0, "check_orbit": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        real = getattr(orbits, name)
+        for module in (orbits, ccengine, conormal, resolutions):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    orbits.base_point.cache_clear()
+    rows = check_microlocal(setup, trials=2, seed=5)
+    seen = dict(calls)
+    n_orbits = len(enumerate_orbits(setup))
+    assert len(rows) == len(proper_pairs(setup)) > n_orbits
+    assert seen["normalize"] == 1
+    assert seen["relabel_orbit"] == n_orbits
+    # two per relabelling, one per stratum's base point
+    assert seen["check_orbit"] <= 3 * n_orbits
+
+
+def test_the_sweep_never_places_a_matrix(monkeypatch):
+    setup = glpq(8, 4, 4, 4)
+    rows = check_microlocal(setup, trials=20, seed=5)
+
+    def placed(xi):
+        raise AssertionError("a covector's matrix was placed")
+
+    monkeypatch.setattr(ConormalVector, "matrix", property(placed))
+    assert check_microlocal(setup, trials=20, seed=5) == rows
+    assert all(r.ok for r in rows)
+
+
 def test_a_membership_fault_at_one_target_fails_only_its_rows(monkeypatch):
     # the draws are shared between targets; the judging is not
     setup = glpq(8, 4, 4, 4)
@@ -300,17 +341,18 @@ def test_verify_empty_all_pairs_small_setups():
     for setup in [glpq(6, 2, 3, 3), glpq(5, 2, 3, 2)]:
         for target, stratum in proper_pairs(setup):
             verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=3)
-            assert verdict.empty_in_all_trials, (target, stratum)
-            assert verdict.witness is None
-            assert not verdict.outside_strict_hypothesis
+            assert verdict.hits == () and verdict.bad_witnesses == 0, (target, stratum)
+        assert not any("square case" in r.detail for r in check_microlocal(setup, trials=1))
 
 
 def test_verify_empty_boundary_tagged():
     setup = glpq(4, 2, 2, 2)
     for target, stratum in proper_pairs(setup):
         verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=1)
-        assert verdict.empty_in_all_trials
-        assert verdict.outside_strict_hypothesis
+        assert verdict.hits == ()
+    rows = check_microlocal(setup, trials=20, seed=1)
+    assert len(rows) == len(proper_pairs(setup))
+    assert all("square case, outside the strict regime" in r.detail for r in rows)
 
 
 def test_verify_empty_second_resolution_branch():
@@ -319,7 +361,7 @@ def test_verify_empty_second_resolution_branch():
     for target, stratum in proper_pairs(setup):
         verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=7)
         assert verdict.kind == ResolutionKind.ZTILDE
-        assert verdict.empty_in_all_trials, (target, stratum)
+        assert verdict.hits == (), (target, stratum)
 
 
 def test_verify_empty_rejects_bad_pairs():
@@ -330,10 +372,18 @@ def test_verify_empty_rejects_bad_pairs():
         verify_microlocal_empty(setup, IntersectionOrbit(1, 1), IntersectionOrbit(0, 0))
     with pytest.raises(ValueError):
         verify_microlocal_empty(Setup(Kind.SO, 6, 2), RadicalOrbit(1), RadicalOrbit(2))
-    # covectors drawn at another stratum cannot be judged as this one's
-    drawn = draw_conormals(setup, IntersectionOrbit(2, 0), trials=2, seed=1)
-    with pytest.raises(ValueError, match="conormal to the stratum"):
-        judge_microlocal(setup, IntersectionOrbit(0, 0), IntersectionOrbit(1, 1), drawn)
+    # the judge reads the stratum off the covectors' one base point
+    at_20 = draw_conormals(base_point(setup, IntersectionOrbit(2, 0)), trials=2, seed=1)
+    at_11 = draw_conormals(base_point(setup, IntersectionOrbit(1, 1)), trials=2, seed=1)
+    assert judge_microlocal(IntersectionOrbit(1, 0), at_20).hits == ()
+    with pytest.raises(ValueError, match="one base point"):
+        judge_microlocal(IntersectionOrbit(0, 0), at_20 + at_11)
+    with pytest.raises(ValueError, match="strictly below"):
+        judge_microlocal(IntersectionOrbit(1, 1), at_11)
+    with pytest.raises(ValueError, match="strictly below"):
+        judge_microlocal(IntersectionOrbit(2, 0), at_11)
+    with pytest.raises(ValueError, match="no covectors"):
+        judge_microlocal(IntersectionOrbit(0, 0), ())
 
 
 def test_verdict_deterministic():
