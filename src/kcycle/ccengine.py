@@ -20,6 +20,7 @@ from . import degeneracy
 from .exactla import check_count, check_seed
 from .matrixstrata import cc_table
 from .orbits import (
+    ClosurePoset,
     Kind,
     RadicalOrbit,
     Setup,
@@ -35,8 +36,8 @@ from .orbits import (
 )
 from .resolutions import (
     ResolutionKind,
+    _is_small,
     draw_conormals,
-    is_small,
     judge_microlocal,
     resolution_for,
 )
@@ -251,26 +252,27 @@ def check_smallness(setup: Setup) -> list:
     are recorded without being treated as failures.
     """
     rows = []
-    orbits = enumerate_orbits(setup)
     if setup.kind == Kind.GLPQ:
+        norm = normalize(setup)
+        poset = ClosurePoset(norm.setup)
         applicable = resolution_for(setup)
-        norm = normalize(setup).setup
-        both = norm.n - norm.k == norm.p
+        both = norm.setup.n - norm.setup.k == norm.setup.p
         for kind in (ResolutionKind.Z, ResolutionKind.ZTILDE):
-            for target in orbits:
+            for target in enumerate_orbits(setup):
                 subject = f"{kind.value} {format_orbit(setup, target)}"
                 if kind == applicable or both:
-                    small = is_small(setup, kind, target)
+                    small = _is_small(poset, kind, norm.to_normalized(target))
                     rows.append(CheckRow("smallness", subject, small,
                                          "small" if small else "not small"))
                 else:
                     rows.append(CheckRow("smallness", subject, True,
                                          "not the applicable side here"))
         return rows
-    for target in orbits:
+    poset = ClosurePoset(setup)
+    for target in poset.orbits:
         if isinstance(target, SplitOrbit):
             continue
-        small = is_small(setup, ResolutionKind.ZI, target)
+        small = _is_small(poset, ResolutionKind.ZI, target)
         detail = "small" if small else "not small (recorded, not asserted)"
         rows.append(CheckRow("smallness",
                              f"zi {format_orbit(setup, target)}", True, detail))

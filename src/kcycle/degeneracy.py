@@ -8,14 +8,20 @@ that section and checks it is transverse to the rank strata; that
 transversality is what lets ccengine.pullback_cc transport known cycle
 data for matrix strata back to orbit labels.
 
-The functions take a normalized setup (k >= n - k).  The section is
-orbits.gram_matrix of the chart frame, summed over the frame's nonzero
-entries only, and its differential is read off the signs of the
-antidiagonal form, so J is never multiplied densely; the transversality
-constraints are read off entries the same way.  A chart point is drawn
-in one batch straight into its matrix, and its frame is one tuple
-concatenation with a cached identity block.  form_flavor is the one map
-from a setup kind to its matrix flavor.
+The functions take a normalized setup (k >= n - k).  Then the section
+is affine on each chart.  The chart frame stacks an identity block and
+the chart coordinates a, and a Gram entry pairs frame row r with its
+J-partner n-1-r.  Those two rows are never both chart rows: in the
+standard chart the chart rows are k..n-1, whose partners are at most
+n-1-k < k, so identity rows; the opposite chart (n = 2k) is the mirror
+case.  So every Gram entry is a constant plus signed chart coordinates,
+S(a) = C + sum of eps * a[src] placed at fixed entries dst, and the
+differential does not depend on a.  _section_plan lists C and the
+(dst, src, eps) triples once per (kind, n, k, chart); section_value and
+_differential_values both read it, so no frame is built and J is never
+multiplied.  The transversality constraints are read off entries the
+same way.  A chart point is drawn in one batch straight into its matrix.
+form_flavor is the one map from a setup kind to its matrix flavor.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from functools import lru_cache
 
 from .exactla import QMatrix, SeedStream, Subspace, check_count, rank
 from .matrixstrata import (
-    Flavor, flavor_coords, flavor_dim, flavor_sign, pairing_row, product_rows,
+    Flavor, flavor_coords, flavor_dim, pairing_row, product_rows,
 )
-from .orbits import Kind, Setup, form_sign, gram_matrix, is_split_setup, normalize
+from .orbits import Kind, Setup, form_sign, is_split_setup, normalize
 
 
 def form_flavor(kind: Kind) -> Flavor:
@@ -50,12 +56,7 @@ def random_chart_point(n: int, k: int, rng: SeedStream, height_bound: int = 9) -
     return ChartPoint(QMatrix(n - k, k, tuple(draws)))
 
 
-@lru_cache(maxsize=16)
-def _identity_entries(k: int) -> tuple:
-    return QMatrix.identity(k).entries
-
-
-def _frame(setup: Setup, a: ChartPoint, center_last: bool) -> QMatrix:
+def _check_chart(setup: Setup, a: ChartPoint, center_last: bool) -> None:
     n, k = setup.n, setup.k
     form_flavor(setup.kind)  # raises for GLpq, which has no form
     if k < n - k:
@@ -64,8 +65,38 @@ def _frame(setup: Setup, a: ChartPoint, center_last: bool) -> QMatrix:
         raise ValueError("chart point must be (n-k) x k")
     if center_last and n != 2 * k:
         raise ValueError("the opposite chart only exists at n = 2k")
-    ident = _identity_entries(k)
-    return QMatrix(n, k, a.a.entries + ident if center_last else ident + a.a.entries)
+
+
+@lru_cache(maxsize=64)
+def _section_plan(kind: Kind, n: int, k: int, center_last: bool) -> tuple:
+    """The affine section of a normalized chart: (constant entries, triples).
+
+    Frame row r is either identity row i (the pair ("id", i)) or chart
+    row s (("a", s)).  Pairing row r with its partner n-1-r adds eps_r
+    times their product to Gram entries (x, y); with one identity row
+    that product is one chart coordinate.  Each triple (dst, src, eps)
+    says entry dst of the flat k x k value gains eps * a.entries[src].
+    """
+    def frame_row(r):
+        ident = r >= k if center_last else r < k
+        if ident:
+            return "id", r - k if center_last else r
+        return "a", r if center_last else r - k
+
+    const = [0] * (k * k)
+    plan = []
+    for r in range(n):
+        eps = form_sign(kind, n, r)
+        (left, i), (right, j) = frame_row(r), frame_row(n - 1 - r)
+        if left == right == "id":
+            const[i * k + j] += eps
+        elif left == "id":
+            plan += [(i * k + y, j * k + y, eps) for y in range(k)]
+        elif right == "id":
+            plan += [(x * k + j, i * k + x, eps) for x in range(k)]
+        else:
+            raise AssertionError("a chart row paired with a chart row")
+    return tuple(const), tuple(plan)
 
 
 def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMatrix:
@@ -73,35 +104,32 @@ def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMa
 
     The default chart consists of graphs over span{e_1..e_k}; with
     ``center_last`` (square case only) the plane is a graph over
-    span{e_{k+1}..e_n} instead.
+    span{e_{k+1}..e_n} instead.  The value is affine in ``a`` (module
+    docstring): the plan's constants plus eps * a[src] at each dst.
     """
-    return gram_matrix(setup, _frame(setup, a, center_last))
+    _check_chart(setup, a, center_last)
+    const, plan = _section_plan(setup.kind, setup.n, setup.k, center_last)
+    out = list(const)
+    e = a.a.entries
+    for dst, src, eps in plan:
+        out[dst] += eps * e[src]
+    return QMatrix.from_flat(setup.k, setup.k, out)
 
 
 def _differential_values(setup: Setup, a: ChartPoint,
                          center_last: bool = False) -> list:
     """One flavored k x k matrix per chart direction (r, c), row-major.
 
-    Moving a[r, c] moves frame row r' (r, or k + r in the standard
-    chart), so the derivative of M^T J M is D + sign * D^T, where D is
-    zero except row c = eps_{r'} * M[n-1-r', :] and sign is the symmetry
-    of J.
+    The section is affine, so the value in direction src = r * k + c is
+    eps at each dst the plan pairs with src, whatever ``a`` is.
     """
-    n, k = setup.n, setup.k
-    m = _frame(setup, a, center_last)
-    sign = flavor_sign(form_flavor(setup.kind))
-    out = []
-    for r in range(n - k):
-        moved = r if center_last else k + r
-        eps = form_sign(setup.kind, n, moved)
-        row = [eps * x for x in m.row(n - 1 - moved)]
-        for c in range(k):
-            d = [[0] * k for _ in range(k)]
-            for y in range(k):
-                d[c][y] += row[y]
-                d[y][c] += sign * row[y]
-            out.append(QMatrix.from_rows(d))
-    return out
+    _check_chart(setup, a, center_last)
+    k = setup.k
+    _, plan = _section_plan(setup.kind, setup.n, k, center_last)
+    values = [[0] * (k * k) for _ in range(len(a.a.entries))]
+    for dst, src, eps in plan:
+        values[src][dst] += eps
+    return [QMatrix(k, k, tuple(v)) for v in values]
 
 
 def section_differential_image(setup: Setup, a: ChartPoint,

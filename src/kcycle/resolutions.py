@@ -42,6 +42,7 @@ from .orbits import (
     closure_leq,
     format_orbit,
     normalize,
+    valid_orbit,
 )
 
 
@@ -224,7 +225,9 @@ def judge_microlocal(target, covectors) -> MicrolocalVerdict:
     each test that disagrees with this shape verdict is counted, which
     guards the caps and rank reads of ``kernel_membership_*``.  Every
     witness is checked: that tells a genuine counterexample from a
-    fault in the membership test.
+    fault in the membership test.  A target that is no orbit of the
+    base point's setup, or not strictly above its stratum, raises
+    ValueError.
     """
     if not covectors:
         raise ValueError("no covectors to judge")
@@ -232,6 +235,8 @@ def judge_microlocal(target, covectors) -> MicrolocalVerdict:
     if any(xi.base is not bp and xi.base != bp for xi in covectors):
         raise ValueError("covectors must be conormal at one base point")
     work, strat = bp.setup, bp.orbit
+    if not valid_orbit(work, target):
+        raise ValueError(f"{target!r} is not an orbit of {work.describe()}")
     if target == strat or not _closure_leq(work, strat, target):
         raise ValueError("stratum must lie strictly below target")
     s, t = target.s, target.t
@@ -321,12 +326,16 @@ def is_small(setup: Setup, kind: ResolutionKind, target) -> bool:
         work, tgt = norm.setup, norm.to_normalized(target)
     else:
         work, tgt = setup, target
-    pos = ClosurePoset(work)
+    return _is_small(ClosurePoset(work), kind, tgt)
+
+
+def _is_small(pos: ClosurePoset, kind: ResolutionKind, tgt) -> bool:
+    """is_small on the poset of the working setup and a target label of it."""
     top = pos.dimension[tgt]
     for stratum in pos.orbits:
         if stratum == tgt or not pos.leq(stratum, tgt):
             continue
-        fib = _fiber_dimension(work, kind, tgt, stratum)
+        fib = _fiber_dimension(pos.setup, kind, tgt, stratum)
         if 2 * fib >= top - pos.dimension[stratum]:
             return False
     return True

@@ -14,6 +14,7 @@ from kcycle.ccengine import (
 from kcycle.degeneracy import run_transversality_suite
 from kcycle.exactla import SEED_MAX
 from kcycle.orbits import (
+    ClosurePoset,
     IntersectionOrbit,
     Kind,
     RadicalOrbit,
@@ -22,8 +23,9 @@ from kcycle.orbits import (
     closure_leq,
     enumerate_orbits,
     normalize,
+    parse_orbit,
 )
-from kcycle.resolutions import verify_microlocal_empty
+from kcycle.resolutions import ResolutionKind, is_small, verify_microlocal_empty
 
 
 def _all_setups(max_n, kinds=(Kind.GLPQ, Kind.SP, Kind.SO)):
@@ -172,6 +174,29 @@ def test_smallness_rows_assert_only_applicable_side():
     assert by_subject["ztilde q(1,0)"].detail in ("small", "not small")
     assert by_subject["z q(1,0)"].detail == "not the applicable side here"
     assert all(r.ok for r in rows)
+
+
+def test_smallness_builds_one_poset_per_setup(monkeypatch):
+    # one closure poset per check_smallness call, not one per (kind, target)
+    built = []
+
+    class CountingPoset(ClosurePoset):
+        def __init__(self, setup):
+            built.append(setup)
+            super().__init__(setup)
+
+    for module in ("orbits", "ccengine", "resolutions"):
+        monkeypatch.setattr(f"kcycle.{module}.ClosurePoset", CountingPoset)
+    setups = list(_all_setups(8, kinds=(Kind.GLPQ,)))
+    reports = [cross_check(setup, trials=1, points=1, seed=5) for setup in setups]
+    assert len(setups) == len(built) == 140
+    # the shared poset gives the verdicts of the public, per-target is_small
+    for setup, report in zip(setups, reports):
+        for row in report.rows:
+            if row.check == "smallness" and row.detail != "not the applicable side here":
+                kind, label = row.subject.split()
+                small = is_small(setup, ResolutionKind(kind), parse_orbit(setup, label))
+                assert row.ok == small and row.detail == ("small" if small else "not small")
 
 
 def test_cross_check_glpq():

@@ -1,6 +1,6 @@
 import pytest
 
-from kcycle import degeneracy
+from kcycle import degeneracy, orbits
 from kcycle.ccengine import pullback_cc
 from kcycle.degeneracy import (
     ChartPoint,
@@ -28,6 +28,7 @@ from kcycle.orbits import (
     SplitOrbit,
     enumerate_orbits,
     form_matrix,
+    gram_matrix,
     orbit_of,
 )
 
@@ -37,6 +38,75 @@ SP64 = Setup(Kind.SP, 6, 4)
 
 def _zero_chart(n, k):
     return ChartPoint(QMatrix.zeros(n - k, k))
+
+
+def _isotropy_setups(max_n):
+    """Every normalized sp/so setup with n <= max_n, with its charts."""
+    for n in range(2, max_n + 1):
+        for k in range((n + 1) // 2, n):
+            for kind in (Kind.SP, Kind.SO):
+                if kind == Kind.SP and n % 2:
+                    continue
+                for center_last in (False, True) if n == 2 * k else (False,):
+                    yield Setup(kind, n, k), center_last
+
+
+def _frame(a, center_last):
+    """The n x k chart frame: the identity block over ``a``, or under it."""
+    m, k = a.a.nrows, a.a.ncols
+    ident = QMatrix.identity(k).entries
+    entries = a.a.entries + ident if center_last else ident + a.a.entries
+    return QMatrix(m + k, k, entries)
+
+
+def test_section_value_is_the_gram_matrix_of_the_frame():
+    checked = 0
+    for setup, center_last in _isotropy_setups(12):
+        n, k = setup.n, setup.k
+        rng = SeedStream(37).derive("plan-vs-gram", setup.describe(), center_last)
+        points = [_zero_chart(n, k)] + [random_chart_point(n, k, rng) for _ in range(20)]
+        for a in points:
+            assert section_value(setup, a, center_last) == gram_matrix(
+                setup, _frame(a, center_last))
+            checked += 1
+    assert checked == 21 * 69
+
+
+def test_section_value_builds_no_frame_and_no_gram_product(monkeypatch):
+    def no_gram(*args):
+        raise AssertionError("gram_matrix called")
+
+    monkeypatch.setattr(orbits, "gram_matrix", no_gram)
+    monkeypatch.setattr(degeneracy, "gram_matrix", no_gram, raising=False)
+    shapes = set()
+    real_init = QMatrix.__init__
+
+    def recording_init(self, nrows, ncols, entries):
+        shapes.add((nrows, ncols))
+        real_init(self, nrows, ncols, entries)
+
+    for setup, center_last in _isotropy_setups(8):
+        n, k = setup.n, setup.k
+        a = random_chart_point(n, k, SeedStream(41).derive(setup.describe()))
+        expected = gram_matrix(setup, _frame(a, center_last))
+        shapes.clear()
+        monkeypatch.setattr(QMatrix, "__init__", recording_init)
+        value = section_value(setup, a, center_last)
+        monkeypatch.setattr(QMatrix, "__init__", real_init)
+        assert value == expected
+        assert shapes == {(k, k)}
+
+
+def test_differential_values_do_not_depend_on_the_point():
+    for setup, center_last in _isotropy_setups(8):
+        n, k = setup.n, setup.k
+        rng = SeedStream(43).derive("differential", setup.describe(), center_last)
+        a, b = (random_chart_point(n, k, rng) for _ in range(2))
+        assert a != b
+        values = degeneracy._differential_values(setup, a, center_last)
+        assert values == degeneracy._differential_values(setup, b, center_last)
+        assert values == degeneracy._differential_values(setup, _zero_chart(n, k),
+                                                          center_last)
 
 
 def test_section_values_are_flavored():
@@ -173,7 +243,7 @@ def test_constraint_rows_match_dense_products():
 
 
 def test_differential_is_the_exact_central_difference():
-    # the section is quadratic, so its derivative in direction E_rc is
+    # the section is affine, so its derivative in direction E_rc is
     # exactly (S(a + E_rc) - S(a - E_rc)) / 2
     cases = [(SO53, False), (SP64, False), (Setup(Kind.SP, 8, 5), False),
              (Setup(Kind.SO, 8, 4), False), (Setup(Kind.SO, 8, 4), True)]

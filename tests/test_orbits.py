@@ -252,7 +252,7 @@ def test_gram_matrix_matches_dense():
     # for the opposite chart) and on Fraction bases, with canonical entries
     from fractions import Fraction as F
 
-    from kcycle.degeneracy import _frame, random_chart_point
+    from kcycle.degeneracy import random_chart_point
     from kcycle.exactla import SeedStream
 
     for setup in [Setup(Kind.SP, 6, 3), Setup(Kind.SO, 7, 4), Setup(Kind.SO, 8, 2)]:
@@ -266,9 +266,11 @@ def test_gram_matrix_matches_dense():
                   Setup(Kind.SP, 6, 4), Setup(Kind.SO, 6, 3)]:
         n, k = setup.n, setup.k
         j = form_matrix(setup.kind, n)
+        ident = QMatrix.identity(k).entries
         for center_last in (False, True) if n == 2 * k else (False,):
             for _ in range(5):
-                u = _frame(setup, random_chart_point(n, k, rng, height_bound=3), center_last)
+                a = random_chart_point(n, k, rng, height_bound=3).a.entries
+                u = QMatrix(n, k, a + ident if center_last else ident + a)
                 scaled = QMatrix.from_rows(
                     [[F(x, 1 + (a + c) % 3) for c, x in enumerate(row)]
                      for a, row in enumerate(u.rows())])

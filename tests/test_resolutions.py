@@ -384,6 +384,11 @@ def test_verify_empty_rejects_bad_pairs():
         judge_microlocal(IntersectionOrbit(2, 0), at_11)
     with pytest.raises(ValueError, match="no covectors"):
         judge_microlocal(IntersectionOrbit(0, 0), ())
+    # a label that is no orbit of the setup is rejected, not judged
+    with pytest.raises(ValueError, match="not an orbit"):
+        judge_microlocal(IntersectionOrbit(0, -1), at_20)
+    with pytest.raises(ValueError, match="not an orbit"):
+        judge_microlocal(RadicalOrbit(0), at_20)
 
 
 def test_verdict_deterministic():
