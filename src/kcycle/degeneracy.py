@@ -21,6 +21,17 @@ differential does not depend on a.  _section_plan lists C and the
 _differential_values both read it, so no frame is built and J is never
 multiplied.  The transversality constraints are read off entries the
 same way.  A chart point is drawn in one batch straight into its matrix.
+
+A value x is ranked through a smaller matrix.  In the standard chart C
+is zero outside one m x m block, m = 2k - n, rows and columns
+n-k..k-1: there identity rows pair with identity rows, and C is J0, the
+invertible signed antidiagonal.  No chart coordinate lands in that
+block, so x keeps J0 there at every point.  Ordering the other n-k
+indices first, x = [[x11, x12], [x21, J0]], and eliminating against J0
+gives rank x = m + rank phi(x) for the (n-k)-square Schur complement
+phi = x11 - x12 J0^-1 x21.  J0^-1 is the signed transpose of J0, so
+phi is integer multiply and add.  _schur_plan checks these facts once
+per chart; at m = 0 (n = 2k, both charts) x is ranked itself.
 form_flavor is the one map from a setup kind to its matrix flavor.
 """
 
@@ -28,11 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, itemgetter, mul, sub
 
-from .exactla import QMatrix, SeedStream, Subspace, check_count, rank
-from .matrixstrata import (
-    Flavor, flavor_coords, flavor_dim, pairing_row, product_rows,
-)
+from .exactla import QMatrix, SeedStream, check_count, rank
+from .matrixstrata import Flavor, flavor_dim, pairing_row, product_rows
 from .orbits import Kind, Setup, form_sign, is_split_setup, normalize
 
 
@@ -99,6 +109,71 @@ def _section_plan(kind: Kind, n: int, k: int, center_last: bool) -> tuple:
     return tuple(const), tuple(plan)
 
 
+def _reader(idx: list):
+    """A function reading entries ``idx`` of a flat tuple, always as a tuple."""
+    get = itemgetter(*idx)
+    return get if len(idx) > 1 else lambda e: (get(e),)
+
+
+@lru_cache(maxsize=64)
+def _schur_plan(kind: Kind, n: int, k: int, center_last: bool) -> tuple:
+    """The J0 block of a chart's constant: (m, outside, triples, read_x11, terms).
+
+    The block is rows and columns n-k..k-1 (empty at n = 2k), of size
+    m = 2k - n; ``outside`` lists the other n-k indices.  Each triple
+    (partner, row, sign) says block row ``row`` of C holds ``sign`` at
+    column ``partner``, so J0^-1 is its signed transpose and
+    (x12 J0^-1 x21)[i, j] sums sign * x[i, partner] * x[row, j] over the
+    triples.  ``read_x11`` reads x11 off a flat value, row-major; per
+    triple, ``terms`` holds the operator taking its product out of phi
+    and the readers of x[i, partner] and x[row, j] in the same order.
+
+    Raises unless C is J0 on the block and zero elsewhere and no plan
+    entry lands in the block: rank x = m + rank phi rests on exactly that.
+    """
+    const, plan = _section_plan(kind, n, k, center_last)
+    block, outside = range(n - k, k), tuple(range(n - k))
+    triples = []
+    for d in block:
+        nonzero = [c for c in range(k) if const[d * k + c]]
+        if len(nonzero) != 1 or nonzero[0] not in block:
+            raise AssertionError(f"block row {d} of the constant is not one entry in the block")
+        sign = const[d * k + nonzero[0]]
+        if sign not in (1, -1):
+            raise AssertionError(f"block row {d} of the constant holds {sign}, not +-1")
+        triples.append((nonzero[0], d, sign))
+    if len({p for p, _, _ in triples}) != len(triples):
+        raise AssertionError("the constant's block is singular")
+    if any(const[i * k + j] for i in outside for j in range(k)):
+        raise AssertionError("the constant is nonzero outside its block")
+    if any(dst // k in block and dst % k in block for dst, _, _ in plan):
+        raise AssertionError("a chart coordinate lands in the constant's block")
+    pairs = [(i, j) for i in outside for j in outside]
+    terms = tuple(
+        (sub if sign == 1 else add,
+         _reader([i * k + p for i, _ in pairs]), _reader([d * k + j for _, j in pairs]))
+        for p, d, sign in triples)
+    return len(block), outside, tuple(triples), _reader([i * k + j for i, j in pairs]), terms
+
+
+def _value_rank(setup: Setup, x: QMatrix, center_last: bool) -> int:
+    """rank x, as m + rank phi(x) for phi = x11 - x12 J0^-1 x21 (module docstring).
+
+    x is a section value of the chart; phi is (n-k)-square and built
+    entrywise from x by the plan's readers.  At m = 0 phi would be x
+    itself, so x is ranked as it is.
+    """
+    n, k = setup.n, setup.k
+    m, _, _, read_x11, terms = _schur_plan(setup.kind, n, k, center_last)
+    if not m:
+        return rank(x)
+    e = x.entries
+    phi = read_x11(e)
+    for op, read_col, read_row in terms:
+        phi = map(op, phi, map(mul, read_col(e), read_row(e)))
+    return m + rank(QMatrix.from_flat(n - k, n - k, phi))
+
+
 def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMatrix:
     """Gram matrix of the form on the plane with chart coordinates ``a``.
 
@@ -132,16 +207,6 @@ def _differential_values(setup: Setup, a: ChartPoint,
     return [QMatrix(k, k, tuple(v)) for v in values]
 
 
-def section_differential_image(setup: Setup, a: ChartPoint,
-                               center_last: bool = False) -> Subspace:
-    """Image of the derivative of the section at ``a``, in flavor coordinates."""
-    flavor = form_flavor(setup.kind)
-    return Subspace.span(
-        flavor_dim(flavor, setup.k),
-        [flavor_coords(v, flavor) for v in _differential_values(setup, a, center_last)],
-    )
-
-
 def verify_transversality(setup: Setup, a: ChartPoint,
                           center_last: bool = False) -> bool:
     """Check the section meets the stratum of its value transversally.
@@ -156,7 +221,7 @@ def verify_transversality(setup: Setup, a: ChartPoint,
     flavor = form_flavor(setup.kind)
     x = section_value(setup, a, center_last)
     top = k if flavor == Flavor.SYMMETRIC else k - (k % 2)
-    if rank(x) == top:
+    if _value_rank(setup, x, center_last) == top:
         # values of maximal rank sit on the open stratum, whose tangent
         # space is everything
         return True

@@ -7,7 +7,6 @@ from kcycle.degeneracy import (
     form_flavor,
     random_chart_point,
     run_transversality_suite,
-    section_differential_image,
     section_value,
     verify_transversality,
 )
@@ -31,6 +30,7 @@ from kcycle.orbits import (
     gram_matrix,
     orbit_of,
 )
+from reference import section_differential_image
 
 SO53 = Setup(Kind.SO, 5, 3)
 SP64 = Setup(Kind.SP, 6, 4)
@@ -95,6 +95,128 @@ def test_section_value_builds_no_frame_and_no_gram_product(monkeypatch):
         monkeypatch.setattr(QMatrix, "__init__", real_init)
         assert value == expected
         assert shapes == {(k, k)}
+
+
+def _top_rank(setup):
+    k = setup.k
+    return k if form_flavor(setup.kind) == Flavor.SYMMETRIC else k - (k % 2)
+
+
+def test_schur_rank_is_the_rank_of_the_value():
+    # rank x = m + rank phi on every chart with n <= 16: at the zero point
+    # (x = C, rank exactly m), at height-1 points, which hit the
+    # degenerate locus, and at points of the default height
+    pairs = degenerate = 0
+    degenerate_kinds = set()
+    for setup, center_last in _isotropy_setups(16):
+        n, k = setup.n, setup.k
+        m = 2 * k - n
+        pairs += 1
+        plan_m, outside, triples, _, _ = degeneracy._schur_plan(setup.kind, n, k, center_last)
+        # the block is J's antidiagonal on rows n-k..k-1
+        assert (plan_m, outside) == (m, tuple(range(n - k)))
+        assert triples == tuple((n - 1 - d, d, orbits.form_sign(setup.kind, n, d))
+                                for d in range(n - k, k))
+        x0 = section_value(setup, _zero_chart(n, k), center_last)
+        assert rank(x0) == degeneracy._value_rank(setup, x0, center_last) == m
+        rng = SeedStream(31).derive("schur-rank", setup.describe(), center_last)
+        low = [random_chart_point(n, k, rng, height_bound=1) for _ in range(12)]
+        points = low + [random_chart_point(n, k, rng) for _ in range(12)]
+        for i, a in enumerate(points):
+            x = section_value(setup, a, center_last)
+            r = rank(x)
+            assert degeneracy._value_rank(setup, x, center_last) == r, (setup, center_last)
+            if i < len(low) and r < _top_rank(setup):
+                degenerate += 1
+                if m:
+                    degenerate_kinds.add(setup.kind)
+    assert pairs == 116
+    assert degenerate >= 100
+    assert degenerate_kinds == {Kind.SP, Kind.SO}
+
+
+def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
+    # at a point whose value has full rank, the only matrix ranked is the
+    # (n-k)-square phi; the k x k value itself is never ranked
+    calls = []
+    real_rank, real_verify = degeneracy.rank, degeneracy.verify_transversality
+
+    def recording_rank(m):
+        calls[-1][1].append((m.nrows, m.ncols))
+        return real_rank(m)
+
+    def recording_verify(setup, a, center_last=False):
+        calls.append((section_value(setup, a, center_last), []))
+        return real_verify(setup, a, center_last)
+
+    monkeypatch.setattr(degeneracy, "rank", recording_rank)
+    monkeypatch.setattr(degeneracy, "verify_transversality", recording_verify)
+    for setup, seed in ((Setup(Kind.SO, 8, 5), 3), (Setup(Kind.SP, 8, 6), 3),
+                        (Setup(Kind.SO, 7, 4), 3)):
+        n, k = setup.n, setup.k
+        calls.clear()
+        assert run_transversality_suite(setup, points=100, seed=seed).all_ok
+        full = [shapes for x, shapes in calls if real_rank(x) == _top_rank(setup)]
+        assert len(calls) == 100 and len(full) >= 90
+        assert all(shapes == [(n - k, n - k)] for shapes in full), setup
+        assert all((k, k) not in shapes for _, shapes in calls)
+
+
+@pytest.fixture
+def fresh_plans():
+    caches = (degeneracy._section_plan, degeneracy._schur_plan)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def _block_entry(const, n, k):
+    """The flat index of J0's entry in the first block row."""
+    b = n - k
+    return next(b * k + c for c in range(k) if const[b * k + c])
+
+
+def _dst_into_block(const, plan, n, k):
+    b = n - k
+    return const, [(b * k + b, plan[0][1], plan[0][2])] + plan[1:]
+
+
+def _j0_entry_two(const, plan, n, k):
+    const[_block_entry(const, n, k)] = 2
+    return const, plan
+
+
+def _stray_constant(const, plan, n, k):
+    const[0] = 1
+    return const, plan
+
+
+@pytest.mark.parametrize("mutate", [_dst_into_block, _j0_entry_two, _stray_constant])
+def test_schur_plan_rejects_a_wrong_section_plan(monkeypatch, fresh_plans, mutate):
+    real = degeneracy._section_plan
+
+    def mutated(kind, n, k, center_last):
+        const, plan = real(kind, n, k, center_last)
+        const, plan = mutate(list(const), list(plan), n, k)
+        return tuple(const), tuple(plan)
+
+    setups = [setup for setup, center_last in _isotropy_setups(10)
+              if 2 * setup.k > setup.n and not center_last]
+    assert len(setups) == 30
+    for setup in setups:
+        n, k = setup.n, setup.k
+        a = ChartPoint(QMatrix(n - k, k, (1,) * ((n - k) * k)))
+        honest = section_value(setup, a)
+        monkeypatch.setattr(degeneracy, "_section_plan", mutated)
+        degeneracy._schur_plan.cache_clear()
+        assert section_value(setup, a) != honest
+        with pytest.raises(AssertionError):
+            verify_transversality(setup, a)
+        monkeypatch.setattr(degeneracy, "_section_plan", real)
+        degeneracy._schur_plan.cache_clear()
+        assert verify_transversality(setup, a)
 
 
 def test_differential_values_do_not_depend_on_the_point():
