@@ -1,32 +1,29 @@
-"""Conormal spaces to orbits at base points, in adapted coordinates.
+"""Generic conormal covectors at GLpq base points, in adapted coordinates.
 
 Cotangent vectors at U are k x (n-k) matrices over the adapted basis:
 row j and column c give the u_j-coefficient of the image of the c-th
 complement vector under a map C^n/U -> U.  Tangent vectors use the same
 shape for Hom(U, C^n/U), and the two pair by the entrywise trace form.
 
-For GLpq orbits the conormal space is a pair of literal blocks: the
-maps sending C^q/U into U cap C^p and C^p/U into U cap C^q.  For Sp/SO
-it is the kernel of the sparse action image of Lie(K), the same matrix
-whose rank gives the orbit dimension.  Both routes are available for
-GLpq and must agree.
+For a GLpq orbit the conormal space is a pair of literal blocks, the
+maps h sending C^q/U into U cap C^p and l sending C^p/U into U cap C^q;
+it is the kernel of the sparse action image of Lie(K) (see orbits).
 
-Sampling is for GLpq.  A sampled covector is its two blocks: the
-sampler draws h and l, in one batch per attempt, each straight into
-its own matrix, and ranks them to certify the draw generic; a block
-with no rows or no columns has rank 0 and is never ranked.  The
-covector keeps both blocks and both ranks, which the membership tests
-read.  Its k x (n-k) matrix is placed from the blocks only when read.
+A sampled covector is its two blocks: the sampler draws h and l, in
+one batch per attempt, each straight into its own matrix, and ranks
+them to certify the draw generic; a block with no rows or no columns
+has rank 0 and is never ranked.  The covector keeps both blocks and
+both ranks, which the membership tests read; no k x (n-k) matrix is
+formed.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .exactla import QMatrix, SeedStream, Subspace, kernel, rank
-from .orbits import BasePoint, Kind, Setup, action_image
+from .exactla import QMatrix, SeedStream, rank
+from .orbits import BasePoint, Kind
 
 
 def _block_rank(block: QMatrix) -> int:
@@ -49,18 +46,6 @@ class ConormalVector:
     l_rank: int
     retries: int = field(default=0, compare=False)  # resamples the draw needed
 
-    @cached_property
-    def matrix(self) -> QMatrix:
-        """The k x (n-k) matrix with h and l at their ranges, zero elsewhere."""
-        setup = self.base.setup
-        nk = setup.n - setup.k
-        flat = [0] * (setup.k * nk)
-        rows, cols = self.base.row_blocks, self.base.col_blocks
-        for blk, rr, cc in ((self.h_block, rows[0], cols[2]), (self.l_block, rows[1], cols[0])):
-            for a, j in enumerate(rr):
-                flat[j * nk + cc.start:j * nk + cc.stop] = blk.row(a)
-        return QMatrix(setup.k, nk, tuple(flat))
-
 
 def block_shapes(base: BasePoint) -> tuple:
     """((rows, cols) of h, (rows, cols) of l) at a GLpq base point."""
@@ -74,38 +59,6 @@ def generic_block_ranks(base: BasePoint) -> tuple:
     return min(hr, hc), min(lr, lc)
 
 
-def _unit(k: int, nk: int, j: int, c: int) -> list:
-    v = [0] * (k * nk)
-    v[j * nk + c] = 1
-    return v
-
-
-def conormal_space(base: BasePoint) -> Subspace:
-    """Conormal directions at the base point, flattened row-major."""
-    setup = base.setup
-    k, nk = setup.k, setup.n - setup.k
-    if setup.kind == Kind.GLPQ:
-        rows, cols = base.row_blocks, base.col_blocks
-        vecs = [_unit(k, nk, j, c) for j in rows[0] for c in cols[2]]
-        vecs += [_unit(k, nk, j, c) for j in rows[1] for c in cols[0]]
-        return Subspace.span(k * nk, vecs)
-    return conormal_space_from_action(base)
-
-
-def conormal_space_from_action(base: BasePoint) -> Subspace:
-    """Annihilator of the action image; the route that needs no block pattern."""
-    return kernel(action_image(base.setup, base.orbit))
-
-
-def max_conormal_rank(setup: Setup, orbit) -> int:
-    """Largest matrix rank attained on the orbit's conormal space (GLpq)."""
-    if setup.kind != Kind.GLPQ:
-        raise ValueError("rank formula applies to GLpq only")
-    s, t = orbit.s, orbit.t
-    n, k, p, q = setup.n, setup.k, setup.p, setup.q
-    return min(s, n - k - p + s) + min(t, n - k - q + t)
-
-
 RETRY_BUDGET = 8
 
 # the sampler's derive tag, hashed once as derive would hash the string
@@ -116,8 +69,8 @@ def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> Cono
     """Deterministic generic covector in the conormal space of a GLpq orbit.
 
     The two blocks are drawn and resampled (at most RETRY_BUDGET times)
-    until both reach full rank, so the matrix rank equals
-    max_conormal_rank; the returned vector keeps its resample count.
+    until both reach their generic_block_ranks, the largest ranks on
+    the conormal space; the returned vector keeps its resample count.
     """
     if base.setup.kind != Kind.GLPQ:
         raise ValueError("conormal sampling is for GLpq setups")

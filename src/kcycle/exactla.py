@@ -27,8 +27,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-QQ = Fraction
-
 
 def _all_int(entries) -> bool:
     """True when every entry is an int, by one type scan at C level."""
@@ -236,16 +234,6 @@ def kernel(m: QMatrix) -> "Subspace":
     return Subspace.span(m.ncols, cols)
 
 
-def solve_homogeneous(constraints: Iterable[Sequence], dim: int) -> "Subspace":
-    """Common kernel of a list of linear functionals on Q^dim."""
-    rows = [list(c) for c in constraints]
-    if not rows:
-        return Subspace.full(dim)
-    for row in rows:
-        assert len(row) == dim, "functional on the wrong coordinate space"
-    return kernel(QMatrix.from_rows(rows))
-
-
 def solve(m: QMatrix, v: Sequence):
     """One solution x of m x = v, or None if inconsistent."""
     aug = m.hstack(QMatrix.from_rows([[x] for x in v]))
@@ -396,15 +384,3 @@ class SeedStream:
             x = _mix64(x ^ (tag & _MASK64) ^ 0xD1B54A32D192ED03)
         return SeedStream(x)
 
-
-def random_matrix(nrows: int, ncols: int, seed: int, height_bound: int = 100) -> QMatrix:
-    """Deterministic integer matrix with entries in [-height_bound, height_bound]."""
-    assert height_bound >= 0
-    rng = SeedStream(seed)
-    return random_matrix_from(rng, nrows, ncols, height_bound)
-
-
-def random_matrix_from(rng: SeedStream, nrows: int, ncols: int, height_bound: int = 100) -> QMatrix:
-    # row-major draws of ints, already canonical
-    return QMatrix(nrows, ncols,
-                   tuple(rng.randints(nrows * ncols, -height_bound, height_bound)))

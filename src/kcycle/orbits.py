@@ -17,25 +17,25 @@ the summands or passing to annihilators / orthogonal complements.
 
 The invariant form of Sp/SO is the signed antidiagonal J with
 J[a, n-1-a] = form_sign(kind, n, a), and everything form-related is
-derived from those signs without a dense product: Gram matrices,
-orthogonal complements, and the closed-form basis of Lie(K).  Lie(K) is
+derived from those signs without a dense product: Gram matrices and
+the closed-form basis of Lie(K).  Lie(K) is
 stored by the nonzero entries of its basis elements, and action_image
 builds the image of the action differential at a base point from them,
 one sparse row per element, for all three kinds.  Its rank is the orbit
-dimension; its kernel is the conormal space that
-conormal.conormal_space_from_action returns.
+dimension; its kernel is the conormal space at the base point.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .exactla import QMatrix, Subspace, inverse, rank, solve_homogeneous
+from .exactla import QMatrix, Subspace, inverse, rank
 
 
 class Kind(str, Enum):
@@ -53,6 +53,9 @@ class Setup:
     q: Optional[int] = None
 
     def __post_init__(self):
+        if self.n > sys.maxsize:
+            # vectors of length n are lists, which no index-sized int can address
+            raise ValueError(f"need n <= {sys.maxsize}, got n={self.n}")
         if not (1 <= self.k <= self.n - 1):
             raise ValueError(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
         if self.kind == Kind.GLPQ:
@@ -292,12 +295,6 @@ class ClosurePoset:
     def codim(self, orbit) -> int:
         return self.setup.dim_gr - self.dimension[orbit]
 
-    def open_orbit(self):
-        tops = [o for o in self.orbits
-                if all(o == b or not self.leq(o, b) for b in self.orbits)]
-        assert len(tops) == 1, "closure order must have a unique open orbit"
-        return tops[0]
-
     def covers(self) -> list:
         """Pairs (lower, upper): lower maximal among orbits strictly below upper."""
         out = []
@@ -320,14 +317,6 @@ def form_sign(kind: Kind, n: int, a: int) -> int:
     """
     assert kind in (Kind.SP, Kind.SO)
     return 1 if kind == Kind.SO or a < n // 2 else -1
-
-
-def form_matrix(kind: Kind, n: int) -> QMatrix:
-    """J as a dense n x n matrix, a reference for the sparse formulas."""
-    return QMatrix.from_rows(
-        [[form_sign(kind, n, a) if b == n - 1 - a else 0 for b in range(n)]
-         for a in range(n)]
-    )
 
 
 def gram_matrix(setup: Setup, u: QMatrix) -> QMatrix:
@@ -520,23 +509,6 @@ def split_family(setup: Setup, u: Subspace) -> int:
     """Which ruling family a maximal isotropic belongs to (+1 or -1)."""
     ref = split_reference(setup)
     return +1 if (u.intersection(ref).dim - setup.k) % 2 == 0 else -1
-
-
-def perp(setup: Setup, u: Subspace) -> Subspace:
-    """Orthogonal complement with respect to the form (Sp/SO)."""
-    n = setup.n
-    # the functional w -> v^T J w has coefficient eps_{n-1-b} v[n-1-b] at b
-    return solve_homogeneous(
-        [[form_sign(setup.kind, n, n - 1 - b) * v[n - 1 - b] for b in range(n)]
-         for v in (u.basis.col(r) for r in range(u.dim))], n
-    )
-
-
-def annihilator(u: Subspace) -> Subspace:
-    """Functionals vanishing on u, in dual coordinates."""
-    return solve_homogeneous(
-        [u.basis.col(j) for j in range(u.dim)], u.ambient_dim
-    )
 
 
 # ---------------------------------------------------------------------------

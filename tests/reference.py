@@ -1,14 +1,258 @@
 """Reference routes that only the tests use, kept out of the package.
 
 Each function recomputes something the package computes another way,
-so a test can compare the two.
+so a test can compare the two, or builds seeded test data:
+
+* ``random_matrix``, ``random_matrix_from`` and ``random_flavored_matrix``
+  draw seeded integer matrices, the last of a given flavor and rank.
+* ``solve_homogeneous``, the common kernel of a list of functionals,
+  underlies the dense complements below.
+* ``coordinate_basis`` and ``trace_pairing`` form the dense basis
+  matrices and the dense pairing that ``matrixstrata.pairing_row`` and
+  ``matrixstrata.product_rows`` read off one or two entries.
+  ``is_flavored``, ``flavor_coords`` and ``flavor_from_coords`` convert
+  between matrices and flavor coordinates.
+* ``conormal_condition``, ``tangent_space_at`` and ``conormal_solutions``
+  give the dense tangent and conormal geometry of the rank strata,
+  which ``degeneracy.verify_transversality`` reads as the entries of
+  xC through ``matrixstrata.product_rows``.
+* ``conormal_space`` is the literal-block conormal space of a GLpq
+  orbit, the second route beside the kernel of ``orbits.action_image``;
+  ``max_conormal_rank`` is the closed-form rank that
+  ``conormal.sample_conormal`` must reach, and ``conormal_matrix``
+  places a sampled covector's two blocks in its k x (n-k) matrix.
+* ``form_matrix`` is the dense invariant form that ``orbits.form_sign``
+  and everything read off its signs replace; ``perp`` and
+  ``annihilator`` are the dense complements that the duality
+  relabelling of ``orbits.normalize`` must match.
+* ``open_orbit`` finds the open orbit from the closure order alone.
+* ``section_differential_image`` spans the differential of the Gram
+  section that ``degeneracy.verify_transversality`` reads off its plan.
 """
 
-from kcycle.degeneracy import ChartPoint, _differential_values, form_flavor
-from kcycle.exactla import Subspace
-from kcycle.matrixstrata import flavor_coords, flavor_dim
-from kcycle.orbits import Setup
+from functools import lru_cache
+from typing import Iterable, Sequence
 
+from kcycle.conormal import ConormalVector
+from kcycle.degeneracy import ChartPoint, _differential_values, form_flavor
+from kcycle.exactla import QMatrix, SeedStream, Subspace, kernel, rank
+from kcycle.matrixstrata import (
+    Flavor,
+    StratumId,
+    coordinate_pairs,
+    flavor_dim,
+    flavor_sign,
+    product_rows,
+)
+from kcycle.orbits import BasePoint, ClosurePoset, Kind, Setup, action_image, form_sign
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra
+
+def random_matrix(nrows: int, ncols: int, seed: int, height_bound: int = 100) -> QMatrix:
+    """Deterministic integer matrix with entries in [-height_bound, height_bound]."""
+    assert height_bound >= 0
+    rng = SeedStream(seed)
+    return random_matrix_from(rng, nrows, ncols, height_bound)
+
+
+def random_matrix_from(rng: SeedStream, nrows: int, ncols: int, height_bound: int = 100) -> QMatrix:
+    # row-major draws of ints, already canonical
+    return QMatrix(nrows, ncols,
+                   tuple(rng.randints(nrows * ncols, -height_bound, height_bound)))
+
+
+def solve_homogeneous(constraints: Iterable[Sequence], dim: int) -> "Subspace":
+    """Common kernel of a list of linear functionals on Q^dim."""
+    rows = [list(c) for c in constraints]
+    if not rows:
+        return Subspace.full(dim)
+    for row in rows:
+        assert len(row) == dim, "functional on the wrong coordinate space"
+    return kernel(QMatrix.from_rows(rows))
+
+
+# ---------------------------------------------------------------------------
+# matrix strata
+
+@lru_cache(maxsize=None)
+def coordinate_basis(flavor: Flavor, m: int) -> tuple:
+    """Basis matrices matching the upper-triangle coordinate order.
+
+    The matrix of (a, b) has 1 at (a, b) and sign at (b, a).
+    """
+    out = []
+    for a, b in coordinate_pairs(flavor, m):
+        rows = [[0] * m for _ in range(m)]
+        rows[b][a] = flavor_sign(flavor)
+        rows[a][b] = 1
+        out.append(QMatrix.from_rows(rows))
+    return tuple(out)
+
+
+def is_flavored(x: QMatrix, flavor: Flavor) -> bool:
+    if x.nrows != x.ncols:
+        return False
+    sign = flavor_sign(flavor)
+    return all(
+        x[a, b] == sign * x[b, a] for a in range(x.nrows) for b in range(a, x.ncols)
+    )
+
+
+def flavor_coords(x: QMatrix, flavor: Flavor) -> tuple:
+    assert is_flavored(x, flavor), "matrix does not have the stated symmetry"
+    return tuple(x[a, b] for a, b in coordinate_pairs(flavor, x.nrows))
+
+
+def flavor_from_coords(coords, flavor: Flavor, m: int) -> QMatrix:
+    basis = coordinate_basis(flavor, m)
+    assert len(coords) == len(basis)
+    acc = QMatrix.zeros(m, m)
+    for c, b in zip(coords, basis):
+        if c:
+            acc = acc.add(b.scale(c))
+    return acc
+
+
+def trace_pairing(c: QMatrix, d: QMatrix):
+    """tr(c d), the pairing identifying the flavor space with its dual.
+
+    Dense; pairing_row is the same pairing against the coordinate basis.
+    """
+    return sum(c[a, b] * d[b, a] for a in range(c.nrows) for b in range(c.ncols))
+
+
+def conormal_condition(x: QMatrix, c: QMatrix) -> bool:
+    """Is c conormal to the congruence orbit through x?  Equivalent to xc = 0."""
+    if x.nrows != c.nrows or x.ncols != c.ncols or x.nrows != x.ncols:
+        raise ValueError("need square matrices of equal size")
+    same_flavor = any(
+        is_flavored(x, f) and is_flavored(c, f) for f in (Flavor.SYMMETRIC, Flavor.SKEW)
+    )
+    if not same_flavor:
+        raise ValueError("x and c must share a symmetry type")
+    return x.mul(c).is_zero()
+
+
+def tangent_space_at(x: QMatrix, flavor: Flavor) -> Subspace:
+    """Span of {Yx + xY^T} over all Y, in flavor coordinates."""
+    assert is_flavored(x, flavor)
+    m = x.nrows
+    vecs = []
+    for a in range(m):
+        for b in range(m):
+            rows = [[0] * m for _ in range(m)]
+            rows[a][b] = 1
+            y = QMatrix.from_rows(rows)
+            vecs.append(flavor_coords(y.mul(x).add(x.mul(y.transpose())), flavor))
+    return Subspace.span(flavor_dim(flavor, m), vecs)
+
+
+def conormal_solutions(x: QMatrix, flavor: Flavor) -> Subspace:
+    """All flavor matrices c with xc = 0, in flavor coordinates."""
+    assert is_flavored(x, flavor)
+    return solve_homogeneous(product_rows(x, flavor), flavor_dim(flavor, x.nrows))
+
+
+def random_flavored_matrix(flavor: Flavor, m: int, r: int, seed: int, height_bound: int = 9) -> QMatrix:
+    """Deterministic random matrix of the flavor with exact rank r."""
+    StratumId(flavor, m, r)  # validates the pair
+    rng = SeedStream(seed).derive("flavored", flavor.value, m, r)
+    rows = [[0] * m for _ in range(m)]
+    if flavor == Flavor.SYMMETRIC:
+        for j in range(r):
+            rows[j][j] = 1
+    else:
+        for j in range(0, r, 2):
+            rows[j][j + 1] = 1
+            rows[j + 1][j] = -1
+    d = QMatrix.from_rows(rows)
+    while True:
+        a = random_matrix_from(rng, m, m, height_bound)
+        if rank(a) == m:
+            return a.transpose().mul(d).mul(a)
+
+
+# ---------------------------------------------------------------------------
+# conormal spaces
+
+def _unit(k: int, nk: int, j: int, c: int) -> list:
+    v = [0] * (k * nk)
+    v[j * nk + c] = 1
+    return v
+
+
+def conormal_space(base: BasePoint) -> Subspace:
+    """Conormal directions at the base point, flattened row-major."""
+    setup = base.setup
+    k, nk = setup.k, setup.n - setup.k
+    if setup.kind == Kind.GLPQ:
+        rows, cols = base.row_blocks, base.col_blocks
+        vecs = [_unit(k, nk, j, c) for j in rows[0] for c in cols[2]]
+        vecs += [_unit(k, nk, j, c) for j in rows[1] for c in cols[0]]
+        return Subspace.span(k * nk, vecs)
+    return kernel(action_image(base.setup, base.orbit))
+
+
+def max_conormal_rank(setup: Setup, orbit) -> int:
+    """Largest matrix rank attained on the orbit's conormal space (GLpq)."""
+    if setup.kind != Kind.GLPQ:
+        raise ValueError("rank formula applies to GLpq only")
+    s, t = orbit.s, orbit.t
+    n, k, p, q = setup.n, setup.k, setup.p, setup.q
+    return min(s, n - k - p + s) + min(t, n - k - q + t)
+
+
+def conormal_matrix(xi: ConormalVector) -> QMatrix:
+    """The k x (n-k) matrix with h and l at their ranges, zero elsewhere."""
+    setup = xi.base.setup
+    nk = setup.n - setup.k
+    flat = [0] * (setup.k * nk)
+    rows, cols = xi.base.row_blocks, xi.base.col_blocks
+    for blk, rr, cc in ((xi.h_block, rows[0], cols[2]), (xi.l_block, rows[1], cols[0])):
+        for a, j in enumerate(rr):
+            flat[j * nk + cc.start:j * nk + cc.stop] = blk.row(a)
+    return QMatrix(setup.k, nk, tuple(flat))
+
+
+# ---------------------------------------------------------------------------
+# orbits
+
+def form_matrix(kind: Kind, n: int) -> QMatrix:
+    """J as a dense n x n matrix, a reference for the sparse formulas."""
+    return QMatrix.from_rows(
+        [[form_sign(kind, n, a) if b == n - 1 - a else 0 for b in range(n)]
+         for a in range(n)]
+    )
+
+
+def perp(setup: Setup, u: Subspace) -> Subspace:
+    """Orthogonal complement with respect to the form (Sp/SO)."""
+    n = setup.n
+    # the functional w -> v^T J w has coefficient eps_{n-1-b} v[n-1-b] at b
+    return solve_homogeneous(
+        [[form_sign(setup.kind, n, n - 1 - b) * v[n - 1 - b] for b in range(n)]
+         for v in (u.basis.col(r) for r in range(u.dim))], n
+    )
+
+
+def annihilator(u: Subspace) -> Subspace:
+    """Functionals vanishing on u, in dual coordinates."""
+    return solve_homogeneous(
+        [u.basis.col(j) for j in range(u.dim)], u.ambient_dim
+    )
+
+
+def open_orbit(pos: ClosurePoset):
+    tops = [o for o in pos.orbits
+            if all(o == b or not pos.leq(o, b) for b in pos.orbits)]
+    assert len(tops) == 1, "closure order must have a unique open orbit"
+    return tops[0]
+
+
+# ---------------------------------------------------------------------------
+# the Gram section
 
 def section_differential_image(setup: Setup, a: ChartPoint,
                                center_last: bool = False) -> Subspace:

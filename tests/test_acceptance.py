@@ -12,19 +12,10 @@ import time
 from pathlib import Path
 
 from kcycle.ccengine import characteristic_cycle, pullback_cc
-from kcycle.conormal import conormal_space, max_conormal_rank, sample_conormal
+from kcycle.conormal import sample_conormal
 from kcycle.degeneracy import run_transversality_suite
 from kcycle.exactla import QMatrix, SeedStream, rank
-from kcycle.matrixstrata import (
-    Flavor,
-    conormal_condition,
-    conormal_solutions,
-    flavor_dim,
-    flavor_from_coords,
-    random_flavored_matrix,
-    tangent_space_at,
-    trace_pairing,
-)
+from kcycle.matrixstrata import Flavor, flavor_dim
 from kcycle.orbits import (
     Kind,
     RadicalOrbit,
@@ -41,6 +32,17 @@ from kcycle.resolutions import (
     is_small,
     resolution_for,
     verify_microlocal_empty,
+)
+from reference import (
+    conormal_condition,
+    conormal_matrix,
+    conormal_solutions,
+    conormal_space,
+    flavor_from_coords,
+    max_conormal_rank,
+    random_flavored_matrix,
+    tangent_space_at,
+    trace_pairing,
 )
 
 MAX_N = 8
@@ -254,7 +256,7 @@ def test_criterion_7_conormal_structure():
                 assert expected == 0  # open orbit: nothing to sample
                 continue
             observed = max(
-                rank(sample_conormal(bp, seed).matrix) for seed in range(50)
+                rank(conormal_matrix(sample_conormal(bp, seed))) for seed in range(50)
             )
             assert observed == expected, (setup, orbit)
             rank_checks += 1

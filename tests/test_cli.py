@@ -216,12 +216,20 @@ def test_usage_errors(capsys):
         ["verify"] + GLPQ + ["--suite", "crosscheck"],
         ["verify"] + GLPQ + ["--suite", "transversality"],
     ]
-    for argv in cases + vacuous:
+    # an n that no list can index is rejected, not met by an OverflowError
+    oversized = [
+        ["orbits", "--kind", "so", "--n", "99999999999999999999", "--k", "1"],
+        ["orbits", "--kind", "glpq", "--n", "99999999999999999999", "--k", "1",
+         "--p", "99999999999999999998", "--q", "1"],
+    ]
+    for argv in cases + vacuous + oversized:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == "", argv
         if argv in vacuous:
             assert err.startswith("error: suite ") and len(err.splitlines()) == 1
+        if argv in oversized:
+            assert err.startswith("error: need n <= ") and len(err.splitlines()) == 1
 
 
 def test_out_into_missing_directory(capsys, tmp_path):

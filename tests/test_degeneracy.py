@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from kcycle import degeneracy, orbits
@@ -10,15 +12,8 @@ from kcycle.degeneracy import (
     section_value,
     verify_transversality,
 )
-from kcycle.exactla import QQ, QMatrix, SeedStream, Subspace, rank
-from kcycle.matrixstrata import (
-    Flavor,
-    conormal_solutions,
-    coordinate_basis,
-    flavor_dim,
-    is_flavored,
-    trace_pairing,
-)
+from kcycle.exactla import QMatrix, SeedStream, Subspace, rank
+from kcycle.matrixstrata import Flavor, flavor_dim
 from kcycle.orbits import (
     IntersectionOrbit,
     Kind,
@@ -26,11 +21,17 @@ from kcycle.orbits import (
     Setup,
     SplitOrbit,
     enumerate_orbits,
-    form_matrix,
     gram_matrix,
     orbit_of,
 )
-from reference import section_differential_image
+from reference import (
+    conormal_solutions,
+    coordinate_basis,
+    form_matrix,
+    is_flavored,
+    section_differential_image,
+    trace_pairing,
+)
 
 SO53 = Setup(Kind.SO, 5, 3)
 SP64 = Setup(Kind.SP, 6, 4)
@@ -382,7 +383,7 @@ def test_differential_is_the_exact_central_difference():
                     plus = section_value(setup, ChartPoint(a.a.add(e)), center_last)
                     minus = section_value(setup, ChartPoint(a.a.add(e.scale(-1))),
                                           center_last)
-                    assert values[r * k + c] == plus.add(minus.scale(-1)).scale(QQ(1, 2))
+                    assert values[r * k + c] == plus.add(minus.scale(-1)).scale(Fraction(1, 2))
 
 
 def test_chart_preconditions():

@@ -10,12 +10,11 @@ from kcycle.exactla import (
     Subspace,
     inverse,
     kernel,
-    random_matrix,
     rank,
     rref,
     solve,
-    solve_homogeneous,
 )
+from reference import conormal_matrix, random_matrix, solve_homogeneous
 
 
 def to_sympy(m: QMatrix) -> sympy.Matrix:
@@ -324,7 +323,7 @@ def test_sample_streams_pinned():
     assert xi.h_block.entries == (-1, 0, 0, -1)
     assert xi.l_block.entries == (1, 0, -1, -1)
     assert xi.retries == 3
-    assert xi.matrix.entries == (0, 0, -1, 0, 0, 0, 0, -1, 1, 0, 0, 0, -1, -1, 0, 0)
+    assert conormal_matrix(xi).entries == (0, 0, -1, 0, 0, 0, 0, -1, 1, 0, 0, 0, -1, -1, 0, 0)
     xi = sample_conormal(bp, 3)
     assert (xi.h_block.entries, xi.l_block.entries, xi.retries) == (
         (1, 16, -42, 79), (-92, 95, 100, -52), 0)

@@ -1,9 +1,12 @@
-"""The package's internal import graph has no cycles, and the package
-imports nothing outside the standard library.
+"""The package's internal import graph has no cycles, the package
+imports nothing outside the standard library, and every module-level
+definition in it is reached from an entry point.
 
 Every import of a kcycle module is counted, including imports inside
 function bodies, since those hide a cycle from module load order but
-not from the design.
+not from the design.  Reachability is read off names in the source, so
+a definition that only the tests reach fails the gate: it belongs in
+tests/reference.py.  Methods are out of the gate's scope.
 """
 
 import ast
@@ -69,3 +72,83 @@ def test_no_runtime_dependencies():
     outside = sorted(f"{mod}: {name}" for mod, name in found
                      if name.split(".")[0] not in sys.stdlib_module_names | {"kcycle"})
     assert not outside, "imports outside the standard library: " + ", ".join(outside)
+
+
+# The package's entry points: the CLI, the documented kcycle/1 reader, and
+# the public validating wrappers of the library.
+ROOTS = [("cli", "main"), ("cli", "parse_document"), ("orbits", "closure_leq"),
+         ("resolutions", "fiber_dimension"), ("resolutions", "is_small"),
+         ("resolutions", "verify_microlocal_empty"), ("__init__", "__version__")]
+
+
+def _definitions(tree: ast.Module) -> dict:
+    """Module-level functions, classes and constants, by name."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def _bindings(tree: ast.Module) -> dict:
+    """Local name -> (module, name) for each kcycle import; name None for a module."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 and node.module is None:
+            out.update((a.asname or a.name, (a.name, None)) for a in node.names)
+        elif node.level == 1 or (node.module or "").startswith("kcycle."):
+            mod = node.module.split(".")[-1]
+            if mod in modules:
+                out.update((a.asname or a.name, (mod, a.name)) for a in node.names)
+    return out
+
+
+def _reachable() -> tuple:
+    """(every definition, the definitions reached from ROOTS), as (module, name)."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    defs = {mod: _definitions(tree) for mod, tree in trees.items()}
+    binds = {mod: _bindings(tree) for mod, tree in trees.items()}
+
+    def resolve(mod, name):
+        # follow imports by name, so a re-exported definition is found at home
+        while name not in defs[mod]:
+            if name not in binds[mod] or binds[mod][name][1] is None:
+                return None
+            mod, name = binds[mod][name]
+        return mod, name
+
+    def refs(mod, node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield resolve(mod, sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                home, name = binds[mod].get(sub.value.id, (None, ""))
+                if name is None:  # module.attr
+                    yield resolve(home, sub.attr)
+
+    seen, todo = set(), list(ROOTS)
+    while todo:
+        key = todo.pop()
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        mod, name = key
+        todo.extend(refs(mod, defs[mod][name]))
+    every = {(mod, name) for mod, d in defs.items() for name in d}
+    return every, seen
+
+
+def test_every_definition_is_reached_from_an_entry_point():
+    every, reached = _reachable()
+    assert set(ROOTS) <= every  # each root is a definition
+    assert ("exactla", "rank") in reached  # the walk follows imports
+    assert ("degeneracy", "run_transversality_suite") in reached  # and module.attr
+    unreached = sorted(f"{mod}.{name}" for mod, name in every - reached)
+    assert not unreached, ("definitions no entry point reaches; move test-only "
+                           "code to tests/reference.py: " + ", ".join(unreached))

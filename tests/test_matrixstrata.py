@@ -1,21 +1,24 @@
 import pytest
 
-from kcycle.exactla import QMatrix, SeedStream, rank, random_matrix
+from kcycle.exactla import QMatrix, SeedStream, rank
 from kcycle.matrixstrata import (
     Flavor,
     MatrixCC,
     StratumId,
     cc_table,
+    flavor_dim,
+    pairing_row,
+    product_rows,
+)
+from reference import (
     conormal_condition,
     conormal_solutions,
     coordinate_basis,
     flavor_coords,
-    flavor_dim,
     flavor_from_coords,
     is_flavored,
-    pairing_row,
-    product_rows,
     random_flavored_matrix,
+    random_matrix,
     tangent_space_at,
     trace_pairing,
 )

@@ -3,7 +3,7 @@ import pytest
 from kcycle import ccengine, conormal, exactla, orbits, resolutions
 from kcycle.ccengine import check_microlocal
 from kcycle.exactla import QMatrix, SeedStream
-from kcycle.conormal import ConormalVector, conormal_space, sample_conormal
+from kcycle.conormal import ConormalVector, sample_conormal
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -28,6 +28,7 @@ from kcycle.resolutions import (
     witness_satisfies_Z,
     witness_satisfies_Ztilde,
 )
+from reference import conormal_space
 
 
 def glpq(n, k, p, q):
@@ -314,7 +315,8 @@ def test_the_sweep_never_places_a_matrix(monkeypatch):
     def placed(xi):
         raise AssertionError("a covector's matrix was placed")
 
-    monkeypatch.setattr(ConormalVector, "matrix", property(placed))
+    # the package has no matrix to place; the property catches one added later
+    monkeypatch.setattr(ConormalVector, "matrix", property(placed), raising=False)
     assert check_microlocal(setup, trials=20, seed=5) == rows
     assert all(r.ok for r in rows)
 
