@@ -7,7 +7,8 @@ the closure diagram.  JSON documents carry a schema version and are
 byte-identical across runs with the same arguments and seed.
 
 Exit codes: 0 on success, 1 when a verify suite reports a failed check,
-2 on bad input or an unwritable --out file, and 3 when the conormal
+2 on bad input, a setup too large for memory or an unwritable --out
+file, and 3 when the conormal
 sampler finds no generic covector within its resample budget, which
 means a bug, not a failed check.  Codes 2 and 3 leave stdout empty;
 stderr gets argparse's usage message, or one ``error:`` line.
@@ -260,6 +261,9 @@ def main(argv=None) -> int:
         text = render(doc, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory for n={args.n}", file=sys.stderr)
         return 2
     except NoGenericCovector as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -18,11 +18,23 @@ the summands or passing to annihilators / orthogonal complements.
 The invariant form of Sp/SO is the signed antidiagonal J with
 J[a, n-1-a] = form_sign(kind, n, a), and everything form-related is
 derived from those signs without a dense product: Gram matrices and
-the closed-form basis of Lie(K).  Lie(K) is
-stored by the nonzero entries of its basis elements, and action_image
-builds the image of the action differential at a base point from them,
-one sparse row per element, for all three kinds.  Its rank is the orbit
-dimension; its kernel is the conormal space at the base point.
+the closed-form basis of Lie(K).  Lie(K) is stored by the nonzero
+entries of its basis elements.  The image of the action differential
+at a base point is built from them as one {column: value} dict of
+nonzeros per element, multiplying only the nonzeros of the adapted
+basis and its inverse, for all three kinds.  Its rank is the orbit
+dimension.  That image is very sparse (0.24 % nonzeros on so(30,15)),
+and its nonzero pattern splits into connected components of a few
+cells, so orbit_dimension joins columns by a union-find and sums the
+components' ranks; only a component with at least two rows and two
+columns is eliminated.
+
+Orbit labels of a k-plane U are read off ranks of one n x k frame u
+of rank k.  Since u x lies in a coordinate subspace exactly when the
+other rows of u annihilate x, dim(U cap C^p) = k - rank(rows p..n-1
+of u), dim(U cap C^q) = k - rank(rows 0..p-1), and the ruling family
+of a maximal isotropic is the parity of rank(rows k..n-1).  No
+subspace is spanned or intersected.
 """
 
 from __future__ import annotations
@@ -460,55 +472,45 @@ def base_point(setup: Setup, orbit) -> BasePoint:
     basis = QMatrix.from_cols(n, cols + comp)
     assert rank(basis) == n, "adapted basis must be invertible"
     bp = BasePoint(setup, orbit, basis, rg, cg)
-    _check_base_point(bp)
+    got = orbit_of(setup, bp.u_matrix)
+    assert got == orbit, f"constructed point sits on {got}, wanted {orbit}"
     return bp
-
-
-def _check_base_point(bp: BasePoint) -> None:
-    setup, orbit = bp.setup, bp.orbit
-    u = bp.u_matrix
-    if isinstance(orbit, IntersectionOrbit):
-        got = orbit_of(setup, Subspace.from_matrix(u))
-        assert got == orbit, f"constructed point sits on {got}, wanted {orbit}"
-    else:
-        i = orbit.i if isinstance(orbit, RadicalOrbit) else setup.k
-        g = gram_matrix(setup, u)
-        assert rank(g) == setup.k - i, "Gram rank must be k - dim rad"
-        if isinstance(orbit, SplitOrbit):
-            assert split_family(setup, Subspace.from_matrix(u)) == orbit.sign
 
 
 # ---------------------------------------------------------------------------
 # classifying arbitrary points
 
-def _coordinate_subspace(n: int, idx) -> Subspace:
-    return Subspace.span(n, [_e(n, a) for a in idx])
+def orbit_of(setup: Setup, u: QMatrix):
+    """The orbit label of the k-plane U spanned by the columns of u.
 
-
-def orbit_of(setup: Setup, u: Subspace):
-    """The orbit label of an arbitrary k-plane."""
+    u must be an n x k frame of rank k, so that u x lies in a coordinate
+    subspace exactly when x is in the kernel of u's other rows: for
+    GLpq, dim(U cap C^p) = k - rank(rows p..n-1 of u) and
+    dim(U cap C^q) = k - rank(rows 0..p-1 of u).
+    """
     n, k = setup.n, setup.k
-    assert u.ambient_dim == n and u.dim == k
+    if u.nrows != n or u.ncols != k or rank(u) != k:
+        raise ValueError(f"a frame for {setup.describe()} must be {n} x {k} of rank {k}, "
+                         f"got {u.nrows} x {u.ncols}")
     if setup.kind == Kind.GLPQ:
-        cp = _coordinate_subspace(n, range(setup.p))
-        cq = _coordinate_subspace(n, range(setup.p, n))
-        return IntersectionOrbit(u.intersection(cp).dim, u.intersection(cq).dim)
-    g = gram_matrix(setup, u.basis)
-    i = k - rank(g)
+        p = setup.p
+        return IntersectionOrbit(k - rank(u.submatrix(range(p, n), range(k))),
+                                 k - rank(u.submatrix(range(p), range(k))))
+    i = k - rank(gram_matrix(setup, u))
     if is_split_setup(setup) and i == k:
         return SplitOrbit(split_family(setup, u))
     return RadicalOrbit(i)
 
 
-def split_reference(setup: Setup) -> Subspace:
-    assert is_split_setup(setup)
-    return _coordinate_subspace(setup.n, range(setup.k))
+def split_family(setup: Setup, u: QMatrix) -> int:
+    """Which ruling family the maximal isotropic spanned by u belongs to (+1 or -1).
 
-
-def split_family(setup: Setup, u: Subspace) -> int:
-    """Which ruling family a maximal isotropic belongs to (+1 or -1)."""
-    ref = split_reference(setup)
-    return +1 if (u.intersection(ref).dim - setup.k) % 2 == 0 else -1
+    The family is the parity of k - dim(U cap span(e_0..e_{k-1})), and
+    for a frame u of rank k that intersection has dimension
+    k - rank(rows k..n-1 of u).
+    """
+    n, k = setup.n, setup.k
+    return +1 if rank(u.submatrix(range(k, n), range(k))) % 2 == 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -545,36 +547,80 @@ def lie_algebra_basis(setup: Setup) -> tuple:
     return tuple(out)
 
 
-def action_image(setup: Setup, orbit) -> QMatrix:
+def _action_rows(setup: Setup, orbit) -> list:
     """Image of Lie(K) in the tangent space at the orbit's base point.
 
-    Row r is the action of the r-th element x of lie_algebra_basis, as
-    a k x (n-k) chart matrix flattened row-major: entry (j, c) is the
-    c-th complement coordinate of x . u_j in the adapted basis B, i.e.
-    the sum of value * B^-1[k+c, a] * B[b, j] over the entries (a, b) of x.
+    One {column: value} dict of nonzeros per element x of
+    lie_algebra_basis.  Column j * (n-k) + c is entry (j, c) of the
+    k x (n-k) chart matrix of x . u_j: the c-th complement coordinate in
+    the adapted basis B, i.e. the sum of value * B^-1[k+c, a] * B[b, j]
+    over the entries (a, b) of x.  Only nonzero factors are multiplied:
+    those of row b of B among the first k columns, and those of column
+    a of B^-1 among the last n-k rows.
     """
     bp = base_point(setup, orbit)
     n, k = setup.n, setup.k
     nk = n - k
     basis, binv = bp.basis, inverse(bp.basis)
+    u_part = [[(j * nk, v) for j in range(k) if (v := basis[b, j])] for b in range(n)]
+    comp_part = [[(c, v) for c in range(nk) if (v := binv[k + c, a])] for a in range(n)]
     rows = []
     for x in lie_algebra_basis(setup):
-        row = [0] * (k * nk)
+        row = {}
         for a, b, v in x:
-            for j in range(k):
-                ub = basis[b, j]
-                if ub:
-                    for c in range(nk):
-                        row[j * nk + c] += v * binv[k + c, a] * ub
-        rows.append(row)
-    return QMatrix.from_rows(rows)
+            for offset, ub in u_part[b]:
+                for c, w in comp_part[a]:
+                    row[offset + c] = row.get(offset + c, 0) + v * w * ub
+        rows.append({col: val for col, val in row.items() if val})
+    return rows
+
+
+def _components(rows: list) -> list:
+    """The blocks of a sparse matrix on the connected components of its columns.
+
+    Two columns are joined when some row has a nonzero in both (a
+    union-find over the nonzero pattern).  Each block lists, as
+    {column: value} dicts, the rows' entries in one component; once the
+    columns are joined, every row lies in a single block.  Every row
+    must have a nonzero.
+    """
+    parent = {}
+
+    def find(c):
+        while parent.setdefault(c, c) != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for row in rows:
+        cols = iter(row)
+        top = find(next(cols))
+        for c in cols:
+            other = find(c)
+            if other != top:
+                parent[other] = top
+    blocks = {}
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            blocks.setdefault(find(c), {}).setdefault(r, {})[c] = v
+    return [list(block.values()) for block in blocks.values()]
 
 
 @lru_cache(maxsize=None)
 def orbit_dimension(setup: Setup, orbit) -> int:
-    """Rank of the action image.
+    """Rank of the action image, summed over its connected components.
 
-    The int is cached; the action-image matrices are not, since keeping
-    one per orbit raises peak memory for no reuse.
+    Permuted to its components, the image is block diagonal, so its rank
+    is the sum of the blocks' ranks.  A block with one row or one column
+    has rank 1; any other is ranked by exactla.rank.  The int is cached;
+    the rows are not, since keeping them per orbit raises peak memory
+    for no reuse.
     """
-    return rank(action_image(setup, orbit))
+    dim = 0
+    for block in _components([row for row in _action_rows(setup, orbit) if row]):
+        cols = sorted({c for row in block for c in row})
+        if len(block) == 1 or len(cols) == 1:
+            dim += 1
+        else:
+            dim += rank(QMatrix.from_flat(len(block), len(cols),
+                                          [row.get(c, 0) for row in block for c in cols]))
+    return dim

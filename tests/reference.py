@@ -17,7 +17,7 @@ so a test can compare the two, or builds seeded test data:
   which ``degeneracy.verify_transversality`` reads as the entries of
   xC through ``matrixstrata.product_rows``.
 * ``conormal_space`` is the literal-block conormal space of a GLpq
-  orbit, the second route beside the kernel of ``orbits.action_image``;
+  orbit, the second route beside the kernel of ``action_image``;
   ``max_conormal_rank`` is the closed-form rank that
   ``conormal.sample_conormal`` must reach, and ``conormal_matrix``
   places a sampled covector's two blocks in its k x (n-k) matrix.
@@ -25,6 +25,14 @@ so a test can compare the two, or builds seeded test data:
   and everything read off its signs replace; ``perp`` and
   ``annihilator`` are the dense complements that the duality
   relabelling of ``orbits.normalize`` must match.
+* ``action_image`` is the dense image of Lie(K) at a base point, built
+  entry by entry; ``orbits.orbit_dimension`` must equal its rank, and
+  the sparse rows of ``orbits._action_rows`` its entries.
+* ``orbit_of_by_intersection`` and ``split_family_by_intersection``
+  classify a plane by ``Subspace`` intersections with the coordinate
+  subspaces (``_coordinate_subspace``, ``split_reference``), which
+  ``orbits.orbit_of`` and ``orbits.split_family`` read as ranks of
+  blocks of a frame.
 * ``open_orbit`` finds the open orbit from the closure order alone.
 * ``section_differential_image`` spans the differential of the Gram
   section that ``degeneracy.verify_transversality`` reads off its plan.
@@ -35,7 +43,7 @@ from typing import Iterable, Sequence
 
 from kcycle.conormal import ConormalVector
 from kcycle.degeneracy import ChartPoint, _differential_values, form_flavor
-from kcycle.exactla import QMatrix, SeedStream, Subspace, kernel, rank
+from kcycle.exactla import QMatrix, SeedStream, Subspace, inverse, kernel, rank
 from kcycle.matrixstrata import (
     Flavor,
     StratumId,
@@ -44,7 +52,21 @@ from kcycle.matrixstrata import (
     flavor_sign,
     product_rows,
 )
-from kcycle.orbits import BasePoint, ClosurePoset, Kind, Setup, action_image, form_sign
+from kcycle.orbits import (
+    BasePoint,
+    ClosurePoset,
+    IntersectionOrbit,
+    Kind,
+    RadicalOrbit,
+    Setup,
+    SplitOrbit,
+    _e,
+    base_point,
+    form_sign,
+    gram_matrix,
+    is_split_setup,
+    lie_algebra_basis,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +264,61 @@ def annihilator(u: Subspace) -> Subspace:
     return solve_homogeneous(
         [u.basis.col(j) for j in range(u.dim)], u.ambient_dim
     )
+
+
+def action_image(setup: Setup, orbit) -> QMatrix:
+    """Image of Lie(K) in the tangent space at the orbit's base point.
+
+    Row r is the action of the r-th element x of lie_algebra_basis, as
+    a k x (n-k) chart matrix flattened row-major: entry (j, c) is the
+    c-th complement coordinate of x . u_j in the adapted basis B, i.e.
+    the sum of value * B^-1[k+c, a] * B[b, j] over the entries (a, b) of x.
+    """
+    bp = base_point(setup, orbit)
+    n, k = setup.n, setup.k
+    nk = n - k
+    basis, binv = bp.basis, inverse(bp.basis)
+    rows = []
+    for x in lie_algebra_basis(setup):
+        row = [0] * (k * nk)
+        for a, b, v in x:
+            for j in range(k):
+                ub = basis[b, j]
+                if ub:
+                    for c in range(nk):
+                        row[j * nk + c] += v * binv[k + c, a] * ub
+        rows.append(row)
+    return QMatrix.from_rows(rows)
+
+
+def _coordinate_subspace(n: int, idx) -> Subspace:
+    return Subspace.span(n, [_e(n, a) for a in idx])
+
+
+def split_reference(setup: Setup) -> Subspace:
+    assert is_split_setup(setup)
+    return _coordinate_subspace(setup.n, range(setup.k))
+
+
+def split_family_by_intersection(setup: Setup, u: Subspace) -> int:
+    """Ruling family of a maximal isotropic from its intersection with the reference."""
+    ref = split_reference(setup)
+    return +1 if (u.intersection(ref).dim - setup.k) % 2 == 0 else -1
+
+
+def orbit_of_by_intersection(setup: Setup, u: Subspace):
+    """The orbit label of a k-plane, from Subspace intersections and the Gram rank."""
+    n, k = setup.n, setup.k
+    assert u.ambient_dim == n and u.dim == k
+    if setup.kind == Kind.GLPQ:
+        cp = _coordinate_subspace(n, range(setup.p))
+        cq = _coordinate_subspace(n, range(setup.p, n))
+        return IntersectionOrbit(u.intersection(cp).dim, u.intersection(cq).dim)
+    g = gram_matrix(setup, u.basis)
+    i = k - rank(g)
+    if is_split_setup(setup) and i == k:
+        return SplitOrbit(split_family_by_intersection(setup, u))
+    return RadicalOrbit(i)
 
 
 def open_orbit(pos: ClosurePoset):

@@ -222,7 +222,14 @@ def test_usage_errors(capsys):
         ["orbits", "--kind", "glpq", "--n", "99999999999999999999", "--k", "1",
          "--p", "99999999999999999998", "--q", "1"],
     ]
-    for argv in cases + vacuous + oversized:
+    # an n that no length-n list fits in memory: n = 2^62 fails the size
+    # check of [0] * n at once, allocating nothing
+    unallocatable = [
+        ["orbits", "--kind", "so", "--n", str(1 << 62), "--k", "1"],
+        ["orbits", "--kind", "glpq", "--n", str(1 << 62), "--k", "1",
+         "--p", str((1 << 62) - 1), "--q", "1"],
+    ]
+    for argv in cases + vacuous + oversized + unallocatable:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == "", argv
@@ -230,6 +237,8 @@ def test_usage_errors(capsys):
             assert err.startswith("error: suite ") and len(err.splitlines()) == 1
         if argv in oversized:
             assert err.startswith("error: need n <= ") and len(err.splitlines()) == 1
+        if argv in unallocatable:
+            assert err == f"error: out of memory for n={1 << 62}\n"
 
 
 def test_out_into_missing_directory(capsys, tmp_path):

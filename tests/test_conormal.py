@@ -8,13 +8,18 @@ from kcycle.orbits import (
     Kind,
     RadicalOrbit,
     Setup,
-    action_image,
     base_point,
     enumerate_orbits,
     lie_algebra_basis,
     orbit_dimension,
 )
-from reference import conormal_matrix, conormal_space, max_conormal_rank, open_orbit
+from reference import (
+    action_image,
+    conormal_matrix,
+    conormal_space,
+    max_conormal_rank,
+    open_orbit,
+)
 
 
 def glpq(n, k, p, q):

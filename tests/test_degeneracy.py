@@ -12,7 +12,7 @@ from kcycle.degeneracy import (
     section_value,
     verify_transversality,
 )
-from kcycle.exactla import QMatrix, SeedStream, Subspace, rank
+from kcycle.exactla import QMatrix, SeedStream, rank
 from kcycle.matrixstrata import Flavor, flavor_dim
 from kcycle.orbits import (
     IntersectionOrbit,
@@ -276,8 +276,7 @@ def test_rank_matches_orbit_classification():
             a = random_chart_point(n, k, rng, height_bound=3)
             x = section_value(setup, a)
             frame = QMatrix.from_rows(QMatrix.identity(k).rows() + a.a.rows())
-            plane = Subspace.from_matrix(frame)
-            orbit = orbit_of(setup, plane)
+            orbit = orbit_of(setup, frame)
             assert isinstance(orbit, RadicalOrbit)
             assert orbit.i == k - rank(x)
             seen.add(orbit.i)

@@ -21,6 +21,9 @@ SP64 = ["--kind", "sp", "--n", "6", "--k", "4"]
 SO63 = ["--kind", "so", "--n", "6", "--k", "3"]
 SO74 = ["--kind", "so", "--n", "7", "--k", "4"]
 SO84 = ["--kind", "so", "--n", "8", "--k", "4"]
+SO3015 = ["--kind", "so", "--n", "30", "--k", "15"]
+SP2412 = ["--kind", "sp", "--n", "24", "--k", "12"]
+GLPQ168 = ["--kind", "glpq", "--n", "16", "--k", "8", "--p", "8", "--q", "8"]
 JSON = ["--format", "json"]
 DOT = ["--format", "dot"]
 VERIFY = ["--suite", "all", "--seed", "42"] + JSON
@@ -60,6 +63,14 @@ GOLDEN = [
      "96aa5543c72b5b040ba5c257acdf8ee70a41ad34b11c6b265c80c50ab81d9ae8"),
     (["verify"] + SO74 + VERIFY,
      "65ce1eefedc4ea418fe29c5770c8f881bf30926b66e6783afcc28fe4afaf203c"),
+    # taken with the whole action image ranked by one elimination, before
+    # orbit dimensions were summed over its connected components
+    (["orbits"] + SO3015 + JSON,
+     "e6715d71ae2cda0e7aec0b86c15013e62a52d0c27afb6fa7ad526ac730c086b9"),
+    (["orbits"] + SP2412 + JSON,
+     "bc7b0455216fc806c773700862142d3acc6028d9f40fa09b6fde69603f383991"),
+    (["orbits"] + GLPQ168 + JSON,
+     "18ce615042f8956b614320a6bc48f295ce2ebbf8de9d0783409dd88de26a66fc"),
 ]
 
 

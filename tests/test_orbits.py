@@ -1,7 +1,10 @@
+from functools import lru_cache
+
 import pytest
 
+from kcycle import orbits
 from kcycle.degeneracy import form_flavor
-from kcycle.exactla import QMatrix, Subspace, inverse, rank
+from kcycle.exactla import QMatrix, SeedStream, Subspace, inverse, rank
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -9,7 +12,6 @@ from kcycle.orbits import (
     RadicalOrbit,
     Setup,
     SplitOrbit,
-    action_image,
     base_point,
     closure_leq,
     enumerate_orbits,
@@ -21,10 +23,20 @@ from kcycle.orbits import (
     orbit_of,
     parse_orbit,
     split_family,
-    split_reference,
     valid_orbit,
 )
-from reference import annihilator, form_matrix, is_flavored, open_orbit, perp, random_matrix
+from reference import (
+    action_image,
+    annihilator,
+    form_matrix,
+    is_flavored,
+    open_orbit,
+    orbit_of_by_intersection,
+    perp,
+    random_matrix,
+    split_family_by_intersection,
+    split_reference,
+)
 
 
 def glpq(n, k, p, q):
@@ -162,7 +174,7 @@ def test_sp_so_duality_preserves_radical():
             u = base_point(setup, orbit).u
             up = perp(setup, u)
             assert up.dim == 4
-            assert orbit_of(dual, up) == RadicalOrbit(orbit.i)
+            assert orbit_of(dual, up.basis) == RadicalOrbit(orbit.i)
         # perp against the dense form, on planes off the coordinate axes
         j = form_matrix(setup.kind, setup.n)
         for seed in range(3):
@@ -288,7 +300,11 @@ def test_base_point_invariants_sweep():
     for setup in SWEEP:
         for orbit in enumerate_orbits(setup):
             bp = base_point(setup, orbit)
-            assert orbit_of(setup, bp.u) == orbit
+            # block ranks of the frame against Subspace intersections
+            assert orbit_of(setup, bp.u_matrix) == orbit_of_by_intersection(setup, bp.u) == orbit
+            if isinstance(orbit, SplitOrbit):
+                assert (split_family(setup, bp.u_matrix)
+                        == split_family_by_intersection(setup, bp.u) == orbit.sign)
             assert sum(bp.row_groups) == setup.k
             assert sum(bp.col_groups) == setup.n - setup.k
             assert rank(bp.basis) == setup.n
@@ -298,13 +314,94 @@ def test_split_families():
     setup = Setup(Kind.SO, 8, 4)
     plus = base_point(setup, SplitOrbit(+1)).u
     minus = base_point(setup, SplitOrbit(-1)).u
-    assert split_family(setup, plus) == +1
-    assert split_family(setup, minus) == -1
+    assert split_family(setup, plus.basis) == +1
+    assert split_family(setup, minus.basis) == -1
     assert plus.intersection(minus).dim == setup.k - 1
     # both totally isotropic
     for u in (plus, minus):
         assert gram_matrix(setup, u.basis).is_zero()
     assert split_reference(setup) == plus
+
+
+def _random_invertible(k, rng):
+    while True:
+        m = QMatrix(k, k, tuple(rng.randints(k * k, -2, 2)))
+        if rank(m) == k:
+            return m
+
+
+def _glpq_frame(setup, s, t, rng):
+    """A random frame whose first s columns lie in C^p and next t in C^q, mixed."""
+    n, k, p = setup.n, setup.k, setup.p
+    cols = []
+    for j in range(k):
+        v = rng.randints(n, -2, 2)
+        if j < s:
+            v[p:] = [0] * (n - p)
+        elif j < s + t:
+            v[:p] = [0] * p
+        cols.append(v)
+    return QMatrix.from_cols(n, cols).mul(_random_invertible(k, rng))
+
+
+def _isotropic_frame(setup, sign, rng):
+    """A random maximal isotropic frame of so(2k, k) in the family of sign.
+
+    [I; R S] with R the k x k reversal and S skew is isotropic for the
+    antidiagonal form; swapping rows k-1 and k (a reflection that keeps
+    the form) moves it to the other family.
+    """
+    k = setup.k
+    skew = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            skew[a][b] = rng.randint(-2, 2)
+            skew[b][a] = -skew[a][b]
+    rows = QMatrix.identity(k).rows() + [skew[k - 1 - a] for a in range(k)]
+    if sign < 0:
+        rows[k - 1], rows[k] = rows[k], rows[k - 1]
+    return QMatrix.from_rows(rows).mul(_random_invertible(k, rng))
+
+
+def test_orbit_of_matches_intersection_reference_off_the_axes():
+    # block ranks of seeded random frames against Subspace intersections
+    rng = SeedStream(13)
+    for setup in [glpq(6, 3, 3, 3), glpq(7, 3, 4, 3), glpq(7, 4, 3, 4), glpq(8, 4, 5, 3)]:
+        seen = set()
+        for orbit in enumerate_orbits(setup):
+            for _ in range(4):
+                frame = _glpq_frame(setup, orbit.s, orbit.t, rng)
+                plane = Subspace.from_matrix(frame)
+                if plane.dim < setup.k:
+                    with pytest.raises(ValueError):
+                        orbit_of(setup, frame)
+                    continue
+                got = orbit_of(setup, frame)
+                assert got == orbit_of_by_intersection(setup, plane)
+                seen.add(got)
+        assert seen == set(enumerate_orbits(setup))
+    for setup in [Setup(Kind.SO, 6, 3), Setup(Kind.SO, 8, 4), Setup(Kind.SO, 10, 5)]:
+        for sign in (+1, -1):
+            for _ in range(6):
+                frame = _isotropic_frame(setup, sign, rng)
+                plane = Subspace.from_matrix(frame)
+                assert gram_matrix(setup, frame).is_zero()
+                assert split_family(setup, frame) == split_family_by_intersection(setup, plane) == sign
+                assert orbit_of(setup, frame) == orbit_of_by_intersection(setup, plane) == SplitOrbit(sign)
+
+
+def test_orbit_of_rejects_wrong_frames():
+    # the block-rank identity holds only for an n x k frame of rank k
+    for setup, orbit in [(glpq(6, 3, 3, 3), IntersectionOrbit(1, 1)),
+                         (Setup(Kind.SO, 8, 4), SplitOrbit(-1))]:
+        u = base_point(setup, orbit).u_matrix
+        n, k = setup.n, setup.k
+        for frame in [u.submatrix(range(n - 1), range(k)),     # wrong ambient dimension
+                      u.submatrix(range(n), range(k - 1)),     # too few columns
+                      u.hstack(u.submatrix(range(n), range(1))),  # too many columns
+                      QMatrix.from_cols(n, [u.col(0)] * k)]:   # rank below k
+            with pytest.raises(ValueError):
+                orbit_of(setup, frame)
 
 
 def _dense(n, entries):
@@ -357,6 +454,82 @@ def test_action_image_matches_dense_action():
                 coords = binv.mul(_dense(n, entries)).mul(bp.u_matrix)
                 want = coords.submatrix(range(k, n), range(k)).transpose()
                 assert image.row(r) == want.entries
+
+
+def _setups_up_to(nmax):
+    for n in range(2, nmax + 1):
+        for k in range(1, n):
+            for p in range(1, n):
+                yield glpq(n, k, p, n - p)
+            if n % 2 == 0:
+                yield Setup(Kind.SP, n, k)
+            yield Setup(Kind.SO, n, k)
+
+
+EQUIVALENCE = [*_setups_up_to(10), Setup(Kind.SO, 16, 8), Setup(Kind.SP, 16, 8),
+               glpq(12, 6, 6, 6)]
+
+
+@lru_cache(maxsize=None)
+def _dense_rank(setup, orbit):
+    return rank(action_image(setup, orbit))
+
+
+def _dimension_mismatches(dimension):
+    """Orbits of EQUIVALENCE where dimension disagrees with the dense action rank."""
+    return [(setup.describe(), format_orbit(setup, orbit))
+            for setup in EQUIVALENCE for orbit in enumerate_orbits(setup)
+            if dimension(setup, orbit) != _dense_rank(setup, orbit)]
+
+
+def test_sparse_action_matches_dense_reference():
+    # every nonzero of the sparse rows, and the per-component rank, against
+    # the dense action image and its whole-matrix rank
+    checked = 0
+    for setup in EQUIVALENCE:
+        for orbit in enumerate_orbits(setup):
+            image = action_image(setup, orbit)
+            rows = orbits._action_rows(setup, orbit)
+            assert len(rows) == image.nrows
+            for r, row in enumerate(rows):
+                assert all(row.values())
+                assert tuple(row.get(c, 0) for c in range(image.ncols)) == image.row(r)
+            checked += 1
+    assert checked > 1500
+    assert _dimension_mismatches(orbit_dimension) == []
+
+
+def test_equivalence_catches_unmerged_components(monkeypatch):
+    # a union-find that never merges leaves every column its own block
+    def unmerged(rows):
+        blocks = {}
+        for r, row in enumerate(rows):
+            for c, v in row.items():
+                blocks.setdefault(c, {})[r] = {c: v}
+        return [list(block.values()) for block in blocks.values()]
+
+    monkeypatch.setattr(orbits, "_components", unmerged)
+    assert _dimension_mismatches(orbit_dimension.__wrapped__)
+
+
+def test_orbit_dimension_ranks_only_small_blocks(monkeypatch):
+    # so(30,15): the action image is 435 x 225, but its components have at
+    # most 4 cells, and only those reach exactla.rank
+    setup = Setup(Kind.SO, 30, 15)
+    labels = enumerate_orbits(setup)
+    for orbit in labels:
+        base_point(setup, orbit)  # its adapted basis is ranked outside the record
+    shapes = []
+
+    def recording(m):
+        shapes.append((m.nrows, m.ncols))
+        return rank(m)
+
+    monkeypatch.setattr(orbits, "rank", recording)
+    for orbit in labels:
+        i = orbit.i if isinstance(orbit, RadicalOrbit) else setup.k
+        assert setup.dim_gr - orbit_dimension.__wrapped__(setup, orbit) == i * (i + 1) // 2
+    assert shapes and max(r * c for r, c in shapes) <= 4
 
 
 def test_orbit_dimension_examples():
