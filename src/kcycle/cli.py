@@ -6,6 +6,9 @@ order, and run the verification suites.  Output goes to stdout (or
 the closure diagram.  JSON documents carry a schema version and are
 byte-identical across runs with the same arguments and seed.
 
+main builds its parser once per process, on the first call, and is
+safe to call repeatedly: each call parses, computes and prints afresh.
+
 Exit codes: 0 on success, 1 when a verify suite reports a failed check,
 2 on bad input, a setup too large for memory or an unwritable --out
 file, and 3 when the conormal
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .ccengine import SUITES, characteristic_cycle, cross_check
 from .conormal import NoGenericCovector
@@ -28,7 +32,15 @@ from .orbits import ClosurePoset, Kind, Setup, enumerate_orbits, format_orbit, p
 SCHEMA_VERSION = "kcycle/1"
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on the first call.
+
+    It depends only on module constants, and parse_args does not mutate
+    it.  argparse reads sys.stdout, sys.stderr and the terminal width
+    when it prints, not when it is built, so redirected streams and
+    COLUMNS still apply to every call.
+    """
     parser = argparse.ArgumentParser(
         prog="kcycle",
         description="orbit closures on Grassmannians and their characteristic cycles",

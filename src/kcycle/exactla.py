@@ -8,10 +8,12 @@ Python int exactly when its value is integral, and a
 ``fractions.Fraction`` only when it is not.  A float entry raises
 TypeError, so a stray true division can never reach exact data.  Rank
 and reduced echelon forms are computed by elimination on integer rows;
-only rref's final division by its pivots can produce a Fraction.  An
-integral matrix goes into rank's elimination as row slices of its
-entries, with no scan or copy through int_rows; only a matrix holding a
-Fraction is cleared of denominators first.
+only rref's final division by its pivots can produce a Fraction.  A
+vector (at most one row or one column) is ranked without elimination,
+as 1 if any entry is nonzero and 0 otherwise.  Any other integral matrix
+goes into rank's elimination as row slices of its entries, with no scan
+or copy through int_rows; only a matrix holding a Fraction is cleared
+of denominators first.
 
 Random draws come from SeedStream, a splitmix64 generator whose
 randints(count, lo, hi) gives in one loop exactly the values, and the
@@ -154,13 +156,16 @@ class QMatrix:
 def rank(m: QMatrix) -> int:
     """Exact rank, by fraction-free (Bareiss) elimination on integer rows.
 
-    An integral matrix is eliminated on row slices of its entries, which
-    the loop replaces and never mutates; only a matrix holding a
-    Fraction is rescaled to integer rows by int_rows.
+    A vector (at most one row or at most one column, empty shapes
+    included) needs no elimination: its rank is 1 if any entry is
+    nonzero, else 0.  Any other integral matrix is eliminated on row
+    slices of its entries, which the loop replaces and never mutates;
+    only a matrix holding a Fraction is rescaled to integer rows by
+    int_rows.
     """
     e, nc = m.entries, m.ncols
-    if not nc:
-        return 0
+    if m.nrows < 2 or nc < 2:
+        return 1 if any(e) else 0
     if _all_int(e):
         rows = [r for r in (e[i:i + nc] for i in range(0, len(e), nc)) if any(r)]
     else:

@@ -470,10 +470,13 @@ def base_point(setup: Setup, orbit) -> BasePoint:
         cols, comp = _split_base_columns(setup, orbit.sign)
         rg, cg = (k, 0), (n - k,)
     basis = QMatrix.from_cols(n, cols + comp)
-    assert rank(basis) == n, "adapted basis must be invertible"
+    # explicit raises, not asserts, so that python -O keeps the self-check
+    if rank(basis) != n:
+        raise AssertionError("adapted basis must be invertible")
     bp = BasePoint(setup, orbit, basis, rg, cg)
     got = orbit_of(setup, bp.u_matrix)
-    assert got == orbit, f"constructed point sits on {got}, wanted {orbit}"
+    if got != orbit:
+        raise AssertionError(f"constructed point sits on {got}, wanted {orbit}")
     return bp
 
 

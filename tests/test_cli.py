@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -315,3 +316,37 @@ def test_help_text_is_pinned(capsys, monkeypatch):
     usage = HELP["verify"].split("\n\n")[0] + "\n"
     assert err == usage + ("kcycle verify: error: argument --seed: must be between "
                            "0 and 18446744073709551615, got -1\n")
+
+
+def test_second_main_call_builds_no_parser(capsys, monkeypatch):
+    argv = ["orbits"] + SO63
+    run(capsys, argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.startswith("# orbits (so n=6 k=3)")
+    assert built == []
+
+
+def test_repeated_main_calls_are_independent(capsys):
+    valid = ["verify"] + SO63 + ["--suite", "all", "--trials", "3", "--seed", "9",
+                                 "--format", "json"]
+    bad = ["verify"] + SO63 + ["--seed", "-1"]
+    first = run(capsys, valid)
+    error = run(capsys, bad)
+    helped = run(capsys, ["verify", "--help"])
+    again = run(capsys, valid)
+    assert first[0] == 0 and first[1] and first == again
+    assert helped[0] == 0 and helped[1].startswith("usage: kcycle verify ")
+    # a usage error reads as it does from a parser that never parsed before
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser.__wrapped__().parse_args(bad)
+    fresh = capsys.readouterr()
+    assert exc.value.code == 2 and error == (2, "", fresh.err)
+    assert "argument --seed: must be between 0 and " in fresh.err

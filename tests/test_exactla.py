@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from kcycle import exactla
 from kcycle.exactla import (
     SEED_MAX,
     QMatrix,
@@ -381,3 +382,28 @@ def test_rank_of_integral_matrix_skips_int_rows(monkeypatch):
         halves = QMatrix.from_rows([row[:-1] + [F(1, 2)] for row in m.rows()])
         for q in (frac, halves):
             assert rank(q) == to_sympy(q).rank()
+
+
+def test_vectors_rank_without_elimination(monkeypatch):
+    # every shape with at most one row or one column, up to length 6
+    shapes = sorted({(r, c) for r in range(7) for c in range(7) if min(r, c) <= 1})
+    cases = []
+    for r, c in shapes:
+        size = r * c
+        cases.append(QMatrix.zeros(r, c))
+        for at in range(size):
+            for value in (-3, F(2, 7)):
+                flat = [0] * size
+                flat[at] = value
+                cases.append(QMatrix.from_flat(r, c, flat))
+        cases.append(QMatrix.from_flat(r, c, [i - 2 for i in range(size)]))
+        cases.append(QMatrix.from_flat(r, c, [F(i + 1, 3) for i in range(size)]))
+    expected = [to_sympy(m).rank() for m in cases]
+    assert [rank(m) for m in cases] == expected
+
+    def refuse(*args):
+        raise AssertionError("a vector went into elimination")
+
+    monkeypatch.setattr(exactla, "_all_int", refuse)
+    monkeypatch.setattr(QMatrix, "int_rows", refuse)
+    assert [rank(m) for m in cases] == expected

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -560,3 +564,28 @@ def test_radical_codim_closed_form():
         for orbit in enumerate_orbits(setup):
             i = orbit.i
             assert setup.dim_gr - orbit_dimension(setup, orbit) == i * (i - 1) // 2
+
+
+def test_base_point_self_check_survives_optimize():
+    # a classifier that disagrees with the construction must stop base_point,
+    # with or without python -O, which strips assert statements
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from kcycle import orbits\n"
+        "from kcycle.orbits import Kind, RadicalOrbit, Setup\n"
+        "orbits.orbit_of = lambda setup, u: RadicalOrbit(0)\n"
+        "try:\n"
+        "    orbits.base_point(Setup(Kind.SO, 5, 2), RadicalOrbit(2))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised', sys.flags.optimize, exc)\n"
+        "else:\n"
+        "    print('returned', sys.flags.optimize)\n"
+    )
+    for flags, optimize in (([], 0), (["-O"], 1)):
+        done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.startswith(f"raised {optimize} constructed point sits on "), \
+            (flags, done.stdout)
