@@ -9,20 +9,23 @@ For a GLpq orbit the conormal space is a pair of literal blocks, the
 maps h sending C^q/U into U cap C^p and l sending C^p/U into U cap C^q;
 it is the kernel of the sparse action image of Lie(K) (see orbits).
 
-A sampled covector is its two blocks: the sampler draws h and l, in
-one batch per attempt, each straight into its own matrix, and ranks
-them to certify the draw generic; a block with no rows or no columns
-has rank 0 and is never ranked.  The covector keeps both blocks and
-both ranks, which the membership tests read; no k x (n-k) matrix is
-formed.
+A sampled covector is its two blocks.  Once per stratum,
+covector_sampler checks the kind, the height bound and that the orbit
+is not open, and works out the block shapes and their full ranks.  Per
+sample, draw_covector draws h and l, in one batch per attempt, each
+straight into its own matrix, and ranks them to certify the draw
+generic; a block with no rows or no columns has rank 0 and is never
+ranked.  The covector keeps both blocks and both ranks, which the
+membership tests read; no k x (n-k) matrix is formed.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .exactla import QMatrix, SeedStream, rank
+from .exactla import QMatrix, SeedStream, check_count, rank
 from .orbits import BasePoint, Kind
 
 
@@ -65,34 +68,62 @@ RETRY_BUDGET = 8
 _SAMPLE_TAG = zlib.crc32(b"conormal-sample")
 
 
-def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> ConormalVector:
-    """Deterministic generic covector in the conormal space of a GLpq orbit.
+class CovectorSampler(NamedTuple):
+    """What every covector drawn at one GLpq base point shares, checked once.
+
+    Built by covector_sampler: the block shapes of h and l, their
+    generic_block_ranks and the entry height bound.  A NamedTuple rather
+    than a frozen dataclass, which takes about ten times as long to define
+    at import.
+    """
+
+    base: BasePoint
+    h_shape: tuple
+    l_shape: tuple
+    h_full: int
+    l_full: int
+    height_bound: int
+
+
+def covector_sampler(base: BasePoint, height_bound: int = 100) -> CovectorSampler:
+    """The sampler of covectors at a GLpq base point, set up once per stratum.
+
+    Raises ValueError for another kind, for the open orbit, which has no
+    conormal directions, or for a height bound below 1.
+    """
+    if base.setup.kind != Kind.GLPQ:
+        raise ValueError("conormal sampling is for GLpq setups")
+    check_count("height_bound", height_bound)
+    (hr, hc), (lr, lc) = h_shape, l_shape = block_shapes(base)
+    # the two blocks span the conormal space: codim s(q-k+s) + t(p-k+t)
+    if hr * hc + lr * lc == 0:
+        raise ValueError("open orbit has no conormal directions to sample")
+    h_full, l_full = generic_block_ranks(base)
+    return CovectorSampler(base, h_shape, l_shape, h_full, l_full, height_bound)
+
+
+def draw_covector(sampler: CovectorSampler, seed: int) -> ConormalVector:
+    """Deterministic generic covector in the conormal space of the sampler's stratum.
 
     The two blocks are drawn and resampled (at most RETRY_BUDGET times)
     until both reach their generic_block_ranks, the largest ranks on
     the conormal space; the returned vector keeps its resample count.
     """
-    if base.setup.kind != Kind.GLPQ:
-        raise ValueError("conormal sampling is for GLpq setups")
     rng = SeedStream(seed).derive(_SAMPLE_TAG)
-    (hr, hc), (lr, lc) = block_shapes(base)
-    # the two blocks span the conormal space: codim s(q-k+s) + t(p-k+t)
-    if hr * hc + lr * lc == 0:
-        raise ValueError("open orbit has no conormal directions to sample")
-    h_full, l_full = generic_block_ranks(base)
-    nh = hr * hc
+    (hr, hc), (lr, lc) = sampler.h_shape, sampler.l_shape
+    nh, bound = hr * hc, sampler.height_bound
     for attempt in range(RETRY_BUDGET + 1):
         # one batch per attempt, h row-major then l row-major: entries
         # are ints, already canonical
-        draw = rng.randints(nh + lr * lc, -height_bound, height_bound)
+        draw = rng.randints(nh + lr * lc, -bound, bound)
         h = QMatrix(hr, hc, tuple(draw[:nh]))
         l = QMatrix(lr, lc, tuple(draw[nh:]))
         h_rank = _block_rank(h)
-        if h_rank < h_full:
+        if h_rank < sampler.h_full:
             continue
         l_rank = _block_rank(l)
-        if l_rank == l_full:
-            return ConormalVector(base, h, l, h_rank, l_rank, attempt)
+        if l_rank == sampler.l_full:
+            return ConormalVector(sampler.base, h, l, h_rank, l_rank, attempt)
     raise NoGenericCovector(
         f"no generic covector within {RETRY_BUDGET} resamples; "
         "this indicates a bug, not bad luck"

@@ -17,10 +17,11 @@ n-1-k < k, so identity rows; the opposite chart (n = 2k) is the mirror
 case.  So every Gram entry is a constant plus signed chart coordinates,
 S(a) = C + sum of eps * a[src] placed at fixed entries dst, and the
 differential does not depend on a.  _section_plan lists C and the
-(dst, src, eps) triples once per (kind, n, k, chart); section_value and
-_differential_values both read it, so no frame is built and J is never
-multiplied.  The transversality constraints are read off entries the
-same way.  A chart point is drawn in one batch straight into its matrix.
+(dst, src, eps) triples once per (kind, n, k, chart); _section_entries
+and _differential_values both read it, so no frame is built and J is
+never multiplied.  The transversality constraints are read off entries
+the same way.  A chart point is drawn in one batch straight into its
+matrix.
 
 A value x is ranked through a smaller matrix.  In the standard chart C
 is zero outside one m x m block, m = 2k - n, rows and columns
@@ -32,6 +33,12 @@ gives rank x = m + rank phi(x) for the (n-k)-square Schur complement
 phi = x11 - x12 J0^-1 x21.  J0^-1 is the signed transpose of J0, so
 phi is integer multiply and add.  _schur_plan checks these facts once
 per chart; at m = 0 (n = 2k, both charts) x is ranked itself.
+
+The sweep does its set-up once per chart: chart_for checks the chart,
+fetches both plans and works out the flavor and the top rank.  Per
+point it does only the point's own work: transverse_at reads the flat
+value off the plan and ranks it through phi, and only a point below top
+rank builds its value matrix and its constraint rows.
 form_flavor is the one map from a setup kind to its matrix flavor.
 """
 
@@ -40,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter, mul, sub
+from typing import NamedTuple
 
 from .exactla import QMatrix, SeedStream, check_count, rank
 from .matrixstrata import Flavor, flavor_dim, pairing_row, product_rows
@@ -61,20 +69,27 @@ class ChartPoint:
 
 
 def random_chart_point(n: int, k: int, rng: SeedStream, height_bound: int = 9) -> ChartPoint:
+    check_count("height_bound", height_bound)
     # row-major draws of ints, already canonical
     draws = rng.randints((n - k) * k, -height_bound, height_bound)
     return ChartPoint(QMatrix(n - k, k, tuple(draws)))
 
 
-def _check_chart(setup: Setup, a: ChartPoint, center_last: bool) -> None:
+def _chart_flavor(setup: Setup, center_last: bool) -> Flavor:
+    """The form's flavor, once the chart is checked to exist for the setup."""
     n, k = setup.n, setup.k
-    form_flavor(setup.kind)  # raises for GLpq, which has no form
+    flavor = form_flavor(setup.kind)  # raises for GLpq, which has no form
     if k < n - k:
         raise ValueError("chart sections require k >= n - k")
-    if a.a.nrows != n - k or a.a.ncols != k:
-        raise ValueError("chart point must be (n-k) x k")
     if center_last and n != 2 * k:
         raise ValueError("the opposite chart only exists at n = 2k")
+    return flavor
+
+
+def _check_chart(setup: Setup, a: ChartPoint, center_last: bool) -> None:
+    _chart_flavor(setup, center_last)
+    if a.a.nrows != setup.n - setup.k or a.a.ncols != setup.k:
+        raise ValueError("chart point must be (n-k) x k")
 
 
 @lru_cache(maxsize=64)
@@ -156,39 +171,57 @@ def _schur_plan(kind: Kind, n: int, k: int, center_last: bool) -> tuple:
     return len(block), outside, tuple(triples), _reader([i * k + j for i, j in pairs]), terms
 
 
-def _value_rank(setup: Setup, x: QMatrix, center_last: bool) -> int:
-    """rank x, as m + rank phi(x) for phi = x11 - x12 J0^-1 x21 (module docstring).
+class Chart(NamedTuple):
+    """One chart of a normalized setup, with what all its points share.
 
-    x is a section value of the chart; phi is (n-k)-square and built
-    entrywise from x by the plan's readers.  At m = 0 phi would be x
-    itself, so x is ranked as it is.
+    Built once per chart by chart_for: the checked flavor, the top rank
+    a flavored k x k value can have, the section plan and the Schur plan.
+    A NamedTuple rather than a frozen dataclass, which takes about ten
+    times as long to define at import.
     """
+
+    setup: Setup
+    center_last: bool
+    flavor: Flavor
+    top: int
+    const: tuple
+    plan: tuple
+    schur: tuple  # _schur_plan's (m, outside, triples, read_x11, terms)
+
+
+def chart_for(setup: Setup, center_last: bool = False) -> Chart:
+    """Check the chart and gather its plans; raises as _check_chart does."""
     n, k = setup.n, setup.k
-    m, _, _, read_x11, terms = _schur_plan(setup.kind, n, k, center_last)
-    if not m:
-        return rank(x)
-    e = x.entries
-    phi = read_x11(e)
-    for op, read_col, read_row in terms:
-        phi = map(op, phi, map(mul, read_col(e), read_row(e)))
-    return m + rank(QMatrix.from_flat(n - k, n - k, phi))
+    flavor = _chart_flavor(setup, center_last)
+    top = k if flavor == Flavor.SYMMETRIC else k - (k % 2)
+    const, plan = _section_plan(setup.kind, n, k, center_last)
+    return Chart(setup, center_last, flavor, top, const, plan,
+                 _schur_plan(setup.kind, n, k, center_last))
 
 
-def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMatrix:
-    """Gram matrix of the form on the plane with chart coordinates ``a``.
-
-    The default chart consists of graphs over span{e_1..e_k}; with
-    ``center_last`` (square case only) the plane is a graph over
-    span{e_{k+1}..e_n} instead.  The value is affine in ``a`` (module
-    docstring): the plan's constants plus eps * a[src] at each dst.
-    """
-    _check_chart(setup, a, center_last)
-    const, plan = _section_plan(setup.kind, setup.n, setup.k, center_last)
+def _section_entries(const: tuple, plan: tuple, e) -> list:
+    """The flat k x k value at chart entries e: the constants plus eps * e[src] at each dst."""
     out = list(const)
-    e = a.a.entries
     for dst, src, eps in plan:
         out[dst] += eps * e[src]
-    return QMatrix.from_flat(setup.k, setup.k, out)
+    return out
+
+
+def _value_rank(chart: Chart, x: list) -> int:
+    """rank x, as m + rank phi(x) for phi = x11 - x12 J0^-1 x21 (module docstring).
+
+    x is a flat section value of the chart; phi is (n-k)-square and
+    built entrywise from x by the plan's readers.  At m = 0 phi would be
+    x itself, so x is ranked as it is.
+    """
+    n, k = chart.setup.n, chart.setup.k
+    m, _, _, read_x11, terms = chart.schur
+    if not m:
+        return rank(QMatrix.from_flat(k, k, x))
+    phi = read_x11(x)
+    for op, read_col, read_row in terms:
+        phi = map(op, phi, map(mul, read_col(x), read_row(x)))
+    return m + rank(QMatrix.from_flat(n - k, n - k, phi))
 
 
 def _differential_values(setup: Setup, a: ChartPoint,
@@ -207,30 +240,28 @@ def _differential_values(setup: Setup, a: ChartPoint,
     return [QMatrix(k, k, tuple(v)) for v in values]
 
 
-def verify_transversality(setup: Setup, a: ChartPoint,
-                          center_last: bool = False) -> bool:
-    """Check the section meets the stratum of its value transversally.
+def transverse_at(chart: Chart, a: ChartPoint) -> bool:
+    """Check the section meets the stratum of its value transversally at ``a``.
 
-    The tangent space of a rank stratum at x is {Yx + x Y^T}; its
-    trace-pairing annihilator is {C : xC = 0}.  Transversality of the
-    section at ``a`` says no nonzero such C is also trace-perpendicular
-    to the image of the differential, which is a rank condition on the
-    stacked constraints of _constraint_rows.
+    The value is read off the chart's plan and ranked through its Schur
+    complement; one of top rank sits on the open stratum, whose tangent
+    space is everything.  Below top rank: the tangent space of a rank
+    stratum at x is {Yx + x Y^T}; its trace-pairing annihilator is
+    {C : xC = 0}.  Transversality at ``a`` says no nonzero such C is
+    also trace-perpendicular to the image of the differential, which is
+    a rank condition on the stacked constraints of _constraint_rows.
+    ``a`` must be a point of the chart's shape.
     """
-    k = setup.k
-    flavor = form_flavor(setup.kind)
-    x = section_value(setup, a, center_last)
-    top = k if flavor == Flavor.SYMMETRIC else k - (k % 2)
-    if _value_rank(setup, x, center_last) == top:
-        # values of maximal rank sit on the open stratum, whose tangent
-        # space is everything
+    x = _section_entries(chart.const, chart.plan, a.a.entries)
+    if _value_rank(chart, x) == chart.top:
         return True
-    rows = _constraint_rows(setup, a, center_last, x)
-    return rank(QMatrix.from_rows(rows)) == flavor_dim(flavor, k)
+    setup, k = chart.setup, chart.setup.k
+    rows = _constraint_rows(setup, a, chart.center_last, QMatrix.from_flat(k, k, x))
+    return rank(QMatrix.from_rows(rows)) == flavor_dim(chart.flavor, k)
 
 
 def _constraint_rows(setup: Setup, a: ChartPoint, center_last: bool, x: QMatrix) -> list:
-    """verify_transversality's functionals on C in flavor coordinates.
+    """transverse_at's functionals on C in flavor coordinates.
 
     First tr(C v) for each differential value v, then the entries of xC,
     each read off one or two entries of v or x.
@@ -281,13 +312,11 @@ def run_transversality_suite(setup: Setup, points: int = 100,
         charts.append(True)
     results = []
     for center_last in charts:
+        chart = chart_for(work, center_last)
         rng = SeedStream(seed).derive(
             "transversality", work.describe(), "opposite" if center_last else "standard"
         )
-        failures = 0
-        for _ in range(points):
-            a = random_chart_point(n, k, rng)
-            if not verify_transversality(work, a, center_last):
-                failures += 1
+        failures = sum(not transverse_at(chart, random_chart_point(n, k, rng))
+                       for _ in range(points))
         results.append(ChartSuiteResult(center_last, points, failures))
     return TransversalityResult(work, tuple(results))

@@ -250,13 +250,6 @@ def solve(m: QMatrix, v: Sequence):
         x[c] = rows[r_i][m.ncols]
     return x
 
-def inverse(m: QMatrix) -> QMatrix:
-    assert m.nrows == m.ncols
-    n = m.nrows
-    pivots, rows = rref(m.hstack(QMatrix.identity(n)))
-    assert pivots == list(range(n)), "matrix is singular"
-    return QMatrix.from_rows([row[n:] for row in rows])
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -337,7 +330,11 @@ def check_seed(seed: int) -> None:
 
 
 def check_count(name: str, count: int) -> None:
-    """A sampled check that examined nothing could not fail: count must be positive."""
+    """count must be positive.
+
+    A sampled check that examined nothing could not fail, and a height
+    bound below 1 draws only zeros, or from an empty range.
+    """
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
 
@@ -368,7 +365,8 @@ class SeedStream:
 
     def randints(self, count: int, lo: int, hi: int) -> list:
         """count draws from [lo, hi]: the values, and final state, of count randint calls."""
-        assert lo <= hi
+        if lo > hi:
+            raise ValueError(f"empty draw range [{lo}, {hi}]")
         span, mask = hi - lo + 1, _MASK64
         z = self.state
         out = []

@@ -47,7 +47,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .exactla import QMatrix, Subspace, inverse, rank
+from .exactla import QMatrix, Subspace, rank
 
 
 class Kind(str, Enum):
@@ -550,6 +550,44 @@ def lie_algebra_basis(setup: Setup) -> tuple:
     return tuple(out)
 
 
+def _adapted_inverse(basis: QMatrix) -> QMatrix:
+    """B^-1 of an adapted basis, read off its columns without elimination.
+
+    Every column of B is a unit vector e_b or a sum e_a + e_b of two
+    units one of which, e_b, is itself a column.  So e_r is column j
+    when e_r is a column, and otherwise e_r = B e_j - B e_j' for the sum
+    column j = e_r + e_b and the unit column j' = e_b.  Raises
+    ValueError for a column of neither kind, or unless the columns give
+    each of the n unit vectors this way exactly once (else B is singular).
+    """
+    n, ncols = basis.nrows, basis.ncols
+    supports = [[] for _ in range(ncols)]  # the nonzero rows of each column
+    for i, v in enumerate(basis.entries):
+        if v:
+            supports[i % ncols].append(i // ncols if v == 1 else -1)
+    for j, support in enumerate(supports):
+        if len(support) not in (1, 2) or -1 in support:
+            raise ValueError(f"column {j} of the basis is neither e_a nor e_a + e_b")
+    unit = {s[0]: j for j, s in enumerate(supports) if len(s) == 1}
+    read = set(unit)  # the r whose e_r is read off
+    inv = [[0] * n for _ in supports]  # inv[j][r] = B^-1[j, r]
+    for r, j in unit.items():
+        inv[j][r] = 1
+    for j, support in enumerate(supports):
+        if len(support) == 2:
+            free = [r for r in support if r not in unit]
+            if len(free) != 1:
+                raise ValueError(f"column {j} of the basis is e_a + e_b, but not "
+                                 "exactly one of e_a, e_b is a column")
+            r = free[0]
+            b = support[1] if r == support[0] else support[0]
+            inv[j][r], inv[unit[b]][r] = 1, -1
+            read.add(r)
+    if len(supports) != n or len(read) != n:
+        raise ValueError("the basis is not square and invertible")
+    return QMatrix(n, n, tuple(v for row in inv for v in row))
+
+
 def _action_rows(setup: Setup, orbit) -> list:
     """Image of Lie(K) in the tangent space at the orbit's base point.
 
@@ -564,7 +602,7 @@ def _action_rows(setup: Setup, orbit) -> list:
     bp = base_point(setup, orbit)
     n, k = setup.n, setup.k
     nk = n - k
-    basis, binv = bp.basis, inverse(bp.basis)
+    basis, binv = bp.basis, _adapted_inverse(bp.basis)
     u_part = [[(j * nk, v) for j in range(k) if (v := basis[b, j])] for b in range(n)]
     comp_part = [[(c, v) for c in range(nk) if (v := binv[k + c, a])] for a in range(n)]
     rows = []

@@ -12,8 +12,9 @@ decide membership; every trial must agree, and every witness is checked.
 
 Everything here past ``verify_microlocal_empty``, the one entry that
 validates and normalizes original labels, works in normalized labels:
-covectors are drawn once per stratum (``draw_conormals``) and judged
-per target (``judge_microlocal``, which reads the setup and stratum off
+covectors are drawn once per stratum (``draw_conormals``, which sets up
+one sampler and draws every trial seed in one batch, then draws each
+covector on its own seed) and judged per target (``judge_microlocal``, which reads the setup and stratum off
 the covectors' base point and picks the resolution).  Emptiness of the
 microlocal fiber over a generic covector is what kills the extra terms
 in the characteristic cycle.
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .exactla import QMatrix, SeedStream, Subspace, check_count, kernel, solve
-from .conormal import ConormalVector, generic_block_ranks, sample_conormal
+from .exactla import SEED_MAX, QMatrix, SeedStream, Subspace, check_count, kernel, solve
+from .conormal import ConormalVector, covector_sampler, draw_covector, generic_block_ranks
 from .orbits import (
     BasePoint,
     ClosurePoset,
@@ -211,9 +212,11 @@ def draw_conormals(base: BasePoint, trials: int = 20, seed: int = 0) -> tuple:
     derived from the seed, the setup and the stratum alone, so every
     target above the stratum can judge the same draws.
     """
+    sampler = covector_sampler(base)
     work, strat = base.setup, base.orbit
     rng = SeedStream(seed).derive("microlocal", work.describe(), format_orbit(work, strat))
-    return tuple(sample_conormal(base, rng.next_u64()) for _ in range(trials))
+    # one batch of trial seeds: the values of trials next_u64 calls
+    return tuple(draw_covector(sampler, s) for s in rng.randints(trials, 0, SEED_MAX))
 
 
 def judge_microlocal(target, covectors) -> MicrolocalVerdict:

@@ -5,6 +5,8 @@ so a test can compare the two, or builds seeded test data:
 
 * ``random_matrix``, ``random_matrix_from`` and ``random_flavored_matrix``
   draw seeded integer matrices, the last of a given flavor and rank.
+* ``inverse`` inverts by elimination; ``orbits._adapted_inverse`` reads
+  the inverse of an adapted basis off its columns and must match it.
 * ``solve_homogeneous``, the common kernel of a list of functionals,
   underlies the dense complements below.
 * ``coordinate_basis`` and ``trace_pairing`` form the dense basis
@@ -14,13 +16,15 @@ so a test can compare the two, or builds seeded test data:
   between matrices and flavor coordinates.
 * ``conormal_condition``, ``tangent_space_at`` and ``conormal_solutions``
   give the dense tangent and conormal geometry of the rank strata,
-  which ``degeneracy.verify_transversality`` reads as the entries of
-  xC through ``matrixstrata.product_rows``.
+  which ``degeneracy.transverse_at`` reads as the entries of xC through
+  ``matrixstrata.product_rows``.
 * ``conormal_space`` is the literal-block conormal space of a GLpq
   orbit, the second route beside the kernel of ``action_image``;
   ``max_conormal_rank`` is the closed-form rank that
-  ``conormal.sample_conormal`` must reach, and ``conormal_matrix``
+  ``conormal.draw_covector`` must reach, and ``conormal_matrix``
   places a sampled covector's two blocks in its k x (n-k) matrix.
+  ``sample_conormal`` draws one covector on a sampler set up for it
+  alone, through the sweep's per-sample ``conormal.draw_covector``.
 * ``form_matrix`` is the dense invariant form that ``orbits.form_sign``
   and everything read off its signs replace; ``perp`` and
   ``annihilator`` are the dense complements that the duality
@@ -35,15 +39,19 @@ so a test can compare the two, or builds seeded test data:
   blocks of a frame.
 * ``open_orbit`` finds the open orbit from the closure order alone.
 * ``section_differential_image`` spans the differential of the Gram
-  section that ``degeneracy.verify_transversality`` reads off its plan.
+  section that ``degeneracy.transverse_at`` reads off its plan.
+  ``section_value`` and ``verify_transversality`` evaluate and check one
+  point on a chart set up for it alone, through the sweep's per-point
+  steps (``degeneracy._section_entries``, ``degeneracy.transverse_at``).
 """
 
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from kcycle.conormal import ConormalVector
+from kcycle import degeneracy
+from kcycle.conormal import ConormalVector, covector_sampler, draw_covector
 from kcycle.degeneracy import ChartPoint, _differential_values, form_flavor
-from kcycle.exactla import QMatrix, SeedStream, Subspace, inverse, kernel, rank
+from kcycle.exactla import QMatrix, SeedStream, Subspace, kernel, rank, rref
 from kcycle.matrixstrata import (
     Flavor,
     StratumId,
@@ -83,6 +91,14 @@ def random_matrix_from(rng: SeedStream, nrows: int, ncols: int, height_bound: in
     # row-major draws of ints, already canonical
     return QMatrix(nrows, ncols,
                    tuple(rng.randints(nrows * ncols, -height_bound, height_bound)))
+
+
+def inverse(m: QMatrix) -> QMatrix:
+    assert m.nrows == m.ncols
+    n = m.nrows
+    pivots, rows = rref(m.hstack(QMatrix.identity(n)))
+    assert pivots == list(range(n)), "matrix is singular"
+    return QMatrix.from_rows([row[n:] for row in rows])
 
 
 def solve_homogeneous(constraints: Iterable[Sequence], dim: int) -> "Subspace":
@@ -238,6 +254,11 @@ def conormal_matrix(xi: ConormalVector) -> QMatrix:
     return QMatrix(setup.k, nk, tuple(flat))
 
 
+def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> ConormalVector:
+    """One covector as the sweep draws it, on a sampler set up for it alone."""
+    return draw_covector(covector_sampler(base, height_bound), seed)
+
+
 # ---------------------------------------------------------------------------
 # orbits
 
@@ -330,6 +351,28 @@ def open_orbit(pos: ClosurePoset):
 
 # ---------------------------------------------------------------------------
 # the Gram section
+
+def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMatrix:
+    """Gram matrix of the form on the plane with chart coordinates ``a``.
+
+    The default chart consists of graphs over span{e_1..e_k}; with
+    ``center_last`` (square case only) the plane is a graph over
+    span{e_{k+1}..e_n} instead.  The value is read off the section plan
+    as the sweep reads it, and only that plan: no Schur plan is built,
+    so a wrong section plan gives a wrong value here without raising.
+    """
+    degeneracy._check_chart(setup, a, center_last)
+    const, plan = degeneracy._section_plan(setup.kind, setup.n, setup.k, center_last)
+    return QMatrix.from_flat(setup.k, setup.k,
+                             degeneracy._section_entries(const, plan, a.a.entries))
+
+
+def verify_transversality(setup: Setup, a: ChartPoint, center_last: bool = False) -> bool:
+    """The sweep's per-point check at one point, on a chart set up for it alone."""
+    chart = degeneracy.chart_for(setup, center_last)
+    degeneracy._check_chart(setup, a, center_last)
+    return degeneracy.transverse_at(chart, a)
+
 
 def section_differential_image(setup: Setup, a: ChartPoint,
                                center_last: bool = False) -> Subspace:

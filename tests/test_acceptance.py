@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 from kcycle.ccengine import characteristic_cycle, pullback_cc
-from kcycle.conormal import sample_conormal
 from kcycle.degeneracy import run_transversality_suite
 from kcycle.exactla import QMatrix, SeedStream, rank
 from kcycle.matrixstrata import Flavor, flavor_dim
@@ -41,6 +40,7 @@ from reference import (
     flavor_from_coords,
     max_conormal_rank,
     random_flavored_matrix,
+    sample_conormal,
     tangent_space_at,
     trace_pairing,
 )

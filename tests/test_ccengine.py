@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kcycle.ccengine import (
@@ -269,3 +271,64 @@ def test_sampled_checks_reject_counts_below_one():
                 cross_check(setup, trials=bad, points=1)
             with pytest.raises(ValueError, match="points"):
                 cross_check(setup, trials=1, points=bad)
+
+
+def test_sweep_draws_are_pinned(monkeypatch):
+    # output bytes never show the draws, so pin them: every covector that
+    # check_microlocal draws (blocks, ranks, retries) over glpq with n <= 6,
+    # and every chart point of run_transversality_suite over sp/so with
+    # n <= 8, with each rank taken on the way and the verdict read off them
+    from kcycle import ccengine, degeneracy
+    from kcycle.exactla import SeedStream
+    from kcycle.matrixstrata import flavor_dim
+
+    covectors = hashlib.sha256()
+    real_draw = ccengine.draw_conormals
+
+    def recording_draw(base, trials, seed):
+        drawn = real_draw(base, trials=trials, seed=seed)
+        for xi in drawn:
+            covectors.update(repr((base.setup.describe(), base.orbit, xi.h_block, xi.l_block,
+                                   xi.h_rank, xi.l_rank, xi.retries)).encode())
+        return drawn
+
+    monkeypatch.setattr(ccengine, "draw_conormals", recording_draw)
+    for setup in _all_setups(6, kinds=(Kind.GLPQ,)):
+        check_microlocal(setup, seed=5)
+    monkeypatch.undo()
+
+    events = []
+    real_randints, real_rank = SeedStream.randints, degeneracy.rank
+
+    def recording_randints(self, count, lo, hi):
+        out = real_randints(self, count, lo, hi)
+        events.append((tuple(out), []))
+        return out
+
+    def recording_rank(m):
+        r = real_rank(m)
+        events[-1][1].append((m, r))
+        return r
+
+    monkeypatch.setattr(SeedStream, "randints", recording_randints)
+    monkeypatch.setattr(degeneracy, "rank", recording_rank)
+    points, degenerate = hashlib.sha256(), 0
+    for setup in _all_setups(8, kinds=(Kind.SP, Kind.SO)):
+        events.clear()
+        result = run_transversality_suite(setup, seed=5)
+        k = result.setup.k
+        flavor = degeneracy.form_flavor(setup.kind)
+        # a point ranks its value (through phi), and only a degenerate one
+        # ranks its constraint rows, whose full rank is its verdict
+        verdicts = [len(ranks) == 1 or ranks[1][1] == flavor_dim(flavor, k)
+                    for _, ranks in events]
+        assert all(len(ranks) in (1, 2) for _, ranks in events)
+        assert len(events) == sum(c.points for c in result.charts)
+        assert verdicts.count(False) == sum(c.failures for c in result.charts)
+        degenerate += sum(len(ranks) == 2 for _, ranks in events)
+        points.update(repr((setup.describe(), events, verdicts)).encode())
+    assert degenerate > 0
+    assert covectors.hexdigest() == (
+        "d799a77d2e20fc7cf1f737bef007a38da6822f158eb96da1cf52a41a600c5a57")
+    assert points.hexdigest() == (
+        "12f32d1264d5d19594685bc6ca8d2d78d3963c589a35b1d2e0f368bde6f0c37b")

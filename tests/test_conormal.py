@@ -1,7 +1,6 @@
 import pytest
 
 from kcycle.exactla import QMatrix, SeedStream, kernel, rank
-from kcycle.conormal import sample_conormal
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -19,6 +18,7 @@ from reference import (
     conormal_space,
     max_conormal_rank,
     open_orbit,
+    sample_conormal,
 )
 
 

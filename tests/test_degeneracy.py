@@ -6,11 +6,10 @@ from kcycle import degeneracy, orbits
 from kcycle.ccengine import pullback_cc
 from kcycle.degeneracy import (
     ChartPoint,
+    chart_for,
     form_flavor,
     random_chart_point,
     run_transversality_suite,
-    section_value,
-    verify_transversality,
 )
 from kcycle.exactla import QMatrix, SeedStream, rank
 from kcycle.matrixstrata import Flavor, flavor_dim
@@ -30,7 +29,9 @@ from reference import (
     form_matrix,
     is_flavored,
     section_differential_image,
+    section_value,
     trace_pairing,
+    verify_transversality,
 )
 
 SO53 = Setup(Kind.SO, 5, 3)
@@ -119,14 +120,15 @@ def test_schur_rank_is_the_rank_of_the_value():
         assert triples == tuple((n - 1 - d, d, orbits.form_sign(setup.kind, n, d))
                                 for d in range(n - k, k))
         x0 = section_value(setup, _zero_chart(n, k), center_last)
-        assert rank(x0) == degeneracy._value_rank(setup, x0, center_last) == m
+        chart = chart_for(setup, center_last)
+        assert rank(x0) == degeneracy._value_rank(chart, list(x0.entries)) == m
         rng = SeedStream(31).derive("schur-rank", setup.describe(), center_last)
         low = [random_chart_point(n, k, rng, height_bound=1) for _ in range(12)]
         points = low + [random_chart_point(n, k, rng) for _ in range(12)]
         for i, a in enumerate(points):
             x = section_value(setup, a, center_last)
             r = rank(x)
-            assert degeneracy._value_rank(setup, x, center_last) == r, (setup, center_last)
+            assert degeneracy._value_rank(chart, list(x.entries)) == r, (setup, center_last)
             if i < len(low) and r < _top_rank(setup):
                 degenerate += 1
                 if m:
@@ -140,18 +142,18 @@ def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
     # at a point whose value has full rank, the only matrix ranked is the
     # (n-k)-square phi; the k x k value itself is never ranked
     calls = []
-    real_rank, real_verify = degeneracy.rank, degeneracy.verify_transversality
+    real_rank, real_transverse = degeneracy.rank, degeneracy.transverse_at
 
     def recording_rank(m):
         calls[-1][1].append((m.nrows, m.ncols))
         return real_rank(m)
 
-    def recording_verify(setup, a, center_last=False):
-        calls.append((section_value(setup, a, center_last), []))
-        return real_verify(setup, a, center_last)
+    def recording_transverse(chart, a):
+        calls.append((section_value(chart.setup, a, chart.center_last), []))
+        return real_transverse(chart, a)
 
     monkeypatch.setattr(degeneracy, "rank", recording_rank)
-    monkeypatch.setattr(degeneracy, "verify_transversality", recording_verify)
+    monkeypatch.setattr(degeneracy, "transverse_at", recording_transverse)
     for setup, seed in ((Setup(Kind.SO, 8, 5), 3), (Setup(Kind.SP, 8, 6), 3),
                         (Setup(Kind.SO, 7, 4), 3)):
         n, k = setup.n, setup.k
@@ -161,6 +163,28 @@ def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
         assert len(calls) == 100 and len(full) >= 90
         assert all(shapes == [(n - k, n - k)] for shapes in full), setup
         assert all((k, k) not in shapes for _, shapes in calls)
+
+
+def test_each_chart_is_set_up_once(monkeypatch):
+    # the sweep checks each chart and gathers its plans once, then judges
+    # every point of that chart on the one Chart
+    real_chart, real_transverse = degeneracy.chart_for, degeneracy.transverse_at
+    built, judged = [], []
+
+    def counting_chart(setup, center_last=False):
+        built.append(real_chart(setup, center_last))
+        return built[-1]
+
+    def counting_transverse(chart, a):
+        judged.append(chart)
+        return real_transverse(chart, a)
+
+    monkeypatch.setattr(degeneracy, "chart_for", counting_chart)
+    monkeypatch.setattr(degeneracy, "transverse_at", counting_transverse)
+    assert run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1).all_ok
+    assert [c.center_last for c in built] == [False, True]
+    assert len(judged) == 60
+    assert all(c is built[i // 30] for i, c in enumerate(judged))
 
 
 @pytest.fixture

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
@@ -9,13 +13,12 @@ from kcycle.exactla import (
     QMatrix,
     SeedStream,
     Subspace,
-    inverse,
     kernel,
     rank,
     rref,
     solve,
 )
-from reference import conormal_matrix, random_matrix, solve_homogeneous
+from reference import conormal_matrix, inverse, random_matrix, sample_conormal, solve_homogeneous
 
 
 def to_sympy(m: QMatrix) -> sympy.Matrix:
@@ -237,6 +240,46 @@ def _canonical(values) -> bool:
     return all(type(x) is int or (type(x) is F and x.denominator != 1) for x in values)
 
 
+def test_bad_draw_ranges_raise_under_optimize():
+    # an empty draw range and a height bound below 1 raise ValueError, with
+    # or without python -O, which strips assert statements
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from kcycle.conormal import covector_sampler\n"
+        "from kcycle.degeneracy import random_chart_point\n"
+        "from kcycle.exactla import SeedStream\n"
+        "from kcycle.orbits import IntersectionOrbit, Kind, Setup, base_point\n"
+        "bp = base_point(Setup(Kind.GLPQ, 4, 2, p=2, q=2), IntersectionOrbit(1, 0))\n"
+        "calls = [lambda: SeedStream(1).randints(4, 1, -1),\n"
+        "         lambda: SeedStream(1).randint(0, -1),\n"
+        "         lambda: random_chart_point(4, 2, SeedStream(1), height_bound=-1),\n"
+        "         lambda: random_chart_point(4, 2, SeedStream(1), height_bound=0),\n"
+        "         lambda: covector_sampler(bp, height_bound=0),\n"
+        "         lambda: covector_sampler(bp, height_bound=-3)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('raised', exc)\n"
+        "    else:\n"
+        "        print('returned')\n"
+        "print('optimize', sys.flags.optimize)\n"
+    )
+    for flags, optimize in (([], 0), (["-O"], 1)):
+        done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        lines = done.stdout.splitlines()
+        assert lines[-1] == f"optimize {optimize}"
+        assert lines[:2] == ["raised empty draw range [1, -1]", "raised empty draw range [0, -1]"]
+        assert lines[2:6] == ["raised height_bound must be at least 1, got -1",
+                              "raised height_bound must be at least 1, got 0",
+                              "raised height_bound must be at least 1, got 0",
+                              "raised height_bound must be at least 1, got -3"], (flags, lines)
+
+
 def test_float_entries_rejected():
     builds = [
         lambda: QMatrix.from_rows([[0.1]]),
@@ -308,7 +351,6 @@ def test_int_core_agrees_with_fraction_input():
 def test_sample_streams_pinned():
     # every sampled route's draws, pinned literally: chart points and GLpq
     # blocks (retries included)
-    from kcycle.conormal import sample_conormal
     from kcycle.degeneracy import random_chart_point
     from kcycle.orbits import IntersectionOrbit, Kind, Setup, base_point
 

@@ -8,7 +8,7 @@ import pytest
 
 from kcycle import orbits
 from kcycle.degeneracy import form_flavor
-from kcycle.exactla import QMatrix, SeedStream, Subspace, inverse, rank
+from kcycle.exactla import QMatrix, SeedStream, Subspace, rank
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -33,6 +33,7 @@ from reference import (
     action_image,
     annihilator,
     form_matrix,
+    inverse,
     is_flavored,
     open_orbit,
     orbit_of_by_intersection,
@@ -501,6 +502,45 @@ def test_sparse_action_matches_dense_reference():
             checked += 1
     assert checked > 1500
     assert _dimension_mismatches(orbit_dimension) == []
+
+
+def test_adapted_inverse_matches_elimination():
+    # B^-1 read off the columns of each adapted basis equals the inverse by
+    # elimination, at every base point with n <= 10 and at three large ones
+    large = [Setup(Kind.SO, 30, 15), Setup(Kind.SP, 24, 12), glpq(16, 8, 8, 8)]
+    checked = 0
+    for setup in [*_setups_up_to(10), *large]:
+        for orbit in enumerate_orbits(setup):
+            basis = base_point(setup, orbit).basis
+            assert orbits._adapted_inverse(basis) == inverse(basis)
+            checked += 1
+    assert checked > 1800
+
+
+def test_adapted_inverse_rejects_other_columns():
+    # glpq(6,3,4,2) at (1,1): columns e0, e4, e1 + e5, then e2, e3, e1
+    basis = base_point(glpq(6, 3, 4, 2), IntersectionOrbit(1, 1)).basis
+    cols = [list(basis.col(j)) for j in range(6)]
+    assert cols[2] == [0, 1, 0, 0, 0, 1] and cols[5] == [0, 1, 0, 0, 0, 0]
+
+    def with_column(j, col):
+        return QMatrix.from_cols(6, cols[:j] + [col] + cols[j + 1:])
+
+    for bad in (with_column(0, [2, 0, 0, 0, 0, 0]), with_column(2, [0, 1, 0, 0, 1, 1]),
+                with_column(2, [0, -1, 0, 0, 0, 1])):
+        with pytest.raises(ValueError, match="neither"):
+            orbits._adapted_inverse(bad)
+    # a sum whose units are both columns (e1 + e4, or e1 + e5 beside e5), or
+    # neither (e1 + e5 once e1 is dropped)
+    for bad in (with_column(2, [0, 1, 0, 0, 1, 0]), with_column(3, [0, 0, 0, 0, 0, 1]),
+                with_column(5, [0, 0, 1, 0, 0, 0])):
+        with pytest.raises(ValueError, match="exactly one"):
+            orbits._adapted_inverse(bad)
+    # a repeated unit column leaves e2 unread, and five columns leave e3
+    for bad in (with_column(3, [1, 0, 0, 0, 0, 0]),
+                QMatrix.from_cols(6, cols[:4] + cols[5:])):
+        with pytest.raises(ValueError, match="invertible"):
+            orbits._adapted_inverse(bad)
 
 
 def test_equivalence_catches_unmerged_components(monkeypatch):

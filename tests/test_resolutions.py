@@ -3,7 +3,7 @@ import pytest
 from kcycle import ccengine, conormal, exactla, orbits, resolutions
 from kcycle.ccengine import check_microlocal
 from kcycle.exactla import QMatrix, SeedStream
-from kcycle.conormal import ConormalVector, sample_conormal
+from kcycle.conormal import ConormalVector
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -28,7 +28,7 @@ from kcycle.resolutions import (
     witness_satisfies_Z,
     witness_satisfies_Ztilde,
 )
-from reference import conormal_space
+from reference import conormal_space, sample_conormal
 
 
 def glpq(n, k, p, q):
@@ -131,7 +131,7 @@ def test_rank_calls_per_drawn_sample(monkeypatch):
     # a draw ranks h when h has rows and columns, then l likewise but only
     # when h came out full; a block with no rows or no columns is never
     # ranked, and membership ranks nothing
-    real_rank, real_sample = exactla.rank, resolutions.sample_conormal
+    real_rank, real_draw = exactla.rank, resolutions.draw_covector
     calls, samples = [], []
 
     def counting_rank(m):
@@ -139,16 +139,16 @@ def test_rank_calls_per_drawn_sample(monkeypatch):
         calls.append(((m.nrows, m.ncols), r == min(m.nrows, m.ncols)))
         return r
 
-    def low_height_sample(bp, seed):
+    def low_height_draw(sampler, seed):
         # entries in {-1, 0, 1} make singular blocks, and so retries, common
         first = len(calls)
-        xi = real_sample(bp, seed, height_bound=1)
+        xi = real_draw(sampler._replace(height_bound=1), seed)
         samples.append((xi, calls[first:]))
         return xi
 
     for module in (exactla, conormal, resolutions):
         monkeypatch.setattr(module, "rank", counting_rank, raising=False)
-    monkeypatch.setattr(resolutions, "sample_conormal", low_height_sample)
+    monkeypatch.setattr(resolutions, "draw_covector", low_height_draw)
     for setup in (glpq(6, 2, 3, 3), glpq(5, 2, 3, 2)):
         for target, stratum in proper_pairs(setup):
             verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=3)
@@ -230,8 +230,8 @@ def test_a_contradicted_shape_verdict_fails_the_row(monkeypatch):
 def test_genuine_witnesses_pass_their_check(monkeypatch):
     # zero covectors lie in every kernel image, with witnesses that hold up:
     # the rows fail on the shape verdict alone, not on the witness check
-    monkeypatch.setattr(resolutions, "sample_conormal",
-                        lambda bp, seed: zero_covector(bp))
+    monkeypatch.setattr(resolutions, "draw_covector",
+                        lambda sampler, seed: zero_covector(sampler.base))
     for setup in (glpq(6, 2, 3, 3), glpq(5, 3, 4, 1)):
         rows = check_microlocal(setup, trials=2, seed=1)
         assert rows and not any(r.ok for r in rows)
@@ -244,11 +244,16 @@ def test_genuine_witnesses_pass_their_check(monkeypatch):
 @pytest.mark.parametrize("setup", [glpq(6, 2, 3, 3), glpq(8, 4, 4, 4)])
 def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
     # both setups are normalized, so a target's thresholds are its own label
-    real_sample = resolutions.sample_conormal
-    draws, judged = [], []
+    real_sampler, real_draw = resolutions.covector_sampler, resolutions.draw_covector
+    samplers, draws, judged = [], [], []
 
-    def counting_sample(bp, seed):
-        xi = real_sample(bp, seed)
+    def counting_sampler(base):
+        samplers.append(real_sampler(base))
+        return samplers[-1]
+
+    def counting_draw(sampler, seed):
+        assert sampler is samplers[-1], "a draw on another stratum's sampler"
+        xi = real_draw(sampler, seed)
         draws.append(xi)
         return xi
 
@@ -258,7 +263,8 @@ def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
             return real(xi, s, t)
         return member
 
-    monkeypatch.setattr(resolutions, "sample_conormal", counting_sample)
+    monkeypatch.setattr(resolutions, "covector_sampler", counting_sampler)
+    monkeypatch.setattr(resolutions, "draw_covector", counting_draw)
     for name in ("kernel_membership_Z", "kernel_membership_Ztilde"):
         monkeypatch.setattr(resolutions, name, counting(getattr(resolutions, name)))
     trials = 20
@@ -267,6 +273,8 @@ def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
     below = {stratum for _, stratum in pairs}
     assert len(rows) == len(pairs) and all(r.ok for r in rows)
     assert len(draws) == trials * len(below)
+    # one sampler per stratum, set up before its draws
+    assert sorted(s.base.orbit for s in samplers) == sorted(below)
     assert len(judged) == trials * len(pairs)
     by_stratum = {}
     for xi in draws:
