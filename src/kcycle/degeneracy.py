@@ -86,12 +86,6 @@ def _chart_flavor(setup: Setup, center_last: bool) -> Flavor:
     return flavor
 
 
-def _check_chart(setup: Setup, a: ChartPoint, center_last: bool) -> None:
-    _chart_flavor(setup, center_last)
-    if a.a.nrows != setup.n - setup.k or a.a.ncols != setup.k:
-        raise ValueError("chart point must be (n-k) x k")
-
-
 @lru_cache(maxsize=64)
 def _section_plan(kind: Kind, n: int, k: int, center_last: bool) -> tuple:
     """The affine section of a normalized chart: (constant entries, triples).
@@ -190,7 +184,7 @@ class Chart(NamedTuple):
 
 
 def chart_for(setup: Setup, center_last: bool = False) -> Chart:
-    """Check the chart and gather its plans; raises as _check_chart does."""
+    """Check the chart and gather its plans; raises ValueError where it does not exist."""
     n, k = setup.n, setup.k
     flavor = _chart_flavor(setup, center_last)
     top = k if flavor == Flavor.SYMMETRIC else k - (k % 2)
@@ -224,18 +218,15 @@ def _value_rank(chart: Chart, x: list) -> int:
     return m + rank(QMatrix.from_flat(n - k, n - k, phi))
 
 
-def _differential_values(setup: Setup, a: ChartPoint,
-                         center_last: bool = False) -> list:
+def _differential_values(chart: Chart) -> list:
     """One flavored k x k matrix per chart direction (r, c), row-major.
 
     The section is affine, so the value in direction src = r * k + c is
-    eps at each dst the plan pairs with src, whatever ``a`` is.
+    eps at each dst the plan pairs with src, at every point of the chart.
     """
-    _check_chart(setup, a, center_last)
-    k = setup.k
-    _, plan = _section_plan(setup.kind, setup.n, k, center_last)
-    values = [[0] * (k * k) for _ in range(len(a.a.entries))]
-    for dst, src, eps in plan:
+    n, k = chart.setup.n, chart.setup.k
+    values = [[0] * (k * k) for _ in range((n - k) * k)]
+    for dst, src, eps in chart.plan:
         values[src][dst] += eps
     return [QMatrix(k, k, tuple(v)) for v in values]
 
@@ -255,20 +246,19 @@ def transverse_at(chart: Chart, a: ChartPoint) -> bool:
     x = _section_entries(chart.const, chart.plan, a.a.entries)
     if _value_rank(chart, x) == chart.top:
         return True
-    setup, k = chart.setup, chart.setup.k
-    rows = _constraint_rows(setup, a, chart.center_last, QMatrix.from_flat(k, k, x))
+    k = chart.setup.k
+    rows = _constraint_rows(chart, QMatrix.from_flat(k, k, x))
     return rank(QMatrix.from_rows(rows)) == flavor_dim(chart.flavor, k)
 
 
-def _constraint_rows(setup: Setup, a: ChartPoint, center_last: bool, x: QMatrix) -> list:
-    """transverse_at's functionals on C in flavor coordinates.
+def _constraint_rows(chart: Chart, x: QMatrix) -> list:
+    """transverse_at's functionals on C in flavor coordinates, at a value x of the chart.
 
     First tr(C v) for each differential value v, then the entries of xC,
     each read off one or two entries of v or x.
     """
-    flavor = form_flavor(setup.kind)
-    rows = [pairing_row(v, flavor) for v in _differential_values(setup, a, center_last)]
-    return rows + product_rows(x, flavor)
+    rows = [pairing_row(v, chart.flavor) for v in _differential_values(chart)]
+    return rows + product_rows(x, chart.flavor)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,8 @@ class QMatrix:
     def from_rows(cls, rows: Iterable[Sequence]) -> "QMatrix":
         rows = list(rows)
         ncols = len(rows[0]) if rows else 0
-        assert all(len(r) == ncols for r in rows), "ragged rows"
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
         return cls.from_flat(len(rows), ncols, [x for row in rows for x in row])
 
     @classmethod
@@ -99,14 +100,16 @@ class QMatrix:
         return QMatrix.from_rows([self.col(j) for j in range(self.ncols)])
 
     def mul(self, other: "QMatrix") -> "QMatrix":
-        assert self.ncols == other.nrows, "shape mismatch in product"
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in product")
         cols = [other.col(j) for j in range(other.ncols)]
         return QMatrix.from_rows(
             [[sum(map(operator.mul, self.row(i), c)) for c in cols] for i in range(self.nrows)]
         )
 
     def add(self, other: "QMatrix") -> "QMatrix":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in sum")
         return QMatrix(self.nrows, self.ncols,
                        tuple(_q(a + b) for a, b in zip(self.entries, other.entries)))
 
@@ -115,7 +118,8 @@ class QMatrix:
         return QMatrix(self.nrows, self.ncols, tuple(_q(c * x) for x in self.entries))
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
-        assert self.nrows == other.nrows
+        if self.nrows != other.nrows:
+            raise ValueError("row counts differ in hstack")
         return QMatrix.from_rows(
             [list(self.row(i)) + list(other.row(i)) for i in range(self.nrows)]
         )
@@ -251,6 +255,11 @@ def solve(m: QMatrix, v: Sequence):
     return x
 
 
+def _check_ambient(a: "Subspace", b: "Subspace") -> None:
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("subspaces of different ambient spaces")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Column span with a canonical (column-reduced) basis.
@@ -264,8 +273,8 @@ class Subspace:
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         vecs = [list(v) for v in vectors]
-        for v in vecs:
-            assert len(v) == ambient_dim, "vector outside the ambient space"
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector outside the ambient space")
         if not vecs:
             return cls(ambient_dim, QMatrix(ambient_dim, 0, ()))
         _, rows = rref(QMatrix.from_rows(vecs))
@@ -293,16 +302,16 @@ class Subspace:
         return solve(self.basis, v) is not None
 
     def contains(self, other: "Subspace") -> bool:
-        assert self.ambient_dim == other.ambient_dim
+        _check_ambient(self, other)
         stacked = self.basis.hstack(other.basis)
         return rank(stacked) == self.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
-        assert self.ambient_dim == other.ambient_dim
+        _check_ambient(self, other)
         return Subspace.from_matrix(self.basis.hstack(other.basis))
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        assert self.ambient_dim == other.ambient_dim
+        _check_ambient(self, other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         # x = B1 a = B2 b; solve [B1 | -B2] (a,b) = 0 and map a through B1.

@@ -327,7 +327,8 @@ def form_sign(kind: Kind, n: int, a: int) -> int:
     J is antidiagonal: eps_a = +1 throughout for SO (symmetric), and +1
     on the first half, -1 on the second for Sp (symplectic).
     """
-    assert kind in (Kind.SP, Kind.SO)
+    if kind not in (Kind.SP, Kind.SO):
+        raise ValueError("no invariant form for a splitting-type setup")
     return 1 if kind == Kind.SO or a < n // 2 else -1
 
 

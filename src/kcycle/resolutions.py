@@ -10,14 +10,21 @@ on the resolution; the tests read the ranks the sampler certified.  A
 generic xi has both blocks at full rank, so the block shapes alone
 decide membership; every trial must agree, and every witness is checked.
 
+A member's witness is a fiber point (V, W), held as two frames in the
+blocks' own coordinates, not in C^n.  For Z, V and W are spanned inside
+h's rows (U cap C^p) and l's rows (U cap C^q).  For Ztilde, V is U + C^p
+plus s0 - s vectors of C^q/U, h's columns (s0 = h's rows); U + C^p has
+no C^q/U coordinate, so h vanishes on V iff h v = 0.  Frames come from
+a block's reduced column-space or kernel basis and are checked by ranks.
+
 Everything here past ``verify_microlocal_empty``, the one entry that
 validates and normalizes original labels, works in normalized labels:
 covectors are drawn once per stratum (``draw_conormals``, which sets up
 one sampler and draws every trial seed in one batch, then draws each
-covector on its own seed) and judged per target (``judge_microlocal``, which reads the setup and stratum off
-the covectors' base point and picks the resolution).  Emptiness of the
-microlocal fiber over a generic covector is what kills the extra terms
-in the characteristic cycle.
+covector on its own seed) and judged per target (``judge_microlocal``,
+which reads the setup and stratum off the covectors' base point and
+picks the resolution).  Emptiness of the microlocal fiber over a
+generic covector is what kills the characteristic cycle's extra terms.
 
 Radical strata (Sp/SO) have an analogous resolution remembering a
 subspace of the radical; it is generally not small, and only its fiber
@@ -30,10 +37,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .exactla import SEED_MAX, QMatrix, SeedStream, Subspace, check_count, kernel, solve
+from .exactla import SEED_MAX, QMatrix, SeedStream, check_count, kernel, rank, rref
 from .conormal import ConormalVector, covector_sampler, draw_covector, generic_block_ranks
 from .orbits import (
-    BasePoint,
     ClosurePoset,
     Kind,
     RadicalOrbit,
@@ -55,10 +61,16 @@ class ResolutionKind(str, Enum):
 
 @dataclass(frozen=True)
 class Witness:
-    """A fiber point (V, W) certifying kernel membership, in ambient coordinates."""
+    """A fiber point (V, W) certifying kernel membership, as frames in block coordinates.
 
-    v: Subspace
-    w: Subspace
+    ``w`` spans W in l's row coordinates (U cap C^q).  For Z, ``v`` spans
+    V in h's row coordinates (U cap C^p).  For Ztilde, V is U + C^p plus
+    the span of ``v``, s0 - s vectors in h's column coordinates (C^q/U);
+    U + C^p has no C^q/U coordinate, so h vanishes on V iff h v = 0.
+    """
+
+    v: QMatrix
+    w: QMatrix
 
 
 @dataclass(frozen=True)
@@ -81,49 +93,35 @@ class MicrolocalVerdict:
     bad_witnesses: int
 
 
-def _group_vectors(bp: BasePoint, g: int) -> list:
-    """Basis vectors of U in row group g: U cap C^p for 0, U cap C^q for 1."""
-    return [bp.basis.col(j) for j in bp.row_blocks[g]]
+def _check_thresholds(xi: ConormalVector, s: int, t: int) -> None:
+    """s and t must fit the rows of h and of l: V and W lie inside them."""
+    s0, t0 = xi.h_block.nrows, xi.l_block.nrows
+    if not (0 <= s <= s0 and 0 <= t <= t0):
+        raise ValueError(f"thresholds ({s}, {t}) lie outside the blocks' rows ({s0}, {t0})")
 
 
-def _ambient_columns(bp: BasePoint, block: QMatrix, row_vectors: list) -> list:
-    """Images of the relevant complement vectors, as ambient vectors."""
-    out = []
-    for c in range(block.ncols):
-        vec = [0] * bp.setup.n
-        for r in range(block.nrows):
-            coeff = block[r, c]
-            if coeff:
-                vec = [a + coeff * b for a, b in zip(vec, row_vectors[r])]
-        out.append(vec)
-    return out
+def _image_frame(block: QMatrix, dim: int) -> QMatrix:
+    """dim independent columns in the block's row coordinates whose span holds its image.
+
+    The reduced basis of the column space (rref of the transpose) comes
+    first, padded with unit vectors off its pivots; needs rank <= dim <= rows.
+    """
+    pivots, rows = rref(block.transpose())
+    pad = [c for c in range(block.nrows) if c not in pivots][:dim - len(pivots)]
+    units = [[int(i == c) for i in range(block.nrows)] for c in pad]
+    return QMatrix.from_cols(block.nrows, rows[:len(pivots)] + units)
 
 
-def _extend_inside(span_vectors: list, target_dim: int, pool: list, n: int) -> Subspace:
-    """Grow a span to target_dim using vectors from the pool."""
-    cur = Subspace.span(n, span_vectors)
-    for v in pool:
-        if cur.dim >= target_dim:
-            break
-        grown = Subspace.span(n, span_vectors + [v])
-        if grown.dim > cur.dim:
-            span_vectors = span_vectors + [v]
-            cur = grown
-    assert cur.dim == target_dim, "extension pool too small"
-    return cur
+def _kernel_frame(h: QMatrix, dim: int) -> QMatrix:
+    """dim independent kernel vectors of h, in its column coordinates; needs dim <= nullity."""
+    basis = kernel(h).basis
+    return basis.submatrix(range(basis.nrows), range(dim))
 
 
-def _grown_image(bp: BasePoint, block: QMatrix, g: int, dim: int) -> Subspace:
-    """The block's column images in row group g, grown inside the group to dim."""
-    vecs = _group_vectors(bp, g)
-    return _extend_inside(_ambient_columns(bp, block, vecs), dim, vecs, bp.setup.n)
-
-
-def _holds_image(bp: BasePoint, block: QMatrix, g: int, dim: int, space: Subspace) -> bool:
-    """space has dimension dim, lies in row group g and contains the block's image."""
-    n, vecs = bp.setup.n, _group_vectors(bp, g)
-    return (space.dim == dim and Subspace.span(n, vecs).contains(space)
-            and space.contains(Subspace.span(n, _ambient_columns(bp, block, vecs))))
+def _frame_holds_image(frame: QMatrix, block: QMatrix, dim: int) -> bool:
+    """frame spans a dim-space of the block's row coordinates that holds its image."""
+    return (frame.nrows == block.nrows and rank(frame) == dim
+            and rank(frame.hstack(block)) == dim)
 
 
 def kernel_membership_Z(xi: ConormalVector, s: int, t: int) -> Tuple[bool, Optional[Witness]]:
@@ -131,66 +129,38 @@ def kernel_membership_Z(xi: ConormalVector, s: int, t: int) -> Tuple[bool, Optio
 
     True iff the map h (rows U cap C^p, columns C^q/U) has rank <= s and
     the map l (rows U cap C^q, columns C^p/U) has rank <= t; then V, W
-    are the column spaces grown to dimensions s and t.
+    are the column spaces padded to dimensions s and t.  Thresholds
+    outside the blocks' rows raise ValueError.
     """
-    bp = xi.base
-    assert bp.setup.kind == Kind.GLPQ
+    _check_thresholds(xi, s, t)
     if xi.h_rank > s or xi.l_rank > t:
         return False, None
-    return True, Witness(_grown_image(bp, xi.h_block, 0, s), _grown_image(bp, xi.l_block, 1, t))
+    return True, Witness(_image_frame(xi.h_block, s), _image_frame(xi.l_block, t))
 
 
 def kernel_membership_Ztilde(xi: ConormalVector, s: int, t: int) -> Tuple[bool, Optional[Witness]]:
     """Membership for the resolution with V containing U + C^p.
 
-    The V-side budget drops to n-k-p+s: h must vanish on a subspace of
-    dimension k+p-s containing U + C^p, which caps its rank there.
+    V adds s0 - s vectors of C^q/U to U + C^p, and h must kill them, so
+    h needs nullity >= s0 - s: rank at most n-k-p+s.  Thresholds outside
+    the blocks' rows raise ValueError.
     """
-    bp = xi.base
-    setup = bp.setup
-    assert setup.kind == Kind.GLPQ
-    n, k, p = setup.n, setup.k, setup.p
-    if xi.h_rank > n - k - p + s or xi.l_rank > t:
+    _check_thresholds(xi, s, t)
+    h, extra = xi.h_block, xi.h_block.nrows - s
+    if xi.h_rank > h.ncols - extra or xi.l_rank > t:
         return False, None
-    # lift kernel vectors of h from pure C^q/U coordinates into C^n
-    q_vectors = [bp.basis.col(k + c) for c in bp.col_blocks[2]]
-    lifted = _ambient_columns(bp, kernel(xi.h_block).basis, q_vectors)[:bp.row_groups[0] - s]
-    u_and_p = [bp.basis.col(j) for j in range(k)] + \
-        [[int(i == a) for i in range(n)] for a in range(p)]
-    v = Subspace.span(n, u_and_p + lifted)
-    assert v.dim == k + p - s
-    return True, Witness(v, _grown_image(bp, xi.l_block, 1, t))
-
-
-def _pure_q_coords(bp: BasePoint, vec) -> list:
-    coords = solve(bp.basis, list(vec))
-    off = bp.setup.k + bp.col_groups[0] + bp.col_groups[1]
-    return coords[off:off + bp.col_groups[2]]
+    return True, Witness(_kernel_frame(h, extra), _image_frame(xi.l_block, t))
 
 
 def witness_satisfies_Z(xi: ConormalVector, s: int, t: int, wit: Witness) -> bool:
-    bp = xi.base
-    return (_holds_image(bp, xi.h_block, 0, s, wit.v)
-            and _holds_image(bp, xi.l_block, 1, t, wit.w))
+    return (_frame_holds_image(wit.v, xi.h_block, s)
+            and _frame_holds_image(wit.w, xi.l_block, t))
 
 
 def witness_satisfies_Ztilde(xi: ConormalVector, s: int, t: int, wit: Witness) -> bool:
-    bp = xi.base
-    setup = bp.setup
-    n, k, p = setup.n, setup.k, setup.p
-    if wit.v.dim != k + p - s:
-        return False
-    cp = Subspace.span(n, [[int(i == a) for i in range(n)] for a in range(p)])
-    if not (wit.v.contains(bp.u) and wit.v.contains(cp)):
-        return False
-    # h must vanish identically on V
-    h = xi.h_block
-    for j in range(wit.v.dim):
-        coords = _pure_q_coords(bp, wit.v.basis.col(j))
-        for r in range(h.nrows):
-            if sum(h[r, c] * coords[c] for c in range(h.ncols)) != 0:
-                return False
-    return _holds_image(bp, xi.l_block, 1, t, wit.w)
+    h, v = xi.h_block, wit.v
+    return (v.nrows == h.ncols and rank(v) == h.nrows - s and h.mul(v).is_zero()
+            and _frame_holds_image(wit.w, xi.l_block, t))
 
 
 def _glpq_resolution(work: Setup) -> ResolutionKind:
@@ -205,7 +175,7 @@ def resolution_for(setup: Setup) -> ResolutionKind:
     return _glpq_resolution(normalize(setup).setup)
 
 
-def draw_conormals(base: BasePoint, trials: int = 20, seed: int = 0) -> tuple:
+def draw_conormals(base, trials: int = 20, seed: int = 0) -> tuple:
     """trials generic covectors conormal to the stratum at its base point.
 
     ``base`` is the normalized stratum's base point.  The stream is

@@ -42,16 +42,25 @@ so a test can compare the two, or builds seeded test data:
   section that ``degeneracy.transverse_at`` reads off its plan.
   ``section_value`` and ``verify_transversality`` evaluate and check one
   point on a chart set up for it alone, through the sweep's per-point
-  steps (``degeneracy._section_entries``, ``degeneracy.transverse_at``).
+  steps (``degeneracy._section_entries``, ``degeneracy.transverse_at``),
+  after ``check_chart`` checks the point's shape.
+* ``ambient_membership_Z``/``_Ztilde`` and
+  ``ambient_witness_satisfies_Z``/``_Ztilde`` build and check membership
+  witnesses as subspaces of C^n, through ``Subspace`` spans and a solve
+  against the adapted basis; ``resolutions`` builds and checks them as
+  frames in block coordinates, and ``lift_witness`` carries such a
+  frame pair to C^n for the ambient check.  ``WITNESS_ROUTES`` pairs
+  the two routes per resolution.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from kcycle import degeneracy
 from kcycle.conormal import ConormalVector, covector_sampler, draw_covector
-from kcycle.degeneracy import ChartPoint, _differential_values, form_flavor
-from kcycle.exactla import QMatrix, SeedStream, Subspace, kernel, rank, rref
+from kcycle.degeneracy import ChartPoint, _differential_values
+from kcycle.exactla import QMatrix, SeedStream, Subspace, kernel, rank, rref, solve
 from kcycle.matrixstrata import (
     Flavor,
     StratumId,
@@ -75,6 +84,8 @@ from kcycle.orbits import (
     is_split_setup,
     lie_algebra_basis,
 )
+from kcycle import resolutions
+from kcycle.resolutions import ResolutionKind, Witness
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +363,13 @@ def open_orbit(pos: ClosurePoset):
 # ---------------------------------------------------------------------------
 # the Gram section
 
+def check_chart(setup: Setup, a: ChartPoint, center_last: bool) -> None:
+    """The chart exists for the setup and ``a`` has its (n-k) x k shape."""
+    degeneracy._chart_flavor(setup, center_last)
+    if a.a.nrows != setup.n - setup.k or a.a.ncols != setup.k:
+        raise ValueError("chart point must be (n-k) x k")
+
+
 def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMatrix:
     """Gram matrix of the form on the plane with chart coordinates ``a``.
 
@@ -361,7 +379,7 @@ def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMa
     as the sweep reads it, and only that plan: no Schur plan is built,
     so a wrong section plan gives a wrong value here without raising.
     """
-    degeneracy._check_chart(setup, a, center_last)
+    check_chart(setup, a, center_last)
     const, plan = degeneracy._section_plan(setup.kind, setup.n, setup.k, center_last)
     return QMatrix.from_flat(setup.k, setup.k,
                              degeneracy._section_entries(const, plan, a.a.entries))
@@ -370,15 +388,167 @@ def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMa
 def verify_transversality(setup: Setup, a: ChartPoint, center_last: bool = False) -> bool:
     """The sweep's per-point check at one point, on a chart set up for it alone."""
     chart = degeneracy.chart_for(setup, center_last)
-    degeneracy._check_chart(setup, a, center_last)
+    check_chart(setup, a, center_last)
     return degeneracy.transverse_at(chart, a)
 
 
 def section_differential_image(setup: Setup, a: ChartPoint,
                                center_last: bool = False) -> Subspace:
     """Image of the derivative of the section at ``a``, in flavor coordinates."""
-    flavor = form_flavor(setup.kind)
+    check_chart(setup, a, center_last)
+    chart = degeneracy.chart_for(setup, center_last)
     return Subspace.span(
-        flavor_dim(flavor, setup.k),
-        [flavor_coords(v, flavor) for v in _differential_values(setup, a, center_last)],
+        flavor_dim(chart.flavor, setup.k),
+        [flavor_coords(v, chart.flavor) for v in _differential_values(chart)],
     )
+
+
+# ---------------------------------------------------------------------------
+# microlocal witnesses in C^n
+
+@dataclass(frozen=True)
+class AmbientWitness:
+    """A fiber point (V, W) certifying kernel membership, in ambient coordinates."""
+
+    v: Subspace
+    w: Subspace
+
+
+def _group_vectors(bp: BasePoint, g: int) -> list:
+    """Basis vectors of U in row group g: U cap C^p for 0, U cap C^q for 1."""
+    return [bp.basis.col(j) for j in bp.row_blocks[g]]
+
+
+def _ambient_columns(bp: BasePoint, block: QMatrix, row_vectors: list) -> list:
+    """Images of the relevant complement vectors, as ambient vectors."""
+    out = []
+    for c in range(block.ncols):
+        vec = [0] * bp.setup.n
+        for r in range(block.nrows):
+            coeff = block[r, c]
+            if coeff:
+                vec = [a + coeff * b for a, b in zip(vec, row_vectors[r])]
+        out.append(vec)
+    return out
+
+
+def _extend_inside(span_vectors: list, target_dim: int, pool: list, n: int) -> Subspace:
+    """Grow a span to target_dim using vectors from the pool."""
+    cur = Subspace.span(n, span_vectors)
+    for v in pool:
+        if cur.dim >= target_dim:
+            break
+        grown = Subspace.span(n, span_vectors + [v])
+        if grown.dim > cur.dim:
+            span_vectors = span_vectors + [v]
+            cur = grown
+    assert cur.dim == target_dim, "extension pool too small"
+    return cur
+
+
+def _grown_image(bp: BasePoint, block: QMatrix, g: int, dim: int) -> Subspace:
+    """The block's column images in row group g, grown inside the group to dim."""
+    vecs = _group_vectors(bp, g)
+    return _extend_inside(_ambient_columns(bp, block, vecs), dim, vecs, bp.setup.n)
+
+
+def _holds_image(bp: BasePoint, block: QMatrix, g: int, dim: int, space: Subspace) -> bool:
+    """space has dimension dim, lies in row group g and contains the block's image."""
+    n, vecs = bp.setup.n, _group_vectors(bp, g)
+    return (space.dim == dim and Subspace.span(n, vecs).contains(space)
+            and space.contains(Subspace.span(n, _ambient_columns(bp, block, vecs))))
+
+
+def ambient_membership_Z(xi: ConormalVector, s: int,
+                         t: int) -> Tuple[bool, Optional[AmbientWitness]]:
+    """Does xi lie in the codifferential image of the (V, W) resolution?
+
+    True iff the map h (rows U cap C^p, columns C^q/U) has rank <= s and
+    the map l (rows U cap C^q, columns C^p/U) has rank <= t; then V, W
+    are the column spaces grown to dimensions s and t.
+    """
+    bp = xi.base
+    assert bp.setup.kind == Kind.GLPQ
+    if xi.h_rank > s or xi.l_rank > t:
+        return False, None
+    return True, AmbientWitness(_grown_image(bp, xi.h_block, 0, s),
+                                _grown_image(bp, xi.l_block, 1, t))
+
+
+def ambient_membership_Ztilde(xi: ConormalVector, s: int,
+                              t: int) -> Tuple[bool, Optional[AmbientWitness]]:
+    """Membership for the resolution with V containing U + C^p.
+
+    The V-side budget drops to n-k-p+s: h must vanish on a subspace of
+    dimension k+p-s containing U + C^p, which caps its rank there.
+    """
+    bp = xi.base
+    setup = bp.setup
+    assert setup.kind == Kind.GLPQ
+    n, k, p = setup.n, setup.k, setup.p
+    if xi.h_rank > n - k - p + s or xi.l_rank > t:
+        return False, None
+    # lift kernel vectors of h from pure C^q/U coordinates into C^n
+    q_vectors = [bp.basis.col(k + c) for c in bp.col_blocks[2]]
+    lifted = _ambient_columns(bp, kernel(xi.h_block).basis, q_vectors)[:bp.row_groups[0] - s]
+    u_and_p = [bp.basis.col(j) for j in range(k)] + \
+        [[int(i == a) for i in range(n)] for a in range(p)]
+    v = Subspace.span(n, u_and_p + lifted)
+    assert v.dim == k + p - s
+    return True, AmbientWitness(v, _grown_image(bp, xi.l_block, 1, t))
+
+
+def _pure_q_coords(bp: BasePoint, vec) -> list:
+    coords = solve(bp.basis, list(vec))
+    off = bp.setup.k + bp.col_groups[0] + bp.col_groups[1]
+    return coords[off:off + bp.col_groups[2]]
+
+
+def ambient_witness_satisfies_Z(xi: ConormalVector, s: int, t: int,
+                                wit: AmbientWitness) -> bool:
+    bp = xi.base
+    return (_holds_image(bp, xi.h_block, 0, s, wit.v)
+            and _holds_image(bp, xi.l_block, 1, t, wit.w))
+
+
+def ambient_witness_satisfies_Ztilde(xi: ConormalVector, s: int, t: int,
+                                     wit: AmbientWitness) -> bool:
+    bp = xi.base
+    setup = bp.setup
+    n, k, p = setup.n, setup.k, setup.p
+    if wit.v.dim != k + p - s:
+        return False
+    cp = Subspace.span(n, [[int(i == a) for i in range(n)] for a in range(p)])
+    if not (wit.v.contains(bp.u) and wit.v.contains(cp)):
+        return False
+    # h must vanish identically on V
+    h = xi.h_block
+    for j in range(wit.v.dim):
+        coords = _pure_q_coords(bp, wit.v.basis.col(j))
+        for r in range(h.nrows):
+            if sum(h[r, c] * coords[c] for c in range(h.ncols)) != 0:
+                return False
+    return _holds_image(bp, xi.l_block, 1, t, wit.w)
+
+
+def lift_witness(xi: ConormalVector, kind: ResolutionKind, wit: Witness) -> AmbientWitness:
+    """A block-coordinate witness as subspaces of C^n, through the adapted basis."""
+    bp = xi.base
+    n, k, p = bp.setup.n, bp.setup.k, bp.setup.p
+    w = Subspace.span(n, _ambient_columns(bp, wit.w, _group_vectors(bp, 1)))
+    if kind == ResolutionKind.Z:
+        v = _ambient_columns(bp, wit.v, _group_vectors(bp, 0))
+        return AmbientWitness(Subspace.span(n, v), w)
+    q_vectors = [bp.basis.col(k + c) for c in bp.col_blocks[2]]
+    u_and_p = [bp.basis.col(j) for j in range(k)] + [_e(n, a) for a in range(p)]
+    return AmbientWitness(Subspace.span(n, u_and_p + _ambient_columns(bp, wit.v, q_vectors)), w)
+
+
+# per resolution: the package's membership and check, then the ambient ones
+WITNESS_ROUTES = {
+    ResolutionKind.Z: (resolutions.kernel_membership_Z, resolutions.witness_satisfies_Z,
+                       ambient_membership_Z, ambient_witness_satisfies_Z),
+    ResolutionKind.ZTILDE: (resolutions.kernel_membership_Ztilde,
+                            resolutions.witness_satisfies_Ztilde,
+                            ambient_membership_Ztilde, ambient_witness_satisfies_Ztilde),
+}

@@ -245,15 +245,23 @@ def test_schur_plan_rejects_a_wrong_section_plan(monkeypatch, fresh_plans, mutat
 
 
 def test_differential_values_do_not_depend_on_the_point():
+    # the section is affine, so at every point a the step S(a + E_rc) - S(a)
+    # is the chart's one value in direction (r, c)
     for setup, center_last in _isotropy_setups(8):
         n, k = setup.n, setup.k
         rng = SeedStream(43).derive("differential", setup.describe(), center_last)
         a, b = (random_chart_point(n, k, rng) for _ in range(2))
         assert a != b
-        values = degeneracy._differential_values(setup, a, center_last)
-        assert values == degeneracy._differential_values(setup, b, center_last)
-        assert values == degeneracy._differential_values(setup, _zero_chart(n, k),
-                                                          center_last)
+        values = degeneracy._differential_values(chart_for(setup, center_last))
+        assert len(values) == (n - k) * k
+        for p in (a, b, _zero_chart(n, k)):
+            base = section_value(setup, p, center_last)
+            for r in range(n - k):
+                for c in range(k):
+                    e = QMatrix.from_rows([[int((i, j) == (r, c)) for j in range(k)]
+                                           for i in range(n - k)])
+                    step = section_value(setup, ChartPoint(p.a.add(e)), center_last)
+                    assert values[r * k + c] == step.add(base.scale(-1))
 
 
 def test_section_values_are_flavored():
@@ -376,29 +384,31 @@ def test_constraint_rows_match_dense_products():
         rng = SeedStream(29).derive("dense-constraints", setup.describe(), center_last)
         points = [_zero_chart(n, k)]
         points += [random_chart_point(n, k, rng, height_bound=1) for _ in range(40)]
+        chart = degeneracy.chart_for(setup, center_last)
         seen = set()
         for a in points:
             x = section_value(setup, a, center_last)
             seen.add(rank(x) < top)
             dense = [[trace_pairing(bc, v) for bc in basis]
-                     for v in degeneracy._differential_values(setup, a, center_last)]
+                     for v in degeneracy._differential_values(chart)]
             products = [x.mul(bc) for bc in basis]
             dense += [[p[r, c] for p in products] for r in range(k) for c in range(k)]
-            assert degeneracy._constraint_rows(setup, a, center_last, x) == dense
+            assert degeneracy._constraint_rows(chart, x) == dense
         assert seen == {True, False}, (setup, center_last)
 
 
 def test_differential_is_the_exact_central_difference():
     # the section is affine, so its derivative in direction E_rc is
-    # exactly (S(a + E_rc) - S(a - E_rc)) / 2
+    # exactly (S(a + E_rc) - S(a - E_rc)) / 2, and the one differential
+    # of the chart is that difference at every point
     cases = [(SO53, False), (SP64, False), (Setup(Kind.SP, 8, 5), False),
              (Setup(Kind.SO, 8, 4), False), (Setup(Kind.SO, 8, 4), True)]
     for setup, center_last in cases:
         n, k = setup.n, setup.k
         rng = SeedStream(13).derive("central-difference", setup.describe(), center_last)
+        values = degeneracy._differential_values(degeneracy.chart_for(setup, center_last))
+        assert len(values) == (n - k) * k
         for a in (_zero_chart(n, k), random_chart_point(n, k, rng, height_bound=4)):
-            values = degeneracy._differential_values(setup, a, center_last)
-            assert len(values) == (n - k) * k
             for r in range(n - k):
                 for c in range(k):
                     e = QMatrix.from_rows([[int((i, j) == (r, c)) for j in range(k)]

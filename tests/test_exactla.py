@@ -280,6 +280,53 @@ def test_bad_draw_ranges_raise_under_optimize():
                               "raised height_bound must be at least 1, got -3"], (flags, lines)
 
 
+def test_internal_checks_raise_under_optimize():
+    # shape checks, the form's kind check and membership thresholds outside
+    # the blocks raise ValueError, with or without python -O
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from kcycle.conormal import ConormalVector\n"
+        "from kcycle.exactla import QMatrix, Subspace\n"
+        "from kcycle.orbits import IntersectionOrbit, Kind, Setup, base_point, form_sign\n"
+        "from kcycle.resolutions import kernel_membership_Z, kernel_membership_Ztilde\n"
+        "a, b = QMatrix.identity(2), QMatrix.zeros(3, 2)\n"
+        "s2, s3 = Subspace.full(2), Subspace.full(3)\n"
+        "bp = base_point(Setup(Kind.GLPQ, 5, 2, p=4, q=1), IntersectionOrbit(1, 0))\n"
+        "xi = ConormalVector(bp, QMatrix.zeros(1, 0), QMatrix.zeros(0, 2), 0, 0)\n"
+        "calls = [lambda: QMatrix.from_rows([[1, 2], [3]]),\n"
+        "         lambda: a.mul(b), lambda: a.add(b), lambda: a.hstack(b),\n"
+        "         lambda: Subspace.span(2, [[1, 2, 3]]),\n"
+        "         lambda: s2.contains(s3), lambda: s2.sum(s3), lambda: s2.intersection(s3),\n"
+        "         lambda: form_sign(Kind.GLPQ, 4, 0)]\n"
+        "calls += [lambda m=m, st=st: m(xi, *st)\n"
+        "          for m in (kernel_membership_Z, kernel_membership_Ztilde)\n"
+        "          for st in ((2, 0), (1, 1), (3, 0))]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('raised', exc)\n"
+        "    else:\n"
+        "        print('returned')\n"
+        "print('optimize', sys.flags.optimize)\n"
+    )
+    thresholds = ["raised thresholds (2, 0) lie outside the blocks' rows (1, 0)",
+                  "raised thresholds (1, 1) lie outside the blocks' rows (1, 0)",
+                  "raised thresholds (3, 0) lie outside the blocks' rows (1, 0)"]
+    expected = ["raised ragged rows", "raised shape mismatch in product",
+                "raised shape mismatch in sum", "raised row counts differ in hstack",
+                "raised vector outside the ambient space"]
+    expected += ["raised subspaces of different ambient spaces"] * 3
+    expected += ["raised no invariant form for a splitting-type setup"] + thresholds * 2
+    for flags, optimize in (([], 0), (["-O"], 1)):
+        done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == expected + [f"optimize {optimize}"], flags
+
+
 def test_float_entries_rejected():
     builds = [
         lambda: QMatrix.from_rows([[0.1]]),
