@@ -249,12 +249,17 @@ def check_smallness(setup: Setup) -> list:
 
     For intersection-type setups the applicable side is asserted.  The
     radical-type resolutions are not small in general, so their results
-    are recorded without being treated as failures.
+    are recorded without being treated as failures.  Every kind is read
+    off one closure poset, that of the normalized setup, so a run over a
+    setup and its dual computes their orbit dimensions once
+    (orbit_dimension is cached).  Sp/SO labels need no relabelling:
+    U -> U^perp keeps rad(U), and the split setups (n = 2k) are
+    already normalized.
     """
+    norm = normalize(setup)
+    poset = ClosurePoset(norm.setup)
     rows = []
     if setup.kind == Kind.GLPQ:
-        norm = normalize(setup)
-        poset = ClosurePoset(norm.setup)
         applicable = resolution_for(setup)
         both = norm.setup.n - norm.setup.k == norm.setup.p
         for kind in (ResolutionKind.Z, ResolutionKind.ZTILDE):
@@ -268,7 +273,6 @@ def check_smallness(setup: Setup) -> list:
                     rows.append(CheckRow("smallness", subject, True,
                                          "not the applicable side here"))
         return rows
-    poset = ClosurePoset(setup)
     for target in poset.orbits:
         if isinstance(target, SplitOrbit):
             continue

@@ -22,7 +22,6 @@ membership tests read; no k x (n-k) matrix is formed.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .exactla import QMatrix, SeedStream, check_count, rank
@@ -38,16 +37,20 @@ class NoGenericCovector(RuntimeError):
     """The sampler found no generic covector within its resample budget: a bug."""
 
 
-@dataclass(frozen=True)
-class ConormalVector:
-    """A GLpq covector at a base point, held as its two blocks and their ranks."""
+class ConormalVector(NamedTuple):
+    """A GLpq covector at a base point, held as its two blocks and their ranks.
+
+    A NamedTuple, like CovectorSampler: one is built per draw, and a
+    NamedTuple is built in about a third of a frozen dataclass's time.
+    So ``retries`` takes part in equality; nothing compares covectors.
+    """
 
     base: BasePoint
     h_block: QMatrix  # rows U cap C^p, columns C^q/U: the map h of the codifferential
     l_block: QMatrix  # rows U cap C^q, columns C^p/U: the map l of the codifferential
     h_rank: int
     l_rank: int
-    retries: int = field(default=0, compare=False)  # resamples the draw needed
+    retries: int = 0  # resamples the draw needed
 
 
 def block_shapes(base: BasePoint) -> tuple:

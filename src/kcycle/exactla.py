@@ -13,7 +13,12 @@ vector (at most one row or one column) is ranked without elimination,
 as 1 if any entry is nonzero and 0 otherwise.  Any other integral matrix
 goes into rank's elimination as row slices of its entries, with no scan
 or copy through int_rows; only a matrix holding a Fraction is cleared
-of denominators first.
+of denominators first.  That elimination is Bareiss's with a lazy scale:
+a row with a zero in the pivot column is left alone, and each row keeps
+the pivot it was last updated against, by which its next update divides
+exactly (see rank).  The sparse constraint systems of the transversality
+sweep, with one to three nonzeros a row, then cost about their
+nonzeros, not every row times every pivot.
 
 Random draws come from SeedStream, a splitmix64 generator whose
 randints(count, lo, hi) gives in one loop exactly the values, and the
@@ -166,6 +171,25 @@ def rank(m: QMatrix) -> int:
     slices of its entries, which the loop replaces and never mutates;
     only a matrix holding a Fraction is rescaled to integer rows by
     int_rows.
+
+    A row with a zero in the pivot column is left alone.  Plain Bareiss
+    multiplies every remaining row through at every pivot, pv being the
+    pivot and prev the one before it, so that its exact division by prev
+    sees all rows at one minor scale.  Here row i carries scale[i], the
+    pivot it was last updated against (1 at the start), under the
+    invariant
+
+        true Bareiss row i = stored row i * prev / scale[i].
+
+    A skipped row would have been multiplied by pv / prev, and these
+    factors telescope: when the next pivot becomes prev the invariant
+    holds with the row and its scale unchanged.  A touched row becomes
+    (pv * row - row[c] * top) // scale[i], which is exactly its true
+    Bareiss row, and takes scale[i] = pv; a pivot row whose scale is
+    not prev is first brought up to date as row * prev // scale[i].
+    So every row that enters arithmetic is a true Bareiss row, made of
+    minors of the matrix (Sylvester's identity): every division is
+    exact and entries grow no more than in plain Bareiss.
     """
     e, nc = m.entries, m.ncols
     if m.nrows < 2 or nc < 2:
@@ -174,22 +198,32 @@ def rank(m: QMatrix) -> int:
         rows = [r for r in (e[i:i + nc] for i in range(0, len(e), nc)) if any(r)]
     else:
         rows = [r for r in m.int_rows() if any(r)]
+    n = len(rows)
+    scale = [1] * n
     r = 0
     prev = 1
     for c in range(nc):
-        if r == len(rows):
+        if r == n:
             break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, n):
+            if rows[piv][c]:
+                break
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            scale[r], scale[piv] = scale[piv], scale[r]
+        top, s = rows[r], scale[r]
+        if s != prev:
+            top = [x * prev // s for x in top]
         pv = top[c]
-        # every remaining row is updated, even at xi == 0: the exactness
-        # of the division rests on all rows carrying the same minor scale
-        for i in range(r + 1, len(rows)):
-            xi = rows[i][c]
-            rows[i] = [(x * pv - xi * y) // prev for x, y in zip(rows[i], top)]
+        for i in range(r + 1, n):
+            row = rows[i]
+            xi = row[c]
+            if xi:
+                s = scale[i]
+                rows[i] = [(x * pv - xi * y) // s for x, y in zip(row, top)]
+                scale[i] = pv
         prev = pv
         r += 1
     return r

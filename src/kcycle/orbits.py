@@ -47,7 +47,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .exactla import QMatrix, Subspace, rank
+from .exactla import QMatrix, rank
 
 
 class Kind(str, Enum):
@@ -393,10 +393,6 @@ class BasePoint:
     def u_matrix(self) -> QMatrix:
         n, k = self.setup.n, self.setup.k
         return self.basis.submatrix(range(n), range(k))
-
-    @property
-    def u(self) -> Subspace:
-        return Subspace.from_matrix(self.u_matrix)
 
 
 def _consecutive_ranges(sizes) -> tuple:

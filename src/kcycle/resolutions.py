@@ -292,14 +292,16 @@ def fiber_dimension(setup: Setup, kind: ResolutionKind, target, stratum) -> int:
 
 
 def is_small(setup: Setup, kind: ResolutionKind, target) -> bool:
-    """Strict fiber bound 2*dim(fiber) < codim(stratum) below the target."""
+    """Strict fiber bound 2*dim(fiber) < codim(stratum) below the target.
+
+    Read off the closure poset of the normalized setup for every kind.
+    For Sp/SO the relabelling is the identity (U -> U^perp keeps rad(U)),
+    and orbit dimensions, the closure order and the radical fiber
+    dimensions are those of the setup itself.
+    """
     _check_kind(setup, kind)
-    if setup.kind == Kind.GLPQ:
-        norm = normalize(setup)
-        work, tgt = norm.setup, norm.to_normalized(target)
-    else:
-        work, tgt = setup, target
-    return _is_small(ClosurePoset(work), kind, tgt)
+    norm = normalize(setup)
+    return _is_small(ClosurePoset(norm.setup), kind, norm.to_normalized(target))
 
 
 def _is_small(pos: ClosurePoset, kind: ResolutionKind, tgt) -> bool:

@@ -36,7 +36,8 @@ so a test can compare the two, or builds seeded test data:
   classify a plane by ``Subspace`` intersections with the coordinate
   subspaces (``_coordinate_subspace``, ``split_reference``), which
   ``orbits.orbit_of`` and ``orbits.split_family`` read as ranks of
-  blocks of a frame.
+  blocks of a frame.  ``base_plane`` is a base point's plane U as a
+  ``Subspace``, where the package keeps only its frame ``u_matrix``.
 * ``open_orbit`` finds the open orbit from the closure order alone.
 * ``section_differential_image`` spans the differential of the Gram
   section that ``degeneracy.transverse_at`` reads off its plan.
@@ -323,6 +324,11 @@ def action_image(setup: Setup, orbit) -> QMatrix:
     return QMatrix.from_rows(rows)
 
 
+def base_plane(bp: BasePoint) -> Subspace:
+    """The plane U of a base point, spanned by its frame."""
+    return Subspace.from_matrix(bp.u_matrix)
+
+
 def _coordinate_subspace(n: int, idx) -> Subspace:
     return Subspace.span(n, [_e(n, a) for a in idx])
 
@@ -519,7 +525,7 @@ def ambient_witness_satisfies_Ztilde(xi: ConormalVector, s: int, t: int,
     if wit.v.dim != k + p - s:
         return False
     cp = Subspace.span(n, [[int(i == a) for i in range(n)] for a in range(p)])
-    if not (wit.v.contains(bp.u) and wit.v.contains(cp)):
+    if not (wit.v.contains(base_plane(bp)) and wit.v.contains(cp)):
         return False
     # h must vanish identically on V
     h = xi.h_block

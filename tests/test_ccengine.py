@@ -24,10 +24,11 @@ from kcycle.orbits import (
     SplitOrbit,
     closure_leq,
     enumerate_orbits,
+    format_orbit,
     normalize,
     parse_orbit,
 )
-from kcycle.resolutions import ResolutionKind, is_small, verify_microlocal_empty
+from kcycle.resolutions import ResolutionKind, _is_small, is_small, verify_microlocal_empty
 
 
 def _all_setups(max_n, kinds=(Kind.GLPQ, Kind.SP, Kind.SO)):
@@ -199,6 +200,34 @@ def test_smallness_builds_one_poset_per_setup(monkeypatch):
                 kind, label = row.subject.split()
                 small = is_small(setup, ResolutionKind(kind), parse_orbit(setup, label))
                 assert row.ok == small and row.detail == ("small" if small else "not small")
+
+
+def test_sp_so_posets_agree_with_the_normalized_setups():
+    # U -> U^perp maps Gr(k, n) onto Gr(n-k, n) K-equivariantly and keeps
+    # rad(U), so both posets list the same labels in the same order with
+    # equal dimensions: check_smallness and is_small rest on this when
+    # they read Sp/SO smallness off the normalized setup's poset
+    duals = 0
+    for setup in _all_setups(12, kinds=(Kind.SP, Kind.SO)):
+        own, norm = ClosurePoset(setup), ClosurePoset(normalize(setup).setup)
+        duals += own.setup != norm.setup
+        assert own.orbits == norm.orbits, setup
+        assert ([own.dimension[o] for o in own.orbits]
+                == [norm.dimension[o] for o in norm.orbits]), setup
+        if setup.n > 10:
+            continue
+        # the rows as the setup's own poset gives them
+        expected = []
+        for target in own.orbits:
+            if isinstance(target, SplitOrbit):
+                continue
+            small = _is_small(own, ResolutionKind.ZI, target)
+            assert is_small(setup, ResolutionKind.ZI, target) == small
+            expected.append(CheckRow(
+                "smallness", f"zi {format_orbit(setup, target)}", True,
+                "small" if small else "not small (recorded, not asserted)"))
+        assert check_smallness(setup) == expected, setup
+    assert duals == 45  # 15 sp and 30 so setups with k < n - k
 
 
 def test_cross_check_glpq():

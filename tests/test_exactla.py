@@ -35,6 +35,10 @@ def test_rank_hand_values():
     # rank 2 despite three rows
     m = QMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
     assert rank(m) == 2
+    # [0, 2, 0] skips the first pivot and becomes the next pivot row one
+    # scale behind; eliminating with it unrescaled zeroes the last row
+    m = QMatrix.from_rows([[-3, 0, 1], [0, 2, 0], [0, 0, 0], [1, -3, 0]])
+    assert rank(m) == 3
 
 
 def test_rank_against_sympy():
@@ -58,6 +62,33 @@ def test_rank_on_sparse_tall_matrices():
              for _ in range(nc)]
             for _ in range(nr)
         ]
+        m = QMatrix.from_rows(rows)
+        assert rank(m) == to_sympy(m).rank(), (trial, rows)
+
+
+def test_rank_on_block_sparse_tall_matrices():
+    # columns fall into blocks of 2-4; a row combines one to three base
+    # rows, each dense on one block, so it sits untouched through the
+    # pivots of the blocks it misses before one touches it or it becomes
+    # the pivot row.  The base rows leave each block short of full rank:
+    # dependent rows must cancel to exact zeros, which any inexact step
+    # of the elimination breaks
+    rng = SeedStream(17)
+    for trial in range(100):
+        widths = [rng.randint(2, 4) for _ in range(rng.randint(2, 4))]
+        nc = sum(widths)
+        base, at = [], 0
+        for w in widths:
+            for _ in range(rng.randint(1, w)):
+                base.append([rng.randint(-3, 3) if at <= j < at + w else 0 for j in range(nc)])
+            at += w
+        rows = []
+        for _ in range(rng.randint(nc, 2 * nc)):
+            row = [0] * nc
+            for _ in range(rng.randint(1, 3)):
+                b, coeff = base[rng.randint(0, len(base) - 1)], rng.randint(-3, 3)
+                row = [x + coeff * y for x, y in zip(row, b)]
+            rows.append(row)
         m = QMatrix.from_rows(rows)
         assert rank(m) == to_sympy(m).rank(), (trial, rows)
 

@@ -32,6 +32,7 @@ from kcycle.orbits import (
 from reference import (
     action_image,
     annihilator,
+    base_plane,
     form_matrix,
     inverse,
     is_flavored,
@@ -165,7 +166,7 @@ def test_glpq_duality_against_annihilators():
     dual_p = Subspace.span(5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
     dual_q = Subspace.span(5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
     for orbit in enumerate_orbits(setup):
-        u = base_point(setup, orbit).u
+        u = base_plane(base_point(setup, orbit))
         ann = annihilator(u)
         assert ann.dim == 2
         got = IntersectionOrbit(ann.intersection(dual_p).dim, ann.intersection(dual_q).dim)
@@ -176,7 +177,7 @@ def test_sp_so_duality_preserves_radical():
     for setup in [Setup(Kind.SO, 6, 2), Setup(Kind.SP, 6, 2)]:
         dual = Setup(setup.kind, 6, 4)
         for orbit in enumerate_orbits(setup):
-            u = base_point(setup, orbit).u
+            u = base_plane(base_point(setup, orbit))
             up = perp(setup, u)
             assert up.dim == 4
             assert orbit_of(dual, up.basis) == RadicalOrbit(orbit.i)
@@ -306,10 +307,11 @@ def test_base_point_invariants_sweep():
         for orbit in enumerate_orbits(setup):
             bp = base_point(setup, orbit)
             # block ranks of the frame against Subspace intersections
-            assert orbit_of(setup, bp.u_matrix) == orbit_of_by_intersection(setup, bp.u) == orbit
+            u = base_plane(bp)
+            assert orbit_of(setup, bp.u_matrix) == orbit_of_by_intersection(setup, u) == orbit
             if isinstance(orbit, SplitOrbit):
                 assert (split_family(setup, bp.u_matrix)
-                        == split_family_by_intersection(setup, bp.u) == orbit.sign)
+                        == split_family_by_intersection(setup, u) == orbit.sign)
             assert sum(bp.row_groups) == setup.k
             assert sum(bp.col_groups) == setup.n - setup.k
             assert rank(bp.basis) == setup.n
@@ -317,8 +319,8 @@ def test_base_point_invariants_sweep():
 
 def test_split_families():
     setup = Setup(Kind.SO, 8, 4)
-    plus = base_point(setup, SplitOrbit(+1)).u
-    minus = base_point(setup, SplitOrbit(-1)).u
+    plus = base_plane(base_point(setup, SplitOrbit(+1)))
+    minus = base_plane(base_point(setup, SplitOrbit(-1)))
     assert split_family(setup, plus.basis) == +1
     assert split_family(setup, minus.basis) == -1
     assert plus.intersection(minus).dim == setup.k - 1
