@@ -11,26 +11,23 @@ it is the kernel of the sparse action image of Lie(K) (see orbits).
 
 A sampled covector is its two blocks.  Once per stratum,
 covector_sampler checks the kind, the height bound and that the orbit
-is not open, and works out the block shapes and their full ranks.  Per
-sample, draw_covector draws h and l, in one batch per attempt, each
-straight into its own matrix, and ranks them to certify the draw
-generic; a block with no rows or no columns has rank 0 and is never
-ranked.  The covector keeps both blocks and both ranks, which the
+is not open, and works out the block shapes and their full ranks.
+draw_covectors then draws every trial of the stratum in one batch: it
+derives the streams of all trial seeds at once and draws each trial's
+first attempt, h and l row-major, in one draw_streams call.  Per trial
+it only slices h and l straight into their matrices and ranks them to
+certify the draw generic; a block with no rows or no columns has rank 0
+and is never ranked.  A trial that falls short redraws from its own
+stream.  The covector keeps both blocks and both ranks, which the
 membership tests read; no k x (n-k) matrix is formed.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import NamedTuple
 
-from .exactla import QMatrix, SeedStream, check_count, rank
+from .exactla import QMatrix, check_count, derive_states, draw_streams, rank
 from .orbits import BasePoint, Kind
-
-
-def _block_rank(block: QMatrix) -> int:
-    """Rank of a block; one with no rows or no columns is 0 without elimination."""
-    return rank(block) if block.nrows and block.ncols else 0
 
 
 class NoGenericCovector(RuntimeError):
@@ -67,9 +64,6 @@ def generic_block_ranks(base: BasePoint) -> tuple:
 
 RETRY_BUDGET = 8
 
-# the sampler's derive tag, hashed once as derive would hash the string
-_SAMPLE_TAG = zlib.crc32(b"conormal-sample")
-
 
 class CovectorSampler(NamedTuple):
     """What every covector drawn at one GLpq base point shares, checked once.
@@ -105,29 +99,41 @@ def covector_sampler(base: BasePoint, height_bound: int = 100) -> CovectorSample
     return CovectorSampler(base, h_shape, l_shape, h_full, l_full, height_bound)
 
 
-def draw_covector(sampler: CovectorSampler, seed: int) -> ConormalVector:
-    """Deterministic generic covector in the conormal space of the sampler's stratum.
+def draw_covectors(sampler: CovectorSampler, seeds) -> tuple:
+    """One deterministic generic covector per seed, in the sampler's conormal space.
 
-    The two blocks are drawn and resampled (at most RETRY_BUDGET times)
-    until both reach their generic_block_ranks, the largest ranks on
-    the conormal space; the returned vector keeps its resample count.
+    A seed's draws come from SeedStream(seed).derive("conormal-sample"),
+    derived for every seed at once, and attempt 0 of every seed is drawn
+    in one batch; a seed outside 0..SEED_MAX raises ValueError.  A trial
+    whose blocks fall short of their generic_block_ranks, the largest
+    ranks on the conormal space, redraws from its own stream, at most
+    RETRY_BUDGET times; each covector keeps its resample count.  h is
+    ranked first, and l only once h is at full rank.
     """
-    rng = SeedStream(seed).derive(_SAMPLE_TAG)
     (hr, hc), (lr, lc) = sampler.h_shape, sampler.l_shape
-    nh, bound = hr * hc, sampler.height_bound
-    for attempt in range(RETRY_BUDGET + 1):
-        # one batch per attempt, h row-major then l row-major: entries
-        # are ints, already canonical
-        draw = rng.randints(nh + lr * lc, -bound, bound)
-        h = QMatrix(hr, hc, tuple(draw[:nh]))
-        l = QMatrix(lr, lc, tuple(draw[nh:]))
-        h_rank = _block_rank(h)
-        if h_rank < sampler.h_full:
-            continue
-        l_rank = _block_rank(l)
-        if l_rank == sampler.l_full:
-            return ConormalVector(sampler.base, h, l, h_rank, l_rank, attempt)
-    raise NoGenericCovector(
-        f"no generic covector within {RETRY_BUDGET} resamples; "
-        "this indicates a bug, not bad luck"
-    )
+    nh, size, bound = hr * hc, hr * hc + lr * lc, sampler.height_bound
+    base, h_full, l_full = sampler.base, sampler.h_full, sampler.l_full
+    # a block with no rows or no columns has rank 0 and is never ranked
+    rank_h, rank_l = hr and hc, lr and lc
+    draws, states = draw_streams(derive_states(seeds, "conormal-sample"), size, -bound, bound)
+    out = []
+    for draw, state in zip(draws, states):
+        for attempt in range(RETRY_BUDGET + 1):
+            if attempt:
+                (draw,), (state,) = draw_streams((state,), size, -bound, bound)
+            # h row-major then l row-major: entries are ints, already canonical
+            h = QMatrix(hr, hc, tuple(draw[:nh]))
+            h_rank = rank(h) if rank_h else 0
+            if h_rank < h_full:
+                continue
+            l = QMatrix(lr, lc, tuple(draw[nh:]))
+            l_rank = rank(l) if rank_l else 0
+            if l_rank == l_full:
+                out.append(ConormalVector(base, h, l, h_rank, l_rank, attempt))
+                break
+        else:
+            raise NoGenericCovector(
+                f"no generic covector within {RETRY_BUDGET} resamples; "
+                "this indicates a bug, not bad luck"
+            )
+    return tuple(out)

@@ -61,9 +61,11 @@ def form_flavor(kind: Kind) -> Flavor:
     return Flavor.SKEW if kind == Kind.SP else Flavor.SYMMETRIC
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """Coordinates of a k-plane in an affine chart: an (n-k) x k matrix."""
+class ChartPoint(NamedTuple):
+    """Coordinates of a k-plane in an affine chart: an (n-k) x k matrix.
+
+    A NamedTuple, like Chart: one is built per sampled point.
+    """
 
     a: QMatrix
 

@@ -20,9 +20,14 @@ exactly (see rank).  The sparse constraint systems of the transversality
 sweep, with one to three nonzeros a row, then cost about their
 nonzeros, not every row times every pivot.
 
-Random draws come from SeedStream, a splitmix64 generator whose
-randints(count, lo, hi) gives in one loop exactly the values, and the
-final state, of count calls to randint.
+Random draws come from splitmix64 streams.  draw_streams holds the one
+copy of the draw: one loop gives count values from [lo, hi] on each of
+many stream states, and the states after them.  SeedStream is one such
+stream; its randints(count, lo, hi) is draw_streams on its own state,
+exactly the values, and the final state, of count calls to randint.
+derive_states derives the streams of many seeds under one tag, as
+SeedStream(seed).derive(tag) does for one, so a caller that draws per
+seed builds no SeedStream per seed.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def _all_int(entries) -> bool:
@@ -50,9 +55,14 @@ def _q(x):
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Immutable matrix of canonical exact entries, stored row-major."""
+class QMatrix(NamedTuple):
+    """Immutable matrix of canonical exact entries, stored row-major.
+
+    A NamedTuple rather than a frozen dataclass: one is built in about a
+    third of the time, and a pass builds tens of thousands.  Indexing
+    takes a pair (i, j); as a tuple a matrix still iterates over, and
+    compares equal to, (nrows, ncols, entries), which no caller relies on.
+    """
 
     nrows: int
     ncols: int
@@ -388,6 +398,49 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def draw_streams(states: Sequence[int], count: int, lo: int, hi: int) -> tuple:
+    """count draws from [lo, hi] on each stream state: (draw lists, final states).
+
+    The draws of a state are the values, and its final state the state,
+    of count randint calls on a SeedStream in that state.
+    """
+    if lo > hi:
+        raise ValueError(f"empty draw range [{lo}, {hi}]")
+    span, mask = hi - lo + 1, _MASK64
+    draws, finals = [], []
+    for z in states:
+        out = []
+        for _ in range(count):
+            z = (z + 0x9E3779B97F4A7C15) & mask
+            # _mix64(z), inlined: this loop is the one copy of the draw
+            x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
+            out.append(lo + (x ^ (x >> 31)) % span)
+        draws.append(out)
+        finals.append(z)
+    return draws, finals
+
+
+def _derive_mask(tag) -> int:
+    """What derive XORs into a state for tag: a str is hashed by crc32."""
+    if isinstance(tag, str):
+        tag = zlib.crc32(tag.encode("utf-8"))
+    return (tag & _MASK64) ^ 0xD1B54A32D192ED03
+
+
+def derive_states(seeds: Sequence[int], tag) -> list:
+    """The state of SeedStream(seed).derive(tag) for each seed.
+
+    Every seed is range-checked, as SeedStream(seed) checks it: all are
+    in range when the least and the greatest are.
+    """
+    if seeds:
+        check_seed(min(seeds))
+        check_seed(max(seeds))
+    t = _derive_mask(tag)
+    return [_mix64(seed ^ t) for seed in seeds]
+
+
 class SeedStream:
     """Small deterministic generator (splitmix64).
 
@@ -408,25 +461,11 @@ class SeedStream:
 
     def randints(self, count: int, lo: int, hi: int) -> list:
         """count draws from [lo, hi]: the values, and final state, of count randint calls."""
-        if lo > hi:
-            raise ValueError(f"empty draw range [{lo}, {hi}]")
-        span, mask = hi - lo + 1, _MASK64
-        z = self.state
-        out = []
-        for _ in range(count):
-            z = (z + 0x9E3779B97F4A7C15) & mask
-            # _mix64(z), inlined: this loop is the one copy of the draw
-            x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
-            out.append(lo + (x ^ (x >> 31)) % span)
-        self.state = z
+        (out,), (self.state,) = draw_streams((self.state,), count, lo, hi)
         return out
 
     def derive(self, *tags) -> "SeedStream":
         x = self.state
         for tag in tags:
-            if isinstance(tag, str):
-                tag = zlib.crc32(tag.encode("utf-8"))
-            x = _mix64(x ^ (tag & _MASK64) ^ 0xD1B54A32D192ED03)
+            x = _mix64(x ^ _derive_mask(tag))
         return SeedStream(x)
-

@@ -20,10 +20,10 @@ a block's reduced column-space or kernel basis and are checked by ranks.
 Everything here past ``verify_microlocal_empty``, the one entry that
 validates and normalizes original labels, works in normalized labels:
 covectors are drawn once per stratum (``draw_conormals``, which sets up
-one sampler and draws every trial seed in one batch, then draws each
-covector on its own seed) and judged per target (``judge_microlocal``,
-which reads the setup and stratum off the covectors' base point and
-picks the resolution).  Emptiness of the microlocal fiber over a
+one sampler, draws every trial seed in one batch, then every covector
+in one batch over those seeds) and judged per target
+(``judge_microlocal``, which reads the setup and stratum off the
+covectors' base point and picks the resolution).  Emptiness of the microlocal fiber over a
 generic covector is what kills the characteristic cycle's extra terms.
 
 Radical strata (Sp/SO) have an analogous resolution remembering a
@@ -38,7 +38,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .exactla import SEED_MAX, QMatrix, SeedStream, check_count, kernel, rank, rref
-from .conormal import ConormalVector, covector_sampler, draw_covector, generic_block_ranks
+from .conormal import ConormalVector, covector_sampler, draw_covectors, generic_block_ranks
 from .orbits import (
     ClosurePoset,
     Kind,
@@ -185,8 +185,9 @@ def draw_conormals(base, trials: int = 20, seed: int = 0) -> tuple:
     sampler = covector_sampler(base)
     work, strat = base.setup, base.orbit
     rng = SeedStream(seed).derive("microlocal", work.describe(), format_orbit(work, strat))
-    # one batch of trial seeds: the values of trials next_u64 calls
-    return tuple(draw_covector(sampler, s) for s in rng.randints(trials, 0, SEED_MAX))
+    # one batch of trial seeds, the values of trials next_u64 calls, and
+    # one batch of draws over them
+    return draw_covectors(sampler, rng.randints(trials, 0, SEED_MAX))
 
 
 def judge_microlocal(target, covectors) -> MicrolocalVerdict:

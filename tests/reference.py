@@ -21,10 +21,13 @@ so a test can compare the two, or builds seeded test data:
 * ``conormal_space`` is the literal-block conormal space of a GLpq
   orbit, the second route beside the kernel of ``action_image``;
   ``max_conormal_rank`` is the closed-form rank that
-  ``conormal.draw_covector`` must reach, and ``conormal_matrix``
+  ``conormal.draw_covectors`` must reach, and ``conormal_matrix``
   places a sampled covector's two blocks in its k x (n-k) matrix.
+  ``draw_covector`` draws one covector on its own seed's ``SeedStream``,
+  one attempt at a time; ``conormal.draw_covectors`` must give each seed
+  of a batch the same covector.
   ``sample_conormal`` draws one covector on a sampler set up for it
-  alone, through the sweep's per-sample ``conormal.draw_covector``.
+  alone, through the sweep's batch ``conormal.draw_covectors``.
 * ``form_matrix`` is the dense invariant form that ``orbits.form_sign``
   and everything read off its signs replace; ``perp`` and
   ``annihilator`` are the dense complements that the duality
@@ -59,7 +62,14 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
 from kcycle import degeneracy
-from kcycle.conormal import ConormalVector, covector_sampler, draw_covector
+from kcycle.conormal import (
+    RETRY_BUDGET,
+    ConormalVector,
+    CovectorSampler,
+    NoGenericCovector,
+    covector_sampler,
+    draw_covectors,
+)
 from kcycle.degeneracy import ChartPoint, _differential_values
 from kcycle.exactla import QMatrix, SeedStream, Subspace, kernel, rank, rref, solve
 from kcycle.matrixstrata import (
@@ -266,9 +276,27 @@ def conormal_matrix(xi: ConormalVector) -> QMatrix:
     return QMatrix(setup.k, nk, tuple(flat))
 
 
+def draw_covector(sampler: CovectorSampler, seed: int) -> ConormalVector:
+    """One covector on its own seed's stream, drawn and certified alone."""
+    rng = SeedStream(seed).derive("conormal-sample")
+    (hr, hc), (lr, lc) = sampler.h_shape, sampler.l_shape
+    nh, bound = hr * hc, sampler.height_bound
+    for attempt in range(RETRY_BUDGET + 1):
+        draw = rng.randints(nh + lr * lc, -bound, bound)
+        h = QMatrix(hr, hc, tuple(draw[:nh]))
+        l = QMatrix(lr, lc, tuple(draw[nh:]))
+        h_rank = rank(h) if hr and hc else 0
+        if h_rank < sampler.h_full:
+            continue
+        l_rank = rank(l) if lr and lc else 0
+        if l_rank == sampler.l_full:
+            return ConormalVector(sampler.base, h, l, h_rank, l_rank, attempt)
+    raise NoGenericCovector(f"no generic covector within {RETRY_BUDGET} resamples")
+
+
 def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> ConormalVector:
     """One covector as the sweep draws it, on a sampler set up for it alone."""
-    return draw_covector(covector_sampler(base, height_bound), seed)
+    return draw_covectors(covector_sampler(base, height_bound), [seed])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import pytest
 
-from kcycle.exactla import QMatrix, SeedStream, kernel, rank
+from kcycle import conormal
+from kcycle.conormal import NoGenericCovector, block_shapes, covector_sampler, draw_covectors
+from kcycle.exactla import SEED_MAX, QMatrix, SeedStream, kernel, rank
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -16,6 +18,7 @@ from reference import (
     action_image,
     conormal_matrix,
     conormal_space,
+    draw_covector,
     max_conormal_rank,
     open_orbit,
     sample_conormal,
@@ -223,3 +226,58 @@ def test_block_pattern_zero_elsewhere():
             if (rg, cg) in ((0, 2), (1, 0)):
                 continue
             assert blk.is_zero()
+
+
+def test_batch_draw_matches_the_per_seed_draw():
+    # every non-open stratum of every glpq setup with n <= 7, at height 1,
+    # where singular blocks and so retries are common, and at the default
+    # height 100: the batch gives each seed the blocks, ranks and retries
+    # of a draw on that seed's own stream
+    setups = [glpq(n, k, p, n - p) for n in range(2, 8) for k in range(1, n) for p in range(1, n)]
+    rng = SeedStream(18)
+    strata = retried = 0
+    for setup in setups:
+        for orbit in enumerate_orbits(setup):
+            bp = base_point(setup, orbit)
+            (hr, hc), (lr, lc) = block_shapes(bp)
+            if hr * hc + lr * lc == 0:
+                continue  # the open orbit
+            strata += 1
+            for height in (1, 100):
+                sampler = covector_sampler(bp, height)
+                seeds = rng.randints(6, 0, SEED_MAX)
+                batch = draw_covectors(sampler, seeds)
+                assert batch == tuple(draw_covector(sampler, seed) for seed in seeds)
+                retried += sum(xi.retries > 0 for xi in batch)
+    # every orbit but the open one of each setup was drawn
+    assert strata == sum(len(enumerate_orbits(s)) - 1 for s in setups)
+    assert retried > 100
+
+
+def test_batch_draw_raises_on_no_generic_covector_and_bad_seeds(monkeypatch):
+    sampler = covector_sampler(base_point(glpq(6, 2, 3, 3), IntersectionOrbit(1, 1)))
+    for seeds in ([-1], [3, SEED_MAX + 1, 4], [SEED_MAX, -5]):
+        with pytest.raises(ValueError, match="seed"):
+            draw_covectors(sampler, seeds)
+    assert len(draw_covectors(sampler, [0, SEED_MAX])) == 2
+    assert draw_covectors(sampler, []) == ()
+    monkeypatch.setattr(conormal, "rank", lambda m: 0)
+    with pytest.raises(NoGenericCovector):
+        draw_covectors(sampler, [1, 2])
+
+
+def test_batch_draw_builds_no_seed_stream(monkeypatch):
+    # the trials' streams are plain states, derived and drawn in batches,
+    # retries included
+    built = []
+    real_init = SeedStream.__init__
+
+    def counting_init(self, seed):
+        built.append(seed)
+        real_init(self, seed)
+
+    sampler = covector_sampler(base_point(glpq(6, 2, 3, 3), IntersectionOrbit(1, 1)), 1)
+    seeds = SeedStream(7).randints(20, 0, SEED_MAX)
+    monkeypatch.setattr(SeedStream, "__init__", counting_init)
+    drawn = draw_covectors(sampler, seeds)
+    assert built == [] and any(xi.retries for xi in drawn)

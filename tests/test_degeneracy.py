@@ -81,20 +81,20 @@ def test_section_value_builds_no_frame_and_no_gram_product(monkeypatch):
     monkeypatch.setattr(orbits, "gram_matrix", no_gram)
     monkeypatch.setattr(degeneracy, "gram_matrix", no_gram, raising=False)
     shapes = set()
-    real_init = QMatrix.__init__
+    real_new = QMatrix.__new__
 
-    def recording_init(self, nrows, ncols, entries):
+    def recording_new(cls, nrows, ncols, entries):
         shapes.add((nrows, ncols))
-        real_init(self, nrows, ncols, entries)
+        return real_new(cls, nrows, ncols, entries)
 
     for setup, center_last in _isotropy_setups(8):
         n, k = setup.n, setup.k
         a = random_chart_point(n, k, SeedStream(41).derive(setup.describe()))
         expected = gram_matrix(setup, _frame(a, center_last))
         shapes.clear()
-        monkeypatch.setattr(QMatrix, "__init__", recording_init)
+        monkeypatch.setattr(QMatrix, "__new__", recording_new)
         value = section_value(setup, a, center_last)
-        monkeypatch.setattr(QMatrix, "__init__", real_init)
+        monkeypatch.setattr(QMatrix, "__new__", real_new)
         assert value == expected
         assert shapes == {(k, k)}
 

@@ -131,7 +131,7 @@ def test_rank_calls_per_drawn_sample(monkeypatch):
     # a draw ranks h when h has rows and columns, then l likewise but only
     # when h came out full; a block with no rows or no columns is never
     # ranked, and membership ranks nothing
-    real_rank, real_draw = exactla.rank, resolutions.draw_covector
+    real_rank, real_draw = exactla.rank, resolutions.draw_covectors
     calls, samples = [], []
 
     def counting_rank(m):
@@ -139,16 +139,20 @@ def test_rank_calls_per_drawn_sample(monkeypatch):
         calls.append(((m.nrows, m.ncols), r == min(m.nrows, m.ncols)))
         return r
 
-    def low_height_draw(sampler, seed):
-        # entries in {-1, 0, 1} make singular blocks, and so retries, common
-        first = len(calls)
-        xi = real_draw(sampler._replace(height_bound=1), seed)
-        samples.append((xi, calls[first:]))
-        return xi
+    def low_height_draw(sampler, seeds):
+        # entries in {-1, 0, 1} make singular blocks, and so retries, common;
+        # one seed per batch keeps each sample's rank calls apart
+        out = []
+        for seed in seeds:
+            first = len(calls)
+            (xi,) = real_draw(sampler._replace(height_bound=1), [seed])
+            samples.append((xi, calls[first:]))
+            out.append(xi)
+        return tuple(out)
 
     for module in (exactla, conormal, resolutions):
         monkeypatch.setattr(module, "rank", counting_rank, raising=False)
-    monkeypatch.setattr(resolutions, "draw_covector", low_height_draw)
+    monkeypatch.setattr(resolutions, "draw_covectors", low_height_draw)
     for setup in (glpq(6, 2, 3, 3), glpq(5, 2, 3, 2)):
         for target, stratum in proper_pairs(setup):
             verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=3)
@@ -230,8 +234,8 @@ def test_a_contradicted_shape_verdict_fails_the_row(monkeypatch):
 def test_genuine_witnesses_pass_their_check(monkeypatch):
     # zero covectors lie in every kernel image, with witnesses that hold up:
     # the rows fail on the shape verdict alone, not on the witness check
-    monkeypatch.setattr(resolutions, "draw_covector",
-                        lambda sampler, seed: zero_covector(sampler.base))
+    monkeypatch.setattr(resolutions, "draw_covectors",
+                        lambda sampler, seeds: tuple(zero_covector(sampler.base) for _ in seeds))
     for setup in (glpq(6, 2, 3, 3), glpq(5, 3, 4, 1)):
         rows = check_microlocal(setup, trials=2, seed=1)
         assert rows and not any(r.ok for r in rows)
@@ -244,18 +248,18 @@ def test_genuine_witnesses_pass_their_check(monkeypatch):
 @pytest.mark.parametrize("setup", [glpq(6, 2, 3, 3), glpq(8, 4, 4, 4)])
 def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
     # both setups are normalized, so a target's thresholds are its own label
-    real_sampler, real_draw = resolutions.covector_sampler, resolutions.draw_covector
+    real_sampler, real_draw = resolutions.covector_sampler, resolutions.draw_covectors
     samplers, draws, judged = [], [], []
 
     def counting_sampler(base):
         samplers.append(real_sampler(base))
         return samplers[-1]
 
-    def counting_draw(sampler, seed):
+    def counting_draw(sampler, seeds):
         assert sampler is samplers[-1], "a draw on another stratum's sampler"
-        xi = real_draw(sampler, seed)
-        draws.append(xi)
-        return xi
+        drawn = real_draw(sampler, seeds)
+        draws.extend(drawn)
+        return drawn
 
     def counting(real):
         def member(xi, s, t):
@@ -264,7 +268,7 @@ def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
         return member
 
     monkeypatch.setattr(resolutions, "covector_sampler", counting_sampler)
-    monkeypatch.setattr(resolutions, "draw_covector", counting_draw)
+    monkeypatch.setattr(resolutions, "draw_covectors", counting_draw)
     for name in ("kernel_membership_Z", "kernel_membership_Ztilde"):
         monkeypatch.setattr(resolutions, name, counting(getattr(resolutions, name)))
     trials = 20
