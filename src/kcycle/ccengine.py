@@ -14,7 +14,7 @@ sweep always runs to completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import degeneracy
 from .exactla import check_count, check_seed
@@ -43,35 +43,40 @@ from .resolutions import (
 )
 
 
-@dataclass(frozen=True)
-class CharacteristicCycle:
-    """A cycle supported on conormals of orbits in one closure.
-
-    ``terms`` lists (orbit, multiplicity) pairs, the target orbit first
-    with multiplicity one, the rest in label order.
-    """
-
+class _CycleFields(NamedTuple):
     setup: Setup
     target: object
     terms: tuple
 
-    def __post_init__(self):
-        if not self.terms:
+
+class CharacteristicCycle(_CycleFields):
+    """A cycle supported on conormals of orbits in one closure.
+
+    ``terms`` lists (orbit, multiplicity) pairs, the target orbit first
+    with multiplicity one, the rest in label order.  A NamedTuple whose
+    checks run in __new__; _make and _replace skip them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, setup: Setup, target, terms: tuple) -> "CharacteristicCycle":
+        if not terms:
             raise ValueError("a cycle has at least its lead term")
-        lead, lead_mult = self.terms[0]
-        if lead != self.target or lead_mult != 1:
+        lead, lead_mult = terms[0]
+        if lead != target or lead_mult != 1:
             raise ValueError("lead term must be the target with multiplicity one")
         seen = set()
-        for orbit, mult in self.terms:
-            check_orbit(self.setup, orbit)
+        for orbit, mult in terms:
+            check_orbit(setup, orbit)
             if orbit in seen:
                 raise ValueError("duplicate term")
             seen.add(orbit)
             if not (isinstance(mult, int) and mult > 0):
                 raise ValueError("multiplicities are positive integers")
             # the target is the lead term, checked on the first pass
-            if not _closure_leq(self.setup, orbit, self.target):
+            if not _closure_leq(setup, orbit, target):
                 raise ValueError("terms must lie in the closure of the target")
+        return tuple.__new__(cls, (setup, target, terms))
 
     @classmethod
     def from_multiplicities(cls, setup: Setup, target, mults: dict) -> "CharacteristicCycle":
@@ -164,16 +169,14 @@ def pullback_cc(setup: Setup, orbit) -> CharacteristicCycle:
     return CharacteristicCycle.from_multiplicities(setup, orbit, back)
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     check: str
     subject: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     setup: Setup
     rows: tuple
 

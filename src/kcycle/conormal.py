@@ -37,9 +37,8 @@ class NoGenericCovector(RuntimeError):
 class ConormalVector(NamedTuple):
     """A GLpq covector at a base point, held as its two blocks and their ranks.
 
-    A NamedTuple, like CovectorSampler: one is built per draw, and a
-    NamedTuple is built in about a third of a frozen dataclass's time.
-    So ``retries`` takes part in equality; nothing compares covectors.
+    ``retries`` takes part in equality, as every field does; nothing
+    compares covectors.
     """
 
     base: BasePoint
@@ -69,9 +68,7 @@ class CovectorSampler(NamedTuple):
     """What every covector drawn at one GLpq base point shares, checked once.
 
     Built by covector_sampler: the block shapes of h and l, their
-    generic_block_ranks and the entry height bound.  A NamedTuple rather
-    than a frozen dataclass, which takes about ten times as long to define
-    at import.
+    generic_block_ranks and the entry height bound.
     """
 
     base: BasePoint

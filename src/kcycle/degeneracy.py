@@ -20,8 +20,8 @@ differential does not depend on a.  _section_plan lists C and the
 (dst, src, eps) triples once per (kind, n, k, chart); _section_entries
 and _differential_values both read it, so no frame is built and J is
 never multiplied.  The transversality constraints are read off entries
-the same way.  A chart point is drawn in one batch straight into its
-matrix.
+the same way.  A chart's points are drawn in one batch, one randints
+call, and each is sliced straight into its matrix as it is judged.
 
 A value x is ranked through a smaller matrix.  In the standard chart C
 is zero outside one m x m block, m = 2k - n, rows and columns
@@ -44,10 +44,9 @@ form_flavor is the one map from a setup kind to its matrix flavor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter, mul, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exactla import QMatrix, SeedStream, check_count, rank
 from .matrixstrata import Flavor, flavor_dim, pairing_row, product_rows
@@ -62,19 +61,27 @@ def form_flavor(kind: Kind) -> Flavor:
 
 
 class ChartPoint(NamedTuple):
-    """Coordinates of a k-plane in an affine chart: an (n-k) x k matrix.
-
-    A NamedTuple, like Chart: one is built per sampled point.
-    """
+    """Coordinates of a k-plane in an affine chart: an (n-k) x k matrix."""
 
     a: QMatrix
 
 
-def random_chart_point(n: int, k: int, rng: SeedStream, height_bound: int = 9) -> ChartPoint:
+def draw_chart_points(n: int, k: int, rng: SeedStream, count: int,
+                      height_bound: int = 9) -> Iterator[ChartPoint]:
+    """count chart points, drawn from rng in one randints call.
+
+    The height bound is checked and every draw made at the call: point
+    j is draws j*(n-k)*k onwards, row-major, the draws and final state
+    of count per-point draws of (n-k)*k entries each.  The points are
+    built as they are iterated over, so only one is alive at a time:
+    building them all at once raised an isotropy pass's peak memory.
+    """
     check_count("height_bound", height_bound)
-    # row-major draws of ints, already canonical
-    draws = rng.randints((n - k) * k, -height_bound, height_bound)
-    return ChartPoint(QMatrix(n - k, k, tuple(draws)))
+    size = (n - k) * k
+    draws = rng.randints(count * size, -height_bound, height_bound)
+    # ints, already canonical
+    return (ChartPoint(QMatrix(n - k, k, tuple(draws[i:i + size])))
+            for i in range(0, count * size, size))
 
 
 def _chart_flavor(setup: Setup, center_last: bool) -> Flavor:
@@ -172,8 +179,6 @@ class Chart(NamedTuple):
 
     Built once per chart by chart_for: the checked flavor, the top rank
     a flavored k x k value can have, the section plan and the Schur plan.
-    A NamedTuple rather than a frozen dataclass, which takes about ten
-    times as long to define at import.
     """
 
     setup: Setup
@@ -263,8 +268,7 @@ def _constraint_rows(chart: Chart, x: QMatrix) -> list:
     return rows + product_rows(x, chart.flavor)
 
 
-@dataclass(frozen=True)
-class ChartSuiteResult:
+class ChartSuiteResult(NamedTuple):
     center_last: bool
     points: int
     failures: int
@@ -274,8 +278,7 @@ class ChartSuiteResult:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class TransversalityResult:
+class TransversalityResult(NamedTuple):
     """Outcome of a sampled transversality sweep over one setup."""
 
     setup: Setup
@@ -308,7 +311,7 @@ def run_transversality_suite(setup: Setup, points: int = 100,
         rng = SeedStream(seed).derive(
             "transversality", work.describe(), "opposite" if center_last else "standard"
         )
-        failures = sum(not transverse_at(chart, random_chart_point(n, k, rng))
-                       for _ in range(points))
+        failures = sum(not transverse_at(chart, a)
+                       for a in draw_chart_points(n, k, rng, points))
         results.append(ChartSuiteResult(center_last, points, failures))
     return TransversalityResult(work, tuple(results))

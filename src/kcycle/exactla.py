@@ -8,7 +8,8 @@ Python int exactly when its value is integral, and a
 ``fractions.Fraction`` only when it is not.  A float entry raises
 TypeError, so a stray true division can never reach exact data.  Rank
 and reduced echelon forms are computed by elimination on integer rows;
-only rref's final division by its pivots can produce a Fraction.  A
+only rref's final division by its pivots can produce a Fraction.
+kernel reads a null space's canonical basis off a single rref.  A
 vector (at most one row or one column) is ranked without elimination,
 as 1 if any entry is nonzero and 0 otherwise.  Any other integral matrix
 goes into rank's elimination as row slices of its entries, with no scan
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import operator
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -58,10 +58,9 @@ def _q(x):
 class QMatrix(NamedTuple):
     """Immutable matrix of canonical exact entries, stored row-major.
 
-    A NamedTuple rather than a frozen dataclass: one is built in about a
-    third of the time, and a pass builds tens of thousands.  Indexing
-    takes a pair (i, j); as a tuple a matrix still iterates over, and
-    compares equal to, (nrows, ncols, entries), which no caller relies on.
+    Indexing takes a pair (i, j); as a tuple a matrix still iterates
+    over, and compares equal to, (nrows, ncols, entries), which no
+    caller relies on.
     """
 
     nrows: int
@@ -274,17 +273,28 @@ def rref(m: QMatrix):
 
 
 def kernel(m: QMatrix) -> "Subspace":
-    """Right null space {x : m x = 0} as a subspace of Q^ncols."""
-    pivots, rows = rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    cols = []
-    for f in free:
-        v = [0] * m.ncols
-        v[f] = 1
+    """Right null space {x : m x = 0} as a subspace of Q^ncols, by one rref.
+
+    m is reduced with its columns reversed (its entries reversed, which
+    also reverses the rows and so leaves the row space, hence the rref,
+    alone).  In the original order, the kernel vector of a free column
+    f then has its leading 1 at f, its other nonzeros at pivot columns
+    after f, and zeros at the other free columns.  Taken as rows by
+    increasing f, these vectors are therefore the kernel's reduced row
+    echelon form: the canonical basis Subspace.span would return.
+    """
+    nc = m.ncols
+    pivots, rows = rref(QMatrix(m.nrows, nc, m.entries[::-1]))
+    vectors = []
+    for f in range(nc - 1, -1, -1):  # increasing original column nc-1-f
+        if f in pivots:
+            continue
+        v = [0] * nc
+        v[nc - 1 - f] = 1
         for r_i, c in enumerate(pivots):
-            v[c] = -rows[r_i][f]
-        cols.append(v)
-    return Subspace.span(m.ncols, cols)
+            v[nc - 1 - c] = -rows[r_i][f]
+        vectors.append(v)
+    return Subspace(nc, QMatrix.from_cols(nc, vectors))
 
 
 def solve(m: QMatrix, v: Sequence):
@@ -304,11 +314,10 @@ def _check_ambient(a: "Subspace", b: "Subspace") -> None:
         raise ValueError("subspaces of different ambient spaces")
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Column span with a canonical (column-reduced) basis.
 
-    Canonical form makes equality of subspaces plain dataclass equality.
+    Canonical form makes equality of subspaces plain field equality.
     """
 
     ambient_dim: int

@@ -15,8 +15,8 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .exactla import QMatrix
 
@@ -71,25 +71,34 @@ def product_rows(x: QMatrix, flavor: Flavor) -> list:
     return out
 
 
-@dataclass(frozen=True, order=True)
-class StratumId:
+class _StratumFields(NamedTuple):
     flavor: Flavor
     size: int
     rank: int
 
-    def __post_init__(self):
-        if not (0 <= self.rank <= self.size):
-            raise ValueError(f"rank {self.rank} out of range for size {self.size}")
-        if self.flavor == Flavor.SKEW and self.rank % 2:
+
+class StratumId(_StratumFields):
+    """The rank-``rank`` stratum of ``size``-square matrices of a flavor.
+
+    A NamedTuple, ordered by (flavor, size, rank), whose checks run in
+    __new__; _make and _replace skip them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, flavor: Flavor, size: int, rank: int) -> "StratumId":
+        if not (0 <= rank <= size):
+            raise ValueError(f"rank {rank} out of range for size {size}")
+        if flavor == Flavor.SKEW and rank % 2:
             raise ValueError("skew matrices have even rank")
+        return tuple.__new__(cls, (flavor, size, rank))
 
     def label(self) -> str:
         idx = self.rank if self.flavor == Flavor.SYMMETRIC else self.rank // 2
         return f"O{idx}"
 
 
-@dataclass(frozen=True)
-class MatrixCC:
+class MatrixCC(NamedTuple):
     """Characteristic cycle of a rank stratum: stratum -> multiplicity."""
 
     terms: tuple  # ((StratumId, mult), ...) ordered by decreasing rank

@@ -39,13 +39,14 @@ subspace is spanned or intersected.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
-from dataclasses import dataclass
+import zlib
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactla import QMatrix, rank
 
@@ -56,30 +57,41 @@ class Kind(str, Enum):
     SO = "so"
 
 
-@dataclass(frozen=True)
-class Setup:
+class _SetupFields(NamedTuple):
     kind: Kind
     n: int
     k: int
     p: Optional[int] = None
     q: Optional[int] = None
 
-    def __post_init__(self):
-        if self.n > sys.maxsize:
+
+class Setup(_SetupFields):
+    """A symmetric pair acting on Gr(k, n), checked when it is built.
+
+    A NamedTuple whose checks run in __new__, on positional and keyword
+    construction alike; _make and _replace skip them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: Kind, n: int, k: int, p: Optional[int] = None,
+                q: Optional[int] = None) -> "Setup":
+        if n > sys.maxsize:
             # vectors of length n are lists, which no index-sized int can address
-            raise ValueError(f"need n <= {sys.maxsize}, got n={self.n}")
-        if not (1 <= self.k <= self.n - 1):
-            raise ValueError(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
-        if self.kind == Kind.GLPQ:
-            if self.p is None or self.q is None:
+            raise ValueError(f"need n <= {sys.maxsize}, got n={n}")
+        if not (1 <= k <= n - 1):
+            raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+        if kind == Kind.GLPQ:
+            if p is None or q is None:
                 raise ValueError("GLpq setup needs p and q")
-            if self.p < 1 or self.q < 1 or self.p + self.q != self.n:
-                raise ValueError(f"need p,q >= 1 with p+q=n, got p={self.p}, q={self.q}, n={self.n}")
+            if p < 1 or q < 1 or p + q != n:
+                raise ValueError(f"need p,q >= 1 with p+q=n, got p={p}, q={q}, n={n}")
         else:
-            if self.p is not None or self.q is not None:
-                raise ValueError(f"{self.kind.value} setup takes no p,q")
-            if self.kind == Kind.SP and self.n % 2 != 0:
+            if p is not None or q is not None:
+                raise ValueError(f"{kind.value} setup takes no p,q")
+            if kind == Kind.SP and n % 2 != 0:
                 raise ValueError("Sp needs n even")
+        return tuple.__new__(cls, (kind, n, k, p, q))
 
     @property
     def dim_gr(self) -> int:
@@ -91,23 +103,84 @@ class Setup:
         return f"{self.kind.value}(n={self.n},k={self.k})"
 
 
-@dataclass(frozen=True, order=True)
-class IntersectionOrbit:
+def _within_class(op):
+    """An ordering of two labels of one class by their keys; NotImplemented across classes."""
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._key, other._key)
+        return NotImplemented
+    return compare
+
+
+class OrbitLabel:
+    """Base of the three orbit labels: a frozen value with slotted fields.
+
+    Labels are equal only within one class, so RadicalOrbit(1) and
+    SplitOrbit(1) never share a dict or lru_cache entry.  Labels of one
+    class order by their fields; comparing labels of two classes raises
+    TypeError.  The repr is RadicalOrbit(i=1).  Assigning or deleting a
+    field raises AttributeError.  A subclass names its fields in
+    __slots__, and its __init__ sets them and _key, the tuple that is
+    compared and hashed: the class's _tag, then the fields.  _tag is a
+    crc32 of the class name, which, unlike a str hash, is the same in
+    every process, so the hash takes the class in.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init_subclass__(cls):
+        cls._tag = zlib.crc32(cls.__qualname__.encode())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    __lt__ = _within_class(operator.lt)
+    __le__ = _within_class(operator.le)
+    __gt__ = _within_class(operator.gt)
+    __ge__ = _within_class(operator.ge)
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting fields
+        return self.__class__, self._key[1:]
+
+
+class IntersectionOrbit(OrbitLabel):
     """GLpq orbit: dim(U cap C^p) = s, dim(U cap C^q) = t."""
 
-    s: int
-    t: int
+    __slots__ = ("s", "t")
+
+    def __init__(self, s: int, t: int):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_key", (self._tag, s, t))
 
 
-@dataclass(frozen=True, order=True)
-class RadicalOrbit:
+class RadicalOrbit(OrbitLabel):
     """Sp/SO orbit: dim rad(U) = i."""
 
-    i: int
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "_key", (self._tag, i))
 
 
-@dataclass(frozen=True, order=True)
-class SplitOrbit:
+class SplitOrbit(OrbitLabel):
     """One of the two closed SO-orbits of maximal isotropics when n = 2k.
 
     sign +1 is the family of the reference point span{e_1,...,e_k};
@@ -115,7 +188,11 @@ class SplitOrbit:
     e_{n/2} and e_{n/2+1}.
     """
 
-    sign: int
+    __slots__ = ("sign",)
+
+    def __init__(self, sign: int):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "_key", (self._tag, sign))
 
 
 def is_split_setup(setup: Setup) -> bool:
@@ -209,8 +286,7 @@ def parse_orbit(setup: Setup, text: str):
 # ---------------------------------------------------------------------------
 # normalization
 
-@dataclass(frozen=True)
-class NormalizedSetup:
+class NormalizedSetup(NamedTuple):
     """A setup together with the relabelling that standardizes it.
 
     GLpq is brought to p >= q and k <= n-k; Sp/SO to k >= n-k.  The swap
@@ -362,32 +438,25 @@ def _e(n: int, idx: int) -> list:
     return v
 
 
-@dataclass(frozen=True)
-class BasePoint:
+class BasePoint(NamedTuple):
     """A marked point of an orbit with an adapted basis of C^n.
 
     The first k columns of `basis` span U.  `row_groups` partitions
     those k columns (GLpq: the C^p part, the C^q part, the mixed part;
     Sp/SO: the radical, then the rest).  `col_groups` partitions the
     n-k complement columns (GLpq: inside C^p, the overlap block, inside
-    C^q; Sp/SO: a single block).
+    C^q; Sp/SO: a single block).  `row_blocks` and `col_blocks` are the
+    same partitions as consecutive ranges of those columns; base_point
+    fills them once, and its cache shares them.
     """
 
     setup: Setup
-    orbit: object
+    orbit: OrbitLabel
     basis: QMatrix
     row_groups: tuple
     col_groups: tuple
-
-    @cached_property
-    def row_blocks(self) -> tuple:
-        """row_groups as consecutive ranges of the first k columns."""
-        return _consecutive_ranges(self.row_groups)
-
-    @cached_property
-    def col_blocks(self) -> tuple:
-        """col_groups as consecutive ranges of the n-k complement columns."""
-        return _consecutive_ranges(self.col_groups)
+    row_blocks: tuple
+    col_blocks: tuple
 
     @property
     def u_matrix(self) -> QMatrix:
@@ -470,7 +539,7 @@ def base_point(setup: Setup, orbit) -> BasePoint:
     # explicit raises, not asserts, so that python -O keeps the self-check
     if rank(basis) != n:
         raise AssertionError("adapted basis must be invertible")
-    bp = BasePoint(setup, orbit, basis, rg, cg)
+    bp = BasePoint(setup, orbit, basis, rg, cg, _consecutive_ranges(rg), _consecutive_ranges(cg))
     got = orbit_of(setup, bp.u_matrix)
     if got != orbit:
         raise AssertionError(f"constructed point sits on {got}, wanted {orbit}")

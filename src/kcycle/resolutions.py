@@ -33,9 +33,8 @@ dimensions are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .exactla import SEED_MAX, QMatrix, SeedStream, check_count, kernel, rank, rref
 from .conormal import ConormalVector, covector_sampler, draw_covectors, generic_block_ranks
@@ -59,8 +58,7 @@ class ResolutionKind(str, Enum):
     ZI = "zi"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A fiber point (V, W) certifying kernel membership, as frames in block coordinates.
 
     ``w`` spans W in l's row coordinates (U cap C^q).  For Z, ``v`` spans
@@ -73,8 +71,7 @@ class Witness:
     w: QMatrix
 
 
-@dataclass(frozen=True)
-class MicrolocalVerdict:
+class MicrolocalVerdict(NamedTuple):
     """Membership of sampled covectors, set against the block-shape verdict.
 
     ``generic_empty`` is what the block shapes predict for a generic

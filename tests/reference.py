@@ -5,6 +5,9 @@ so a test can compare the two, or builds seeded test data:
 
 * ``random_matrix``, ``random_matrix_from`` and ``random_flavored_matrix``
   draw seeded integer matrices, the last of a given flavor and rank.
+* ``kernel_by_span`` is the null space spanned, then made canonical by
+  ``Subspace.span``, from the kernel vectors of one rref; ``exactla.kernel``
+  reads the canonical basis off a single rref and must match it.
 * ``inverse`` inverts by elimination; ``orbits._adapted_inverse`` reads
   the inverse of an adapted basis off its columns and must match it.
 * ``solve_homogeneous``, the common kernel of a list of functionals,
@@ -42,6 +45,9 @@ so a test can compare the two, or builds seeded test data:
   blocks of a frame.  ``base_plane`` is a base point's plane U as a
   ``Subspace``, where the package keeps only its frame ``u_matrix``.
 * ``open_orbit`` finds the open orbit from the closure order alone.
+* ``random_chart_point`` draws one chart point on a stream;
+  ``degeneracy.draw_chart_points`` draws a chart's points in one batch
+  and must give the same points and final stream state.
 * ``section_differential_image`` spans the differential of the Gram
   section that ``degeneracy.transverse_at`` reads off its plan.
   ``section_value`` and ``verify_transversality`` evaluate and check one
@@ -101,6 +107,19 @@ from kcycle.resolutions import ResolutionKind, Witness
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
+
+def kernel_by_span(m: QMatrix) -> Subspace:
+    """Right null space of m: one kernel vector per free column of rref(m), then spanned."""
+    pivots, rows = rref(m)
+    cols = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        v = [0] * m.ncols
+        v[f] = 1
+        for r_i, c in enumerate(pivots):
+            v[c] = -rows[r_i][f]
+        cols.append(v)
+    return Subspace.span(m.ncols, cols)
+
 
 def random_matrix(nrows: int, ncols: int, seed: int, height_bound: int = 100) -> QMatrix:
     """Deterministic integer matrix with entries in [-height_bound, height_bound]."""
@@ -396,6 +415,12 @@ def open_orbit(pos: ClosurePoset):
 
 # ---------------------------------------------------------------------------
 # the Gram section
+
+def random_chart_point(n: int, k: int, rng: SeedStream, height_bound: int = 9) -> ChartPoint:
+    """One chart point: (n-k) * k row-major draws from [-height_bound, height_bound]."""
+    draws = rng.randints((n - k) * k, -height_bound, height_bound)
+    return ChartPoint(QMatrix(n - k, k, tuple(draws)))
+
 
 def check_chart(setup: Setup, a: ChartPoint, center_last: bool) -> None:
     """The chart exists for the setup and ``a`` has its (n-k) x k shape."""

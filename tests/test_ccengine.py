@@ -308,7 +308,6 @@ def test_sweep_draws_are_pinned(monkeypatch):
     # and every chart point of run_transversality_suite over sp/so with
     # n <= 8, with each rank taken on the way and the verdict read off them
     from kcycle import ccengine, degeneracy
-    from kcycle.exactla import SeedStream
     from kcycle.matrixstrata import flavor_dim
 
     covectors = hashlib.sha256()
@@ -327,19 +326,19 @@ def test_sweep_draws_are_pinned(monkeypatch):
     monkeypatch.undo()
 
     events = []
-    real_randints, real_rank = SeedStream.randints, degeneracy.rank
+    real_transverse_at, real_rank = degeneracy.transverse_at, degeneracy.rank
 
-    def recording_randints(self, count, lo, hi):
-        out = real_randints(self, count, lo, hi)
-        events.append((tuple(out), []))
-        return out
+    def recording_transverse_at(chart, a):
+        # one event per chart point: its draws, then the ranks it takes
+        events.append((a.a.entries, []))
+        return real_transverse_at(chart, a)
 
     def recording_rank(m):
         r = real_rank(m)
         events[-1][1].append((m, r))
         return r
 
-    monkeypatch.setattr(SeedStream, "randints", recording_randints)
+    monkeypatch.setattr(degeneracy, "transverse_at", recording_transverse_at)
     monkeypatch.setattr(degeneracy, "rank", recording_rank)
     points, degenerate = hashlib.sha256(), 0
     for setup in _all_setups(8, kinds=(Kind.SP, Kind.SO)):

@@ -8,7 +8,6 @@ from kcycle.degeneracy import (
     ChartPoint,
     chart_for,
     form_flavor,
-    random_chart_point,
     run_transversality_suite,
 )
 from kcycle.exactla import QMatrix, SeedStream, rank
@@ -28,6 +27,7 @@ from reference import (
     coordinate_basis,
     form_matrix,
     is_flavored,
+    random_chart_point,
     section_differential_image,
     section_value,
     trace_pairing,
@@ -185,6 +185,32 @@ def test_each_chart_is_set_up_once(monkeypatch):
     assert [c.center_last for c in built] == [False, True]
     assert len(judged) == 60
     assert all(c is built[i // 30] for i, c in enumerate(judged))
+
+
+def test_chart_points_are_drawn_in_one_batch(monkeypatch):
+    # a batch of chart points is the per-point draw, point after point,
+    # and the call leaves the stream where the per-point draws leave it
+    for n, k in ((2, 1), (5, 3), (8, 4), (9, 7)):
+        for count, bound in ((1, 9), (7, 9), (13, 1), (4, 250)):
+            batch, single = SeedStream(n * 100 + count), SeedStream(n * 100 + count)
+            points = degeneracy.draw_chart_points(n, k, batch, count, height_bound=bound)
+            reference = [random_chart_point(n, k, single, bound) for _ in range(count)]
+            # every draw is made at the call, before a point is built
+            assert batch.state == single.state
+            points = list(points)
+            assert points == reference
+            assert all(type(a) is ChartPoint and (a.a.nrows, a.a.ncols) == (n - k, k)
+                       for a in points)
+    # the sweep draws each chart's points in one randints call
+    real_randints, draws = SeedStream.randints, []
+
+    def counting_randints(self, count, lo, hi):
+        draws.append((count, lo, hi))
+        return real_randints(self, count, lo, hi)
+
+    monkeypatch.setattr(SeedStream, "randints", counting_randints)
+    assert run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1).all_ok
+    assert draws == [(30 * 16, -9, 9)] * 2
 
 
 @pytest.fixture

@@ -18,7 +18,14 @@ from kcycle.exactla import (
     rref,
     solve,
 )
-from reference import conormal_matrix, inverse, random_matrix, sample_conormal, solve_homogeneous
+from reference import (
+    conormal_matrix,
+    inverse,
+    kernel_by_span,
+    random_matrix,
+    sample_conormal,
+    solve_homogeneous,
+)
 
 
 def to_sympy(m: QMatrix) -> sympy.Matrix:
@@ -170,6 +177,41 @@ def test_kernel_rank_nullity():
             assert img.is_zero()
 
 
+def test_kernel_is_one_rref_and_matches_the_span_route(monkeypatch):
+    # kernel reads its canonical basis off a single rref: it equals the
+    # span of rref(m)'s kernel vectors and sympy's null space, Fractions,
+    # zero rows, empty shapes and dependent rows included
+    calls = []
+    real_rref = exactla.rref
+
+    def counting_rref(m):
+        calls.append((m.nrows, m.ncols))
+        return real_rref(m)
+
+    monkeypatch.setattr(exactla, "rref", counting_rref)
+    rng = SeedStream(909)
+    cases = [QMatrix(0, 3, ()), QMatrix(2, 0, ()), QMatrix.zeros(2, 3), QMatrix.identity(3),
+             QMatrix.from_rows([[1, 2, 3], [2, 4, 6]]), QMatrix.from_rows([[0, 0, 5, 1]])]
+    for _ in range(300):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) if rng.randint(0, 2) else 0 for _ in range(nc)]
+                for _ in range(nr)]
+        if nr > 2 and rng.randint(0, 1):
+            rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+        if rng.randint(0, 3) == 0:
+            rows = [[F(x, rng.randint(1, 4)) for x in row] for row in rows]
+        cases.append(QMatrix.from_rows(rows))
+    for m in cases:
+        calls.clear()
+        ker = kernel(m)
+        assert len(calls) == 1, m
+        assert ker == kernel_by_span(m), m
+        null = [[F(int(x.p), int(x.q)) for x in v] for v in to_sympy(m).nullspace()]
+        assert ker.dim == len(null) == m.ncols - rank(m), m
+        assert ker == Subspace.span(m.ncols, null), m
+        assert _canonical(ker.basis.entries)
+
+
 def test_solve_and_inverse():
     m = QMatrix.from_rows([[2, 1], [1, 1]])
     x = solve(m, [3, 2])
@@ -280,14 +322,14 @@ def test_bad_draw_ranges_raise_under_optimize():
     script = (
         "import sys\n"
         "from kcycle.conormal import covector_sampler\n"
-        "from kcycle.degeneracy import random_chart_point\n"
+        "from kcycle.degeneracy import draw_chart_points\n"
         "from kcycle.exactla import SeedStream\n"
         "from kcycle.orbits import IntersectionOrbit, Kind, Setup, base_point\n"
         "bp = base_point(Setup(Kind.GLPQ, 4, 2, p=2, q=2), IntersectionOrbit(1, 0))\n"
         "calls = [lambda: SeedStream(1).randints(4, 1, -1),\n"
         "         lambda: SeedStream(1).randint(0, -1),\n"
-        "         lambda: random_chart_point(4, 2, SeedStream(1), height_bound=-1),\n"
-        "         lambda: random_chart_point(4, 2, SeedStream(1), height_bound=0),\n"
+        "         lambda: draw_chart_points(4, 2, SeedStream(1), 1, height_bound=-1),\n"
+        "         lambda: draw_chart_points(4, 2, SeedStream(1), 1, height_bound=0),\n"
         "         lambda: covector_sampler(bp, height_bound=0),\n"
         "         lambda: covector_sampler(bp, height_bound=-3)]\n"
         "for call in calls:\n"
@@ -312,16 +354,19 @@ def test_bad_draw_ranges_raise_under_optimize():
 
 
 def test_internal_checks_raise_under_optimize():
-    # shape checks, the form's kind check and membership thresholds outside
-    # the blocks raise ValueError, with or without python -O
+    # shape checks, the form's kind check, membership thresholds outside
+    # the blocks and the checks of Setup, StratumId and CharacteristicCycle
+    # raise ValueError, with or without python -O
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import sys\n"
+        "from kcycle.ccengine import CharacteristicCycle\n"
         "from kcycle.conormal import ConormalVector\n"
         "from kcycle.exactla import QMatrix, Subspace\n"
-        "from kcycle.orbits import IntersectionOrbit, Kind, Setup, base_point, form_sign\n"
+        "from kcycle.matrixstrata import Flavor, StratumId\n"
+        "from kcycle.orbits import IntersectionOrbit, Kind, RadicalOrbit, Setup, base_point, form_sign\n"
         "from kcycle.resolutions import kernel_membership_Z, kernel_membership_Ztilde\n"
         "a, b = QMatrix.identity(2), QMatrix.zeros(3, 2)\n"
         "s2, s3 = Subspace.full(2), Subspace.full(3)\n"
@@ -335,6 +380,22 @@ def test_internal_checks_raise_under_optimize():
         "calls += [lambda m=m, st=st: m(xi, *st)\n"
         "          for m in (kernel_membership_Z, kernel_membership_Ztilde)\n"
         "          for st in ((2, 0), (1, 1), (3, 0))]\n"
+        "so, r = Setup(Kind.SO, 8, 4), RadicalOrbit\n"
+        "records = [(Setup, ('kind', 'n', 'k', 'p', 'q'),\n"
+        "            [(Kind.SO, sys.maxsize + 1, 2), (Kind.SO, 4, 0), (Kind.SO, 4, 4),\n"
+        "             (Kind.GLPQ, 4, 2, 2), (Kind.GLPQ, 4, 2, 1, 1), (Kind.GLPQ, 4, 2, 0, 4),\n"
+        "             (Kind.SO, 4, 2, 2, 2), (Kind.SP, 5, 2)]),\n"
+        "           (StratumId, ('flavor', 'size', 'rank'),\n"
+        "            [(Flavor.SYMMETRIC, 2, 3), (Flavor.SKEW, 3, -1), (Flavor.SKEW, 4, 3)]),\n"
+        "           (CharacteristicCycle, ('setup', 'target', 'terms'),\n"
+        "            [(so, r(1), ()), (so, r(1), ((r(2), 1),)), (so, r(1), ((r(1), 2),)),\n"
+        "             (so, r(1), ((r(1), 1), (r(2), 1), (r(2), 1))),\n"
+        "             (so, r(1), ((r(1), 1), (r(2), 0))), (so, r(3), ((r(3), 1), (r(1), 1))),\n"
+        "             (so, r(1), ((r(1), 1), (r(4), 1))), (so, r(4), ((r(4), 1),))])]\n"
+        "for cls, names, cases in records:\n"
+        "    for args in cases:\n"
+        "        calls += [lambda cls=cls, args=args: cls(*args),\n"
+        "                  lambda cls=cls, args=args, names=names: cls(**dict(zip(names, args)))]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -352,6 +413,24 @@ def test_internal_checks_raise_under_optimize():
                 "raised vector outside the ambient space"]
     expected += ["raised subspaces of different ambient spaces"] * 3
     expected += ["raised no invariant form for a splitting-type setup"] + thresholds * 2
+    records = [f"raised need n <= {sys.maxsize}, got n={sys.maxsize + 1}",
+               "raised need 1 <= k <= n-1, got k=0, n=4",
+               "raised need 1 <= k <= n-1, got k=4, n=4",
+               "raised GLpq setup needs p and q",
+               "raised need p,q >= 1 with p+q=n, got p=1, q=1, n=4",
+               "raised need p,q >= 1 with p+q=n, got p=0, q=4, n=4",
+               "raised so setup takes no p,q", "raised Sp needs n even",
+               "raised rank 3 out of range for size 2", "raised rank -1 out of range for size 3",
+               "raised skew matrices have even rank",
+               "raised a cycle has at least its lead term",
+               "raised lead term must be the target with multiplicity one",
+               "raised lead term must be the target with multiplicity one",
+               "raised duplicate term", "raised multiplicities are positive integers",
+               "raised terms must lie in the closure of the target",
+               "raised rad4 is not a (non-empty) orbit of so(n=8,k=4)",
+               "raised rad4 is not a (non-empty) orbit of so(n=8,k=4)"]
+    # each record is built positionally, then by keyword
+    expected += [line for line in records for _ in range(2)]
     for flags, optimize in (([], 0), (["-O"], 1)):
         done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
@@ -429,13 +508,14 @@ def test_int_core_agrees_with_fraction_input():
 def test_sample_streams_pinned():
     # every sampled route's draws, pinned literally: chart points and GLpq
     # blocks (retries included)
-    from kcycle.degeneracy import random_chart_point
+    from kcycle.degeneracy import draw_chart_points
     from kcycle.orbits import IntersectionOrbit, Kind, Setup, base_point
 
     rng = SeedStream(7)
-    assert random_chart_point(8, 4, rng).a.entries == (
+    first, second = draw_chart_points(8, 4, rng, 2)
+    assert first.a.entries == (
         -4, 5, 7, 2, -3, -9, 6, 1, -7, 0, 0, 7, 4, -8, 2, -4)
-    assert random_chart_point(8, 4, rng).a.entries == (
+    assert second.a.entries == (
         -5, 3, 1, 9, -7, 2, -5, -1, 6, -4, -4, 0, -9, -2, -4, 6)
     assert rng.state == 14334736817860870823
 

@@ -1,6 +1,7 @@
 """The package's internal import graph has no cycles, the package
-imports nothing outside the standard library, and every module-level
-definition in it is reached from an entry point.
+imports nothing outside the standard library, every module-level
+definition in it is reached from an entry point, and a kcycle process
+loads neither dataclasses nor inspect.
 
 Every import of a kcycle module is counted, including imports inside
 function bodies, since those hide a cycle from module load order but
@@ -10,6 +11,7 @@ tests/reference.py.  Methods are out of the gate's scope.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -152,3 +154,30 @@ def test_every_definition_is_reached_from_an_entry_point():
     unreached = sorted(f"{mod}.{name}" for mod, name in every - reached)
     assert not unreached, ("definitions no entry point reaches; move test-only "
                            "code to tests/reference.py: " + ", ".join(unreached))
+
+
+def test_start_up_loads_no_dataclasses():
+    # dataclasses imports inspect (with ast, dis and tokenize), which
+    # nothing else a kcycle process runs needs; with decorating the
+    # classes, that was about a quarter of start-up.  The commands cover
+    # both kinds, both charts and the split labels.
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "before = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "import kcycle.cli\n"
+        "so84 = ['--kind', 'so', '--n', '8', '--k', '4']\n"
+        "commands = [['verify', '--kind', 'glpq', '--n', '6', '--k', '3', '--p', '3', '--q', '3'],\n"
+        "            ['verify', *so84], ['cc', *so84], ['poset', *so84, '--format', 'dot']]\n"
+        "for argv in commands:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = kcycle.cli.main(argv)\n"
+        "    print(argv[0], code, bool(out.getvalue()))\n"
+        "print('before', before)\n"
+        "print('after', [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["verify 0 True", "verify 0 True", "cc 0 True",
+                                        "poset 0 True", "before []", "after []"]

@@ -267,8 +267,8 @@ def test_gram_matrix_matches_dense():
     # for the opposite chart) and on Fraction bases, with canonical entries
     from fractions import Fraction as F
 
-    from kcycle.degeneracy import random_chart_point
     from kcycle.exactla import SeedStream
+    from reference import random_chart_point
 
     for setup in [Setup(Kind.SP, 6, 3), Setup(Kind.SO, 7, 4), Setup(Kind.SO, 8, 2)]:
         j = form_matrix(setup.kind, setup.n)

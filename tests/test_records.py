@@ -1,0 +1,151 @@
+"""Value semantics of the package's records and orbit labels.
+
+Orbit labels are values of their own class: two labels of different
+classes are never equal, so they never share a dict or lru_cache
+entry, and they do not order against each other.  Every record and
+label refuses assignment to its fields.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from kcycle.ccengine import (
+    CharacteristicCycle,
+    CheckRow,
+    VerificationReport,
+    characteristic_cycle,
+    cross_check,
+)
+from kcycle.degeneracy import ChartSuiteResult, TransversalityResult, run_transversality_suite
+from kcycle.exactla import QMatrix, Subspace
+from kcycle.matrixstrata import Flavor, MatrixCC, StratumId, cc_table
+from kcycle.orbits import (
+    BasePoint,
+    ClosurePoset,
+    IntersectionOrbit,
+    Kind,
+    NormalizedSetup,
+    RadicalOrbit,
+    Setup,
+    SplitOrbit,
+    base_point,
+    normalize,
+    orbit_dimension,
+)
+from kcycle.resolutions import MicrolocalVerdict, Witness, verify_microlocal_empty
+
+SO42 = Setup(Kind.SO, 4, 2)
+
+
+def _labels():
+    return [IntersectionOrbit(1, 0), IntersectionOrbit(0, 1), IntersectionOrbit(1, 1),
+            RadicalOrbit(0), RadicalOrbit(1), RadicalOrbit(2), SplitOrbit(1), SplitOrbit(-1)]
+
+
+def test_labels_of_different_classes_never_meet():
+    labels = _labels()
+    for a, b in zip(labels, _labels()):
+        assert a == b and hash(a) == hash(b) and a is not b
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            assert (a == b) == (i == j) and (a != b) == (i != j), (a, b)
+    assert RadicalOrbit(1) != SplitOrbit(1) and not RadicalOrbit(1) == SplitOrbit(1)
+    assert RadicalOrbit(1) != (1,) and IntersectionOrbit(1, 0) != (1, 0)
+    assert IntersectionOrbit(s=1, t=0) == IntersectionOrbit(1, 0)
+    assert RadicalOrbit(i=2) == RadicalOrbit(2) and SplitOrbit(sign=-1) == SplitOrbit(-1)
+    assert len({RadicalOrbit(1): "r", SplitOrbit(1): "s", RadicalOrbit(1): "again"}) == 2
+    assert len(set(labels) | set(_labels())) == len(labels)
+    for a in labels:
+        assert copy.copy(a) == a == copy.deepcopy(a) == pickle.loads(pickle.dumps(a))
+
+
+def test_labels_of_different_classes_never_share_a_cache_entry():
+    # so(4,2) has rad0, rad1 and the two split orbits rad2+ and rad2-:
+    # RadicalOrbit(1) and SplitOrbit(1) have fields (1,) both
+    rad, split = RadicalOrbit(1), SplitOrbit(1)
+    for first, second in ((rad, split), (split, rad)):
+        assert base_point(SO42, first).orbit == first
+        assert base_point(SO42, second).orbit == second
+    assert base_point(SO42, rad) != base_point(SO42, split)
+    assert base_point(SO42, rad).row_groups == (1, 1)
+    assert base_point(SO42, split).row_groups == (2, 0)
+    assert (orbit_dimension(SO42, rad), orbit_dimension(SO42, split)) == (3, 1)
+    poset = ClosurePoset(SO42)
+    assert poset.dimension == {RadicalOrbit(0): 4, rad: 3, split: 1, SplitOrbit(-1): 1}
+    # every so(2k, k) has a RadicalOrbit(1) beside SplitOrbit(1)
+    for k in (3, 4):
+        setup = Setup(Kind.SO, 2 * k, k)
+        assert len(ClosurePoset(setup).dimension) == k + 2
+        assert base_point(setup, RadicalOrbit(1)).orbit == RadicalOrbit(1)
+        assert base_point(setup, SplitOrbit(1)).orbit == SplitOrbit(1)
+
+
+def test_labels_order_within_their_class_only():
+    assert sorted([RadicalOrbit(2), RadicalOrbit(0), RadicalOrbit(1)]) == [
+        RadicalOrbit(0), RadicalOrbit(1), RadicalOrbit(2)]
+    assert sorted([IntersectionOrbit(1, 0), IntersectionOrbit(0, 2), IntersectionOrbit(0, 1)]) == [
+        IntersectionOrbit(0, 1), IntersectionOrbit(0, 2), IntersectionOrbit(1, 0)]
+    assert sorted([SplitOrbit(1), SplitOrbit(-1)]) == [SplitOrbit(-1), SplitOrbit(1)]
+    a, b = RadicalOrbit(1), RadicalOrbit(2)
+    assert a < b and a <= b and b > a and b >= a and a <= RadicalOrbit(1) >= a
+    assert not (b < a or b <= a or a > b or a >= b)
+    for x, y in ((RadicalOrbit(1), SplitOrbit(1)), (SplitOrbit(1), RadicalOrbit(1)),
+                 (IntersectionOrbit(0, 1), RadicalOrbit(0)), (RadicalOrbit(1), (2,))):
+        for compare in (lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y):
+            with pytest.raises(TypeError):
+                compare()
+    with pytest.raises(TypeError):
+        sorted([RadicalOrbit(1), SplitOrbit(1)])
+
+
+def test_label_reprs():
+    assert repr(IntersectionOrbit(1, 0)) == "IntersectionOrbit(s=1, t=0)"
+    assert repr(RadicalOrbit(1)) == "RadicalOrbit(i=1)"
+    assert repr(SplitOrbit(-1)) == "SplitOrbit(sign=-1)"
+    assert repr(SO42) == "Setup(kind=<Kind.SO: 'so'>, n=4, k=2, p=None, q=None)"
+    assert repr(StratumId(Flavor.SKEW, 4, 2)) == (
+        "StratumId(flavor=<Flavor.SKEW: 'skew'>, size=4, rank=2)")
+
+
+def test_records_and_labels_are_frozen():
+    glpq = Setup(Kind.GLPQ, 4, 2, p=2, q=2)
+    transversality = run_transversality_suite(SO42, points=2)
+    report = cross_check(glpq, trials=2, points=2)
+    verdict = verify_microlocal_empty(glpq, IntersectionOrbit(0, 0), IntersectionOrbit(1, 0),
+                                      trials=2)
+    bp = base_point(glpq, IntersectionOrbit(1, 0))
+    instances = {
+        Setup: glpq, NormalizedSetup: normalize(glpq), BasePoint: bp,
+        IntersectionOrbit: IntersectionOrbit(1, 0), RadicalOrbit: RadicalOrbit(1),
+        SplitOrbit: SplitOrbit(1),
+        CharacteristicCycle: characteristic_cycle(SO42, RadicalOrbit(1)),
+        CheckRow: report.rows[0], VerificationReport: report,
+        ChartSuiteResult: transversality.charts[0], TransversalityResult: transversality,
+        Witness: Witness(QMatrix.zeros(1, 1), QMatrix.zeros(1, 1)),
+        MicrolocalVerdict: verdict, StratumId: StratumId(Flavor.SYMMETRIC, 2, 1),
+        MatrixCC: cc_table(Flavor.SYMMETRIC, 2, 1), Subspace: Subspace.full(2),
+    }
+    fields = {
+        Setup: ("kind", "n", "k", "p", "q"),
+        NormalizedSetup: ("original", "setup", "swapped_pq", "dualized"),
+        BasePoint: ("setup", "orbit", "basis", "row_groups", "col_groups"),
+        IntersectionOrbit: ("s", "t"), RadicalOrbit: ("i",), SplitOrbit: ("sign",),
+        CharacteristicCycle: ("setup", "target", "terms"),
+        CheckRow: ("check", "subject", "ok", "detail"), VerificationReport: ("setup", "rows"),
+        ChartSuiteResult: ("center_last", "points", "failures"),
+        TransversalityResult: ("setup", "charts"), Witness: ("v", "w"),
+        MicrolocalVerdict: ("kind", "thresholds", "generic_empty", "disagreements",
+                            "hits", "bad_witnesses"),
+        StratumId: ("flavor", "size", "rank"), MatrixCC: ("terms",),
+        Subspace: ("ambient_dim", "basis"),
+    }
+    assert len(instances) == 16
+    for cls, obj in instances.items():
+        assert type(obj) is cls
+        for name in fields[cls]:
+            value = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            assert getattr(obj, name) is value
