@@ -250,7 +250,7 @@ def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
 def check_smallness(setup: Setup) -> list:
     """Smallness of the applicable resolutions, per target orbit.
 
-    For intersection-type setups the applicable side is asserted.  The
+    For intersection-type setups the applicable sides are asserted.  The
     radical-type resolutions are not small in general, so their results
     are recorded without being treated as failures.  Every kind is read
     off one closure poset, that of the normalized setup, so a run over a
@@ -264,11 +264,10 @@ def check_smallness(setup: Setup) -> list:
     rows = []
     if setup.kind == Kind.GLPQ:
         applicable = resolution_for(setup)
-        both = norm.setup.n - norm.setup.k == norm.setup.p
         for kind in (ResolutionKind.Z, ResolutionKind.ZTILDE):
             for target in enumerate_orbits(setup):
                 subject = f"{kind.value} {format_orbit(setup, target)}"
-                if kind == applicable or both:
+                if kind in applicable:
                     small = _is_small(poset, kind, norm.to_normalized(target))
                     rows.append(CheckRow("smallness", subject, small,
                                          "small" if small else "not small"))

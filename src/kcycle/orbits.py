@@ -13,7 +13,9 @@ Supported groups K acting on Gr(k, C^n):
 
 The module provides orbit enumeration, closure posets, explicit base
 points with adapted bases, and the relabelling maps induced by swapping
-the summands or passing to annihilators / orthogonal complements.
+the summands or passing to annihilators / orthogonal complements.  An
+adapted basis B is built from its column supports, e_a or e_a + e_b;
+B^-1 is read off the same supports, which proves B invertible.
 
 The invariant form of Sp/SO is the signed antidiagonal J with
 J[a, n-1-a] = form_sign(kind, n, a), and everything form-related is
@@ -45,7 +47,6 @@ import sys
 import zlib
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .exactla import QMatrix, rank
@@ -432,31 +433,23 @@ def gram_matrix(setup: Setup, u: QMatrix) -> QMatrix:
     return QMatrix.from_flat(k, k, out)
 
 
-def _e(n: int, idx: int) -> list:
-    v = [0] * n
-    v[idx] = 1
-    return v
-
-
 class BasePoint(NamedTuple):
     """A marked point of an orbit with an adapted basis of C^n.
 
-    The first k columns of `basis` span U.  `row_groups` partitions
-    those k columns (GLpq: the C^p part, the C^q part, the mixed part;
-    Sp/SO: the radical, then the rest).  `col_groups` partitions the
-    n-k complement columns (GLpq: inside C^p, the overlap block, inside
-    C^q; Sp/SO: a single block).  `row_blocks` and `col_blocks` are the
-    same partitions as consecutive ranges of those columns; base_point
-    fills them once, and its cache shares them.
+    The first k columns of `basis` span U, and `inverse` is B^-1, read
+    off the column supports that base_point builds B from.  `row_groups`
+    partitions those k columns (GLpq: the C^p part, the C^q part, the
+    mixed part; Sp/SO: the radical, then the rest).  `col_groups`
+    partitions the n-k complement columns (GLpq: inside C^p, the overlap
+    block, inside C^q; Sp/SO: a single block).
     """
 
     setup: Setup
     orbit: OrbitLabel
     basis: QMatrix
+    inverse: QMatrix
     row_groups: tuple
     col_groups: tuple
-    row_blocks: tuple
-    col_blocks: tuple
 
     @property
     def u_matrix(self) -> QMatrix:
@@ -464,82 +457,90 @@ class BasePoint(NamedTuple):
         return self.basis.submatrix(range(n), range(k))
 
 
-def _consecutive_ranges(sizes) -> tuple:
-    return tuple(range(end - size, end) for size, end in zip(sizes, accumulate(sizes)))
-
+# The *_base_columns functions give each adapted basis column as its
+# support, the rows of its 1s: e_a or e_a + e_b.  The first k span U.
 
 def _glpq_base_columns(setup: Setup, orbit: IntersectionOrbit):
     n, k, p, q = setup.n, setup.k, setup.p, setup.q
     s, t = orbit.s, orbit.t
     m = k - s - t
-    cols = [_e(n, a) for a in range(s)]
-    cols += [_e(n, p + b) for b in range(t)]
-    for j in range(m):
-        v = _e(n, s + j)
-        v[p + t + j] = 1
-        cols.append(v)
-    comp = [_e(n, a) for a in range(k - t, p)]          # pure p, count p-k+t
-    comp += [_e(n, a) for a in range(s, k - t)]         # overlap, count m
-    comp += [_e(n, a) for a in range(p + k - s, n)]     # pure q, count q-k+s
-    return cols, comp, (s, t, m), (p - k + t, m, q - k + s)
+    cols = [(a,) for a in range(s)]
+    cols += [(p + b,) for b in range(t)]
+    cols += [(s + j, p + t + j) for j in range(m)]
+    cols += [(a,) for a in range(k - t, p)]          # pure p, count p-k+t
+    cols += [(a,) for a in range(s, k - t)]          # overlap, count m
+    cols += [(a,) for a in range(p + k - s, n)]      # pure q, count q-k+s
+    return cols, (s, t, m), (p - k + t, m, q - k + s)
 
 
 def _radical_base_columns(setup: Setup, i: int):
     n, k = setup.n, setup.k
     f = (k - i) // 2
-    used = set()
-    cols = []
-    for a in range(i):
-        cols.append(_e(n, a))
-        used.add(a)
-    for a in range(i, i + f):
-        b = n - 1 - a
-        cols.append(_e(n, a))
-        cols.append(_e(n, b))
-        used.update((a, b))
+    cols = [(a,) for a in range(i)] + [(b,) for a in range(i, i + f) for b in (a, n - 1 - a)]
     if (k - i) % 2:
-        if n % 2:
-            mid = (n - 1) // 2
-            cols.append(_e(n, mid))
-            used.add(mid)
-        else:
-            # anisotropic diagonal vector across the middle pair
-            a, b = i + f, n - 1 - (i + f)
-            v = _e(n, a)
-            v[b] = 1
-            cols.append(v)
-            used.add(a)
-    comp = [_e(n, a) for a in range(n) if a not in used]
-    return cols, comp
+        a = i + f  # n odd: the middle unit; n even: the anisotropic e_a + e_{n-1-a}
+        cols.append(((n - 1) // 2,) if n % 2 else (a, n - 1 - a))
+    # a sum column uses up its first row only: e_{n-1-a} joins the complement
+    used = {col[0] for col in cols}
+    return cols + [(a,) for a in range(n) if a not in used]
 
 
 def _split_base_columns(setup: Setup, sign: int):
     n, k = setup.n, setup.k
-    idx = list(range(k))
-    if sign < 0:
-        idx[k - 1] = k  # reflection image: swap e_{n/2} for e_{n/2+1}
-    cols = [_e(n, a) for a in idx]
-    comp = [_e(n, a) for a in range(n) if a not in set(idx)]
-    return cols, comp
+    last = k - 1 if sign > 0 else k  # sign -1, the reflection image: e_{n/2} for e_{n/2+1}
+    return [(a,) for a in range(k - 1)] + [(last,)] + [(a,) for a in range(k - 1, n) if a != last]
+
+
+def _adapted_inverse(n: int, supports) -> QMatrix:
+    """B^-1 of the basis of C^n whose column j has a 1 at each row of supports[j].
+
+    Every column of B is a unit vector e_b or a sum e_a + e_b of two
+    units one of which, e_b, is itself a column.  So e_r is column j
+    when e_r is a column, and otherwise e_r = B e_j - B e_j' for the sum
+    column j = e_r + e_b and the unit column j' = e_b.  Reading each of
+    the n unit vectors this way exactly once proves B invertible; else
+    AssertionError is raised explicitly, so that python -O keeps the proof.
+    """
+    unit = {s[0]: j for j, s in enumerate(supports) if len(s) == 1}
+    read = set(unit)  # the r whose e_r is read off
+    inv = [[0] * n for _ in supports]  # inv[j][r] = B^-1[j, r]
+    for r, j in unit.items():
+        inv[j][r] = 1
+    for j, support in enumerate(supports):
+        if len(support) == 2:
+            free = [r for r in support if r not in unit]
+            if len(free) != 1:
+                raise AssertionError(f"adapted basis must be invertible: column {j} is "
+                                     "e_a + e_b, but not exactly one of e_a, e_b is a column")
+            r = free[0]
+            inv[j][r], inv[unit[sum(support) - r]][r] = 1, -1  # e_b is the other unit
+            read.add(r)
+    if len(supports) != n or len(read) != n:
+        raise AssertionError(f"adapted basis must be invertible: its {len(supports)} "
+                             f"columns give {len(read)} of the {n} unit vectors")
+    return QMatrix(n, n, tuple(v for row in inv for v in row))
 
 
 @lru_cache(maxsize=None)
 def base_point(setup: Setup, orbit) -> BasePoint:
     check_orbit(setup, orbit)
     n, k = setup.n, setup.k
+    # B is allocated before its supports are listed, so that an n that no
+    # list can hold raises MemoryError at once, not after filling memory
+    cols = [[0] * n for _ in range(n)]
     if isinstance(orbit, IntersectionOrbit):
-        cols, comp, rg, cg = _glpq_base_columns(setup, orbit)
+        supports, rg, cg = _glpq_base_columns(setup, orbit)
     elif isinstance(orbit, RadicalOrbit):
-        cols, comp = _radical_base_columns(setup, orbit.i)
+        supports = _radical_base_columns(setup, orbit.i)
         rg, cg = (orbit.i, k - orbit.i), (n - k,)
     else:
-        cols, comp = _split_base_columns(setup, orbit.sign)
+        supports = _split_base_columns(setup, orbit.sign)
         rg, cg = (k, 0), (n - k,)
-    basis = QMatrix.from_cols(n, cols + comp)
-    # explicit raises, not asserts, so that python -O keeps the self-check
-    if rank(basis) != n:
-        raise AssertionError("adapted basis must be invertible")
-    bp = BasePoint(setup, orbit, basis, rg, cg, _consecutive_ranges(rg), _consecutive_ranges(cg))
+    for col, support in zip(cols, supports):
+        for r in support:
+            col[r] = 1
+    bp = BasePoint(setup, orbit, QMatrix.from_cols(n, cols), _adapted_inverse(n, supports), rg, cg)
+    # an explicit raise, not an assert, so that python -O keeps the self-check
     got = orbit_of(setup, bp.u_matrix)
     if got != orbit:
         raise AssertionError(f"constructed point sits on {got}, wanted {orbit}")
@@ -616,44 +617,6 @@ def lie_algebra_basis(setup: Setup) -> tuple:
     return tuple(out)
 
 
-def _adapted_inverse(basis: QMatrix) -> QMatrix:
-    """B^-1 of an adapted basis, read off its columns without elimination.
-
-    Every column of B is a unit vector e_b or a sum e_a + e_b of two
-    units one of which, e_b, is itself a column.  So e_r is column j
-    when e_r is a column, and otherwise e_r = B e_j - B e_j' for the sum
-    column j = e_r + e_b and the unit column j' = e_b.  Raises
-    ValueError for a column of neither kind, or unless the columns give
-    each of the n unit vectors this way exactly once (else B is singular).
-    """
-    n, ncols = basis.nrows, basis.ncols
-    supports = [[] for _ in range(ncols)]  # the nonzero rows of each column
-    for i, v in enumerate(basis.entries):
-        if v:
-            supports[i % ncols].append(i // ncols if v == 1 else -1)
-    for j, support in enumerate(supports):
-        if len(support) not in (1, 2) or -1 in support:
-            raise ValueError(f"column {j} of the basis is neither e_a nor e_a + e_b")
-    unit = {s[0]: j for j, s in enumerate(supports) if len(s) == 1}
-    read = set(unit)  # the r whose e_r is read off
-    inv = [[0] * n for _ in supports]  # inv[j][r] = B^-1[j, r]
-    for r, j in unit.items():
-        inv[j][r] = 1
-    for j, support in enumerate(supports):
-        if len(support) == 2:
-            free = [r for r in support if r not in unit]
-            if len(free) != 1:
-                raise ValueError(f"column {j} of the basis is e_a + e_b, but not "
-                                 "exactly one of e_a, e_b is a column")
-            r = free[0]
-            b = support[1] if r == support[0] else support[0]
-            inv[j][r], inv[unit[b]][r] = 1, -1
-            read.add(r)
-    if len(supports) != n or len(read) != n:
-        raise ValueError("the basis is not square and invertible")
-    return QMatrix(n, n, tuple(v for row in inv for v in row))
-
-
 def _action_rows(setup: Setup, orbit) -> list:
     """Image of Lie(K) in the tangent space at the orbit's base point.
 
@@ -668,7 +631,7 @@ def _action_rows(setup: Setup, orbit) -> list:
     bp = base_point(setup, orbit)
     n, k = setup.n, setup.k
     nk = n - k
-    basis, binv = bp.basis, _adapted_inverse(bp.basis)
+    basis, binv = bp.basis, bp.inverse
     u_part = [[(j * nk, v) for j in range(k) if (v := basis[b, j])] for b in range(n)]
     comp_part = [[(c, v) for c in range(nk) if (v := binv[k + c, a])] for a in range(n)]
     rows = []

@@ -160,16 +160,17 @@ def witness_satisfies_Ztilde(xi: ConormalVector, s: int, t: int, wit: Witness) -
             and _frame_holds_image(wit.w, xi.l_block, t))
 
 
-def _glpq_resolution(work: Setup) -> ResolutionKind:
-    """The subspace-pair resolution a normalized GLpq setup calls for."""
-    return ResolutionKind.Z if work.n - work.k >= work.p else ResolutionKind.ZTILDE
+def _glpq_resolutions(work: Setup) -> tuple:
+    """The resolutions that apply to a normalized GLpq setup: Z if n-k >= p, Ztilde if n-k <= p."""
+    nk, p = work.n - work.k, work.p
+    return (ResolutionKind.Z,) * (nk >= p) + (ResolutionKind.ZTILDE,) * (nk <= p)
 
 
-def resolution_for(setup: Setup) -> ResolutionKind:
-    """Which resolution the normalized parameters call for."""
+def resolution_for(setup: Setup) -> tuple:
+    """The resolutions that apply to the normalized setup: ZI alone for Sp/SO."""
     if setup.kind != Kind.GLPQ:
-        return ResolutionKind.ZI
-    return _glpq_resolution(normalize(setup).setup)
+        return (ResolutionKind.ZI,)
+    return _glpq_resolutions(normalize(setup).setup)
 
 
 def draw_conormals(base, trials: int = 20, seed: int = 0) -> tuple:
@@ -211,7 +212,7 @@ def judge_microlocal(target, covectors) -> MicrolocalVerdict:
     if target == strat or not _closure_leq(work, strat, target):
         raise ValueError("stratum must lie strictly below target")
     s, t = target.s, target.t
-    kind = _glpq_resolution(work)
+    kind = _glpq_resolutions(work)[0]  # Z when both apply
     if kind == ResolutionKind.Z:
         membership, satisfies, h_cap = kernel_membership_Z, witness_satisfies_Z, s
     else:

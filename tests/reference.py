@@ -8,8 +8,10 @@ so a test can compare the two, or builds seeded test data:
 * ``kernel_by_span`` is the null space spanned, then made canonical by
   ``Subspace.span``, from the kernel vectors of one rref; ``exactla.kernel``
   reads the canonical basis off a single rref and must match it.
-* ``inverse`` inverts by elimination; ``orbits._adapted_inverse`` reads
-  the inverse of an adapted basis off its columns and must match it.
+* ``inverse`` inverts by elimination; ``orbits.base_point`` reads the
+  inverse of an adapted basis off its column supports and must match it.
+* ``block_ranges`` turns a base point's ``row_groups`` and ``col_groups``
+  into consecutive ranges of its columns, which the package never needs.
 * ``solve_homogeneous``, the common kernel of a list of functionals,
   underlies the dense complements below.
 * ``coordinate_basis`` and ``trace_pairing`` form the dense basis
@@ -94,7 +96,6 @@ from kcycle.orbits import (
     RadicalOrbit,
     Setup,
     SplitOrbit,
-    _e,
     base_point,
     form_sign,
     gram_matrix,
@@ -256,6 +257,12 @@ def random_flavored_matrix(flavor: Flavor, m: int, r: int, seed: int, height_bou
 # ---------------------------------------------------------------------------
 # conormal spaces
 
+def block_ranges(bp: BasePoint) -> tuple:
+    """A base point's row groups, then its column groups, as consecutive ranges."""
+    return tuple(tuple(range(sum(g[:i]), sum(g[:i + 1])) for i in range(len(g)))
+                 for g in (bp.row_groups, bp.col_groups))
+
+
 def _unit(k: int, nk: int, j: int, c: int) -> list:
     v = [0] * (k * nk)
     v[j * nk + c] = 1
@@ -267,7 +274,7 @@ def conormal_space(base: BasePoint) -> Subspace:
     setup = base.setup
     k, nk = setup.k, setup.n - setup.k
     if setup.kind == Kind.GLPQ:
-        rows, cols = base.row_blocks, base.col_blocks
+        rows, cols = block_ranges(base)
         vecs = [_unit(k, nk, j, c) for j in rows[0] for c in cols[2]]
         vecs += [_unit(k, nk, j, c) for j in rows[1] for c in cols[0]]
         return Subspace.span(k * nk, vecs)
@@ -288,7 +295,7 @@ def conormal_matrix(xi: ConormalVector) -> QMatrix:
     setup = xi.base.setup
     nk = setup.n - setup.k
     flat = [0] * (setup.k * nk)
-    rows, cols = xi.base.row_blocks, xi.base.col_blocks
+    rows, cols = block_ranges(xi.base)
     for blk, rr, cc in ((xi.h_block, rows[0], cols[2]), (xi.l_block, rows[1], cols[0])):
         for a, j in enumerate(rr):
             flat[j * nk + cc.start:j * nk + cc.stop] = blk.row(a)
@@ -377,7 +384,7 @@ def base_plane(bp: BasePoint) -> Subspace:
 
 
 def _coordinate_subspace(n: int, idx) -> Subspace:
-    return Subspace.span(n, [_e(n, a) for a in idx])
+    return Subspace.span(n, [[int(i == a) for i in range(n)] for a in idx])
 
 
 def split_reference(setup: Setup) -> Subspace:
@@ -475,7 +482,7 @@ class AmbientWitness:
 
 def _group_vectors(bp: BasePoint, g: int) -> list:
     """Basis vectors of U in row group g: U cap C^p for 0, U cap C^q for 1."""
-    return [bp.basis.col(j) for j in bp.row_blocks[g]]
+    return [bp.basis.col(j) for j in block_ranges(bp)[0][g]]
 
 
 def _ambient_columns(bp: BasePoint, block: QMatrix, row_vectors: list) -> list:
@@ -548,7 +555,7 @@ def ambient_membership_Ztilde(xi: ConormalVector, s: int,
     if xi.h_rank > n - k - p + s or xi.l_rank > t:
         return False, None
     # lift kernel vectors of h from pure C^q/U coordinates into C^n
-    q_vectors = [bp.basis.col(k + c) for c in bp.col_blocks[2]]
+    q_vectors = [bp.basis.col(k + c) for c in block_ranges(bp)[1][2]]
     lifted = _ambient_columns(bp, kernel(xi.h_block).basis, q_vectors)[:bp.row_groups[0] - s]
     u_and_p = [bp.basis.col(j) for j in range(k)] + \
         [[int(i == a) for i in range(n)] for a in range(p)]
@@ -598,8 +605,9 @@ def lift_witness(xi: ConormalVector, kind: ResolutionKind, wit: Witness) -> Ambi
     if kind == ResolutionKind.Z:
         v = _ambient_columns(bp, wit.v, _group_vectors(bp, 0))
         return AmbientWitness(Subspace.span(n, v), w)
-    q_vectors = [bp.basis.col(k + c) for c in bp.col_blocks[2]]
-    u_and_p = [bp.basis.col(j) for j in range(k)] + [_e(n, a) for a in range(p)]
+    q_vectors = [bp.basis.col(k + c) for c in block_ranges(bp)[1][2]]
+    u_and_p = [bp.basis.col(j) for j in range(k)] + \
+        [[int(i == a) for i in range(n)] for a in range(p)]
     return AmbientWitness(Subspace.span(n, u_and_p + _ambient_columns(bp, wit.v, q_vectors)), w)
 
 

@@ -151,7 +151,7 @@ def test_criterion_4_smallness_claims():
             sides.append(ResolutionKind.Z)
         if work.n - work.k <= work.p:
             sides.append(ResolutionKind.ZTILDE)
-        assert resolution_for(setup) in sides
+        assert resolution_for(setup) == tuple(sides)
         for kind in sides:
             for target in enumerate_orbits(setup):
                 assert is_small(setup, kind, target), (setup, kind, target)

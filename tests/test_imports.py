@@ -1,13 +1,16 @@
 """The package's internal import graph has no cycles, the package
 imports nothing outside the standard library, every module-level
-definition in it is reached from an entry point, and a kcycle process
-loads neither dataclasses nor inspect.
+definition in it is reached from an entry point, every field of its
+NamedTuple records is read in it, and a kcycle process loads neither
+dataclasses nor inspect.
 
 Every import of a kcycle module is counted, including imports inside
 function bodies, since those hide a cycle from module load order but
 not from the design.  Reachability is read off names in the source, so
 a definition that only the tests reach fails the gate: it belongs in
-tests/reference.py.  Methods are out of the gate's scope.
+tests/reference.py.  A field is read when some attribute access in the
+package has its name; UNREAD_FIELDS gives the reason for each field
+that is not.  Methods are out of both gates' scope.
 """
 
 import ast
@@ -154,6 +157,37 @@ def test_every_definition_is_reached_from_an_entry_point():
     unreached = sorted(f"{mod}.{name}" for mod, name in every - reached)
     assert not unreached, ("definitions no entry point reaches; move test-only "
                            "code to tests/reference.py: " + ", ".join(unreached))
+
+
+# Record fields that no package code reads, each with the reason it stays.
+UNREAD_FIELDS = {
+    "StratumId.size": "the stratum's identity: equal flavor and rank at two sizes are two strata",
+    "CharacteristicCycle.target": "the cycle's subject, checked against its lead term when built",
+    "ConormalVector.retries": "the draw's resample count, which the sampler tests read",
+    "MicrolocalVerdict.thresholds": "the target's normalized (s, t), for a reader of the verdict",
+    "MicrolocalVerdict.generic_empty": "the shape verdict that disagreements are counted against",
+}
+
+
+def test_every_record_field_is_read():
+    fields, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        bases = {c.name: ({b.id for b in c.bases if isinstance(b, ast.Name)}, c.body)
+                 for c in tree.body if isinstance(c, ast.ClassDef)}
+        for name, (base, body) in bases.items():
+            if "NamedTuple" in base:
+                # a field class such as _SetupFields is named by its subclass, the record
+                record = next((sub for sub, (b, _) in bases.items() if name in b), name)
+                fields.update(f"{record}.{stmt.target.id}" for stmt in body
+                              if isinstance(stmt, ast.AnnAssign))
+    assert {"Setup.kind", "QMatrix.entries"} <= fields  # the walk sees records' fields
+    unread = sorted(f for f in fields - UNREAD_FIELDS.keys() if f.split(".")[1] not in read)
+    assert not unread, "record fields no package code reads: " + ", ".join(unread)
+    stale = sorted(f for f in UNREAD_FIELDS if f not in fields or f.split(".")[1] in read)
+    assert not stale, "allowlisted fields that are gone or read: " + ", ".join(stale)
 
 
 def test_start_up_loads_no_dataclasses():

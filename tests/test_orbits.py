@@ -507,42 +507,30 @@ def test_sparse_action_matches_dense_reference():
 
 
 def test_adapted_inverse_matches_elimination():
-    # B^-1 read off the columns of each adapted basis equals the inverse by
+    # B^-1 read off the supports of each adapted basis equals the inverse by
     # elimination, at every base point with n <= 10 and at three large ones
     large = [Setup(Kind.SO, 30, 15), Setup(Kind.SP, 24, 12), glpq(16, 8, 8, 8)]
     checked = 0
     for setup in [*_setups_up_to(10), *large]:
         for orbit in enumerate_orbits(setup):
-            basis = base_point(setup, orbit).basis
-            assert orbits._adapted_inverse(basis) == inverse(basis)
+            bp = base_point(setup, orbit)
+            assert bp.inverse == inverse(bp.basis)
             checked += 1
     assert checked > 1800
 
 
 def test_adapted_inverse_rejects_other_columns():
     # glpq(6,3,4,2) at (1,1): columns e0, e4, e1 + e5, then e2, e3, e1
-    basis = base_point(glpq(6, 3, 4, 2), IntersectionOrbit(1, 1)).basis
-    cols = [list(basis.col(j)) for j in range(6)]
-    assert cols[2] == [0, 1, 0, 0, 0, 1] and cols[5] == [0, 1, 0, 0, 0, 0]
-
-    def with_column(j, col):
-        return QMatrix.from_cols(6, cols[:j] + [col] + cols[j + 1:])
-
-    for bad in (with_column(0, [2, 0, 0, 0, 0, 0]), with_column(2, [0, 1, 0, 0, 1, 1]),
-                with_column(2, [0, -1, 0, 0, 0, 1])):
-        with pytest.raises(ValueError, match="neither"):
-            orbits._adapted_inverse(bad)
-    # a sum whose units are both columns (e1 + e4, or e1 + e5 beside e5), or
-    # neither (e1 + e5 once e1 is dropped)
-    for bad in (with_column(2, [0, 1, 0, 0, 1, 0]), with_column(3, [0, 0, 0, 0, 0, 1]),
-                with_column(5, [0, 0, 1, 0, 0, 0])):
-        with pytest.raises(ValueError, match="exactly one"):
-            orbits._adapted_inverse(bad)
+    supports, _, _ = orbits._glpq_base_columns(glpq(6, 3, 4, 2), IntersectionOrbit(1, 1))
+    assert supports == [(0,), (4,), (1, 5), (2,), (3,), (1,)]
+    # a sum whose units are both columns, e1 + e4
+    with pytest.raises(AssertionError, match="invertible: column 2 is e_a [+] e_b, but not exac"):
+        orbits._adapted_inverse(6, supports[:2] + [(1, 4)] + supports[3:])
     # a repeated unit column leaves e2 unread, and five columns leave e3
-    for bad in (with_column(3, [1, 0, 0, 0, 0, 0]),
-                QMatrix.from_cols(6, cols[:4] + cols[5:])):
-        with pytest.raises(ValueError, match="invertible"):
-            orbits._adapted_inverse(bad)
+    for bad, found in ((supports[:3] + [(0,)] + supports[4:], "6 columns give 5"),
+                       (supports[:4] + supports[5:], "5 columns give 5")):
+        with pytest.raises(AssertionError, match=f"invertible: its {found} of the 6"):
+            orbits._adapted_inverse(6, bad)
 
 
 def test_equivalence_catches_unmerged_components(monkeypatch):
@@ -559,12 +547,11 @@ def test_equivalence_catches_unmerged_components(monkeypatch):
 
 
 def test_orbit_dimension_ranks_only_small_blocks(monkeypatch):
-    # so(30,15): the action image is 435 x 225, but its components have at
-    # most 4 cells, and only those reach exactla.rank
+    # so(30,15): base_point never ranks the 30 x 30 basis, as reading B^-1 off
+    # its supports proves it invertible; the 435 x 225 action image has
+    # components of at most 4 cells, and only those reach exactla.rank
     setup = Setup(Kind.SO, 30, 15)
     labels = enumerate_orbits(setup)
-    for orbit in labels:
-        base_point(setup, orbit)  # its adapted basis is ranked outside the record
     shapes = []
 
     def recording(m):
@@ -572,6 +559,11 @@ def test_orbit_dimension_ranks_only_small_blocks(monkeypatch):
         return rank(m)
 
     monkeypatch.setattr(orbits, "rank", recording)
+    for orbit in labels:
+        base_point(setup, orbit)  # cached here for orbit_dimension below
+        orbits.base_point.__wrapped__(setup, orbit)
+    assert (30, 15) in shapes and (30, 30) not in shapes
+    shapes.clear()
     for orbit in labels:
         i = orbit.i if isinstance(orbit, RadicalOrbit) else setup.k
         assert setup.dim_gr - orbit_dimension.__wrapped__(setup, orbit) == i * (i + 1) // 2
@@ -609,8 +601,9 @@ def test_radical_codim_closed_form():
 
 
 def test_base_point_self_check_survives_optimize():
-    # a classifier that disagrees with the construction must stop base_point,
-    # with or without python -O, which strips assert statements
+    # a classifier that disagrees with the construction, or base columns that
+    # are singular, must stop base_point, with or without python -O,
+    # which strips assert statements
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -618,7 +611,7 @@ def test_base_point_self_check_survives_optimize():
         "import sys\n"
         "from kcycle import orbits\n"
         "from kcycle.orbits import Kind, RadicalOrbit, Setup\n"
-        "orbits.orbit_of = lambda setup, u: RadicalOrbit(0)\n"
+        "exec(sys.argv[1])\n"
         "try:\n"
         "    orbits.base_point(Setup(Kind.SO, 5, 2), RadicalOrbit(2))\n"
         "except AssertionError as exc:\n"
@@ -626,8 +619,11 @@ def test_base_point_self_check_survives_optimize():
         "else:\n"
         "    print('returned', sys.flags.optimize)\n"
     )
-    for flags, optimize in (([], 0), (["-O"], 1)):
-        done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.startswith(f"raised {optimize} constructed point sits on "), \
-            (flags, done.stdout)
+    for patch, message in (("orbits.orbit_of = lambda setup, u: RadicalOrbit(0)",
+                            "constructed point sits on "),
+                           ("orbits._radical_base_columns = lambda setup, i: [(0,)] * setup.n",
+                            "adapted basis must be invertible: its 5 columns give 1 ")):
+        for flags, optimize in (([], 0), (["-O"], 1)):
+            done = subprocess.run([sys.executable, *flags, "-c", script, patch], env=env,
+                                  capture_output=True, text=True, check=True)
+            assert done.stdout.startswith(f"raised {optimize} {message}"), (flags, done.stdout)

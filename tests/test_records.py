@@ -130,7 +130,7 @@ def test_records_and_labels_are_frozen():
     fields = {
         Setup: ("kind", "n", "k", "p", "q"),
         NormalizedSetup: ("original", "setup", "swapped_pq", "dualized"),
-        BasePoint: ("setup", "orbit", "basis", "row_groups", "col_groups"),
+        BasePoint: ("setup", "orbit", "basis", "inverse", "row_groups", "col_groups"),
         IntersectionOrbit: ("s", "t"), RadicalOrbit: ("i",), SplitOrbit: ("sign",),
         CharacteristicCycle: ("setup", "target", "terms"),
         CheckRow: ("check", "subject", "ok", "detail"), VerificationReport: ("setup", "rows"),

@@ -371,7 +371,7 @@ def test_verify_empty_boundary_tagged():
 
 def test_verify_empty_second_resolution_branch():
     setup = glpq(5, 3, 4, 1)
-    assert resolution_for(normalize(setup).setup) == ResolutionKind.ZTILDE
+    assert resolution_for(normalize(setup).setup) == (ResolutionKind.ZTILDE,)
     for target, stratum in proper_pairs(setup):
         verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=7)
         assert verdict.kind == ResolutionKind.ZTILDE
