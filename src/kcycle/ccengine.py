@@ -18,24 +18,21 @@ from typing import NamedTuple
 
 from . import degeneracy
 from .exactla import check_count, check_seed
-from .matrixstrata import cc_table
+from .matrixstrata import Flavor, cc_table
 from .orbits import (
     ClosurePoset,
-    Kind,
-    RadicalOrbit,
     Setup,
-    SplitOrbit,
-    _closure_leq,
     base_point,
     check_orbit,
     enumerate_orbits,
+    family,
+    form_flavor,
     format_orbit,
-    is_split_setup,
     normalize,
-    valid_orbit,
+    radical_size,
 )
 from .resolutions import (
-    ResolutionKind,
+    RESOLUTIONS,
     _is_small,
     draw_conormals,
     judge_microlocal,
@@ -65,7 +62,7 @@ class CharacteristicCycle(_CycleFields):
         lead, lead_mult = terms[0]
         if lead != target or lead_mult != 1:
             raise ValueError("lead term must be the target with multiplicity one")
-        seen = set()
+        seen, leq = set(), family(setup).leq
         for orbit, mult in terms:
             check_orbit(setup, orbit)
             if orbit in seen:
@@ -74,7 +71,7 @@ class CharacteristicCycle(_CycleFields):
             if not (isinstance(mult, int) and mult > 0):
                 raise ValueError("multiplicities are positive integers")
             # the target is the lead term, checked on the first pass
-            if not _closure_leq(setup, orbit, target):
+            if not leq(setup, orbit, target):
                 raise ValueError("terms must lie in the closure of the target")
         return tuple.__new__(cls, (setup, target, terms))
 
@@ -115,25 +112,18 @@ def characteristic_cycle(setup: Setup, orbit) -> CharacteristicCycle:
     """The known characteristic cycle of the orbit-closure sheaf.
 
     Splitting-type and symplectic orbit closures always contribute a
-    single conormal.  In the orthogonal case reducibility is governed by
-    the radical size i relative to m = min(k, n-k): a second term
-    rad(i+1) appears exactly for odd i below m.  When that second label
-    would be the isotropic radical size in a square setup, it stands for
-    both families, giving the unique three-term cycles.
+    single conormal.  In the orthogonal case (a symmetric form)
+    reducibility is governed by the radical size i relative to
+    m = min(k, n-k): the orbits of radical size i+1 appear exactly for
+    odd i below m.  In a square setup those are the two split orbits
+    when i+1 = k, giving the unique three-term cycles.
     """
     check_orbit(setup, orbit)
-    if setup.kind != Kind.SO or isinstance(orbit, SplitOrbit):
-        return CharacteristicCycle.from_multiplicities(setup, orbit, {orbit: 1})
-    i = orbit.i
-    m = min(setup.k, setup.n - setup.k)
-    if i % 2 == 0 or i == m:
-        return CharacteristicCycle.from_multiplicities(setup, orbit, {orbit: 1})
     mults = {orbit: 1}
-    if is_split_setup(setup) and i + 1 == setup.k:
-        mults[SplitOrbit(1)] = 1
-        mults[SplitOrbit(-1)] = 1
-    else:
-        mults[RadicalOrbit(i + 1)] = 1
+    if (setup.kind, Flavor.SYMMETRIC) in family(setup).forms:
+        i = radical_size(setup, orbit)
+        if i % 2 and i < min(setup.k, setup.n - setup.k):
+            mults.update((o, 1) for o in enumerate_orbits(setup) if radical_size(setup, o) == i + 1)
     return CharacteristicCycle.from_multiplicities(setup, orbit, mults)
 
 
@@ -145,26 +135,21 @@ def pullback_cc(setup: Setup, orbit) -> CharacteristicCycle:
     cycle data pulls back term by term.  Rank values below 2k - n never
     occur on a k-plane, because the Gram matrix always contains an
     invertible block of that size; strata concentrated there relabel to
-    radical sizes exceeding n - k and are discarded.
+    radical sizes exceeding n - k and are discarded.  Only orbits in the
+    target's closure carry terms: at n = 2k the zero matrix pulls back
+    to both split orbits, which are disjoint and closed.
     """
-    if setup.kind == Kind.GLPQ:
+    if "crosscheck" not in family(setup).suites:
         raise ValueError("pullback route needs an invariant form")
-    check_orbit(setup, orbit)
-    if isinstance(orbit, SplitOrbit):
-        # both split orbits are smooth points of the stratification
-        return CharacteristicCycle.from_multiplicities(setup, orbit, {orbit: 1})
     norm = normalize(setup)
-    work = norm.setup
-    i = norm.to_normalized(orbit).i
-    table = cc_table(degeneracy.form_flavor(work.kind), work.k, work.k - i)
-    mults = {}
+    work, target = norm.setup, norm.to_normalized(orbit)
+    table = cc_table(form_flavor(work.kind), work.k, work.k - radical_size(work, target))
+    mults, leq = {}, family(work).leq
+    sizes = {label: radical_size(work, label) for label in enumerate_orbits(work)}
     for sid, mult in table.terms:
-        jlab = work.k - sid.rank
-        if is_split_setup(work) and jlab == work.k:
-            for sign in (1, -1):
-                mults[SplitOrbit(sign)] = mult
-        elif valid_orbit(work, RadicalOrbit(jlab)):
-            mults[RadicalOrbit(jlab)] = mult
+        for label, i in sizes.items():
+            if i == work.k - sid.rank and leq(work, label, target):
+                mults[label] = mult
     back = {norm.from_normalized(lab): m for lab, m in mults.items()}
     return CharacteristicCycle.from_multiplicities(setup, orbit, back)
 
@@ -190,8 +175,6 @@ class VerificationReport(NamedTuple):
 
 def check_cc_agreement(setup: Setup) -> list:
     """Stated cycle against the chart-pullback route, per orbit."""
-    if setup.kind == Kind.GLPQ:
-        return []
     rows = []
     for orbit in enumerate_orbits(setup):
         stated = characteristic_cycle(setup, orbit)
@@ -228,16 +211,15 @@ def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
     """
     check_seed(seed)
     check_count("trials", trials)
-    if setup.kind != Kind.GLPQ:
-        return []
     norm = normalize(setup)
     orbits = enumerate_orbits(setup)
     label = {o: norm.to_normalized(o) for o in orbits}
     # judged one stratum at a time, so that only one stratum's draws are
     # alive: holding each until its last target raises a sweep's peak memory
     rows = {}
+    leq = family(setup).leq
     for stratum in orbits:
-        above = [t for t in orbits if t != stratum and _closure_leq(setup, stratum, t)]
+        above = [t for t in orbits if t != stratum and leq(setup, stratum, t)]
         if not above:
             continue
         drawn = draw_conormals(base_point(norm.setup, label[stratum]), trials=trials, seed=seed)
@@ -248,47 +230,39 @@ def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
 
 
 def check_smallness(setup: Setup) -> list:
-    """Smallness of the applicable resolutions, per target orbit.
+    """Smallness of the family's resolutions, per resolution and target orbit.
 
-    For intersection-type setups the applicable sides are asserted.  The
-    radical-type resolutions are not small in general, so their results
-    are recorded without being treated as failures.  Every kind is read
-    off one closure poset, that of the normalized setup, so a run over a
-    setup and its dual computes their orbit dimensions once
-    (orbit_dimension is cached).  Sp/SO labels need no relabelling:
-    U -> U^perp keeps rad(U), and the split setups (n = 2k) are
-    already normalized.
+    The resolutions and which of them apply come from the family's
+    entry in resolutions.RESOLUTIONS.  For intersection-type setups the
+    applicable sides are asserted.  The radical-type resolutions are
+    not small in general, so their results are recorded without being
+    treated as failures, and the split labels get no row.  Every kind
+    is read off one closure poset, that of the normalized setup, so a
+    run over a setup and its dual computes their orbit dimensions once
+    (orbit_dimension is cached).
     """
     norm = normalize(setup)
     poset = ClosurePoset(norm.setup)
+    sides, applicable = RESOLUTIONS[family(setup)], resolution_for(setup)
+    split = family(setup).split_labels(setup)
     rows = []
-    if setup.kind == Kind.GLPQ:
-        applicable = resolution_for(setup)
-        for kind in (ResolutionKind.Z, ResolutionKind.ZTILDE):
-            for target in enumerate_orbits(setup):
-                subject = f"{kind.value} {format_orbit(setup, target)}"
-                if kind in applicable:
-                    small = _is_small(poset, kind, norm.to_normalized(target))
-                    rows.append(CheckRow("smallness", subject, small,
-                                         "small" if small else "not small"))
-                else:
-                    rows.append(CheckRow("smallness", subject, True,
-                                         "not the applicable side here"))
-        return rows
-    for target in poset.orbits:
-        if isinstance(target, SplitOrbit):
-            continue
-        small = _is_small(poset, ResolutionKind.ZI, target)
-        detail = "small" if small else "not small (recorded, not asserted)"
-        rows.append(CheckRow("smallness",
-                             f"zi {format_orbit(setup, target)}", True, detail))
+    for kind in sides.kinds:
+        for target in enumerate_orbits(setup):
+            if target in split:
+                continue
+            subject = f"{kind.value} {format_orbit(setup, target)}"
+            if kind not in applicable:
+                rows.append(CheckRow("smallness", subject, True, "not the applicable side here"))
+                continue
+            small = _is_small(poset, kind, norm.to_normalized(target))
+            recorded = "" if sides.asserted else " (recorded, not asserted)"
+            rows.append(CheckRow("smallness", subject, small or not sides.asserted,
+                                 "small" if small else "not small" + recorded))
     return rows
 
 
 def check_transversality(setup: Setup, points: int = 100, seed: int = 0) -> list:
     """Sampled transversality of the Gram section to the rank strata."""
-    if setup.kind == Kind.GLPQ:
-        return []
     result = degeneracy.run_transversality_suite(setup, points=points, seed=seed)
     rows = []
     for chart in result.charts:
@@ -299,7 +273,8 @@ def check_transversality(setup: Setup, points: int = 100, seed: int = 0) -> list
 
 
 # The verification suites in report order, by command-line name.  Each
-# runner takes (setup, trials, points, seed) and returns check rows.
+# runner takes (setup, trials, points, seed) and returns check rows; it
+# runs only on a setup whose family lists it (suite_rows).
 SUITES = {
     "crosscheck": lambda setup, trials, points, seed: check_cc_agreement(setup),
     "microlocal": lambda setup, trials, points, seed: check_microlocal(
@@ -310,6 +285,13 @@ SUITES = {
 }
 
 
+def suite_rows(setup: Setup, name: str, trials: int, points: int, seed: int) -> list:
+    """The rows of one suite on the setup; none where its family does not list the suite."""
+    if name not in family(setup).suites:
+        return []
+    return SUITES[name](setup, trials, points, seed)
+
+
 def cross_check(setup: Setup, trials: int = 20, points: int = 100,
                 seed: int = 0) -> VerificationReport:
     """Run every verification route that applies to the setup."""
@@ -317,6 +299,6 @@ def cross_check(setup: Setup, trials: int = 20, points: int = 100,
     check_count("trials", trials)
     check_count("points", points)
     rows = []
-    for run in SUITES.values():
-        rows.extend(run(setup, trials, points, seed))
+    for name in SUITES:
+        rows.extend(suite_rows(setup, name, trials, points, seed))
     return VerificationReport(setup, tuple(rows))

@@ -24,7 +24,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .ccengine import SUITES, characteristic_cycle, cross_check
+from .ccengine import SUITES, characteristic_cycle, cross_check, suite_rows
 from .conormal import NoGenericCovector
 from .exactla import SEED_MAX
 from .orbits import ClosurePoset, Kind, Setup, enumerate_orbits, format_orbit, parse_orbit
@@ -109,7 +109,7 @@ def _setup_from_args(args) -> Setup:
 
 def _setup_payload(setup: Setup) -> dict:
     payload = {"kind": setup.kind.value, "n": setup.n, "k": setup.k}
-    if setup.kind == Kind.GLPQ:
+    if setup.p is not None:
         payload["p"] = setup.p
         payload["q"] = setup.q
     return payload
@@ -174,7 +174,7 @@ def cmd_verify(setup: Setup, suite: str, trials: int, seed: int) -> tuple:
     if suite == "all":
         rows = cross_check(setup, trials=trials, points=trials, seed=seed).rows
     else:
-        rows = SUITES[suite](setup, trials, trials, seed)
+        rows = suite_rows(setup, suite, trials, trials, seed)
     if not rows:
         raise ValueError(f"suite {suite} has no checks for {setup.describe()}")
     doc = _document("verify", setup)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactla import QMatrix, check_count, derive_states, draw_streams, rank
-from .orbits import BasePoint, Kind
+from .orbits import BasePoint, family
 
 
 class NoGenericCovector(RuntimeError):
@@ -85,7 +85,7 @@ def covector_sampler(base: BasePoint, height_bound: int = 100) -> CovectorSample
     Raises ValueError for another kind, for the open orbit, which has no
     conormal directions, or for a height bound below 1.
     """
-    if base.setup.kind != Kind.GLPQ:
+    if "microlocal" not in family(base.setup).suites:
         raise ValueError("conormal sampling is for GLpq setups")
     check_count("height_bound", height_bound)
     (hr, hc), (lr, lc) = h_shape, l_shape = block_shapes(base)

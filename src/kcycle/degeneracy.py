@@ -38,8 +38,8 @@ The sweep does its set-up once per chart: chart_for checks the chart,
 fetches both plans and works out the flavor and the top rank.  Per
 point it does only the point's own work: transverse_at reads the flat
 value off the plan and ranks it through phi, and only a point below top
-rank builds its value matrix and its constraint rows.
-form_flavor is the one map from a setup kind to its matrix flavor.
+rank builds its value matrix and its constraint rows.  The flavor of
+each kind's form is read off its family (orbits.form_flavor).
 """
 
 from __future__ import annotations
@@ -50,14 +50,7 @@ from typing import Iterator, NamedTuple
 
 from .exactla import QMatrix, SeedStream, check_count, rank
 from .matrixstrata import Flavor, flavor_dim, pairing_row, product_rows
-from .orbits import Kind, Setup, form_sign, is_split_setup, normalize
-
-
-def form_flavor(kind: Kind) -> Flavor:
-    """The symmetry of the invariant form, hence of every Gram matrix."""
-    if kind == Kind.GLPQ:
-        raise ValueError("no invariant form for a splitting-type setup")
-    return Flavor.SKEW if kind == Kind.SP else Flavor.SYMMETRIC
+from .orbits import Kind, Setup, family, form_flavor, form_sign, normalize
 
 
 class ChartPoint(NamedTuple):
@@ -293,18 +286,16 @@ def run_transversality_suite(setup: Setup, points: int = 100,
                              seed: int = 0) -> TransversalityResult:
     """Sample chart points and verify transversality at each.
 
-    For square split setups both reference charts are exercised, since
-    the two families of maximal isotropic planes are seen by different
-    charts.
+    For a setup with split labels both reference charts are exercised,
+    since the two families of maximal isotropic planes are seen by
+    different charts.
     """
-    if setup.kind == Kind.GLPQ:
+    if "transversality" not in family(setup).suites:
         raise ValueError("transversality sweeps need an invariant form")
     check_count("points", points)
     work = normalize(setup).setup
     n, k = work.n, work.k
-    charts = [False]
-    if is_split_setup(work):
-        charts.append(True)
+    charts = (False, True) if family(work).split_labels(work) else (False,)
     results = []
     for center_last in charts:
         chart = chart_for(work, center_last)

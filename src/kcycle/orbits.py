@@ -11,6 +11,11 @@ Supported groups K acting on Gr(k, C^n):
     i = dim rad(U), except that when n = 2k the totally isotropic
     locus splits into two closed orbits (the two ruling families).
 
+The kinds fall into two families, and each family's geometry is stated
+once, in a Family record: INTERSECTION for GLpq, RADICAL for Sp and SO.
+family(setup) picks it; the functions below dispatch to it once per
+call, and other modules read it instead of branching on the kind.
+
 The module provides orbit enumeration, closure posets, explicit base
 points with adapted bases, and the relabelling maps induced by swapping
 the summands or passing to annihilators / orthogonal complements.  An
@@ -18,9 +23,11 @@ adapted basis B is built from its column supports, e_a or e_a + e_b;
 B^-1 is read off the same supports, which proves B invertible.
 
 The invariant form of Sp/SO is the signed antidiagonal J with
-J[a, n-1-a] = form_sign(kind, n, a), and everything form-related is
-derived from those signs without a dense product: Gram matrices and
-the closed-form basis of Lie(K).  Lie(K) is stored by the nonzero
+J[a, n-1-a] = form_sign(kind, n, a), +1 on the first half and the sign
+of the form's flavor (J^T = +-J) on the second.  Everything
+form-related is derived from those signs without a dense product:
+Gram matrices, the parity of radical sizes, the split labels and the
+closed-form basis of Lie(K).  Lie(K) is stored by the nonzero
 entries of its basis elements.  The image of the action differential
 at a base point is built from them as one {column: value} dict of
 nonzeros per element, multiplying only the nonzeros of the adapted
@@ -47,9 +54,10 @@ import sys
 import zlib
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exactla import QMatrix, rank
+from .matrixstrata import Flavor, flavor_sign
 
 
 class Kind(str, Enum):
@@ -196,33 +204,38 @@ class SplitOrbit(OrbitLabel):
         object.__setattr__(self, "_key", (self._tag, sign))
 
 
-def is_split_setup(setup: Setup) -> bool:
-    return setup.kind == Kind.SO and setup.n == 2 * setup.k
+class Family(NamedTuple):
+    """The geometry of one family of setup kinds.
+
+    Callables take valid labels of the setup, except that valid and text
+    take any label of the family's classes.
+    """
+
+    labels: tuple          # the label classes
+    forms: tuple           # (kind, flavor of its invariant form) for each kind with a form
+    suites: frozenset      # the verify suites with rows; a suite's route refuses other families
+    valid: Callable        # (setup, label) -> bool
+    orbits: Callable       # setup -> every label, open orbit first
+    text: Callable         # (setup, label) -> str
+    parse: Callable        # (setup, text) -> label, or None for text of another family
+    leq: Callable          # (setup, a, b) -> whether orbit a lies in the closure of orbit b
+    split_labels: Callable  # setup -> the labels that share one radical size, SO at n = 2k
+    base_columns: Callable  # (setup, label) -> (column supports, row_groups, col_groups)
+    classify: Callable     # (setup, n x k frame of rank k) -> label
+    lie_basis: Callable    # setup -> the basis of Lie(K), as in lie_algebra_basis
+    normalize: Callable    # setup -> NormalizedSetup
+    relabel: Callable      # (label, normalization, reverse) -> label
+
+
+def family(setup: Setup) -> Family:
+    """The family of the setup's kind."""
+    return _FAMILIES[setup.kind]
 
 
 def valid_orbit(setup: Setup, orbit) -> bool:
     """True when the label denotes a non-empty orbit of this setup."""
-    n, k = setup.n, setup.k
-    if isinstance(orbit, IntersectionOrbit):
-        if setup.kind != Kind.GLPQ:
-            return False
-        s, t = orbit.s, orbit.t
-        # k-t <= p and k-s <= q make the mixed part fit in both summands
-        return s >= 0 and t >= 0 and s + t <= k and k - t <= setup.p and k - s <= setup.q
-    if isinstance(orbit, RadicalOrbit):
-        if setup.kind == Kind.GLPQ:
-            return False
-        i = orbit.i
-        if not (0 <= i <= min(k, n - k)):
-            return False
-        if setup.kind == Kind.SP and (k - i) % 2 != 0:
-            return False
-        if is_split_setup(setup) and i == k:
-            return False  # replaced by the two split labels
-        return True
-    if isinstance(orbit, SplitOrbit):
-        return is_split_setup(setup) and orbit.sign in (+1, -1)
-    return False
+    fam = _FAMILIES[setup.kind]
+    return orbit.__class__ in fam.labels and fam.valid(setup, orbit)
 
 
 def check_orbit(setup: Setup, orbit) -> None:
@@ -232,55 +245,24 @@ def check_orbit(setup: Setup, orbit) -> None:
 
 def enumerate_orbits(setup: Setup) -> list:
     """All non-empty orbits, open orbit first, deterministic order."""
-    n, k = setup.n, setup.k
-    if setup.kind == Kind.GLPQ:
-        out = []
-        for s in range(max(0, k - setup.q), min(k, setup.p) + 1):
-            for t in range(max(0, k - setup.p), k - s + 1):
-                out.append(IntersectionOrbit(s, t))
-        out.sort(key=lambda o: (o.s + o.t, o.s))
-        return out
-    top = min(k, n - k)
-    step = 2 if setup.kind == Kind.SP else 1
-    start = k % 2 if setup.kind == Kind.SP else 0
-    out = [RadicalOrbit(i) for i in range(start, top + 1, step)]
-    if is_split_setup(setup):
-        out = out[:-1] + [SplitOrbit(+1), SplitOrbit(-1)]
-    return out
+    return _FAMILIES[setup.kind].orbits(setup)
 
 
 def format_orbit(setup: Setup, orbit) -> str:
-    if isinstance(orbit, IntersectionOrbit):
-        return f"q({orbit.s},{orbit.t})"
-    if isinstance(orbit, RadicalOrbit):
-        return f"rad{orbit.i}"
-    if isinstance(orbit, SplitOrbit):
-        return f"rad{setup.k}{'+' if orbit.sign > 0 else '-'}"
-    raise ValueError(f"not an orbit label: {orbit!r}")
-
-
-_Q_RE = re.compile(r"^q\((\d+),(\d+)\)$")
-_RAD_RE = re.compile(r"^rad(\d+)([+-]?)$")
+    """The label's text, by the family of its class, so that any setup's message can name it."""
+    fam = _BY_LABEL.get(orbit.__class__)
+    if fam is None:
+        raise ValueError(f"not an orbit label: {orbit!r}")
+    return fam.text(setup, orbit)
 
 
 def parse_orbit(setup: Setup, text: str):
     text = text.strip()
-    m = _Q_RE.match(text)
-    if m:
-        orbit = IntersectionOrbit(int(m.group(1)), int(m.group(2)))
-        check_orbit(setup, orbit)
-        return orbit
-    m = _RAD_RE.match(text)
-    if m:
-        i, sgn = int(m.group(1)), m.group(2)
-        if sgn:
-            if i != setup.k:
-                raise ValueError(f"split labels exist only at i=k: {text}")
-            orbit = SplitOrbit(+1 if sgn == "+" else -1)
-        else:
-            orbit = RadicalOrbit(i)
-        check_orbit(setup, orbit)
-        return orbit
+    for fam in _FAMILY_LIST:
+        orbit = fam.parse(setup, text)
+        if orbit is not None:
+            check_orbit(setup, orbit)
+            return orbit
     raise ValueError(f"cannot parse orbit label: {text!r}")
 
 
@@ -307,46 +289,17 @@ class NormalizedSetup(NamedTuple):
 
 
 def normalize(setup: Setup) -> NormalizedSetup:
-    cur = setup
-    swapped = False
-    if setup.kind == Kind.GLPQ and cur.p < cur.q:
-        cur = Setup(Kind.GLPQ, cur.n, cur.k, p=cur.q, q=cur.p)
-        swapped = True
-    if setup.kind == Kind.GLPQ:
-        dual = cur.k > cur.n - cur.k
-    else:
-        dual = cur.k < cur.n - cur.k
-    if dual:
-        cur = Setup(cur.kind, cur.n, cur.n - cur.k, p=cur.p, q=cur.q)
-    return NormalizedSetup(setup, cur, swapped, dual)
-
-
-def _dual_label(orbit, p: int, q: int, k: int):
-    """Label of Ann(U) when U has label orbit in the (p, q, k) setup."""
-    if isinstance(orbit, IntersectionOrbit):
-        return IntersectionOrbit(p - k + orbit.t, q - k + orbit.s)
-    return orbit  # rad(U^perp) = rad(U); split labels never dualize
+    return _FAMILIES[setup.kind].normalize(setup)
 
 
 def relabel_orbit(orbit, normalization: NormalizedSetup, reverse: bool = False):
+    """The label across the normalization: to the normalized setup, or back with reverse.
+
+    Only the given label is checked: the map is a bijection of valid labels.
+    """
     norm = normalization
-    if not reverse:
-        check_orbit(norm.original, orbit)
-        cur = orbit
-        if norm.swapped_pq:
-            cur = IntersectionOrbit(cur.t, cur.s)
-        if norm.dualized and norm.original.kind == Kind.GLPQ:
-            cur = _dual_label(cur, norm.setup.p, norm.setup.q, norm.original.k)
-        check_orbit(norm.setup, cur)
-        return cur
-    check_orbit(norm.setup, orbit)
-    cur = orbit
-    if norm.dualized and norm.original.kind == Kind.GLPQ:
-        cur = _dual_label(cur, norm.setup.p, norm.setup.q, norm.setup.k)
-    if norm.swapped_pq:
-        cur = IntersectionOrbit(cur.t, cur.s)
-    check_orbit(norm.original, cur)
-    return cur
+    check_orbit(norm.setup if reverse else norm.original, orbit)
+    return _FAMILIES[norm.setup.kind].relabel(orbit, norm, reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +309,7 @@ def closure_leq(setup: Setup, a, b) -> bool:
     """True when orbit a lies in the closure of orbit b."""
     check_orbit(setup, a)
     check_orbit(setup, b)
-    return _closure_leq(setup, a, b)
-
-
-def _closure_leq(setup: Setup, a, b) -> bool:
-    """closure_leq on labels known valid, such as enumerate_orbits output."""
-    if isinstance(a, IntersectionOrbit):
-        return a.s >= b.s and a.t >= b.t
-    ai = a.i if isinstance(a, RadicalOrbit) else setup.k
-    bi = b.i if isinstance(b, RadicalOrbit) else setup.k
-    if isinstance(b, SplitOrbit):
-        return a == b  # split orbits are closed
-    return ai >= bi
+    return _FAMILIES[setup.kind].leq(setup, a, b)
 
 
 class ClosurePoset:
@@ -377,9 +319,10 @@ class ClosurePoset:
         self.setup = setup
         self.orbits = enumerate_orbits(setup)
         self.dimension = {o: orbit_dimension(setup, o) for o in self.orbits}
+        self._leq = family(setup).leq
 
     def leq(self, a, b) -> bool:
-        return _closure_leq(self.setup, a, b)
+        return self._leq(self.setup, a, b)
 
     def codim(self, orbit) -> int:
         return self.setup.dim_gr - self.dimension[orbit]
@@ -398,15 +341,28 @@ class ClosurePoset:
 # ---------------------------------------------------------------------------
 # bilinear forms and base points
 
+def form_flavor(kind: Kind) -> Flavor:
+    """The symmetry of the invariant form, hence of every Gram matrix."""
+    for form_kind, flavor in _FAMILIES[kind].forms:
+        if form_kind == kind:
+            return flavor
+    raise ValueError("no invariant form for a splitting-type setup")
+
+
 def form_sign(kind: Kind, n: int, a: int) -> int:
     """The sign eps_a of the invariant form, J[a, n-1-a] = eps_a.
 
-    J is antidiagonal: eps_a = +1 throughout for SO (symmetric), and +1
-    on the first half, -1 on the second for Sp (symplectic).
+    J is antidiagonal with J^T = +-J by its flavor: eps_a = +1 on the
+    first half and the flavor's sign on the second, so +1 throughout for
+    SO (symmetric) and -1 on the second half for Sp (symplectic).
     """
-    if kind not in (Kind.SP, Kind.SO):
-        raise ValueError("no invariant form for a splitting-type setup")
-    return 1 if kind == Kind.SO or a < n // 2 else -1
+    sign = flavor_sign(form_flavor(kind))
+    return 1 if a < n // 2 else sign
+
+
+def is_split_setup(setup: Setup) -> bool:
+    """The maximal isotropic planes of a symmetric form at n = 2k fall into two families."""
+    return setup.n == 2 * setup.k and (setup.kind, Flavor.SYMMETRIC) in family(setup).forms
 
 
 def gram_matrix(setup: Setup, u: QMatrix) -> QMatrix:
@@ -457,40 +413,6 @@ class BasePoint(NamedTuple):
         return self.basis.submatrix(range(n), range(k))
 
 
-# The *_base_columns functions give each adapted basis column as its
-# support, the rows of its 1s: e_a or e_a + e_b.  The first k span U.
-
-def _glpq_base_columns(setup: Setup, orbit: IntersectionOrbit):
-    n, k, p, q = setup.n, setup.k, setup.p, setup.q
-    s, t = orbit.s, orbit.t
-    m = k - s - t
-    cols = [(a,) for a in range(s)]
-    cols += [(p + b,) for b in range(t)]
-    cols += [(s + j, p + t + j) for j in range(m)]
-    cols += [(a,) for a in range(k - t, p)]          # pure p, count p-k+t
-    cols += [(a,) for a in range(s, k - t)]          # overlap, count m
-    cols += [(a,) for a in range(p + k - s, n)]      # pure q, count q-k+s
-    return cols, (s, t, m), (p - k + t, m, q - k + s)
-
-
-def _radical_base_columns(setup: Setup, i: int):
-    n, k = setup.n, setup.k
-    f = (k - i) // 2
-    cols = [(a,) for a in range(i)] + [(b,) for a in range(i, i + f) for b in (a, n - 1 - a)]
-    if (k - i) % 2:
-        a = i + f  # n odd: the middle unit; n even: the anisotropic e_a + e_{n-1-a}
-        cols.append(((n - 1) // 2,) if n % 2 else (a, n - 1 - a))
-    # a sum column uses up its first row only: e_{n-1-a} joins the complement
-    used = {col[0] for col in cols}
-    return cols + [(a,) for a in range(n) if a not in used]
-
-
-def _split_base_columns(setup: Setup, sign: int):
-    n, k = setup.n, setup.k
-    last = k - 1 if sign > 0 else k  # sign -1, the reflection image: e_{n/2} for e_{n/2+1}
-    return [(a,) for a in range(k - 1)] + [(last,)] + [(a,) for a in range(k - 1, n) if a != last]
-
-
 def _adapted_inverse(n: int, supports) -> QMatrix:
     """B^-1 of the basis of C^n whose column j has a 1 at each row of supports[j].
 
@@ -524,18 +446,11 @@ def _adapted_inverse(n: int, supports) -> QMatrix:
 @lru_cache(maxsize=None)
 def base_point(setup: Setup, orbit) -> BasePoint:
     check_orbit(setup, orbit)
-    n, k = setup.n, setup.k
+    n = setup.n
     # B is allocated before its supports are listed, so that an n that no
     # list can hold raises MemoryError at once, not after filling memory
     cols = [[0] * n for _ in range(n)]
-    if isinstance(orbit, IntersectionOrbit):
-        supports, rg, cg = _glpq_base_columns(setup, orbit)
-    elif isinstance(orbit, RadicalOrbit):
-        supports = _radical_base_columns(setup, orbit.i)
-        rg, cg = (orbit.i, k - orbit.i), (n - k,)
-    else:
-        supports = _split_base_columns(setup, orbit.sign)
-        rg, cg = (k, 0), (n - k,)
+    supports, rg, cg = _FAMILIES[setup.kind].base_columns(setup, orbit)
     for col, support in zip(cols, supports):
         for r in support:
             col[r] = 1
@@ -562,14 +477,7 @@ def orbit_of(setup: Setup, u: QMatrix):
     if u.nrows != n or u.ncols != k or rank(u) != k:
         raise ValueError(f"a frame for {setup.describe()} must be {n} x {k} of rank {k}, "
                          f"got {u.nrows} x {u.ncols}")
-    if setup.kind == Kind.GLPQ:
-        p = setup.p
-        return IntersectionOrbit(k - rank(u.submatrix(range(p, n), range(k))),
-                                 k - rank(u.submatrix(range(p), range(k))))
-    i = k - rank(gram_matrix(setup, u))
-    if is_split_setup(setup) and i == k:
-        return SplitOrbit(split_family(setup, u))
-    return RadicalOrbit(i)
+    return _FAMILIES[setup.kind].classify(setup, u)
 
 
 def split_family(setup: Setup, u: QMatrix) -> int:
@@ -594,27 +502,11 @@ def lie_algebra_basis(setup: Setup) -> tuple:
     the single unit entry of E_ab.  For Sp/SO, X^T J + J X = 0 ties entry
     (a, b) to entry (n-1-b, n-1-a) with coefficient -eps_a * eps_b, so
     each such pair spans one element; a self-paired entry (a + b = n-1)
-    stands alone for Sp and is forced to zero for SO.  The elements have
+    is tied to itself, so it stands alone where that coefficient is +1
+    (Sp) and is forced to zero where it is -1 (SO).  The elements have
     disjoint supports, hence are independent.
     """
-    n = setup.n
-    if setup.kind == Kind.GLPQ:
-        return tuple(
-            ((a, b, 1),)
-            for block in (range(setup.p), range(setup.p, n))
-            for a in block
-            for b in block
-        )
-    out = []
-    for a in range(n):
-        for b in range(n):
-            pa, pb = n - 1 - b, n - 1 - a
-            if (a, b) < (pa, pb):
-                coeff = -form_sign(setup.kind, n, a) * form_sign(setup.kind, n, b)
-                out.append(((a, b, 1), (pa, pb, coeff)))
-            elif (a, b) == (pa, pb) and setup.kind == Kind.SP:
-                out.append(((a, b, 1),))
-    return tuple(out)
+    return _FAMILIES[setup.kind].lie_basis(setup)
 
 
 def _action_rows(setup: Setup, orbit) -> list:
@@ -694,3 +586,210 @@ def orbit_dimension(setup: Setup, orbit) -> int:
             dim += rank(QMatrix.from_flat(len(block), len(cols),
                                           [row.get(c, 0) for row in block for c in cols]))
     return dim
+
+
+# ---------------------------------------------------------------------------
+# the intersection family: GLpq, labels q(s,t)
+
+def _intersection_valid(setup: Setup, orbit) -> bool:
+    k, s, t = setup.k, orbit.s, orbit.t
+    # k-t <= p and k-s <= q make the mixed part fit in both summands
+    return s >= 0 and t >= 0 and s + t <= k and k - t <= setup.p and k - s <= setup.q
+
+
+def _intersection_orbits(setup: Setup) -> list:
+    k, p, q = setup.k, setup.p, setup.q
+    out = [IntersectionOrbit(s, t) for s in range(max(0, k - q), min(k, p) + 1)
+           for t in range(max(0, k - p), k - s + 1)]
+    out.sort(key=lambda o: (o.s + o.t, o.s))
+    return out
+
+
+def _intersection_normalize(setup: Setup) -> NormalizedSetup:
+    """p >= q by swapping the summands, then k <= n-k by passing to annihilators."""
+    n, k, p, q = setup.n, setup.k, setup.p, setup.q
+    swapped = p < q
+    if swapped:
+        p, q = q, p
+    dual = k > n - k
+    return NormalizedSetup(setup, Setup(setup.kind, n, n - k if dual else k, p=p, q=q),
+                           swapped, dual)
+
+
+def _intersection_relabel(orbit, norm: NormalizedSetup, reverse: bool):
+    """Swapping the summands swaps s and t; in the (p, q, k) setup Ann(U) is q(p-k+t, q-k+s)."""
+    p, q = norm.setup.p, norm.setup.q
+    s, t = orbit.s, orbit.t
+    if norm.swapped_pq and not reverse:
+        s, t = t, s
+    if norm.dualized:
+        k = norm.setup.k if reverse else norm.original.k
+        s, t = p - k + t, q - k + s
+    if norm.swapped_pq and reverse:
+        s, t = t, s
+    return IntersectionOrbit(s, t)
+
+
+# The *_base_columns functions give each adapted basis column as its
+# support, the rows of its 1s: e_a or e_a + e_b.  The first k span U.
+
+def _glpq_base_columns(setup: Setup, orbit: IntersectionOrbit):
+    n, k, p, q = setup.n, setup.k, setup.p, setup.q
+    s, t = orbit.s, orbit.t
+    m = k - s - t
+    cols = [(a,) for a in range(s)]
+    cols += [(p + b,) for b in range(t)]
+    cols += [(s + j, p + t + j) for j in range(m)]
+    cols += [(a,) for a in range(k - t, p)]          # pure p, count p-k+t
+    cols += [(a,) for a in range(s, k - t)]          # overlap, count m
+    cols += [(a,) for a in range(p + k - s, n)]      # pure q, count q-k+s
+    return cols, (s, t, m), (p - k + t, m, q - k + s)
+
+
+def _intersection_classify(setup: Setup, u: QMatrix):
+    n, k, p = setup.n, setup.k, setup.p
+    return IntersectionOrbit(k - rank(u.submatrix(range(p, n), range(k))),
+                             k - rank(u.submatrix(range(p), range(k))))
+
+
+def _intersection_lie_basis(setup: Setup) -> tuple:
+    """The unit entries E_ab of gl(p) + gl(q)."""
+    blocks = (range(setup.p), range(setup.p, setup.n))
+    return tuple(((a, b, 1),) for block in blocks for a in block for b in block)
+
+
+_Q_RE = re.compile(r"^q\((\d+),(\d+)\)$")
+
+INTERSECTION = Family(
+    labels=(IntersectionOrbit,), forms=(), suites=frozenset({"microlocal", "smallness"}),
+    valid=_intersection_valid, orbits=_intersection_orbits,
+    text=lambda setup, orbit: f"q({orbit.s},{orbit.t})",
+    parse=lambda setup, text: (m := _Q_RE.match(text)) and IntersectionOrbit(int(m[1]), int(m[2])),
+    leq=lambda setup, a, b: a.s >= b.s and a.t >= b.t, split_labels=lambda setup: (),
+    base_columns=_glpq_base_columns, classify=_intersection_classify,
+    lie_basis=_intersection_lie_basis, normalize=_intersection_normalize,
+    relabel=_intersection_relabel,
+)
+
+
+# ---------------------------------------------------------------------------
+# the radical family: Sp and SO, labels rad{i}, and rad{k}+ / rad{k}- for SO at n = 2k
+
+def radical_size(setup: Setup, orbit) -> int:
+    """dim rad U on the orbit: i for rad{i}, k for a split label."""
+    return orbit.i if isinstance(orbit, RadicalOrbit) else setup.k
+
+
+def _radical_valid(setup: Setup, orbit) -> bool:
+    if isinstance(orbit, SplitOrbit):
+        return is_split_setup(setup) and orbit.sign in (+1, -1)
+    n, k, i = setup.n, setup.k, orbit.i
+    if not (0 <= i <= min(k, n - k)):
+        return False
+    if (k - i) % 2 and form_flavor(setup.kind) == Flavor.SKEW:
+        return False  # a skew Gram matrix has even rank k - i
+    return not (i == k and is_split_setup(setup))  # replaced by the two split labels
+
+
+def _radical_orbits(setup: Setup) -> list:
+    n, k = setup.n, setup.k
+    step = 2 if form_flavor(setup.kind) == Flavor.SKEW else 1  # k - i is even on a skew form
+    out = [RadicalOrbit(i) for i in range(k % step, min(k, n - k) + 1, step)]
+    split = RADICAL.split_labels(setup)
+    return out[:-1] + list(split) if split else out
+
+
+def _radical_text(setup: Setup, orbit) -> str:
+    if isinstance(orbit, SplitOrbit):
+        return f"rad{setup.k}{'+' if orbit.sign > 0 else '-'}"
+    return f"rad{orbit.i}"
+
+
+_RAD_RE = re.compile(r"^rad(\d+)([+-]?)$")
+
+
+def _radical_parse(setup: Setup, text: str):
+    m = _RAD_RE.match(text)
+    if not m:
+        return None
+    i, sgn = int(m.group(1)), m.group(2)
+    if not sgn:
+        return RadicalOrbit(i)
+    if i != setup.k:
+        raise ValueError(f"split labels exist only at i=k: {text}")
+    return SplitOrbit(+1 if sgn == "+" else -1)
+
+
+def _radical_leq(setup: Setup, a, b) -> bool:
+    if isinstance(b, SplitOrbit):
+        return a == b  # split orbits are closed
+    return radical_size(setup, a) >= b.i
+
+
+def _radical_base_columns(setup: Setup, i: int):
+    n, k = setup.n, setup.k
+    f = (k - i) // 2
+    cols = [(a,) for a in range(i)] + [(b,) for a in range(i, i + f) for b in (a, n - 1 - a)]
+    if (k - i) % 2:
+        a = i + f  # n odd: the middle unit; n even: the anisotropic e_a + e_{n-1-a}
+        cols.append(((n - 1) // 2,) if n % 2 else (a, n - 1 - a))
+    # a sum column uses up its first row only: e_{n-1-a} joins the complement
+    used = {col[0] for col in cols}
+    return cols + [(a,) for a in range(n) if a not in used]
+
+
+def _split_base_columns(setup: Setup, sign: int):
+    n, k = setup.n, setup.k
+    last = k - 1 if sign > 0 else k  # sign -1, the reflection image: e_{n/2} for e_{n/2+1}
+    return [(a,) for a in range(k - 1)] + [(last,)] + [(a,) for a in range(k - 1, n) if a != last]
+
+
+def _radical_columns(setup: Setup, orbit):
+    n, k = setup.n, setup.k
+    if isinstance(orbit, SplitOrbit):
+        return _split_base_columns(setup, orbit.sign), (k, 0), (n - k,)
+    return _radical_base_columns(setup, orbit.i), (orbit.i, k - orbit.i), (n - k,)
+
+
+def _radical_classify(setup: Setup, u: QMatrix):
+    i = setup.k - rank(gram_matrix(setup, u))
+    if i == setup.k and is_split_setup(setup):
+        return SplitOrbit(split_family(setup, u))
+    return RadicalOrbit(i)
+
+
+def _radical_lie_basis(setup: Setup) -> tuple:
+    n = setup.n
+    eps = [form_sign(setup.kind, n, a) for a in range(n)]
+    out = []
+    for a in range(n):
+        for b in range(n):
+            pa, pb = n - 1 - b, n - 1 - a
+            if (a, b) < (pa, pb):
+                out.append(((a, b, 1), (pa, pb, -eps[a] * eps[b])))
+            elif (a, b) == (pa, pb) and eps[a] * eps[b] == -1:
+                out.append(((a, b, 1),))
+    return tuple(out)
+
+
+def _radical_normalize(setup: Setup) -> NormalizedSetup:
+    """k >= n-k by passing to orthogonal complements; the split setups are already there."""
+    dual = setup.k < setup.n - setup.k
+    work = Setup(setup.kind, setup.n, setup.n - setup.k) if dual else setup
+    return NormalizedSetup(setup, work, False, dual)
+
+
+RADICAL = Family(
+    labels=(RadicalOrbit, SplitOrbit), forms=((Kind.SP, Flavor.SKEW), (Kind.SO, Flavor.SYMMETRIC)),
+    suites=frozenset({"crosscheck", "smallness", "transversality"}),
+    valid=_radical_valid, orbits=_radical_orbits, text=_radical_text, parse=_radical_parse,
+    leq=_radical_leq,
+    split_labels=lambda setup: (SplitOrbit(+1), SplitOrbit(-1)) if is_split_setup(setup) else (),
+    base_columns=_radical_columns, classify=_radical_classify, lie_basis=_radical_lie_basis,
+    normalize=_radical_normalize,
+    relabel=lambda orbit, norm, reverse: orbit,  # rad(U^perp) = rad(U)
+)
+
+_FAMILY_LIST = (INTERSECTION, RADICAL)
+_FAMILIES = {Kind.GLPQ: INTERSECTION, Kind.SP: RADICAL, Kind.SO: RADICAL}
+_BY_LABEL = {cls: fam for fam in _FAMILY_LIST for cls in fam.labels}

@@ -28,26 +28,29 @@ generic covector is what kills the characteristic cycle's extra terms.
 
 Radical strata (Sp/SO) have an analogous resolution remembering a
 subspace of the radical; it is generally not small, and only its fiber
-dimensions are used.
+dimensions are used.  RESOLUTIONS holds each family's resolutions, keyed
+by the orbits family: which kinds it has, which apply to a normalized
+setup, and whether smallness is asserted or only recorded.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .exactla import SEED_MAX, QMatrix, SeedStream, check_count, kernel, rank, rref
 from .conormal import ConormalVector, covector_sampler, draw_covectors, generic_block_ranks
 from .orbits import (
+    INTERSECTION,
+    RADICAL,
     ClosurePoset,
-    Kind,
-    RadicalOrbit,
     Setup,
-    _closure_leq,
     base_point,
     closure_leq,
+    family,
     format_orbit,
     normalize,
+    radical_size,
     valid_orbit,
 )
 
@@ -166,11 +169,27 @@ def _glpq_resolutions(work: Setup) -> tuple:
     return (ResolutionKind.Z,) * (nk >= p) + (ResolutionKind.ZTILDE,) * (nk <= p)
 
 
+class FamilyResolutions(NamedTuple):
+    """The resolutions of one orbits family."""
+
+    kinds: tuple           # in report order
+    applicable: Callable   # normalized setup -> the kinds that apply to it
+    asserted: bool         # smallness is a check, not only a record
+    needs: str             # the ValueError for one of the kinds on another family's setup
+
+
+RESOLUTIONS = {
+    INTERSECTION: FamilyResolutions((ResolutionKind.Z, ResolutionKind.ZTILDE),
+                                    _glpq_resolutions, True,
+                                    "subspace-pair resolutions need a GLpq setup"),
+    RADICAL: FamilyResolutions((ResolutionKind.ZI,), lambda work: (ResolutionKind.ZI,), False,
+                               "radical resolution needs an Sp/SO setup"),
+}
+
+
 def resolution_for(setup: Setup) -> tuple:
     """The resolutions that apply to the normalized setup: ZI alone for Sp/SO."""
-    if setup.kind != Kind.GLPQ:
-        return (ResolutionKind.ZI,)
-    return _glpq_resolutions(normalize(setup).setup)
+    return RESOLUTIONS[family(setup)].applicable(normalize(setup).setup)
 
 
 def draw_conormals(base, trials: int = 20, seed: int = 0) -> tuple:
@@ -209,7 +228,7 @@ def judge_microlocal(target, covectors) -> MicrolocalVerdict:
     work, strat = bp.setup, bp.orbit
     if not valid_orbit(work, target):
         raise ValueError(f"{target!r} is not an orbit of {work.describe()}")
-    if target == strat or not _closure_leq(work, strat, target):
+    if target == strat or not family(work).leq(work, strat, target):
         raise ValueError("stratum must lie strictly below target")
     s, t = target.s, target.t
     kind = _glpq_resolutions(work)[0]  # Z when both apply
@@ -244,7 +263,7 @@ def verify_microlocal_empty(
     for the normalized target.  No hits is the evidence that the stratum
     contributes nothing to the target's characteristic cycle.
     """
-    if setup.kind != Kind.GLPQ:
+    if "microlocal" not in family(setup).suites:
         raise ValueError("microlocal emptiness testing is for GLpq setups")
     check_count("trials", trials)
     norm = normalize(setup)
@@ -253,23 +272,19 @@ def verify_microlocal_empty(
     return judge_microlocal(tgt, covectors)
 
 
-def _radical_index(setup: Setup, orbit) -> int:
-    return orbit.i if isinstance(orbit, RadicalOrbit) else setup.k
-
-
-def _check_kind(setup: Setup, kind: ResolutionKind) -> None:
-    if kind == ResolutionKind.ZI:
-        if setup.kind == Kind.GLPQ:
-            raise ValueError("radical resolution needs an Sp/SO setup")
-    elif setup.kind != Kind.GLPQ:
-        raise ValueError("subspace-pair resolutions need a GLpq setup")
+def _normalized(setup: Setup, kind: ResolutionKind, *labels) -> tuple:
+    """The normalized setup and labels, once kind is a resolution of the setup's family."""
+    if kind not in RESOLUTIONS[family(setup)].kinds:
+        raise ValueError(next(r.needs for r in RESOLUTIONS.values() if kind in r.kinds))
+    norm = normalize(setup)
+    return norm.setup, [norm.to_normalized(o) for o in labels]
 
 
 def _fiber_dimension(work: Setup, kind: ResolutionKind, tgt, strat) -> int:
-    """fiber_dimension on valid labels, strat in tgt's closure, normalized for GLpq."""
+    """fiber_dimension on valid labels of a normalized setup, strat in tgt's closure."""
     if kind == ResolutionKind.ZI:
-        i = _radical_index(work, tgt)
-        return i * (_radical_index(work, strat) - i)
+        i = radical_size(work, tgt)
+        return i * (radical_size(work, strat) - i)
     s, t = tgt.s, tgt.t
     sp, tp = strat.s, strat.t
     if kind == ResolutionKind.Z:
@@ -280,11 +295,7 @@ def _fiber_dimension(work: Setup, kind: ResolutionKind, tgt, strat) -> int:
 
 def fiber_dimension(setup: Setup, kind: ResolutionKind, target, stratum) -> int:
     """Dimension of the resolution fiber over a point of the stratum."""
-    _check_kind(setup, kind)
-    work, tgt, strat = setup, target, stratum
-    if setup.kind == Kind.GLPQ:
-        norm = normalize(setup)
-        work, tgt, strat = norm.setup, norm.to_normalized(target), norm.to_normalized(stratum)
+    work, (tgt, strat) = _normalized(setup, kind, target, stratum)
     if not closure_leq(work, strat, tgt):
         raise ValueError("stratum must lie in the target's closure")
     return _fiber_dimension(work, kind, tgt, strat)
@@ -298,9 +309,8 @@ def is_small(setup: Setup, kind: ResolutionKind, target) -> bool:
     and orbit dimensions, the closure order and the radical fiber
     dimensions are those of the setup itself.
     """
-    _check_kind(setup, kind)
-    norm = normalize(setup)
-    return _is_small(ClosurePoset(norm.setup), kind, norm.to_normalized(target))
+    work, (tgt,) = _normalized(setup, kind, target)
+    return _is_small(ClosurePoset(work), kind, tgt)
 
 
 def _is_small(pos: ClosurePoset, kind: ResolutionKind, tgt) -> bool:

@@ -12,6 +12,7 @@ from kcycle.ccengine import (
     check_smallness,
     cross_check,
     pullback_cc,
+    suite_rows,
 )
 from kcycle.degeneracy import run_transversality_suite
 from kcycle.exactla import SEED_MAX
@@ -167,7 +168,12 @@ def test_cc_agreement_rows():
     rows = check_cc_agreement(Setup(Kind.SO, 6, 3))
     assert [r.subject for r in rows] == ["rad0", "rad1", "rad2", "rad3+", "rad3-"]
     assert all(r.ok for r in rows)
-    assert check_cc_agreement(Setup(Kind.GLPQ, 4, 2, p=2, q=2)) == []
+    # a glpq setup has no cc-agreement rows: its family does not list the
+    # suite, and the pullback route itself refuses a setup without a form
+    glpq = Setup(Kind.GLPQ, 4, 2, p=2, q=2)
+    assert suite_rows(glpq, "crosscheck", 1, 1, 0) == []
+    with pytest.raises(ValueError, match="pullback route needs an invariant form"):
+        check_cc_agreement(glpq)
 
 
 def test_smallness_rows_assert_only_applicable_side():

@@ -1,5 +1,7 @@
 import argparse
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -8,9 +10,9 @@ import pytest
 from kcycle import ccengine, cli, conormal
 from kcycle.ccengine import CheckRow
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "schema" / "kcycle-1.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+SCHEMA = json.loads((ROOT / "schema" / "kcycle-1.json").read_text())
 
 GLPQ = ["--kind", "glpq", "--n", "4", "--k", "2", "--p", "2", "--q", "2"]
 SO63 = ["--kind", "so", "--n", "6", "--k", "3"]
@@ -227,10 +229,11 @@ def test_usage_errors(capsys):
     # check of [0] * n at once, allocating nothing
     unallocatable = [
         ["orbits", "--kind", "so", "--n", str(1 << 62), "--k", "1"],
+        ["orbits", "--kind", "sp", "--n", str(1 << 62), "--k", "1"],
         ["orbits", "--kind", "glpq", "--n", str(1 << 62), "--k", "1",
          "--p", str((1 << 62) - 1), "--q", "1"],
     ]
-    for argv in cases + vacuous + oversized + unallocatable:
+    for argv in cases + vacuous + oversized:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == "", argv
@@ -238,8 +241,40 @@ def test_usage_errors(capsys):
             assert err.startswith("error: suite ") and len(err.splitlines()) == 1
         if argv in oversized:
             assert err.startswith("error: need n <= ") and len(err.splitlines()) == 1
-        if argv in unallocatable:
-            assert err == f"error: out of memory for n={1 << 62}\n"
+    for argv in unallocatable:
+        code, out, err, peak_kib = run_capped(argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err == f"error: out of memory for n={1 << 62}\n"
+        # the first n-sized allocation failed at once; nothing grew towards n
+        assert peak_kib < PEAK_BOUND_KIB, (argv, peak_kib)
+
+
+# The unallocatable cases run in their own interpreter under an address
+# space cap, so that a path which grows a list towards n stops at the cap
+# instead of filling the machine's memory; its peak resident set then
+# fails the bound below, which a run that fails its first allocation
+# stays far under.
+MEMORY_CAP = 1 << 30
+PEAK_BOUND_KIB = 256 * 1024
+
+
+def run_capped(argv):
+    """(exit code, stdout, stderr, peak resident KiB) of cli.main(argv) in a capped interpreter."""
+    script = (
+        "import contextlib, io, json, resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP}))\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "from kcycle import cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue(), peak]))\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", script, *argv],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return tuple(json.loads(done.stdout))
 
 
 def test_out_into_missing_directory(capsys, tmp_path):

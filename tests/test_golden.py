@@ -24,6 +24,10 @@ SO84 = ["--kind", "so", "--n", "8", "--k", "4"]
 SO3015 = ["--kind", "so", "--n", "30", "--k", "15"]
 SP2412 = ["--kind", "sp", "--n", "24", "--k", "12"]
 GLPQ168 = ["--kind", "glpq", "--n", "16", "--k", "8", "--p", "8", "--q", "8"]
+GLPQ74 = ["--kind", "glpq", "--n", "7", "--k", "4", "--p", "3", "--q", "4"]
+GLPQ73 = ["--kind", "glpq", "--n", "7", "--k", "3", "--p", "2", "--q", "5"]
+SP82 = ["--kind", "sp", "--n", "8", "--k", "2"]
+SO72 = ["--kind", "so", "--n", "7", "--k", "2"]
 JSON = ["--format", "json"]
 DOT = ["--format", "dot"]
 VERIFY = ["--suite", "all", "--seed", "42"] + JSON
@@ -71,6 +75,17 @@ GOLDEN = [
      "bc7b0455216fc806c773700862142d3acc6028d9f40fa09b6fde69603f383991"),
     (["orbits"] + GLPQ168 + JSON,
      "18ce615042f8956b614320a6bc48f295ce2ebbf8de9d0783409dd88de26a66fc"),
+    # the relabelled paths, taken before the per-kind geometry moved into
+    # one family table: glpq(7,4,3,4) is swapped and dualized, sp(8,2) and
+    # so(7,2) are dualized, and glpq(7,3,2,5) is swapped (p < q)
+    (["verify"] + GLPQ74 + VERIFY,
+     "4738b9e3dd56308aa511540b48b054a0e33d5cbb6c0bb563bed87c2ee0f1414b"),
+    (["verify"] + SP82 + VERIFY,
+     "9911faa6eb0494764a5b2fa1adf07e3482c5701e430c61b4402af00dfe3e0f08"),
+    (["verify"] + SO72 + VERIFY,
+     "8938dede9119702f3c2a4308759b527048d8c8cae9309343809d9365f464e479"),
+    (["poset"] + GLPQ73 + JSON,
+     "91b97f09dc76d9d2197bb9109588c1cee4f1c4a1809f0cbc5304edc7c2d75d6c"),
 ]
 
 

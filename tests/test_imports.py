@@ -1,8 +1,8 @@
 """The package's internal import graph has no cycles, the package
 imports nothing outside the standard library, every module-level
 definition in it is reached from an entry point, every field of its
-NamedTuple records is read in it, and a kcycle process loads neither
-dataclasses nor inspect.
+NamedTuple records is read in it, no module but orbits branches on the
+setup kind, and a kcycle process loads neither dataclasses nor inspect.
 
 Every import of a kcycle module is counted, including imports inside
 function bodies, since those hide a cycle from module load order but
@@ -215,3 +215,66 @@ def test_start_up_loads_no_dataclasses():
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == ["verify 0 True", "verify 0 True", "cc 0 True",
                                         "poset 0 True", "before []", "after []"]
+
+
+# The only kind dispatch allowed outside orbits, by (module, function),
+# each with the reason it stays.  Everything else reads orbits.family.
+KIND_DISPATCH = {
+    ("cli", "_setup_from_args"): "argument parsing: --p/--q belong to glpq alone, "
+                                 "with messages in terms of the flags",
+}
+LABEL_CLASSES = {"OrbitLabel", "IntersectionOrbit", "RadicalOrbit", "SplitOrbit"}
+
+
+def _name(node) -> str:
+    """The last name of a Name or dotted Attribute, else ''."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _kind_dispatch(tree: ast.Module) -> list:
+    """(function, line, what) for each kind dispatch in a module."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Compare):
+            if any(isinstance(sub, ast.Attribute) and _name(sub.value) == "Kind"
+                   for sub in ast.walk(node)):
+                found.append((func, node.lineno, "compares with a Kind member"))
+        elif isinstance(node, ast.Call):
+            if _name(node.func) == "is_split_setup":
+                found.append((func, node.lineno, "calls is_split_setup"))
+            elif _name(node.func) == "isinstance" and len(node.args) == 2:
+                second = node.args[1]
+                classes = second.elts if isinstance(second, ast.Tuple) else [second]
+                if any(_name(c) in LABEL_CLASSES for c in classes):
+                    found.append((func, node.lineno, "calls isinstance with an orbit label class"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_orbits_branches_on_the_kind():
+    # the per-kind geometry is stated once, in the families of orbits; the
+    # other modules read family(setup), so a new per-kind fact has one home
+    assert _kind_dispatch(ast.parse("if s.kind == Kind.SO or isinstance(o, SplitOrbit):\n"
+                                    "    is_split_setup(s)\n")) == [
+        ("<module>", 1, "compares with a Kind member"),
+        ("<module>", 1, "calls isinstance with an orbit label class"),
+        ("<module>", 2, "calls is_split_setup")]  # the walk sees all three
+    found, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "orbits":
+            continue
+        for func, line, what in _kind_dispatch(ast.parse(path.read_text())):
+            if (path.stem, func) in KIND_DISPATCH:
+                used.add((path.stem, func))
+            else:
+                found.append(f"{path.stem}.{func} line {line} {what}")
+    assert not found, "kind dispatch outside orbits; read orbits.family: " + "; ".join(found)
+    assert all(mod == "cli" for mod, _ in KIND_DISPATCH)
+    stale = sorted(f"{mod}.{func}" for mod, func in KIND_DISPATCH.keys() - used)
+    assert not stale, "allowlisted functions with no kind dispatch left: " + ", ".join(stale)
