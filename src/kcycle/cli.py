@@ -275,7 +275,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: out of memory for n={args.n}", file=sys.stderr)
+        # verify's draws grow with --trials too
+        sizes = f"n={args.n}, trials={args.trials}" if args.command == "verify" else f"n={args.n}"
+        print(f"error: out of memory for {sizes}", file=sys.stderr)
         return 2
     except NoGenericCovector as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -21,19 +21,35 @@ exactly (see rank).  The sparse constraint systems of the transversality
 sweep, with one to three nonzeros a row, then cost about their
 nonzeros, not every row times every pivot.
 
-Random draws come from splitmix64 streams.  draw_streams holds the one
-copy of the draw: one loop gives count values from [lo, hi] on each of
-many stream states, and the states after them.  SeedStream is one such
+Random draws come from splitmix64 streams (Steele, Lea and Flood,
+OOPSLA 2014).  _mix64 holds the one copy of the mix, and draw_streams
+the one copy of the draw: count values from [lo, hi] on each of many
+stream states, and the states after them.  SeedStream is one such
 stream; its randints(count, lo, hi) is draw_streams on its own state,
 exactly the values, and the final state, of count calls to randint.
 derive_states derives the streams of many seeds under one tag, as
 SeedStream(seed).derive(tag) does for one, so a caller that draws per
 seed builds no SeedStream per seed.
+
+A batch is mixed on whole ints, not value by value.  Each value sits
+in the low half of a 128-bit lane of one packed int, lane j at bits
+128j onwards.  The lanes are twice as wide as the values so that a
+64 x 64-bit product, and the carry of adding a stream's offsets, stay
+inside the lane: masking the high halves after each step leaves every
+lane its own value mod 2^64, and the mix is twelve big-int operations
+for a whole chunk.  A chunk holds at most _LANES lanes, a module
+constant, so temporaries stay within 8 KiB.  The lanes are built from
+bytes (int.to_bytes/int.from_bytes with an explicit byte order) and
+read back through one native-order memoryview cast, whose word order
+is chosen from sys.byteorder, so the values do not depend on the host.
+Only the modulus, lo + v % (hi - lo + 1), is taken per value, on the
+64-bit outputs.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 import zlib
 from fractions import Fraction
 from math import gcd, lcm
@@ -401,33 +417,93 @@ def check_count(name: str, count: int) -> None:
         raise ValueError(f"{name} must be at least 1, got {count}")
 
 
-def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
+_LANES = 512  # lanes mixed per chunk: a packed int stays within 8 KiB
+_LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
+# lane j holds (j+1)*gamma, below 2^73: the offset of a stream's draw j
+_STEPS = b"".join([((j + 1) * _GAMMA).to_bytes(16, "little") for j in range(_LANES)])
+# which 64-bit words of a packed int's native bytes are the lanes' low halves
+_LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+
+def _mix64(z: int, mask: int = _MASK64) -> int:
+    """splitmix64's output function, on every 128-bit lane of z that mask keeps.
+
+    Lane j is bits 128j to 128j+127; a value below 2^64 sits in its low
+    half, and mask is all ones there and zeros in the high halves.  A
+    64 x 64-bit product fills at most the whole lane, so masking after
+    each shift and product keeps every lane its own value mod 2^64.
+    Only the low halves of the result are outputs: the last shift moves
+    bits of each lane into the high half of the lane below.  With the
+    default mask, z is one value and so is the result.
+    """
+    z = (z ^ (z >> 30)) & mask
+    z = z * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) & mask
+    z = z * 0x94D049BB133111EB & mask
     return z ^ (z >> 31)
+
+
+def _mixed_lanes(z: int, lanes: int) -> memoryview:
+    """The 64-bit outputs of _mix64 on the first `lanes` lanes of z, as a memoryview.
+
+    The high halves of z's lanes may hold carries; they are masked off
+    first.  The bytes are written in the host's byte order, so the
+    native cast reads every word right, and the lanes' low halves are
+    every other word: from the first on a little-endian host, from the
+    last, backwards, on a big-endian one.
+    """
+    mask = _LANE_MASK >> 128 * (_LANES - lanes)
+    return memoryview(
+        _mix64(z & mask, mask).to_bytes(16 * lanes, sys.byteorder)
+    ).cast("Q")[_LOW_HALVES]
+
+
+def _draw_segments(heads: Sequence[int], m: int, lo: int, span: int) -> list:
+    """The m draws after each head state, head after head, mixed as one chunk.
+
+    Each head fills m lanes from bytes, and _STEPS adds (j+1)*gamma to
+    the lane of draw j; the sums carry into the high halves, which
+    _mixed_lanes masks off, so the lanes hold the states mod 2^64.
+    """
+    z = int.from_bytes(b"".join([h.to_bytes(16, "little") * m for h in heads]), "little")
+    z += int.from_bytes(_STEPS[:16 * m] * len(heads), "little")
+    return [lo + v % span for v in _mixed_lanes(z, m * len(heads))]
 
 
 def draw_streams(states: Sequence[int], count: int, lo: int, hi: int) -> tuple:
     """count draws from [lo, hi] on each stream state: (draw lists, final states).
 
     The draws of a state are the values, and its final state the state,
-    of count randint calls on a SeedStream in that state.
+    of count randint calls on a SeedStream in that state: draw j is
+    lo + mix(state + (j+1)*gamma mod 2^64) mod (hi - lo + 1), and the
+    final state is state + count*gamma mod 2^64.  The mixing is done on
+    packed 128-bit lanes, at most _LANES to a chunk: _LANES // count
+    whole streams of count <= _LANES draws, or _LANES draws of a longer
+    stream, whose list is allocated at full size before any is drawn;
+    a count that no list can hold raises MemoryError at once.  Only
+    lo + v % span is taken per value.
     """
     if lo > hi:
         raise ValueError(f"empty draw range [{lo}, {hi}]")
-    span, mask = hi - lo + 1, _MASK64
-    draws, finals = [], []
-    for z in states:
-        out = []
-        for _ in range(count):
-            z = (z + 0x9E3779B97F4A7C15) & mask
-            # _mix64(z), inlined: this loop is the one copy of the draw
-            x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
-            out.append(lo + (x ^ (x >> 31)) % span)
-        draws.append(out)
-        finals.append(z)
-    return draws, finals
+    if count <= 0:
+        return [[] for _ in states], list(states)
+    if count > sys.maxsize:
+        raise MemoryError(f"no list holds {count} draws")
+    span = hi - lo + 1
+    if count <= _LANES:
+        group, draws = _LANES // count, []
+        for first in range(0, len(states), group):
+            flat = _draw_segments(states[first:first + group], count, lo, span)
+            draws += [flat[i:i + count] for i in range(0, len(flat), count)]
+    else:
+        draws = [[0] * count for _ in states]
+        for z, out in zip(states, draws):
+            for at in range(0, count, _LANES):
+                m = min(_LANES, count - at)
+                out[at:at + m] = _draw_segments(((z + at * _GAMMA) & _MASK64,), m, lo, span)
+    step = count * _GAMMA
+    return draws, [(z + step) & _MASK64 for z in states]
 
 
 def _derive_mask(tag) -> int:
@@ -446,8 +522,13 @@ def derive_states(seeds: Sequence[int], tag) -> list:
     if seeds:
         check_seed(min(seeds))
         check_seed(max(seeds))
-    t = _derive_mask(tag)
-    return [_mix64(seed ^ t) for seed in seeds]
+    t, out = _derive_mask(tag), []
+    for first in range(0, len(seeds), _LANES):
+        chunk = seeds[first:first + _LANES]
+        z = int.from_bytes(b"".join([(seed ^ t).to_bytes(16, "little") for seed in chunk]),
+                           "little")
+        out += _mixed_lanes(z, len(chunk))
+    return out
 
 
 class SeedStream:

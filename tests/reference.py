@@ -3,6 +3,9 @@
 Each function recomputes something the package computes another way,
 so a test can compare the two, or builds seeded test data:
 
+* ``draw_streams_by_loop`` is splitmix64 (Steele, Lea and Flood 2014)
+  one value at a time; ``exactla.draw_streams`` mixes a batch as packed
+  lanes of one integer and must give the same draws and final states.
 * ``random_matrix``, ``random_matrix_from`` and ``random_flavored_matrix``
   draw seeded integer matrices, the last of a given flavor and rank.
 * ``kernel_by_span`` is the null space spanned, then made canonical by
@@ -108,6 +111,24 @@ from kcycle.resolutions import ResolutionKind, Witness
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
+
+def draw_streams_by_loop(states: Sequence[int], count: int, lo: int, hi: int) -> tuple:
+    """count draws from [lo, hi] on each splitmix64 state, one value at a time."""
+    if lo > hi:
+        raise ValueError(f"empty draw range [{lo}, {hi}]")
+    span, mask = hi - lo + 1, (1 << 64) - 1
+    draws, finals = [], []
+    for z in states:
+        out = []
+        for _ in range(count):
+            z = (z + 0x9E3779B97F4A7C15) & mask
+            x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
+            out.append(lo + (x ^ (x >> 31)) % span)
+        draws.append(out)
+        finals.append(z)
+    return draws, finals
+
 
 def kernel_by_span(m: QMatrix) -> Subspace:
     """Right null space of m: one kernel vector per free column of rref(m), then spanned."""

@@ -366,3 +366,25 @@ def test_sweep_draws_are_pinned(monkeypatch):
         "d799a77d2e20fc7cf1f737bef007a38da6822f158eb96da1cf52a41a600c5a57")
     assert points.hexdigest() == (
         "12f32d1264d5d19594685bc6ca8d2d78d3963c589a35b1d2e0f368bde6f0c37b")
+
+
+def test_sweep_draws_are_pinned_at_scale(monkeypatch):
+    # the largest batches a sweep draws: every chart point of
+    # run_transversality_suite on so(16,8), whose two charts draw 6,400
+    # values each, and on sp(16,8)
+    from kcycle import degeneracy
+
+    digest = hashlib.sha256()
+    real_draw = degeneracy.draw_chart_points
+
+    def recording_draw(n, k, rng, count):
+        drawn = list(real_draw(n, k, rng, count))
+        digest.update(repr((n, k, [a.a.entries for a in drawn])).encode())
+        return iter(drawn)
+
+    monkeypatch.setattr(degeneracy, "draw_chart_points", recording_draw)
+    charts = [len(run_transversality_suite(Setup(kind, 16, 8), seed=3).charts)
+              for kind in (Kind.SO, Kind.SP)]
+    assert charts == [2, 1]
+    assert digest.hexdigest() == (
+        "6fb6829f475c008766d121edb76fa912bdf574424369a78dbaec282e9a50fbc3")

@@ -233,6 +233,16 @@ def test_usage_errors(capsys):
         ["orbits", "--kind", "glpq", "--n", str(1 << 62), "--k", "1",
          "--p", str((1 << 62) - 1), "--q", "1"],
     ]
+    # trials that no list of draws can hold: a list of 2^62 draws fails
+    # its size check at once, and a count past sys.maxsize is refused
+    # before any list is made
+    huge_trials = [
+        ["verify"] + SO63 + ["--suite", "transversality", "--trials", trials]
+        for trials in (str(1 << 62), "99999999999999999999")
+    ] + [
+        ["verify"] + GLPQ + ["--suite", "microlocal", "--trials", trials]
+        for trials in (str(1 << 62), "99999999999999999999")
+    ]
     for argv in cases + vacuous + oversized:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
@@ -247,6 +257,12 @@ def test_usage_errors(capsys):
         assert out == "", argv
         assert err == f"error: out of memory for n={1 << 62}\n"
         # the first n-sized allocation failed at once; nothing grew towards n
+        assert peak_kib < PEAK_BOUND_KIB, (argv, peak_kib)
+    for argv in huge_trials:
+        code, out, err, peak_kib = run_capped(argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err == f"error: out of memory for n={argv[4]}, trials={argv[-1]}\n", argv
         assert peak_kib < PEAK_BOUND_KIB, (argv, peak_kib)
 
 

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -20,6 +21,7 @@ from kcycle.exactla import (
 )
 from reference import (
     conormal_matrix,
+    draw_streams_by_loop,
     inverse,
     kernel_by_span,
     random_matrix,
@@ -559,6 +561,59 @@ def test_randints_is_repeated_randint():
     from kcycle.exactla import _mix64
     raw, _ = _splitmix64(77, 3)
     assert [_mix64((77 + i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)) for i in (1, 2, 3)] == raw
+
+
+def test_draw_streams_matches_the_loop():
+    # the batch draw against splitmix64 one value at a time: counts that
+    # fill a chunk of lanes partly, exactly and past it, states that wrap,
+    # span 1, and spans of 2^64 and more with lo != 0
+    wrap = [0, SEED_MAX]
+    state_sets = ([], [SEED_MAX], wrap + SeedStream(808).randints(18, 0, SEED_MAX))
+    ranges = ((-9, 9), (0, 0), (7, 7), (0, SEED_MAX), (-5, SEED_MAX - 5),
+              (3, 1 << 70), (-(1 << 80), 1 << 80))
+    cases = [(count, lo, hi) for count in (0, 1, 5, 57) for lo, hi in ranges]
+    # around one and two chunks of lanes, a stream or many to a chunk
+    lanes = exactla._LANES
+    cases += [(count, lo, hi) for count in (lanes - 1, lanes, lanes + 1, 2 * lanes + 1, 2000)
+              for lo, hi in ranges[::3]]
+    for count, lo, hi in cases:
+        for states in state_sets:
+            expected = draw_streams_by_loop(states, count, lo, hi)
+            assert exactla.draw_streams(tuple(states), count, lo, hi) == expected
+    for lo, hi in ((1, 0), (5, -5), (SEED_MAX, 0)):
+        for states in state_sets:
+            with pytest.raises(ValueError, match="empty draw range"):
+                exactla.draw_streams(states, 3, lo, hi)
+    # a count no list holds fails before anything is drawn, never by OverflowError
+    for count in (1 << 62, 99999999999999999999):
+        with pytest.raises(MemoryError):
+            exactla.draw_streams([5], count, 0, 9)
+
+
+def test_packed_lanes_read_on_either_byte_order():
+    # the lanes' low halves are every other 64-bit word of the packed
+    # int's bytes in the host's order: forwards from the first word when
+    # little-endian, backwards from the last when big-endian
+    lanes = [(j * 0x9E3779B97F4A7C15 + 1) % (1 << 64) for j in range(7)]
+    packed = sum((low | (j + 1) << 64) << 128 * j for j, low in enumerate(lanes))
+    for order, code, step in (("little", "<", 2), ("big", ">", -2)):
+        words = struct.unpack(f"{code}14Q", packed.to_bytes(16 * 7, order))
+        assert list(words[::step]) == lanes
+    assert exactla._LOW_HALVES == slice(None, None, 2 if sys.byteorder == "little" else -2)
+    assert exactla._mixed_lanes(packed, 7).tolist() == [exactla._mix64(x) for x in lanes]
+
+
+def test_derive_states_is_derive():
+    # more seeds than one chunk of lanes holds
+    seeds = [0, 1, SEED_MAX] + SeedStream(909).randints(2 * exactla._LANES, 0, SEED_MAX)
+    for tag in ("conormal-sample", "", "microlocal", 0, 7, SEED_MAX, -1, 1 << 70):
+        expected = [SeedStream(seed).derive(tag).state for seed in seeds]
+        assert exactla.derive_states(seeds, tag) == expected
+        assert exactla.derive_states(seeds[:1], tag) == expected[:1]
+        assert exactla.derive_states([], tag) == []
+    for bad in (-1, SEED_MAX + 1):
+        with pytest.raises(ValueError, match="seed"):
+            exactla.derive_states([0, bad], "x")
 
 
 def test_rank_of_integral_matrix_skips_int_rows(monkeypatch):
