@@ -17,11 +17,9 @@ n-1-k < k, so identity rows; the opposite chart (n = 2k) is the mirror
 case.  So every Gram entry is a constant plus signed chart coordinates,
 S(a) = C + sum of eps * a[src] placed at fixed entries dst, and the
 differential does not depend on a.  _section_plan lists C and the
-(dst, src, eps) triples once per (kind, n, k, chart); _section_entries
-and _differential_values both read it, so no frame is built and J is
-never multiplied.  The transversality constraints are read off entries
-the same way.  A chart's points are drawn in one batch, one randints
-call, and each is sliced straight into its matrix as it is judged.
+(dst, src, eps) triples once per (kind, n, k, chart); the sweep and
+_differential_values both read it, so no frame is built and J is never
+multiplied.  A chart's points are drawn in one batch, one randints call.
 
 A value x is ranked through a smaller matrix.  In the standard chart C
 is zero outside one m x m block, m = 2k - n, rows and columns
@@ -35,22 +33,37 @@ phi is integer multiply and add.  _schur_plan checks these facts once
 per chart; at m = 0 (n = 2k, both charts) x is ranked itself.
 
 The sweep does its set-up once per chart: chart_for checks the chart,
-fetches both plans and works out the flavor and the top rank.  Per
-point it does only the point's own work: transverse_at reads the flat
-value off the plan and ranks it through phi, and only a point below top
-rank builds its value matrix and its constraint rows.  The flavor of
-each kind's form is read off its family (orbits.form_flavor).
+fetches both plans and works out the flavor and the top rank.  Then
+transverse_points judges the points as lanes, at most _LANES at a time
+(a module constant, so no sweep holds more): one zip turns their entries
+into columns, each value entry is one map of add or sub per plan triple
+and each phi entry a few maps of mul, all lanes at once, and per lane
+only phi is ranked.  A value of top rank sits on the open stratum.
+Below it, the stratum's tangent space at x is {Yx + x Y^T}, whose
+trace-pairing annihilator is {C : xC = 0}, and transversality says no
+nonzero such C is trace-perpendicular to the differential's image.
+Each pairing row tr(C v) of a differential value v has at most one
+nonzero, so the rows together fix just the coordinates they hit
+(flavor_dim(k) - flavor_dim(m) of them on every chart with n <= 16),
+and x is transverse when the product rows of xC on the other, free,
+coordinates have full rank; with none free nothing is ranked.  The
+free coordinates are read off the chart's own plan once per batch, and
+only if some lane is below top rank.  The flavor of each kind's form is
+read off its family (orbits.form_flavor).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, itemgetter, mul, sub
-from typing import Iterator, NamedTuple
+from itertools import islice
+from operator import add, mul, sub
+from typing import Iterable, Iterator, NamedTuple
 
 from .exactla import QMatrix, SeedStream, check_count, rank
 from .matrixstrata import Flavor, flavor_dim, pairing_row, product_rows
 from .orbits import Kind, Setup, family, form_flavor, form_sign, normalize
+
+_LANES = 256  # points judged at a time, however many a sweep draws
 
 
 class ChartPoint(NamedTuple):
@@ -66,8 +79,8 @@ def draw_chart_points(n: int, k: int, rng: SeedStream, count: int,
     The height bound is checked and every draw made at the call: point
     j is draws j*(n-k)*k onwards, row-major, the draws and final state
     of count per-point draws of (n-k)*k entries each.  The points are
-    built as they are iterated over, so only one is alive at a time:
-    building them all at once raised an isotropy pass's peak memory.
+    built as they are iterated over, so transverse_points holds one
+    chunk of them at a time, never all of a huge count.
     """
     check_count("height_bound", height_bound)
     size = (n - k) * k
@@ -120,27 +133,20 @@ def _section_plan(kind: Kind, n: int, k: int, center_last: bool) -> tuple:
     return tuple(const), tuple(plan)
 
 
-def _reader(idx: list):
-    """A function reading entries ``idx`` of a flat tuple, always as a tuple."""
-    get = itemgetter(*idx)
-    return get if len(idx) > 1 else lambda e: (get(e),)
-
-
 @lru_cache(maxsize=64)
 def _schur_plan(kind: Kind, n: int, k: int, center_last: bool) -> tuple:
-    """The J0 block of a chart's constant: (m, outside, triples, read_x11, terms).
+    """The J0 block of a chart's constant: (m, outside, triples).
 
     The block is rows and columns n-k..k-1 (empty at n = 2k), of size
     m = 2k - n; ``outside`` lists the other n-k indices.  Each triple
     (partner, row, sign) says block row ``row`` of C holds ``sign`` at
     column ``partner``, so J0^-1 is its signed transpose and
     (x12 J0^-1 x21)[i, j] sums sign * x[i, partner] * x[row, j] over the
-    triples.  ``read_x11`` reads x11 off a flat value, row-major; per
-    triple, ``terms`` holds the operator taking its product out of phi
-    and the readers of x[i, partner] and x[row, j] in the same order.
+    triples.
 
-    Raises unless C is J0 on the block and zero elsewhere and no plan
-    entry lands in the block: rank x = m + rank phi rests on exactly that.
+    Raises unless C is J0 on the block and zero elsewhere, no plan entry
+    lands in the block and every plan sign is +-1: rank x = m + rank phi,
+    and adding or subtracting each chart coordinate, rest on exactly that.
     """
     const, plan = _section_plan(kind, n, k, center_last)
     block, outside = range(n - k, k), tuple(range(n - k))
@@ -159,12 +165,9 @@ def _schur_plan(kind: Kind, n: int, k: int, center_last: bool) -> tuple:
         raise AssertionError("the constant is nonzero outside its block")
     if any(dst // k in block and dst % k in block for dst, _, _ in plan):
         raise AssertionError("a chart coordinate lands in the constant's block")
-    pairs = [(i, j) for i in outside for j in outside]
-    terms = tuple(
-        (sub if sign == 1 else add,
-         _reader([i * k + p for i, _ in pairs]), _reader([d * k + j for _, j in pairs]))
-        for p, d, sign in triples)
-    return len(block), outside, tuple(triples), _reader([i * k + j for i, j in pairs]), terms
+    if any(eps not in (1, -1) for _, _, eps in plan):
+        raise AssertionError("a plan sign is not +-1")
+    return len(block), outside, tuple(triples)
 
 
 class Chart(NamedTuple):
@@ -180,7 +183,7 @@ class Chart(NamedTuple):
     top: int
     const: tuple
     plan: tuple
-    schur: tuple  # _schur_plan's (m, outside, triples, read_x11, terms)
+    schur: tuple  # _schur_plan's (m, outside, triples)
 
 
 def chart_for(setup: Setup, center_last: bool = False) -> Chart:
@@ -191,31 +194,6 @@ def chart_for(setup: Setup, center_last: bool = False) -> Chart:
     const, plan = _section_plan(setup.kind, n, k, center_last)
     return Chart(setup, center_last, flavor, top, const, plan,
                  _schur_plan(setup.kind, n, k, center_last))
-
-
-def _section_entries(const: tuple, plan: tuple, e) -> list:
-    """The flat k x k value at chart entries e: the constants plus eps * e[src] at each dst."""
-    out = list(const)
-    for dst, src, eps in plan:
-        out[dst] += eps * e[src]
-    return out
-
-
-def _value_rank(chart: Chart, x: list) -> int:
-    """rank x, as m + rank phi(x) for phi = x11 - x12 J0^-1 x21 (module docstring).
-
-    x is a flat section value of the chart; phi is (n-k)-square and
-    built entrywise from x by the plan's readers.  At m = 0 phi would be
-    x itself, so x is ranked as it is.
-    """
-    n, k = chart.setup.n, chart.setup.k
-    m, _, _, read_x11, terms = chart.schur
-    if not m:
-        return rank(QMatrix.from_flat(k, k, x))
-    phi = read_x11(x)
-    for op, read_col, read_row in terms:
-        phi = map(op, phi, map(mul, read_col(x), read_row(x)))
-    return m + rank(QMatrix.from_flat(n - k, n - k, phi))
 
 
 def _differential_values(chart: Chart) -> list:
@@ -231,34 +209,58 @@ def _differential_values(chart: Chart) -> list:
     return [QMatrix(k, k, tuple(v)) for v in values]
 
 
-def transverse_at(chart: Chart, a: ChartPoint) -> bool:
-    """Check the section meets the stratum of its value transversally at ``a``.
+def _free_coordinates(chart: Chart) -> list:
+    """The flavor coordinates that no pairing row tr(C v) of a differential value v reads.
 
-    The value is read off the chart's plan and ranked through its Schur
-    complement; one of top rank sits on the open stratum, whose tangent
-    space is everything.  Below top rank: the tangent space of a rank
-    stratum at x is {Yx + x Y^T}; its trace-pairing annihilator is
-    {C : xC = 0}.  Transversality at ``a`` says no nonzero such C is
-    also trace-perpendicular to the image of the differential, which is
-    a rank condition on the stacked constraints of _constraint_rows.
-    ``a`` must be a point of the chart's shape.
+    Raises unless each row has at most one nonzero, as the quotient needs.
     """
-    x = _section_entries(chart.const, chart.plan, a.a.entries)
-    if _value_rank(chart, x) == chart.top:
-        return True
-    k = chart.setup.k
-    rows = _constraint_rows(chart, QMatrix.from_flat(k, k, x))
-    return rank(QMatrix.from_rows(rows)) == flavor_dim(chart.flavor, k)
+    hit = set()
+    for v in _differential_values(chart):
+        nonzero = [j for j, c in enumerate(pairing_row(v, chart.flavor)) if c]
+        if len(nonzero) > 1:
+            raise AssertionError("a pairing row of the differential has two nonzeros")
+        hit.update(nonzero)
+    return [j for j in range(flavor_dim(chart.flavor, chart.setup.k)) if j not in hit]
 
 
-def _constraint_rows(chart: Chart, x: QMatrix) -> list:
-    """transverse_at's functionals on C in flavor coordinates, at a value x of the chart.
+def transverse_points(chart: Chart, points: Iterable[ChartPoint]) -> list:
+    """Whether the section meets the stratum of its value transversally, per point.
 
-    First tr(C v) for each differential value v, then the entries of xC,
-    each read off one or two entries of v or x.
+    The points are judged as lanes (module docstring).  Raises
+    ValueError for a point that is not (n-k) x k.
     """
-    rows = [pairing_row(v, chart.flavor) for v in _differential_values(chart)]
-    return rows + product_rows(x, chart.flavor)
+    n, k = chart.setup.n, chart.setup.k
+    m, outside, triples = chart.schur
+    side = n - k if m else k
+    points, verdicts, free = iter(points), [], None
+    while chunk := list(islice(points, _LANES)):
+        if any((a.a.nrows, a.a.ncols) != (n - k, k) for a in chunk):
+            raise ValueError("chart point must be (n-k) x k")
+        cols = list(zip(*(a.a.entries for a in chunk)))
+        x = [[c] * len(chunk) for c in chart.const]
+        for dst, src, eps in chart.plan:
+            x[dst] = map(add if eps == 1 else sub, x[dst], cols[src])
+        x = [tuple(v) for v in x]
+        phi = x
+        if m:  # phi = x11 - x12 J0^-1 x21, entry by entry
+            phi = []
+            for i in outside:
+                for j in outside:
+                    e = x[i * k + j]
+                    for p, d, sign in triples:
+                        e = map(sub if sign == 1 else add, e,
+                                map(mul, x[i * k + p], x[d * k + j]))
+                    phi.append(e)
+        for lane, entries in enumerate(zip(*phi)):
+            if m + rank(QMatrix(side, side, entries)) == chart.top:
+                verdicts.append(True)
+                continue
+            if free is None:
+                free = _free_coordinates(chart)
+            value = QMatrix(k, k, tuple(v[lane] for v in x))
+            verdicts.append(not free or rank(QMatrix.from_rows(
+                [row[j] for j in free] for row in product_rows(value, chart.flavor))) == len(free))
+    return verdicts
 
 
 class ChartSuiteResult(NamedTuple):
@@ -302,7 +304,6 @@ def run_transversality_suite(setup: Setup, points: int = 100,
         rng = SeedStream(seed).derive(
             "transversality", work.describe(), "opposite" if center_last else "standard"
         )
-        failures = sum(not transverse_at(chart, a)
-                       for a in draw_chart_points(n, k, rng, points))
-        results.append(ChartSuiteResult(center_last, points, failures))
+        verdicts = transverse_points(chart, draw_chart_points(n, k, rng, points))
+        results.append(ChartSuiteResult(center_last, points, verdicts.count(False)))
     return TransversalityResult(work, tuple(results))

@@ -11,15 +11,16 @@ and reduced echelon forms are computed by elimination on integer rows;
 only rref's final division by its pivots can produce a Fraction.
 kernel reads a null space's canonical basis off a single rref.  A
 vector (at most one row or one column) is ranked without elimination,
-as 1 if any entry is nonzero and 0 otherwise.  Any other integral matrix
-goes into rank's elimination as row slices of its entries, with no scan
-or copy through int_rows; only a matrix holding a Fraction is cleared
-of denominators first.  That elimination is Bareiss's with a lazy scale:
-a row with a zero in the pivot column is left alone, and each row keeps
-the pivot it was last updated against, by which its next update divides
-exactly (see rank).  The sparse constraint systems of the transversality
-sweep, with one to three nonzeros a row, then cost about their
-nonzeros, not every row times every pivot.
+as 1 if any entry is nonzero and 0 otherwise, and so is a pair of
+vectors (two rows or two columns), by a closed form.  Any other integral
+matrix goes into rank's elimination as row slices of its entries, with
+no scan or copy through int_rows; only a matrix holding a Fraction is
+cleared of denominators first.  That elimination is Bareiss's with a
+lazy scale: a row with a zero in the pivot column is left alone, and
+each row keeps the pivot it was last updated against, by which its next
+update divides exactly (see rank).  The sparse product rows of the
+transversality sweep then cost about their nonzeros, not every row
+times every pivot.
 
 Random draws come from splitmix64 streams (Steele, Lea and Flood,
 OOPSLA 2014).  _mix64 holds the one copy of the mix, and draw_streams
@@ -192,7 +193,10 @@ def rank(m: QMatrix) -> int:
 
     A vector (at most one row or at most one column, empty shapes
     included) needs no elimination: its rank is 1 if any entry is
-    nonzero, else 0.  Any other integral matrix is eliminated on row
+    nonzero, else 0.  Nor does a pair of vectors a, b (two rows or two
+    columns): its rank is 2 unless every 2 x 2 minor vanishes, that is,
+    for p the first nonzero entry of a and q the entry of b beside it,
+    unless q * a == p * b.  Any other integral matrix is eliminated on row
     slices of its entries, which the loop replaces and never mutates;
     only a matrix holding a Fraction is rescaled to integer rows by
     int_rows.
@@ -216,9 +220,16 @@ def rank(m: QMatrix) -> int:
     minors of the matrix (Sylvester's identity): every division is
     exact and entries grow no more than in plain Bareiss.
     """
-    e, nc = m.entries, m.ncols
-    if m.nrows < 2 or nc < 2:
+    e, nr, nc = m.entries, m.nrows, m.ncols
+    if nr < 2 or nc < 2:
         return 1 if any(e) else 0
+    if nr == 2 or nc == 2:
+        a, b = (e[:nc], e[nc:]) if nr == 2 else (e[::2], e[1::2])
+        p = next(filter(None, a), 0)
+        if not p:
+            return 1 if any(b) else 0
+        q = b[a.index(p)]
+        return 1 if [q * x for x in a] == [p * y for y in b] else 2
     if _all_int(e):
         rows = [r for r in (e[i:i + nc] for i in range(0, len(e), nc)) if any(r)]
     else:

@@ -24,8 +24,8 @@ so a test can compare the two, or builds seeded test data:
   between matrices and flavor coordinates.
 * ``conormal_condition``, ``tangent_space_at`` and ``conormal_solutions``
   give the dense tangent and conormal geometry of the rank strata,
-  which ``degeneracy.transverse_at`` reads as the entries of xC through
-  ``matrixstrata.product_rows``.
+  which ``degeneracy.transverse_points`` reads as the entries of xC
+  through ``matrixstrata.product_rows``.
 * ``conormal_space`` is the literal-block conormal space of a GLpq
   orbit, the second route beside the kernel of ``action_image``;
   ``max_conormal_rank`` is the closed-form rank that
@@ -54,11 +54,17 @@ so a test can compare the two, or builds seeded test data:
   ``degeneracy.draw_chart_points`` draws a chart's points in one batch
   and must give the same points and final stream state.
 * ``section_differential_image`` spans the differential of the Gram
-  section that ``degeneracy.transverse_at`` reads off its plan.
-  ``section_value`` and ``verify_transversality`` evaluate and check one
-  point on a chart set up for it alone, through the sweep's per-point
-  steps (``degeneracy._section_entries``, ``degeneracy.transverse_at``),
-  after ``check_chart`` checks the point's shape.
+  section that ``degeneracy.transverse_points`` reads off its plan.
+  ``section_entries`` and ``section_value`` evaluate the section at one
+  point, where the sweep forms a batch of values lane-wise.
+  ``schur_complement`` and ``value_rank`` form phi of one value and rank
+  the value through it.  ``constraint_rows`` is the full stacked system,
+  the differential's pairing rows over the product rows, and
+  ``stacked_transversality`` ranks it whole, where the sweep ranks only
+  the product rows on the coordinates its quotient by the differential
+  leaves free.  ``verify_transversality`` is the sweep's verdict at one
+  point, ``degeneracy.transverse_points`` on a one-point batch of a
+  chart set up for it alone, after ``check_chart`` checks its shape.
 * ``ambient_membership_Z``/``_Ztilde`` and
   ``ambient_witness_satisfies_Z``/``_Ztilde`` build and check membership
   witnesses as subspaces of C^n, through ``Subspace`` spans and a solve
@@ -89,6 +95,7 @@ from kcycle.matrixstrata import (
     coordinate_pairs,
     flavor_dim,
     flavor_sign,
+    pairing_row,
     product_rows,
 )
 from kcycle.orbits import (
@@ -457,26 +464,73 @@ def check_chart(setup: Setup, a: ChartPoint, center_last: bool) -> None:
         raise ValueError("chart point must be (n-k) x k")
 
 
+def section_entries(const: tuple, plan: tuple, e) -> list:
+    """The flat k x k value at chart entries e: the constants plus eps * e[src] at each dst."""
+    out = list(const)
+    for dst, src, eps in plan:
+        out[dst] += eps * e[src]
+    return out
+
+
 def section_value(setup: Setup, a: ChartPoint, center_last: bool = False) -> QMatrix:
     """Gram matrix of the form on the plane with chart coordinates ``a``.
 
     The default chart consists of graphs over span{e_1..e_k}; with
     ``center_last`` (square case only) the plane is a graph over
-    span{e_{k+1}..e_n} instead.  The value is read off the section plan
-    as the sweep reads it, and only that plan: no Schur plan is built,
-    so a wrong section plan gives a wrong value here without raising.
+    span{e_{k+1}..e_n} instead.  The value is read off the section plan,
+    one point at a time, and only that plan: no Schur plan is built, so
+    a wrong section plan gives a wrong value here without raising.
     """
     check_chart(setup, a, center_last)
     const, plan = degeneracy._section_plan(setup.kind, setup.n, setup.k, center_last)
-    return QMatrix.from_flat(setup.k, setup.k,
-                             degeneracy._section_entries(const, plan, a.a.entries))
+    return QMatrix.from_flat(setup.k, setup.k, section_entries(const, plan, a.a.entries))
+
+
+def schur_complement(chart: degeneracy.Chart, x: QMatrix) -> QMatrix:
+    """phi = x11 - x12 J0^-1 x21 of a chart value, from the chart's Schur triples."""
+    _, outside, triples = chart.schur
+    return QMatrix.from_rows(
+        [[x[i, j] - sum(sign * x[i, p] * x[d, j] for p, d, sign in triples)
+          for j in outside] for i in outside])
+
+
+def value_rank(chart: degeneracy.Chart, x: QMatrix) -> int:
+    """rank x, as m + rank phi(x); at m = 0 phi would be x, which is ranked as it is."""
+    m = chart.schur[0]
+    return m + rank(schur_complement(chart, x)) if m else rank(x)
+
+
+def constraint_rows(chart: degeneracy.Chart, x: QMatrix) -> list:
+    """The full stacked system on C in flavor coordinates, at a value x of the chart.
+
+    First tr(C v) for each differential value v, then the entries of xC.
+    The differential is read through the module, so a patched
+    ``degeneracy._differential_values`` reaches it.
+    """
+    rows = [pairing_row(v, chart.flavor) for v in degeneracy._differential_values(chart)]
+    return rows + product_rows(x, chart.flavor)
+
+
+def stacked_transversality(setup: Setup, a: ChartPoint, center_last: bool = False) -> bool:
+    """Transversality at one point by the full stacked system, with no quotient.
+
+    A value of top rank is transverse; below it, the point is transverse
+    when the differential's pairings and the product rows together have
+    rank flavor_dim(k).
+    """
+    chart = degeneracy.chart_for(setup, center_last)
+    x = section_value(setup, a, center_last)
+    if value_rank(chart, x) == chart.top:
+        return True
+    rows = constraint_rows(chart, x)
+    return rank(QMatrix.from_rows(rows)) == flavor_dim(chart.flavor, setup.k)
 
 
 def verify_transversality(setup: Setup, a: ChartPoint, center_last: bool = False) -> bool:
-    """The sweep's per-point check at one point, on a chart set up for it alone."""
+    """The sweep's verdict at one point, on a chart set up for it alone."""
     chart = degeneracy.chart_for(setup, center_last)
     check_chart(setup, a, center_last)
-    return degeneracy.transverse_at(chart, a)
+    return degeneracy.transverse_points(chart, [a])[0]
 
 
 def section_differential_image(setup: Setup, a: ChartPoint,

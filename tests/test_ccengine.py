@@ -310,11 +310,10 @@ def test_sampled_checks_reject_counts_below_one():
 
 def test_sweep_draws_are_pinned(monkeypatch):
     # output bytes never show the draws, so pin them: every covector that
-    # check_microlocal draws (blocks, ranks, retries) over glpq with n <= 6,
-    # and every chart point of run_transversality_suite over sp/so with
-    # n <= 8, with each rank taken on the way and the verdict read off them
-    from kcycle import ccengine, degeneracy
-    from kcycle.matrixstrata import flavor_dim
+    # check_microlocal draws (blocks, ranks, retries) over glpq with n <= 6;
+    # the chart points of the transversality sweep are pinned, with their
+    # verdicts, by test_sweep_verdicts_are_pinned
+    from kcycle import ccengine
 
     covectors = hashlib.sha256()
     real_draw = ccengine.draw_conormals
@@ -329,43 +328,45 @@ def test_sweep_draws_are_pinned(monkeypatch):
     monkeypatch.setattr(ccengine, "draw_conormals", recording_draw)
     for setup in _all_setups(6, kinds=(Kind.GLPQ,)):
         check_microlocal(setup, seed=5)
-    monkeypatch.undo()
-
-    events = []
-    real_transverse_at, real_rank = degeneracy.transverse_at, degeneracy.rank
-
-    def recording_transverse_at(chart, a):
-        # one event per chart point: its draws, then the ranks it takes
-        events.append((a.a.entries, []))
-        return real_transverse_at(chart, a)
-
-    def recording_rank(m):
-        r = real_rank(m)
-        events[-1][1].append((m, r))
-        return r
-
-    monkeypatch.setattr(degeneracy, "transverse_at", recording_transverse_at)
-    monkeypatch.setattr(degeneracy, "rank", recording_rank)
-    points, degenerate = hashlib.sha256(), 0
-    for setup in _all_setups(8, kinds=(Kind.SP, Kind.SO)):
-        events.clear()
-        result = run_transversality_suite(setup, seed=5)
-        k = result.setup.k
-        flavor = degeneracy.form_flavor(setup.kind)
-        # a point ranks its value (through phi), and only a degenerate one
-        # ranks its constraint rows, whose full rank is its verdict
-        verdicts = [len(ranks) == 1 or ranks[1][1] == flavor_dim(flavor, k)
-                    for _, ranks in events]
-        assert all(len(ranks) in (1, 2) for _, ranks in events)
-        assert len(events) == sum(c.points for c in result.charts)
-        assert verdicts.count(False) == sum(c.failures for c in result.charts)
-        degenerate += sum(len(ranks) == 2 for _, ranks in events)
-        points.update(repr((setup.describe(), events, verdicts)).encode())
-    assert degenerate > 0
     assert covectors.hexdigest() == (
         "d799a77d2e20fc7cf1f737bef007a38da6822f158eb96da1cf52a41a600c5a57")
-    assert points.hexdigest() == (
-        "12f32d1264d5d19594685bc6ca8d2d78d3963c589a35b1d2e0f368bde6f0c37b")
+
+
+def test_sweep_verdicts_are_pinned(monkeypatch):
+    # every chart point that run_transversality_suite draws over sp/so with
+    # n <= 8 at seed 5, with the rank of its value and its verdict, both
+    # read through the reference routes; a chart's failures are exactly its
+    # False verdicts
+    from kcycle import degeneracy
+    from kcycle.exactla import rank
+    from reference import section_value, verify_transversality
+
+    batches = []
+    real_draw = degeneracy.draw_chart_points
+
+    def recording_draw(n, k, rng, count):
+        batches.append(list(real_draw(n, k, rng, count)))
+        return iter(batches[-1])
+
+    monkeypatch.setattr(degeneracy, "draw_chart_points", recording_draw)
+    digest, degenerate = hashlib.sha256(), 0
+    for setup in _all_setups(8, kinds=(Kind.SP, Kind.SO)):
+        batches.clear()
+        result = run_transversality_suite(setup, seed=5)
+        work = result.setup
+        assert len(batches) == len(result.charts)
+        for chart, points in zip(result.charts, batches):
+            top = degeneracy.chart_for(work, chart.center_last).top
+            ranks = [rank(section_value(work, a, chart.center_last)) for a in points]
+            verdicts = [verify_transversality(work, a, chart.center_last) for a in points]
+            assert len(points) == chart.points
+            assert verdicts.count(False) == chart.failures
+            degenerate += sum(r < top for r in ranks)
+            digest.update(repr((work.describe(), chart.center_last,
+                                [a.a.entries for a in points], ranks, verdicts)).encode())
+    assert degenerate > 0
+    assert digest.hexdigest() == (
+        "ebdb1e2f4a72f25ddf9c884684cb50df0f44d2587860987eec208b82eeee7b14")
 
 
 def test_sweep_draws_are_pinned_at_scale(monkeypatch):

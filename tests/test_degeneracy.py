@@ -6,6 +6,7 @@ from kcycle import degeneracy, orbits
 from kcycle.ccengine import pullback_cc
 from kcycle.degeneracy import (
     ChartPoint,
+    _differential_values,
     chart_for,
     form_flavor,
     run_transversality_suite,
@@ -24,13 +25,17 @@ from kcycle.orbits import (
 )
 from reference import (
     conormal_solutions,
+    constraint_rows,
     coordinate_basis,
     form_matrix,
     is_flavored,
     random_chart_point,
+    schur_complement,
     section_differential_image,
     section_value,
+    stacked_transversality,
     trace_pairing,
+    value_rank,
     verify_transversality,
 )
 
@@ -104,32 +109,71 @@ def _top_rank(setup):
     return k if form_flavor(setup.kind) == Flavor.SYMMETRIC else k - (k % 2)
 
 
-def test_schur_rank_is_the_rank_of_the_value():
+def _recording_rank(monkeypatch):
+    """Patch degeneracy.rank to record every matrix it is given, in order.
+
+    A call of degeneracy.product_rows is recorded as None, so a matrix
+    that follows None holds product rows and any other is a lane's phi.
+    """
+    seen, real_rank, real_rows = [], degeneracy.rank, degeneracy.product_rows
+
+    def recording_rank(m):
+        seen.append(m)
+        return real_rank(m)
+
+    def recording_rows(x, flavor):
+        seen.append(None)
+        return real_rows(x, flavor)
+
+    monkeypatch.setattr(degeneracy, "rank", recording_rank)
+    monkeypatch.setattr(degeneracy, "product_rows", recording_rows)
+    return seen
+
+
+def _phis(seen):
+    """The lanes' phi matrices among the recorded rank arguments."""
+    return [m for before, m in zip([0] + seen, seen) if m is not None and before is not None]
+
+
+def test_schur_rank_is_the_rank_of_the_value(monkeypatch):
     # rank x = m + rank phi on every chart with n <= 16: at the zero point
     # (x = C, rank exactly m), at height-1 points, which hit the
-    # degenerate locus, and at points of the default height
+    # degenerate locus, and at points of the default height; phi is read
+    # off the lanes as transverse_points ranks it, one (n-k)-square matrix
+    # per point (x itself at m = 0)
+    ranked = _recording_rank(monkeypatch)
     pairs = degenerate = 0
     degenerate_kinds = set()
     for setup, center_last in _isotropy_setups(16):
         n, k = setup.n, setup.k
         m = 2 * k - n
         pairs += 1
-        plan_m, outside, triples, _, _ = degeneracy._schur_plan(setup.kind, n, k, center_last)
+        plan_m, outside, triples = degeneracy._schur_plan(setup.kind, n, k, center_last)
         # the block is J's antidiagonal on rows n-k..k-1
         assert (plan_m, outside) == (m, tuple(range(n - k)))
         assert triples == tuple((n - 1 - d, d, orbits.form_sign(setup.kind, n, d))
                                 for d in range(n - k, k))
-        x0 = section_value(setup, _zero_chart(n, k), center_last)
         chart = chart_for(setup, center_last)
-        assert rank(x0) == degeneracy._value_rank(chart, list(x0.entries)) == m
+        # the differential's pairing rows hit flavor_dim(k) - flavor_dim(m)
+        # coordinates, so the quotient leaves flavor_dim(m) of them free
+        free = degeneracy._free_coordinates(chart)
+        assert len(free) == flavor_dim(chart.flavor, m), (setup, center_last)
         rng = SeedStream(31).derive("schur-rank", setup.describe(), center_last)
         low = [random_chart_point(n, k, rng, height_bound=1) for _ in range(12)]
-        points = low + [random_chart_point(n, k, rng) for _ in range(12)]
-        for i, a in enumerate(points):
+        points = [_zero_chart(n, k)] + low + [random_chart_point(n, k, rng) for _ in range(12)]
+        side = n - k if m else k
+        ranked.clear()
+        degeneracy.transverse_points(chart, points)
+        phis = _phis(ranked)
+        assert [(phi.nrows, phi.ncols) for phi in phis] == [(side, side)] * len(points)
+        for i, (a, phi) in enumerate(zip(points, phis)):
             x = section_value(setup, a, center_last)
             r = rank(x)
-            assert degeneracy._value_rank(chart, list(x.entries)) == r, (setup, center_last)
-            if i < len(low) and r < _top_rank(setup):
+            assert phi == (schur_complement(chart, x) if m else x), (setup, center_last)
+            assert m + rank(phi) == value_rank(chart, x) == r, (setup, center_last)
+            if i == 0:
+                assert r == m
+            elif i <= len(low) and r < _top_rank(setup):
                 degenerate += 1
                 if m:
                     degenerate_kinds.add(setup.kind)
@@ -140,51 +184,102 @@ def test_schur_rank_is_the_rank_of_the_value():
 
 def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
     # at a point whose value has full rank, the only matrix ranked is the
-    # (n-k)-square phi; the k x k value itself is never ranked
-    calls = []
-    real_rank, real_transverse = degeneracy.rank, degeneracy.transverse_at
+    # (n-k)-square phi; the k x k value itself is never ranked, and a
+    # point below full rank ranks just its product rows on the free
+    # coordinates, flavor_dim(m) of them
+    ranked = _recording_rank(monkeypatch)
+    drawn = []
+    real_draw = degeneracy.draw_chart_points
 
-    def recording_rank(m):
-        calls[-1][1].append((m.nrows, m.ncols))
-        return real_rank(m)
+    def recording_draw(n, k, rng, count):
+        batch = list(real_draw(n, k, rng, count))
+        drawn.extend(batch)
+        return iter(batch)
 
-    def recording_transverse(chart, a):
-        calls.append((section_value(chart.setup, a, chart.center_last), []))
-        return real_transverse(chart, a)
-
-    monkeypatch.setattr(degeneracy, "rank", recording_rank)
-    monkeypatch.setattr(degeneracy, "transverse_at", recording_transverse)
+    monkeypatch.setattr(degeneracy, "draw_chart_points", recording_draw)
     for setup, seed in ((Setup(Kind.SO, 8, 5), 3), (Setup(Kind.SP, 8, 6), 3),
                         (Setup(Kind.SO, 7, 4), 3)):
         n, k = setup.n, setup.k
-        calls.clear()
+        flavor = form_flavor(setup.kind)
+        ranked.clear()
+        drawn.clear()
         assert run_transversality_suite(setup, points=100, seed=seed).all_ok
-        full = [shapes for x, shapes in calls if real_rank(x) == _top_rank(setup)]
-        assert len(calls) == 100 and len(full) >= 90
-        assert all(shapes == [(n - k, n - k)] for shapes in full), setup
-        assert all((k, k) not in shapes for _, shapes in calls)
+        full = [rank(section_value(setup, a)) == _top_rank(setup) for a in drawn]
+        assert len(drawn) == 100 and sum(full) >= 90
+        expected = []
+        for is_full in full:
+            expected.append((n - k, n - k))
+            if not is_full:
+                expected += [None, (k * k, flavor_dim(flavor, 2 * k - n))]
+        assert (k, k) not in expected
+        assert [m and (m.nrows, m.ncols) for m in ranked] == expected, setup
 
 
 def test_each_chart_is_set_up_once(monkeypatch):
     # the sweep checks each chart and gathers its plans once, then judges
-    # every point of that chart on the one Chart
-    real_chart, real_transverse = degeneracy.chart_for, degeneracy.transverse_at
+    # all the points of that chart in one transverse_points call
+    real_chart, real_transverse = degeneracy.chart_for, degeneracy.transverse_points
     built, judged = [], []
 
     def counting_chart(setup, center_last=False):
         built.append(real_chart(setup, center_last))
         return built[-1]
 
-    def counting_transverse(chart, a):
-        judged.append(chart)
-        return real_transverse(chart, a)
+    def counting_transverse(chart, points):
+        points = list(points)
+        judged.append((chart, len(points)))
+        return real_transverse(chart, points)
 
     monkeypatch.setattr(degeneracy, "chart_for", counting_chart)
-    monkeypatch.setattr(degeneracy, "transverse_at", counting_transverse)
+    monkeypatch.setattr(degeneracy, "transverse_points", counting_transverse)
     assert run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1).all_ok
     assert [c.center_last for c in built] == [False, True]
-    assert len(judged) == 60
-    assert all(c is built[i // 30] for i, c in enumerate(judged))
+    assert [(c is b, count) for (c, count), b in zip(judged, built)] == [(True, 30)] * 2
+    assert len(judged) == 2
+
+
+def test_points_are_judged_in_chunks_of_lanes(monkeypatch):
+    # however many points come in, at most _LANES of them are held at once,
+    # and the verdicts are the ones judged a point at a time
+    setup = Setup(Kind.SO, 6, 4)
+    chart = chart_for(setup)
+    rng = SeedStream(17).derive("chunks")
+    points = [random_chart_point(6, 4, rng, height_bound=1) for _ in range(70)]
+    one_by_one = [degeneracy.transverse_points(chart, [a])[0] for a in points]
+    pulled = []
+
+    def feed():
+        for a in points:
+            pulled.append(a)
+            yield a
+
+    real_product_rows, held = degeneracy.product_rows, []
+
+    def recording_product_rows(x, flavor):
+        held.append(len(pulled))
+        return real_product_rows(x, flavor)
+
+    monkeypatch.setattr(degeneracy, "_LANES", 16)
+    monkeypatch.setattr(degeneracy, "product_rows", recording_product_rows)
+    assert degeneracy.transverse_points(chart, feed()) == one_by_one
+    # a degenerate point is judged before the chunk after its own is drawn
+    assert len(set(held)) > 2 and all(count % 16 == 0 or count == 70 for count in held)
+    assert degeneracy.transverse_points(chart, []) == []
+
+
+def test_points_of_the_wrong_shape_raise():
+    # so(5,4) chart points are 1 x 4; a point of another shape has no verdict
+    setup = Setup(Kind.SO, 5, 4)
+    chart = chart_for(setup)
+    good = _zero_chart(5, 4)
+    for shape in ((2, 4), (4, 1), (1, 2)):
+        bad = ChartPoint(QMatrix.zeros(*shape))
+        for points in ([bad], [good, bad], [good] * 300 + [bad]):
+            with pytest.raises(ValueError, match="chart point"):
+                degeneracy.transverse_points(chart, points)
+        with pytest.raises(ValueError, match="chart point"):
+            verify_transversality(setup, bad)
+    assert degeneracy.transverse_points(chart, [good]) == [True]
 
 
 def test_chart_points_are_drawn_in_one_batch(monkeypatch):
@@ -397,16 +492,40 @@ def test_perpendicularity_alone_is_not_enough(monkeypatch):
     assert not verify_transversality(SO53, _zero_chart(5, 3))
 
 
-def test_constraint_rows_match_dense_products():
-    # the sparse rows must equal the trace pairings with, and the products
-    # by, the dense coordinate basis matrices, on and off the degenerate locus
+def test_a_pairing_row_with_two_nonzeros_raises(monkeypatch):
+    # the quotient needs each pairing row to read one coordinate at most;
+    # a differential value whose pairing reads two is refused, but only
+    # once some point is below top rank and the rows are needed
+    chart = chart_for(SO53)
+    two = QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    monkeypatch.setattr(degeneracy, "_differential_values", lambda *args: [two])
+    rng = SeedStream(53).derive("two-nonzeros")
+    full = [a for a in (random_chart_point(5, 3, rng) for _ in range(20))
+            if rank(section_value(SO53, a)) == 3]
+    assert full and degeneracy.transverse_points(chart, full) == [True] * len(full)
+    with pytest.raises(AssertionError, match="two nonzeros"):
+        degeneracy.transverse_points(chart, full + [_zero_chart(5, 3)])
+
+
+def _first_triple(real, change):
+    """A section plan whose first triple is replaced by change(triple), a tuple."""
+    def mutated(kind, n, k, center_last):
+        const, plan = real(kind, n, k, center_last)
+        return const, change(plan[0]) + plan[1:]
+    return mutated
+
+
+def test_constraint_rows_match_dense_products(monkeypatch, fresh_plans):
+    # the reference's stacked rows equal the trace pairings with, and the
+    # products by, the dense coordinate basis matrices; and on every chart
+    # with n <= 16 the sweep's verdict in the quotient by the differential
+    # is the full stacked rank's, honestly and under three wrong plans
     cases = [(SP64, False), (SO53, False),
              (Setup(Kind.SO, 8, 4), False), (Setup(Kind.SO, 8, 4), True)]
     for setup, center_last in cases:
         n, k = setup.n, setup.k
         flavor = form_flavor(setup.kind)
         basis = coordinate_basis(flavor, k)
-        top = k if flavor == Flavor.SYMMETRIC else k - (k % 2)
         rng = SeedStream(29).derive("dense-constraints", setup.describe(), center_last)
         points = [_zero_chart(n, k)]
         points += [random_chart_point(n, k, rng, height_bound=1) for _ in range(40)]
@@ -414,13 +533,53 @@ def test_constraint_rows_match_dense_products():
         seen = set()
         for a in points:
             x = section_value(setup, a, center_last)
-            seen.add(rank(x) < top)
+            seen.add(rank(x) < _top_rank(setup))
             dense = [[trace_pairing(bc, v) for bc in basis]
                      for v in degeneracy._differential_values(chart)]
             products = [x.mul(bc) for bc in basis]
             dense += [[p[r, c] for p in products] for r in range(k) for c in range(k)]
-            assert degeneracy._constraint_rows(chart, x) == dense
+            assert constraint_rows(chart, x) == dense
         assert seen == {True, False}, (setup, center_last)
+
+    real_plan = degeneracy._section_plan
+    mutants = {
+        "honest": None,
+        "no differential": ("_differential_values", lambda *args: []),
+        "dropped triple": ("_section_plan", _first_triple(real_plan, lambda t: ())),
+        "flipped triple": ("_section_plan", _first_triple(real_plan, lambda t: (
+            (t[0], t[1], -t[2]),))),
+    }
+    ranked = _recording_rank(monkeypatch)
+    found = {}
+    for name, patch in mutants.items():
+        if patch:
+            monkeypatch.setattr(degeneracy, *patch)
+        degeneracy._schur_plan.cache_clear()
+        degenerate = failures = 0
+        for setup, center_last in _isotropy_setups(16):
+            n, k = setup.n, setup.k
+            chart = chart_for(setup, center_last)
+            rng = SeedStream(47).derive("quotient", setup.describe(), center_last)
+            points = [random_chart_point(n, k, rng, height_bound=1) for _ in range(6)]
+            ranked.clear()
+            verdicts = degeneracy.transverse_points(chart, points)
+            # the lanes rank the values the (possibly wrong) plan gives
+            lanes = [chart.schur[0] + rank(phi) for phi in _phis(ranked)]
+            values = [value_rank(chart, section_value(setup, a, center_last)) for a in points]
+            assert lanes == values, (name, setup, center_last)
+            assert verdicts == [stacked_transversality(setup, a, center_last)
+                                for a in points], (name, setup, center_last)
+            degenerate += sum(r < chart.top for r in values)
+            failures += verdicts.count(False)
+        found[name] = degenerate, failures
+        monkeypatch.setattr(degeneracy, "_section_plan", real_plan)
+        monkeypatch.setattr(degeneracy, "_differential_values", _differential_values)
+    honest_degenerate = found["honest"][0]
+    assert honest_degenerate > 50 and found["honest"][1] == 0
+    # with no differential every degenerate point fails
+    assert found["no differential"] == (honest_degenerate, honest_degenerate)
+    assert found["dropped triple"][0] != honest_degenerate
+    assert found["flipped triple"][1] > 0
 
 
 def test_differential_is_the_exact_central_difference():

@@ -662,3 +662,34 @@ def test_vectors_rank_without_elimination(monkeypatch):
     monkeypatch.setattr(exactla, "_all_int", refuse)
     monkeypatch.setattr(QMatrix, "int_rows", refuse)
     assert [rank(m) for m in cases] == expected
+
+
+def test_two_rows_or_two_columns_rank_without_elimination(monkeypatch):
+    # every 2 x c and r x 2 shape up to 6: zero, parallel (integer and
+    # Fraction multiples, zero rows among them) and independent vectors
+    shapes = sorted({(2, c) for c in range(2, 7)} | {(r, 2) for r in range(2, 7)})
+    cases = []
+    for r, c in shapes:
+        size = r * c
+        along = c if r == 2 else r  # length of each of the two vectors
+        vectors = [[0] * along, [i - 2 for i in range(along)], [F(i + 1, 3) for i in range(along)],
+                   [0] * (along - 1) + [5], [F(-7, 2)] + [0] * (along - 1)]
+        pairs = [(u, w) for u in vectors for w in vectors]
+        pairs += [(u, [3 * x for x in u]) for u in vectors]
+        pairs += [(u, [F(-2, 5) * x for x in u]) for u in vectors]
+        pairs += [(u, [x + (i == along - 1) for i, x in enumerate(u)]) for u in vectors]
+        for u, w in pairs:
+            flat = u + w if r == 2 else [x for pair in zip(u, w) for x in pair]
+            assert len(flat) == size
+            cases.append(QMatrix.from_flat(r, c, flat))
+    expected = [to_sympy(m).rank() for m in cases]
+    assert {0, 1, 2} <= set(expected)
+    assert [rank(m) for m in cases] == expected
+
+    def refuse(*args):
+        raise AssertionError("a two-row or two-column matrix went into elimination")
+
+    monkeypatch.setattr(exactla, "_all_int", refuse)
+    monkeypatch.setattr(QMatrix, "int_rows", refuse)
+    assert [rank(m) for m in cases] == expected
+
