@@ -185,8 +185,7 @@ def check_cc_agreement(setup: Setup) -> list:
     return rows
 
 
-def _microlocal_row(setup: Setup, target, stratum, verdict, trials: int) -> CheckRow:
-    subject = f"{format_orbit(setup, target)}<-{format_orbit(setup, stratum)}"
+def _microlocal_row(setup: Setup, subject: str, verdict, trials: int) -> CheckRow:
     notes = [f"{verdict.kind.value}, {trials} trials"]
     if setup.n == 2 * setup.k:
         notes.append("square case, outside the strict regime")
@@ -205,15 +204,16 @@ def _microlocal_row(setup: Setup, target, stratum, verdict, trials: int) -> Chec
 def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
     """Sampled vanishing of generic conormals on smaller strata.
 
-    Each label is normalized once; each stratum's covectors are drawn
-    once and judged against every target above it; rows come in target
-    order.
+    Each label is normalized and formatted once; each stratum's
+    covectors are drawn once and judged against every target above it;
+    rows come in target order.
     """
     check_seed(seed)
     check_count("trials", trials)
     norm = normalize(setup)
     orbits = enumerate_orbits(setup)
     label = {o: norm.to_normalized(o) for o in orbits}
+    text = {o: format_orbit(setup, o) for o in orbits}
     # judged one stratum at a time, so that only one stratum's draws are
     # alive: holding each until its last target raises a sweep's peak memory
     rows = {}
@@ -225,7 +225,8 @@ def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
         drawn = draw_conormals(base_point(norm.setup, label[stratum]), trials=trials, seed=seed)
         for target in above:
             verdict = judge_microlocal(label[target], drawn)
-            rows[target, stratum] = _microlocal_row(setup, target, stratum, verdict, trials)
+            rows[target, stratum] = _microlocal_row(
+                setup, f"{text[target]}<-{text[stratum]}", verdict, trials)
     return [rows[t, s] for t in orbits for s in orbits if (t, s) in rows]
 
 

@@ -14,16 +14,24 @@ covector_sampler checks the kind, the height bound and that the orbit
 is not open, and works out the block shapes and their full ranks.
 draw_covectors then draws every trial of the stratum in one batch: it
 derives the streams of all trial seeds at once and draws each trial's
-first attempt, h and l row-major, in one draw_streams call.  Per trial
-it only slices h and l straight into their matrices and ranks them to
-certify the draw generic; a block with no rows or no columns has rank 0
-and is never ranked.  A trial that falls short redraws from its own
-stream.  The covector keeps both blocks and both ranks, which the
-membership tests read; no k x (n-k) matrix is formed.
+first attempt, h and l row-major, in one draw_streams call.  Each
+trial's draw is a lane, and each block is certified full across all
+lanes at once (_certified_lanes): a vector block by a nonzero entry,
+any other by fraction-free Bareiss without pivoting on its leading
+k x k minor, k = min(rows, cols), one map per entry over the lanes,
+whose k pivots are all nonzero only if that minor is.  A block with no
+rows or no columns has rank 0 and needs no proof.  Only a trial that
+some block leaves unproven is ranked, h before l, and, if it falls
+short, redraws from its own stream; the proof is exact, so every
+covector's blocks and ranks are those the ranks alone would give.  The
+covector keeps both blocks and both ranks, which the membership tests
+read; no k x (n-k) matrix is formed.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import floordiv, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .exactla import QMatrix, check_count, derive_states, draw_streams, rank
@@ -96,41 +104,98 @@ def covector_sampler(base: BasePoint, height_bound: int = 100) -> CovectorSample
     return CovectorSampler(base, h_shape, l_shape, h_full, l_full, height_bound)
 
 
+def _certified_lanes(draws: list, at: int, r: int, c: int) -> list:
+    """Per draw, whether the r x c block at entry `at` is proven of rank min(r, c).
+
+    A lane is one draw.  A vector block is proven when some entry is
+    nonzero, which is exact.  Any other block's leading k x k minor,
+    k = min(r, c), is eliminated lane-wise by fraction-free Bareiss
+    without pivoting, one map per entry across all lanes: when every
+    pivot of a lane is nonzero, the last one is that minor, so the rank
+    is k.  A lane with a zero pivot is not proven, whatever its rank;
+    its later divisions use 1 in place of the zero, so the other lanes
+    go on exactly.
+    """
+    k = min(r, c)
+    if k == 1:
+        return list(map(any, map(itemgetter(slice(at, at + r * c)), draws)))
+    # each minor entry's values across the lanes, as lists: zip(*draws) would
+    # make tuples as long as the batch, which CPython keeps on a free list
+    m = [[list(map(itemgetter(at + i * c + j), draws)) for j in range(k)] for i in range(k)]
+    pivots = [m[0][0]]
+    for p in range(k - 1):
+        top, pv = m[p], m[p][p]
+        prev = [v or 1 for v in m[p - 1][p - 1]] if p else None
+        for row in m[p + 1:]:
+            x = row[p]
+            for j in range(p + 1, k):
+                v = map(sub, map(mul, pv, row[j]), map(mul, x, top[j]))
+                row[j] = list(v if prev is None else map(floordiv, v, prev))
+        pivots.append(m[p + 1][p + 1])
+    return list(map(all, zip(*pivots)))
+
+
+# what a NamedTuple's constructor calls on its field values: mapped over
+# zipped fields, it builds one record per lane without a Python frame each
+_record = tuple.__new__
+
+
+def _blocks(draws: list, at: int, r: int, c: int):
+    """Per draw, its r x c block from entry `at` on, row-major; an empty block is shared."""
+    if not r * c:
+        return repeat(QMatrix(r, c, ()), len(draws))
+    # entries are ints, already canonical
+    entries = map(tuple, map(itemgetter(slice(at, at + r * c)), draws))
+    return map(_record, repeat(QMatrix), zip(repeat(r), repeat(c), entries))
+
+
+def _scalar_draw(sampler: CovectorSampler, draw: list, state: int) -> ConormalVector:
+    """The covector of one unproven trial: its blocks ranked, redrawn while short."""
+    (hr, hc), (lr, lc) = sampler.h_shape, sampler.l_shape
+    nh, bound = hr * hc, sampler.height_bound
+    for attempt in range(RETRY_BUDGET + 1):
+        if attempt:
+            (draw,), (state,) = draw_streams((state,), len(draw), -bound, bound)
+        h = QMatrix(hr, hc, tuple(draw[:nh]))
+        # a block with no rows or no columns has rank 0 and is never ranked
+        h_rank = rank(h) if hr and hc else 0
+        if h_rank < sampler.h_full:
+            continue
+        l = QMatrix(lr, lc, tuple(draw[nh:]))
+        l_rank = rank(l) if lr and lc else 0
+        if l_rank == sampler.l_full:
+            return ConormalVector(sampler.base, h, l, h_rank, l_rank, attempt)
+    raise NoGenericCovector(
+        f"no generic covector within {RETRY_BUDGET} resamples; "
+        "this indicates a bug, not bad luck"
+    )
+
+
 def draw_covectors(sampler: CovectorSampler, seeds) -> tuple:
     """One deterministic generic covector per seed, in the sampler's conormal space.
 
     A seed's draws come from SeedStream(seed).derive("conormal-sample"),
     derived for every seed at once, and attempt 0 of every seed is drawn
-    in one batch; a seed outside 0..SEED_MAX raises ValueError.  A trial
-    whose blocks fall short of their generic_block_ranks, the largest
-    ranks on the conormal space, redraws from its own stream, at most
-    RETRY_BUDGET times; each covector keeps its resample count.  h is
-    ranked first, and l only once h is at full rank.
+    in one batch, h row-major then l row-major; a seed outside
+    0..SEED_MAX raises ValueError.  A trial's blocks must reach their
+    generic_block_ranks, the largest ranks on the conormal space.
+    Attempt 0 of every trial is certified at once, block by block
+    (_certified_lanes); a block with no rows or no columns has rank 0
+    and needs no proof.  A trial left unproven goes the scalar way: h is
+    ranked first, and l only once h is at full rank, and a trial that
+    falls short redraws from its own stream, at most RETRY_BUDGET times.
+    Each covector keeps its resample count.
     """
     (hr, hc), (lr, lc) = sampler.h_shape, sampler.l_shape
-    nh, size, bound = hr * hc, hr * hc + lr * lc, sampler.height_bound
-    base, h_full, l_full = sampler.base, sampler.h_full, sampler.l_full
-    # a block with no rows or no columns has rank 0 and is never ranked
-    rank_h, rank_l = hr and hc, lr and lc
-    draws, states = draw_streams(derive_states(seeds, "conormal-sample"), size, -bound, bound)
-    out = []
-    for draw, state in zip(draws, states):
-        for attempt in range(RETRY_BUDGET + 1):
-            if attempt:
-                (draw,), (state,) = draw_streams((state,), size, -bound, bound)
-            # h row-major then l row-major: entries are ints, already canonical
-            h = QMatrix(hr, hc, tuple(draw[:nh]))
-            h_rank = rank(h) if rank_h else 0
-            if h_rank < h_full:
-                continue
-            l = QMatrix(lr, lc, tuple(draw[nh:]))
-            l_rank = rank(l) if rank_l else 0
-            if l_rank == l_full:
-                out.append(ConormalVector(base, h, l, h_rank, l_rank, attempt))
-                break
-        else:
-            raise NoGenericCovector(
-                f"no generic covector within {RETRY_BUDGET} resamples; "
-                "this indicates a bug, not bad luck"
-            )
+    nh, bound = hr * hc, sampler.height_bound
+    draws, states = draw_streams(derive_states(seeds, "conormal-sample"),
+                                 nh + lr * lc, -bound, bound)
+    proofs = [_certified_lanes(draws, at, r, c)
+              for at, r, c in ((0, hr, hc), (nh, lr, lc)) if r and c]
+    out = list(map(_record, repeat(ConormalVector), zip(
+        repeat(sampler.base), _blocks(draws, 0, hr, hc), _blocks(draws, nh, lr, lc),
+        repeat(sampler.h_full), repeat(sampler.l_full), repeat(0))))
+    for i, proven in enumerate(map(all, zip(*proofs))):
+        if not proven:
+            out[i] = _scalar_draw(sampler, draws[i], states[i])
     return tuple(out)

@@ -12,10 +12,11 @@ only rref's final division by its pivots can produce a Fraction.
 kernel reads a null space's canonical basis off a single rref.  A
 vector (at most one row or one column) is ranked without elimination,
 as 1 if any entry is nonzero and 0 otherwise, and so is a pair of
-vectors (two rows or two columns), by a closed form.  Any other integral
-matrix goes into rank's elimination as row slices of its entries, with
-no scan or copy through int_rows; only a matrix holding a Fraction is
-cleared of denominators first.  That elimination is Bareiss's with a
+vectors (two rows or two columns), by a closed form; a 3 x 3 matrix
+whose determinant is nonzero is ranked 3 by that determinant.  Any
+other integral matrix goes into rank's elimination as row slices of its
+entries, with no scan or copy through int_rows; only a matrix holding a
+Fraction is cleared of denominators first.  That elimination is Bareiss's with a
 lazy scale: a row with a zero in the pivot column is left alone, and
 each row keeps the pivot it was last updated against, by which its next
 update divides exactly (see rank).  The sparse product rows of the
@@ -196,10 +197,12 @@ def rank(m: QMatrix) -> int:
     nonzero, else 0.  Nor does a pair of vectors a, b (two rows or two
     columns): its rank is 2 unless every 2 x 2 minor vanishes, that is,
     for p the first nonzero entry of a and q the entry of b beside it,
-    unless q * a == p * b.  Any other integral matrix is eliminated on row
-    slices of its entries, which the loop replaces and never mutates;
-    only a matrix holding a Fraction is rescaled to integer rows by
-    int_rows.
+    unless q * a == p * b.  A 3 x 3 matrix has rank 3 when its cofactor
+    determinant is nonzero, for int and Fraction entries alike; a
+    singular one goes on to elimination.  Any other integral matrix is
+    eliminated on row slices of its entries, which the loop replaces and
+    never mutates; only a matrix holding a Fraction is rescaled to
+    integer rows by int_rows.
 
     A row with a zero in the pivot column is left alone.  Plain Bareiss
     multiplies every remaining row through at every pivot, pv being the
@@ -230,6 +233,9 @@ def rank(m: QMatrix) -> int:
             return 1 if any(b) else 0
         q = b[a.index(p)]
         return 1 if [q * x for x in a] == [p * y for y in b] else 2
+    if nr == nc == 3 and (e[0] * (e[4] * e[8] - e[5] * e[7]) - e[1] * (e[3] * e[8] - e[5] * e[6])
+                          + e[2] * (e[3] * e[7] - e[4] * e[6])):
+        return 3
     if _all_int(e):
         rows = [r for r in (e[i:i + nc] for i in range(0, len(e), nc)) if any(r)]
     else:

@@ -36,6 +36,9 @@ so a test can compare the two, or builds seeded test data:
   of a batch the same covector.
   ``sample_conormal`` draws one covector on a sampler set up for it
   alone, through the sweep's batch ``conormal.draw_covectors``.
+  ``leading_minor_certificate`` states by cofactor determinants
+  (``det``) what ``conormal._certified_lanes`` proves per lane by
+  lane-wise Bareiss.
 * ``form_matrix`` is the dense invariant form that ``orbits.form_sign``
   and everything read off its signs replace; ``perp`` and
   ``annihilator`` are the dense complements that the duality
@@ -328,6 +331,27 @@ def conormal_matrix(xi: ConormalVector) -> QMatrix:
         for a, j in enumerate(rr):
             flat[j * nk + cc.start:j * nk + cc.stop] = blk.row(a)
     return QMatrix(setup.k, nk, tuple(flat))
+
+
+def det(m: QMatrix):
+    """Determinant of a square matrix, by cofactor expansion along row 0."""
+    n = m.nrows
+    if n == 0:
+        return 1
+    return sum((-1) ** j * m[0, j] * det(m.submatrix(range(1, n), [c for c in range(n) if c != j]))
+               for j in range(n) if m[0, j])
+
+
+def leading_minor_certificate(m: QMatrix) -> bool:
+    """Whether the lane certificate proves m of rank min(r, c).
+
+    A vector is proven by a nonzero entry; any other matrix by nonzero
+    leading principal minors of orders 1 to min(r, c).
+    """
+    k = min(m.nrows, m.ncols)
+    if k == 1:
+        return any(m.entries)
+    return all(det(m.submatrix(range(i), range(i))) for i in range(1, k + 1))
 
 
 def draw_covector(sampler: CovectorSampler, seed: int) -> ConormalVector:

@@ -208,6 +208,24 @@ def test_smallness_builds_one_poset_per_setup(monkeypatch):
                 assert row.ok == small and row.detail == ("small" if small else "not small")
 
 
+def test_microlocal_formats_each_label_once(monkeypatch):
+    # one label text per orbit per check_microlocal call, not two per row
+    from kcycle import ccengine
+
+    formatted = []
+
+    def counting_format(setup, orbit):
+        formatted.append((setup, orbit))
+        return format_orbit(setup, orbit)
+
+    monkeypatch.setattr(ccengine, "format_orbit", counting_format)
+    for setup in _all_setups(6, kinds=(Kind.GLPQ,)):
+        formatted.clear()
+        check_microlocal(setup, trials=1, seed=5)
+        assert len(set(formatted)) == len(formatted) <= len(enumerate_orbits(setup))
+        assert all(setup == s for s, _ in formatted)
+
+
 def test_sp_so_posets_agree_with_the_normalized_setups():
     # U -> U^perp maps Gr(k, n) onto Gr(n-k, n) K-equivariantly and keeps
     # rad(U), so both posets list the same labels in the same order with

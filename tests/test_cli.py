@@ -312,7 +312,9 @@ def test_failed_check_exits_one(capsys, monkeypatch):
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):
-    # a rank that never finds a block full leaves the sampler no generic covector
+    # a lane certificate that proves nothing, and a rank that never finds a
+    # block full, leave the sampler no generic covector
+    monkeypatch.setattr(conormal, "_certified_lanes", lambda draws, at, r, c: [False] * len(draws))
     monkeypatch.setattr(conormal, "rank", lambda m: 0)
     code, out, err = run(capsys, ["verify"] + GLPQ + ["--suite", "microlocal"])
     assert code == 3

@@ -1,8 +1,10 @@
+from itertools import islice
+
 import pytest
 
 from kcycle import conormal
 from kcycle.conormal import NoGenericCovector, block_shapes, covector_sampler, draw_covectors
-from kcycle.exactla import SEED_MAX, QMatrix, SeedStream, kernel, rank
+from kcycle.exactla import SEED_MAX, QMatrix, SeedStream, derive_states, draw_streams, kernel, rank
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -20,6 +22,7 @@ from reference import (
     conormal_matrix,
     conormal_space,
     draw_covector,
+    leading_minor_certificate,
     max_conormal_rank,
     open_orbit,
     sample_conormal,
@@ -257,9 +260,64 @@ def test_batch_draw_raises_on_no_generic_covector_and_bad_seeds(monkeypatch):
             draw_covectors(sampler, seeds)
     assert len(draw_covectors(sampler, [0, SEED_MAX])) == 2
     assert draw_covectors(sampler, []) == ()
+    # the certificate proves no trial, so every one is ranked, and never full
+    monkeypatch.setattr(conormal, "_certified_lanes", prove_nothing)
     monkeypatch.setattr(conormal, "rank", lambda m: 0)
     with pytest.raises(NoGenericCovector):
         draw_covectors(sampler, [1, 2])
+
+
+def prove_nothing(draws, at, r, c):
+    return [False] * len(draws)
+
+
+def test_certified_lanes_match_rank():
+    # every shape with 1 <= r, c <= 4, and 1 x 7 and 3 x 5, at heights 1 and
+    # 2, with the block after three other entries of each draw: the lanes
+    # proven are those the reference's determinants prove, and each has
+    # rank min(r, c); a vector's proof is exact, while every other shape
+    # leaves some full-rank lanes unproven
+    shapes = [(r, c) for r in range(1, 5) for c in range(1, 5)] + [(1, 7), (3, 5)]
+    states = derive_states(SeedStream(24).randints(200, 0, SEED_MAX), "lanes")
+    for r, c in shapes:
+        k = min(r, c)
+        assert conormal._certified_lanes([], 3, r, c) == []
+        for height in (1, 2):
+            draws, _ = draw_streams(states, 3 + r * c, -height, height)
+            proven = conormal._certified_lanes(draws, 3, r, c)
+            blocks = [QMatrix(r, c, tuple(d[3:])) for d in draws]
+            assert proven == [leading_minor_certificate(b) for b in blocks]
+            full = [rank(b) == k for b in blocks]
+            assert any(proven)
+            assert all(f for f, ok in zip(full, proven) if ok)
+            unproven_full = sum(f and not ok for f, ok in zip(full, proven))
+            assert (unproven_full > 0) == (k > 1), (r, c, height)
+
+
+def test_unproven_trials_draw_what_proven_ones_do(monkeypatch):
+    # with the certificate proving nothing, every trial goes the scalar way
+    # and the batch is unchanged: a proven trial is the scalar path's
+    # attempt 0 with both full ranks
+    rng = SeedStream(25)
+    cases = []
+    for setup in (glpq(6, 2, 3, 3), glpq(6, 3, 4, 2), glpq(7, 3, 4, 3)):
+        for orbit in enumerate_orbits(setup):
+            bp = base_point(setup, orbit)
+            if sum(r * c for r, c in block_shapes(bp)):
+                for height in (1, 100):
+                    cases.append((covector_sampler(bp, height), rng.randints(8, 0, SEED_MAX)))
+    proven = [draw_covectors(sampler, seeds) for sampler, seeds in cases]
+    assert any(xi.retries for batch in proven for xi in batch)
+    monkeypatch.setattr(conormal, "_certified_lanes", prove_nothing)
+    assert [draw_covectors(sampler, seeds) for sampler, seeds in cases] == proven
+
+
+def test_an_empty_block_is_one_matrix_per_draw():
+    # one shared matrix, repeated once per draw and no more, so that a
+    # batch of records zipped from two empty blocks still ends
+    draws = [[1, 2], [3, 4], [5, 6]]
+    blocks = list(islice(conormal._blocks(draws, 2, 1, 0), len(draws) + 1))
+    assert blocks == [QMatrix(1, 0, ())] * 3 and blocks[0] is blocks[2]
 
 
 def test_batch_draw_builds_no_seed_stream(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import struct
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from kcycle import exactla
 from kcycle.exactla import (
@@ -693,3 +696,30 @@ def test_two_rows_or_two_columns_rank_without_elimination(monkeypatch):
     monkeypatch.setattr(QMatrix, "int_rows", refuse)
     assert [rank(m) for m in cases] == expected
 
+
+
+def test_three_by_three_rank_by_its_determinant(monkeypatch):
+    # every 3 x 3 matrix with entries in {-1, 0, 1}, and Fraction cases of
+    # ranks 3, 2, 1, 2, 1, against sympy; a matrix of nonzero determinant
+    # is ranked 3 without elimination, and a singular one goes on to it
+    ints = [QMatrix(3, 3, e) for e in itertools.product((-1, 0, 1), repeat=9)]
+    fractions = [QMatrix.from_flat(3, 3, e) for e in (
+        [F(1, 2), 0, 0, 0, F(-3, 5), 0, 0, 0, 7],
+        [F(1, 2), F(1, 3), 1, 1, F(2, 3), 2, 0, 0, F(1, 7)],
+        [F(1, 2), F(1, 3), 1, 1, F(2, 3), 2, F(-3, 2), -1, -3],
+        [F(1, 3), 1, F(2, 5), F(2, 3), 2, F(4, 5), F(-1, 3), -1, F(-1, 5)],
+        [0, 0, 0, 0, F(1, 9), 0, 0, 0, 0],
+    )]
+    expected = [DomainMatrix.from_list(m.rows(), ZZ).rank() for m in ints]
+    expected += [DomainMatrix.from_list(m.rows(), QQ).rank() for m in fractions]
+    assert expected[-5:] == [3, 2, 1, 2, 1]
+    assert set(expected) == {0, 1, 2, 3}
+    cases = ints + fractions
+    assert [rank(m) for m in cases] == expected
+
+    def refuse(*args):
+        raise AssertionError("a 3 x 3 matrix of nonzero determinant went into elimination")
+
+    monkeypatch.setattr(exactla, "_all_int", refuse)
+    monkeypatch.setattr(QMatrix, "int_rows", refuse)
+    assert all(rank(m) == 3 for m, r in zip(cases, expected) if r == 3)

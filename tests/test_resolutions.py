@@ -28,7 +28,7 @@ from kcycle.resolutions import (
     witness_satisfies_Z,
     witness_satisfies_Ztilde,
 )
-from reference import conormal_space, sample_conormal
+from reference import conormal_space, leading_minor_certificate, sample_conormal
 
 
 def glpq(n, k, p, q):
@@ -128,9 +128,11 @@ def test_membership_reads_the_sampled_ranks(monkeypatch):
 
 
 def test_rank_calls_per_drawn_sample(monkeypatch):
-    # a draw ranks h when h has rows and columns, then l likewise but only
-    # when h came out full; a block with no rows or no columns is never
-    # ranked, and membership ranks nothing
+    # a trial reaches rank only when the lane certificate does not prove
+    # its first draw full; then it ranks h when h has rows and columns,
+    # then l likewise but only when h came out full, and retries as it
+    # must; a block with no rows or no columns is never ranked, and
+    # membership ranks nothing
     real_rank, real_draw = exactla.rank, resolutions.draw_covectors
     calls, samples = [], []
 
@@ -146,7 +148,7 @@ def test_rank_calls_per_drawn_sample(monkeypatch):
         for seed in seeds:
             first = len(calls)
             (xi,) = real_draw(sampler._replace(height_bound=1), [seed])
-            samples.append((xi, calls[first:]))
+            samples.append((xi, seed, calls[first:]))
             out.append(xi)
         return tuple(out)
 
@@ -157,13 +159,24 @@ def test_rank_calls_per_drawn_sample(monkeypatch):
         for target, stratum in proper_pairs(setup):
             verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=3)
             assert verdict.hits == ()
-    assert sum(len(drawn) for _, drawn in samples) == len(calls)
+    assert sum(len(drawn) for _, _, drawn in samples) == len(calls)
     assert all(rows and cols for (rows, cols), _ in calls), "an empty block was ranked"
-    empty_h = empty_l = rejected = 0
-    for xi, drawn in samples:
+    empty_h = empty_l = rejected = proven = unproven_kept = 0
+    for xi, seed, drawn in samples:
         h_shape, l_shape = conormal.block_shapes(xi.base)
         empty_h += 0 in h_shape
         empty_l += 0 in l_shape
+        # the first draw, as the trial's own stream gives it
+        nh = h_shape[0] * h_shape[1]
+        first = SeedStream(seed).derive("conormal-sample").randints(
+            nh + l_shape[0] * l_shape[1], -1, 1)
+        if all(leading_minor_certificate(QMatrix(*shape, tuple(entries)))
+               for shape, entries in ((h_shape, first[:nh]), (l_shape, first[nh:]))
+               if 0 not in shape):
+            assert drawn == [] and xi.retries == 0
+            assert (xi.h_rank, xi.l_rank) == (real_rank(xi.h_block), real_rank(xi.l_block))
+            proven += 1
+            continue
         # walk the sample's draws through the rule, one recorded call at a time
         pos = 0
         for draw in range(xi.retries + 1):
@@ -180,6 +193,9 @@ def test_rank_calls_per_drawn_sample(monkeypatch):
             assert all(full) == kept
             rejected += not kept
         assert pos == len(drawn)
+        unproven_kept += xi.retries == 0
+    assert proven > 0, "no trial was proven lane-wise"
+    assert unproven_kept > 0, "no unproven trial was full at its first draw"
     assert rejected > 0, "no retry was exercised"
     assert empty_h and empty_l, "no empty block was drawn"
 
