@@ -19,7 +19,8 @@ trial's draw is a lane, and each block is certified full across all
 lanes at once (_certified_lanes): a vector block by a nonzero entry,
 any other by fraction-free Bareiss without pivoting on its leading
 k x k minor, k = min(rows, cols), one map per entry over the lanes,
-whose k pivots are all nonzero only if that minor is.  A block with no
+whose k pivots are all nonzero only if that minor is (the elimination
+is exactla.certify_full_lanes, which degeneracy shares).  A block with no
 rows or no columns has rank 0 and needs no proof.  Only a trial that
 some block leaves unproven is ranked, h before l, and, if it falls
 short, redraws from its own stream; the proof is exact, so every
@@ -31,10 +32,10 @@ read; no k x (n-k) matrix is formed.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import floordiv, itemgetter, mul, sub
+from operator import itemgetter
 from typing import NamedTuple
 
-from .exactla import QMatrix, check_count, derive_states, draw_streams, rank
+from .exactla import QMatrix, certify_full_lanes, check_count, derive_states, draw_streams, rank
 from .orbits import BasePoint, family
 
 
@@ -109,30 +110,18 @@ def _certified_lanes(draws: list, at: int, r: int, c: int) -> list:
 
     A lane is one draw.  A vector block is proven when some entry is
     nonzero, which is exact.  Any other block's leading k x k minor,
-    k = min(r, c), is eliminated lane-wise by fraction-free Bareiss
-    without pivoting, one map per entry across all lanes: when every
-    pivot of a lane is nonzero, the last one is that minor, so the rank
-    is k.  A lane with a zero pivot is not proven, whatever its rank;
-    its later divisions use 1 in place of the zero, so the other lanes
-    go on exactly.
+    k = min(r, c), goes to exactla.certify_full_lanes: fraction-free
+    Bareiss without pivoting across all lanes, which proves a lane of
+    rank k when every pivot is nonzero and leaves a lane with a zero
+    pivot unproven, whatever its rank.
     """
     k = min(r, c)
     if k == 1:
         return list(map(any, map(itemgetter(slice(at, at + r * c)), draws)))
     # each minor entry's values across the lanes, as lists: zip(*draws) would
     # make tuples as long as the batch, which CPython keeps on a free list
-    m = [[list(map(itemgetter(at + i * c + j), draws)) for j in range(k)] for i in range(k)]
-    pivots = [m[0][0]]
-    for p in range(k - 1):
-        top, pv = m[p], m[p][p]
-        prev = [v or 1 for v in m[p - 1][p - 1]] if p else None
-        for row in m[p + 1:]:
-            x = row[p]
-            for j in range(p + 1, k):
-                v = map(sub, map(mul, pv, row[j]), map(mul, x, top[j]))
-                row[j] = list(v if prev is None else map(floordiv, v, prev))
-        pivots.append(m[p + 1][p + 1])
-    return list(map(all, zip(*pivots)))
+    return certify_full_lanes(
+        [[list(map(itemgetter(at + i * c + j), draws)) for j in range(k)] for i in range(k)])
 
 
 # what a NamedTuple's constructor calls on its field values: mapped over

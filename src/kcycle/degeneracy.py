@@ -30,15 +30,36 @@ indices first, x = [[x11, x12], [x21, J0]], and eliminating against J0
 gives rank x = m + rank phi(x) for the (n-k)-square Schur complement
 phi = x11 - x12 J0^-1 x21.  J0^-1 is the signed transpose of J0, so
 phi is integer multiply and add.  _schur_plan checks these facts once
-per chart; at m = 0 (n = 2k, both charts) x is ranked itself.
+per chart; at m = 0 (n = 2k, both charts) phi is x itself.
 
 The sweep does its set-up once per chart: chart_for checks the chart,
-fetches both plans and works out the flavor and the top rank.  Then
-transverse_points judges the points as lanes, at most _LANES at a time
-(a module constant, so no sweep holds more): one zip turns their entries
-into columns, each value entry is one map of add or sub per plan triple
-and each phi entry a few maps of mul, all lanes at once, and per lane
-only phi is ranked.  A value of top rank sits on the open stratum.
+fetches both plans and works out the flavor and the top rank.  A
+chart's points are one flat list of draws (draw_chart_points), and
+transverse_points judges them as lanes, at most _LANES at a time (a
+module constant, so no sweep forms more): a chunk's column for chart
+entry src is one stride slice of the draws, each value entry is one map
+of add or sub per plan triple and each phi entry a few maps of mul, all
+lanes at once; no point is built as a matrix.
+
+Then phi is certified of rank r = top - m, the rank of a top-rank
+value, across all lanes by the chart's flavor (_proven_lanes), and
+only a lane left unproven is ranked.
+* Symmetric: r is the side of phi.  Fraction-free Bareiss without
+  pivoting (exactla.certify_full_lanes, which conormal shares) runs on
+  the whole of phi; a lane whose pivots are all nonzero has a nonzero
+  determinant, the last pivot, so rank r.  A zero pivot proves nothing.
+* Alternating: the diagonal is zero, so that elimination never gets
+  started; r is the side rounded down to even.  A lane is proven by
+  two exact facts: phi is alternating (zero diagonal, phi[j][i] =
+  -phi[i][j]), so its rank is even and at most r; and its leading
+  principal Pfaffian of order r (exactla.lane_pfaffian) is nonzero,
+  so the leading r x r block, whose determinant is that Pfaffian
+  squared, is invertible and the rank is at least r.  At r = 0 the
+  first fact alone proves rank 0.
+A proven lane's value has top rank, exactly the verdict its rank would
+give, so the certificate changes no verdict; it only saves the ranks.
+
+A value of top rank sits on the open stratum.
 Below it, the stratum's tangent space at x is {Yx + x Y^T}, whose
 trace-pairing annihilator is {C : xC = 0}, and transversality says no
 nonzero such C is trace-perpendicular to the differential's image.
@@ -55,39 +76,29 @@ read off its family (orbits.form_flavor).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
-from operator import add, mul, sub
-from typing import Iterable, Iterator, NamedTuple
+from operator import add, and_, mul, sub, truth
+from typing import NamedTuple
 
-from .exactla import QMatrix, SeedStream, check_count, rank
+from .exactla import QMatrix, SeedStream, certify_full_lanes, check_count, lane_pfaffian, rank
 from .matrixstrata import Flavor, flavor_dim, pairing_row, product_rows
 from .orbits import Kind, Setup, family, form_flavor, form_sign, normalize
 
 _LANES = 256  # points judged at a time, however many a sweep draws
 
 
-class ChartPoint(NamedTuple):
-    """Coordinates of a k-plane in an affine chart: an (n-k) x k matrix."""
-
-    a: QMatrix
-
-
 def draw_chart_points(n: int, k: int, rng: SeedStream, count: int,
-                      height_bound: int = 9) -> Iterator[ChartPoint]:
-    """count chart points, drawn from rng in one randints call.
+                      height_bound: int = 9) -> list:
+    """count chart points, drawn from rng in one randints call: the flat draws.
 
     The height bound is checked and every draw made at the call: point
-    j is draws j*(n-k)*k onwards, row-major, the draws and final state
-    of count per-point draws of (n-k)*k entries each.  The points are
-    built as they are iterated over, so transverse_points holds one
-    chunk of them at a time, never all of a huge count.
+    j is draws j*(n-k)*k onwards, the row-major entries of its (n-k) x k
+    coordinate matrix, and the list and final state are those of count
+    per-point draws of (n-k)*k entries each.  transverse_points reads
+    the list as it is; no point is built.
     """
     check_count("height_bound", height_bound)
-    size = (n - k) * k
-    draws = rng.randints(count * size, -height_bound, height_bound)
     # ints, already canonical
-    return (ChartPoint(QMatrix(n - k, k, tuple(draws[i:i + size])))
-            for i in range(0, count * size, size))
+    return rng.randints(count * (n - k) * k, -height_bound, height_bound)
 
 
 def _chart_flavor(setup: Setup, center_last: bool) -> Flavor:
@@ -223,43 +234,85 @@ def _free_coordinates(chart: Chart) -> list:
     return [j for j in range(flavor_dim(chart.flavor, chart.setup.k)) if j not in hit]
 
 
-def transverse_points(chart: Chart, points: Iterable[ChartPoint]) -> list:
-    """Whether the section meets the stratum of its value transversally, per point.
+def _lane_values(chart: Chart, draws, start: int, stop: int) -> tuple:
+    """(x, phi) of points start..stop-1 of a flat draw list, as lanes.
 
-    The points are judged as lanes (module docstring).  Raises
-    ValueError for a point that is not (n-k) x k.
+    Each is a flat row-major list of entries, and each entry a list of
+    its values across the points: x is the k x k value, phi its
+    (n-k)-square Schur complement (x itself at m = 0).  A point's
+    entry src is every (n-k)*k-th draw, so each column is one stride
+    slice of the draws.
     """
     n, k = chart.setup.n, chart.setup.k
+    size = (n - k) * k
     m, outside, triples = chart.schur
-    side = n - k if m else k
-    points, verdicts, free = iter(points), [], None
-    while chunk := list(islice(points, _LANES)):
-        if any((a.a.nrows, a.a.ncols) != (n - k, k) for a in chunk):
-            raise ValueError("chart point must be (n-k) x k")
-        cols = list(zip(*(a.a.entries for a in chunk)))
-        x = [[c] * len(chunk) for c in chart.const]
-        for dst, src, eps in chart.plan:
-            x[dst] = map(add if eps == 1 else sub, x[dst], cols[src])
-        x = [tuple(v) for v in x]
-        phi = x
-        if m:  # phi = x11 - x12 J0^-1 x21, entry by entry
-            phi = []
-            for i in outside:
-                for j in outside:
-                    e = x[i * k + j]
-                    for p, d, sign in triples:
-                        e = map(sub if sign == 1 else add, e,
-                                map(mul, x[i * k + p], x[d * k + j]))
-                    phi.append(e)
-        for lane, entries in enumerate(zip(*phi)):
-            if m + rank(QMatrix(side, side, entries)) == chart.top:
-                verdicts.append(True)
+    cols = [draws[start * size + src:stop * size:size] for src in range(size)]
+    x = [[c] * (stop - start) for c in chart.const]
+    for dst, src, eps in chart.plan:
+        x[dst] = map(add if eps == 1 else sub, x[dst], cols[src])
+    x = list(map(list, x))
+    if not m:
+        return x, x
+    phi = []  # phi = x11 - x12 J0^-1 x21, entry by entry
+    for i in outside:
+        for j in outside:
+            e = x[i * k + j]
+            for p, d, sign in triples:
+                e = map(sub if sign == 1 else add, e, map(mul, x[i * k + p], x[d * k + j]))
+            phi.append(list(e))
+    return x, phi
+
+
+def _proven_lanes(flavor: Flavor, r: int, grid: list) -> list:
+    """Per lane, whether a square grid of lanes is proven of rank r, by its flavor.
+
+    A symmetric grid has r = side, proven when pivot-free Bareiss finds
+    every pivot nonzero.  An alternating one has r = side rounded down
+    to even, proven when the lane is alternating, which bounds its rank
+    by r, and its leading principal Pfaffian of order r is nonzero,
+    which makes the rank at least r; at r = 0 being alternating proves
+    rank 0.
+    """
+    if flavor == Flavor.SYMMETRIC:
+        return certify_full_lanes(grid)
+    side = len(grid)
+    # per lane, every diagonal entry and every grid[i][j] + grid[j][i] is zero
+    zero = [grid[i][i] for i in range(side)]
+    zero += [map(add, grid[i][j], grid[j][i]) for i in range(side) for j in range(i + 1, side)]
+    proven = [not any(v) for v in zip(*zero)]
+    if r:
+        proven = list(map(and_, proven, map(truth, lane_pfaffian(grid, r))))
+    return proven
+
+
+def transverse_points(chart: Chart, draws) -> list:
+    """Whether the section meets the stratum of its value transversally, per point.
+
+    draws is flat, as draw_chart_points gives it, and its points are
+    judged as lanes, _LANES at a time (module docstring).  Raises
+    ValueError for a length that is not a whole number of points.
+    """
+    n, k = chart.setup.n, chart.setup.k
+    m = chart.schur[0]
+    side, size = n - k if m else k, (n - k) * k
+    if len(draws) % size:
+        raise ValueError("chart draws must be whole chart points of (n-k)*k entries")
+    verdicts, free = [], None
+    count = len(draws) // size
+    for start in range(0, count, _LANES):
+        x, phi = _lane_values(chart, draws, start, min(start + _LANES, count))
+        proven = _proven_lanes(chart.flavor, chart.top - m,
+                               [phi[i * side:(i + 1) * side] for i in range(side)])
+        for lane in [i for i, ok in enumerate(proven) if not ok]:
+            if m + rank(QMatrix(side, side, tuple(v[lane] for v in phi))) == chart.top:
+                proven[lane] = True
                 continue
             if free is None:
                 free = _free_coordinates(chart)
             value = QMatrix(k, k, tuple(v[lane] for v in x))
-            verdicts.append(not free or rank(QMatrix.from_rows(
-                [row[j] for j in free] for row in product_rows(value, chart.flavor))) == len(free))
+            proven[lane] = not free or rank(QMatrix.from_rows(
+                [row[j] for j in free] for row in product_rows(value, chart.flavor))) == len(free)
+        verdicts += proven
     return verdicts
 
 

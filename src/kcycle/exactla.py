@@ -23,6 +23,14 @@ update divides exactly (see rank).  The sparse product rows of the
 transversality sweep then cost about their nonzeros, not every row
 times every pivot.
 
+Batches of small int matrices are proven of full rank as lanes, with
+no matrix built per lane: a grid holds one sequence per entry, of that
+entry's values across the lanes.  certify_full_lanes runs Bareiss
+without pivoting on every lane at once and proves the lanes whose
+pivots are all nonzero; lane_pfaffian expands a leading Pfaffian over
+the lanes.  The conormal sampler and the transversality sweep both
+certify through them and rank only the lanes left unproven.
+
 Random draws come from splitmix64 streams (Steele, Lea and Flood,
 OOPSLA 2014).  _mix64 holds the one copy of the mix, and draw_streams
 the one copy of the draw: count values from [lo, hi] on each of many
@@ -269,6 +277,60 @@ def rank(m: QMatrix) -> int:
         prev = pv
         r += 1
     return r
+
+
+def certify_full_lanes(grid: list) -> list:
+    """Per lane, whether pivot-free Bareiss proves a k x k int matrix of rank k, k >= 1.
+
+    grid[i][j] holds entry (i, j) of every lane, one sequence per entry.
+    Fraction-free Bareiss without pivoting runs on all lanes at once,
+    one map per entry and step: when every pivot of a lane is nonzero,
+    the last one is its determinant, so the rank is k.  A lane with a
+    zero pivot is not proven, whatever its rank; its later divisions use
+    1 in place of the zero, so the other lanes go on exactly.  The grid
+    itself is left as it is.
+    """
+    m = [list(row) for row in grid]
+    k = len(m)
+    pivots = [m[0][0]]
+    for p in range(k - 1):
+        top, pv = m[p], m[p][p]
+        prev = [v or 1 for v in m[p - 1][p - 1]] if p else None
+        for row in m[p + 1:]:
+            x = row[p]
+            for j in range(p + 1, k):
+                v = map(operator.sub, map(operator.mul, pv, row[j]), map(operator.mul, x, top[j]))
+                row[j] = list(v if prev is None else map(operator.floordiv, v, prev))
+        pivots.append(m[p + 1][p + 1])
+    return list(map(all, zip(*pivots)))
+
+
+def lane_pfaffian(grid: list, order: int) -> list:
+    """Per lane, the Pfaffian of the leading order x order block of a grid of lanes.
+
+    grid is as for certify_full_lanes; order is even and at least 2, and
+    only entries (i, j) with i < j are read, so the block is taken to be
+    alternating.  The expansion along the first row,
+    Pf = sum over t of (-1)^t a[i][j_t] Pf(block without rows and columns
+    i, j_t), is exact, and each smaller block's Pfaffian is formed once
+    for all lanes.
+    """
+    memo = {}
+
+    def pf(idx):
+        if len(idx) == 2:
+            return grid[idx[0]][idx[1]]
+        if idx not in memo:
+            i, rest = idx[0], idx[1:]
+            total = None
+            for t, j in enumerate(rest):
+                term = map(operator.mul, grid[i][j], pf(rest[:t] + rest[t + 1:]))
+                total = list(term if total is None else
+                             map(operator.sub if t % 2 else operator.add, total, term))
+            memo[idx] = total
+        return memo[idx]
+
+    return list(pf(tuple(range(order))))
 
 
 def rref(m: QMatrix):

@@ -38,7 +38,11 @@ so a test can compare the two, or builds seeded test data:
   alone, through the sweep's batch ``conormal.draw_covectors``.
   ``leading_minor_certificate`` states by cofactor determinants
   (``det``) what ``conormal._certified_lanes`` proves per lane by
-  lane-wise Bareiss.
+  lane-wise Bareiss, and ``flavor_certificate`` what
+  ``degeneracy._proven_lanes`` proves of a lane's phi: by those
+  determinants when symmetric, and when alternating by ``pfaffian``, a
+  signed sum over perfect matchings, where
+  ``exactla.lane_pfaffian`` expands along the first row.
 * ``form_matrix`` is the dense invariant form that ``orbits.form_sign``
   and everything read off its signs replace; ``perp`` and
   ``annihilator`` are the dense complements that the duality
@@ -53,9 +57,12 @@ so a test can compare the two, or builds seeded test data:
   blocks of a frame.  ``base_plane`` is a base point's plane U as a
   ``Subspace``, where the package keeps only its frame ``u_matrix``.
 * ``open_orbit`` finds the open orbit from the closure order alone.
-* ``random_chart_point`` draws one chart point on a stream;
-  ``degeneracy.draw_chart_points`` draws a chart's points in one batch
-  and must give the same points and final stream state.
+* ``ChartPoint`` is one chart point as its (n-k) x k coordinate
+  matrix, which the package never builds; ``chart_points`` and
+  ``chart_draws`` convert between such points and the flat draw list
+  the sweep reads.  ``random_chart_point`` draws one chart point on a
+  stream; ``degeneracy.draw_chart_points`` draws a chart's points in
+  one batch and must give the same points and final stream state.
 * ``section_differential_image`` spans the differential of the Gram
   section that ``degeneracy.transverse_points`` reads off its plan.
   ``section_entries`` and ``section_value`` evaluate the section at one
@@ -66,8 +73,9 @@ so a test can compare the two, or builds seeded test data:
   ``stacked_transversality`` ranks it whole, where the sweep ranks only
   the product rows on the coordinates its quotient by the differential
   leaves free.  ``verify_transversality`` is the sweep's verdict at one
-  point, ``degeneracy.transverse_points`` on a one-point batch of a
-  chart set up for it alone, after ``check_chart`` checks its shape.
+  point, ``degeneracy.transverse_points`` on the draws of that point
+  alone, on a chart set up for it alone, after ``check_chart`` checks
+  its shape.
 * ``ambient_membership_Z``/``_Ztilde`` and
   ``ambient_witness_satisfies_Z``/``_Ztilde`` build and check membership
   witnesses as subspaces of C^n, through ``Subspace`` spans and a solve
@@ -79,7 +87,7 @@ so a test can compare the two, or builds seeded test data:
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from kcycle import degeneracy
 from kcycle.conormal import (
@@ -90,7 +98,7 @@ from kcycle.conormal import (
     covector_sampler,
     draw_covectors,
 )
-from kcycle.degeneracy import ChartPoint, _differential_values
+from kcycle.degeneracy import _differential_values
 from kcycle.exactla import QMatrix, SeedStream, Subspace, kernel, rank, rref, solve
 from kcycle.matrixstrata import (
     Flavor,
@@ -342,6 +350,46 @@ def det(m: QMatrix):
                for j in range(n) if m[0, j])
 
 
+def pfaffian(m: QMatrix, order: int):
+    """Pfaffian of the leading order x order block of m, read above its diagonal.
+
+    The signed sum over the perfect matchings of 0..order-1, each the
+    product of its pairs' entries m[i, j], i < j, with sign (-1) to the
+    number of crossing pairs.
+    """
+    def matchings(idx):
+        if not idx:
+            yield []
+            return
+        for t in range(1, len(idx)):
+            for rest in matchings(idx[1:t] + idx[t + 1:]):
+                yield [(idx[0], idx[t])] + rest
+
+    total = 0
+    for pairs in matchings(tuple(range(order))):
+        crossings = sum(a < c < b < d for a, b in pairs for c, d in pairs)
+        term = (-1) ** crossings
+        for i, j in pairs:
+            term *= m[i, j]
+        total += term
+    return total
+
+
+def flavor_certificate(phi: QMatrix, flavor: Flavor, r: int) -> bool:
+    """Whether the sweep's lane certificate proves a square phi of rank r.
+
+    A symmetric-flavor phi by nonzero leading principal minors of every
+    order; an alternating-flavor one by being alternating, with a
+    nonzero leading Pfaffian of order r when r > 0.
+    """
+    side = phi.nrows
+    if flavor == Flavor.SYMMETRIC:
+        return all(det(phi.submatrix(range(i), range(i))) for i in range(1, side + 1))
+    if any(phi[i, j] != -phi[j, i] for i in range(side) for j in range(i, side)):
+        return False
+    return r == 0 or pfaffian(phi, r) != 0
+
+
 def leading_minor_certificate(m: QMatrix) -> bool:
     """Whether the lane certificate proves m of rank min(r, c).
 
@@ -475,6 +523,24 @@ def open_orbit(pos: ClosurePoset):
 # ---------------------------------------------------------------------------
 # the Gram section
 
+class ChartPoint(NamedTuple):
+    """Coordinates of a k-plane in an affine chart: an (n-k) x k matrix."""
+
+    a: QMatrix
+
+
+def chart_points(n: int, k: int, draws: Sequence) -> list:
+    """The points of a flat chart draw list, as draw_chart_points lays them out."""
+    size = (n - k) * k
+    return [ChartPoint(QMatrix(n - k, k, tuple(draws[i:i + size])))
+            for i in range(0, len(draws), size)]
+
+
+def chart_draws(points: Iterable[ChartPoint]) -> list:
+    """The flat draw list of chart points, point after point."""
+    return [x for a in points for x in a.a.entries]
+
+
 def random_chart_point(n: int, k: int, rng: SeedStream, height_bound: int = 9) -> ChartPoint:
     """One chart point: (n-k) * k row-major draws from [-height_bound, height_bound]."""
     draws = rng.randints((n - k) * k, -height_bound, height_bound)
@@ -554,7 +620,7 @@ def verify_transversality(setup: Setup, a: ChartPoint, center_last: bool = False
     """The sweep's verdict at one point, on a chart set up for it alone."""
     chart = degeneracy.chart_for(setup, center_last)
     check_chart(setup, a, center_last)
-    return degeneracy.transverse_points(chart, [a])[0]
+    return degeneracy.transverse_points(chart, list(a.a.entries))[0]
 
 
 def section_differential_image(setup: Setup, a: ChartPoint,

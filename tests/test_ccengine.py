@@ -357,14 +357,15 @@ def test_sweep_verdicts_are_pinned(monkeypatch):
     # False verdicts
     from kcycle import degeneracy
     from kcycle.exactla import rank
-    from reference import section_value, verify_transversality
+    from reference import chart_points, section_value, verify_transversality
 
     batches = []
     real_draw = degeneracy.draw_chart_points
 
     def recording_draw(n, k, rng, count):
-        batches.append(list(real_draw(n, k, rng, count)))
-        return iter(batches[-1])
+        draws = real_draw(n, k, rng, count)
+        batches.append(chart_points(n, k, draws))
+        return draws
 
     monkeypatch.setattr(degeneracy, "draw_chart_points", recording_draw)
     digest, degenerate = hashlib.sha256(), 0
@@ -392,14 +393,15 @@ def test_sweep_draws_are_pinned_at_scale(monkeypatch):
     # run_transversality_suite on so(16,8), whose two charts draw 6,400
     # values each, and on sp(16,8)
     from kcycle import degeneracy
+    from reference import chart_points
 
     digest = hashlib.sha256()
     real_draw = degeneracy.draw_chart_points
 
     def recording_draw(n, k, rng, count):
-        drawn = list(real_draw(n, k, rng, count))
-        digest.update(repr((n, k, [a.a.entries for a in drawn])).encode())
-        return iter(drawn)
+        draws = real_draw(n, k, rng, count)
+        digest.update(repr((n, k, [a.a.entries for a in chart_points(n, k, draws)])).encode())
+        return draws
 
     monkeypatch.setattr(degeneracy, "draw_chart_points", recording_draw)
     charts = [len(run_transversality_suite(Setup(kind, 16, 8), seed=3).charts)

@@ -2,16 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from kcycle import degeneracy, orbits
+from kcycle import degeneracy, exactla, orbits
 from kcycle.ccengine import pullback_cc
 from kcycle.degeneracy import (
-    ChartPoint,
     _differential_values,
     chart_for,
     form_flavor,
     run_transversality_suite,
 )
-from kcycle.exactla import QMatrix, SeedStream, rank
+from kcycle.exactla import SEED_MAX, QMatrix, SeedStream, derive_states, draw_streams, rank
 from kcycle.matrixstrata import Flavor, flavor_dim
 from kcycle.orbits import (
     IntersectionOrbit,
@@ -24,11 +23,16 @@ from kcycle.orbits import (
     orbit_of,
 )
 from reference import (
+    ChartPoint,
+    chart_draws,
+    chart_points,
     conormal_solutions,
     constraint_rows,
     coordinate_basis,
+    flavor_certificate,
     form_matrix,
     is_flavored,
+    pfaffian,
     random_chart_point,
     schur_complement,
     section_differential_image,
@@ -130,18 +134,26 @@ def _recording_rank(monkeypatch):
     return seen
 
 
-def _phis(seen):
-    """The lanes' phi matrices among the recorded rank arguments."""
-    return [m for before, m in zip([0] + seen, seen) if m is not None and before is not None]
+def _lane(entries, lane, side):
+    """One lane of a flat list of lane lists, as a side x side matrix."""
+    return QMatrix(side, side, tuple(v[lane] for v in entries))
 
 
-def test_schur_rank_is_the_rank_of_the_value(monkeypatch):
+def _side(chart):
+    n, k = chart.setup.n, chart.setup.k
+    return n - k if chart.schur[0] else k
+
+
+def _reference_phi(chart, x):
+    return schur_complement(chart, x) if chart.schur[0] else x
+
+
+def test_schur_rank_is_the_rank_of_the_value():
     # rank x = m + rank phi on every chart with n <= 16: at the zero point
     # (x = C, rank exactly m), at height-1 points, which hit the
-    # degenerate locus, and at points of the default height; phi is read
-    # off the lanes as transverse_points ranks it, one (n-k)-square matrix
-    # per point (x itself at m = 0)
-    ranked = _recording_rank(monkeypatch)
+    # degenerate locus, and at points of the default height; x and phi are
+    # read off the lanes as transverse_points forms them, one k x k value
+    # and one (n-k)-square phi per point (x itself at m = 0)
     pairs = degenerate = 0
     degenerate_kinds = set()
     for setup, center_last in _isotropy_setups(16):
@@ -161,15 +173,15 @@ def test_schur_rank_is_the_rank_of_the_value(monkeypatch):
         rng = SeedStream(31).derive("schur-rank", setup.describe(), center_last)
         low = [random_chart_point(n, k, rng, height_bound=1) for _ in range(12)]
         points = [_zero_chart(n, k)] + low + [random_chart_point(n, k, rng) for _ in range(12)]
-        side = n - k if m else k
-        ranked.clear()
-        degeneracy.transverse_points(chart, points)
-        phis = _phis(ranked)
-        assert [(phi.nrows, phi.ncols) for phi in phis] == [(side, side)] * len(points)
-        for i, (a, phi) in enumerate(zip(points, phis)):
+        side = _side(chart)
+        xs, phis = degeneracy._lane_values(chart, chart_draws(points), 0, len(points))
+        assert len(xs) == k * k and len(phis) == side * side
+        for i, a in enumerate(points):
             x = section_value(setup, a, center_last)
             r = rank(x)
-            assert phi == (schur_complement(chart, x) if m else x), (setup, center_last)
+            phi = _lane(phis, i, side)
+            assert _lane(xs, i, k) == x
+            assert phi == _reference_phi(chart, x), (setup, center_last)
             assert m + rank(phi) == value_rank(chart, x) == r, (setup, center_last)
             if i == 0:
                 assert r == m
@@ -183,36 +195,46 @@ def test_schur_rank_is_the_rank_of_the_value(monkeypatch):
 
 
 def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
-    # at a point whose value has full rank, the only matrix ranked is the
-    # (n-k)-square phi; the k x k value itself is never ranked, and a
-    # point below full rank ranks just its product rows on the free
+    # at a point whose value has full rank, at most the (n-k)-square phi
+    # is ranked, and nothing when the flavor certificate proves phi; the
+    # k x k value itself is never ranked, and a point below full rank
+    # ranks its phi and then just its product rows on the free
     # coordinates, flavor_dim(m) of them
     ranked = _recording_rank(monkeypatch)
     drawn = []
     real_draw = degeneracy.draw_chart_points
 
     def recording_draw(n, k, rng, count):
-        batch = list(real_draw(n, k, rng, count))
-        drawn.extend(batch)
-        return iter(batch)
+        draws = real_draw(n, k, rng, count)
+        drawn.extend(chart_points(n, k, draws))
+        return draws
 
     monkeypatch.setattr(degeneracy, "draw_chart_points", recording_draw)
+    unproven_full = degenerate = 0
     for setup, seed in ((Setup(Kind.SO, 8, 5), 3), (Setup(Kind.SP, 8, 6), 3),
-                        (Setup(Kind.SO, 7, 4), 3)):
+                        (Setup(Kind.SO, 7, 4), 3), (Setup(Kind.SP, 8, 5), 3)):
         n, k = setup.n, setup.k
-        flavor = form_flavor(setup.kind)
+        chart = chart_for(setup)
+        flavor, side, r = chart.flavor, _side(chart), chart.top - chart.schur[0]
         ranked.clear()
         drawn.clear()
         assert run_transversality_suite(setup, points=100, seed=seed).all_ok
-        full = [rank(section_value(setup, a)) == _top_rank(setup) for a in drawn]
-        assert len(drawn) == 100 and sum(full) >= 90
+        values = [section_value(setup, a) for a in drawn]
+        full = [rank(x) == _top_rank(setup) for x in values]
+        proven = [flavor_certificate(_reference_phi(chart, x), flavor, r) for x in values]
+        assert len(drawn) == 100 and sum(full) >= 90 and sum(proven) >= 80
+        assert all(f for f, ok in zip(full, proven) if ok)
         expected = []
-        for is_full in full:
-            expected.append((n - k, n - k))
+        for is_full, ok in zip(full, proven):
+            if not ok:
+                expected.append((side, side))
             if not is_full:
                 expected += [None, (k * k, flavor_dim(flavor, 2 * k - n))]
-        assert (k, k) not in expected
+        assert (k, k) not in expected and len(expected) < 30
         assert [m and (m.nrows, m.ncols) for m in ranked] == expected, setup
+        unproven_full += sum(f and not ok for f, ok in zip(full, proven))
+        degenerate += full.count(False)
+    assert unproven_full > 0 and degenerate > 0
 
 
 def test_each_chart_is_set_up_once(monkeypatch):
@@ -225,77 +247,71 @@ def test_each_chart_is_set_up_once(monkeypatch):
         built.append(real_chart(setup, center_last))
         return built[-1]
 
-    def counting_transverse(chart, points):
-        points = list(points)
-        judged.append((chart, len(points)))
-        return real_transverse(chart, points)
+    def counting_transverse(chart, draws):
+        judged.append((chart, len(draws)))
+        return real_transverse(chart, draws)
 
     monkeypatch.setattr(degeneracy, "chart_for", counting_chart)
     monkeypatch.setattr(degeneracy, "transverse_points", counting_transverse)
     assert run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1).all_ok
     assert [c.center_last for c in built] == [False, True]
-    assert [(c is b, count) for (c, count), b in zip(judged, built)] == [(True, 30)] * 2
+    assert [(c is b, count) for (c, count), b in zip(judged, built)] == [(True, 30 * 16)] * 2
     assert len(judged) == 2
 
 
 def test_points_are_judged_in_chunks_of_lanes(monkeypatch):
-    # however many points come in, at most _LANES of them are held at once,
-    # and the verdicts are the ones judged a point at a time
+    # however many points come in, at most _LANES of them are formed and
+    # certified at once, and the verdicts are the ones judged a point at a
+    # time
     setup = Setup(Kind.SO, 6, 4)
     chart = chart_for(setup)
     rng = SeedStream(17).derive("chunks")
     points = [random_chart_point(6, 4, rng, height_bound=1) for _ in range(70)]
-    one_by_one = [degeneracy.transverse_points(chart, [a])[0] for a in points]
-    pulled = []
+    one_by_one = [degeneracy.transverse_points(chart, list(a.a.entries))[0] for a in points]
+    assert one_by_one.count(False) == 0 and sum(
+        rank(section_value(setup, a)) < chart.top for a in points) > 5
+    real_proven, widths = degeneracy._proven_lanes, []
 
-    def feed():
-        for a in points:
-            pulled.append(a)
-            yield a
-
-    real_product_rows, held = degeneracy.product_rows, []
-
-    def recording_product_rows(x, flavor):
-        held.append(len(pulled))
-        return real_product_rows(x, flavor)
+    def recording_proven(flavor, r, grid):
+        widths.append(len(grid[0][0]))
+        return real_proven(flavor, r, grid)
 
     monkeypatch.setattr(degeneracy, "_LANES", 16)
-    monkeypatch.setattr(degeneracy, "product_rows", recording_product_rows)
-    assert degeneracy.transverse_points(chart, feed()) == one_by_one
-    # a degenerate point is judged before the chunk after its own is drawn
-    assert len(set(held)) > 2 and all(count % 16 == 0 or count == 70 for count in held)
+    monkeypatch.setattr(degeneracy, "_proven_lanes", recording_proven)
+    assert degeneracy.transverse_points(chart, chart_draws(points)) == one_by_one
+    assert widths == [16, 16, 16, 16, 6]
     assert degeneracy.transverse_points(chart, []) == []
 
 
 def test_points_of_the_wrong_shape_raise():
-    # so(5,4) chart points are 1 x 4; a point of another shape has no verdict
+    # so(5,4) chart points are 1 x 4, four draws each: a draw list that
+    # ends inside a point has no verdict, and the reference route refuses
+    # a point of another shape
     setup = Setup(Kind.SO, 5, 4)
     chart = chart_for(setup)
-    good = _zero_chart(5, 4)
-    for shape in ((2, 4), (4, 1), (1, 2)):
-        bad = ChartPoint(QMatrix.zeros(*shape))
-        for points in ([bad], [good, bad], [good] * 300 + [bad]):
-            with pytest.raises(ValueError, match="chart point"):
-                degeneracy.transverse_points(chart, points)
+    for length in (1, 3, 5, 4 * 300 + 2):
         with pytest.raises(ValueError, match="chart point"):
-            verify_transversality(setup, bad)
-    assert degeneracy.transverse_points(chart, [good]) == [True]
+            degeneracy.transverse_points(chart, [0] * length)
+    for shape in ((2, 4), (4, 1), (1, 2)):
+        with pytest.raises(ValueError, match="chart point"):
+            verify_transversality(setup, ChartPoint(QMatrix.zeros(*shape)))
+    assert degeneracy.transverse_points(chart, [0] * 4) == [True]
+    assert degeneracy.transverse_points(chart, [0] * 1200) == [True] * 300
 
 
 def test_chart_points_are_drawn_in_one_batch(monkeypatch):
-    # a batch of chart points is the per-point draw, point after point,
-    # and the call leaves the stream where the per-point draws leave it
+    # a batch of chart points is the per-point draw, point after point, in
+    # one flat list, and the call leaves the stream where the per-point
+    # draws leave it
     for n, k in ((2, 1), (5, 3), (8, 4), (9, 7)):
         for count, bound in ((1, 9), (7, 9), (13, 1), (4, 250)):
             batch, single = SeedStream(n * 100 + count), SeedStream(n * 100 + count)
-            points = degeneracy.draw_chart_points(n, k, batch, count, height_bound=bound)
+            draws = degeneracy.draw_chart_points(n, k, batch, count, height_bound=bound)
             reference = [random_chart_point(n, k, single, bound) for _ in range(count)]
-            # every draw is made at the call, before a point is built
             assert batch.state == single.state
-            points = list(points)
-            assert points == reference
-            assert all(type(a) is ChartPoint and (a.a.nrows, a.a.ncols) == (n - k, k)
-                       for a in points)
+            assert type(draws) is list and len(draws) == count * (n - k) * k
+            assert draws == chart_draws(reference)
+            assert chart_points(n, k, draws) == reference
     # the sweep draws each chart's points in one randints call
     real_randints, draws = SeedStream.randints, []
 
@@ -306,6 +322,118 @@ def test_chart_points_are_drawn_in_one_batch(monkeypatch):
     monkeypatch.setattr(SeedStream, "randints", counting_randints)
     assert run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1).all_ok
     assert draws == [(30 * 16, -9, 9)] * 2
+
+
+def _flavored_lanes(flavor, side, states, height):
+    """Random flavored side x side matrices, one per stream state: (grid of lanes, matrices).
+
+    Each lane draws its upper triangle, the diagonal too when symmetric,
+    from [-height, height] on its own stream.
+    """
+    symmetric = flavor == Flavor.SYMMETRIC
+    upper = [(i, j) for i in range(side) for j in range(i if symmetric else i + 1, side)]
+    draws, _ = draw_streams(states, len(upper), -height, height)
+    mats = []
+    for d in draws:
+        e = [[0] * side for _ in range(side)]
+        for (i, j), v in zip(upper, d):
+            e[i][j], e[j][i] = v, v if symmetric else -v
+        mats.append(QMatrix.from_rows(e))
+    grid = [[[mat[i, j] for mat in mats] for j in range(side)] for i in range(side)]
+    return grid, mats
+
+
+def test_flavor_certificate_proves_exactly_rank_r():
+    # symmetric and alternating lanes of every side up to 6, at heights 1
+    # and 2, over 240 lanes: the lanes proven are those the reference's
+    # determinants and Pfaffians prove, each has rank exactly r, and an
+    # alternating lane's Pfaffian is the reference's
+    states = derive_states(SeedStream(61).randints(240, 0, SEED_MAX), "flavor-lanes")
+    for flavor in (Flavor.SYMMETRIC, Flavor.SKEW):
+        for side in range(1, 7):
+            r = side if flavor == Flavor.SYMMETRIC else side - side % 2
+            for height in (1, 2):
+                grid, mats = _flavored_lanes(flavor, side, states, height)
+                proven = degeneracy._proven_lanes(flavor, r, grid)
+                assert proven == [flavor_certificate(mat, flavor, r) for mat in mats]
+                assert all(rank(mat) == r for mat, ok in zip(mats, proven) if ok)
+                assert any(proven), (flavor, side, height)
+                full = sum(rank(mat) == r for mat in mats)
+                if side > 1 and flavor == Flavor.SYMMETRIC:
+                    # pivot-free elimination leaves some full-rank lanes unproven
+                    assert full > sum(proven), (side, height)
+                if r and r % 2 == 0:  # the Pfaffian reads only the upper triangle
+                    pf = exactla.lane_pfaffian(grid, r)
+                    assert pf == [pfaffian(mat, r) for mat in mats]
+                    if flavor == Flavor.SKEW:
+                        # an alternating lane is proven exactly when its
+                        # leading Pfaffian is nonzero
+                        assert proven == [p != 0 for p in pf]
+
+
+def test_a_lane_that_is_not_alternating_is_never_proven():
+    # one entry of each skew lane changed: a diagonal entry made nonzero, or
+    # one of a pair of opposite entries moved off its negative
+    states = derive_states(SeedStream(67).randints(200, 0, SEED_MAX), "not-alternating")
+    for side in range(1, 7):
+        r = side - side % 2
+        grid, mats = _flavored_lanes(Flavor.SKEW, side, states, 2)
+        assert any(degeneracy._proven_lanes(Flavor.SKEW, r, grid))
+        spots = [(i, i) for i in range(side)] + [(i, j) for i in range(side)
+                                                 for j in range(side) if i != j]
+        broken = [[list(v) for v in row] for row in grid]
+        for lane in range(len(mats)):
+            i, j = spots[lane % len(spots)]
+            broken[i][j][lane] += 1 + (lane // len(spots)) % 3
+        assert not any(degeneracy._proven_lanes(Flavor.SKEW, r, broken))
+
+
+def test_proving_nothing_changes_no_verdict(monkeypatch):
+    # with the certificate proving no lane, every point goes the scalar way;
+    # the verdicts of the 48 seed-5 charts of sp/so with n <= 8 and of a
+    # height-1 and a default-height sample of every chart with n <= 16 are
+    # unchanged, honestly and with no differential, where every degenerate
+    # point fails
+    real_transverse, verdicts = degeneracy.transverse_points, []
+
+    def recording_transverse(chart, draws):
+        verdicts.append(real_transverse(chart, draws))
+        return verdicts[-1]
+
+    def sweep():
+        verdicts.clear()
+        for n in range(2, 9):
+            for k in range(1, n):
+                for kind in (Kind.SP, Kind.SO):
+                    if kind != Kind.SP or n % 2 == 0:
+                        run_transversality_suite(Setup(kind, n, k), seed=5)
+        charts = len(verdicts)
+        for setup, center_last in _isotropy_setups(16):
+            chart = chart_for(setup, center_last)
+            rng = SeedStream(71).derive("prove-nothing", setup.describe(), center_last)
+            for height in (1, 9):
+                draws = degeneracy.draw_chart_points(setup.n, setup.k, rng, 20, height)
+                verdicts.append(real_transverse(chart, draws))
+        return charts, list(verdicts)
+
+    monkeypatch.setattr(degeneracy, "transverse_points", recording_transverse)
+    ranked = _recording_rank(monkeypatch)
+    real_proven = degeneracy._proven_lanes
+    for no_differential in (False, True):
+        if no_differential:
+            monkeypatch.setattr(degeneracy, "_differential_values", lambda *args: [])
+        monkeypatch.setattr(degeneracy, "_proven_lanes", real_proven)
+        ranked.clear()
+        charts, certified = sweep()
+        certified_ranks = len(ranked)
+        failures = sum(v.count(False) for v in certified)
+        assert charts == 48 and sum(map(len, certified)) == 48 * 100 + 116 * 40
+        assert failures > 20 if no_differential else failures == 0
+        monkeypatch.setattr(degeneracy, "_proven_lanes",
+                            lambda flavor, r, grid: [False] * len(grid[0][0]))
+        ranked.clear()
+        assert sweep() == (charts, certified)
+        assert len(ranked) > 5 * certified_ranks
 
 
 @pytest.fixture
@@ -502,9 +630,9 @@ def test_a_pairing_row_with_two_nonzeros_raises(monkeypatch):
     rng = SeedStream(53).derive("two-nonzeros")
     full = [a for a in (random_chart_point(5, 3, rng) for _ in range(20))
             if rank(section_value(SO53, a)) == 3]
-    assert full and degeneracy.transverse_points(chart, full) == [True] * len(full)
+    assert full and degeneracy.transverse_points(chart, chart_draws(full)) == [True] * len(full)
     with pytest.raises(AssertionError, match="two nonzeros"):
-        degeneracy.transverse_points(chart, full + [_zero_chart(5, 3)])
+        degeneracy.transverse_points(chart, chart_draws(full + [_zero_chart(5, 3)]))
 
 
 def _first_triple(real, change):
@@ -549,7 +677,6 @@ def test_constraint_rows_match_dense_products(monkeypatch, fresh_plans):
         "flipped triple": ("_section_plan", _first_triple(real_plan, lambda t: (
             (t[0], t[1], -t[2]),))),
     }
-    ranked = _recording_rank(monkeypatch)
     found = {}
     for name, patch in mutants.items():
         if patch:
@@ -561,10 +688,12 @@ def test_constraint_rows_match_dense_products(monkeypatch, fresh_plans):
             chart = chart_for(setup, center_last)
             rng = SeedStream(47).derive("quotient", setup.describe(), center_last)
             points = [random_chart_point(n, k, rng, height_bound=1) for _ in range(6)]
-            ranked.clear()
-            verdicts = degeneracy.transverse_points(chart, points)
-            # the lanes rank the values the (possibly wrong) plan gives
-            lanes = [chart.schur[0] + rank(phi) for phi in _phis(ranked)]
+            draws = chart_draws(points)
+            verdicts = degeneracy.transverse_points(chart, draws)
+            # the lanes hold the values the (possibly wrong) plan gives
+            _, phis = degeneracy._lane_values(chart, draws, 0, len(points))
+            lanes = [chart.schur[0] + rank(_lane(phis, i, _side(chart)))
+                     for i in range(len(points))]
             values = [value_rank(chart, section_value(setup, a, center_last)) for a in points]
             assert lanes == values, (name, setup, center_last)
             assert verdicts == [stacked_transversality(setup, a, center_last)

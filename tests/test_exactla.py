@@ -517,11 +517,12 @@ def test_sample_streams_pinned():
     from kcycle.orbits import IntersectionOrbit, Kind, Setup, base_point
 
     rng = SeedStream(7)
-    first, second = draw_chart_points(8, 4, rng, 2)
-    assert first.a.entries == (
-        -4, 5, 7, 2, -3, -9, 6, 1, -7, 0, 0, 7, 4, -8, 2, -4)
-    assert second.a.entries == (
-        -5, 3, 1, 9, -7, 2, -5, -1, 6, -4, -4, 0, -9, -2, -4, 6)
+    draws = draw_chart_points(8, 4, rng, 2)
+    first, second = draws[:16], draws[16:]
+    assert first == [
+        -4, 5, 7, 2, -3, -9, 6, 1, -7, 0, 0, 7, 4, -8, 2, -4]
+    assert second == [
+        -5, 3, 1, 9, -7, 2, -5, -1, 6, -4, -4, 0, -9, -2, -4, 6]
     assert rng.state == 14334736817860870823
 
     bp = base_point(Setup(Kind.GLPQ, 8, 4, p=4, q=4), IntersectionOrbit(2, 2))

@@ -9,8 +9,10 @@ benchmark run.  The tracer file is loaded read-only from perfbench/.
 import contextlib
 import importlib.util
 import io
+import pkgutil
 from pathlib import Path
 
+import kcycle
 from kcycle import cli, exactla
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -23,7 +25,21 @@ def _load_tracer():
     return module
 
 
+def _clear_package_caches():
+    """Empty every lru_cache in the package, as a fresh process has them.
+
+    Whether the traced runs make a rank call must not depend on which
+    tests ran before: with warm caches, orbits' base points and their
+    rank self-checks are not built again.
+    """
+    for info in pkgutil.iter_modules(kcycle.__path__):
+        for obj in vars(importlib.import_module(f"kcycle.{info.name}")).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
 def test_traced_verify_counts_ranks_and_restores_patches():
+    _clear_package_caches()
     originals = {"mul": exactla.QMatrix.__dict__["mul"],
                  "span": exactla.Subspace.__dict__["span"],
                  "rank": exactla.rank, "main": cli.main}
