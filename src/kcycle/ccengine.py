@@ -86,24 +86,13 @@ class CharacteristicCycle(_CycleFields):
         terms.extend((o, mults[o]) for o in rest)
         return cls(setup, target, tuple(terms))
 
-    def multiplicity(self, orbit) -> int:
-        for o, m in self.terms:
-            if o == orbit:
-                return m
-        return 0
-
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    @property
-    def irreducible(self) -> bool:
-        return len(self.terms) == 1
-
-    def describe(self, setup: Setup | None = None) -> str:
-        setup = setup or self.setup
+    def describe(self) -> str:
         parts = []
         for o, m in self.terms:
-            label = format_orbit(setup, o)
+            label = format_orbit(self.setup, o)
             parts.append(label if m == 1 else f"{m}*{label}")
         return " + ".join(parts)
 

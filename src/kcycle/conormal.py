@@ -9,24 +9,14 @@ For a GLpq orbit the conormal space is a pair of literal blocks, the
 maps h sending C^q/U into U cap C^p and l sending C^p/U into U cap C^q;
 it is the kernel of the sparse action image of Lie(K) (see orbits).
 
-A sampled covector is its two blocks.  Once per stratum,
-covector_sampler checks the kind, the height bound and that the orbit
-is not open, and works out the block shapes and their full ranks.
-draw_covectors then draws every trial of the stratum in one batch: it
-derives the streams of all trial seeds at once and draws each trial's
-first attempt, h and l row-major, in one draw_streams call.  Each
-trial's draw is a lane, and each block is certified full across all
-lanes at once (_certified_lanes): a vector block by a nonzero entry,
-any other by fraction-free Bareiss without pivoting on its leading
-k x k minor, k = min(rows, cols), one map per entry over the lanes,
-whose k pivots are all nonzero only if that minor is (the elimination
-is exactla.certify_full_lanes, which degeneracy shares).  A block with no
-rows or no columns has rank 0 and needs no proof.  Only a trial that
-some block leaves unproven is ranked, h before l, and, if it falls
-short, redraws from its own stream; the proof is exact, so every
-covector's blocks and ranks are those the ranks alone would give.  The
-covector keeps both blocks and both ranks, which the membership tests
-read; no k x (n-k) matrix is formed.
+A sampled covector is its two blocks and their ranks, which the
+membership tests read; no k x (n-k) matrix is formed.  covector_sampler
+checks a stratum once, and draw_covectors draws all its trials in one
+batch.  Each block is certified full across the trials at once, by
+exactla.certify_full_lanes on its leading k x k minor, k = min(rows,
+cols), whatever its shape; only a trial left unproven is ranked, and
+redrawn while short.  The proof is exact, so every covector is the one
+the ranks alone would give.
 """
 
 from __future__ import annotations
@@ -108,16 +98,13 @@ def covector_sampler(base: BasePoint, height_bound: int = 100) -> CovectorSample
 def _certified_lanes(draws: list, at: int, r: int, c: int) -> list:
     """Per draw, whether the r x c block at entry `at` is proven of rank min(r, c).
 
-    A lane is one draw.  A vector block is proven when some entry is
-    nonzero, which is exact.  Any other block's leading k x k minor,
-    k = min(r, c), goes to exactla.certify_full_lanes: fraction-free
-    Bareiss without pivoting across all lanes, which proves a lane of
-    rank k when every pivot is nonzero and leaves a lane with a zero
-    pivot unproven, whatever its rank.
+    A lane is one draw.  The block's leading k x k minor, k = min(r, c),
+    goes to exactla.certify_full_lanes: fraction-free Bareiss without
+    pivoting across all lanes, which proves a lane of rank k when every
+    pivot is nonzero and leaves a lane with a zero pivot unproven,
+    whatever its rank.
     """
     k = min(r, c)
-    if k == 1:
-        return list(map(any, map(itemgetter(slice(at, at + r * c)), draws)))
     # each minor entry's values across the lanes, as lists: zip(*draws) would
     # make tuples as long as the batch, which CPython keeps on a free list
     return certify_full_lanes(
@@ -130,9 +117,7 @@ _record = tuple.__new__
 
 
 def _blocks(draws: list, at: int, r: int, c: int):
-    """Per draw, its r x c block from entry `at` on, row-major; an empty block is shared."""
-    if not r * c:
-        return repeat(QMatrix(r, c, ()), len(draws))
+    """Per draw, its r x c block from entry `at` on, row-major."""
     # entries are ints, already canonical
     entries = map(tuple, map(itemgetter(slice(at, at + r * c)), draws))
     return map(_record, repeat(QMatrix), zip(repeat(r), repeat(c), entries))

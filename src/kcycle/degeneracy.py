@@ -101,17 +101,6 @@ def draw_chart_points(n: int, k: int, rng: SeedStream, count: int,
     return rng.randints(count * (n - k) * k, -height_bound, height_bound)
 
 
-def _chart_flavor(setup: Setup, center_last: bool) -> Flavor:
-    """The form's flavor, once the chart is checked to exist for the setup."""
-    n, k = setup.n, setup.k
-    flavor = form_flavor(setup.kind)  # raises for GLpq, which has no form
-    if k < n - k:
-        raise ValueError("chart sections require k >= n - k")
-    if center_last and n != 2 * k:
-        raise ValueError("the opposite chart only exists at n = 2k")
-    return flavor
-
-
 @lru_cache(maxsize=64)
 def _section_plan(kind: Kind, n: int, k: int, center_last: bool) -> tuple:
     """The affine section of a normalized chart: (constant entries, triples).
@@ -200,7 +189,11 @@ class Chart(NamedTuple):
 def chart_for(setup: Setup, center_last: bool = False) -> Chart:
     """Check the chart and gather its plans; raises ValueError where it does not exist."""
     n, k = setup.n, setup.k
-    flavor = _chart_flavor(setup, center_last)
+    flavor = form_flavor(setup.kind)  # raises for GLpq, which has no form
+    if k < n - k:
+        raise ValueError("chart sections require k >= n - k")
+    if center_last and n != 2 * k:
+        raise ValueError("the opposite chart only exists at n = 2k")
     top = k if flavor == Flavor.SYMMETRIC else k - (k % 2)
     const, plan = _section_plan(setup.kind, n, k, center_last)
     return Chart(setup, center_last, flavor, top, const, plan,
@@ -331,10 +324,6 @@ class TransversalityResult(NamedTuple):
 
     setup: Setup
     charts: tuple
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.charts)
 
 
 def run_transversality_suite(setup: Setup, points: int = 100,

@@ -7,21 +7,12 @@ are therefore stored integer-first and in canonical form: an entry is a
 Python int exactly when its value is integral, and a
 ``fractions.Fraction`` only when it is not.  A float entry raises
 TypeError, so a stray true division can never reach exact data.  Rank
-and reduced echelon forms are computed by elimination on integer rows;
-only rref's final division by its pivots can produce a Fraction.
-kernel reads a null space's canonical basis off a single rref.  A
-vector (at most one row or one column) is ranked without elimination,
-as 1 if any entry is nonzero and 0 otherwise, and so is a pair of
-vectors (two rows or two columns), by a closed form; a 3 x 3 matrix
-whose determinant is nonzero is ranked 3 by that determinant.  Any
-other integral matrix goes into rank's elimination as row slices of its
-entries, with no scan or copy through int_rows; only a matrix holding a
-Fraction is cleared of denominators first.  That elimination is Bareiss's with a
-lazy scale: a row with a zero in the pivot column is left alone, and
-each row keeps the pivot it was last updated against, by which its next
-update divides exactly (see rank).  The sparse product rows of the
-transversality sweep then cost about their nonzeros, not every row
-times every pivot.
+and reduced echelon forms are computed by fraction-free elimination on
+integer rows, and only rref's final division by its pivots can produce
+a Fraction.  rank skips elimination for a vector and is otherwise one
+Bareiss elimination with a lazy scale, so the sparse product rows of
+the transversality sweep cost about their nonzeros (see rank).  kernel
+reads a null space's canonical basis off a single rref.
 
 Batches of small int matrices are proven of full rank as lanes, with
 no matrix built per lane: a grid holds one sequence per entry, of that
@@ -36,7 +27,8 @@ OOPSLA 2014).  _mix64 holds the one copy of the mix, and draw_streams
 the one copy of the draw: count values from [lo, hi] on each of many
 stream states, and the states after them.  SeedStream is one such
 stream; its randints(count, lo, hi) is draw_streams on its own state,
-exactly the values, and the final state, of count calls to randint.
+and count one-value calls of it draw the same values and end in the
+same state.
 derive_states derives the streams of many seeds under one tag, as
 SeedStream(seed).derive(tag) does for one, so a caller that draws per
 seed builds no SeedStream per seed.
@@ -115,14 +107,6 @@ class QMatrix(NamedTuple):
         rows = [[col[i] for col in cols] for i in range(ncols_ambient)]
         return cls.from_rows(rows) if cols else cls(ncols_ambient, 0, ())
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls(nrows, ncols, (0,) * (nrows * ncols))
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.ncols + j]
@@ -146,16 +130,6 @@ class QMatrix(NamedTuple):
         return QMatrix.from_rows(
             [[sum(map(operator.mul, self.row(i), c)) for c in cols] for i in range(self.nrows)]
         )
-
-    def add(self, other: "QMatrix") -> "QMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in sum")
-        return QMatrix(self.nrows, self.ncols,
-                       tuple(_q(a + b) for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c) -> "QMatrix":
-        c = _q(c)
-        return QMatrix(self.nrows, self.ncols, tuple(_q(c * x) for x in self.entries))
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.nrows != other.nrows:
@@ -202,15 +176,10 @@ def rank(m: QMatrix) -> int:
 
     A vector (at most one row or at most one column, empty shapes
     included) needs no elimination: its rank is 1 if any entry is
-    nonzero, else 0.  Nor does a pair of vectors a, b (two rows or two
-    columns): its rank is 2 unless every 2 x 2 minor vanishes, that is,
-    for p the first nonzero entry of a and q the entry of b beside it,
-    unless q * a == p * b.  A 3 x 3 matrix has rank 3 when its cofactor
-    determinant is nonzero, for int and Fraction entries alike; a
-    singular one goes on to elimination.  Any other integral matrix is
-    eliminated on row slices of its entries, which the loop replaces and
-    never mutates; only a matrix holding a Fraction is rescaled to
-    integer rows by int_rows.
+    nonzero, else 0.  Any other integral matrix is eliminated on row
+    slices of its entries, which the loop replaces and never mutates;
+    only a matrix holding a Fraction is rescaled to integer rows by
+    int_rows.
 
     A row with a zero in the pivot column is left alone.  Plain Bareiss
     multiplies every remaining row through at every pivot, pv being the
@@ -234,16 +203,6 @@ def rank(m: QMatrix) -> int:
     e, nr, nc = m.entries, m.nrows, m.ncols
     if nr < 2 or nc < 2:
         return 1 if any(e) else 0
-    if nr == 2 or nc == 2:
-        a, b = (e[:nc], e[nc:]) if nr == 2 else (e[::2], e[1::2])
-        p = next(filter(None, a), 0)
-        if not p:
-            return 1 if any(b) else 0
-        q = b[a.index(p)]
-        return 1 if [q * x for x in a] == [p * y for y in b] else 2
-    if nr == nc == 3 and (e[0] * (e[4] * e[8] - e[5] * e[7]) - e[1] * (e[3] * e[8] - e[5] * e[6])
-                          + e[2] * (e[3] * e[7] - e[4] * e[6])):
-        return 3
     if _all_int(e):
         rows = [r for r in (e[i:i + nc] for i in range(0, len(e), nc)) if any(r)]
     else:
@@ -367,8 +326,8 @@ def rref(m: QMatrix):
     return pivots, rows
 
 
-def kernel(m: QMatrix) -> "Subspace":
-    """Right null space {x : m x = 0} as a subspace of Q^ncols, by one rref.
+def kernel(m: QMatrix) -> QMatrix:
+    """A basis of the right null space {x : m x = 0}, as columns, by one rref.
 
     m is reduced with its columns reversed (its entries reversed, which
     also reverses the rows and so leaves the row space, hence the rref,
@@ -376,7 +335,8 @@ def kernel(m: QMatrix) -> "Subspace":
     f then has its leading 1 at f, its other nonzeros at pivot columns
     after f, and zeros at the other free columns.  Taken as rows by
     increasing f, these vectors are therefore the kernel's reduced row
-    echelon form: the canonical basis Subspace.span would return.
+    echelon form, so the basis is canonical: two matrices have equal
+    kernels exactly when their kernel bases are equal.
     """
     nc = m.ncols
     pivots, rows = rref(QMatrix(m.nrows, nc, m.entries[::-1]))
@@ -389,92 +349,16 @@ def kernel(m: QMatrix) -> "Subspace":
         for r_i, c in enumerate(pivots):
             v[nc - 1 - c] = -rows[r_i][f]
         vectors.append(v)
-    return Subspace(nc, QMatrix.from_cols(nc, vectors))
+    return QMatrix.from_cols(nc, vectors)
 
 
-def solve(m: QMatrix, v: Sequence):
-    """One solution x of m x = v, or None if inconsistent."""
-    aug = m.hstack(QMatrix.from_rows([[x] for x in v]))
-    pivots, rows = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [0] * m.ncols
-    for r_i, c in enumerate(pivots):
-        x[c] = rows[r_i][m.ncols]
-    return x
-
-
-def _check_ambient(a: "Subspace", b: "Subspace") -> None:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("subspaces of different ambient spaces")
-
-
-class Subspace(NamedTuple):
-    """Column span with a canonical (column-reduced) basis.
-
-    Canonical form makes equality of subspaces plain field equality.
-    """
-
-    ambient_dim: int
-    basis: QMatrix  # ambient_dim x dim, full column rank, canonical
+class Subspace:
+    """A placeholder that the benchmark's tracer (perfbench/tracer.py) patches
+    by name; the package has no subspace type, and tests/reference.py has one."""
 
     @classmethod
-    def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in vecs):
-            raise ValueError("vector outside the ambient space")
-        if not vecs:
-            return cls(ambient_dim, QMatrix(ambient_dim, 0, ()))
-        _, rows = rref(QMatrix.from_rows(vecs))
-        rows = [r for r in rows if any(r)]
-        return cls(ambient_dim, QMatrix.from_rows(rows).transpose() if rows
-                   else QMatrix(ambient_dim, 0, ()))
-
-    @classmethod
-    def from_matrix(cls, m: QMatrix) -> "Subspace":
-        return cls.span(m.nrows, [m.col(j) for j in range(m.ncols)])
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, QMatrix.identity(ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, QMatrix(ambient_dim, 0, ()))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.ncols
-
-    def contains_vector(self, v: Sequence) -> bool:
-        return solve(self.basis, v) is not None
-
-    def contains(self, other: "Subspace") -> bool:
-        _check_ambient(self, other)
-        stacked = self.basis.hstack(other.basis)
-        return rank(stacked) == self.dim
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        _check_ambient(self, other)
-        return Subspace.from_matrix(self.basis.hstack(other.basis))
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        _check_ambient(self, other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # x = B1 a = B2 b; solve [B1 | -B2] (a,b) = 0 and map a through B1.
-        paired = self.basis.hstack(other.basis.scale(-1))
-        ker = kernel(paired)
-        vecs = []
-        for j in range(ker.dim):
-            a = ker.basis.col(j)[: self.dim]
-            vecs.append(
-                [
-                    sum(self.basis[i, c] * a[c] for c in range(self.dim))
-                    for i in range(self.ambient_dim)
-                ]
-            )
-        return Subspace.span(self.ambient_dim, vecs)
+    def span(cls, *args):
+        raise TypeError("kcycle has no Subspace; tests/reference.py holds the oracle")
 
 
 _MASK64 = (1 << 64) - 1
@@ -553,8 +437,7 @@ def _draw_segments(heads: Sequence[int], m: int, lo: int, span: int) -> list:
 def draw_streams(states: Sequence[int], count: int, lo: int, hi: int) -> tuple:
     """count draws from [lo, hi] on each stream state: (draw lists, final states).
 
-    The draws of a state are the values, and its final state the state,
-    of count randint calls on a SeedStream in that state: draw j is
+    The draws of a state are those of a SeedStream in that state: draw j is
     lo + mix(state + (j+1)*gamma mod 2^64) mod (hi - lo + 1), and the
     final state is state + count*gamma mod 2^64.  The mixing is done on
     packed 128-bit lanes, at most _LANES to a chunk: _LANES // count
@@ -622,14 +505,8 @@ class SeedStream:
         check_seed(seed)
         self.state = seed
 
-    def next_u64(self) -> int:
-        return self.randints(1, 0, _MASK64)[0]
-
-    def randint(self, lo: int, hi: int) -> int:
-        return self.randints(1, lo, hi)[0]
-
     def randints(self, count: int, lo: int, hi: int) -> list:
-        """count draws from [lo, hi]: the values, and final state, of count randint calls."""
+        """count draws from [lo, hi]; count one-value calls give the same values and state."""
         (out,), (self.state,) = draw_streams((self.state,), count, lo, hi)
         return out
 

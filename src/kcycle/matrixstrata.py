@@ -93,28 +93,14 @@ class StratumId(_StratumFields):
             raise ValueError("skew matrices have even rank")
         return tuple.__new__(cls, (flavor, size, rank))
 
-    def label(self) -> str:
-        idx = self.rank if self.flavor == Flavor.SYMMETRIC else self.rank // 2
-        return f"O{idx}"
-
 
 class MatrixCC(NamedTuple):
     """Characteristic cycle of a rank stratum: stratum -> multiplicity."""
 
     terms: tuple  # ((StratumId, mult), ...) ordered by decreasing rank
 
-    def multiplicity(self, sid: StratumId) -> int:
-        for s, mult in self.terms:
-            if s == sid:
-                return mult
-        return 0
-
     def as_dict(self) -> dict:
         return dict(self.terms)
-
-    @property
-    def irreducible(self) -> bool:
-        return len(self.terms) == 1
 
 
 def cc_table(flavor: Flavor, m: int, r: int) -> MatrixCC:

@@ -658,13 +658,16 @@ def _intersection_lie_basis(setup: Setup) -> tuple:
     return tuple(((a, b, 1),) for block in blocks for a in block for b in block)
 
 
-_Q_RE = re.compile(r"^q\((\d+),(\d+)\)$")
+# a label's numbers are ASCII numerals without leading zeros, as format_orbit
+# writes them: q(01,1), or a label with another script's digit, is no label
+_NUMERAL = "0|[1-9][0-9]*"
+_Q_RE = re.compile(rf"q\(({_NUMERAL}),({_NUMERAL})\)")
 
 INTERSECTION = Family(
     labels=(IntersectionOrbit,), forms=(), suites=frozenset({"microlocal", "smallness"}),
     valid=_intersection_valid, orbits=_intersection_orbits,
     text=lambda setup, orbit: f"q({orbit.s},{orbit.t})",
-    parse=lambda setup, text: (m := _Q_RE.match(text)) and IntersectionOrbit(int(m[1]), int(m[2])),
+    parse=lambda setup, text: (m := _Q_RE.fullmatch(text)) and IntersectionOrbit(int(m[1]), int(m[2])),
     leq=lambda setup, a, b: a.s >= b.s and a.t >= b.t, split_labels=lambda setup: (),
     base_columns=_glpq_base_columns, classify=_intersection_classify,
     lie_basis=_intersection_lie_basis, normalize=_intersection_normalize,
@@ -705,11 +708,11 @@ def _radical_text(setup: Setup, orbit) -> str:
     return f"rad{orbit.i}"
 
 
-_RAD_RE = re.compile(r"^rad(\d+)([+-]?)$")
+_RAD_RE = re.compile(rf"rad({_NUMERAL})([+-]?)")
 
 
 def _radical_parse(setup: Setup, text: str):
-    m = _RAD_RE.match(text)
+    m = _RAD_RE.fullmatch(text)
     if not m:
         return None
     i, sgn = int(m.group(1)), m.group(2)

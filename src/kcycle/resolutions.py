@@ -114,7 +114,7 @@ def _image_frame(block: QMatrix, dim: int) -> QMatrix:
 
 def _kernel_frame(h: QMatrix, dim: int) -> QMatrix:
     """dim independent kernel vectors of h, in its column coordinates; needs dim <= nullity."""
-    basis = kernel(h).basis
+    basis = kernel(h)
     return basis.submatrix(range(basis.nrows), range(dim))
 
 

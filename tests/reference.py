@@ -3,6 +3,10 @@
 Each function recomputes something the package computes another way,
 so a test can compare the two, or builds seeded test data:
 
+* ``zeros``, ``identity``, ``add``, ``scale``, ``solve``, ``randint``,
+  ``next_u64``, ``glpq`` and ``setups`` build test data the package never needs.
+  ``Subspace`` is a column span held by the canonical basis that
+  ``exactla.kernel`` returns for a null space; the package has none.
 * ``draw_streams_by_loop`` is splitmix64 (Steele, Lea and Flood 2014)
   one value at a time; ``exactla.draw_streams`` mixes a batch as packed
   lanes of one integer and must give the same draws and final states.
@@ -85,6 +89,7 @@ so a test can compare the two, or builds seeded test data:
   the two routes per resolution.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
@@ -99,7 +104,7 @@ from kcycle.conormal import (
     draw_covectors,
 )
 from kcycle.degeneracy import _differential_values
-from kcycle.exactla import QMatrix, SeedStream, Subspace, kernel, rank, rref, solve
+from kcycle.exactla import SEED_MAX, QMatrix, SeedStream, kernel, rank, rref
 from kcycle.matrixstrata import (
     Flavor,
     StratumId,
@@ -118,6 +123,7 @@ from kcycle.orbits import (
     Setup,
     SplitOrbit,
     base_point,
+    form_flavor,
     form_sign,
     gram_matrix,
     is_split_setup,
@@ -129,6 +135,114 @@ from kcycle.resolutions import ResolutionKind, Witness
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
+
+def zeros(nrows: int, ncols: int) -> QMatrix:
+    return QMatrix(nrows, ncols, (0,) * (nrows * ncols))
+
+
+def identity(n: int) -> QMatrix:
+    return QMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+
+
+def add(a: QMatrix, b: QMatrix) -> QMatrix:
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch in sum")
+    return QMatrix.from_flat(a.nrows, a.ncols, map(operator.add, a.entries, b.entries))
+
+
+def scale(a: QMatrix, c) -> QMatrix:
+    (c,) = QMatrix.from_flat(1, 1, [c]).entries  # canonical; a float raises TypeError
+    return QMatrix.from_flat(a.nrows, a.ncols, [c * x for x in a.entries])
+
+
+def solve(m: QMatrix, v: Sequence):
+    """One solution x of m x = v, or None if inconsistent."""
+    aug = m.hstack(QMatrix.from_rows([[x] for x in v]))
+    pivots, rows = rref(aug)
+    if m.ncols in pivots:
+        return None
+    x = [0] * m.ncols
+    for r_i, c in enumerate(pivots):
+        x[c] = rows[r_i][m.ncols]
+    return x
+
+
+class Subspace(NamedTuple):
+    """Column span with a canonical (column-reduced) basis.
+
+    Canonical form makes equality of subspaces plain field equality.
+    """
+
+    ambient_dim: int
+    basis: QMatrix  # ambient_dim x dim, full column rank, canonical
+
+    @classmethod
+    def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+        vecs = [list(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector outside the ambient space")
+        if not vecs:
+            return cls(ambient_dim, QMatrix(ambient_dim, 0, ()))
+        _, rows = rref(QMatrix.from_rows(vecs))
+        rows = [r for r in rows if any(r)]
+        return cls(ambient_dim, QMatrix.from_rows(rows).transpose() if rows
+                   else QMatrix(ambient_dim, 0, ()))
+
+    @classmethod
+    def from_matrix(cls, m: QMatrix) -> "Subspace":
+        return cls.span(m.nrows, [m.col(j) for j in range(m.ncols)])
+
+    @property
+    def dim(self) -> int:
+        return self.basis.ncols
+
+    def _check_ambient(self, other: "Subspace") -> None:
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("subspaces of different ambient spaces")
+
+    def contains_vector(self, v: Sequence) -> bool:
+        return solve(self.basis, v) is not None
+
+    def contains(self, other: "Subspace") -> bool:
+        self._check_ambient(other)
+        return rank(self.basis.hstack(other.basis)) == self.dim
+
+    def sum(self, other: "Subspace") -> "Subspace":
+        self._check_ambient(other)
+        return Subspace.from_matrix(self.basis.hstack(other.basis))
+
+    def intersection(self, other: "Subspace") -> "Subspace":
+        # x = B1 a = B2 b: the a of the kernel of [B1 | -B2], mapped through B1
+        self._check_ambient(other)
+        ker = kernel(self.basis.hstack(scale(other.basis, -1)))
+        a = ker.submatrix(range(self.dim), range(ker.ncols))
+        return Subspace.from_matrix(self.basis.mul(a))
+
+
+def glpq(n: int, k: int, p: int, q: int) -> Setup:
+    return Setup(Kind.GLPQ, n, k, p=p, q=q)
+
+
+def setups(max_n: int, kinds=tuple(Kind)) -> list:
+    """Every setup of the kinds with n <= max_n, by n, then k, then kind, GLpq by p."""
+    out = []
+    for n in range(2, max_n + 1):
+        for k in range(1, n):
+            for kind in kinds:
+                if kind == Kind.GLPQ:
+                    out += [glpq(n, k, p, n - p) for p in range(1, n)]
+                elif kind == Kind.SO or n % 2 == 0:
+                    out.append(Setup(kind, n, k))
+    return out
+
+
+def randint(rng: SeedStream, lo: int, hi: int) -> int:
+    return rng.randints(1, lo, hi)[0]
+
+
+def next_u64(rng: SeedStream) -> int:
+    return rng.randints(1, 0, SEED_MAX)[0]
+
 
 def draw_streams_by_loop(states: Sequence[int], count: int, lo: int, hi: int) -> tuple:
     """count draws from [lo, hi] on each splitmix64 state, one value at a time."""
@@ -177,7 +291,7 @@ def random_matrix_from(rng: SeedStream, nrows: int, ncols: int, height_bound: in
 def inverse(m: QMatrix) -> QMatrix:
     assert m.nrows == m.ncols
     n = m.nrows
-    pivots, rows = rref(m.hstack(QMatrix.identity(n)))
+    pivots, rows = rref(m.hstack(identity(n)))
     assert pivots == list(range(n)), "matrix is singular"
     return QMatrix.from_rows([row[n:] for row in rows])
 
@@ -186,10 +300,10 @@ def solve_homogeneous(constraints: Iterable[Sequence], dim: int) -> "Subspace":
     """Common kernel of a list of linear functionals on Q^dim."""
     rows = [list(c) for c in constraints]
     if not rows:
-        return Subspace.full(dim)
+        return Subspace(dim, identity(dim))
     for row in rows:
         assert len(row) == dim, "functional on the wrong coordinate space"
-    return kernel(QMatrix.from_rows(rows))
+    return Subspace(dim, kernel(QMatrix.from_rows(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +341,10 @@ def flavor_coords(x: QMatrix, flavor: Flavor) -> tuple:
 def flavor_from_coords(coords, flavor: Flavor, m: int) -> QMatrix:
     basis = coordinate_basis(flavor, m)
     assert len(coords) == len(basis)
-    acc = QMatrix.zeros(m, m)
+    acc = zeros(m, m)
     for c, b in zip(coords, basis):
         if c:
-            acc = acc.add(b.scale(c))
+            acc = add(acc, scale(b, c))
     return acc
 
 
@@ -264,7 +378,7 @@ def tangent_space_at(x: QMatrix, flavor: Flavor) -> Subspace:
             rows = [[0] * m for _ in range(m)]
             rows[a][b] = 1
             y = QMatrix.from_rows(rows)
-            vecs.append(flavor_coords(y.mul(x).add(x.mul(y.transpose())), flavor))
+            vecs.append(flavor_coords(add(y.mul(x), x.mul(y.transpose())), flavor))
     return Subspace.span(flavor_dim(flavor, m), vecs)
 
 
@@ -317,7 +431,7 @@ def conormal_space(base: BasePoint) -> Subspace:
         vecs = [_unit(k, nk, j, c) for j in rows[0] for c in cols[2]]
         vecs += [_unit(k, nk, j, c) for j in rows[1] for c in cols[0]]
         return Subspace.span(k * nk, vecs)
-    return kernel(action_image(base.setup, base.orbit))
+    return Subspace(k * nk, kernel(action_image(base.setup, base.orbit)))
 
 
 def max_conormal_rank(setup: Setup, orbit) -> int:
@@ -391,14 +505,9 @@ def flavor_certificate(phi: QMatrix, flavor: Flavor, r: int) -> bool:
 
 
 def leading_minor_certificate(m: QMatrix) -> bool:
-    """Whether the lane certificate proves m of rank min(r, c).
-
-    A vector is proven by a nonzero entry; any other matrix by nonzero
-    leading principal minors of orders 1 to min(r, c).
-    """
+    """Whether the lane certificate proves m of rank min(r, c): by nonzero
+    leading principal minors of orders 1 to min(r, c), for a vector too."""
     k = min(m.nrows, m.ncols)
-    if k == 1:
-        return any(m.entries)
     return all(det(m.submatrix(range(i), range(i))) for i in range(1, k + 1))
 
 
@@ -549,7 +658,12 @@ def random_chart_point(n: int, k: int, rng: SeedStream, height_bound: int = 9) -
 
 def check_chart(setup: Setup, a: ChartPoint, center_last: bool) -> None:
     """The chart exists for the setup and ``a`` has its (n-k) x k shape."""
-    degeneracy._chart_flavor(setup, center_last)
+    n, k = setup.n, setup.k
+    form_flavor(setup.kind)  # raises for GLpq, which has no form
+    if k < n - k:
+        raise ValueError("chart sections require k >= n - k")
+    if center_last and n != 2 * k:
+        raise ValueError("the opposite chart only exists at n = 2k")
     if a.a.nrows != setup.n - setup.k or a.a.ncols != setup.k:
         raise ValueError("chart point must be (n-k) x k")
 
@@ -721,7 +835,7 @@ def ambient_membership_Ztilde(xi: ConormalVector, s: int,
         return False, None
     # lift kernel vectors of h from pure C^q/U coordinates into C^n
     q_vectors = [bp.basis.col(k + c) for c in block_ranges(bp)[1][2]]
-    lifted = _ambient_columns(bp, kernel(xi.h_block).basis, q_vectors)[:bp.row_groups[0] - s]
+    lifted = _ambient_columns(bp, kernel(xi.h_block), q_vectors)[:bp.row_groups[0] - s]
     u_and_p = [bp.basis.col(j) for j in range(k)] + \
         [[int(i == a) for i in range(n)] for a in range(p)]
     v = Subspace.span(n, u_and_p + lifted)

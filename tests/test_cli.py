@@ -243,10 +243,14 @@ def test_usage_errors(capsys):
         ["verify"] + GLPQ + ["--suite", "microlocal", "--trials", trials]
         for trials in (str(1 << 62), "99999999999999999999")
     ]
-    for argv in cases + vacuous + oversized:
+    # a label spelled with a leading zero or a non-ASCII digit is no label
+    labels = [["cc"] + GLPQ + ["--orbit", "q(01,1)"], ["cc"] + SO63 + ["--orbit", "rad\u0662"]]
+    for argv in cases + vacuous + oversized + labels:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == "", argv
+        if argv in labels:
+            assert err == f"error: cannot parse orbit label: {argv[-1]!r}\n"
         if argv in vacuous:
             assert err.startswith("error: suite ") and len(err.splitlines()) == 1
         if argv in oversized:

@@ -24,6 +24,7 @@ from kcycle.orbits import (
 )
 from reference import (
     ChartPoint,
+    add,
     chart_draws,
     chart_points,
     conormal_solutions,
@@ -31,16 +32,21 @@ from reference import (
     coordinate_basis,
     flavor_certificate,
     form_matrix,
+    identity,
     is_flavored,
     pfaffian,
+    randint,
     random_chart_point,
+    scale,
     schur_complement,
     section_differential_image,
     section_value,
+    setups,
     stacked_transversality,
     trace_pairing,
     value_rank,
     verify_transversality,
+    zeros,
 )
 
 SO53 = Setup(Kind.SO, 5, 3)
@@ -48,24 +54,21 @@ SP64 = Setup(Kind.SP, 6, 4)
 
 
 def _zero_chart(n, k):
-    return ChartPoint(QMatrix.zeros(n - k, k))
+    return ChartPoint(zeros(n - k, k))
 
 
 def _isotropy_setups(max_n):
     """Every normalized sp/so setup with n <= max_n, with its charts."""
-    for n in range(2, max_n + 1):
-        for k in range((n + 1) // 2, n):
-            for kind in (Kind.SP, Kind.SO):
-                if kind == Kind.SP and n % 2:
-                    continue
-                for center_last in (False, True) if n == 2 * k else (False,):
-                    yield Setup(kind, n, k), center_last
+    for setup in setups(max_n, (Kind.SP, Kind.SO)):
+        if 2 * setup.k >= setup.n:
+            for center_last in (False, True) if setup.n == 2 * setup.k else (False,):
+                yield setup, center_last
 
 
 def _frame(a, center_last):
     """The n x k chart frame: the identity block over ``a``, or under it."""
     m, k = a.a.nrows, a.a.ncols
-    ident = QMatrix.identity(k).entries
+    ident = identity(k).entries
     entries = a.a.entries + ident if center_last else ident + a.a.entries
     return QMatrix(m + k, k, entries)
 
@@ -218,7 +221,8 @@ def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
         flavor, side, r = chart.flavor, _side(chart), chart.top - chart.schur[0]
         ranked.clear()
         drawn.clear()
-        assert run_transversality_suite(setup, points=100, seed=seed).all_ok
+        result = run_transversality_suite(setup, points=100, seed=seed)
+        assert all(c.ok for c in result.charts)
         values = [section_value(setup, a) for a in drawn]
         full = [rank(x) == _top_rank(setup) for x in values]
         proven = [flavor_certificate(_reference_phi(chart, x), flavor, r) for x in values]
@@ -253,7 +257,8 @@ def test_each_chart_is_set_up_once(monkeypatch):
 
     monkeypatch.setattr(degeneracy, "chart_for", counting_chart)
     monkeypatch.setattr(degeneracy, "transverse_points", counting_transverse)
-    assert run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1).all_ok
+    result = run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1)
+    assert all(c.ok for c in result.charts)
     assert [c.center_last for c in built] == [False, True]
     assert [(c is b, count) for (c, count), b in zip(judged, built)] == [(True, 30 * 16)] * 2
     assert len(judged) == 2
@@ -294,7 +299,7 @@ def test_points_of_the_wrong_shape_raise():
             degeneracy.transverse_points(chart, [0] * length)
     for shape in ((2, 4), (4, 1), (1, 2)):
         with pytest.raises(ValueError, match="chart point"):
-            verify_transversality(setup, ChartPoint(QMatrix.zeros(*shape)))
+            verify_transversality(setup, ChartPoint(zeros(*shape)))
     assert degeneracy.transverse_points(chart, [0] * 4) == [True]
     assert degeneracy.transverse_points(chart, [0] * 1200) == [True] * 300
 
@@ -320,7 +325,8 @@ def test_chart_points_are_drawn_in_one_batch(monkeypatch):
         return real_randints(self, count, lo, hi)
 
     monkeypatch.setattr(SeedStream, "randints", counting_randints)
-    assert run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1).all_ok
+    result = run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1)
+    assert all(c.ok for c in result.charts)
     assert draws == [(30 * 16, -9, 9)] * 2
 
 
@@ -402,11 +408,8 @@ def test_proving_nothing_changes_no_verdict(monkeypatch):
 
     def sweep():
         verdicts.clear()
-        for n in range(2, 9):
-            for k in range(1, n):
-                for kind in (Kind.SP, Kind.SO):
-                    if kind != Kind.SP or n % 2 == 0:
-                        run_transversality_suite(Setup(kind, n, k), seed=5)
+        for setup in setups(8, (Kind.SP, Kind.SO)):
+            run_transversality_suite(setup, seed=5)
         charts = len(verdicts)
         for setup, center_last in _isotropy_setups(16):
             chart = chart_for(setup, center_last)
@@ -509,8 +512,8 @@ def test_differential_values_do_not_depend_on_the_point():
                 for c in range(k):
                     e = QMatrix.from_rows([[int((i, j) == (r, c)) for j in range(k)]
                                            for i in range(n - k)])
-                    step = section_value(setup, ChartPoint(p.a.add(e)), center_last)
-                    assert values[r * k + c] == step.add(base.scale(-1))
+                    step = section_value(setup, ChartPoint(add(p.a, e)), center_last)
+                    assert values[r * k + c] == add(step, scale(base, -1))
 
 
 def test_section_values_are_flavored():
@@ -556,7 +559,7 @@ def test_rank_matches_orbit_classification():
         for _ in range(30):
             a = random_chart_point(n, k, rng, height_bound=3)
             x = section_value(setup, a)
-            frame = QMatrix.from_rows(QMatrix.identity(k).rows() + a.a.rows())
+            frame = QMatrix.from_rows(identity(k).rows() + a.a.rows())
             orbit = orbit_of(setup, frame)
             assert isinstance(orbit, RadicalOrbit)
             assert orbit.i == k - rank(x)
@@ -567,14 +570,14 @@ def test_rank_matches_orbit_classification():
 def test_transversality_at_random_points():
     for setup in (SO53, Setup(Kind.SP, 6, 3), Setup(Kind.SO, 7, 5)):
         result = run_transversality_suite(setup, points=25, seed=7)
-        assert result.all_ok
+        assert all(c.ok for c in result.charts)
         assert [c.center_last for c in result.charts] == [False]
 
 
 def test_split_setups_use_both_charts():
     result = run_transversality_suite(Setup(Kind.SO, 6, 3), points=15, seed=2)
     assert [c.center_last for c in result.charts] == [False, True]
-    assert result.all_ok
+    assert all(c.ok for c in result.charts)
     # symplectic square setups have one family only, hence one chart
     sp = run_transversality_suite(Setup(Kind.SP, 6, 3), points=5, seed=2)
     assert [c.center_last for c in sp.charts] == [False]
@@ -583,7 +586,7 @@ def test_split_setups_use_both_charts():
 def test_suite_normalizes_small_k():
     result = run_transversality_suite(Setup(Kind.SO, 7, 2), points=10, seed=4)
     assert result.setup == Setup(Kind.SO, 7, 5)
-    assert result.all_ok
+    assert all(c.ok for c in result.charts)
 
 
 def test_suite_is_deterministic():
@@ -599,7 +602,7 @@ def test_transversality_on_the_degenerate_locus():
     rng = SeedStream(23).derive("degenerate-locus")
     hits = 0
     for _ in range(20):
-        a2, a4, b = (rng.randint(-4, 4) for _ in range(3))
+        a2, a4, b = (randint(rng, -4, 4) for _ in range(3))
         a = ChartPoint(QMatrix.from_rows([[a2 * a4 + 2 * b * b, a2, 2 * b, a4]]))
         x = section_value(setup, a)
         assert rank(x) == 3
@@ -727,17 +730,17 @@ def test_differential_is_the_exact_central_difference():
                 for c in range(k):
                     e = QMatrix.from_rows([[int((i, j) == (r, c)) for j in range(k)]
                                            for i in range(n - k)])
-                    plus = section_value(setup, ChartPoint(a.a.add(e)), center_last)
-                    minus = section_value(setup, ChartPoint(a.a.add(e.scale(-1))),
+                    plus = section_value(setup, ChartPoint(add(a.a, e)), center_last)
+                    minus = section_value(setup, ChartPoint(add(a.a, scale(e, -1))),
                                           center_last)
-                    assert values[r * k + c] == plus.add(minus.scale(-1)).scale(Fraction(1, 2))
+                    assert values[r * k + c] == scale(add(plus, scale(minus, -1)), Fraction(1, 2))
 
 
 def test_chart_preconditions():
     with pytest.raises(ValueError):
-        section_value(Setup(Kind.SO, 5, 2), ChartPoint(QMatrix.zeros(3, 2)))
+        section_value(Setup(Kind.SO, 5, 2), ChartPoint(zeros(3, 2)))
     with pytest.raises(ValueError):
-        section_value(SO53, ChartPoint(QMatrix.zeros(3, 2)))
+        section_value(SO53, ChartPoint(zeros(3, 2)))
     with pytest.raises(ValueError):
         section_value(SO53, _zero_chart(5, 3), center_last=True)
     with pytest.raises(ValueError):
@@ -772,12 +775,7 @@ def test_pullback_examples():
 
 def test_pullback_constructs_everywhere():
     # the cycle type validates closure support and lead multiplicity
-    for n in range(2, 9):
-        for k in range(1, n):
-            for kind in (Kind.SP, Kind.SO):
-                if kind == Kind.SP and n % 2:
-                    continue
-                setup = Setup(kind, n, k)
-                for orbit in enumerate_orbits(setup):
-                    cc = pullback_cc(setup, orbit)
-                    assert cc.multiplicity(orbit) == 1
+    for setup in setups(8, (Kind.SP, Kind.SO)):
+        for orbit in enumerate_orbits(setup):
+            cc = pullback_cc(setup, orbit)
+            assert cc.as_dict()[orbit] == 1

@@ -7,9 +7,17 @@ were taken before the Lie-algebra action image was rebuilt on sparse
 basis elements and must not be re-recorded to make a change pass;
 update one only for a change that is meant to alter that output, and
 say so where the change is described.
+
+documents.txt, which the CI loop also reads, lists one document a line:
+its name, stdout digest and arguments.  Each renders twice in-process,
+then all once more in one child process under python -O.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +102,34 @@ def test_stdout_digest(capsys, argv, digest):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+DOCUMENTS = [(name, digest, argv) for name, digest, *argv in map(
+    str.split, (Path(__file__).resolve().parent / "documents.txt").read_text().splitlines())]
+
+
+@pytest.mark.parametrize("name,digest,argv", DOCUMENTS, ids=[name for name, _, _ in DOCUMENTS])
+def test_document_digest(capsys, name, digest, argv):
+    # the second rendering runs on the caches that the first one filled
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_document_digests_under_optimize():
+    script = (
+        "import contextlib, hashlib, io, sys\n"
+        "from kcycle import cli\n"
+        "for line in sys.stdin:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.main(line.split())\n"
+        "    print(code, hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest())\n"
+        "print('optimize', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          input="".join(" ".join(argv) + "\n" for _, _, argv in DOCUMENTS),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [f"0 {digest}" for _, digest, _ in DOCUMENTS] + [
+        "optimize 1"]

@@ -1,16 +1,18 @@
 """The package's internal import graph has no cycles, the package
 imports nothing outside the standard library, every module-level
-definition in it is reached from an entry point, every field of its
+definition and method in it is reached from an entry point, every field of its
 NamedTuple records is read in it, no module but orbits branches on the
 setup kind, and a kcycle process loads neither dataclasses nor inspect.
 
 Every import of a kcycle module is counted, including imports inside
 function bodies, since those hide a cycle from module load order but
 not from the design.  Reachability is read off names in the source, so
-a definition that only the tests reach fails the gate: it belongs in
-tests/reference.py.  A field is read when some attribute access in the
-package has its name; UNREAD_FIELDS gives the reason for each field
-that is not.  Methods are out of both gates' scope.
+a definition or method that only the tests reach fails the gate: it
+belongs in tests/reference.py.  A method of a reached class is reached
+once reached code reads an attribute of its name; UNREACHED gives the
+reason for each definition or method that stays unreached.  A field is
+read when some attribute access in the package has its name;
+UNREAD_FIELDS gives the reason for each field that is not.
 """
 
 import ast
@@ -114,11 +116,32 @@ def _bindings(tree: ast.Module) -> dict:
     return out
 
 
+# Definitions and methods that no entry point reaches, each with the
+# reason it stays.
+UNREACHED = {
+    "exactla.Subspace": "a placeholder whose span the benchmark's tracer (perfbench/tracer.py) "
+                        "patches by name; the subspace type is tests/reference.py's",
+    "ccengine.VerificationReport.all_ok": "the README's library example reads it",
+}
+
+
 def _reachable() -> tuple:
-    """(every definition, the definitions reached from ROOTS), as (module, name)."""
+    """(every definition, every method, those reached from ROOTS), as dotted names.
+
+    A reached class brings in its bases, decorators, class-level
+    statements and dunder methods.  Any other method is reached once
+    reached code reads an attribute of its name, on any object, so the
+    walk errs towards reached.
+    """
     trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     defs = {mod: _definitions(tree) for mod, tree in trees.items()}
     binds = {mod: _bindings(tree) for mod, tree in trees.items()}
+    # each class's methods by name, dunders left out: Python calls those itself
+    methods = {(mod, name): {f.name: f for f in node.body if isinstance(f, ast.FunctionDef)
+                             and not (f.name.startswith("__") and f.name.endswith("__"))}
+               for mod, d in defs.items() for name, node in d.items()
+               if isinstance(node, ast.ClassDef)}
+    attrs = set()  # every attribute name that reached code reads
 
     def resolve(mod, name):
         # follow imports by name, so a re-exported definition is found at home
@@ -132,31 +155,54 @@ def _reachable() -> tuple:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 yield resolve(mod, sub.id)
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-                home, name = binds[mod].get(sub.value.id, (None, ""))
-                if name is None:  # module.attr
-                    yield resolve(home, sub.attr)
+            elif isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
+                if isinstance(sub.value, ast.Name):
+                    home, name = binds[mod].get(sub.value.id, (None, ""))
+                    if name is None:  # module.attr
+                        yield resolve(home, sub.attr)
+
+    def parts(key):
+        """The nodes that a reached definition or method brings in."""
+        mod, name, *method = key
+        if method:
+            return [methods[mod, name][method[0]]]
+        node = defs[mod][name]
+        if not isinstance(node, ast.ClassDef):
+            return [node]
+        own = list(methods[mod, name].values())
+        return [*node.bases, *node.decorator_list, *(s for s in node.body if s not in own)]
 
     seen, todo = set(), list(ROOTS)
     while todo:
         key = todo.pop()
-        if key is None or key in seen:
-            continue
-        seen.add(key)
-        mod, name = key
-        todo.extend(refs(mod, defs[mod][name]))
-    every = {(mod, name) for mod, d in defs.items() for name in d}
-    return every, seen
+        if key is not None and key not in seen:
+            seen.add(key)
+            for node in parts(key):
+                todo.extend(refs(key[0], node))
+        if not todo:  # the methods of reached classes whose names reached code reads
+            todo = [(mod, cls, name) for (mod, cls), own in methods.items() if (mod, cls) in seen
+                    for name in own if name in attrs and (mod, cls, name) not in seen]
+    every = {f"{mod}.{name}" for mod, d in defs.items() for name in d}
+    every_method = {f"{mod}.{cls}.{name}" for (mod, cls), own in methods.items() for name in own}
+    return every, every_method, {".".join(key) for key in seen}
 
 
 def test_every_definition_is_reached_from_an_entry_point():
-    every, reached = _reachable()
-    assert set(ROOTS) <= every  # each root is a definition
-    assert ("exactla", "rank") in reached  # the walk follows imports
-    assert ("degeneracy", "run_transversality_suite") in reached  # and module.attr
-    unreached = sorted(f"{mod}.{name}" for mod, name in every - reached)
-    assert not unreached, ("definitions no entry point reaches; move test-only "
+    every, every_method, reached = _reachable()
+    assert {f"{mod}.{name}" for mod, name in ROOTS} <= every  # each root is a definition
+    assert "exactla.rank" in reached  # the walk follows imports
+    assert "degeneracy.run_transversality_suite" in reached  # and module.attr
+    assert {"exactla.QMatrix.mul", "orbits.Setup.describe"} <= reached  # and methods by name
+    assert "exactla.QMatrix.__getitem__" not in every_method  # dunders are Python's to call
+    # a method is judged once its class is reached; an unreached class is reported alone
+    live = {name for name in every_method if name.rpartition(".")[0] in reached}
+    unreached = sorted((every | live) - reached - UNREACHED.keys())
+    assert not unreached, ("definitions and methods no entry point reaches; move test-only "
                            "code to tests/reference.py: " + ", ".join(unreached))
+    stale = sorted(name for name in UNREACHED
+                   if name in reached or name not in every | every_method)
+    assert not stale, "allowlisted names that are reached or gone: " + ", ".join(stale)
 
 
 # Record fields that no package code reads, each with the reason it stays.

@@ -8,7 +8,7 @@ import pytest
 
 from kcycle import orbits
 from kcycle.degeneracy import form_flavor
-from kcycle.exactla import QMatrix, SeedStream, Subspace, rank
+from kcycle.exactla import QMatrix, SeedStream, rank
 from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
@@ -30,23 +30,25 @@ from kcycle.orbits import (
     valid_orbit,
 )
 from reference import (
+    Subspace,
     action_image,
+    add,
     annihilator,
     base_plane,
     form_matrix,
+    glpq,
+    identity,
     inverse,
     is_flavored,
     open_orbit,
     orbit_of_by_intersection,
     perp,
+    randint,
     random_matrix,
+    setups,
     split_family_by_intersection,
     split_reference,
 )
-
-
-def glpq(n, k, p, q):
-    return Setup(Kind.GLPQ, n, k, p=p, q=q)
 
 
 SWEEP = [
@@ -114,9 +116,14 @@ def test_enumerate_degenerate_ranges():
 
 
 def test_orbit_labels_round_trip():
-    for setup in SWEEP:
+    for setup in setups(8):
         for orbit in enumerate_orbits(setup):
             assert parse_orbit(setup, format_orbit(setup, orbit)) == orbit
+    # a label's numbers are canonical ASCII numerals, so each label has one spelling
+    for setup, text in ((glpq(5, 2, 3, 2), "q(01,1)"), (glpq(5, 2, 3, 2), "q(1,\u0661)"),
+                        (Setup(Kind.SO, 8, 4), "rad\u0663"), (Setup(Kind.SO, 8, 4), "rad03")):
+        with pytest.raises(ValueError, match="cannot parse orbit label"):
+            parse_orbit(setup, text)
     s = Setup(Kind.SO, 8, 4)
     assert format_orbit(s, SplitOrbit(+1)) == "rad4+"
     assert parse_orbit(s, "rad4-") == SplitOrbit(-1)
@@ -141,15 +148,7 @@ def test_normalize_directions():
 
 
 def test_relabel_involution_exhaustive():
-    setups = []
-    for n in range(2, 9):
-        for k in range(1, n):
-            for p in range(1, n):
-                setups.append(glpq(n, k, p, n - p))
-            if n % 2 == 0:
-                setups.append(Setup(Kind.SP, n, k))
-            setups.append(Setup(Kind.SO, n, k))
-    for setup in setups:
+    for setup in setups(8):
         norm = normalize(setup)
         orbits = enumerate_orbits(setup)
         images = [norm.to_normalized(o) for o in orbits]
@@ -281,7 +280,7 @@ def test_gram_matrix_matches_dense():
                   Setup(Kind.SP, 6, 4), Setup(Kind.SO, 6, 3)]:
         n, k = setup.n, setup.k
         j = form_matrix(setup.kind, n)
-        ident = QMatrix.identity(k).entries
+        ident = identity(k).entries
         for center_last in (False, True) if n == 2 * k else (False,):
             for _ in range(5):
                 a = random_chart_point(n, k, rng, height_bound=3).a.entries
@@ -362,9 +361,9 @@ def _isotropic_frame(setup, sign, rng):
     skew = [[0] * k for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            skew[a][b] = rng.randint(-2, 2)
+            skew[a][b] = randint(rng, -2, 2)
             skew[b][a] = -skew[a][b]
-    rows = QMatrix.identity(k).rows() + [skew[k - 1 - a] for a in range(k)]
+    rows = identity(k).rows() + [skew[k - 1 - a] for a in range(k)]
     if sign < 0:
         rows[k - 1], rows[k] = rows[k], rows[k - 1]
     return QMatrix.from_rows(rows).mul(_random_invertible(k, rng))
@@ -440,7 +439,7 @@ def test_lie_algebra_dimensions():
             for entries in lie_algebra_basis(setup):
                 assert 1 <= len(entries) <= 2
                 x = _dense(n, entries)
-                assert x.transpose().mul(j).add(j.mul(x)).is_zero()
+                assert add(x.transpose().mul(j), j.mul(x)).is_zero()
                 dense.append(x.entries)
             want = n * (n + 1) // 2 if kind == Kind.SP else n * (n - 1) // 2
             assert len(dense) == want
@@ -463,17 +462,7 @@ def test_action_image_matches_dense_action():
                 assert image.row(r) == want.entries
 
 
-def _setups_up_to(nmax):
-    for n in range(2, nmax + 1):
-        for k in range(1, n):
-            for p in range(1, n):
-                yield glpq(n, k, p, n - p)
-            if n % 2 == 0:
-                yield Setup(Kind.SP, n, k)
-            yield Setup(Kind.SO, n, k)
-
-
-EQUIVALENCE = [*_setups_up_to(10), Setup(Kind.SO, 16, 8), Setup(Kind.SP, 16, 8),
+EQUIVALENCE = [*setups(10), Setup(Kind.SO, 16, 8), Setup(Kind.SP, 16, 8),
                glpq(12, 6, 6, 6)]
 
 
@@ -511,7 +500,7 @@ def test_adapted_inverse_matches_elimination():
     # elimination, at every base point with n <= 10 and at three large ones
     large = [Setup(Kind.SO, 30, 15), Setup(Kind.SP, 24, 12), glpq(16, 8, 8, 8)]
     checked = 0
-    for setup in [*_setups_up_to(10), *large]:
+    for setup in [*setups(10), *large]:
         for orbit in enumerate_orbits(setup):
             bp = base_point(setup, orbit)
             assert bp.inverse == inverse(bp.basis)

@@ -28,16 +28,20 @@ from kcycle.resolutions import (
     witness_satisfies_Z,
     witness_satisfies_Ztilde,
 )
-from reference import conormal_space, leading_minor_certificate, sample_conormal
-
-
-def glpq(n, k, p, q):
-    return Setup(Kind.GLPQ, n, k, p=p, q=q)
+from reference import (
+    conormal_space,
+    glpq,
+    leading_minor_certificate,
+    next_u64,
+    sample_conormal,
+    setups,
+    zeros,
+)
 
 
 def zero_covector(bp):
     (hr, hc), (lr, lc) = conormal.block_shapes(bp)
-    return ConormalVector(bp, QMatrix.zeros(hr, hc), QMatrix.zeros(lr, lc), 0, 0)
+    return ConormalVector(bp, zeros(hr, hc), zeros(lr, lc), 0, 0)
 
 
 def proper_pairs(setup):
@@ -95,7 +99,7 @@ def test_membership_monotone_in_thresholds():
             bp = base_point(setup, orbit)
             if conormal_space(bp).dim == 0:
                 continue
-            xi = sample_conormal(bp, rng.next_u64())
+            xi = sample_conormal(bp, next_u64(rng))
             grid = [(s, t) for s in range(orbit.s + 1) for t in range(orbit.t + 1)]
             got = {st: member(xi, *st)[0] for st in grid}
             for s1, t1 in grid:
@@ -466,16 +470,13 @@ def test_smallness_is_a_normalized_notion():
 
 
 def test_smallness_matches_regime_criterion():
-    for n in range(2, 7):
-        for k in range(1, n):
-            for p in range(1, n):
-                setup = glpq(n, k, p, n - p)
-                norm = normalize(setup).setup
-                for target in enumerate_orbits(setup):
-                    if norm.n - norm.k >= norm.p:
-                        assert is_small(setup, ResolutionKind.Z, target), (setup, target)
-                    if norm.n - norm.k <= norm.p:
-                        assert is_small(setup, ResolutionKind.ZTILDE, target), (setup, target)
+    for setup in setups(6, (Kind.GLPQ,)):
+        norm = normalize(setup).setup
+        for target in enumerate_orbits(setup):
+            if norm.n - norm.k >= norm.p:
+                assert is_small(setup, ResolutionKind.Z, target), (setup, target)
+            if norm.n - norm.k <= norm.p:
+                assert is_small(setup, ResolutionKind.ZTILDE, target), (setup, target)
 
 
 def test_radical_resolution_not_small():

@@ -14,9 +14,9 @@ import pytest
 from kcycle import conormal, resolutions
 from kcycle.conormal import ConormalVector
 from kcycle.exactla import QMatrix, SeedStream, rank
-from kcycle.orbits import Kind, Setup, base_point, enumerate_orbits
+from kcycle.orbits import Kind, base_point, enumerate_orbits
 from kcycle.resolutions import ResolutionKind
-from reference import WITNESS_ROUTES as ROUTES, lift_witness
+from reference import WITNESS_ROUTES as ROUTES, lift_witness, setups
 
 MAX_N = 6
 
@@ -39,15 +39,12 @@ def block_pairs(bp) -> list:
 
 def sweep_covectors(max_n: int = MAX_N) -> list:
     out = []
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            for p in range(1, n):
-                setup = Setup(Kind.GLPQ, n, k, p=p, q=n - p)
-                for orbit in enumerate_orbits(setup):
-                    bp = base_point(setup, orbit)
-                    (hr, hc), (lr, lc) = conormal.block_shapes(bp)
-                    if hr * hc + lr * lc:  # the open orbit has no conormal directions
-                        out.extend(block_pairs(bp))
+    for setup in setups(max_n, (Kind.GLPQ,)):
+        for orbit in enumerate_orbits(setup):
+            bp = base_point(setup, orbit)
+            (hr, hc), (lr, lc) = conormal.block_shapes(bp)
+            if hr * hc + lr * lc:  # the open orbit has no conormal directions
+                out.extend(block_pairs(bp))
     return out
 
 
