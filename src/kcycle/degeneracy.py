@@ -59,18 +59,18 @@ only a lane left unproven is ranked.
 A proven lane's value has top rank, exactly the verdict its rank would
 give, so the certificate changes no verdict; it only saves the ranks.
 
-A value of top rank sits on the open stratum.
-Below it, the stratum's tangent space at x is {Yx + x Y^T}, whose
-trace-pairing annihilator is {C : xC = 0}, and transversality says no
-nonzero such C is trace-perpendicular to the differential's image.
-Each pairing row tr(C v) of a differential value v has at most one
-nonzero, so the rows together fix just the coordinates they hit
-(flavor_dim(k) - flavor_dim(m) of them on every chart with n <= 16),
-and x is transverse when the product rows of xC on the other, free,
-coordinates have full rank; with none free nothing is ranked.  The
-free coordinates are read off the chart's own plan once per batch, and
-only if some lane is below top rank.  The flavor of each kind's form is
-read off its family (orbits.form_flavor).
+A value of top rank sits on the open stratum.  Below it, the stratum's
+tangent space at x is {Yx + x Y^T}, whose trace-pairing annihilator is
+{C : xC = 0}, and transversality says no nonzero such C is
+trace-perpendicular to the differential's image.  Each pairing row
+tr(C v) of a differential value v has at most one nonzero, so the rows
+together fix just the coordinates they hit (flavor_dim(k) -
+flavor_dim(m) of them on every chart with n <= 16), and x is
+transverse when xC on the other, free, coordinates has full rank.
+They are read off the differential once per batch, if a lane is below
+top rank, and such a lane's system is built on them alone, from its
+values (matrixstrata.product_system); with none free nothing is
+ranked.  Each kind's form flavor is read off its family.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from operator import add, and_, mul, sub, truth
 from typing import NamedTuple
 
 from .exactla import QMatrix, SeedStream, certify_full_lanes, check_count, lane_pfaffian, rank
-from .matrixstrata import Flavor, flavor_dim, pairing_row, product_rows
+from .matrixstrata import Flavor, flavor_dim, pairing_row, product_system
 from .orbits import Kind, Setup, family, form_flavor, form_sign, normalize
 
 _LANES = 256  # points judged at a time, however many a sweep draws
@@ -259,12 +259,7 @@ def _lane_values(chart: Chart, draws, start: int, stop: int) -> tuple:
 def _proven_lanes(flavor: Flavor, r: int, grid: list) -> list:
     """Per lane, whether a square grid of lanes is proven of rank r, by its flavor.
 
-    A symmetric grid has r = side, proven when pivot-free Bareiss finds
-    every pivot nonzero.  An alternating one has r = side rounded down
-    to even, proven when the lane is alternating, which bounds its rank
-    by r, and its leading principal Pfaffian of order r is nonzero,
-    which makes the rank at least r; at r = 0 being alternating proves
-    rank 0.
+    The two certificates, and why each proves rank r, are in the module docstring.
     """
     if flavor == Flavor.SYMMETRIC:
         return certify_full_lanes(grid)
@@ -302,9 +297,8 @@ def transverse_points(chart: Chart, draws) -> list:
                 continue
             if free is None:
                 free = _free_coordinates(chart)
-            value = QMatrix(k, k, tuple(v[lane] for v in x))
-            proven[lane] = not free or rank(QMatrix.from_rows(
-                [row[j] for j in free] for row in product_rows(value, chart.flavor))) == len(free)
+            proven[lane] = not free or rank(product_system(
+                [v[lane] for v in x], k, chart.flavor, free)) == len(free)
         verdicts += proven
     return verdicts
 

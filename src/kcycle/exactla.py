@@ -6,13 +6,15 @@ matrices with rational entries, nearly all of them integral.  Entries
 are therefore stored integer-first and in canonical form: an entry is a
 Python int exactly when its value is integral, and a
 ``fractions.Fraction`` only when it is not.  A float entry raises
-TypeError, so a stray true division can never reach exact data.  Rank
-and reduced echelon forms are computed by fraction-free elimination on
-integer rows, and only rref's final division by its pivots can produce
-a Fraction.  rank skips elimination for a vector and is otherwise one
-Bareiss elimination with a lazy scale, so the sparse product rows of
-the transversality sweep cost about their nonzeros (see rank).  kernel
-reads a null space's canonical basis off a single rref.
+TypeError, so a stray true division can never reach exact data;
+submatrix slices the entries and from_cols transposes them by one zip.
+Rank and reduced echelon forms are computed by fraction-free
+elimination on integer rows, and only rref's final division by its
+pivots can produce a Fraction.  rank skips elimination for a vector
+and is otherwise one Bareiss elimination with a lazy scale, so the
+sparse product rows of the transversality sweep cost about their
+nonzeros (see rank).  kernel reads a null space's canonical basis off
+a single rref.
 
 Batches of small int matrices are proven of full rank as lanes, with
 no matrix built per lane: a grid holds one sequence per entry, of that
@@ -41,9 +43,10 @@ inside the lane: masking the high halves after each step leaves every
 lane its own value mod 2^64, and the mix is twelve big-int operations
 for a whole chunk.  A chunk holds at most _LANES lanes, a module
 constant, so temporaries stay within 8 KiB.  The lanes are built from
-bytes (int.to_bytes/int.from_bytes with an explicit byte order) and
-read back through one native-order memoryview cast, whose word order
-is chosen from sys.byteorder, so the values do not depend on the host.
+bytes (int.to_bytes/int.from_bytes with an explicit byte order), a
+chunk of one long stream as head * _ONES + _STEP_INT, and read back
+through one native-order memoryview cast, whose word order is chosen
+from sys.byteorder, so the values do not depend on the host.
 Only the modulus, lo + v % (hi - lo + 1), is taken per value, on the
 64-bit outputs.
 """
@@ -104,8 +107,9 @@ class QMatrix(NamedTuple):
     @classmethod
     def from_cols(cls, ncols_ambient: int, cols: Iterable[Sequence]) -> "QMatrix":
         cols = list(cols)
-        rows = [[col[i] for col in cols] for i in range(ncols_ambient)]
-        return cls.from_rows(rows) if cols else cls(ncols_ambient, 0, ())
+        if any(len(col) != ncols_ambient for col in cols):
+            raise ValueError("ragged columns")
+        return cls.from_flat(ncols_ambient, len(cols), [x for row in zip(*cols) for x in row])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -134,14 +138,13 @@ class QMatrix(NamedTuple):
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row counts differ in hstack")
-        return QMatrix.from_rows(
-            [list(self.row(i)) + list(other.row(i)) for i in range(self.nrows)]
-        )
+        return QMatrix(self.nrows, self.ncols + other.ncols,
+                       tuple([x for i in range(self.nrows) for x in self.row(i) + other.row(i)]))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
-        if not row_idx:
-            return QMatrix(0, len(col_idx), ())
-        return QMatrix.from_rows([[self[i, j] for j in col_idx] for i in row_idx])
+        e, nc = self.entries, self.ncols
+        rows = [e[i * nc:(i + 1) * nc] for i in row_idx]
+        return QMatrix(len(rows), len(col_idx), tuple([row[j] for row in rows for j in col_idx]))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -385,6 +388,9 @@ _LANES = 512  # lanes mixed per chunk: a packed int stays within 8 KiB
 _LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
 # lane j holds (j+1)*gamma, below 2^73: the offset of a stream's draw j
 _STEPS = b"".join([((j + 1) * _GAMMA).to_bytes(16, "little") for j in range(_LANES)])
+# lane j of head * _ONES + _STEP_INT is head + (j+1)*gamma, with no carry between lanes
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_STEP_INT = int.from_bytes(_STEPS, "little")
 # which 64-bit words of a packed int's native bytes are the lanes' low halves
 _LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
@@ -442,9 +448,9 @@ def draw_streams(states: Sequence[int], count: int, lo: int, hi: int) -> tuple:
     final state is state + count*gamma mod 2^64.  The mixing is done on
     packed 128-bit lanes, at most _LANES to a chunk: _LANES // count
     whole streams of count <= _LANES draws, or _LANES draws of a longer
-    stream, whose list is allocated at full size before any is drawn;
-    a count that no list can hold raises MemoryError at once.  Only
-    lo + v % span is taken per value.
+    stream, whose list is allocated at full size before any is drawn and
+    whose chunk is one product and one sum, head * _ONES + _STEP_INT;
+    a count that no list can hold raises MemoryError at once.
     """
     if lo > hi:
         raise ValueError(f"empty draw range [{lo}, {hi}]")
@@ -463,7 +469,8 @@ def draw_streams(states: Sequence[int], count: int, lo: int, hi: int) -> tuple:
         for z, out in zip(states, draws):
             for at in range(0, count, _LANES):
                 m = min(_LANES, count - at)
-                out[at:at + m] = _draw_segments(((z + at * _GAMMA) & _MASK64,), m, lo, span)
+                head = (z + at * _GAMMA) & _MASK64
+                out[at:at + m] = [lo + v % span for v in _mixed_lanes(head * _ONES + _STEP_INT, m)]
     step = count * _GAMMA
     return draws, [(z + step) & _MASK64 for z in states]
 

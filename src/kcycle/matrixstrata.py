@@ -9,13 +9,14 @@ Everything is written in upper-triangle coordinates so that dimension
 counts are exact integers.  The coordinate at (a, b) stands for the
 basis matrix with 1 at (a, b) and sign at (b, a); the trace pairing
 with one, and the product by one, touch one or two entries, so
-pairing_row and product_rows read them off without forming any basis
-matrix.
+pairing_row and product_system (on given coordinates, nonzero rows
+only) read them off a matrix's entries, forming no basis matrix.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exactla import QMatrix
@@ -35,10 +36,11 @@ def flavor_sign(flavor: Flavor) -> int:
     return 1 if flavor == Flavor.SYMMETRIC else -1
 
 
-def coordinate_pairs(flavor: Flavor, m: int) -> list:
+@lru_cache(maxsize=64)
+def coordinate_pairs(flavor: Flavor, m: int) -> tuple:
     """Positions (a, b), a <= b, of the upper-triangle coordinates, in order."""
     start = 0 if flavor == Flavor.SYMMETRIC else 1
-    return [(a, b) for a in range(m) for b in range(a + start, m)]
+    return tuple([(a, b) for a in range(m) for b in range(a + start, m)])
 
 
 def pairing_row(d: QMatrix, flavor: Flavor) -> list:
@@ -47,28 +49,36 @@ def pairing_row(d: QMatrix, flavor: Flavor) -> list:
     The pairing with the (a, b) basis matrix is d[b, a] + sign * d[a, b],
     or d[a, a] on the diagonal, so it is read off two entries of d.
     """
-    sign = flavor_sign(flavor)
-    return [d[a, a] if a == b else d[b, a] + sign * d[a, b]
+    sign, e, m = flavor_sign(flavor), d.entries, d.ncols
+    return [e[a * m + a] if a == b else e[b * m + a] + sign * e[a * m + b]
             for a, b in coordinate_pairs(flavor, d.nrows)]
 
 
-def product_rows(x: QMatrix, flavor: Flavor) -> list:
-    """Entry (r, c) of x C as a functional of C's flavor coordinates.
+def product_system(x, m: int, flavor: Flavor, coords) -> QMatrix:
+    """Entry (r, c) of x C on C's coordinates at the positions coords, zero rows left out.
 
-    Row r * m + c holds (x bc)[r, c] for each coordinate basis matrix
-    bc, in coordinate order.  Column b of x bc is column a of x and, off the
-    diagonal, column a of x bc is sign times column b of x.
+    x is an m x m matrix's row-major entries.  Column b of x bc is column
+    a of x and, off the diagonal, column a of x bc is sign times column b
+    of x, so entry (r, c) reads only coordinates (a, c) and (c, b).  The
+    rows come sparsest first, so that Bareiss pivots on the sparse ones.
     """
-    m = x.nrows
-    sign = flavor_sign(flavor)
-    pairs = coordinate_pairs(flavor, m)
-    out = []
-    for r in range(m):
-        xr = x.row(r)
-        for c in range(m):
-            out.append([(xr[a] if c == b else 0) + (sign * xr[b] if c == a != b else 0)
-                        for a, b in pairs])
-    return out
+    sign, pairs = flavor_sign(flavor), coordinate_pairs(flavor, m)
+    reads = [[] for _ in range(m)]  # per c: (place in coords, column of x, coefficient)
+    for place, j in enumerate(coords):
+        a, b = pairs[j]
+        reads[b].append((place, a, 1))
+        if a != b:
+            reads[a].append((place, b, sign))
+    rows = []
+    for r in range(0, m * m, m):
+        for terms in filter(None, reads):
+            row = [0] * len(coords)
+            for place, t, coef in terms:
+                row[place] += coef * x[r + t]
+            if any(row):
+                rows.append(row)
+    rows.sort(key=lambda row: row.count(0), reverse=True)
+    return QMatrix.from_flat(len(rows), len(coords), [v for row in rows for v in row])
 
 
 class _StratumFields(NamedTuple):

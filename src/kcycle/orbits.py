@@ -19,7 +19,7 @@ call, and other modules read it instead of branching on the kind.
 The module provides orbit enumeration, closure posets, explicit base
 points with adapted bases, and the relabelling maps induced by swapping
 the summands or passing to annihilators / orthogonal complements.  An
-adapted basis B is built from its column supports, e_a or e_a + e_b;
+adapted basis B is written from its column supports, e_a or e_a + e_b;
 B^-1 is read off the same supports, which proves B invertible.
 
 The invariant form of Sp/SO is the signed antidiagonal J with
@@ -31,12 +31,12 @@ closed-form basis of Lie(K).  Lie(K) is stored by the nonzero
 entries of its basis elements.  The image of the action differential
 at a base point is built from them as one {column: value} dict of
 nonzeros per element, multiplying only the nonzeros of the adapted
-basis and its inverse, for all three kinds.  Its rank is the orbit
-dimension.  That image is very sparse (0.24 % nonzeros on so(30,15)),
-and its nonzero pattern splits into connected components of a few
-cells, so orbit_dimension joins columns by a union-find and sums the
-components' ranks; only a component with at least two rows and two
-columns is eliminated.
+basis and its inverse, read off their entries, for all three kinds.
+Its rank is the orbit dimension.  That image is very sparse (0.24 %
+nonzeros on so(30,15)), and its nonzero pattern splits into connected
+components of a few cells, so orbit_dimension joins columns by a
+union-find and sums the components' ranks; only a component with at
+least two rows and two columns is eliminated.
 
 Orbit labels of a k-plane U are read off ranks of one n x k frame u
 of rank k.  Since u x lies in a coordinate subspace exactly when the
@@ -350,12 +350,7 @@ def form_flavor(kind: Kind) -> Flavor:
 
 
 def form_sign(kind: Kind, n: int, a: int) -> int:
-    """The sign eps_a of the invariant form, J[a, n-1-a] = eps_a.
-
-    J is antidiagonal with J^T = +-J by its flavor: eps_a = +1 on the
-    first half and the flavor's sign on the second, so +1 throughout for
-    SO (symmetric) and -1 on the second half for Sp (symplectic).
-    """
+    """The sign eps_a = J[a, n-1-a] of the invariant form, as the module docstring gives it."""
     sign = flavor_sign(form_flavor(kind))
     return 1 if a < n // 2 else sign
 
@@ -440,21 +435,22 @@ def _adapted_inverse(n: int, supports) -> QMatrix:
     if len(supports) != n or len(read) != n:
         raise AssertionError(f"adapted basis must be invertible: its {len(supports)} "
                              f"columns give {len(read)} of the {n} unit vectors")
-    return QMatrix(n, n, tuple(v for row in inv for v in row))
+    return QMatrix(n, n, tuple([v for row in inv for v in row]))
 
 
 @lru_cache(maxsize=None)
 def base_point(setup: Setup, orbit) -> BasePoint:
     check_orbit(setup, orbit)
     n = setup.n
-    # B is allocated before its supports are listed, so that an n that no
-    # list can hold raises MemoryError at once, not after filling memory
-    cols = [[0] * n for _ in range(n)]
+    # B's rows are allocated before its supports are listed, so that an n
+    # that no list can hold raises MemoryError at once, not after filling memory
+    rows = [[0] * n for _ in range(n)]
     supports, rg, cg = _FAMILIES[setup.kind].base_columns(setup, orbit)
-    for col, support in zip(cols, supports):
+    for j, support in enumerate(supports):
         for r in support:
-            col[r] = 1
-    bp = BasePoint(setup, orbit, QMatrix.from_cols(n, cols), _adapted_inverse(n, supports), rg, cg)
+            rows[r][j] = 1
+    basis = QMatrix(n, n, tuple([v for row in rows for v in row]))
+    bp = BasePoint(setup, orbit, basis, _adapted_inverse(n, supports), rg, cg)
     # an explicit raise, not an assert, so that python -O keeps the self-check
     got = orbit_of(setup, bp.u_matrix)
     if got != orbit:
@@ -466,12 +462,9 @@ def base_point(setup: Setup, orbit) -> BasePoint:
 # classifying arbitrary points
 
 def orbit_of(setup: Setup, u: QMatrix):
-    """The orbit label of the k-plane U spanned by the columns of u.
+    """The orbit label of the k-plane spanned by u, an n x k frame of rank k.
 
-    u must be an n x k frame of rank k, so that u x lies in a coordinate
-    subspace exactly when x is in the kernel of u's other rows: for
-    GLpq, dim(U cap C^p) = k - rank(rows p..n-1 of u) and
-    dim(U cap C^q) = k - rank(rows 0..p-1 of u).
+    The label is read off ranks of blocks of u, as the module docstring says.
     """
     n, k = setup.n, setup.k
     if u.nrows != n or u.ncols != k or rank(u) != k:
@@ -523,16 +516,18 @@ def _action_rows(setup: Setup, orbit) -> list:
     bp = base_point(setup, orbit)
     n, k = setup.n, setup.k
     nk = n - k
-    basis, binv = bp.basis, bp.inverse
-    u_part = [[(j * nk, v) for j in range(k) if (v := basis[b, j])] for b in range(n)]
-    comp_part = [[(c, v) for c in range(nk) if (v := binv[k + c, a])] for a in range(n)]
+    e, inv = bp.basis.entries, bp.inverse.entries
+    u_part = [[(j * nk, v) for j, v in enumerate(e[b * n:b * n + k]) if v] for b in range(n)]
+    comp_part = [[(c, v) for c, v in enumerate(inv[k * n + a::n]) if v] for a in range(n)]
     rows = []
     for x in lie_algebra_basis(setup):
         row = {}
         for a, b, v in x:
-            for offset, ub in u_part[b]:
-                for c, w in comp_part[a]:
-                    row[offset + c] = row.get(offset + c, 0) + v * w * ub
+            us, ws = u_part[b], comp_part[a]
+            if us and ws:
+                for offset, ub in us:
+                    for c, w in ws:
+                        row[offset + c] = row.get(offset + c, 0) + v * w * ub
         rows.append({col: val for col, val in row.items() if val})
     return rows
 

@@ -15,21 +15,29 @@ so a test can compare the two, or builds seeded test data:
 * ``kernel_by_span`` is the null space spanned, then made canonical by
   ``Subspace.span``, from the kernel vectors of one rref; ``exactla.kernel``
   reads the canonical basis off a single rref and must match it.
+* ``submatrix_by_entry`` and ``from_cols_by_entry`` read a matrix one
+  entry at a time, where ``QMatrix.submatrix`` slices the entries and
+  ``QMatrix.from_cols`` transposes by one zip.
 * ``inverse`` inverts by elimination; ``orbits.base_point`` reads the
   inverse of an adapted basis off its column supports and must match it.
+  ``dense_basis`` builds that basis entry by entry from the same
+  supports, where ``base_point`` writes only the ones.
 * ``block_ranges`` turns a base point's ``row_groups`` and ``col_groups``
   into consecutive ranges of its columns, which the package never needs.
 * ``solve_homogeneous``, the common kernel of a list of functionals,
   underlies the dense complements below.
 * ``coordinate_basis`` and ``trace_pairing`` form the dense basis
-  matrices and the dense pairing that ``matrixstrata.pairing_row`` and
-  ``matrixstrata.product_rows`` read off one or two entries.
+  matrices and the dense pairing that ``matrixstrata.pairing_row`` reads
+  off one or two entries.  ``product_rows`` is every entry of xC over
+  all the coordinates, zero rows included; ``matrixstrata.product_system``
+  keeps only the nonzero rows on the coordinates it is given, sparsest
+  first.
   ``is_flavored``, ``flavor_coords`` and ``flavor_from_coords`` convert
   between matrices and flavor coordinates.
 * ``conormal_condition``, ``tangent_space_at`` and ``conormal_solutions``
   give the dense tangent and conormal geometry of the rank strata,
   which ``degeneracy.transverse_points`` reads as the entries of xC
-  through ``matrixstrata.product_rows``.
+  through ``matrixstrata.product_system``.
 * ``conormal_space`` is the literal-block conormal space of a GLpq
   orbit, the second route beside the kernel of ``action_image``;
   ``max_conormal_rank`` is the closed-form rank that
@@ -112,7 +120,6 @@ from kcycle.matrixstrata import (
     flavor_dim,
     flavor_sign,
     pairing_row,
-    product_rows,
 )
 from kcycle.orbits import (
     BasePoint,
@@ -123,6 +130,7 @@ from kcycle.orbits import (
     Setup,
     SplitOrbit,
     base_point,
+    family,
     form_flavor,
     form_sign,
     gram_matrix,
@@ -288,6 +296,27 @@ def random_matrix_from(rng: SeedStream, nrows: int, ncols: int, height_bound: in
                    tuple(rng.randints(nrows * ncols, -height_bound, height_bound)))
 
 
+def submatrix_by_entry(m: QMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> QMatrix:
+    """The selected rows and columns, read one entry at a time through m[i, j]."""
+    return QMatrix.from_flat(len(row_idx), len(col_idx),
+                             [m[i, j] for i in row_idx for j in col_idx])
+
+
+def from_cols_by_entry(nrows: int, cols: Sequence[Sequence]) -> QMatrix:
+    """The matrix whose columns are cols, each of length nrows, built entry by entry."""
+    if any(len(col) != nrows for col in cols):
+        raise ValueError("ragged columns")
+    return QMatrix.from_flat(nrows, len(cols), [cols[j][i] for i in range(nrows)
+                                                for j in range(len(cols))])
+
+
+def dense_basis(setup: Setup, orbit) -> QMatrix:
+    """The adapted basis B of a base point, each entry tested against its column's support."""
+    supports = family(setup).base_columns(setup, orbit)[0]
+    n = setup.n
+    return QMatrix.from_rows([[int(r in supports[j]) for j in range(n)] for r in range(n)])
+
+
 def inverse(m: QMatrix) -> QMatrix:
     assert m.nrows == m.ncols
     n = m.nrows
@@ -354,6 +383,25 @@ def trace_pairing(c: QMatrix, d: QMatrix):
     Dense; pairing_row is the same pairing against the coordinate basis.
     """
     return sum(c[a, b] * d[b, a] for a in range(c.nrows) for b in range(c.ncols))
+
+
+def product_rows(x: QMatrix, flavor: Flavor) -> list:
+    """Entry (r, c) of x C as a functional of all of C's flavor coordinates.
+
+    Row r * m + c holds (x bc)[r, c] for each coordinate basis matrix
+    bc, in coordinate order, zero rows included; matrixstrata.product_system
+    keeps the nonzero rows on the coordinates it is given.
+    """
+    m = x.nrows
+    sign = flavor_sign(flavor)
+    pairs = coordinate_pairs(flavor, m)
+    out = []
+    for r in range(m):
+        xr = x.row(r)
+        for c in range(m):
+            out.append([(xr[a] if c == b else 0) + (sign * xr[b] if c == a != b else 0)
+                        for a, b in pairs])
+    return out
 
 
 def conormal_condition(x: QMatrix, c: QMatrix) -> bool:

@@ -35,6 +35,7 @@ from reference import (
     identity,
     is_flavored,
     pfaffian,
+    product_rows,
     randint,
     random_chart_point,
     scale,
@@ -119,21 +120,21 @@ def _top_rank(setup):
 def _recording_rank(monkeypatch):
     """Patch degeneracy.rank to record every matrix it is given, in order.
 
-    A call of degeneracy.product_rows is recorded as None, so a matrix
+    A call of degeneracy.product_system is recorded as None, so a matrix
     that follows None holds product rows and any other is a lane's phi.
     """
-    seen, real_rank, real_rows = [], degeneracy.rank, degeneracy.product_rows
+    seen, real_rank, real_system = [], degeneracy.rank, degeneracy.product_system
 
     def recording_rank(m):
         seen.append(m)
         return real_rank(m)
 
-    def recording_rows(x, flavor):
+    def recording_system(*args):
         seen.append(None)
-        return real_rows(x, flavor)
+        return real_system(*args)
 
     monkeypatch.setattr(degeneracy, "rank", recording_rank)
-    monkeypatch.setattr(degeneracy, "product_rows", recording_rows)
+    monkeypatch.setattr(degeneracy, "product_system", recording_system)
     return seen
 
 
@@ -202,7 +203,7 @@ def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
     # is ranked, and nothing when the flavor certificate proves phi; the
     # k x k value itself is never ranked, and a point below full rank
     # ranks its phi and then just its product rows on the free
-    # coordinates, flavor_dim(m) of them
+    # coordinates, flavor_dim(m) of them, less the rows that are zero there
     ranked = _recording_rank(monkeypatch)
     drawn = []
     real_draw = degeneracy.draw_chart_points
@@ -219,6 +220,7 @@ def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
         n, k = setup.n, setup.k
         chart = chart_for(setup)
         flavor, side, r = chart.flavor, _side(chart), chart.top - chart.schur[0]
+        free = degeneracy._free_coordinates(chart)
         ranked.clear()
         drawn.clear()
         result = run_transversality_suite(setup, points=100, seed=seed)
@@ -229,11 +231,14 @@ def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
         assert len(drawn) == 100 and sum(full) >= 90 and sum(proven) >= 80
         assert all(f for f, ok in zip(full, proven) if ok)
         expected = []
-        for is_full, ok in zip(full, proven):
+        for x, is_full, ok in zip(values, full, proven):
             if not ok:
                 expected.append((side, side))
             if not is_full:
-                expected += [None, (k * k, flavor_dim(flavor, 2 * k - n))]
+                rows = [row for row in ([prod[j] for j in free] for prod in product_rows(x, flavor))
+                        if any(row)]
+                assert 0 < len(rows) <= k * k
+                expected += [None, (len(rows), flavor_dim(flavor, 2 * k - n))]
         assert (k, k) not in expected and len(expected) < 30
         assert [m and (m.nrows, m.ncols) for m in ranked] == expected, setup
         unproven_full += sum(f and not ok for f, ok in zip(full, proven))
@@ -650,7 +655,10 @@ def test_constraint_rows_match_dense_products(monkeypatch, fresh_plans):
     # the reference's stacked rows equal the trace pairings with, and the
     # products by, the dense coordinate basis matrices; and on every chart
     # with n <= 16 the sweep's verdict in the quotient by the differential
-    # is the full stacked rank's, honestly and under three wrong plans
+    # is the full stacked rank's, honestly and under three wrong plans.
+    # Honestly and with no differential, each degenerate lane's system on
+    # the free coordinates has the rank of the dense product rows on those
+    # columns.
     cases = [(SP64, False), (SO53, False),
              (Setup(Kind.SO, 8, 4), False), (Setup(Kind.SO, 8, 4), True)]
     for setup, center_last in cases:
@@ -672,7 +680,13 @@ def test_constraint_rows_match_dense_products(monkeypatch, fresh_plans):
             assert constraint_rows(chart, x) == dense
         assert seen == {True, False}, (setup, center_last)
 
-    real_plan = degeneracy._section_plan
+    real_plan, real_system, systems = degeneracy._section_plan, degeneracy.product_system, []
+
+    def recording_system(x, m, flavor, coords):
+        systems.append((x, m, flavor, coords, real_system(x, m, flavor, coords)))
+        return systems[-1][-1]
+
+    monkeypatch.setattr(degeneracy, "product_system", recording_system)
     mutants = {
         "honest": None,
         "no differential": ("_differential_values", lambda *args: []),
@@ -686,6 +700,7 @@ def test_constraint_rows_match_dense_products(monkeypatch, fresh_plans):
             monkeypatch.setattr(degeneracy, *patch)
         degeneracy._schur_plan.cache_clear()
         degenerate = failures = 0
+        systems.clear()
         for setup, center_last in _isotropy_setups(16):
             n, k = setup.n, setup.k
             chart = chart_for(setup, center_last)
@@ -703,13 +718,20 @@ def test_constraint_rows_match_dense_products(monkeypatch, fresh_plans):
                                 for a in points], (name, setup, center_last)
             degenerate += sum(r < chart.top for r in values)
             failures += verdicts.count(False)
-        found[name] = degenerate, failures
+        checked = systems if name in ("honest", "no differential") else []
+        for x, m, flavor, coords, system in checked:
+            dense = product_rows(QMatrix(m, m, tuple(x)), flavor)
+            assert system.ncols == len(coords) and system.nrows <= m * m
+            assert rank(system) == rank(
+                QMatrix.from_rows([[row[j] for j in coords] for row in dense])), name
+        found[name] = degenerate, failures, len(systems)
         monkeypatch.setattr(degeneracy, "_section_plan", real_plan)
         monkeypatch.setattr(degeneracy, "_differential_values", _differential_values)
-    honest_degenerate = found["honest"][0]
-    assert honest_degenerate > 50 and found["honest"][1] == 0
-    # with no differential every degenerate point fails
-    assert found["no differential"] == (honest_degenerate, honest_degenerate)
+    honest_degenerate, _, honest_systems = found["honest"]
+    assert honest_degenerate > 50 and found["honest"][1] == 0 and honest_systems > 10
+    # with no differential every degenerate point fails, and each one's
+    # system, on all the coordinates now, is ranked
+    assert found["no differential"] == (honest_degenerate, honest_degenerate, honest_degenerate)
     assert found["dropped triple"][0] != honest_degenerate
     assert found["flipped triple"][1] > 0
 

@@ -25,6 +25,7 @@ from reference import (
     add,
     conormal_matrix,
     draw_streams_by_loop,
+    from_cols_by_entry,
     identity,
     inverse,
     kernel_by_span,
@@ -35,6 +36,7 @@ from reference import (
     scale,
     solve,
     solve_homogeneous,
+    submatrix_by_entry,
     zeros,
 )
 
@@ -210,6 +212,56 @@ def test_submatrix_keeps_both_sizes():
     assert m.submatrix(range(0), range(3)) == QMatrix(0, 3, ())
     assert m.submatrix([0, 1], []) == QMatrix(2, 0, ())
     assert m.submatrix([], []) == QMatrix(0, 0, ())
+
+
+def _selections(size):
+    """Every subset of range(size), increasing; for size > 0 also three reordered or repeated."""
+    out = [[i for i in range(size) if mask >> i & 1] for mask in range(1 << size)]
+    if size:
+        out += [list(range(size))[::-1], [0] * size, [size - 1, 0]]
+    return out
+
+
+def test_submatrix_and_from_cols_match_reading_entry_by_entry():
+    # every shape up to 4 x 4, with int entries and with Fraction entries
+    # (some of them integral, which from_flat makes ints): every selection
+    # of rows and columns, empty ones included, and every selection of
+    # columns handed to from_cols as lists and as tuples; hstack of a
+    # matrix with itself doubles each row
+    rng = SeedStream(83)
+    shapes = checked = 0
+    for nrows in range(5):
+        for ncols in range(5):
+            ints = [randint(rng, -3, 3) for _ in range(nrows * ncols)]
+            for m in (QMatrix.from_flat(nrows, ncols, ints),
+                      QMatrix.from_flat(nrows, ncols, [F(v, 1 + j % 3) for j, v in enumerate(ints)])):
+                shapes += 1
+                for rows in _selections(nrows):
+                    for cols in _selections(ncols):
+                        got = m.submatrix(rows, cols)
+                        assert got == submatrix_by_entry(m, rows, cols)
+                        assert list(map(type, got.entries)) == [
+                            type(m[i, j]) for i in rows for j in cols]
+                        checked += 1
+                assert m.submatrix(range(nrows), range(ncols)) == m
+                doubled = [x for i in range(nrows) for x in m.row(i) * 2]
+                assert m.hstack(m) == QMatrix.from_flat(nrows, 2 * ncols, doubled)
+                for cols in _selections(ncols):
+                    columns = [m.col(j) for j in cols]
+                    want = from_cols_by_entry(nrows, columns)
+                    assert QMatrix.from_cols(nrows, columns) == want
+                    assert QMatrix.from_cols(nrows, map(list, columns)) == want
+                    assert want.ncols == len(cols) and want.nrows == nrows
+                    if not cols:
+                        continue
+                    # a first column one entry long, or one short, is ragged
+                    longer, shorter = columns[0] + (0,), columns[0][:-1]
+                    for bad in (longer, shorter) if nrows else (longer,):
+                        for build in (QMatrix.from_cols, from_cols_by_entry):
+                            with pytest.raises(ValueError, match="ragged columns"):
+                                build(nrows, [bad] + columns[1:])
+    assert shapes == 50 and checked == 3698
+    assert QMatrix.from_cols(3, []) == QMatrix(3, 0, ())
 
 
 def test_rref_shape_and_pivots():

@@ -7,7 +7,7 @@ from kcycle.matrixstrata import (
     cc_table,
     flavor_dim,
     pairing_row,
-    product_rows,
+    product_system,
 )
 from reference import (
     add,
@@ -19,6 +19,7 @@ from reference import (
     identity,
     is_flavored,
     next_u64,
+    product_rows,
     randint,
     random_flavored_matrix,
     random_matrix,
@@ -125,6 +126,30 @@ def test_sparse_rows_match_dense_basis():
                 products = [d.mul(bc) for bc in basis]
                 assert product_rows(d, flavor) == [
                     [p[r, c] for p in products] for r in range(m) for c in range(m)]
+
+
+def test_product_system_is_the_nonzero_product_rows_on_its_coordinates():
+    # every set of coordinates of every m <= 4, on matrices of heights 1
+    # and 9 (height 1 leaves zero rows to drop): the rows are the dense
+    # product rows restricted to those columns, with each row that is zero
+    # there left out, the sparsest first and rows with as many zeros in
+    # their (r, c) order
+    rng = SeedStream(43)
+    for flavor in Flavor:
+        for m in range(1, 5):
+            dim = flavor_dim(flavor, m)
+            subsets = [[j for j in range(dim) if mask >> j & 1] for mask in range(1 << dim)]
+            for height in (1, 9):
+                d = random_matrix(m, m, seed=next_u64(rng), height_bound=height)
+                full = product_rows(d, flavor)
+                dropped = 0
+                for coords in subsets:
+                    want = [row for row in ([r[j] for j in coords] for r in full) if any(row)]
+                    want.sort(key=lambda row: -row.count(0))
+                    assert product_system(list(d.entries), m, flavor, coords) == QMatrix(
+                        len(want), len(coords), tuple(v for row in want for v in row))
+                    dropped += m * m - len(want)
+                assert dropped > 0
 
 
 def test_tangent_examples():

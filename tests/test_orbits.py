@@ -35,6 +35,7 @@ from reference import (
     add,
     annihilator,
     base_plane,
+    dense_basis,
     form_matrix,
     glpq,
     identity,
@@ -506,6 +507,24 @@ def test_adapted_inverse_matches_elimination():
             assert bp.inverse == inverse(bp.basis)
             checked += 1
     assert checked > 1800
+
+
+def test_base_point_matches_a_dense_build():
+    # B written from its column supports, and B^-1 read off them, equal B
+    # built entry by entry and inverted by elimination, at every base point
+    # with n <= 8 and at every base point of so(24,12); the frame is B's
+    # first k columns
+    checked = 0
+    for setup in [*setups(8), Setup(Kind.SO, 24, 12)]:
+        n, k = setup.n, setup.k
+        for orbit in enumerate_orbits(setup):
+            bp = base_point(setup, orbit)
+            dense = dense_basis(setup, orbit)
+            assert bp.basis == dense and {type(v) for v in bp.basis.entries} == {int}
+            assert bp.inverse == inverse(dense)
+            assert bp.u_matrix == QMatrix.from_rows([row[:k] for row in dense.rows()])
+            checked += 1
+    assert checked == 754 + 14
 
 
 def test_adapted_inverse_rejects_other_columns():
