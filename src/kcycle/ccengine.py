@@ -90,11 +90,12 @@ class CharacteristicCycle(_CycleFields):
         return dict(self.terms)
 
     def describe(self) -> str:
-        parts = []
-        for o, m in self.terms:
-            label = format_orbit(self.setup, o)
-            parts.append(label if m == 1 else f"{m}*{label}")
-        return " + ".join(parts)
+        return cycle_text([(format_orbit(self.setup, o), m) for o, m in self.terms])
+
+
+def cycle_text(terms) -> str:
+    """A cycle's (label, multiplicity) terms as text: label or m*label, joined by ' + '."""
+    return " + ".join([label if m == 1 else f"{m}*{label}" for label, m in terms])
 
 
 def characteristic_cycle(setup: Setup, orbit) -> CharacteristicCycle:

@@ -3,8 +3,9 @@
 Subcommands list orbits, print characteristic cycles, dump the closure
 order, and run the verification suites.  Output goes to stdout (or
 --out) as plain text, a stable JSON document, or GraphViz source for
-the closure diagram.  JSON documents carry a schema version and are
-byte-identical across runs with the same arguments and seed.
+the closure diagram.  JSON documents carry a schema version.  Every
+format is byte-identical across runs with the same arguments and seed,
+and tests/documents.txt pins each command in each of its formats.
 
 main builds its parser once per process, on the first call, and is
 safe to call repeatedly: each call parses, computes and prints afresh.
@@ -24,7 +25,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .ccengine import SUITES, characteristic_cycle, cross_check, suite_rows
+from .ccengine import SUITES, characteristic_cycle, cross_check, cycle_text, suite_rows
 from .conormal import NoGenericCovector
 from .exactla import SEED_MAX
 from .orbits import ClosurePoset, Kind, Setup, enumerate_orbits, format_orbit, parse_orbit
@@ -196,25 +197,15 @@ def _render_text(doc: dict) -> str:
     if "p" in setup:
         bits.append(f"p={setup['p']} q={setup['q']}")
     lines = [f"# {doc['command']} ({' '.join(bits)})"]
-    if doc["command"] == "orbits":
-        for row in doc["orbits"]:
-            lines.append(f"{row['label']}  dim {row['dimension']}"
-                         f"  codim {row['codimension']}")
-    elif doc["command"] == "cc":
-        for cyc in doc["cycles"]:
-            terms = " + ".join(
-                t["orbit"] if t["multiplicity"] == 1
-                else f"{t['multiplicity']}*{t['orbit']}"
-                for t in cyc["terms"]
-            )
-            lines.append(f"CC({cyc['target']}) = {terms}")
-    elif doc["command"] == "poset":
-        for row in doc["orbits"]:
-            lines.append(f"{row['label']}  dim {row['dimension']}"
-                         f"  codim {row['codimension']}")
-        for cov in doc["covers"]:
-            lines.append(f"{cov['lower']} < {cov['upper']}")
-    elif doc["command"] == "verify":
+    for row in doc.get("orbits", ()):
+        lines.append(f"{row['label']}  dim {row['dimension']}"
+                     f"  codim {row['codimension']}")
+    for cov in doc.get("covers", ()):
+        lines.append(f"{cov['lower']} < {cov['upper']}")
+    for cyc in doc.get("cycles", ()):
+        terms = cycle_text((t["orbit"], t["multiplicity"]) for t in cyc["terms"])
+        lines.append(f"CC({cyc['target']}) = {terms}")
+    if doc["command"] == "verify":
         lines[0] += f" suite={doc['suite']} trials={doc['trials']} seed={doc['seed']}"
         for row in doc["checks"]:
             mark = "ok  " if row["ok"] else "FAIL"

@@ -81,7 +81,7 @@ class QMatrix(NamedTuple):
 
     Indexing takes a pair (i, j); as a tuple a matrix still iterates
     over, and compares equal to, (nrows, ncols, entries), which no
-    caller relies on.
+    package code relies on.
     """
 
     nrows: int
@@ -166,12 +166,6 @@ class QMatrix(NamedTuple):
             g = gcd(*ints) or 1
             out.append([v // g for v in ints])
         return out
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(x) for x in self.row(i)) for i in range(self.nrows)
-        )
-        return f"QMatrix({self.nrows}x{self.ncols}: {body})"
 
 
 def rank(m: QMatrix) -> int:
