@@ -9,7 +9,8 @@ matrix-stratum cycles through the Gram section of a chart (done here,
 on top of the transversality that degeneracy checks), microlocal
 vanishing on resolution fibers, and smallness of the resolutions.
 Disagreements are collected into a report rather than raised, so a
-sweep always runs to completion.
+sweep always runs to completion.  A report's rows hold values (labels,
+counts, cycle terms), not text: cli writes them.
 """
 
 from __future__ import annotations
@@ -89,14 +90,6 @@ class CharacteristicCycle(_CycleFields):
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def describe(self) -> str:
-        return cycle_text([(format_orbit(self.setup, o), m) for o, m in self.terms])
-
-
-def cycle_text(terms) -> str:
-    """A cycle's (label, multiplicity) terms as text: label or m*label, joined by ' + '."""
-    return " + ".join([label if m == 1 else f"{m}*{label}" for label, m in terms])
-
 
 def characteristic_cycle(setup: Setup, orbit) -> CharacteristicCycle:
     """The known characteristic cycle of the orbit-closure sheaf.
@@ -145,10 +138,21 @@ def pullback_cc(setup: Setup, orbit) -> CharacteristicCycle:
 
 
 class CheckRow(NamedTuple):
+    """A check's verdict, what it judged and the facts behind it, in the setup's labels.
+
+    Subject and detail by check: cc-agreement (orbit,) and the stated and
+    pullback cycles' terms; microlocal-empty (target, stratum) and
+    (resolution kind, trials, square setup, witnesses found, witnesses
+    failing their check, trials contradicting the block-shape verdict);
+    smallness (resolution kind, target) and (small, asserted), small None
+    where the side does not apply; transversality (center_last,) and
+    (points, failures).
+    """
+
     check: str
-    subject: str
+    subject: tuple
     ok: bool
-    detail: str
+    detail: tuple
 
 
 class VerificationReport(NamedTuple):
@@ -159,9 +163,6 @@ class VerificationReport(NamedTuple):
     def all_ok(self) -> bool:
         return all(r.ok for r in self.rows)
 
-    def failures(self) -> list:
-        return [r for r in self.rows if not r.ok]
-
 
 def check_cc_agreement(setup: Setup) -> list:
     """Stated cycle against the chart-pullback route, per orbit."""
@@ -170,40 +171,23 @@ def check_cc_agreement(setup: Setup) -> list:
         stated = characteristic_cycle(setup, orbit)
         pulled = pullback_cc(setup, orbit)
         ok = stated.as_dict() == pulled.as_dict()
-        detail = f"stated {stated.describe()}; pullback {pulled.describe()}"
-        rows.append(CheckRow("cc-agreement", format_orbit(setup, orbit), ok, detail))
+        rows.append(CheckRow("cc-agreement", (orbit,), ok, (stated.terms, pulled.terms)))
     return rows
-
-
-def _microlocal_row(setup: Setup, subject: str, verdict, trials: int) -> CheckRow:
-    notes = [f"{verdict.kind.value}, {trials} trials"]
-    if setup.n == 2 * setup.k:
-        notes.append("square case, outside the strict regime")
-    if verdict.hits:
-        notes.append("witness found")
-    if verdict.bad_witnesses:
-        notes.append(f"witness check failed on {verdict.bad_witnesses} of "
-                     f"{len(verdict.hits)} witnesses")
-    if verdict.disagreements:
-        notes.append("block-shape verdict contradicted by "
-                     f"{verdict.disagreements} of {trials} trials")
-    ok = not verdict.hits and not verdict.disagreements
-    return CheckRow("microlocal-empty", subject, ok, "; ".join(notes))
 
 
 def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
     """Sampled vanishing of generic conormals on smaller strata.
 
-    Each label is normalized and formatted once; each stratum's
-    covectors are drawn once and judged against every target above it;
-    rows come in target order.
+    Each label is normalized once; each stratum's covectors are drawn
+    once and judged against every target above it; rows come in target
+    order.
     """
     check_seed(seed)
     check_count("trials", trials)
     norm = normalize(setup)
     orbits = enumerate_orbits(setup)
     label = {o: norm.to_normalized(o) for o in orbits}
-    text = {o: format_orbit(setup, o) for o in orbits}
+    square = setup.n == 2 * setup.k
     # judged one stratum at a time, so that only one stratum's draws are
     # alive: holding each until its last target raises a sweep's peak memory
     rows = {}
@@ -215,8 +199,10 @@ def check_microlocal(setup: Setup, trials: int = 20, seed: int = 0) -> list:
         drawn = draw_conormals(base_point(norm.setup, label[stratum]), trials=trials, seed=seed)
         for target in above:
             verdict = judge_microlocal(label[target], drawn)
-            rows[target, stratum] = _microlocal_row(
-                setup, f"{text[target]}<-{text[stratum]}", verdict, trials)
+            hits = len(verdict.hits)
+            rows[target, stratum] = CheckRow(
+                "microlocal-empty", (target, stratum), not hits and not verdict.disagreements,
+                (verdict.kind, trials, square, hits, verdict.bad_witnesses, verdict.disagreements))
     return [rows[t, s] for t in orbits for s in orbits if (t, s) in rows]
 
 
@@ -241,26 +227,20 @@ def check_smallness(setup: Setup) -> list:
         for target in enumerate_orbits(setup):
             if target in split:
                 continue
-            subject = f"{kind.value} {format_orbit(setup, target)}"
             if kind not in applicable:
-                rows.append(CheckRow("smallness", subject, True, "not the applicable side here"))
+                rows.append(CheckRow("smallness", (kind, target), True, (None, sides.asserted)))
                 continue
             small = _is_small(poset, kind, norm.to_normalized(target))
-            recorded = "" if sides.asserted else " (recorded, not asserted)"
-            rows.append(CheckRow("smallness", subject, small or not sides.asserted,
-                                 "small" if small else "not small" + recorded))
+            rows.append(CheckRow("smallness", (kind, target), small or not sides.asserted,
+                                 (small, sides.asserted)))
     return rows
 
 
 def check_transversality(setup: Setup, points: int = 100, seed: int = 0) -> list:
     """Sampled transversality of the Gram section to the rank strata."""
     result = degeneracy.run_transversality_suite(setup, points=points, seed=seed)
-    rows = []
-    for chart in result.charts:
-        name = "opposite chart" if chart.center_last else "standard chart"
-        rows.append(CheckRow("transversality", name, chart.ok,
-                             f"{chart.points} points, {chart.failures} failures"))
-    return rows
+    return [CheckRow("transversality", (chart.center_last,), chart.ok,
+                     (chart.points, chart.failures)) for chart in result.charts]
 
 
 # The verification suites in report order, by command-line name.  Each

@@ -5,7 +5,8 @@ order, and run the verification suites.  Output goes to stdout (or
 --out) as plain text, a stable JSON document, or GraphViz source for
 the closure diagram.  JSON documents carry a schema version.  Every
 format is byte-identical across runs with the same arguments and seed,
-and tests/documents.txt pins each command in each of its formats.
+and tests/documents.txt pins each command in each of its formats.  Only
+this module writes output text; check_entries writes verify's rows.
 
 main builds its parser once per process, on the first call, and is
 safe to call repeatedly: each call parses, computes and prints afresh.
@@ -25,7 +26,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .ccengine import SUITES, characteristic_cycle, cross_check, cycle_text, suite_rows
+from .ccengine import SUITES, VerificationReport, characteristic_cycle, cross_check, suite_rows
 from .conormal import NoGenericCovector
 from .exactla import SEED_MAX
 from .orbits import ClosurePoset, Kind, Setup, enumerate_orbits, format_orbit, parse_orbit
@@ -171,24 +172,57 @@ def cmd_poset(setup: Setup) -> dict:
     return doc
 
 
+def _cycle_text(terms) -> str:
+    """A cycle's (label, multiplicity) terms as text: label or m*label, joined by ' + '."""
+    return " + ".join([label if m == 1 else f"{m}*{label}" for label, m in terms])
+
+
+def check_entries(setup: Setup, rows) -> list:
+    """Check rows (see ccengine.CheckRow) as kcycle/1 entries, each label written once."""
+    label = {o: format_orbit(setup, o) for o in enumerate_orbits(setup)}
+    entries = []
+    for row in rows:
+        subject, detail = row.subject, row.detail
+        if row.check == "cc-agreement":
+            stated, pulled = (_cycle_text((label[o], m) for o, m in terms) for terms in detail)
+            subject, detail = label[subject[0]], f"stated {stated}; pullback {pulled}"
+        elif row.check == "microlocal-empty":
+            kind, trials, square, hits, bad, contradicted = detail
+            notes = [f"{kind.value}, {trials} trials"]
+            if square:
+                notes.append("square case, outside the strict regime")
+            if hits:
+                notes.append("witness found")
+            if bad:
+                notes.append(f"witness check failed on {bad} of {hits} witnesses")
+            if contradicted:
+                notes.append(f"block-shape verdict contradicted by {contradicted} of "
+                             f"{trials} trials")
+            subject, detail = f"{label[subject[0]]}<-{label[subject[1]]}", "; ".join(notes)
+        elif row.check == "smallness":
+            small, asserted = detail
+            subject = f"{subject[0].value} {label[subject[1]]}"
+            detail = ("not the applicable side here" if small is None else "small" if small
+                      else "not small" if asserted else "not small (recorded, not asserted)")
+        else:  # transversality
+            subject = "opposite chart" if subject[0] else "standard chart"
+            detail = f"{detail[0]} points, {detail[1]} failures"
+        entries.append({"check": row.check, "subject": subject, "ok": row.ok, "detail": detail})
+    return entries
+
+
 def cmd_verify(setup: Setup, suite: str, trials: int, seed: int) -> tuple:
     if suite == "all":
-        rows = cross_check(setup, trials=trials, points=trials, seed=seed).rows
+        report = cross_check(setup, trials=trials, points=trials, seed=seed)
     else:
-        rows = suite_rows(setup, suite, trials, trials, seed)
-    if not rows:
+        report = VerificationReport(setup, tuple(suite_rows(setup, suite, trials, trials, seed)))
+    if not report.rows:
         raise ValueError(f"suite {suite} has no checks for {setup.describe()}")
     doc = _document("verify", setup)
-    doc["suite"] = suite
-    doc["trials"] = trials
-    doc["seed"] = seed
-    doc["checks"] = [
-        {"check": r.check, "subject": r.subject, "ok": r.ok, "detail": r.detail}
-        for r in rows
-    ]
-    all_ok = all(r.ok for r in rows)
-    doc["all_ok"] = all_ok
-    return doc, 0 if all_ok else 1
+    doc.update(suite=suite, trials=trials, seed=seed)
+    doc["checks"] = check_entries(setup, report.rows)
+    doc["all_ok"] = report.all_ok
+    return doc, 0 if report.all_ok else 1
 
 
 def _render_text(doc: dict) -> str:
@@ -203,7 +237,7 @@ def _render_text(doc: dict) -> str:
     for cov in doc.get("covers", ()):
         lines.append(f"{cov['lower']} < {cov['upper']}")
     for cyc in doc.get("cycles", ()):
-        terms = cycle_text((t["orbit"], t["multiplicity"]) for t in cyc["terms"])
+        terms = _cycle_text((t["orbit"], t["multiplicity"]) for t in cyc["terms"])
         lines.append(f"CC({cyc['target']}) = {terms}")
     if doc["command"] == "verify":
         lines[0] += f" suite={doc['suite']} trials={doc['trials']} seed={doc['seed']}"

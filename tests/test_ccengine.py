@@ -2,6 +2,8 @@ import hashlib
 
 import pytest
 
+from kcycle import cli
+from kcycle.cli import check_entries
 from kcycle.ccengine import (
     CharacteristicCycle,
     CheckRow,
@@ -54,7 +56,8 @@ def test_orthogonal_examples():
     assert cc.as_dict() == {
         RadicalOrbit(3): 1, SplitOrbit(1): 1, SplitOrbit(-1): 1,
     }
-    assert cc.describe() == "rad3 + rad4+ + rad4-"
+    doc = cli.cmd_cc(Setup(Kind.SO, 8, 4), "rad3")
+    assert cli.render(doc, "text").splitlines()[1] == "CC(rad3) = rad3 + rad4+ + rad4-"
 
     # the even radical size below the maximum stays irreducible
     cc = characteristic_cycle(Setup(Kind.SO, 8, 4), RadicalOrbit(2))
@@ -154,7 +157,8 @@ def test_agreement_with_pullback_everywhere():
 
 def test_cc_agreement_rows():
     rows = check_cc_agreement(Setup(Kind.SO, 6, 3))
-    assert [r.subject for r in rows] == ["rad0", "rad1", "rad2", "rad3+", "rad3-"]
+    subjects = [e["subject"] for e in check_entries(Setup(Kind.SO, 6, 3), rows)]
+    assert subjects == ["rad0", "rad1", "rad2", "rad3+", "rad3-"]
     assert all(r.ok for r in rows)
     # a glpq setup has no cc-agreement rows: its family does not list the
     # suite, and the pullback route itself refuses a setup without a form
@@ -165,11 +169,12 @@ def test_cc_agreement_rows():
 
 
 def test_smallness_rows_assert_only_applicable_side():
-    rows = check_smallness(Setup(Kind.GLPQ, 5, 2, p=4, q=1))
-    by_subject = {r.subject: r for r in rows}
+    setup = Setup(Kind.GLPQ, 5, 2, p=4, q=1)
+    rows = check_smallness(setup)
+    by_subject = {e["subject"]: e for e in check_entries(setup, rows)}
     # normalized parameters put this setup on the second resolution side
-    assert by_subject["ztilde q(1,0)"].detail in ("small", "not small")
-    assert by_subject["z q(1,0)"].detail == "not the applicable side here"
+    assert by_subject["ztilde q(1,0)"]["detail"] in ("small", "not small")
+    assert by_subject["z q(1,0)"]["detail"] == "not the applicable side here"
     assert all(r.ok for r in rows)
 
 
@@ -189,27 +194,26 @@ def test_smallness_builds_one_poset_per_setup(monkeypatch):
     assert len(glpq_setups) == len(built) == 140
     # the shared poset gives the verdicts of the public, per-target is_small
     for setup, report in zip(glpq_setups, reports):
-        for row in report.rows:
-            if row.check == "smallness" and row.detail != "not the applicable side here":
-                kind, label = row.subject.split()
+        for row in check_entries(setup, report.rows):
+            if row["check"] == "smallness" and row["detail"] != "not the applicable side here":
+                kind, label = row["subject"].split()
                 small = is_small(setup, ResolutionKind(kind), parse_orbit(setup, label))
-                assert row.ok == small and row.detail == ("small" if small else "not small")
+                assert row["ok"] == small and row["detail"] == ("small" if small else "not small")
 
 
 def test_microlocal_formats_each_label_once(monkeypatch):
-    # one label text per orbit per check_microlocal call, not two per row
-    from kcycle import ccengine
-
+    # one label text per orbit per verify document, not two per row; the
+    # rows hold labels, and only cli writes them
     formatted = []
 
     def counting_format(setup, orbit):
         formatted.append((setup, orbit))
         return format_orbit(setup, orbit)
 
-    monkeypatch.setattr(ccengine, "format_orbit", counting_format)
+    monkeypatch.setattr(cli, "format_orbit", counting_format)
     for setup in setups(6, kinds=(Kind.GLPQ,)):
         formatted.clear()
-        check_microlocal(setup, trials=1, seed=5)
+        cli.cmd_verify(setup, "microlocal", 1, 5)
         assert len(set(formatted)) == len(formatted) <= len(enumerate_orbits(setup))
         assert all(setup == s for s, _ in formatted)
 
@@ -235,18 +239,18 @@ def test_sp_so_posets_agree_with_the_normalized_setups():
                 continue
             small = _is_small(own, ResolutionKind.ZI, target)
             assert is_small(setup, ResolutionKind.ZI, target) == small
-            expected.append(CheckRow(
-                "smallness", f"zi {format_orbit(setup, target)}", True,
-                "small" if small else "not small (recorded, not asserted)"))
-        assert check_smallness(setup) == expected, setup
+            expected.append({
+                "check": "smallness", "subject": f"zi {format_orbit(setup, target)}", "ok": True,
+                "detail": "small" if small else "not small (recorded, not asserted)"})
+        assert check_entries(setup, check_smallness(setup)) == expected, setup
     assert duals == 45  # 15 sp and 30 so setups with k < n - k
 
 
 def test_cross_check_glpq():
     setup = Setup(Kind.GLPQ, 5, 2, p=3, q=2)
     report = cross_check(setup, trials=5)
-    assert not report.failures()
-    assert report.failures() == []
+    assert not [r for r in report.rows if not r.ok]
+    assert [r for r in report.rows if not r.ok] == []
     orbits = enumerate_orbits(setup)
     pairs = sum(
         1
@@ -263,10 +267,11 @@ def test_cross_check_glpq():
 
 def test_cross_check_orthogonal():
     report = cross_check(Setup(Kind.SO, 6, 3), points=10)
-    assert not report.failures()
+    assert not [r for r in report.rows if not r.ok]
     checks = {r.check for r in report.rows}
     assert checks == {"cc-agreement", "smallness", "transversality"}
-    tr = [r.subject for r in report.rows if r.check == "transversality"]
+    tr = [e["subject"] for e in check_entries(report.setup, report.rows)
+          if e["check"] == "transversality"]
     assert tr == ["standard chart", "opposite chart"]
 
 
@@ -278,8 +283,9 @@ def test_cross_check_is_deterministic():
 def test_report_collects_failures():
     row = CheckRow("demo", "x", False, "boom")
     report = VerificationReport(Setup(Kind.SP, 4, 2), (row,))
-    assert report.failures()
-    assert report.failures() == [row]
+    assert [r for r in report.rows if not r.ok]
+    assert [r for r in report.rows if not r.ok] == [row]
+    assert not report.all_ok
 
 
 def test_seeded_suites_reject_out_of_range_seeds():
@@ -293,7 +299,8 @@ def test_seeded_suites_reject_out_of_range_seeds():
             with pytest.raises(ValueError):
                 cross_check(setup, trials=1, points=1, seed=bad)
     for setup in (glpq, so):
-        assert cross_check(setup, trials=1, points=1, seed=SEED_MAX).failures() == []
+        report = cross_check(setup, trials=1, points=1, seed=SEED_MAX)
+        assert [r for r in report.rows if not r.ok] == []
 
 
 def test_sampled_checks_reject_counts_below_one():

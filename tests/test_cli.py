@@ -9,6 +9,8 @@ import pytest
 
 from kcycle import ccengine, cli, conormal
 from kcycle.ccengine import CheckRow
+from kcycle.orbits import IntersectionOrbit
+from kcycle.resolutions import ResolutionKind
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -307,12 +309,16 @@ def test_out_into_missing_directory(capsys, tmp_path):
 
 
 def test_failed_check_exits_one(capsys, monkeypatch):
-    bad = [CheckRow("microlocal-empty", "q(0,0)<-q(1,1)", False, "witness found")]
+    # one witness found in 20 trials, on the square setup glpq(4,2,2,2)
+    bad = [CheckRow("microlocal-empty", (IntersectionOrbit(0, 0), IntersectionOrbit(1, 1)), False,
+                    (ResolutionKind.Z, 20, True, 1, 0, 0))]
     monkeypatch.setattr(ccengine, "check_microlocal", lambda *a, **kw: bad)
     code, out, _ = run(capsys, ["verify"] + GLPQ + ["--suite", "microlocal"])
     assert code == 1
     assert "FAIL" in out
     assert "1 checks failed" in out
+    assert ("FAIL  microlocal-empty  q(0,0)<-q(1,1)  z, 20 trials; square case, outside the "
+            "strict regime; witness found") in out.splitlines()
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):
@@ -407,3 +413,16 @@ def test_repeated_main_calls_are_independent(capsys):
     fresh = capsys.readouterr()
     assert exc.value.code == 2 and error == (2, "", fresh.err)
     assert "argument --seed: must be between 0 and " in fresh.err
+
+
+def test_readme_example_prints_what_it_says():
+    # each print line of the README's python block ends in a comment that
+    # is what it prints
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("  # ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    assert len(expected) == 3
+    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n" + block
+    done = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines() == expected

@@ -2,7 +2,8 @@
 imports nothing outside the standard library, every module-level
 definition and method in it is reached from an entry point, every field of its
 NamedTuple records is read in it, no module but orbits branches on the
-setup kind, and a kcycle process loads neither dataclasses nor inspect.
+setup kind, no module but cli writes output text, and a kcycle process
+loads neither dataclasses nor inspect.
 
 Every import of a kcycle module is counted, including imports inside
 function bodies, since those hide a cycle from module load order but
@@ -121,7 +122,6 @@ def _bindings(tree: ast.Module) -> dict:
 UNREACHED = {
     "exactla.Subspace": "a placeholder whose span the benchmark's tracer (perfbench/tracer.py) "
                         "patches by name; the subspace type is tests/reference.py's",
-    "ccengine.VerificationReport.all_ok": "the README's library example reads it",
 }
 
 
@@ -324,3 +324,72 @@ def test_only_orbits_branches_on_the_kind():
     assert all(mod == "cli" for mod, _ in KIND_DISPATCH)
     stale = sorted(f"{mod}.{func}" for mod, func in KIND_DISPATCH.keys() - used)
     assert not stale, "allowlisted functions with no kind dispatch left: " + ", ".join(stale)
+
+
+# The only calls of format_orbit outside orbits and cli, by (module,
+# function), each with the reason it stays.  Output text is cli's to write.
+LABEL_TEXT = {
+    ("resolutions", "draw_conormals"): "the stratum's label text is part of the draws' seed tag",
+    ("ccengine", "CharacteristicCycle.from_multiplicities"): "a cycle's terms sort by label text",
+}
+
+
+def _text_writers(tree: ast.Module) -> list:
+    """(function, line, what) for each label and row string written in a module.
+
+    A function (or Class.method) writes a label when it calls
+    format_orbit, and a row string when it builds a CheckRow and holds an
+    f-string, a join or a format call outside its raise statements: an
+    error message is not output.
+    """
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{f.name}", f) for f in node.body
+                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    found = []
+    for func, scope in scopes:
+        calls = [n for n in ast.walk(scope) if isinstance(n, ast.Call)]
+        found += [(func, c.lineno, "calls format_orbit") for c in calls
+                  if _name(c.func) == "format_orbit"]
+        if any(_name(c.func) == "CheckRow" for c in calls):
+            raised = {id(n) for r in ast.walk(scope) if isinstance(r, ast.Raise)
+                      for n in ast.walk(r)}
+            text = [n for n in ast.walk(scope) if id(n) not in raised and (
+                isinstance(n, ast.JoinedStr)
+                or isinstance(n, ast.Call) and _name(n.func) in ("join", "format"))]
+            found += [(func, n.lineno, "builds a row string") for n in text]
+    return found
+
+
+def test_only_cli_writes_output_text():
+    # rows hold labels and numbers, and cli writes the kcycle/1 strings from
+    # them, so a row's text has one writer
+    planted = ast.parse(
+        "def check(setup, o):\n"
+        "    detail = f'{o} points'\n"
+        "    if not o:\n"
+        "        raise ValueError(f'no {o}')\n"
+        "    return CheckRow('c', format_orbit(setup, o), True, '; '.join([detail]))\n"
+        "class Cycle:\n"
+        "    def text(self):\n"
+        "        return '{}'.format(format_orbit(self.setup, self.target))\n")
+    assert sorted(_text_writers(planted)) == [
+        ("Cycle.text", 8, "calls format_orbit"), ("check", 2, "builds a row string"),
+        ("check", 5, "builds a row string"), ("check", 5, "calls format_orbit")]  # the walk sees all
+    found, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for func, line, what in _text_writers(ast.parse(path.read_text())):
+            if what == "calls format_orbit" and path.stem == "orbits":
+                continue
+            if what == "calls format_orbit" and (path.stem, func) in LABEL_TEXT:
+                used.add((path.stem, func))
+            else:
+                found.append(f"{path.stem}.{func} line {line} {what}")
+    assert not found, "output text written outside cli; rows hold values: " + "; ".join(found)
+    stale = sorted(f"{mod}.{func}" for mod, func in LABEL_TEXT.keys() - used)
+    assert not stale, "allowlisted functions that write no label: " + ", ".join(stale)

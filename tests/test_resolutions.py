@@ -2,6 +2,7 @@ import pytest
 
 from kcycle import ccengine, conormal, exactla, orbits, resolutions
 from kcycle.ccengine import check_microlocal
+from kcycle.cli import check_entries
 from kcycle.exactla import QMatrix, SeedStream
 from kcycle.conormal import ConormalVector
 from kcycle.orbits import (
@@ -234,10 +235,10 @@ def test_check_microlocal_checks_every_witness(monkeypatch):
                         own_stratum_membership(kernel_membership_Z))
     rows = check_microlocal(setup, trials=3, seed=1)
     assert rows and not any(r.ok for r in rows)
-    for row in rows:
-        assert "witness found" in row.detail
-        assert "witness check failed on 3 of 3 witnesses" in row.detail
-        assert "block-shape verdict contradicted by 3 of 3 trials" in row.detail
+    for row in check_entries(setup, rows):
+        assert "witness found" in row["detail"]
+        assert "witness check failed on 3 of 3 witnesses" in row["detail"]
+        assert "block-shape verdict contradicted by 3 of 3 trials" in row["detail"]
 
 
 def test_a_contradicted_shape_verdict_fails_the_row(monkeypatch):
@@ -246,9 +247,9 @@ def test_a_contradicted_shape_verdict_fails_the_row(monkeypatch):
     monkeypatch.setattr(resolutions, "generic_block_ranks", lambda bp: (0, 0))
     rows = check_microlocal(glpq(6, 2, 3, 3), trials=2, seed=1)
     assert rows and not any(r.ok for r in rows)
-    for row in rows:
-        assert "witness found" not in row.detail
-        assert "block-shape verdict contradicted by 2 of 2 trials" in row.detail
+    for row in check_entries(glpq(6, 2, 3, 3), rows):
+        assert "witness found" not in row["detail"]
+        assert "block-shape verdict contradicted by 2 of 2 trials" in row["detail"]
 
 
 def test_genuine_witnesses_pass_their_check(monkeypatch):
@@ -259,10 +260,10 @@ def test_genuine_witnesses_pass_their_check(monkeypatch):
     for setup in (glpq(6, 2, 3, 3), glpq(5, 3, 4, 1)):
         rows = check_microlocal(setup, trials=2, seed=1)
         assert rows and not any(r.ok for r in rows)
-        for row in rows:
-            assert "witness found" in row.detail
-            assert "witness check failed" not in row.detail
-            assert "block-shape verdict contradicted by 2 of 2 trials" in row.detail
+        for row in check_entries(setup, rows):
+            assert "witness found" in row["detail"]
+            assert "witness check failed" not in row["detail"]
+            assert "block-shape verdict contradicted by 2 of 2 trials" in row["detail"]
 
 
 @pytest.mark.parametrize("setup", [glpq(6, 2, 3, 3), glpq(8, 4, 4, 4)])
@@ -308,7 +309,7 @@ def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
     expected = [(id(xi), (target.s, target.t))
                 for target, stratum in pairs for xi in by_stratum[stratum]]
     assert sorted((id(xi), st) for xi, st in judged) == sorted(expected)
-    assert [r.subject for r in rows] == \
+    assert [r["subject"] for r in check_entries(setup, rows)] == \
         [f"q({t.s},{t.t})<-q({s.s},{s.t})" for t, s in pairs]
 
 
@@ -365,10 +366,10 @@ def test_a_membership_fault_at_one_target_fails_only_its_rows(monkeypatch):
         monkeypatch.setattr(
             resolutions, "kernel_membership_Z",
             lambda xi, s, t: (wrong if (s, t) == (bad.s, bad.t) else real)(xi, s, t))
-        rows = check_microlocal(setup, trials=2, seed=1)
-        failed = {r.subject for r in rows if not r.ok}
+        rows = check_entries(setup, check_microlocal(setup, trials=2, seed=1))
+        failed = {r["subject"] for r in rows if not r["ok"]}
         prefix = f"q({bad.s},{bad.t})<-"
-        assert failed == {r.subject for r in rows if r.subject.startswith(prefix)}
+        assert failed == {r["subject"] for r in rows if r["subject"].startswith(prefix)}
         assert failed
 
 
@@ -377,7 +378,8 @@ def test_verify_empty_all_pairs_small_setups():
         for target, stratum in proper_pairs(setup):
             verdict = verify_microlocal_empty(setup, target, stratum, trials=20, seed=3)
             assert verdict.hits == () and verdict.bad_witnesses == 0, (target, stratum)
-        assert not any("square case" in r.detail for r in check_microlocal(setup, trials=1))
+        rows = check_entries(setup, check_microlocal(setup, trials=1))
+        assert not any("square case" in r["detail"] for r in rows)
 
 
 def test_verify_empty_boundary_tagged():
@@ -387,7 +389,8 @@ def test_verify_empty_boundary_tagged():
         assert verdict.hits == ()
     rows = check_microlocal(setup, trials=20, seed=1)
     assert len(rows) == len(proper_pairs(setup))
-    assert all("square case, outside the strict regime" in r.detail for r in rows)
+    assert all("square case, outside the strict regime" in r["detail"]
+               for r in check_entries(setup, rows))
 
 
 def test_verify_empty_second_resolution_branch():
