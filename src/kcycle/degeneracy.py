@@ -32,14 +32,15 @@ phi = x11 - x12 J0^-1 x21.  J0^-1 is the signed transpose of J0, so
 phi is integer multiply and add.  _schur_plan checks these facts once
 per chart; at m = 0 (n = 2k, both charts) phi is x itself.
 
-The sweep does its set-up once per chart: chart_for checks the chart,
-fetches both plans and works out the flavor and the top rank.  A
-chart's points are one flat list of draws (draw_chart_points), and
-transverse_points judges them as lanes, at most _LANES at a time (a
-module constant, so no sweep forms more): a chunk's column for chart
-entry src is one stride slice of the draws, each value entry is one map
-of add or sub per plan triple and each phi entry a few maps of mul, all
-lanes at once; no point is built as a matrix.
+The sweep, ccengine.check_transversality, does its set-up once per
+chart: chart_for checks the chart, fetches both plans and works out
+the flavor and the top rank.  A chart's points are one flat list of
+draws (draw_chart_points), and transverse_points judges them as lanes,
+at most _LANES at a time (a module constant, so no sweep forms more):
+a chunk's column for chart entry src is one stride slice of the draws,
+each value entry is one map of add or sub per plan triple and each phi
+entry a few maps of mul, all lanes at once; no point is built as a
+matrix.
 
 Then phi is certified of rank r = top - m, the rank of a top-rank
 value, across all lanes by the chart's flavor (_proven_lanes), and
@@ -81,7 +82,7 @@ from typing import NamedTuple
 
 from .exactla import QMatrix, SeedStream, certify_full_lanes, check_count, lane_pfaffian, rank
 from .matrixstrata import Flavor, flavor_dim, pairing_row, product_system
-from .orbits import Kind, Setup, family, form_flavor, form_sign, normalize
+from .orbits import Kind, Setup, form_flavor, form_sign
 
 _LANES = 256  # points judged at a time, however many a sweep draws
 
@@ -301,45 +302,3 @@ def transverse_points(chart: Chart, draws) -> list:
                 [v[lane] for v in x], k, chart.flavor, free)) == len(free)
         verdicts += proven
     return verdicts
-
-
-class ChartSuiteResult(NamedTuple):
-    center_last: bool
-    points: int
-    failures: int
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-
-class TransversalityResult(NamedTuple):
-    """Outcome of a sampled transversality sweep over one setup."""
-
-    setup: Setup
-    charts: tuple
-
-
-def run_transversality_suite(setup: Setup, points: int = 100,
-                             seed: int = 0) -> TransversalityResult:
-    """Sample chart points and verify transversality at each.
-
-    For a setup with split labels both reference charts are exercised,
-    since the two families of maximal isotropic planes are seen by
-    different charts.
-    """
-    if "transversality" not in family(setup).suites:
-        raise ValueError("transversality sweeps need an invariant form")
-    check_count("points", points)
-    work = normalize(setup).setup
-    n, k = work.n, work.k
-    charts = (False, True) if family(work).split_labels(work) else (False,)
-    results = []
-    for center_last in charts:
-        chart = chart_for(work, center_last)
-        rng = SeedStream(seed).derive(
-            "transversality", work.describe(), "opposite" if center_last else "standard"
-        )
-        verdicts = transverse_points(chart, draw_chart_points(n, k, rng, points))
-        results.append(ChartSuiteResult(center_last, points, verdicts.count(False)))
-    return TransversalityResult(work, tuple(results))

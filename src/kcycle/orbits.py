@@ -305,13 +305,6 @@ def relabel_orbit(orbit, normalization: NormalizedSetup, reverse: bool = False):
 # ---------------------------------------------------------------------------
 # closure order and poset
 
-def closure_leq(setup: Setup, a, b) -> bool:
-    """True when orbit a lies in the closure of orbit b."""
-    check_orbit(setup, a)
-    check_orbit(setup, b)
-    return _FAMILIES[setup.kind].leq(setup, a, b)
-
-
 class ClosurePoset:
     """Closure order on the orbit set, with dimensions and covers."""
 

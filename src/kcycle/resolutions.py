@@ -17,9 +17,9 @@ plus s0 - s vectors of C^q/U, h's columns (s0 = h's rows); U + C^p has
 no C^q/U coordinate, so h vanishes on V iff h v = 0.  Frames come from
 a block's reduced column-space or kernel basis and are checked by ranks.
 
-Everything here past ``verify_microlocal_empty``, the one entry that
-validates and normalizes original labels, works in normalized labels:
-covectors are drawn once per stratum (``draw_conormals``, which sets up
+Everything here works in normalized labels; ccengine, which runs the
+checks, normalizes a setup's labels once per check.  Covectors are
+drawn once per stratum (``draw_conormals``, which sets up
 one sampler, draws every trial seed in one batch, then every covector
 in one batch over those seeds) and judged per target
 (``judge_microlocal``, which reads the setup and stratum off the
@@ -38,15 +38,13 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from .exactla import SEED_MAX, QMatrix, SeedStream, check_count, kernel, rank, rref
+from .exactla import SEED_MAX, QMatrix, SeedStream, kernel, rank, rref
 from .conormal import ConormalVector, covector_sampler, draw_covectors, generic_block_ranks
 from .orbits import (
     INTERSECTION,
     RADICAL,
     ClosurePoset,
     Setup,
-    base_point,
-    closure_leq,
     family,
     format_orbit,
     normalize,
@@ -77,17 +75,14 @@ class Witness(NamedTuple):
 class MicrolocalVerdict(NamedTuple):
     """Membership of sampled covectors, set against the block-shape verdict.
 
-    ``generic_empty`` is what the block shapes predict for a generic
-    covector; ``disagreements`` counts the trials whose membership test
-    contradicted it.  ``hits`` pairs each member covector with its
-    witness, and ``bad_witnesses`` counts the witnesses that fail their
-    resolution's check.  ``thresholds`` are the target's (s, t) in
-    normalized coordinates.
+    ``disagreements`` counts the trials whose membership test
+    contradicted what the block shapes predict for a generic covector.
+    ``hits`` pairs each member covector with its witness, and
+    ``bad_witnesses`` counts the witnesses that fail their resolution's
+    check.
     """
 
     kind: ResolutionKind
-    thresholds: Tuple[int, int]
-    generic_empty: bool
     disagreements: int
     hits: tuple  # (ConormalVector, Witness) pairs
     bad_witnesses: int
@@ -175,15 +170,12 @@ class FamilyResolutions(NamedTuple):
     kinds: tuple           # in report order
     applicable: Callable   # normalized setup -> the kinds that apply to it
     asserted: bool         # smallness is a check, not only a record
-    needs: str             # the ValueError for one of the kinds on another family's setup
 
 
 RESOLUTIONS = {
     INTERSECTION: FamilyResolutions((ResolutionKind.Z, ResolutionKind.ZTILDE),
-                                    _glpq_resolutions, True,
-                                    "subspace-pair resolutions need a GLpq setup"),
-    RADICAL: FamilyResolutions((ResolutionKind.ZI,), lambda work: (ResolutionKind.ZI,), False,
-                               "radical resolution needs an Sp/SO setup"),
+                                    _glpq_resolutions, True),
+    RADICAL: FamilyResolutions((ResolutionKind.ZI,), lambda work: (ResolutionKind.ZI,), False),
 }
 
 
@@ -248,40 +240,12 @@ def judge_microlocal(target, covectors) -> MicrolocalVerdict:
             bad += not satisfies(xi, s, t, wit)
         disagreements += hit != generic_member
     return MicrolocalVerdict(
-        kind=kind, thresholds=(s, t), generic_empty=not generic_member,
-        disagreements=disagreements, hits=tuple(hits), bad_witnesses=bad,
+        kind=kind, disagreements=disagreements, hits=tuple(hits), bad_witnesses=bad,
     )
 
 
-def verify_microlocal_empty(
-    setup: Setup, target_orbit, stratum_orbit, trials: int = 20, seed: int = 0
-) -> MicrolocalVerdict:
-    """Sample covectors conormal to the stratum; none may lie in the kernel image.
-
-    The one entry on original labels: it validates the setup, labels
-    and trial count, then draws at the normalized stratum and judges
-    for the normalized target.  No hits is the evidence that the stratum
-    contributes nothing to the target's characteristic cycle.
-    """
-    if "microlocal" not in family(setup).suites:
-        raise ValueError("microlocal emptiness testing is for GLpq setups")
-    check_count("trials", trials)
-    norm = normalize(setup)
-    tgt, strat = norm.to_normalized(target_orbit), norm.to_normalized(stratum_orbit)
-    covectors = draw_conormals(base_point(norm.setup, strat), trials=trials, seed=seed)
-    return judge_microlocal(tgt, covectors)
-
-
-def _normalized(setup: Setup, kind: ResolutionKind, *labels) -> tuple:
-    """The normalized setup and labels, once kind is a resolution of the setup's family."""
-    if kind not in RESOLUTIONS[family(setup)].kinds:
-        raise ValueError(next(r.needs for r in RESOLUTIONS.values() if kind in r.kinds))
-    norm = normalize(setup)
-    return norm.setup, [norm.to_normalized(o) for o in labels]
-
-
-def _fiber_dimension(work: Setup, kind: ResolutionKind, tgt, strat) -> int:
-    """fiber_dimension on valid labels of a normalized setup, strat in tgt's closure."""
+def fiber_dimension(work: Setup, kind: ResolutionKind, tgt, strat) -> int:
+    """The fiber dimension over strat, on labels of a normalized setup, strat below tgt."""
     if kind == ResolutionKind.ZI:
         i = radical_size(work, tgt)
         return i * (radical_size(work, strat) - i)
@@ -293,33 +257,17 @@ def _fiber_dimension(work: Setup, kind: ResolutionKind, tgt, strat) -> int:
     return (sp - s) * (n - k - p + s) + t * (tp - t)
 
 
-def fiber_dimension(setup: Setup, kind: ResolutionKind, target, stratum) -> int:
-    """Dimension of the resolution fiber over a point of the stratum."""
-    work, (tgt, strat) = _normalized(setup, kind, target, stratum)
-    if not closure_leq(work, strat, tgt):
-        raise ValueError("stratum must lie in the target's closure")
-    return _fiber_dimension(work, kind, tgt, strat)
-
-
-def is_small(setup: Setup, kind: ResolutionKind, target) -> bool:
+def is_small(pos: ClosurePoset, kind: ResolutionKind, tgt) -> bool:
     """Strict fiber bound 2*dim(fiber) < codim(stratum) below the target.
 
-    Read off the closure poset of the normalized setup for every kind.
-    For Sp/SO the relabelling is the identity (U -> U^perp keeps rad(U)),
-    and orbit dimensions, the closure order and the radical fiber
-    dimensions are those of the setup itself.
+    Read off the poset of the normalized setup: for Sp/SO, U -> U^perp
+    keeps rad(U), so its dimensions and order are the setup's own.
     """
-    work, (tgt,) = _normalized(setup, kind, target)
-    return _is_small(ClosurePoset(work), kind, tgt)
-
-
-def _is_small(pos: ClosurePoset, kind: ResolutionKind, tgt) -> bool:
-    """is_small on the poset of the working setup and a target label of it."""
     top = pos.dimension[tgt]
     for stratum in pos.orbits:
         if stratum == tgt or not pos.leq(stratum, tgt):
             continue
-        fib = _fiber_dimension(pos.setup, kind, tgt, stratum)
+        fib = fiber_dimension(pos.setup, kind, tgt, stratum)
         if 2 * fib >= top - pos.dimension[stratum]:
             return False
     return True

@@ -11,8 +11,13 @@ import sys
 import time
 from pathlib import Path
 
-from kcycle.ccengine import characteristic_cycle, pullback_cc
-from kcycle.degeneracy import run_transversality_suite
+from kcycle.ccengine import (
+    characteristic_cycle,
+    check_microlocal,
+    check_smallness,
+    check_transversality,
+    pullback_cc,
+)
 from kcycle.exactla import QMatrix, SeedStream, rank
 from kcycle.matrixstrata import Flavor, flavor_dim
 from kcycle.orbits import (
@@ -21,17 +26,11 @@ from kcycle.orbits import (
     Setup,
     SplitOrbit,
     base_point,
-    closure_leq,
     enumerate_orbits,
     normalize,
     orbit_dimension,
 )
-from kcycle.resolutions import (
-    ResolutionKind,
-    is_small,
-    resolution_for,
-    verify_microlocal_empty,
-)
+from kcycle.resolutions import ResolutionKind, resolution_for
 from reference import (
     add,
     conormal_condition,
@@ -111,16 +110,12 @@ def test_criterion_3_microlocal_vanishing():
     started = time.monotonic()
     pairs = 0
     for setup in GLPQ_SETUPS:
-        orbits = enumerate_orbits(setup)
-        for target in orbits:
-            for stratum in orbits:
-                if stratum == target or not closure_leq(setup, stratum, target):
-                    continue
-                verdict = verify_microlocal_empty(setup, target, stratum,
-                                                  trials=20, seed=0)
-                assert verdict.hits == (), (setup, target, stratum)
-                assert verdict.generic_empty and verdict.disagreements == 0
-                pairs += 1
+        for row in check_microlocal(setup, trials=20, seed=0):
+            kind, trials, square, hits, bad, disagreements = row.detail
+            assert row.ok and trials == 20, (setup, row.subject)
+            assert hits == bad == disagreements == 0, (setup, row.subject)
+            pairs += 1
+    assert pairs == 919
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     _passed("criterion 3 (microlocal vanishing, 20 trials)", started,
@@ -138,10 +133,16 @@ def test_criterion_4_smallness_claims():
         if work.n - work.k <= work.p:
             sides.append(ResolutionKind.ZTILDE)
         assert resolution_for(setup) == tuple(sides)
-        for kind in sides:
-            for target in enumerate_orbits(setup):
-                assert is_small(setup, kind, target), (setup, kind, target)
+        for row in check_smallness(setup):
+            kind, target = row.subject
+            small, asserted = row.detail
+            assert row.ok and asserted, (setup, kind, target)
+            if kind in sides:
+                assert small is True, (setup, kind, target)
                 checked += 1
+            else:
+                assert small is None, (setup, kind, target)
+    assert checked == 928
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     _passed("criterion 4 (resolution smallness)", started,
@@ -154,12 +155,13 @@ def test_criterion_5_transversality_sweep():
     for setup in ISOTROPY_SETUPS:
         if setup.k < setup.n - setup.k:
             continue
-        result = run_transversality_suite(setup, points=100, seed=0)
-        assert all(c.ok for c in result.charts), setup
+        rows = check_transversality(setup, points=100, seed=0)
+        assert all(r.ok and r.detail == (100, 0) for r in rows), setup
         expect_charts = 2 if (setup.kind == Kind.SO
                               and setup.n == 2 * setup.k) else 1
-        assert len(result.charts) == expect_charts
+        assert len(rows) == expect_charts
         charts += expect_charts
+    assert charts == 30
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     _passed("criterion 5 (transversality, 100 points/chart)", started,

@@ -12,26 +12,24 @@ from kcycle.ccengine import (
     check_cc_agreement,
     check_microlocal,
     check_smallness,
+    check_transversality,
     cross_check,
     pullback_cc,
     suite_rows,
 )
-from kcycle.degeneracy import run_transversality_suite
 from kcycle.exactla import SEED_MAX
 from kcycle.orbits import (
     ClosurePoset,
-    IntersectionOrbit,
     Kind,
     RadicalOrbit,
     Setup,
     SplitOrbit,
-    closure_leq,
     enumerate_orbits,
     format_orbit,
     normalize,
     parse_orbit,
 )
-from kcycle.resolutions import ResolutionKind, _is_small, is_small, verify_microlocal_empty
+from kcycle.resolutions import ResolutionKind, is_small
 
 from reference import setups
 
@@ -105,10 +103,11 @@ def test_multiplicities_are_zero_or_one():
 
 def test_terms_lie_in_target_closure():
     for setup in setups(7, kinds=(Kind.SO,)):
+        pos = ClosurePoset(setup)
         for orbit in enumerate_orbits(setup):
             cc = characteristic_cycle(setup, orbit)
             for term, _ in cc.terms:
-                assert closure_leq(setup, term, orbit)
+                assert pos.leq(term, orbit)
 
 
 def test_duality_invariance():
@@ -192,12 +191,14 @@ def test_smallness_builds_one_poset_per_setup(monkeypatch):
     glpq_setups = setups(8, kinds=(Kind.GLPQ,))
     reports = [cross_check(setup, trials=1, points=1, seed=5) for setup in glpq_setups]
     assert len(glpq_setups) == len(built) == 140
-    # the shared poset gives the verdicts of the public, per-target is_small
+    # the shared poset gives the verdicts of is_small on a poset per target
     for setup, report in zip(glpq_setups, reports):
+        norm = normalize(setup)
         for row in check_entries(setup, report.rows):
             if row["check"] == "smallness" and row["detail"] != "not the applicable side here":
                 kind, label = row["subject"].split()
-                small = is_small(setup, ResolutionKind(kind), parse_orbit(setup, label))
+                target = norm.to_normalized(parse_orbit(setup, label))
+                small = is_small(ClosurePoset(norm.setup), ResolutionKind(kind), target)
                 assert row["ok"] == small and row["detail"] == ("small" if small else "not small")
 
 
@@ -221,8 +222,8 @@ def test_microlocal_formats_each_label_once(monkeypatch):
 def test_sp_so_posets_agree_with_the_normalized_setups():
     # U -> U^perp maps Gr(k, n) onto Gr(n-k, n) K-equivariantly and keeps
     # rad(U), so both posets list the same labels in the same order with
-    # equal dimensions: check_smallness and is_small rest on this when
-    # they read Sp/SO smallness off the normalized setup's poset
+    # equal dimensions: check_smallness rests on this when it reads Sp/SO
+    # smallness off the normalized setup's poset
     duals = 0
     for setup in setups(12, kinds=(Kind.SP, Kind.SO)):
         own, norm = ClosurePoset(setup), ClosurePoset(normalize(setup).setup)
@@ -237,8 +238,8 @@ def test_sp_so_posets_agree_with_the_normalized_setups():
         for target in own.orbits:
             if isinstance(target, SplitOrbit):
                 continue
-            small = _is_small(own, ResolutionKind.ZI, target)
-            assert is_small(setup, ResolutionKind.ZI, target) == small
+            small = is_small(own, ResolutionKind.ZI, target)
+            assert is_small(norm, ResolutionKind.ZI, target) == small
             expected.append({
                 "check": "smallness", "subject": f"zi {format_orbit(setup, target)}", "ok": True,
                 "detail": "small" if small else "not small (recorded, not asserted)"})
@@ -249,14 +250,14 @@ def test_sp_so_posets_agree_with_the_normalized_setups():
 def test_cross_check_glpq():
     setup = Setup(Kind.GLPQ, 5, 2, p=3, q=2)
     report = cross_check(setup, trials=5)
-    assert not [r for r in report.rows if not r.ok]
     assert [r for r in report.rows if not r.ok] == []
     orbits = enumerate_orbits(setup)
+    pos = ClosurePoset(setup)
     pairs = sum(
         1
         for t in orbits
         for s in orbits
-        if s != t and closure_leq(setup, s, t)
+        if s != t and pos.leq(s, t)
     )
     micro = [r for r in report.rows if r.check == "microlocal-empty"]
     assert len(micro) == pairs
@@ -283,7 +284,6 @@ def test_cross_check_is_deterministic():
 def test_report_collects_failures():
     row = CheckRow("demo", "x", False, "boom")
     report = VerificationReport(Setup(Kind.SP, 4, 2), (row,))
-    assert [r for r in report.rows if not r.ok]
     assert [r for r in report.rows if not r.ok] == [row]
     assert not report.all_ok
 
@@ -292,7 +292,11 @@ def test_seeded_suites_reject_out_of_range_seeds():
     glpq, so = Setup(Kind.GLPQ, 4, 2, p=2, q=2), Setup(Kind.SO, 6, 3)
     for bad in (-1, SEED_MAX + 1):
         with pytest.raises(ValueError):
-            run_transversality_suite(so, points=1, seed=bad)
+            check_transversality(so, points=1, seed=bad)
+        with pytest.raises(ValueError):
+            suite_rows(so, "transversality", 1, 1, bad)
+        with pytest.raises(ValueError):
+            suite_rows(glpq, "microlocal", 1, 1, bad)
         for setup in (glpq, so):
             with pytest.raises(ValueError):
                 check_microlocal(setup, trials=1, seed=bad)
@@ -308,10 +312,11 @@ def test_sampled_checks_reject_counts_below_one():
     glpq, so = Setup(Kind.GLPQ, 4, 2, p=2, q=2), Setup(Kind.SO, 6, 3)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="points"):
-            run_transversality_suite(so, points=bad)
+            check_transversality(so, points=bad)
+        with pytest.raises(ValueError, match="points"):
+            suite_rows(so, "transversality", 1, bad, 0)
         with pytest.raises(ValueError, match="trials"):
-            verify_microlocal_empty(glpq, IntersectionOrbit(1, 0), IntersectionOrbit(1, 1),
-                                    trials=bad)
+            suite_rows(glpq, "microlocal", bad, 1, 0)
         for setup in (glpq, so):
             with pytest.raises(ValueError, match="trials"):
                 check_microlocal(setup, trials=bad)
@@ -346,7 +351,7 @@ def test_sweep_draws_are_pinned(monkeypatch):
 
 
 def test_sweep_verdicts_are_pinned(monkeypatch):
-    # every chart point that run_transversality_suite draws over sp/so with
+    # every chart point that check_transversality draws over sp/so with
     # n <= 8 at seed 5, with the rank of its value and its verdict, both
     # read through the reference routes; a chart's failures are exactly its
     # False verdicts
@@ -366,17 +371,18 @@ def test_sweep_verdicts_are_pinned(monkeypatch):
     digest, degenerate = hashlib.sha256(), 0
     for setup in setups(8, kinds=(Kind.SP, Kind.SO)):
         batches.clear()
-        result = run_transversality_suite(setup, seed=5)
-        work = result.setup
-        assert len(batches) == len(result.charts)
-        for chart, points in zip(result.charts, batches):
-            top = degeneracy.chart_for(work, chart.center_last).top
-            ranks = [rank(section_value(work, a, chart.center_last)) for a in points]
-            verdicts = [verify_transversality(work, a, chart.center_last) for a in points]
-            assert len(points) == chart.points
-            assert verdicts.count(False) == chart.failures
+        rows = check_transversality(setup, seed=5)
+        work = normalize(setup).setup
+        assert len(batches) == len(rows)
+        for row, points in zip(rows, batches):
+            (center_last,), (count, failures) = row.subject, row.detail
+            top = degeneracy.chart_for(work, center_last).top
+            ranks = [rank(section_value(work, a, center_last)) for a in points]
+            verdicts = [verify_transversality(work, a, center_last) for a in points]
+            assert len(points) == count
+            assert verdicts.count(False) == failures
             degenerate += sum(r < top for r in ranks)
-            digest.update(repr((work.describe(), chart.center_last,
+            digest.update(repr((work.describe(), center_last,
                                 [a.a.entries for a in points], ranks, verdicts)).encode())
     assert degenerate > 0
     assert digest.hexdigest() == (
@@ -385,7 +391,7 @@ def test_sweep_verdicts_are_pinned(monkeypatch):
 
 def test_sweep_draws_are_pinned_at_scale(monkeypatch):
     # the largest batches a sweep draws: every chart point of
-    # run_transversality_suite on so(16,8), whose two charts draw 6,400
+    # check_transversality on so(16,8), whose two charts draw 6,400
     # values each, and on sp(16,8)
     from kcycle import degeneracy
     from reference import chart_points
@@ -399,7 +405,7 @@ def test_sweep_draws_are_pinned_at_scale(monkeypatch):
         return draws
 
     monkeypatch.setattr(degeneracy, "draw_chart_points", recording_draw)
-    charts = [len(run_transversality_suite(Setup(kind, 16, 8), seed=3).charts)
+    charts = [len(check_transversality(Setup(kind, 16, 8), seed=3))
               for kind in (Kind.SO, Kind.SP)]
     assert charts == [2, 1]
     assert digest.hexdigest() == (

@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from kcycle import degeneracy, exactla, orbits
-from kcycle.ccengine import pullback_cc
+from kcycle.ccengine import check_transversality, pullback_cc
 from kcycle.degeneracy import (
     _differential_values,
     chart_for,
     form_flavor,
-    run_transversality_suite,
 )
 from kcycle.exactla import SEED_MAX, QMatrix, SeedStream, derive_states, draw_streams, rank
 from kcycle.matrixstrata import Flavor, flavor_dim
@@ -223,8 +222,7 @@ def test_full_rank_points_rank_only_the_schur_complement(monkeypatch):
         free = degeneracy._free_coordinates(chart)
         ranked.clear()
         drawn.clear()
-        result = run_transversality_suite(setup, points=100, seed=seed)
-        assert all(c.ok for c in result.charts)
+        assert all(r.ok for r in check_transversality(setup, points=100, seed=seed))
         values = [section_value(setup, a) for a in drawn]
         full = [rank(x) == _top_rank(setup) for x in values]
         proven = [flavor_certificate(_reference_phi(chart, x), flavor, r) for x in values]
@@ -262,8 +260,7 @@ def test_each_chart_is_set_up_once(monkeypatch):
 
     monkeypatch.setattr(degeneracy, "chart_for", counting_chart)
     monkeypatch.setattr(degeneracy, "transverse_points", counting_transverse)
-    result = run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1)
-    assert all(c.ok for c in result.charts)
+    assert all(r.ok for r in check_transversality(Setup(Kind.SO, 8, 4), points=30, seed=1))
     assert [c.center_last for c in built] == [False, True]
     assert [(c is b, count) for (c, count), b in zip(judged, built)] == [(True, 30 * 16)] * 2
     assert len(judged) == 2
@@ -330,8 +327,7 @@ def test_chart_points_are_drawn_in_one_batch(monkeypatch):
         return real_randints(self, count, lo, hi)
 
     monkeypatch.setattr(SeedStream, "randints", counting_randints)
-    result = run_transversality_suite(Setup(Kind.SO, 8, 4), points=30, seed=1)
-    assert all(c.ok for c in result.charts)
+    assert all(r.ok for r in check_transversality(Setup(Kind.SO, 8, 4), points=30, seed=1))
     assert draws == [(30 * 16, -9, 9)] * 2
 
 
@@ -414,7 +410,7 @@ def test_proving_nothing_changes_no_verdict(monkeypatch):
     def sweep():
         verdicts.clear()
         for setup in setups(8, (Kind.SP, Kind.SO)):
-            run_transversality_suite(setup, seed=5)
+            check_transversality(setup, seed=5)
         charts = len(verdicts)
         for setup, center_last in _isotropy_setups(16):
             chart = chart_for(setup, center_last)
@@ -574,29 +570,35 @@ def test_rank_matches_orbit_classification():
 
 def test_transversality_at_random_points():
     for setup in (SO53, Setup(Kind.SP, 6, 3), Setup(Kind.SO, 7, 5)):
-        result = run_transversality_suite(setup, points=25, seed=7)
-        assert all(c.ok for c in result.charts)
-        assert [c.center_last for c in result.charts] == [False]
+        rows = check_transversality(setup, points=25, seed=7)
+        assert all(r.ok for r in rows)
+        assert [r.subject for r in rows] == [(False,)]
 
 
 def test_split_setups_use_both_charts():
-    result = run_transversality_suite(Setup(Kind.SO, 6, 3), points=15, seed=2)
-    assert [c.center_last for c in result.charts] == [False, True]
-    assert all(c.ok for c in result.charts)
+    rows = check_transversality(Setup(Kind.SO, 6, 3), points=15, seed=2)
+    assert [r.subject for r in rows] == [(False,), (True,)]
+    assert all(r.ok for r in rows)
     # symplectic square setups have one family only, hence one chart
-    sp = run_transversality_suite(Setup(Kind.SP, 6, 3), points=5, seed=2)
-    assert [c.center_last for c in sp.charts] == [False]
+    sp = check_transversality(Setup(Kind.SP, 6, 3), points=5, seed=2)
+    assert [r.subject for r in sp] == [(False,)]
 
 
-def test_suite_normalizes_small_k():
-    result = run_transversality_suite(Setup(Kind.SO, 7, 2), points=10, seed=4)
-    assert result.setup == Setup(Kind.SO, 7, 5)
-    assert all(c.ok for c in result.charts)
+def test_suite_normalizes_small_k(monkeypatch):
+    real_chart, charted = degeneracy.chart_for, []
+
+    def recording_chart(setup, center_last=False):
+        charted.append(setup)
+        return real_chart(setup, center_last)
+
+    monkeypatch.setattr(degeneracy, "chart_for", recording_chart)
+    assert all(r.ok for r in check_transversality(Setup(Kind.SO, 7, 2), points=10, seed=4))
+    assert charted == [Setup(Kind.SO, 7, 5)]
 
 
 def test_suite_is_deterministic():
-    a = run_transversality_suite(SO53, points=12, seed=9)
-    b = run_transversality_suite(SO53, points=12, seed=9)
+    a = check_transversality(SO53, points=12, seed=9)
+    b = check_transversality(SO53, points=12, seed=9)
     assert a == b
 
 

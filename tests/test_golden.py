@@ -120,7 +120,7 @@ FAILURES = [
      "efc66f4eee3ee794bf027a0c05c034bdfc3a93dd1ae907a08fd684b99a3de571",
      "44c71d0ecc9e7b98036f77848c7687061bd61c850b2e44bb1eb65caeaa838443"),
     ("large-fibers",
-     [(resolutions, "_fiber_dimension", lambda work, kind, tgt, strat: 100)],
+     [(resolutions, "fiber_dimension", lambda work, kind, tgt, strat: 100)],
      "verify --kind glpq --n 6 --k 3 --p 3 --q 3 --suite smallness",
      "FAIL  smallness  z q(0,0)  not small",
      "569959216c643a2a818fd05a2c784eba4a448be808ced755f1c29227e79adca8",

@@ -17,7 +17,6 @@ from kcycle.orbits import (
     Setup,
     SplitOrbit,
     base_point,
-    closure_leq,
     enumerate_orbits,
     format_orbit,
     gram_matrix,
@@ -213,25 +212,6 @@ def test_closure_order_examples():
     assert pos.leq(SplitOrbit(+1), RadicalOrbit(1))
     assert not pos.leq(SplitOrbit(+1), SplitOrbit(-1))
     assert not pos.leq(SplitOrbit(-1), SplitOrbit(+1))
-
-
-def test_closure_leq_rejects_invalid_labels():
-    setup = glpq(4, 2, 2, 2)
-    good = IntersectionOrbit(1, 1)
-    for bad in (IntersectionOrbit(2, 1), RadicalOrbit(1)):
-        with pytest.raises(ValueError):
-            closure_leq(setup, bad, good)
-        with pytest.raises(ValueError):
-            closure_leq(setup, good, bad)
-    # rad2 of so(4,2) is split into the two family labels
-    with pytest.raises(ValueError):
-        closure_leq(Setup(Kind.SO, 4, 2), RadicalOrbit(2), RadicalOrbit(0))
-    # the poset's comparison skips the label check and agrees with closure_leq
-    for setup in SWEEP:
-        pos = ClosurePoset(setup)
-        for a in pos.orbits:
-            for b in pos.orbits:
-                assert pos.leq(a, b) == closure_leq(setup, a, b)
 
 
 def test_poset_structure():

@@ -18,7 +18,6 @@ from kcycle.ccengine import (
     characteristic_cycle,
     cross_check,
 )
-from kcycle.degeneracy import ChartSuiteResult, TransversalityResult, run_transversality_suite
 from kcycle.matrixstrata import Flavor, MatrixCC, StratumId, cc_table
 from kcycle.orbits import (
     BasePoint,
@@ -33,7 +32,7 @@ from kcycle.orbits import (
     normalize,
     orbit_dimension,
 )
-from kcycle.resolutions import MicrolocalVerdict, Witness, verify_microlocal_empty
+from kcycle.resolutions import MicrolocalVerdict, Witness, draw_conormals, judge_microlocal
 
 from reference import zeros
 
@@ -112,18 +111,15 @@ def test_label_reprs():
 
 def test_records_and_labels_are_frozen():
     glpq = Setup(Kind.GLPQ, 4, 2, p=2, q=2)
-    transversality = run_transversality_suite(SO42, points=2)
     report = cross_check(glpq, trials=2, points=2)
-    verdict = verify_microlocal_empty(glpq, IntersectionOrbit(0, 0), IntersectionOrbit(1, 0),
-                                      trials=2)
     bp = base_point(glpq, IntersectionOrbit(1, 0))
+    verdict = judge_microlocal(IntersectionOrbit(0, 0), draw_conormals(bp, trials=2))
     instances = {
         Setup: glpq, NormalizedSetup: normalize(glpq), BasePoint: bp,
         IntersectionOrbit: IntersectionOrbit(1, 0), RadicalOrbit: RadicalOrbit(1),
         SplitOrbit: SplitOrbit(1),
         CharacteristicCycle: characteristic_cycle(SO42, RadicalOrbit(1)),
         CheckRow: report.rows[0], VerificationReport: report,
-        ChartSuiteResult: transversality.charts[0], TransversalityResult: transversality,
         Witness: Witness(zeros(1, 1), zeros(1, 1)),
         MicrolocalVerdict: verdict, StratumId: StratumId(Flavor.SYMMETRIC, 2, 1),
         MatrixCC: cc_table(Flavor.SYMMETRIC, 2, 1),
@@ -135,13 +131,11 @@ def test_records_and_labels_are_frozen():
         IntersectionOrbit: ("s", "t"), RadicalOrbit: ("i",), SplitOrbit: ("sign",),
         CharacteristicCycle: ("setup", "target", "terms"),
         CheckRow: ("check", "subject", "ok", "detail"), VerificationReport: ("setup", "rows"),
-        ChartSuiteResult: ("center_last", "points", "failures"),
-        TransversalityResult: ("setup", "charts"), Witness: ("v", "w"),
-        MicrolocalVerdict: ("kind", "thresholds", "generic_empty", "disagreements",
-                            "hits", "bad_witnesses"),
+        Witness: ("v", "w"),
+        MicrolocalVerdict: ("kind", "disagreements", "hits", "bad_witnesses"),
         StratumId: ("flavor", "size", "rank"), MatrixCC: ("terms",),
     }
-    assert len(instances) == 15
+    assert len(instances) == 13
     for cls, obj in instances.items():
         assert type(obj) is cls
         for name in fields[cls]:
