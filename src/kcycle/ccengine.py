@@ -40,7 +40,6 @@ from .resolutions import (
     draw_conormals,
     is_small,
     judge_microlocal,
-    resolution_for,
 )
 
 
@@ -223,7 +222,8 @@ def check_smallness(setup: Setup) -> list:
     """
     norm = normalize(setup)
     poset = ClosurePoset(norm.setup)
-    sides, applicable = RESOLUTIONS[family(setup)], resolution_for(setup)
+    sides = RESOLUTIONS[family(setup)]
+    applicable = sides.applicable(norm.setup)
     split = family(setup).split_labels(setup)
     rows = []
     for kind in sides.kinds:

@@ -10,13 +10,14 @@ maps h sending C^q/U into U cap C^p and l sending C^p/U into U cap C^q;
 it is the kernel of the sparse action image of Lie(K) (see orbits).
 
 A sampled covector is its two blocks and their ranks, which the
-membership tests read; no k x (n-k) matrix is formed.  covector_sampler
-checks a stratum once, and draw_covectors draws all its trials in one
-batch.  Each block is certified full across the trials at once, by
-exactla.certify_full_lanes on its leading k x k minor, k = min(rows,
-cols), whatever its shape; only a trial left unproven is ranked, and
-redrawn while short.  The proof is exact, so every covector is the one
-the ranks alone would give.
+membership tests read; no k x (n-k) matrix is formed.  draw_covectors
+checks a stratum's base point and draws all its trials in one batch,
+with entries in [-HEIGHT_BOUND, HEIGHT_BOUND].  Each block is
+certified full across the trials at once, by exactla.certify_full_lanes
+on its leading k x k minor, k = min(rows, cols), whatever its shape;
+only a trial left unproven is ranked, and redrawn while short.  The
+proof is exact, so every covector is the one the ranks alone would
+give.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .exactla import QMatrix, certify_full_lanes, check_count, derive_states, draw_streams, rank
+from .exactla import QMatrix, certify_full_lanes, derive_states, draw_streams, rank
 from .orbits import BasePoint, family
 
 
@@ -61,38 +62,7 @@ def generic_block_ranks(base: BasePoint) -> tuple:
 
 
 RETRY_BUDGET = 8
-
-
-class CovectorSampler(NamedTuple):
-    """What every covector drawn at one GLpq base point shares, checked once.
-
-    Built by covector_sampler: the block shapes of h and l, their
-    generic_block_ranks and the entry height bound.
-    """
-
-    base: BasePoint
-    h_shape: tuple
-    l_shape: tuple
-    h_full: int
-    l_full: int
-    height_bound: int
-
-
-def covector_sampler(base: BasePoint, height_bound: int = 100) -> CovectorSampler:
-    """The sampler of covectors at a GLpq base point, set up once per stratum.
-
-    Raises ValueError for another kind, for the open orbit, which has no
-    conormal directions, or for a height bound below 1.
-    """
-    if "microlocal" not in family(base.setup).suites:
-        raise ValueError("conormal sampling is for GLpq setups")
-    check_count("height_bound", height_bound)
-    (hr, hc), (lr, lc) = h_shape, l_shape = block_shapes(base)
-    # the two blocks span the conormal space: codim s(q-k+s) + t(p-k+t)
-    if hr * hc + lr * lc == 0:
-        raise ValueError("open orbit has no conormal directions to sample")
-    h_full, l_full = generic_block_ranks(base)
-    return CovectorSampler(base, h_shape, l_shape, h_full, l_full, height_bound)
+HEIGHT_BOUND = 100  # drawn entries lie in [-HEIGHT_BOUND, HEIGHT_BOUND]
 
 
 def _certified_lanes(draws: list, at: int, r: int, c: int) -> list:
@@ -123,36 +93,39 @@ def _blocks(draws: list, at: int, r: int, c: int):
     return map(_record, repeat(QMatrix), zip(repeat(r), repeat(c), entries))
 
 
-def _scalar_draw(sampler: CovectorSampler, draw: list, state: int) -> ConormalVector:
+def _scalar_draw(base: BasePoint, draw: list, state: int) -> ConormalVector:
     """The covector of one unproven trial: its blocks ranked, redrawn while short."""
-    (hr, hc), (lr, lc) = sampler.h_shape, sampler.l_shape
-    nh, bound = hr * hc, sampler.height_bound
+    (hr, hc), (lr, lc) = block_shapes(base)
+    h_full, l_full = generic_block_ranks(base)
+    nh = hr * hc
     for attempt in range(RETRY_BUDGET + 1):
         if attempt:
-            (draw,), (state,) = draw_streams((state,), len(draw), -bound, bound)
+            (draw,), (state,) = draw_streams((state,), len(draw), -HEIGHT_BOUND, HEIGHT_BOUND)
         h = QMatrix(hr, hc, tuple(draw[:nh]))
         # a block with no rows or no columns has rank 0 and is never ranked
         h_rank = rank(h) if hr and hc else 0
-        if h_rank < sampler.h_full:
+        if h_rank < h_full:
             continue
         l = QMatrix(lr, lc, tuple(draw[nh:]))
         l_rank = rank(l) if lr and lc else 0
-        if l_rank == sampler.l_full:
-            return ConormalVector(sampler.base, h, l, h_rank, l_rank, attempt)
+        if l_rank == l_full:
+            return ConormalVector(base, h, l, h_rank, l_rank, attempt)
     raise NoGenericCovector(
         f"no generic covector within {RETRY_BUDGET} resamples; "
         "this indicates a bug, not bad luck"
     )
 
 
-def draw_covectors(sampler: CovectorSampler, seeds) -> tuple:
-    """One deterministic generic covector per seed, in the sampler's conormal space.
+def draw_covectors(base: BasePoint, seeds) -> tuple:
+    """One deterministic generic covector per seed, conormal at a GLpq base point.
 
-    A seed's draws come from SeedStream(seed).derive("conormal-sample"),
-    derived for every seed at once, and attempt 0 of every seed is drawn
-    in one batch, h row-major then l row-major; a seed outside
-    0..SEED_MAX raises ValueError.  A trial's blocks must reach their
-    generic_block_ranks, the largest ranks on the conormal space.
+    Raises ValueError for another kind, or for the open orbit, which has
+    no conormal directions.  A seed's draws come from
+    SeedStream(seed).derive("conormal-sample"), derived for every seed
+    at once, and attempt 0 of every seed is drawn in one batch, h
+    row-major then l row-major; a seed outside 0..SEED_MAX raises
+    ValueError.  A trial's blocks must reach their generic_block_ranks,
+    the largest ranks on the conormal space.
     Attempt 0 of every trial is certified at once, block by block
     (_certified_lanes); a block with no rows or no columns has rank 0
     and needs no proof.  A trial left unproven goes the scalar way: h is
@@ -160,16 +133,22 @@ def draw_covectors(sampler: CovectorSampler, seeds) -> tuple:
     falls short redraws from its own stream, at most RETRY_BUDGET times.
     Each covector keeps its resample count.
     """
-    (hr, hc), (lr, lc) = sampler.h_shape, sampler.l_shape
-    nh, bound = hr * hc, sampler.height_bound
+    if "microlocal" not in family(base.setup).suites:
+        raise ValueError("conormal sampling is for GLpq setups")
+    (hr, hc), (lr, lc) = block_shapes(base)
+    nh = hr * hc
+    # the two blocks span the conormal space: codim s(q-k+s) + t(p-k+t)
+    if nh + lr * lc == 0:
+        raise ValueError("open orbit has no conormal directions to sample")
+    h_full, l_full = generic_block_ranks(base)
     draws, states = draw_streams(derive_states(seeds, "conormal-sample"),
-                                 nh + lr * lc, -bound, bound)
+                                 nh + lr * lc, -HEIGHT_BOUND, HEIGHT_BOUND)
     proofs = [_certified_lanes(draws, at, r, c)
               for at, r, c in ((0, hr, hc), (nh, lr, lc)) if r and c]
     out = list(map(_record, repeat(ConormalVector), zip(
-        repeat(sampler.base), _blocks(draws, 0, hr, hc), _blocks(draws, nh, lr, lc),
-        repeat(sampler.h_full), repeat(sampler.l_full), repeat(0))))
+        repeat(base), _blocks(draws, 0, hr, hc), _blocks(draws, nh, lr, lc),
+        repeat(h_full), repeat(l_full), repeat(0))))
     for i, proven in enumerate(map(all, zip(*proofs))):
         if not proven:
-            out[i] = _scalar_draw(sampler, draws[i], states[i])
+            out[i] = _scalar_draw(base, draws[i], states[i])
     return tuple(out)

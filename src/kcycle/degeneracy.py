@@ -80,26 +80,25 @@ from functools import lru_cache
 from operator import add, and_, mul, sub, truth
 from typing import NamedTuple
 
-from .exactla import QMatrix, SeedStream, certify_full_lanes, check_count, lane_pfaffian, rank
+from .exactla import QMatrix, SeedStream, certify_full_lanes, lane_pfaffian, rank
 from .matrixstrata import Flavor, flavor_dim, pairing_row, product_system
 from .orbits import Kind, Setup, form_flavor, form_sign
 
 _LANES = 256  # points judged at a time, however many a sweep draws
+HEIGHT_BOUND = 9  # drawn chart coordinates lie in [-HEIGHT_BOUND, HEIGHT_BOUND]
 
 
-def draw_chart_points(n: int, k: int, rng: SeedStream, count: int,
-                      height_bound: int = 9) -> list:
+def draw_chart_points(n: int, k: int, rng: SeedStream, count: int) -> list:
     """count chart points, drawn from rng in one randints call: the flat draws.
 
-    The height bound is checked and every draw made at the call: point
-    j is draws j*(n-k)*k onwards, the row-major entries of its (n-k) x k
-    coordinate matrix, and the list and final state are those of count
-    per-point draws of (n-k)*k entries each.  transverse_points reads
-    the list as it is; no point is built.
+    Every draw is made at the call: point j is draws j*(n-k)*k onwards,
+    the row-major entries of its (n-k) x k coordinate matrix, and the
+    list and final state are those of count per-point draws of (n-k)*k
+    entries each.  transverse_points reads the list as it is; no point
+    is built.
     """
-    check_count("height_bound", height_bound)
     # ints, already canonical
-    return rng.randints(count * (n - k) * k, -height_bound, height_bound)
+    return rng.randints(count * (n - k) * k, -HEIGHT_BOUND, HEIGHT_BOUND)
 
 
 @lru_cache(maxsize=64)

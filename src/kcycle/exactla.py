@@ -370,8 +370,7 @@ def check_seed(seed: int) -> None:
 def check_count(name: str, count: int) -> None:
     """count must be positive.
 
-    A sampled check that examined nothing could not fail, and a height
-    bound below 1 draws only zeros, or from an empty range.
+    A sampled check that examined nothing could not fail.
     """
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")

@@ -19,9 +19,9 @@ a block's reduced column-space or kernel basis and are checked by ranks.
 
 Everything here works in normalized labels; ccengine, which runs the
 checks, normalizes a setup's labels once per check.  Covectors are
-drawn once per stratum (``draw_conormals``, which sets up
-one sampler, draws every trial seed in one batch, then every covector
-in one batch over those seeds) and judged per target
+drawn once per stratum (``draw_conormals``, which draws every trial
+seed in one batch, then every covector in one batch over those seeds,
+from the stratum's base point) and judged per target
 (``judge_microlocal``, which reads the setup and stratum off the
 covectors' base point and picks the resolution).  Emptiness of the microlocal fiber over a
 generic covector is what kills the characteristic cycle's extra terms.
@@ -39,7 +39,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .exactla import SEED_MAX, QMatrix, SeedStream, kernel, rank, rref
-from .conormal import ConormalVector, covector_sampler, draw_covectors, generic_block_ranks
+from .conormal import ConormalVector, draw_covectors, generic_block_ranks
 from .orbits import (
     INTERSECTION,
     RADICAL,
@@ -47,7 +47,6 @@ from .orbits import (
     Setup,
     family,
     format_orbit,
-    normalize,
     radical_size,
     valid_orbit,
 )
@@ -179,11 +178,6 @@ RESOLUTIONS = {
 }
 
 
-def resolution_for(setup: Setup) -> tuple:
-    """The resolutions that apply to the normalized setup: ZI alone for Sp/SO."""
-    return RESOLUTIONS[family(setup)].applicable(normalize(setup).setup)
-
-
 def draw_conormals(base, trials: int = 20, seed: int = 0) -> tuple:
     """trials generic covectors conormal to the stratum at its base point.
 
@@ -191,12 +185,11 @@ def draw_conormals(base, trials: int = 20, seed: int = 0) -> tuple:
     derived from the seed, the setup and the stratum alone, so every
     target above the stratum can judge the same draws.
     """
-    sampler = covector_sampler(base)
     work, strat = base.setup, base.orbit
     rng = SeedStream(seed).derive("microlocal", work.describe(), format_orbit(work, strat))
     # one batch of trial seeds, the values of trials next_u64 calls, and
     # one batch of draws over them
-    return draw_covectors(sampler, rng.randints(trials, 0, SEED_MAX))
+    return draw_covectors(base, rng.randints(trials, 0, SEED_MAX))
 
 
 def judge_microlocal(target, covectors) -> MicrolocalVerdict:

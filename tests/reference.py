@@ -46,8 +46,8 @@ so a test can compare the two, or builds seeded test data:
   ``draw_covector`` draws one covector on its own seed's ``SeedStream``,
   one attempt at a time; ``conormal.draw_covectors`` must give each seed
   of a batch the same covector.
-  ``sample_conormal`` draws one covector on a sampler set up for it
-  alone, through the sweep's batch ``conormal.draw_covectors``.
+  ``sample_conormal`` draws one covector in a batch of its own, through
+  the sweep's ``conormal.draw_covectors``.
   ``leading_minor_certificate`` states by cofactor determinants
   (``det``) what ``conormal._certified_lanes`` proves per lane by
   lane-wise Bareiss, and ``flavor_certificate`` what
@@ -102,14 +102,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from kcycle import degeneracy
+from kcycle import conormal, degeneracy
 from kcycle.conormal import (
     RETRY_BUDGET,
     ConormalVector,
-    CovectorSampler,
     NoGenericCovector,
-    covector_sampler,
+    block_shapes,
     draw_covectors,
+    generic_block_ranks,
 )
 from kcycle.degeneracy import _differential_values
 from kcycle.exactla import SEED_MAX, QMatrix, SeedStream, kernel, rank, rref
@@ -559,27 +559,31 @@ def leading_minor_certificate(m: QMatrix) -> bool:
     return all(det(m.submatrix(range(i), range(i))) for i in range(1, k + 1))
 
 
-def draw_covector(sampler: CovectorSampler, seed: int) -> ConormalVector:
-    """One covector on its own seed's stream, drawn and certified alone."""
+def draw_covector(base: BasePoint, seed: int) -> ConormalVector:
+    """One covector on its own seed's stream, drawn and certified alone.
+
+    Its entries lie within conormal.HEIGHT_BOUND, read at the call.
+    """
     rng = SeedStream(seed).derive("conormal-sample")
-    (hr, hc), (lr, lc) = sampler.h_shape, sampler.l_shape
-    nh, bound = hr * hc, sampler.height_bound
+    (hr, hc), (lr, lc) = block_shapes(base)
+    h_full, l_full = generic_block_ranks(base)
+    nh, bound = hr * hc, conormal.HEIGHT_BOUND
     for attempt in range(RETRY_BUDGET + 1):
         draw = rng.randints(nh + lr * lc, -bound, bound)
         h = QMatrix(hr, hc, tuple(draw[:nh]))
         l = QMatrix(lr, lc, tuple(draw[nh:]))
         h_rank = rank(h) if hr and hc else 0
-        if h_rank < sampler.h_full:
+        if h_rank < h_full:
             continue
         l_rank = rank(l) if lr and lc else 0
-        if l_rank == sampler.l_full:
-            return ConormalVector(sampler.base, h, l, h_rank, l_rank, attempt)
+        if l_rank == l_full:
+            return ConormalVector(base, h, l, h_rank, l_rank, attempt)
     raise NoGenericCovector(f"no generic covector within {RETRY_BUDGET} resamples")
 
 
-def sample_conormal(base: BasePoint, seed: int, height_bound: int = 100) -> ConormalVector:
-    """One covector as the sweep draws it, on a sampler set up for it alone."""
-    return draw_covectors(covector_sampler(base, height_bound), [seed])[0]
+def sample_conormal(base: BasePoint, seed: int) -> ConormalVector:
+    """One covector as the sweep draws it, in a batch of its own."""
+    return draw_covectors(base, [seed])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,11 @@ from kcycle.orbits import (
     SplitOrbit,
     base_point,
     enumerate_orbits,
+    family,
     normalize,
     orbit_dimension,
 )
-from kcycle.resolutions import ResolutionKind, resolution_for
+from kcycle.resolutions import RESOLUTIONS, ResolutionKind
 from reference import (
     add,
     conormal_condition,
@@ -132,7 +133,7 @@ def test_criterion_4_smallness_claims():
             sides.append(ResolutionKind.Z)
         if work.n - work.k <= work.p:
             sides.append(ResolutionKind.ZTILDE)
-        assert resolution_for(setup) == tuple(sides)
+        assert RESOLUTIONS[family(setup)].applicable(work) == tuple(sides)
         for row in check_smallness(setup):
             kind, target = row.subject
             small, asserted = row.detail

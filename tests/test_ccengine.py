@@ -350,6 +350,43 @@ def test_sweep_draws_are_pinned(monkeypatch):
         "d1a6f51fe68857cb344834498975ed35e9656052f2b31492b2f85b2732a4cb73")
 
 
+def test_certificate_fallbacks_are_pinned(monkeypatch):
+    # output bytes never show how much work the lane certificates save, so
+    # pin it: the trials that conormal's certificate leaves unproven and
+    # the ranks they take over the glpq sweep with n <= 8, and the lanes
+    # that degeneracy ranks and its product systems over the sp/so sweep
+    # with n <= 8, both at seed 5.  A weaker certificate raises these
+    from kcycle import conormal, degeneracy
+
+    counts = dict.fromkeys(("scalar", "conormal_rank", "degeneracy_rank", "product"), 0)
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(conormal, "_scalar_draw", "scalar")
+    counting(conormal, "rank", "conormal_rank")
+    counting(degeneracy, "rank", "degeneracy_rank")
+    counting(degeneracy, "product_system", "product")
+    rows = trials = 0
+    for setup in setups(8, kinds=(Kind.GLPQ,)):
+        drawn = check_microlocal(setup, trials=20, seed=5)
+        rows += len(drawn)
+        trials += 20 * len({row.subject[1] for row in drawn})
+    assert (rows, counts["scalar"], trials, counts["conormal_rank"]) == (919, 56, 10_120, 67)
+    charts = lanes = 0
+    for setup in setups(8, kinds=(Kind.SP, Kind.SO)):
+        for row in check_transversality(setup, points=100, seed=5):
+            charts += 1
+            lanes += row.detail[0]
+    assert (charts, lanes, counts["degeneracy_rank"], counts["product"]) == (48, 4_800, 135, 22)
+    assert counts["degeneracy_rank"] - counts["product"] == 113  # lanes ranked
+
+
 def test_sweep_verdicts_are_pinned(monkeypatch):
     # every chart point that check_transversality draws over sp/so with
     # n <= 8 at seed 5, with the rank of its value and its verdict, both

@@ -3,7 +3,7 @@ from itertools import islice
 import pytest
 
 from kcycle import conormal
-from kcycle.conormal import NoGenericCovector, block_shapes, covector_sampler, draw_covectors
+from kcycle.conormal import NoGenericCovector, block_shapes, draw_covectors
 from kcycle.exactla import SEED_MAX, QMatrix, SeedStream, derive_states, draw_streams, kernel, rank
 from kcycle.orbits import (
     ClosurePoset,
@@ -142,7 +142,7 @@ def test_retry_statistics():
 
 
 def test_blocks_are_sliced_once():
-    # blocks and their ranks are computed once per sample, so the sampler
+    # blocks and their ranks are computed once per sample, so the draw
     # and the membership tests share them
     for setup in SWEEP[:5]:
         for orbit in enumerate_orbits(setup):
@@ -150,7 +150,7 @@ def test_blocks_are_sliced_once():
             if conormal_space(bp).dim == 0:
                 continue
             xi = sample_conormal(bp, seed=3)
-            # the sampler's genericity check left both full ranks on the covector
+            # the draw's genericity check left both full ranks on the covector
             h, l = xi.h_block, xi.l_block
             assert xi.h_rank == rank(h) == min(h.nrows, h.ncols)
             assert xi.l_rank == rank(l) == min(l.nrows, l.ncols)
@@ -226,7 +226,7 @@ def test_block_pattern_zero_elsewhere():
             assert blk.is_zero()
 
 
-def test_batch_draw_matches_the_per_seed_draw():
+def test_batch_draw_matches_the_per_seed_draw(monkeypatch):
     # every non-open stratum of every glpq setup with n <= 7, at height 1,
     # where singular blocks and so retries are common, and at the default
     # height 100: the batch gives each seed the blocks, ranks and retries
@@ -242,10 +242,10 @@ def test_batch_draw_matches_the_per_seed_draw():
                 continue  # the open orbit
             strata += 1
             for height in (1, 100):
-                sampler = covector_sampler(bp, height)
+                monkeypatch.setattr(conormal, "HEIGHT_BOUND", height)
                 seeds = rng.randints(6, 0, SEED_MAX)
-                batch = draw_covectors(sampler, seeds)
-                assert batch == tuple(draw_covector(sampler, seed) for seed in seeds)
+                batch = draw_covectors(bp, seeds)
+                assert batch == tuple(draw_covector(bp, seed) for seed in seeds)
                 retried += sum(xi.retries > 0 for xi in batch)
     # every orbit but the open one of each setup was drawn
     assert strata == sum(len(enumerate_orbits(s)) - 1 for s in glpq_setups)
@@ -253,17 +253,17 @@ def test_batch_draw_matches_the_per_seed_draw():
 
 
 def test_batch_draw_raises_on_no_generic_covector_and_bad_seeds(monkeypatch):
-    sampler = covector_sampler(base_point(glpq(6, 2, 3, 3), IntersectionOrbit(1, 1)))
+    bp = base_point(glpq(6, 2, 3, 3), IntersectionOrbit(1, 1))
     for seeds in ([-1], [3, SEED_MAX + 1, 4], [SEED_MAX, -5]):
         with pytest.raises(ValueError, match="seed"):
-            draw_covectors(sampler, seeds)
-    assert len(draw_covectors(sampler, [0, SEED_MAX])) == 2
-    assert draw_covectors(sampler, []) == ()
+            draw_covectors(bp, seeds)
+    assert len(draw_covectors(bp, [0, SEED_MAX])) == 2
+    assert draw_covectors(bp, []) == ()
     # the certificate proves no trial, so every one is ranked, and never full
     monkeypatch.setattr(conormal, "_certified_lanes", prove_nothing)
     monkeypatch.setattr(conormal, "rank", lambda m: 0)
     with pytest.raises(NoGenericCovector):
-        draw_covectors(sampler, [1, 2])
+        draw_covectors(bp, [1, 2])
 
 
 def prove_nothing(draws, at, r, c):
@@ -305,11 +305,19 @@ def test_unproven_trials_draw_what_proven_ones_do(monkeypatch):
             bp = base_point(setup, orbit)
             if sum(r * c for r, c in block_shapes(bp)):
                 for height in (1, 100):
-                    cases.append((covector_sampler(bp, height), rng.randints(8, 0, SEED_MAX)))
-    proven = [draw_covectors(sampler, seeds) for sampler, seeds in cases]
+                    cases.append((bp, height, rng.randints(8, 0, SEED_MAX)))
+
+    def draw_all():
+        out = []
+        for bp, height, seeds in cases:
+            monkeypatch.setattr(conormal, "HEIGHT_BOUND", height)
+            out.append(draw_covectors(bp, seeds))
+        return out
+
+    proven = draw_all()
     assert any(xi.retries for batch in proven for xi in batch)
     monkeypatch.setattr(conormal, "_certified_lanes", prove_nothing)
-    assert [draw_covectors(sampler, seeds) for sampler, seeds in cases] == proven
+    assert draw_all() == proven
 
 
 def test_an_empty_block_is_one_matrix_per_draw():
@@ -330,8 +338,9 @@ def test_batch_draw_builds_no_seed_stream(monkeypatch):
         built.append(seed)
         real_init(self, seed)
 
-    sampler = covector_sampler(base_point(glpq(6, 2, 3, 3), IntersectionOrbit(1, 1)), 1)
+    bp = base_point(glpq(6, 2, 3, 3), IntersectionOrbit(1, 1))
     seeds = SeedStream(7).randints(20, 0, SEED_MAX)
+    monkeypatch.setattr(conormal, "HEIGHT_BOUND", 1)
     monkeypatch.setattr(SeedStream, "__init__", counting_init)
-    drawn = draw_covectors(sampler, seeds)
+    drawn = draw_covectors(bp, seeds)
     assert built == [] and any(xi.retries for xi in drawn)

@@ -313,7 +313,9 @@ def test_chart_points_are_drawn_in_one_batch(monkeypatch):
     for n, k in ((2, 1), (5, 3), (8, 4), (9, 7)):
         for count, bound in ((1, 9), (7, 9), (13, 1), (4, 250)):
             batch, single = SeedStream(n * 100 + count), SeedStream(n * 100 + count)
-            draws = degeneracy.draw_chart_points(n, k, batch, count, height_bound=bound)
+            with monkeypatch.context() as patch:
+                patch.setattr(degeneracy, "HEIGHT_BOUND", bound)
+                draws = degeneracy.draw_chart_points(n, k, batch, count)
             reference = [random_chart_point(n, k, single, bound) for _ in range(count)]
             assert batch.state == single.state
             assert type(draws) is list and len(draws) == count * (n - k) * k
@@ -416,7 +418,9 @@ def test_proving_nothing_changes_no_verdict(monkeypatch):
             chart = chart_for(setup, center_last)
             rng = SeedStream(71).derive("prove-nothing", setup.describe(), center_last)
             for height in (1, 9):
-                draws = degeneracy.draw_chart_points(setup.n, setup.k, rng, 20, height)
+                with monkeypatch.context() as patch:
+                    patch.setattr(degeneracy, "HEIGHT_BOUND", height)
+                    draws = degeneracy.draw_chart_points(setup.n, setup.k, rng, 20)
                 verdicts.append(real_transverse(chart, draws))
         return charts, list(verdicts)
 

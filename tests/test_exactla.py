@@ -11,7 +11,7 @@ import sympy
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from kcycle import exactla
+from kcycle import conormal, exactla
 from kcycle.exactla import (
     SEED_MAX,
     QMatrix,
@@ -423,24 +423,16 @@ def _canonical(values) -> bool:
 
 
 def test_bad_draw_ranges_raise_under_optimize():
-    # an empty draw range and a height bound below 1 raise ValueError, with
-    # or without python -O, which strips assert statements
+    # an empty draw range raises ValueError, with or without python -O,
+    # which strips assert statements
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import sys\n"
-        "from kcycle.conormal import covector_sampler\n"
-        "from kcycle.degeneracy import draw_chart_points\n"
         "from kcycle.exactla import SeedStream\n"
-        "from kcycle.orbits import IntersectionOrbit, Kind, Setup, base_point\n"
-        "bp = base_point(Setup(Kind.GLPQ, 4, 2, p=2, q=2), IntersectionOrbit(1, 0))\n"
         "calls = [lambda: SeedStream(1).randints(4, 1, -1),\n"
-        "         lambda: SeedStream(1).randints(1, 0, -1),\n"
-        "         lambda: draw_chart_points(4, 2, SeedStream(1), 1, height_bound=-1),\n"
-        "         lambda: draw_chart_points(4, 2, SeedStream(1), 1, height_bound=0),\n"
-        "         lambda: covector_sampler(bp, height_bound=0),\n"
-        "         lambda: covector_sampler(bp, height_bound=-3)]\n"
+        "         lambda: SeedStream(1).randints(1, 0, -1)]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -455,11 +447,8 @@ def test_bad_draw_ranges_raise_under_optimize():
                               capture_output=True, text=True, check=True)
         lines = done.stdout.splitlines()
         assert lines[-1] == f"optimize {optimize}"
-        assert lines[:2] == ["raised empty draw range [1, -1]", "raised empty draw range [0, -1]"]
-        assert lines[2:6] == ["raised height_bound must be at least 1, got -1",
-                              "raised height_bound must be at least 1, got 0",
-                              "raised height_bound must be at least 1, got 0",
-                              "raised height_bound must be at least 1, got -3"], (flags, lines)
+        assert lines[:2] == ["raised empty draw range [1, -1]",
+                             "raised empty draw range [0, -1]"], (flags, lines)
 
 
 def test_internal_checks_raise_under_optimize():
@@ -617,7 +606,7 @@ def test_int_core_agrees_with_fraction_input():
     assert inverses >= 3
 
 
-def test_sample_streams_pinned():
+def test_sample_streams_pinned(monkeypatch):
     # every sampled route's draws, pinned literally: chart points and GLpq
     # blocks (retries included)
     from kcycle.degeneracy import draw_chart_points
@@ -633,7 +622,9 @@ def test_sample_streams_pinned():
     assert rng.state == 14334736817860870823
 
     bp = base_point(Setup(Kind.GLPQ, 8, 4, p=4, q=4), IntersectionOrbit(2, 2))
-    xi = sample_conormal(bp, 3, height_bound=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(conormal, "HEIGHT_BOUND", 1)
+        xi = sample_conormal(bp, 3)
     assert xi.h_block.entries == (-1, 0, 0, -1)
     assert xi.l_block.entries == (1, 0, -1, -1)
     assert xi.retries == 3

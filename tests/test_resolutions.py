@@ -14,9 +14,11 @@ from kcycle.orbits import (
     SplitOrbit,
     base_point,
     enumerate_orbits,
+    family,
     normalize,
 )
 from kcycle.resolutions import (
+    RESOLUTIONS,
     ResolutionKind,
     draw_conormals,
     fiber_dimension,
@@ -24,7 +26,6 @@ from kcycle.resolutions import (
     judge_microlocal,
     kernel_membership_Z,
     kernel_membership_Ztilde,
-    resolution_for,
     witness_satisfies_Z,
     witness_satisfies_Ztilde,
 )
@@ -167,20 +168,21 @@ def test_rank_calls_per_drawn_sample(monkeypatch):
         calls.append(((m.nrows, m.ncols), r == min(m.nrows, m.ncols)))
         return r
 
-    def low_height_draw(sampler, seeds):
-        # entries in {-1, 0, 1} make singular blocks, and so retries, common;
+    def one_seed_draws(base, seeds):
         # one seed per batch keeps each sample's rank calls apart
         out = []
         for seed in seeds:
             first = len(calls)
-            (xi,) = real_draw(sampler._replace(height_bound=1), [seed])
+            (xi,) = real_draw(base, [seed])
             samples.append((xi, seed, calls[first:]))
             out.append(xi)
         return tuple(out)
 
     for module in (exactla, conormal, resolutions):
         monkeypatch.setattr(module, "rank", counting_rank, raising=False)
-    monkeypatch.setattr(resolutions, "draw_covectors", low_height_draw)
+    # entries in {-1, 0, 1} make singular blocks, and so retries, common
+    monkeypatch.setattr(conormal, "HEIGHT_BOUND", 1)
+    monkeypatch.setattr(resolutions, "draw_covectors", one_seed_draws)
     for setup in (glpq(6, 2, 3, 3), glpq(5, 2, 3, 2)):
         for target, stratum in proper_pairs(setup):
             verdict = judged(setup, target, stratum, trials=20, seed=3)
@@ -276,7 +278,7 @@ def test_genuine_witnesses_pass_their_check(monkeypatch):
     # zero covectors lie in every kernel image, with witnesses that hold up:
     # the rows fail on the shape verdict alone, not on the witness check
     monkeypatch.setattr(resolutions, "draw_covectors",
-                        lambda sampler, seeds: tuple(zero_covector(sampler.base) for _ in seeds))
+                        lambda base, seeds: tuple(zero_covector(base) for _ in seeds))
     for setup in (glpq(6, 2, 3, 3), glpq(5, 3, 4, 1)):
         rows = check_microlocal(setup, trials=2, seed=1)
         assert rows and not any(r.ok for r in rows)
@@ -289,16 +291,12 @@ def test_genuine_witnesses_pass_their_check(monkeypatch):
 @pytest.mark.parametrize("setup", [glpq(6, 2, 3, 3), glpq(8, 4, 4, 4)])
 def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
     # both setups are normalized, so a target's thresholds are its own label
-    real_sampler, real_draw = resolutions.covector_sampler, resolutions.draw_covectors
-    samplers, draws, judged = [], [], []
+    real_draw = resolutions.draw_covectors
+    bases, draws, judged = [], [], []
 
-    def counting_sampler(base):
-        samplers.append(real_sampler(base))
-        return samplers[-1]
-
-    def counting_draw(sampler, seeds):
-        assert sampler is samplers[-1], "a draw on another stratum's sampler"
-        drawn = real_draw(sampler, seeds)
+    def counting_draw(base, seeds):
+        bases.append(base)
+        drawn = real_draw(base, seeds)
         draws.extend(drawn)
         return drawn
 
@@ -308,7 +306,6 @@ def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
             return real(xi, s, t)
         return member
 
-    monkeypatch.setattr(resolutions, "covector_sampler", counting_sampler)
     monkeypatch.setattr(resolutions, "draw_covectors", counting_draw)
     for name in ("kernel_membership_Z", "kernel_membership_Ztilde"):
         monkeypatch.setattr(resolutions, name, counting(getattr(resolutions, name)))
@@ -318,8 +315,8 @@ def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
     below = {stratum for _, stratum in pairs}
     assert len(rows) == len(pairs) and all(r.ok for r in rows)
     assert len(draws) == trials * len(below)
-    # one sampler per stratum, set up before its draws
-    assert sorted(s.base.orbit for s in samplers) == sorted(below)
+    # one draw per stratum, at its base point
+    assert sorted(base.orbit for base in bases) == sorted(below)
     assert len(judged) == trials * len(pairs)
     by_stratum = {}
     for xi in draws:
@@ -415,7 +412,8 @@ def test_verify_empty_boundary_tagged():
 
 def test_verify_empty_second_resolution_branch():
     setup = glpq(5, 3, 4, 1)
-    assert resolution_for(normalize(setup).setup) == (ResolutionKind.ZTILDE,)
+    assert RESOLUTIONS[family(setup)].applicable(normalize(setup).setup) == (
+        ResolutionKind.ZTILDE,)
     for target, stratum in proper_pairs(setup):
         verdict = judged(setup, target, stratum, trials=20, seed=7)
         assert verdict.kind == ResolutionKind.ZTILDE
