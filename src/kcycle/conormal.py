@@ -88,7 +88,7 @@ _record = tuple.__new__
 
 def _blocks(draws: list, at: int, r: int, c: int):
     """Per draw, its r x c block from entry `at` on, row-major."""
-    # entries are ints, already canonical
+    # int entries, as drawn
     entries = map(tuple, map(itemgetter(slice(at, at + r * c)), draws))
     return map(_record, repeat(QMatrix), zip(repeat(r), repeat(c), entries))
 

@@ -97,7 +97,6 @@ def draw_chart_points(n: int, k: int, rng: SeedStream, count: int) -> list:
     entries each.  transverse_points reads the list as it is; no point
     is built.
     """
-    # ints, already canonical
     return rng.randints(count * (n - k) * k, -HEIGHT_BOUND, HEIGHT_BOUND)
 
 

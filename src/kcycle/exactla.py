@@ -1,20 +1,20 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
 Everything downstream (orbit dimensions, conormal spaces, rank tests,
-transversality certificates) reduces to ranks and kernels of small
-matrices with rational entries, nearly all of them integral.  Entries
-are therefore stored integer-first and in canonical form: an entry is a
-Python int exactly when its value is integral, and a
-``fractions.Fraction`` only when it is not.  A float entry raises
-TypeError, so a stray true division can never reach exact data;
-submatrix slices the entries and from_cols transposes them by one zip.
-Rank and reduced echelon forms are computed by fraction-free
-elimination on integer rows, and only rref's final division by its
-pivots can produce a Fraction.  rank skips elimination for a vector
-and is otherwise one Bareiss elimination with a lazy scale, so the
-sparse product rows of the transversality sweep cost about their
-nonzeros (see rank).  kernel reads a null space's canonical basis off
-a single rref.
+transversality certificates) reduces to ranks, column spaces and
+kernels of small matrices with int entries, and over the rationals
+each of these has an integer answer and an integer basis.  Entries are
+therefore Python ints and nothing else: from_flat, and so from_rows
+and from_cols, raise TypeError for any other entry (a float, a bool
+or a rational), so a stray true division can never reach exact data;
+submatrix slices the entries and from_cols transposes them by one
+zip.  Rank and reduced echelon forms are computed by fraction-free
+elimination, whose every division is exact.  rank skips elimination
+for a vector and is otherwise one Bareiss elimination with a lazy
+scale, so the sparse product rows of the transversality sweep cost
+about their nonzeros (see rank).  rref returns each pivot row as a
+primitive int vector with a positive pivot, and kernel reads a null
+space's canonical basis of primitive int vectors off a single rref.
 
 Batches of small int matrices are proven of full rank as lanes, with
 no matrix built per lane: a grid holds one sequence per entry, of that
@@ -56,7 +56,6 @@ from __future__ import annotations
 import operator
 import sys
 import zlib
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -66,18 +65,8 @@ def _all_int(entries) -> bool:
     return {int}.issuperset(map(type, entries))
 
 
-def _q(x):
-    """The canonical entry for x: an int if x is integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    if isinstance(x, float):
-        raise TypeError(f"float entry {x!r} is not exact; use an int or a Fraction")
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class QMatrix(NamedTuple):
-    """Immutable matrix of canonical exact entries, stored row-major.
+    """Immutable matrix of int entries, stored row-major.
 
     Indexing takes a pair (i, j); as a tuple a matrix still iterates
     over, and compares equal to, (nrows, ncols, entries), which no
@@ -98,10 +87,11 @@ class QMatrix(NamedTuple):
 
     @classmethod
     def from_flat(cls, nrows: int, ncols: int, flat: Iterable) -> "QMatrix":
-        """Row-major entries made canonical; all-int entries are kept as they are."""
+        """Row-major entries, kept as they are; an entry that is not an int raises TypeError."""
         flat = tuple(flat)
         if not _all_int(flat):
-            flat = tuple(map(_q, flat))
+            bad = next(x for x in flat if type(x) is not int)
+            raise TypeError(f"{type(bad).__name__} entry {bad!r} is not an int")
         return cls(nrows, ncols, flat)
 
     @classmethod
@@ -149,34 +139,14 @@ class QMatrix(NamedTuple):
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
-    def int_rows(self) -> list:
-        """Rows as lists of ints, each scaled by a positive rational.
-
-        Rows of an integral matrix come back as they are; a row holding
-        Fractions is cleared of denominators and divided by its content.
-        Row spaces, hence ranks and reduced echelon forms, are unchanged.
-        """
-        if _all_int(self.entries):
-            return self.rows()
-        out = []
-        for i in range(self.nrows):
-            row = self.row(i)
-            d = lcm(*(x.denominator for x in row))
-            ints = [x.numerator * (d // x.denominator) for x in row]
-            g = gcd(*ints) or 1
-            out.append([v // g for v in ints])
-        return out
-
 
 def rank(m: QMatrix) -> int:
     """Exact rank, by fraction-free (Bareiss) elimination on integer rows.
 
     A vector (at most one row or at most one column, empty shapes
     included) needs no elimination: its rank is 1 if any entry is
-    nonzero, else 0.  Any other integral matrix is eliminated on row
-    slices of its entries, which the loop replaces and never mutates;
-    only a matrix holding a Fraction is rescaled to integer rows by
-    int_rows.
+    nonzero, else 0.  Any other matrix is eliminated on row slices of
+    its int entries, which the loop replaces and never mutates.
 
     A row with a zero in the pivot column is left alone.  Plain Bareiss
     multiplies every remaining row through at every pivot, pv being the
@@ -200,10 +170,7 @@ def rank(m: QMatrix) -> int:
     e, nr, nc = m.entries, m.nrows, m.ncols
     if nr < 2 or nc < 2:
         return 1 if any(e) else 0
-    if _all_int(e):
-        rows = [r for r in (e[i:i + nc] for i in range(0, len(e), nc)) if any(r)]
-    else:
-        rows = [r for r in m.int_rows() if any(r)]
+    rows = [r for r in (e[i:i + nc] for i in range(0, len(e), nc)) if any(r)]
     n = len(rows)
     scale = [1] * n
     r = 0
@@ -294,9 +261,13 @@ def rref(m: QMatrix):
 
     Elimination is fraction-free: a row is cleared by cross-multiplying
     it with the pivot row and dividing out its content, so the rows stay
-    integral until each pivot row is divided by its pivot at the end.
+    integral throughout.  At the end each pivot row is divided by its
+    content, signed so that its pivot is positive: it is the reduced
+    echelon row times the smallest positive scale that makes it
+    integral, so the form is still canonical.  The rows after the pivot
+    rows are zero.
     """
-    rows = m.int_rows()
+    rows = m.rows()
     pivots = []
     for c in range(m.ncols):
         r = len(pivots)
@@ -318,8 +289,8 @@ def rref(m: QMatrix):
         if len(pivots) == len(rows):
             break
     for i, c in enumerate(pivots):
-        pv = rows[i][c]
-        rows[i] = [x // pv if x % pv == 0 else Fraction(x, pv) for x in rows[i]]
+        g = gcd(*rows[i]) if rows[i][c] > 0 else -gcd(*rows[i])
+        rows[i] = [x // g for x in rows[i]]
     return pivots, rows
 
 
@@ -328,24 +299,29 @@ def kernel(m: QMatrix) -> QMatrix:
 
     m is reduced with its columns reversed (its entries reversed, which
     also reverses the rows and so leaves the row space, hence the rref,
-    alone).  In the original order, the kernel vector of a free column
-    f then has its leading 1 at f, its other nonzeros at pivot columns
-    after f, and zeros at the other free columns.  Taken as rows by
-    increasing f, these vectors are therefore the kernel's reduced row
-    echelon form, so the basis is canonical: two matrices have equal
-    kernels exactly when their kernel bases are equal.
+    alone).  In the original order, the rational kernel vector of a free
+    column f then has its leading 1 at f, its other nonzeros at pivot
+    columns after f, and zeros at the other free columns.  Taken as rows
+    by increasing f, these vectors are therefore the kernel's reduced
+    row echelon form.  Each is scaled by the lcm of the pivots, which
+    makes it integral, and divided by its content: a primitive int
+    vector with a positive leading entry.  So the basis is canonical:
+    two matrices have equal kernels exactly when their kernel bases are
+    equal.
     """
     nc = m.ncols
     pivots, rows = rref(QMatrix(m.nrows, nc, m.entries[::-1]))
+    scale = lcm(*(rows[r_i][c] for r_i, c in enumerate(pivots)))
     vectors = []
     for f in range(nc - 1, -1, -1):  # increasing original column nc-1-f
         if f in pivots:
             continue
         v = [0] * nc
-        v[nc - 1 - f] = 1
+        v[nc - 1 - f] = scale
         for r_i, c in enumerate(pivots):
-            v[nc - 1 - c] = -rows[r_i][f]
-        vectors.append(v)
+            v[nc - 1 - c] = -rows[r_i][f] * (scale // rows[r_i][c])
+        g = gcd(*v)
+        vectors.append([x // g for x in v])
     return QMatrix.from_cols(nc, vectors)
 
 

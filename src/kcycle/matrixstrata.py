@@ -109,9 +109,6 @@ class MatrixCC(NamedTuple):
 
     terms: tuple  # ((StratumId, mult), ...) ordered by decreasing rank
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
 
 def cc_table(flavor: Flavor, m: int, r: int) -> MatrixCC:
     """The known cycle for the rank-r stratum; transcribed, not derived.

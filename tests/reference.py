@@ -3,8 +3,10 @@
 Each function recomputes something the package computes another way,
 so a test can compare the two, or builds seeded test data:
 
-* ``zeros``, ``identity``, ``add``, ``scale``, ``solve``, ``randint``,
-  ``next_u64``, ``glpq`` and ``setups`` build test data the package never needs.
+* ``zeros``, ``identity``, ``add``, ``scale``, ``randint``, ``next_u64``,
+  ``glpq`` and ``setups`` build test data the package never needs.
+  ``QMatrix`` holds ints only, so ``solve`` computes over Fractions and
+  returns its solution as a plain list.
   ``Subspace`` is a column span held by the canonical basis that
   ``exactla.kernel`` returns for a null space; the package has none.
 * ``draw_streams_by_loop`` is splitmix64 (Steele, Lea and Flood 2014)
@@ -13,13 +15,16 @@ so a test can compare the two, or builds seeded test data:
 * ``random_matrix``, ``random_matrix_from`` and ``random_flavored_matrix``
   draw seeded integer matrices, the last of a given flavor and rank.
 * ``kernel_by_span`` is the null space spanned, then made canonical by
-  ``Subspace.span``, from the kernel vectors of one rref; ``exactla.kernel``
-  reads the canonical basis off a single rref and must match it.
+  ``Subspace.span``, from the kernel vectors of one rref, formed over
+  Fractions and cleared of denominators; ``exactla.kernel`` reads the
+  canonical basis off a single rref and must match it.
 * ``submatrix_by_entry`` and ``from_cols_by_entry`` read a matrix one
   entry at a time, where ``QMatrix.submatrix`` slices the entries and
   ``QMatrix.from_cols`` transposes by one zip.
-* ``inverse`` inverts by elimination; ``orbits.base_point`` reads the
-  inverse of an adapted basis off its column supports and must match it.
+* ``inverse`` inverts by elimination over Fractions and checks that the
+  inverse is integral before it builds a ``QMatrix``; ``orbits.base_point``
+  reads the inverse of an adapted basis off its column supports and must
+  match it.
   ``dense_basis`` builds that basis entry by entry from the same
   supports, where ``base_point`` writes only the ones.
 * ``block_ranges`` turns a base point's ``row_groups`` and ``col_groups``
@@ -99,7 +104,9 @@ so a test can compare the two, or builds seeded test data:
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from kcycle import conormal, degeneracy
@@ -158,20 +165,20 @@ def add(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix.from_flat(a.nrows, a.ncols, map(operator.add, a.entries, b.entries))
 
 
-def scale(a: QMatrix, c) -> QMatrix:
-    (c,) = QMatrix.from_flat(1, 1, [c]).entries  # canonical; a float raises TypeError
+def scale(a: QMatrix, c: int) -> QMatrix:
+    (c,) = QMatrix.from_flat(1, 1, [c]).entries  # a c that is not an int raises TypeError
     return QMatrix.from_flat(a.nrows, a.ncols, [c * x for x in a.entries])
 
 
 def solve(m: QMatrix, v: Sequence):
-    """One solution x of m x = v, or None if inconsistent."""
+    """One solution x of m x = v, as a list of Fractions, or None if inconsistent."""
     aug = m.hstack(QMatrix.from_rows([[x] for x in v]))
     pivots, rows = rref(aug)
     if m.ncols in pivots:
         return None
-    x = [0] * m.ncols
+    x = [Fraction(0)] * m.ncols
     for r_i, c in enumerate(pivots):
-        x[c] = rows[r_i][m.ncols]
+        x[c] = Fraction(rows[r_i][m.ncols], rows[r_i][c])
     return x
 
 
@@ -271,15 +278,20 @@ def draw_streams_by_loop(states: Sequence[int], count: int, lo: int, hi: int) ->
 
 
 def kernel_by_span(m: QMatrix) -> Subspace:
-    """Right null space of m: one kernel vector per free column of rref(m), then spanned."""
+    """Right null space of m: one kernel vector per free column of rref(m), then spanned.
+
+    Each vector is formed over Fractions, with a 1 at its free column,
+    and cleared of denominators before it is spanned.
+    """
     pivots, rows = rref(m)
     cols = []
     for f in (c for c in range(m.ncols) if c not in pivots):
-        v = [0] * m.ncols
-        v[f] = 1
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
         for r_i, c in enumerate(pivots):
-            v[c] = -rows[r_i][f]
-        cols.append(v)
+            v[c] = Fraction(-rows[r_i][f], rows[r_i][c])
+        d = lcm(*(x.denominator for x in v))
+        cols.append([x.numerator * (d // x.denominator) for x in v])
     return Subspace.span(m.ncols, cols)
 
 
@@ -291,7 +303,7 @@ def random_matrix(nrows: int, ncols: int, seed: int, height_bound: int = 100) ->
 
 
 def random_matrix_from(rng: SeedStream, nrows: int, ncols: int, height_bound: int = 100) -> QMatrix:
-    # row-major draws of ints, already canonical
+    # row-major draws of ints
     return QMatrix(nrows, ncols,
                    tuple(rng.randints(nrows * ncols, -height_bound, height_bound)))
 
@@ -318,11 +330,14 @@ def dense_basis(setup: Setup, orbit) -> QMatrix:
 
 
 def inverse(m: QMatrix) -> QMatrix:
+    """The inverse of m, by one rref over Fractions; it must be integral."""
     assert m.nrows == m.ncols
     n = m.nrows
     pivots, rows = rref(m.hstack(identity(n)))
     assert pivots == list(range(n)), "matrix is singular"
-    return QMatrix.from_rows([row[n:] for row in rows])
+    inv = [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+    assert all(x.denominator == 1 for row in inv for x in row), "inverse is not integral"
+    return QMatrix.from_rows([[x.numerator for x in row] for row in inv])
 
 
 def solve_homogeneous(constraints: Iterable[Sequence], dim: int) -> "Subspace":

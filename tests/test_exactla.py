@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -50,7 +51,7 @@ def test_rank_hand_values():
     assert rank(identity(5)) == 5
     m = QMatrix.from_rows([[1, 2], [2, 4]])
     assert rank(m) == 1
-    m = QMatrix.from_rows([[F(1, 2), F(1, 3)], [F(1, 4), 1]])
+    m = QMatrix.from_rows([[3, 2], [1, 4]])
     assert rank(m) == 2
     # rank 2 despite three rows
     m = QMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
@@ -63,13 +64,13 @@ def test_rank_hand_values():
 
 def _two_vectors() -> list:
     """Every 2 x c and r x 2 shape up to 6, of two vectors: zero, parallel
-    (integer and Fraction multiples, zero rows among them) and independent."""
+    (positive and negative multiples, zero rows among them) and independent."""
     cases = []
     for along in range(2, 7):  # the length of each vector
-        vectors = [[0] * along, [i - 2 for i in range(along)], [F(i + 1, 3) for i in range(along)],
-                   [0] * (along - 1) + [5], [F(-7, 2)] + [0] * (along - 1)]
+        vectors = [[0] * along, [i - 2 for i in range(along)], [i + 1 for i in range(along)],
+                   [0] * (along - 1) + [5], [-7] + [0] * (along - 1)]
         pairs = [(u, w) for u in vectors for w in vectors]
-        pairs += [(u, [f * x for x in u]) for f in (3, F(-2, 5)) for u in vectors]
+        pairs += [(u, [f * x for x in u]) for f in (3, -2) for u in vectors]
         pairs += [(u, [x + (i == along - 1) for i, x in enumerate(u)]) for u in vectors]
         for u, w in pairs:
             cases.append(QMatrix.from_flat(2, along, u + w))
@@ -78,14 +79,14 @@ def _two_vectors() -> list:
 
 
 def _three_by_three() -> list:
-    """Every 3 x 3 matrix with entries in {-1, 0, 1}, then Fractions of ranks 3, 2, 1, 2, 1."""
+    """Every 3 x 3 matrix with entries in {-1, 0, 1}, then larger ints of ranks 3, 2, 1, 2, 1."""
     ints = [QMatrix(3, 3, e) for e in itertools.product((-1, 0, 1), repeat=9)]
     return ints + [QMatrix.from_flat(3, 3, e) for e in (
-        [F(1, 2), 0, 0, 0, F(-3, 5), 0, 0, 0, 7],
-        [F(1, 2), F(1, 3), 1, 1, F(2, 3), 2, 0, 0, F(1, 7)],
-        [F(1, 2), F(1, 3), 1, 1, F(2, 3), 2, F(-3, 2), -1, -3],
-        [F(1, 3), 1, F(2, 5), F(2, 3), 2, F(4, 5), F(-1, 3), -1, F(-1, 5)],
-        [0, 0, 0, 0, F(1, 9), 0, 0, 0, 0],
+        [2, 0, 0, 0, -3, 0, 0, 0, 7],
+        [3, 2, 6, 3, 2, 6, 0, 0, 7],
+        [3, 2, 6, 3, 2, 6, -3, -2, -6],
+        [5, 15, 6, 10, 30, 12, -5, -15, -3],
+        [0, 0, 0, 0, 9, 0, 0, 0, 0],
     )]
 
 
@@ -108,7 +109,7 @@ def test_two_rows_or_two_columns_rank_without_elimination():
 
 
 def test_three_by_three_rank_by_its_determinant():
-    # 3 x 3 matrices, singular and not, with int and Fraction entries, are
+    # 3 x 3 matrices, singular and not, with unit and larger entries, are
     # ranked by the one elimination, not by a determinant shortcut
     cubes = _three_by_three()
     expected = [DomainMatrix.from_list(m.rows(), QQ).rank() for m in cubes]
@@ -223,8 +224,8 @@ def _selections(size):
 
 
 def test_submatrix_and_from_cols_match_reading_entry_by_entry():
-    # every shape up to 4 x 4, with int entries and with Fraction entries
-    # (some of them integral, which from_flat makes ints): every selection
+    # every shape up to 4 x 4, with small int entries and with the same
+    # entries scaled by 1 to 3: every selection
     # of rows and columns, empty ones included, and every selection of
     # columns handed to from_cols as lists and as tuples; hstack of a
     # matrix with itself doubles each row
@@ -234,7 +235,7 @@ def test_submatrix_and_from_cols_match_reading_entry_by_entry():
         for ncols in range(5):
             ints = [randint(rng, -3, 3) for _ in range(nrows * ncols)]
             for m in (QMatrix.from_flat(nrows, ncols, ints),
-                      QMatrix.from_flat(nrows, ncols, [F(v, 1 + j % 3) for j, v in enumerate(ints)])):
+                      QMatrix.from_flat(nrows, ncols, [v * (1 + j % 3) for j, v in enumerate(ints)])):
                 shapes += 1
                 for rows in _selections(nrows):
                     for cols in _selections(ncols):
@@ -268,8 +269,7 @@ def test_rref_shape_and_pivots():
     m = QMatrix.from_rows([[0, 2, 4], [1, 1, 1]])
     pivots, rows = rref(m)
     assert pivots == [0, 1]
-    assert rows[0][:2] == [F(1), F(0)]
-    assert rows[1][:2] == [F(0), F(1)]
+    assert rows == [[1, 0, -1], [0, 1, 2]]
 
 
 def test_kernel_rank_nullity():
@@ -288,8 +288,8 @@ def test_kernel_rank_nullity():
 
 def test_kernel_is_one_rref_and_matches_the_span_route(monkeypatch):
     # kernel reads its canonical basis off a single rref: it equals the
-    # span of rref(m)'s kernel vectors and sympy's null space, Fractions,
-    # zero rows, empty shapes and dependent rows included
+    # span of rref(m)'s kernel vectors and sympy's null space, scaled
+    # rows, zero rows, empty shapes and dependent rows included
     calls = []
     real_rref = exactla.rref
 
@@ -308,23 +308,24 @@ def test_kernel_is_one_rref_and_matches_the_span_route(monkeypatch):
         if nr > 2 and randint(rng, 0, 1):
             rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
         if randint(rng, 0, 3) == 0:
-            rows = [[F(x, randint(rng, 1, 4)) for x in row] for row in rows]
+            rows = [[x * randint(rng, 1, 4) for x in row] for row in rows]
         cases.append(QMatrix.from_rows(rows))
     for m in cases:
         calls.clear()
         ker = kernel(m)
         assert len(calls) == 1, m
         assert ker == kernel_by_span(m).basis, m
-        null = [[F(int(x.p), int(x.q)) for x in v] for v in to_sympy(m).nullspace()]
+        null = [[int(x * lcm(*(y.q for y in v))) for x in v] for v in to_sympy(m).nullspace()]
         assert ker.ncols == len(null) == m.ncols - rank(m), m
         assert ker == Subspace.span(m.ncols, null).basis, m
-        assert _canonical(ker.entries)
+        assert all(_primitive(ker.col(j)) for j in range(ker.ncols)), m
 
 
 def test_solve_and_inverse():
     m = QMatrix.from_rows([[2, 1], [1, 1]])
     x = solve(m, [3, 2])
-    assert x == [F(1), F(1)]
+    assert x == [1, 1]
+    assert solve(QMatrix.from_rows([[2, 0], [0, 3]]), [1, 1]) == [F(1, 2), F(1, 3)]
     assert solve(QMatrix.from_rows([[1, 1], [1, 1]]), [0, 1]) is None
     mi = inverse(m)
     assert m.mul(mi).entries == identity(2).entries
@@ -417,9 +418,10 @@ def test_randint_bounds():
     assert min(vals) == -3 and max(vals) == 3
 
 
-def _canonical(values) -> bool:
-    """Every value an int, or a Fraction that is not integral."""
-    return all(type(x) is int or (type(x) is F and x.denominator != 1) for x in values)
+def _primitive(vector) -> bool:
+    """Every entry an int, content 1, and the first nonzero entry positive."""
+    lead = next((x for x in vector if x), 0)
+    return all(type(x) is int for x in vector) and gcd(*vector) == 1 and lead > 0
 
 
 def test_bad_draw_ranges_raise_under_optimize():
@@ -551,59 +553,83 @@ def test_float_entries_rejected():
             build()
 
 
+def test_non_int_entries_raise_type_error():
+    # a Fraction, a float or a bool raises through from_flat, from_rows
+    # and from_cols, integral or not, wherever it sits
+    builds = [lambda bad: QMatrix.from_flat(1, 2, [1, bad]),
+              lambda bad: QMatrix.from_flat(1, 1, [bad]),
+              lambda bad: QMatrix.from_rows([[1], [bad]]),
+              lambda bad: QMatrix.from_cols(2, [[0, 1], [bad, 1]])]
+    for bad in (F(1, 2), F(4, 2), 0.5, 2.0, True, False):
+        for build in builds:
+            with pytest.raises(TypeError, match="entry .* is not an int"):
+                build(bad)
+
+
 def test_entries_are_canonical():
-    m = QMatrix.from_rows([[F(4, 2), F(1, 3), 7, True, F(-6, 3)]])
-    assert [type(x) for x in m.entries] == [int, F, int, int, int]
-    assert m.entries == (2, F(1, 3), 7, 1, -2)
-    half = QMatrix.from_rows([[F(1, 2), F(3, 2)]])
-    assert add(half, half).entries == (1, 3) and _canonical(add(half, half).entries)
-    assert scale(half, F(2, 3)).entries == (F(1, 3), 1)
-    assert _canonical(scale(half, F(2, 3)).entries)
-    assert _canonical(identity(3).entries + zeros(2, 2).entries)
-    # rref divides its pivot rows through Fractions, never two ints
+    # int entries are kept as they are, and rref's rows are primitive
+    # with a positive pivot: each reduced echelon row times the smallest
+    # positive scale that makes it integral
+    m = QMatrix.from_rows([[4, -1, 7, 0, -2]])
+    assert m.entries == (4, -1, 7, 0, -2) and {type(x) for x in m.entries} == {int}
+    assert add(m, m).entries == (8, -2, 14, 0, -4)
+    assert scale(m, -3).entries == (-12, 3, -21, 0, 6)
     pivots, rows = rref(QMatrix.from_rows([[2, 1, 4], [6, 3, 1]]))
     assert pivots == [0, 2]
-    assert rows == [[1, F(1, 2), 0], [0, 0, 1]]
-    assert _canonical(rows[0] + rows[1])
+    assert rows == [[2, 1, 0], [0, 0, 1]]
+    assert kernel(QMatrix.from_rows([[2, 1, 4], [6, 3, 1]])).entries == (1, -2, 0)
+    pivots, rows = rref(QMatrix.from_rows([[-4, 2, 6], [0, 0, 0], [2, -1, 1]]))
+    assert pivots == [0, 2]
+    assert rows == [[2, -1, 0], [0, 0, 1], [0, 0, 0]]
+    assert kernel(QMatrix.from_rows([[2, 1], [4, 3]])) == QMatrix(2, 0, ())
 
 
-def test_int_core_agrees_with_fraction_input():
-    # integer input, the same written as Fractions, and each row divided
-    # by a small integer must give one answer, with canonical entries
-    rng = SeedStream(404)
-    inverses = 0
-    for trial in range(60):
-        nr, nc = randint(rng, 1, 6), randint(rng, 1, 6)
-        if trial % 3 == 0:
-            r = randint(rng, 0, min(nr, nc))
-            a = random_matrix(nr, r, seed=next_u64(rng), height_bound=5)
-            b = random_matrix(r, nc, seed=next_u64(rng), height_bound=5)
-            ints = a.mul(b).rows() if r else zeros(nr, nc).rows()
-        else:
-            ints = random_matrix(nr, nc, seed=next_u64(rng), height_bound=9).rows()
-        divs = [randint(rng, 2, 7) for _ in range(nr)]
-        fracs = [[F(x) for x in row] for row in ints]
-        scaled = [[F(x, d) for x in row] for row, d in zip(ints, divs)]
-        m_int, m_frac, m_scaled = (QMatrix.from_rows(x) for x in (ints, fracs, scaled))
-        assert m_int == m_frac and _canonical(m_int.entries) and _canonical(m_scaled.entries)
-        assert rank(m_int) == rank(m_scaled) == to_sympy(m_int).rank(), (trial, ints)
-        kernels = [kernel(m) for m in (m_int, m_frac, m_scaled)]
-        assert kernels[0] == kernels[1] == kernels[2]
-        spans = [Subspace.span(nc, rows) for rows in (ints, fracs, scaled)]
-        assert spans[0] == spans[1] == spans[2]
-        for basis in kernels + [sub.basis for sub in spans]:
-            assert _canonical(basis.entries)
-        v = [randint(rng, -9, 9) for _ in range(nr)]
-        sols = [solve(m_int, v), solve(m_frac, [F(x) for x in v]),
-                solve(m_scaled, [F(x, d) for x, d in zip(v, divs)])]
-        assert sols[0] == sols[1] == sols[2]
-        assert sols[0] is None or _canonical(sols[0])
-        if nr == nc and rank(m_int) == nr:
-            inv = inverse(m_int)
-            assert inv == inverse(m_frac) and _canonical(inv.entries)
-            assert m_int.mul(inv) == identity(nr)
-            inverses += 1
-    assert inverses >= 3
+def _rref_cases() -> list:
+    """A few int matrices by hand, then seeded ones whose pivots are mostly not units."""
+    cases = [QMatrix.from_rows([[2, 1], [4, 3]]), QMatrix.from_rows([[0, -6, 4], [0, 3, -2]]),
+             QMatrix.from_rows([[-4, 2, 6], [6, -3, 1]]), zeros(2, 3), QMatrix(0, 3, ()),
+             QMatrix(2, 0, ())]
+    rng = SeedStream(4242)
+    for _ in range(150):
+        nr, nc = randint(rng, 1, 5), randint(rng, 1, 6)
+        rows = [[randint(rng, -6, 6) if randint(rng, 0, 2) else 0 for _ in range(nc)]
+                for _ in range(nr)]
+        if nr > 2 and randint(rng, 0, 1):
+            rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+        cases.append(QMatrix.from_rows(rows))
+    return cases
+
+
+def _positive_multiple(vector, reduced) -> bool:
+    """vector is the sympy row `reduced` times a positive scale."""
+    j = next(j for j, y in enumerate(reduced) if y)
+    s = sympy.Rational(vector[j]) / reduced[j]
+    return s > 0 and all(x == y * s for x, y in zip(vector, reduced))
+
+
+def test_rref_and_kernel_are_primitive_and_match_sympy():
+    # rref's pivot rows and kernel's columns are primitive int vectors
+    # with a positive pivot or leading entry, and each is sympy's
+    # rational reduced row (of m, or of a basis of its null space) times
+    # a positive scale; the rows after the pivot rows are zero
+    non_unit = 0
+    for m in _rref_cases():
+        pivots, rows = rref(m)
+        reduced, sympy_pivots = to_sympy(m).rref()
+        assert pivots == list(sympy_pivots) and len(rows) == m.nrows, m
+        assert not any(map(any, rows[len(pivots):])), m
+        for i, c in enumerate(pivots):
+            assert _primitive(rows[i]) and rows[i][c] > 0, m
+            assert _positive_multiple(rows[i], list(reduced.row(i))), m
+            non_unit += rows[i][c] > 1
+        ker, null = kernel(m), to_sympy(m).nullspace()
+        assert (ker.nrows, ker.ncols) == (m.ncols, len(null)), m
+        if null:
+            reduced = sympy.Matrix.hstack(*null).T.rref()[0]
+            for j in range(ker.ncols):
+                assert _primitive(ker.col(j)), m
+                assert _positive_multiple(ker.col(j), list(reduced.row(j))), m
+    assert non_unit >= 50
 
 
 def test_sample_streams_pinned(monkeypatch):
@@ -718,30 +744,16 @@ def test_derive_states_is_derive():
             exactla.derive_states([0, bad], "x")
 
 
-def test_rank_of_integral_matrix_skips_int_rows(monkeypatch):
-    def refuse(self):
-        raise AssertionError("int_rows called on an integral matrix")
+class _Unsliceable(tuple):
+    """Entries that refuse to be sliced, as elimination slices them into rows."""
 
-    rng = SeedStream(2024)
-    cases = [random_matrix(randint(rng, 1, 6), randint(rng, 1, 6), seed=next_u64(rng),
-                           height_bound=3) for _ in range(40)]
-    cases += [QMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 0]]), zeros(3, 2)]
-    expected = [to_sympy(m).rank() for m in cases]
-    monkeypatch.setattr(QMatrix, "int_rows", refuse)
-    assert [rank(m) for m in cases] == expected
-    for r, c in ((0, 4), (3, 0), (0, 0)):
-        empty = QMatrix(r, c, ())
-        assert rank(empty) == to_sympy(empty).rank() == 0
-    monkeypatch.undo()
-    # a Fraction anywhere sends the matrix through int_rows, with the same answer
-    for m in cases:
-        frac = QMatrix.from_rows([[F(x, 3 + i) for x in row] for i, row in enumerate(m.rows())])
-        halves = QMatrix.from_rows([row[:-1] + [F(1, 2)] for row in m.rows()])
-        for q in (frac, halves):
-            assert rank(q) == to_sympy(q).rank()
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            raise AssertionError("a vector went into elimination")
+        return tuple.__getitem__(self, key)
 
 
-def test_vectors_rank_without_elimination(monkeypatch):
+def test_vectors_rank_without_elimination():
     # every shape with at most one row or one column, up to length 6
     shapes = sorted({(r, c) for r in range(7) for c in range(7) if min(r, c) <= 1})
     cases = []
@@ -749,18 +761,16 @@ def test_vectors_rank_without_elimination(monkeypatch):
         size = r * c
         cases.append(zeros(r, c))
         for at in range(size):
-            for value in (-3, F(2, 7)):
+            for value in (-3, 7):
                 flat = [0] * size
                 flat[at] = value
                 cases.append(QMatrix.from_flat(r, c, flat))
         cases.append(QMatrix.from_flat(r, c, [i - 2 for i in range(size)]))
-        cases.append(QMatrix.from_flat(r, c, [F(i + 1, 3) for i in range(size)]))
+        cases.append(QMatrix.from_flat(r, c, [3 * i + 1 for i in range(size)]))
     expected = [to_sympy(m).rank() for m in cases]
     assert [rank(m) for m in cases] == expected
-
-    def refuse(*args):
-        raise AssertionError("a vector went into elimination")
-
-    monkeypatch.setattr(exactla, "_all_int", refuse)
-    monkeypatch.setattr(QMatrix, "int_rows", refuse)
-    assert [rank(m) for m in cases] == expected
+    # entries that cannot be sliced into rows still rank as vectors
+    refusing = [QMatrix(m.nrows, m.ncols, _Unsliceable(m.entries)) for m in cases]
+    assert [rank(m) for m in refusing] == expected
+    with pytest.raises(AssertionError, match="a vector went into elimination"):
+        rank(QMatrix(2, 2, _Unsliceable((1, 0, 0, 1))))

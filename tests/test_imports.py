@@ -3,7 +3,7 @@ imports nothing outside the standard library, every module-level
 definition and method in it is reached from an entry point, every field of its
 NamedTuple records is read in it, no module but orbits branches on the
 setup kind, no module but cli writes output text, and a kcycle process
-loads neither dataclasses nor inspect.
+loads none of dataclasses, inspect, fractions and decimal.
 
 Every import of a kcycle module is counted, including imports inside
 function bodies, since those hide a cycle from module load order but
@@ -76,7 +76,7 @@ def test_no_runtime_dependencies():
                 found.add((path.stem, node.module))
             elif isinstance(node, ast.Import):
                 found.update((path.stem, alias.name) for alias in node.names)
-    assert ("exactla", "fractions") in found  # the walk sees imports
+    assert ("exactla", "zlib") in found  # the walk sees imports
     outside = sorted(f"{mod}: {name}" for mod, name in found
                      if name.split(".")[0] not in sys.stdlib_module_names | {"kcycle"})
     assert not outside, "imports outside the standard library: " + ", ".join(outside)
@@ -235,12 +235,14 @@ def test_every_record_field_is_read():
 def test_start_up_loads_no_dataclasses():
     # dataclasses imports inspect (with ast, dis and tokenize), which
     # nothing else a kcycle process runs needs; with decorating the
-    # classes, that was about a quarter of start-up.  The commands cover
-    # both kinds, both charts and the split labels.
+    # classes, that was about a quarter of start-up.  fractions imports
+    # decimal, and with int entries only no kcycle code needs either.
+    # The commands cover both kinds, both charts and the split labels.
     script = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
-        "before = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "unwanted = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "before = [m for m in unwanted if m in sys.modules]\n"
         "import kcycle.cli\n"
         "so84 = ['--kind', 'so', '--n', '8', '--k', '4']\n"
         "commands = [['verify', '--kind', 'glpq', '--n', '6', '--k', '3', '--p', '3', '--q', '3'],\n"
@@ -251,7 +253,7 @@ def test_start_up_loads_no_dataclasses():
         "        code = kcycle.cli.main(argv)\n"
         "    print(argv[0], code, bool(out.getvalue()))\n"
         "print('before', before)\n"
-        "print('after', [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        "print('after', [m for m in unwanted if m in sys.modules])\n"
     )
     done = subprocess.run([sys.executable, "-I", "-c", script],
                           capture_output=True, text=True, check=True)
