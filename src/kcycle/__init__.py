@@ -1,6 +1,6 @@
 """Characteristic cycles of K-orbit closures on Grassmannians.
 
-Exact rational computations of orbit posets, conormal geometry, and
+Exact integer computations of orbit posets, conormal geometry, and
 characteristic cycles for the symmetric pairs GL(p)xGL(q), Sp(n), and
 O(n) acting on Gr(k, n), together with independent verification routes
 (microlocal fibers, transversal slices to matrix rank strata).

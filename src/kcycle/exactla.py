@@ -87,8 +87,14 @@ class QMatrix(NamedTuple):
 
     @classmethod
     def from_flat(cls, nrows: int, ncols: int, flat: Iterable) -> "QMatrix":
-        """Row-major entries, kept as they are; an entry that is not an int raises TypeError."""
+        """Row-major entries, kept as they are; an entry that is not an int raises TypeError.
+
+        A negative size, or an entry count other than nrows * ncols,
+        raises ValueError.
+        """
         flat = tuple(flat)
+        if nrows < 0 or ncols < 0 or len(flat) != nrows * ncols:
+            raise ValueError(f"entry count {len(flat)} does not fit a {nrows} x {ncols} matrix")
         if not _all_int(flat):
             bad = next(x for x in flat if type(x) is not int)
             raise TypeError(f"{type(bad).__name__} entry {bad!r} is not an int")

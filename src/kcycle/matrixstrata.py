@@ -104,14 +104,11 @@ class StratumId(_StratumFields):
         return tuple.__new__(cls, (flavor, size, rank))
 
 
-class MatrixCC(NamedTuple):
-    """Characteristic cycle of a rank stratum: stratum -> multiplicity."""
-
-    terms: tuple  # ((StratumId, mult), ...) ordered by decreasing rank
-
-
-def cc_table(flavor: Flavor, m: int, r: int) -> MatrixCC:
+def cc_table(flavor: Flavor, m: int, r: int) -> tuple:
     """The known cycle for the rank-r stratum; transcribed, not derived.
+
+    The cycle is its terms, ((StratumId, multiplicity), ...), ordered by
+    decreasing rank.
 
     Skew strata always have irreducible cycles.  Symmetric strata gain
     the next smaller stratum with multiplicity one exactly when m - r is
@@ -121,4 +118,4 @@ def cc_table(flavor: Flavor, m: int, r: int) -> MatrixCC:
     terms = [(own, 1)]
     if flavor == Flavor.SYMMETRIC and r >= 1 and (m - r) % 2 == 1:
         terms.append((StratumId(flavor, m, r - 1), 1))
-    return MatrixCC(tuple(terms))
+    return tuple(terms)

@@ -5,9 +5,8 @@ import pytest
 from kcycle import cli
 from kcycle.cli import check_entries
 from kcycle.ccengine import (
+    SUITES,
     CharacteristicCycle,
-    CheckRow,
-    VerificationReport,
     characteristic_cycle,
     check_cc_agreement,
     check_microlocal,
@@ -15,7 +14,6 @@ from kcycle.ccengine import (
     check_transversality,
     cross_check,
     pullback_cc,
-    suite_rows,
 )
 from kcycle.exactla import SEED_MAX
 from kcycle.orbits import (
@@ -25,6 +23,7 @@ from kcycle.orbits import (
     Setup,
     SplitOrbit,
     enumerate_orbits,
+    family,
     format_orbit,
     normalize,
     parse_orbit,
@@ -162,7 +161,8 @@ def test_cc_agreement_rows():
     # a glpq setup has no cc-agreement rows: its family does not list the
     # suite, and the pullback route itself refuses a setup without a form
     glpq = Setup(Kind.GLPQ, 4, 2, p=2, q=2)
-    assert suite_rows(glpq, "crosscheck", 1, 1, 0) == []
+    with pytest.raises(ValueError, match="suite crosscheck has no checks for glpq"):
+        cross_check(glpq, "crosscheck", trials=1)
     with pytest.raises(ValueError, match="pullback route needs an invariant form"):
         check_cc_agreement(glpq)
 
@@ -189,12 +189,12 @@ def test_smallness_builds_one_poset_per_setup(monkeypatch):
     for module in ("orbits", "ccengine", "resolutions"):
         monkeypatch.setattr(f"kcycle.{module}.ClosurePoset", CountingPoset)
     glpq_setups = setups(8, kinds=(Kind.GLPQ,))
-    reports = [cross_check(setup, trials=1, points=1, seed=5) for setup in glpq_setups]
+    runs = [cross_check(setup, trials=1, seed=5) for setup in glpq_setups]
     assert len(glpq_setups) == len(built) == 140
     # the shared poset gives the verdicts of is_small on a poset per target
-    for setup, report in zip(glpq_setups, reports):
+    for setup, rows in zip(glpq_setups, runs):
         norm = normalize(setup)
-        for row in check_entries(setup, report.rows):
+        for row in check_entries(setup, rows):
             if row["check"] == "smallness" and row["detail"] != "not the applicable side here":
                 kind, label = row["subject"].split()
                 target = norm.to_normalized(parse_orbit(setup, label))
@@ -249,8 +249,8 @@ def test_sp_so_posets_agree_with_the_normalized_setups():
 
 def test_cross_check_glpq():
     setup = Setup(Kind.GLPQ, 5, 2, p=3, q=2)
-    report = cross_check(setup, trials=5)
-    assert [r for r in report.rows if not r.ok] == []
+    rows = cross_check(setup, trials=5)
+    assert [r for r in rows if not r.ok] == []
     orbits = enumerate_orbits(setup)
     pos = ClosurePoset(setup)
     pairs = sum(
@@ -259,20 +259,20 @@ def test_cross_check_glpq():
         for s in orbits
         if s != t and pos.leq(s, t)
     )
-    micro = [r for r in report.rows if r.check == "microlocal-empty"]
+    micro = [r for r in rows if r.check == "microlocal-empty"]
     assert len(micro) == pairs
-    small = [r for r in report.rows if r.check == "smallness"]
+    small = [r for r in rows if r.check == "smallness"]
     assert len(small) == 2 * len(orbits)
-    assert [r for r in report.rows if r.check == "transversality"] == []
+    assert [r for r in rows if r.check == "transversality"] == []
 
 
 def test_cross_check_orthogonal():
-    report = cross_check(Setup(Kind.SO, 6, 3), points=10)
-    assert not [r for r in report.rows if not r.ok]
-    checks = {r.check for r in report.rows}
+    setup = Setup(Kind.SO, 6, 3)
+    rows = cross_check(setup, trials=10)
+    assert not [r for r in rows if not r.ok]
+    checks = {r.check for r in rows}
     assert checks == {"cc-agreement", "smallness", "transversality"}
-    tr = [e["subject"] for e in check_entries(report.setup, report.rows)
-          if e["check"] == "transversality"]
+    tr = [e["subject"] for e in check_entries(setup, rows) if e["check"] == "transversality"]
     assert tr == ["standard chart", "opposite chart"]
 
 
@@ -281,30 +281,23 @@ def test_cross_check_is_deterministic():
     assert cross_check(setup, trials=4) == cross_check(setup, trials=4)
 
 
-def test_report_collects_failures():
-    row = CheckRow("demo", "x", False, "boom")
-    report = VerificationReport(Setup(Kind.SP, 4, 2), (row,))
-    assert [r for r in report.rows if not r.ok] == [row]
-    assert not report.all_ok
-
-
 def test_seeded_suites_reject_out_of_range_seeds():
     glpq, so = Setup(Kind.GLPQ, 4, 2, p=2, q=2), Setup(Kind.SO, 6, 3)
     for bad in (-1, SEED_MAX + 1):
         with pytest.raises(ValueError):
             check_transversality(so, points=1, seed=bad)
         with pytest.raises(ValueError):
-            suite_rows(so, "transversality", 1, 1, bad)
+            cross_check(so, "transversality", trials=1, seed=bad)
         with pytest.raises(ValueError):
-            suite_rows(glpq, "microlocal", 1, 1, bad)
+            cross_check(glpq, "microlocal", trials=1, seed=bad)
         for setup in (glpq, so):
             with pytest.raises(ValueError):
                 check_microlocal(setup, trials=1, seed=bad)
             with pytest.raises(ValueError):
-                cross_check(setup, trials=1, points=1, seed=bad)
+                cross_check(setup, trials=1, seed=bad)
     for setup in (glpq, so):
-        report = cross_check(setup, trials=1, points=1, seed=SEED_MAX)
-        assert [r for r in report.rows if not r.ok] == []
+        rows = cross_check(setup, trials=1, seed=SEED_MAX)
+        assert [r for r in rows if not r.ok] == []
 
 
 def test_sampled_checks_reject_counts_below_one():
@@ -313,17 +306,28 @@ def test_sampled_checks_reject_counts_below_one():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="points"):
             check_transversality(so, points=bad)
-        with pytest.raises(ValueError, match="points"):
-            suite_rows(so, "transversality", 1, bad, 0)
         with pytest.raises(ValueError, match="trials"):
-            suite_rows(glpq, "microlocal", bad, 1, 0)
+            cross_check(so, "transversality", trials=bad)
+        with pytest.raises(ValueError, match="trials"):
+            cross_check(glpq, "microlocal", trials=bad)
         for setup in (glpq, so):
             with pytest.raises(ValueError, match="trials"):
                 check_microlocal(setup, trials=bad)
             with pytest.raises(ValueError, match="trials"):
-                cross_check(setup, trials=bad, points=1)
-            with pytest.raises(ValueError, match="points"):
-                cross_check(setup, trials=1, points=bad)
+                cross_check(setup, trials=bad)
+
+
+def test_cross_check_refuses_a_suite_that_examines_nothing():
+    # a suite the family does not list, or an unknown name, has no rows,
+    # and a check that examined nothing must not report ok
+    for setup in (Setup(Kind.GLPQ, 4, 2, p=2, q=2), Setup(Kind.SP, 6, 3), Setup(Kind.SO, 6, 3)):
+        unlisted = [name for name in SUITES if name not in family(setup).suites]
+        assert unlisted
+        for name in unlisted + ["bogus", "All", ""]:
+            with pytest.raises(ValueError, match="has no checks"):
+                cross_check(setup, name, trials=1)
+        for name in family(setup).suites:
+            assert {r.check for r in cross_check(setup, name, trials=1)}
 
 
 def test_sweep_draws_are_pinned(monkeypatch):

@@ -454,9 +454,9 @@ def test_bad_draw_ranges_raise_under_optimize():
 
 
 def test_internal_checks_raise_under_optimize():
-    # shape checks, the form's kind check, membership thresholds outside
-    # the blocks and the checks of Setup, StratumId and CharacteristicCycle
-    # raise ValueError, with or without python -O; so do the sum and the
+    # shape checks (from_flat's entry count among them), the form's kind
+    # check, membership thresholds outside the blocks and the checks of
+    # Setup, StratumId and CharacteristicCycle raise ValueError, with or without python -O; so do the sum and the
     # subspace checks of the reference routes
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -466,7 +466,7 @@ def test_internal_checks_raise_under_optimize():
         "import sys\n"
         "from kcycle.ccengine import CharacteristicCycle\n"
         "from kcycle.conormal import ConormalVector\n"
-        "from kcycle.exactla import QMatrix\n"
+        "from kcycle.exactla import QMatrix, rank\n"
         "from kcycle.matrixstrata import Flavor, StratumId\n"
         "from kcycle.orbits import IntersectionOrbit, Kind, RadicalOrbit, Setup, base_point, form_sign\n"
         "from kcycle.resolutions import kernel_membership_Z, kernel_membership_Ztilde\n"
@@ -476,6 +476,9 @@ def test_internal_checks_raise_under_optimize():
         "bp = base_point(Setup(Kind.GLPQ, 5, 2, p=4, q=1), IntersectionOrbit(1, 0))\n"
         "xi = ConormalVector(bp, zeros(1, 0), zeros(0, 2), 0, 0)\n"
         "calls = [lambda: QMatrix.from_rows([[1, 2], [3]]),\n"
+        "         lambda: QMatrix.from_flat(2, 2, [0, 0, 0, 0, 5]),\n"
+        "         lambda: rank(QMatrix.from_flat(2, 2, [1, 2, 3])),\n"
+        "         lambda: QMatrix.from_flat(-1, -1, [0]),\n"
         "         lambda: a.mul(b), lambda: add(a, b), lambda: a.hstack(b),\n"
         "         lambda: Subspace.span(2, [[1, 2, 3]]),\n"
         "         lambda: s2.contains(s3), lambda: s2.sum(s3), lambda: s2.intersection(s3),\n"
@@ -511,7 +514,10 @@ def test_internal_checks_raise_under_optimize():
     thresholds = ["raised thresholds (2, 0) lie outside the blocks' rows (1, 0)",
                   "raised thresholds (1, 1) lie outside the blocks' rows (1, 0)",
                   "raised thresholds (3, 0) lie outside the blocks' rows (1, 0)"]
-    expected = ["raised ragged rows", "raised shape mismatch in product",
+    expected = ["raised ragged rows", "raised entry count 5 does not fit a 2 x 2 matrix",
+                "raised entry count 3 does not fit a 2 x 2 matrix",
+                "raised entry count 1 does not fit a -1 x -1 matrix",
+                "raised shape mismatch in product",
                 "raised shape mismatch in sum", "raised row counts differ in hstack",
                 "raised vector outside the ambient space"]
     expected += ["raised subspaces of different ambient spaces"] * 3

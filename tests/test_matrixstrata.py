@@ -31,20 +31,20 @@ from reference import (
 
 def test_table_examples():
     got = cc_table(Flavor.SYMMETRIC, 3, 2)
-    assert dict(got.terms) == {StratumId(Flavor.SYMMETRIC, 3, 2): 1,
-                             StratumId(Flavor.SYMMETRIC, 3, 1): 1}
-    assert dict(cc_table(Flavor.SYMMETRIC, 3, 0).terms) == {StratumId(Flavor.SYMMETRIC, 3, 0): 1}
-    assert dict(cc_table(Flavor.SKEW, 4, 2).terms) == {StratumId(Flavor.SKEW, 4, 2): 1}
+    assert dict(got) == {StratumId(Flavor.SYMMETRIC, 3, 2): 1,
+                         StratumId(Flavor.SYMMETRIC, 3, 1): 1}
+    assert dict(cc_table(Flavor.SYMMETRIC, 3, 0)) == {StratumId(Flavor.SYMMETRIC, 3, 0): 1}
+    assert dict(cc_table(Flavor.SKEW, 4, 2)) == {StratumId(Flavor.SKEW, 4, 2): 1}
 
 
 def test_table_reducibility_pattern():
     for m in range(1, 6):
         for r in range(m + 1):
             cyc = cc_table(Flavor.SYMMETRIC, m, r)
-            assert dict(cyc.terms)[StratumId(Flavor.SYMMETRIC, m, r)] == 1
-            assert (len(cyc.terms) == 1) == ((m - r) % 2 == 0 or r == 0)
+            assert dict(cyc)[StratumId(Flavor.SYMMETRIC, m, r)] == 1
+            assert (len(cyc) == 1) == ((m - r) % 2 == 0 or r == 0)
         for r in range(0, m + 1, 2):
-            assert len(cc_table(Flavor.SKEW, m, r).terms) == 1
+            assert len(cc_table(Flavor.SKEW, m, r)) == 1
 
 
 def test_stratum_validation():

@@ -67,6 +67,10 @@ def test_traced_verify_counts_ranks_and_restores_patches():
     assert metrics["conormal.draw_covectors.calls"] > 0
     assert metrics["resolutions.is_small.calls"] > 0
     assert metrics["degeneracy.transverse_points.calls"] > 0
+    # verify's suite runners look their checks up by name, so the wrapped
+    # checks run and BENCHMARK.json's ccengine.check_*.total_s are live
+    for check in ("cc_agreement", "microlocal", "smallness", "transversality"):
+        assert metrics[f"ccengine.check_{check}.calls"] > 0, check
     assert exactla.QMatrix.__dict__["mul"] is originals["mul"]
     assert exactla.Subspace.__dict__["span"] is originals["span"]
     assert exactla.rank is originals["rank"] and cli.main is originals["main"]
