@@ -44,58 +44,33 @@ from .resolutions import (
 )
 
 
-class _CycleFields(NamedTuple):
-    setup: Setup
-    target: object
-    terms: tuple
+def _cycle_terms(setup: Setup, target, mults: dict) -> tuple:
+    """The cycle with multiplicities ``mults``, as ((orbit, multiplicity), ...).
 
-
-class CharacteristicCycle(_CycleFields):
-    """A cycle supported on conormals of orbits in one closure.
-
-    ``terms`` lists (orbit, multiplicity) pairs, the target orbit first
-    with multiplicity one, the rest in label order.  A NamedTuple whose
-    checks run in __new__; _make and _replace skip them.
+    The target comes first with multiplicity one, the other orbits in
+    label-text order; a zero multiplicity means the orbit is absent.
+    Every term must be an orbit of the setup in the target's closure,
+    with a positive int multiplicity, or ValueError is raised.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, setup: Setup, target, terms: tuple) -> "CharacteristicCycle":
-        if not terms:
-            raise ValueError("a cycle has at least its lead term")
-        lead, lead_mult = terms[0]
-        if lead != target or lead_mult != 1:
-            raise ValueError("lead term must be the target with multiplicity one")
-        seen, leq = set(), family(setup).leq
-        for orbit, mult in terms:
-            check_orbit(setup, orbit)
-            if orbit in seen:
-                raise ValueError("duplicate term")
-            seen.add(orbit)
-            if not (isinstance(mult, int) and mult > 0):
-                raise ValueError("multiplicities are positive integers")
-            # the target is the lead term, checked on the first pass
-            if not leq(setup, orbit, target):
-                raise ValueError("terms must lie in the closure of the target")
-        return tuple.__new__(cls, (setup, target, terms))
-
-    @classmethod
-    def from_multiplicities(cls, setup: Setup, target, mults: dict) -> "CharacteristicCycle":
-        # zero entries mean absence, not an invalid term
-        rest = sorted(
-            (o for o in mults if o != target and mults[o]),
-            key=lambda o: format_orbit(setup, o),
-        )
-        terms = [(target, mults.get(target, 0))]
-        terms.extend((o, mults[o]) for o in rest)
-        return cls(setup, target, tuple(terms))
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
+    if mults.get(target) != 1:
+        raise ValueError("lead term must be the target with multiplicity one")
+    rest = sorted(
+        (o for o in mults if o != target and mults[o]),
+        key=lambda o: format_orbit(setup, o),
+    )
+    terms = ((target, 1), *((o, mults[o]) for o in rest))
+    leq = family(setup).leq
+    for orbit, mult in terms:
+        check_orbit(setup, orbit)
+        if not (isinstance(mult, int) and mult > 0):
+            raise ValueError("multiplicities are positive integers")
+        if not leq(setup, orbit, target):
+            raise ValueError("terms must lie in the closure of the target")
+    return terms
 
 
-def characteristic_cycle(setup: Setup, orbit) -> CharacteristicCycle:
-    """The known characteristic cycle of the orbit-closure sheaf.
+def characteristic_cycle(setup: Setup, orbit) -> tuple:
+    """The known characteristic cycle of the orbit-closure sheaf, as its terms.
 
     Splitting-type and symplectic orbit closures always contribute a
     single conormal.  In the orthogonal case (a symmetric form)
@@ -110,11 +85,11 @@ def characteristic_cycle(setup: Setup, orbit) -> CharacteristicCycle:
         i = radical_size(setup, orbit)
         if i % 2 and i < min(setup.k, setup.n - setup.k):
             mults.update((o, 1) for o in enumerate_orbits(setup) if radical_size(setup, o) == i + 1)
-    return CharacteristicCycle.from_multiplicities(setup, orbit, mults)
+    return _cycle_terms(setup, orbit, mults)
 
 
-def pullback_cc(setup: Setup, orbit) -> CharacteristicCycle:
-    """Transport the cycle of a matrix rank stratum to orbit labels.
+def pullback_cc(setup: Setup, orbit) -> tuple:
+    """Transport the cycle of a matrix rank stratum to orbit labels, as its terms.
 
     The Gram section is a (transverse) map from the chart to flavored
     matrices carrying the radical stratification to the rank one, so
@@ -132,12 +107,12 @@ def pullback_cc(setup: Setup, orbit) -> CharacteristicCycle:
     table = cc_table(form_flavor(work.kind), work.k, work.k - radical_size(work, target))
     mults, leq = {}, family(work).leq
     sizes = {label: radical_size(work, label) for label in enumerate_orbits(work)}
-    for sid, mult in table:
+    for rank, mult in table:
         for label, i in sizes.items():
-            if i == work.k - sid.rank and leq(work, label, target):
+            if i == work.k - rank and leq(work, label, target):
                 mults[label] = mult
     back = {norm.from_normalized(lab): m for lab, m in mults.items()}
-    return CharacteristicCycle.from_multiplicities(setup, orbit, back)
+    return _cycle_terms(setup, orbit, back)
 
 
 class CheckRow(NamedTuple):
@@ -164,8 +139,8 @@ def check_cc_agreement(setup: Setup) -> list:
     for orbit in enumerate_orbits(setup):
         stated = characteristic_cycle(setup, orbit)
         pulled = pullback_cc(setup, orbit)
-        ok = stated.as_dict() == pulled.as_dict()
-        rows.append(CheckRow("cc-agreement", (orbit,), ok, (stated.terms, pulled.terms)))
+        ok = dict(stated) == dict(pulled)
+        rows.append(CheckRow("cc-agreement", (orbit,), ok, (stated, pulled)))
     return rows
 
 

@@ -13,10 +13,10 @@ safe to call repeatedly: each call parses, computes and prints afresh.
 
 Exit codes: 0 on success, 1 when a verify suite reports a failed check,
 2 on bad input, a setup too large for memory or an unwritable --out
-file, and 3 when the conormal
-sampler finds no generic covector within its resample budget, which
-means a bug, not a failed check.  Codes 2 and 3 leave stdout empty;
-stderr gets argparse's usage message, or one ``error:`` line.
+file, and 3 when the conormal sampler finds no generic covector within
+its resample budget, which means a bug, not a failed check.  Codes 2
+and 3 leave stdout empty; stderr gets argparse's usage message, or one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def cmd_cc(setup: Setup, orbit_label: str | None) -> dict:
             "target": format_orbit(setup, orbit),
             "terms": [
                 {"orbit": format_orbit(setup, o), "multiplicity": m}
-                for o, m in characteristic_cycle(setup, orbit).terms
+                for o, m in characteristic_cycle(setup, orbit)
             ],
         }
         for orbit in orbits

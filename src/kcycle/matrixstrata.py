@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 from .exactla import QMatrix
 
@@ -81,41 +80,21 @@ def product_system(x, m: int, flavor: Flavor, coords) -> QMatrix:
     return QMatrix.from_flat(len(rows), len(coords), [v for row in rows for v in row])
 
 
-class _StratumFields(NamedTuple):
-    flavor: Flavor
-    size: int
-    rank: int
-
-
-class StratumId(_StratumFields):
-    """The rank-``rank`` stratum of ``size``-square matrices of a flavor.
-
-    A NamedTuple, ordered by (flavor, size, rank), whose checks run in
-    __new__; _make and _replace skip them.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, flavor: Flavor, size: int, rank: int) -> "StratumId":
-        if not (0 <= rank <= size):
-            raise ValueError(f"rank {rank} out of range for size {size}")
-        if flavor == Flavor.SKEW and rank % 2:
-            raise ValueError("skew matrices have even rank")
-        return tuple.__new__(cls, (flavor, size, rank))
-
-
 def cc_table(flavor: Flavor, m: int, r: int) -> tuple:
-    """The known cycle for the rank-r stratum; transcribed, not derived.
+    """The known cycle for the rank-r stratum of m x m matrices; transcribed, not derived.
 
-    The cycle is its terms, ((StratumId, multiplicity), ...), ordered by
-    decreasing rank.
+    The cycle is its terms, ((rank, multiplicity), ...), highest rank
+    first.  A rank outside 0..m, or an odd rank of skew matrices, names
+    no stratum and raises ValueError.
 
     Skew strata always have irreducible cycles.  Symmetric strata gain
     the next smaller stratum with multiplicity one exactly when m - r is
     odd and r >= 1.
     """
-    own = StratumId(flavor, m, r)
-    terms = [(own, 1)]
+    if not (0 <= r <= m):
+        raise ValueError(f"rank {r} out of range for size {m}")
+    if flavor == Flavor.SKEW and r % 2:
+        raise ValueError("skew matrices have even rank")
     if flavor == Flavor.SYMMETRIC and r >= 1 and (m - r) % 2 == 1:
-        terms.append((StratumId(flavor, m, r - 1), 1))
-    return tuple(terms)
+        return ((r, 1), (r - 1, 1))
+    return ((r, 1),)

@@ -85,6 +85,11 @@ class Setup(_SetupFields):
 
     def __new__(cls, kind: Kind, n: int, k: int, p: Optional[int] = None,
                 q: Optional[int] = None) -> "Setup":
+        if not isinstance(kind, Kind):
+            raise ValueError(f"not a setup kind: {kind!r}")
+        for value in (n, k, *(v for v in (p, q) if v is not None)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"setup sizes are ints, got {value!r}")
         if n > sys.maxsize:
             # vectors of length n are lists, which no index-sized int can address
             raise ValueError(f"need n <= {sys.maxsize}, got n={n}")

@@ -254,8 +254,14 @@ def is_small(pos: ClosurePoset, kind: ResolutionKind, tgt) -> bool:
     """Strict fiber bound 2*dim(fiber) < codim(stratum) below the target.
 
     Read off the poset of the normalized setup: for Sp/SO, U -> U^perp
-    keeps rad(U), so its dimensions and order are the setup's own.
+    keeps rad(U), so its dimensions and order are the setup's own.  A
+    target that is no orbit of the poset's setup, or a kind that is no
+    resolution of its family, raises ValueError.
     """
+    if tgt not in pos.dimension:
+        raise ValueError(f"{tgt!r} is not an orbit of {pos.setup.describe()}")
+    if kind not in RESOLUTIONS[family(pos.setup)].kinds:
+        raise ValueError(f"{kind!r} is not a resolution of {pos.setup.describe()}")
     top = pos.dimension[tgt]
     for stratum in pos.orbits:
         if stratum == tgt or not pos.leq(stratum, tgt):

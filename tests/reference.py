@@ -122,7 +122,7 @@ from kcycle.degeneracy import _differential_values
 from kcycle.exactla import SEED_MAX, QMatrix, SeedStream, kernel, rank, rref
 from kcycle.matrixstrata import (
     Flavor,
-    StratumId,
+    cc_table,
     coordinate_pairs,
     flavor_dim,
     flavor_sign,
@@ -453,7 +453,7 @@ def conormal_solutions(x: QMatrix, flavor: Flavor) -> Subspace:
 
 def random_flavored_matrix(flavor: Flavor, m: int, r: int, seed: int, height_bound: int = 9) -> QMatrix:
     """Deterministic random matrix of the flavor with exact rank r."""
-    StratumId(flavor, m, r)  # validates the pair
+    cc_table(flavor, m, r)  # validates the pair
     rng = SeedStream(seed).derive("flavored", flavor.value, m, r)
     rows = [[0] * m for _ in range(m)]
     if flavor == Flavor.SYMMETRIC:

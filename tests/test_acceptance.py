@@ -68,22 +68,22 @@ def test_criterion_1_cycle_table_reproduction():
             cc = characteristic_cycle(setup, orbit)
             orbit_count += 1
             if setup.kind != Kind.SO:
-                assert len(cc.terms) == 1
+                assert len(cc) == 1
                 continue
             reducible = (isinstance(orbit, RadicalOrbit)
                          and orbit.i % 2 == 1 and orbit.i < m)
-            assert (len(cc.terms) == 1) == (not reducible)
+            assert (len(cc) == 1) == (not reducible)
             if not reducible:
                 continue
             if (setup.n == 2 * setup.k and setup.k % 2 == 0
                     and orbit.i == setup.k - 1):
-                assert len(cc.terms) == 3
-                assert cc.as_dict() == {
+                assert len(cc) == 3
+                assert dict(cc) == {
                     orbit: 1, SplitOrbit(1): 1, SplitOrbit(-1): 1,
                 }
                 three_term.append((setup, orbit))
             else:
-                assert cc.as_dict() == {orbit: 1, RadicalOrbit(orbit.i + 1): 1}
+                assert dict(cc) == {orbit: 1, RadicalOrbit(orbit.i + 1): 1}
     assert (Setup(Kind.SO, 8, 4), RadicalOrbit(3)) in three_term
     assert len(three_term) == 2  # n=4 and n=8 square even cases
     elapsed = time.monotonic() - started
@@ -99,7 +99,7 @@ def test_criterion_2_pullback_agreement():
         for orbit in enumerate_orbits(setup):
             stated = characteristic_cycle(setup, orbit)
             pulled = pullback_cc(setup, orbit)
-            assert stated.as_dict() == pulled.as_dict(), (setup, orbit)
+            assert dict(stated) == dict(pulled), (setup, orbit)
             checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 10.0

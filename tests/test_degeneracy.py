@@ -796,14 +796,13 @@ def test_pullback_examples():
     ]
     for setup, orbit, expected in cases:
         cc = pullback_cc(setup, orbit)
-        assert cc.as_dict() == expected
-        assert cc.target == orbit
-        assert cc.setup == setup
+        assert dict(cc) == expected
+        assert cc[0] == (orbit, 1)
 
 
 def test_pullback_constructs_everywhere():
-    # the cycle type validates closure support and lead multiplicity
+    # the cycle's terms are checked for closure support and lead multiplicity
     for setup in setups(8, (Kind.SP, Kind.SO)):
         for orbit in enumerate_orbits(setup):
             cc = pullback_cc(setup, orbit)
-            assert cc.as_dict()[orbit] == 1
+            assert dict(cc)[orbit] == 1

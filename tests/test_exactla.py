@@ -455,19 +455,20 @@ def test_bad_draw_ranges_raise_under_optimize():
 
 def test_internal_checks_raise_under_optimize():
     # shape checks (from_flat's entry count among them), the form's kind
-    # check, membership thresholds outside the blocks and the checks of
-    # Setup, StratumId and CharacteristicCycle raise ValueError, with or without python -O; so do the sum and the
-    # subspace checks of the reference routes
+    # check, membership thresholds outside the blocks, Setup's checks and
+    # those of the cycles cc_table and _cycle_terms build raise ValueError,
+    # with or without python -O; so do the sum and the subspace checks of
+    # the reference routes
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, str(Path(__file__).resolve().parent), env.get("PYTHONPATH")]))
     script = (
         "import sys\n"
-        "from kcycle.ccengine import CharacteristicCycle\n"
+        "from kcycle.ccengine import _cycle_terms\n"
         "from kcycle.conormal import ConormalVector\n"
         "from kcycle.exactla import QMatrix, rank\n"
-        "from kcycle.matrixstrata import Flavor, StratumId\n"
+        "from kcycle.matrixstrata import Flavor, cc_table\n"
         "from kcycle.orbits import IntersectionOrbit, Kind, RadicalOrbit, Setup, base_point, form_sign\n"
         "from kcycle.resolutions import kernel_membership_Z, kernel_membership_Ztilde\n"
         "from reference import Subspace, add, identity, zeros\n"
@@ -487,21 +488,23 @@ def test_internal_checks_raise_under_optimize():
         "          for m in (kernel_membership_Z, kernel_membership_Ztilde)\n"
         "          for st in ((2, 0), (1, 1), (3, 0))]\n"
         "so, r = Setup(Kind.SO, 8, 4), RadicalOrbit\n"
-        "records = [(Setup, ('kind', 'n', 'k', 'p', 'q'),\n"
-        "            [(Kind.SO, sys.maxsize + 1, 2), (Kind.SO, 4, 0), (Kind.SO, 4, 4),\n"
-        "             (Kind.GLPQ, 4, 2, 2), (Kind.GLPQ, 4, 2, 1, 1), (Kind.GLPQ, 4, 2, 0, 4),\n"
-        "             (Kind.SO, 4, 2, 2, 2), (Kind.SP, 5, 2)]),\n"
-        "           (StratumId, ('flavor', 'size', 'rank'),\n"
-        "            [(Flavor.SYMMETRIC, 2, 3), (Flavor.SKEW, 3, -1), (Flavor.SKEW, 4, 3)]),\n"
-        "           (CharacteristicCycle, ('setup', 'target', 'terms'),\n"
-        "            [(so, r(1), ()), (so, r(1), ((r(2), 1),)), (so, r(1), ((r(1), 2),)),\n"
-        "             (so, r(1), ((r(1), 1), (r(2), 1), (r(2), 1))),\n"
-        "             (so, r(1), ((r(1), 1), (r(2), 0))), (so, r(3), ((r(3), 1), (r(1), 1))),\n"
-        "             (so, r(1), ((r(1), 1), (r(4), 1))), (so, r(4), ((r(4), 1),))])]\n"
-        "for cls, names, cases in records:\n"
+        "builds = [(Setup, ('kind', 'n', 'k', 'p', 'q'),\n"
+        "           [(Kind.SO, sys.maxsize + 1, 2), (Kind.SO, 4, 0), (Kind.SO, 4, 4),\n"
+        "            (Kind.GLPQ, 4, 2, 2), (Kind.GLPQ, 4, 2, 1, 1), (Kind.GLPQ, 4, 2, 0, 4),\n"
+        "            (Kind.SO, 4, 2, 2, 2), (Kind.SP, 5, 2), ('bogus', 4, 2), ('so', 4, 2),\n"
+        "            (Kind.SO, 4.0, 2), (Kind.SO, 4, True), (Kind.GLPQ, 4, 2, 2, 2.0)]),\n"
+        "          (cc_table, ('flavor', 'm', 'r'),\n"
+        "           [(Flavor.SYMMETRIC, 2, 3), (Flavor.SKEW, 3, -1), (Flavor.SKEW, 4, 3)]),\n"
+        "          (_cycle_terms, ('setup', 'target', 'mults'),\n"
+        "           [(so, r(1), {r(2): 1}), (so, r(1), {r(1): 2}),\n"
+        "            (so, r(1), {r(1): 1, r(2): -1}), (so, r(1), {r(1): 1, r(2): 0.5}),\n"
+        "            (so, r(3), {r(3): 1, r(1): 1}), (so, r(1), {r(1): 1, r(4): 1}),\n"
+        "            (so, r(4), {r(4): 1})])]\n"
+        "for build, names, cases in builds:\n"
         "    for args in cases:\n"
-        "        calls += [lambda cls=cls, args=args: cls(*args),\n"
-        "                  lambda cls=cls, args=args, names=names: cls(**dict(zip(names, args)))]\n"
+        "        calls += [lambda build=build, args=args: build(*args),\n"
+        "                  lambda build=build, args=args, names=names:\n"
+        "                  build(**dict(zip(names, args)))]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -529,16 +532,19 @@ def test_internal_checks_raise_under_optimize():
                "raised need p,q >= 1 with p+q=n, got p=1, q=1, n=4",
                "raised need p,q >= 1 with p+q=n, got p=0, q=4, n=4",
                "raised so setup takes no p,q", "raised Sp needs n even",
+               "raised not a setup kind: 'bogus'", "raised not a setup kind: 'so'",
+               "raised setup sizes are ints, got 4.0", "raised setup sizes are ints, got True",
+               "raised setup sizes are ints, got 2.0",
                "raised rank 3 out of range for size 2", "raised rank -1 out of range for size 3",
                "raised skew matrices have even rank",
-               "raised a cycle has at least its lead term",
                "raised lead term must be the target with multiplicity one",
                "raised lead term must be the target with multiplicity one",
-               "raised duplicate term", "raised multiplicities are positive integers",
+               "raised multiplicities are positive integers",
+               "raised multiplicities are positive integers",
                "raised terms must lie in the closure of the target",
                "raised rad4 is not a (non-empty) orbit of so(n=8,k=4)",
                "raised rad4 is not a (non-empty) orbit of so(n=8,k=4)"]
-    # each record is built positionally, then by keyword
+    # each is built positionally, then by keyword
     expected += [line for line in records for _ in range(2)]
     for flags, optimize in (([], 0), (["-O"], 1)):
         done = subprocess.run([sys.executable, *flags, "-c", script], env=env,

@@ -1,9 +1,10 @@
 """The package's internal import graph has no cycles, the package
 imports nothing outside the standard library, every module-level
 definition and method in it is reached from an entry point, every field of its
-NamedTuple records is read in it, no module but orbits branches on the
-setup kind, no module but cli writes output text, and a kcycle process
-loads none of dataclasses, inspect, fractions and decimal.
+NamedTuple records is read in it, only outside input is a checked
+record, no module but orbits branches on the setup kind, no module but
+cli writes output text, and a kcycle process loads none of dataclasses,
+inspect, fractions and decimal.
 
 Every import of a kcycle module is counted, including imports inside
 function bodies, since those hide a cycle from module load order but
@@ -205,8 +206,6 @@ def test_every_definition_is_reached_from_an_entry_point():
 
 # Record fields that no package code reads, each with the reason it stays.
 UNREAD_FIELDS = {
-    "StratumId.size": "the stratum's identity: equal flavor and rank at two sizes are two strata",
-    "CharacteristicCycle.target": "the cycle's subject, checked against its lead term when built",
     "ConormalVector.retries": "the draw's resample count, which the sampler tests read",
 }
 
@@ -230,6 +229,47 @@ def test_every_record_field_is_read():
     assert not unread, "record fields no package code reads: " + ", ".join(unread)
     stale = sorted(f for f in UNREAD_FIELDS if f not in fields or f.split(".")[1] in read)
     assert not stale, "allowlisted fields that are gone or read: " + ", ".join(stale)
+
+
+# Package classes that run checks in __new__ on a NamedTuple, each with the
+# reason it stays a checked record.  A value the package builds itself is
+# checked by the one function that builds it.
+CHECKED_RECORDS = {
+    "Setup": "outside input: the CLI and library callers build it",
+}
+
+
+def _checked_records(tree: ast.Module) -> list:
+    """Classes defining __new__ on a NamedTuple, directly or through a field class."""
+    classes = {c.name: c for c in tree.body if isinstance(c, ast.ClassDef)}
+    bases = {name: {b.id for b in c.bases if isinstance(b, ast.Name)}
+             for name, c in classes.items()}
+    tuples = {"NamedTuple"} | {name for name, base in bases.items() if "NamedTuple" in base}
+    return sorted(name for name, c in classes.items() if bases[name] & tuples and any(
+        isinstance(f, ast.FunctionDef) and f.name == "__new__" for f in c.body))
+
+
+def test_only_outside_input_is_a_checked_record():
+    planted = ast.parse(
+        "class _Fields(NamedTuple):\n"
+        "    a: int\n"
+        "class Checked(_Fields):\n"
+        "    def __new__(cls, a):\n"
+        "        return tuple.__new__(cls, (a,))\n"
+        "class Direct(NamedTuple):\n"
+        "    def __new__(cls, a): ...\n"
+        "class Plain(NamedTuple):\n"
+        "    a: int\n"
+        "class Label:\n"
+        "    def __new__(cls): ...\n")
+    assert _checked_records(planted) == ["Checked", "Direct"]  # the walk sees both routes
+    found = {name for path in PACKAGE.glob("*.py")
+             for name in _checked_records(ast.parse(path.read_text()))}
+    unlisted = sorted(found - CHECKED_RECORDS.keys())
+    assert not unlisted, ("checked records the package builds itself; check the value in "
+                          "the function that builds it: " + ", ".join(unlisted))
+    stale = sorted(CHECKED_RECORDS.keys() - found)
+    assert not stale, "allowlisted classes that are no checked record: " + ", ".join(stale)
 
 
 def test_start_up_loads_no_dataclasses():
@@ -328,7 +368,7 @@ def test_only_orbits_branches_on_the_kind():
 # function), each with the reason it stays.  Output text is cli's to write.
 LABEL_TEXT = {
     ("resolutions", "draw_conormals"): "the stratum's label text is part of the draws' seed tag",
-    ("ccengine", "CharacteristicCycle.from_multiplicities"): "a cycle's terms sort by label text",
+    ("ccengine", "_cycle_terms"): "a cycle's terms sort by label text",
 }
 
 

@@ -3,7 +3,6 @@ import pytest
 from kcycle.exactla import QMatrix, SeedStream, rank
 from kcycle.matrixstrata import (
     Flavor,
-    StratumId,
     cc_table,
     flavor_dim,
     pairing_row,
@@ -31,17 +30,16 @@ from reference import (
 
 def test_table_examples():
     got = cc_table(Flavor.SYMMETRIC, 3, 2)
-    assert dict(got) == {StratumId(Flavor.SYMMETRIC, 3, 2): 1,
-                         StratumId(Flavor.SYMMETRIC, 3, 1): 1}
-    assert dict(cc_table(Flavor.SYMMETRIC, 3, 0)) == {StratumId(Flavor.SYMMETRIC, 3, 0): 1}
-    assert dict(cc_table(Flavor.SKEW, 4, 2)) == {StratumId(Flavor.SKEW, 4, 2): 1}
+    assert got == ((2, 1), (1, 1))
+    assert cc_table(Flavor.SYMMETRIC, 3, 0) == ((0, 1),)
+    assert cc_table(Flavor.SKEW, 4, 2) == ((2, 1),)
 
 
 def test_table_reducibility_pattern():
     for m in range(1, 6):
         for r in range(m + 1):
             cyc = cc_table(Flavor.SYMMETRIC, m, r)
-            assert dict(cyc)[StratumId(Flavor.SYMMETRIC, m, r)] == 1
+            assert cyc[0] == (r, 1)
             assert (len(cyc) == 1) == ((m - r) % 2 == 0 or r == 0)
         for r in range(0, m + 1, 2):
             assert len(cc_table(Flavor.SKEW, m, r)) == 1
@@ -49,11 +47,13 @@ def test_table_reducibility_pattern():
 
 def test_stratum_validation():
     with pytest.raises(ValueError):
-        StratumId(Flavor.SKEW, 4, 3)
+        cc_table(Flavor.SKEW, 4, 3)
     with pytest.raises(ValueError):
-        StratumId(Flavor.SYMMETRIC, 3, 4)
+        cc_table(Flavor.SYMMETRIC, 3, 4)
     with pytest.raises(ValueError):
         cc_table(Flavor.SKEW, 4, 1)
+    with pytest.raises(ValueError):
+        cc_table(Flavor.SYMMETRIC, 3, -1)
 
 
 def test_conormal_condition_hand_values():

@@ -11,13 +11,7 @@ import pickle
 
 import pytest
 
-from kcycle.ccengine import (
-    CharacteristicCycle,
-    CheckRow,
-    characteristic_cycle,
-    cross_check,
-)
-from kcycle.matrixstrata import Flavor, StratumId
+from kcycle.ccengine import CheckRow, cross_check
 from kcycle.orbits import (
     BasePoint,
     ClosurePoset,
@@ -104,8 +98,6 @@ def test_label_reprs():
     assert repr(RadicalOrbit(1)) == "RadicalOrbit(i=1)"
     assert repr(SplitOrbit(-1)) == "SplitOrbit(sign=-1)"
     assert repr(SO42) == "Setup(kind=<Kind.SO: 'so'>, n=4, k=2, p=None, q=None)"
-    assert repr(StratumId(Flavor.SKEW, 4, 2)) == (
-        "StratumId(flavor=<Flavor.SKEW: 'skew'>, size=4, rank=2)")
 
 
 def test_records_and_labels_are_frozen():
@@ -117,23 +109,20 @@ def test_records_and_labels_are_frozen():
         Setup: glpq, NormalizedSetup: normalize(glpq), BasePoint: bp,
         IntersectionOrbit: IntersectionOrbit(1, 0), RadicalOrbit: RadicalOrbit(1),
         SplitOrbit: SplitOrbit(1),
-        CharacteristicCycle: characteristic_cycle(SO42, RadicalOrbit(1)),
         CheckRow: rows[0],
         Witness: Witness(zeros(1, 1), zeros(1, 1)),
-        MicrolocalVerdict: verdict, StratumId: StratumId(Flavor.SYMMETRIC, 2, 1),
+        MicrolocalVerdict: verdict,
     }
     fields = {
         Setup: ("kind", "n", "k", "p", "q"),
         NormalizedSetup: ("original", "setup", "swapped_pq", "dualized"),
         BasePoint: ("setup", "orbit", "basis", "inverse", "row_groups", "col_groups"),
         IntersectionOrbit: ("s", "t"), RadicalOrbit: ("i",), SplitOrbit: ("sign",),
-        CharacteristicCycle: ("setup", "target", "terms"),
         CheckRow: ("check", "subject", "ok", "detail"),
         Witness: ("v", "w"),
         MicrolocalVerdict: ("kind", "disagreements", "hits", "bad_witnesses"),
-        StratumId: ("flavor", "size", "rank"),
     }
-    assert len(instances) == 11
+    assert len(instances) == 9
     for cls, obj in instances.items():
         assert type(obj) is cls
         for name in fields[cls]:

@@ -500,3 +500,20 @@ def test_radical_resolution_not_small():
     assert not small(Setup(Kind.SO, 7, 3), ResolutionKind.ZI, RadicalOrbit(1))
     # minimal orbits have nothing below them, so smallness holds vacuously
     assert small(Setup(Kind.SO, 6, 3), ResolutionKind.ZI, SplitOrbit(+1))
+
+
+def test_smallness_rejects_labels_and_kinds_it_cannot_judge():
+    # a label that is no orbit of the poset's setup, or a resolution the
+    # family does not have, is rejected, not judged
+    glpq_poset, so_poset = ClosurePoset(glpq(4, 2, 2, 2)), ClosurePoset(Setup(Kind.SO, 6, 3))
+    with pytest.raises(ValueError, match="not an orbit"):
+        is_small(glpq_poset, ResolutionKind.Z, RadicalOrbit(1))
+    with pytest.raises(ValueError, match="not an orbit"):
+        is_small(glpq_poset, ResolutionKind.Z, IntersectionOrbit(0, -1))
+    with pytest.raises(ValueError, match="not an orbit"):
+        is_small(so_poset, ResolutionKind.ZI, IntersectionOrbit(0, 0))
+    for kind in (ResolutionKind.Z, ResolutionKind.ZTILDE):
+        with pytest.raises(ValueError, match="not a resolution"):
+            is_small(so_poset, kind, RadicalOrbit(1))
+    with pytest.raises(ValueError, match="not a resolution"):
+        is_small(glpq_poset, ResolutionKind.ZI, IntersectionOrbit(0, 0))
