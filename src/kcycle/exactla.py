@@ -345,17 +345,18 @@ SEED_MAX = _MASK64  # seeds are 0..SEED_MAX; any other would alias one of them
 
 
 def check_seed(seed: int) -> None:
-    if not 0 <= seed <= SEED_MAX:
-        raise ValueError(f"seed must be between 0 and {SEED_MAX}, got {seed}")
+    """seed must be an int, not a bool, in 0..SEED_MAX."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed must be between 0 and {SEED_MAX}, as an int, got {seed!r}")
 
 
 def check_count(name: str, count: int) -> None:
-    """count must be positive.
+    """count must be a positive int, not a bool.
 
     A sampled check that examined nothing could not fail.
     """
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1, got {count}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"{name} must be at least 1, as an int, got {count!r}")
 
 
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment

@@ -48,7 +48,6 @@ subspace is spanned or intersected.
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
 import zlib
@@ -117,27 +116,18 @@ class Setup(_SetupFields):
         return f"{self.kind.value}(n={self.n},k={self.k})"
 
 
-def _within_class(op):
-    """An ordering of two labels of one class by their keys; NotImplemented across classes."""
-    def compare(self, other):
-        if other.__class__ is self.__class__:
-            return op(self._key, other._key)
-        return NotImplemented
-    return compare
-
-
 class OrbitLabel:
     """Base of the three orbit labels: a frozen value with slotted fields.
 
     Labels are equal only within one class, so RadicalOrbit(1) and
-    SplitOrbit(1) never share a dict or lru_cache entry.  Labels of one
-    class order by their fields; comparing labels of two classes raises
-    TypeError.  The repr is RadicalOrbit(i=1).  Assigning or deleting a
-    field raises AttributeError.  A subclass names its fields in
-    __slots__, and its __init__ sets them and _key, the tuple that is
-    compared and hashed: the class's _tag, then the fields.  _tag is a
-    crc32 of the class name, which, unlike a str hash, is the same in
-    every process, so the hash takes the class in.
+    SplitOrbit(1) never share a dict or lru_cache entry.  Labels do not
+    order: comparing two with <, <=, > or >= raises TypeError, within
+    one class too.  The repr is RadicalOrbit(i=1).  Assigning or
+    deleting a field raises AttributeError.  A subclass names its fields
+    in __slots__, and its __init__ sets them and _key, the tuple that
+    equality compares and the hash reads: the class's _tag, then the
+    fields.  _tag is a crc32 of the class name, which, unlike a str
+    hash, is the same in every process, so the hash takes the class in.
     """
 
     __slots__ = ("_key",)
@@ -149,11 +139,6 @@ class OrbitLabel:
         if other.__class__ is self.__class__:
             return self._key == other._key
         return NotImplemented
-
-    __lt__ = _within_class(operator.lt)
-    __le__ = _within_class(operator.le)
-    __gt__ = _within_class(operator.gt)
-    __ge__ = _within_class(operator.ge)
 
     def __hash__(self) -> int:
         return hash(self._key)

@@ -27,10 +27,12 @@ covectors' base point and picks the resolution).  Emptiness of the microlocal fi
 generic covector is what kills the characteristic cycle's extra terms.
 
 Radical strata (Sp/SO) have an analogous resolution remembering a
-subspace of the radical; it is generally not small, and only its fiber
-dimensions are used.  RESOLUTIONS holds each family's resolutions, keyed
-by the orbits family: which kinds it has, which apply to a normalized
-setup, and whether smallness is asserted or only recorded.
+subspace of the radical; it is generally not small, and only its fibers
+are used.  Every fiber over a stratum is a product of Grassmannians
+Gr(d, a), of dimension the sum of d(a - d).  RESOLUTIONS holds each
+family's resolutions, keyed by the orbits family: which kinds it has,
+which apply to a normalized setup, whether smallness is asserted or
+only recorded, and each fiber's Grassmannian factors.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from .exactla import SEED_MAX, QMatrix, SeedStream, kernel, rank, rref
+from .exactla import SEED_MAX, QMatrix, SeedStream, check_count, kernel, rank, rref
 from .conormal import ConormalVector, draw_covectors, generic_block_ranks
 from .orbits import (
     INTERSECTION,
@@ -163,18 +165,32 @@ def _glpq_resolutions(work: Setup) -> tuple:
     return (ResolutionKind.Z,) * (nk >= p) + (ResolutionKind.ZTILDE,) * (nk <= p)
 
 
+def _glpq_fiber(work: Setup, kind: ResolutionKind, tgt, strat) -> tuple:
+    """The fiber over q(s0, t0) below q(s, t), as the Grassmannians' (d, a).
+
+    Z's is Gr(s, s0) x Gr(t, t0), and Ztilde's Gr(s0 - s, n-k-p+s0) x Gr(t, t0).
+    """
+    s0 = strat.s  # V's Grassmannian first, then W's
+    v = (tgt.s, s0) if kind == ResolutionKind.Z else (s0 - tgt.s, work.n - work.k - work.p + s0)
+    return v, (tgt.t, strat.t)
+
+
 class FamilyResolutions(NamedTuple):
     """The resolutions of one orbits family."""
 
     kinds: tuple           # in report order
     applicable: Callable   # normalized setup -> the kinds that apply to it
     asserted: bool         # smallness is a check, not only a record
+    fiber: Callable        # (normalized setup, kind, target, stratum) -> ((d, a), ...) of Gr(d, a)
 
 
 RESOLUTIONS = {
     INTERSECTION: FamilyResolutions((ResolutionKind.Z, ResolutionKind.ZTILDE),
-                                    _glpq_resolutions, True),
-    RADICAL: FamilyResolutions((ResolutionKind.ZI,), lambda work: (ResolutionKind.ZI,), False),
+                                    _glpq_resolutions, True, _glpq_fiber),
+    # ZI's fiber over rad j below rad i is Gr(i, j)
+    RADICAL: FamilyResolutions(
+        (ResolutionKind.ZI,), lambda work: (ResolutionKind.ZI,), False,
+        lambda work, kind, tgt, strat: ((radical_size(work, tgt), radical_size(work, strat)),)),
 }
 
 
@@ -183,8 +199,10 @@ def draw_conormals(base, trials: int = 20, seed: int = 0) -> tuple:
 
     ``base`` is the normalized stratum's base point.  The stream is
     derived from the seed, the setup and the stratum alone, so every
-    target above the stratum can judge the same draws.
+    target above the stratum can judge the same draws.  trials below 1
+    raise ValueError: drawing nothing would leave nothing to judge.
     """
+    check_count("trials", trials)
     work, strat = base.setup, base.orbit
     rng = SeedStream(seed).derive("microlocal", work.describe(), format_orbit(work, strat))
     # one batch of trial seeds, the values of trials next_u64 calls, and
@@ -237,36 +255,25 @@ def judge_microlocal(target, covectors) -> MicrolocalVerdict:
     )
 
 
-def fiber_dimension(work: Setup, kind: ResolutionKind, tgt, strat) -> int:
-    """The fiber dimension over strat, on labels of a normalized setup, strat below tgt."""
-    if kind == ResolutionKind.ZI:
-        i = radical_size(work, tgt)
-        return i * (radical_size(work, strat) - i)
-    s, t = tgt.s, tgt.t
-    sp, tp = strat.s, strat.t
-    if kind == ResolutionKind.Z:
-        return s * (sp - s) + t * (tp - t)
-    n, k, p = work.n, work.k, work.p
-    return (sp - s) * (n - k - p + s) + t * (tp - t)
-
-
 def is_small(pos: ClosurePoset, kind: ResolutionKind, tgt) -> bool:
     """Strict fiber bound 2*dim(fiber) < codim(stratum) below the target.
 
-    Read off the poset of the normalized setup: for Sp/SO, U -> U^perp
-    keeps rad(U), so its dimensions and order are the setup's own.  A
-    target that is no orbit of the poset's setup, or a kind that is no
-    resolution of its family, raises ValueError.
+    Each fiber is the family's product of Gr(d, a), of dimension the sum
+    of d(a - d).  Read off the poset of the normalized setup: for Sp/SO,
+    U -> U^perp keeps rad(U), so its dimensions and order are the
+    setup's own.  A target that is no orbit of the poset's setup, or a
+    kind that is no resolution of its family, raises ValueError.
     """
     if tgt not in pos.dimension:
         raise ValueError(f"{tgt!r} is not an orbit of {pos.setup.describe()}")
-    if kind not in RESOLUTIONS[family(pos.setup)].kinds:
+    sides = RESOLUTIONS[family(pos.setup)]
+    if kind not in sides.kinds:
         raise ValueError(f"{kind!r} is not a resolution of {pos.setup.describe()}")
     top = pos.dimension[tgt]
     for stratum in pos.orbits:
         if stratum == tgt or not pos.leq(stratum, tgt):
             continue
-        fib = fiber_dimension(pos.setup, kind, tgt, stratum)
-        if 2 * fib >= top - pos.dimension[stratum]:
+        dim = sum(d * (a - d) for d, a in sides.fiber(pos.setup, kind, tgt, stratum))
+        if 2 * dim >= top - pos.dimension[stratum]:
             return False
     return True

@@ -100,6 +100,9 @@ so a test can compare the two, or builds seeded test data:
   frames in block coordinates, and ``lift_witness`` carries such a
   frame pair to C^n for the ambient check.  ``WITNESS_ROUTES`` pairs
   the two routes per resolution.
+* ``fiber_dimension`` is each resolution's fiber dimension in closed
+  form; ``RESOLUTIONS`` states each fiber as Grassmannian factors
+  Gr(d, a), whose dimensions, the sums of d(a - d), must match it.
 """
 
 import operator
@@ -143,6 +146,7 @@ from kcycle.orbits import (
     gram_matrix,
     is_split_setup,
     lie_algebra_basis,
+    radical_size,
 )
 from kcycle import resolutions
 from kcycle.resolutions import ResolutionKind, Witness
@@ -965,3 +969,20 @@ WITNESS_ROUTES = {
                             resolutions.witness_satisfies_Ztilde,
                             ambient_membership_Ztilde, ambient_witness_satisfies_Ztilde),
 }
+
+
+# ---------------------------------------------------------------------------
+# resolution fibers
+
+def fiber_dimension(work: Setup, kind: ResolutionKind, tgt, strat) -> int:
+    """The closed-form fiber dimension over strat below tgt, on a normalized setup's labels."""
+    if kind == ResolutionKind.ZI:
+        i = radical_size(work, tgt)
+        return i * (radical_size(work, strat) - i)
+    s, t = tgt.s, tgt.t
+    sp, tp = strat.s, strat.t
+    if kind == ResolutionKind.Z:
+        return s * (sp - s) + t * (tp - t)
+    n, k, p = work.n, work.k, work.p
+    return (sp - s) * (n - k - p + s) + t * (tp - t)
+

@@ -282,8 +282,9 @@ def test_cross_check_is_deterministic():
 
 
 def test_seeded_suites_reject_out_of_range_seeds():
+    # a float or a bool is no seed either, though 1.5 and True lie in range
     glpq, so = Setup(Kind.GLPQ, 4, 2, p=2, q=2), Setup(Kind.SO, 6, 3)
-    for bad in (-1, SEED_MAX + 1):
+    for bad in (-1, SEED_MAX + 1, 1.5, True):
         with pytest.raises(ValueError):
             check_transversality(so, points=1, seed=bad)
         with pytest.raises(ValueError):
@@ -301,9 +302,10 @@ def test_seeded_suites_reject_out_of_range_seeds():
 
 
 def test_sampled_checks_reject_counts_below_one():
-    # a check that examined nothing must not report ok
+    # a check that examined nothing must not report ok; a count is an
+    # int, so 2.5 and True are refused rather than drawn or run as 1
     glpq, so = Setup(Kind.GLPQ, 4, 2, p=2, q=2), Setup(Kind.SO, 6, 3)
-    for bad in (0, -3):
+    for bad in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="points"):
             check_transversality(so, points=bad)
         with pytest.raises(ValueError, match="trials"):

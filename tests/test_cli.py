@@ -197,36 +197,42 @@ def test_dot_output(capsys):
         assert f'"{row["label"]}"' in out
 
 
+# Bad input that cli.main meets in-process, each exiting 2 with nothing on
+# stdout; test_usage_errors runs them, and so does the call-reachability gate.
+BAD_INPUT = [
+    ["orbits", "--kind", "glpq", "--n", "4", "--k", "2"],
+    ["orbits", "--kind", "sp", "--n", "5", "--k", "2"],
+    ["orbits", "--kind", "so", "--n", "6", "--k", "3", "--p", "2"],
+    ["orbits"] + GLPQ + ["--format", "dot"],
+    ["cc"] + SO63 + ["--orbit", "q(1,1)"],
+    ["cc"] + SO63 + ["--orbit", "rad9"],
+    ["orbits", "--kind", "xx", "--n", "4", "--k", "2"],
+    ["nonsense"],
+    ["verify"] + GLPQ + ["--trials", "0"],
+    ["verify"] + SO63 + ["--suite", "transversality", "--trials", "-3"],
+    # a seed outside [0, 2^64) would alias one inside it
+    ["verify"] + SO63 + ["--seed", "-1"],
+    ["verify"] + SO63 + ["--seed", str(1 << 64)],
+    ["verify"] + SO63 + ["--seed", "x"],
+]
+# suites that examine nothing on the setup must not report a pass
+VACUOUS = [
+    ["verify"] + SO63 + ["--suite", "microlocal"],
+    ["verify"] + SP63 + ["--suite", "microlocal", "--format", "json"],
+    ["verify"] + GLPQ + ["--suite", "crosscheck"],
+    ["verify"] + GLPQ + ["--suite", "transversality"],
+]
+# an n that no list can index is rejected, not met by an OverflowError
+OVERSIZED = [
+    ["orbits", "--kind", "so", "--n", "99999999999999999999", "--k", "1"],
+    ["orbits", "--kind", "glpq", "--n", "99999999999999999999", "--k", "1",
+     "--p", "99999999999999999998", "--q", "1"],
+]
+# a label spelled with a leading zero or a non-ASCII digit is no label
+BAD_LABELS = [["cc"] + GLPQ + ["--orbit", "q(01,1)"], ["cc"] + SO63 + ["--orbit", "rad\u0662"]]
+
+
 def test_usage_errors(capsys):
-    cases = [
-        ["orbits", "--kind", "glpq", "--n", "4", "--k", "2"],
-        ["orbits", "--kind", "sp", "--n", "5", "--k", "2"],
-        ["orbits", "--kind", "so", "--n", "6", "--k", "3", "--p", "2"],
-        ["orbits"] + GLPQ + ["--format", "dot"],
-        ["cc"] + SO63 + ["--orbit", "q(1,1)"],
-        ["cc"] + SO63 + ["--orbit", "rad9"],
-        ["orbits", "--kind", "xx", "--n", "4", "--k", "2"],
-        ["nonsense"],
-        ["verify"] + GLPQ + ["--trials", "0"],
-        ["verify"] + SO63 + ["--suite", "transversality", "--trials", "-3"],
-        # a seed outside [0, 2^64) would alias one inside it
-        ["verify"] + SO63 + ["--seed", "-1"],
-        ["verify"] + SO63 + ["--seed", str(1 << 64)],
-        ["verify"] + SO63 + ["--seed", "x"],
-    ]
-    # suites that examine nothing on the setup must not report a pass
-    vacuous = [
-        ["verify"] + SO63 + ["--suite", "microlocal"],
-        ["verify"] + SP63 + ["--suite", "microlocal", "--format", "json"],
-        ["verify"] + GLPQ + ["--suite", "crosscheck"],
-        ["verify"] + GLPQ + ["--suite", "transversality"],
-    ]
-    # an n that no list can index is rejected, not met by an OverflowError
-    oversized = [
-        ["orbits", "--kind", "so", "--n", "99999999999999999999", "--k", "1"],
-        ["orbits", "--kind", "glpq", "--n", "99999999999999999999", "--k", "1",
-         "--p", "99999999999999999998", "--q", "1"],
-    ]
     # an n that no length-n list fits in memory: n = 2^62 fails the size
     # check of [0] * n at once, allocating nothing
     unallocatable = [
@@ -245,17 +251,15 @@ def test_usage_errors(capsys):
         ["verify"] + GLPQ + ["--suite", "microlocal", "--trials", trials]
         for trials in (str(1 << 62), "99999999999999999999")
     ]
-    # a label spelled with a leading zero or a non-ASCII digit is no label
-    labels = [["cc"] + GLPQ + ["--orbit", "q(01,1)"], ["cc"] + SO63 + ["--orbit", "rad\u0662"]]
-    for argv in cases + vacuous + oversized + labels:
+    for argv in BAD_INPUT + VACUOUS + OVERSIZED + BAD_LABELS:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == "", argv
-        if argv in labels:
+        if argv in BAD_LABELS:
             assert err == f"error: cannot parse orbit label: {argv[-1]!r}\n"
-        if argv in vacuous:
+        if argv in VACUOUS:
             assert err.startswith("error: suite ") and len(err.splitlines()) == 1
-        if argv in oversized:
+        if argv in OVERSIZED:
             assert err.startswith("error: need n <= ") and len(err.splitlines()) == 1
     for argv in unallocatable:
         code, out, err, peak_kib = run_capped(argv)

@@ -37,7 +37,8 @@ import pytest
 
 from kcycle import ccengine, cli, degeneracy, resolutions
 from kcycle.exactla import QMatrix
-from kcycle.resolutions import Witness
+from kcycle.orbits import INTERSECTION
+from kcycle.resolutions import RESOLUTIONS, Witness
 
 DOCUMENTS = [(name, digest, argv) for name, digest, *argv in map(
     str.split, (Path(__file__).resolve().parent / "documents.txt").read_text().splitlines())]
@@ -99,8 +100,12 @@ def _member(xi, s, t):
 
 # No document prints a failing row, so each check's failing form is pinned
 # under a monkeypatch mutant: (name, patches, arguments, one failing text
-# line, SHA-256 of the text output, SHA-256 of the JSON output).  The
-# digests were recorded before check rows held values instead of text.
+# line, SHA-256 of the text output, SHA-256 of the JSON output).  A patch
+# is (module, attribute, value), or (dict, key, value) to swap a record
+# in a table such as RESOLUTIONS, which every module reading it shares.
+# The digests were recorded before check rows held values instead of
+# text; large-fibers's, when it patched a fiber dimension of 100, which
+# its Gr(10, 20) still is.
 FAILURES = [
     ("pullback-orbit-alone",
      [(ccengine, "pullback_cc", lambda setup, orbit: ((orbit, 1),))],
@@ -118,7 +123,8 @@ FAILURES = [
      "efc66f4eee3ee794bf027a0c05c034bdfc3a93dd1ae907a08fd684b99a3de571",
      "44c71d0ecc9e7b98036f77848c7687061bd61c850b2e44bb1eb65caeaa838443"),
     ("large-fibers",
-     [(resolutions, "fiber_dimension", lambda work, kind, tgt, strat: 100)],
+     [(RESOLUTIONS, INTERSECTION, RESOLUTIONS[INTERSECTION]._replace(
+         fiber=lambda work, kind, tgt, strat: ((10, 20),)))],
      "verify --kind glpq --n 6 --k 3 --p 3 --q 3 --suite smallness",
      "FAIL  smallness  z q(0,0)  not small",
      "569959216c643a2a818fd05a2c784eba4a448be808ced755f1c29227e79adca8",
@@ -136,8 +142,11 @@ FAILURES = [
                          ids=[name for name, *_ in FAILURES])
 def test_failure_digest(capsys, monkeypatch, name, patches, args, line, text_digest,
                         json_digest):
-    for module, attr, value in patches:
-        monkeypatch.setattr(module, attr, value)
+    for target, name, value in patches:
+        if isinstance(target, dict):
+            monkeypatch.setitem(target, name, value)
+        else:
+            monkeypatch.setattr(target, name, value)
     assert cli.main(args.split()) == 1
     out = capsys.readouterr().out
     assert line in out.splitlines()

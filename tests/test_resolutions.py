@@ -21,7 +21,6 @@ from kcycle.resolutions import (
     RESOLUTIONS,
     ResolutionKind,
     draw_conormals,
-    fiber_dimension,
     is_small,
     judge_microlocal,
     kernel_membership_Z,
@@ -31,6 +30,7 @@ from kcycle.resolutions import (
 )
 from reference import (
     conormal_space,
+    fiber_dimension,
     glpq,
     leading_minor_certificate,
     next_u64,
@@ -66,10 +66,10 @@ def small(setup, kind, target):
 
 
 def fiber(setup, kind, target, stratum):
-    # fiber_dimension on the normalized labels, as is_small reads it
+    # the family's fiber shape on the normalized labels, as is_small reads it
     norm = normalize(setup)
-    return fiber_dimension(norm.setup, kind, norm.to_normalized(target),
-                           norm.to_normalized(stratum))
+    return RESOLUTIONS[family(setup)].fiber(norm.setup, kind, norm.to_normalized(target),
+                                            norm.to_normalized(stratum))
 
 
 def test_zero_covector_always_member():
@@ -316,7 +316,7 @@ def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
     assert len(rows) == len(pairs) and all(r.ok for r in rows)
     assert len(draws) == trials * len(below)
     # one draw per stratum, at its base point
-    assert sorted(base.orbit for base in bases) == sorted(below)
+    assert len(bases) == len(below) and {base.orbit for base in bases} == below
     assert len(judged) == trials * len(pairs)
     by_stratum = {}
     for xi in draws:
@@ -440,6 +440,10 @@ def test_verify_empty_rejects_bad_pairs():
         judge_microlocal(IntersectionOrbit(2, 0), at_11)
     with pytest.raises(ValueError, match="no covectors"):
         judge_microlocal(IntersectionOrbit(0, 0), ())
+    # nor are no draws made without complaint
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            draw_conormals(base_point(setup, IntersectionOrbit(2, 0)), trials=bad, seed=1)
     # a label that is no orbit of the setup is rejected, not judged
     with pytest.raises(ValueError, match="not an orbit"):
         judge_microlocal(IntersectionOrbit(0, -1), at_20)
@@ -454,17 +458,50 @@ def test_verdict_deterministic():
     assert a == b
 
 
-def test_fiber_dimension_values():
+def test_fiber_shape_values():
+    # each fiber is its Grassmannians' (d, a), V's then W's for Z and Ztilde
+    Z, ZTILDE, ZI = ResolutionKind.Z, ResolutionKind.ZTILDE, ResolutionKind.ZI
     setup = glpq(6, 2, 3, 3)
-    assert fiber(setup, ResolutionKind.Z,
-                 IntersectionOrbit(1, 0), IntersectionOrbit(1, 1)) == 0
-    assert fiber(setup, ResolutionKind.Z,
-                 IntersectionOrbit(1, 1), IntersectionOrbit(1, 1)) == 0
-    assert fiber(setup, ResolutionKind.Z,
-                 IntersectionOrbit(0, 0), IntersectionOrbit(2, 0)) == 0
+    assert fiber(setup, Z, IntersectionOrbit(1, 0), IntersectionOrbit(1, 1)) == ((1, 1), (0, 1))
+    assert fiber(setup, Z, IntersectionOrbit(1, 1), IntersectionOrbit(1, 1)) == ((1, 1), (1, 1))
+    assert fiber(setup, Z, IntersectionOrbit(0, 0), IntersectionOrbit(2, 0)) == ((0, 2), (0, 0))
+    # n-k = p: both apply, and over q(3,0) below q(1,0) Z's V is Gr(1, 3), Ztilde's Gr(2, 3)
+    square = glpq(6, 3, 3, 3)
+    assert fiber(square, Z, IntersectionOrbit(1, 0), IntersectionOrbit(3, 0)) == ((1, 3), (0, 0))
+    assert fiber(square, ZTILDE, IntersectionOrbit(1, 0), IntersectionOrbit(3, 0)) == (
+        (2, 3), (0, 0))
+    # normalized n-k < p: Ztilde alone, V's Grassmannian Gr(s0 - s, n-k-p+s0);
+    # glpq(5,3,4,1) is dualized to glpq(5,2,4,1), so its labels are mapped first
+    assert fiber(glpq(6, 3, 4, 2), ZTILDE, IntersectionOrbit(2, 0), IntersectionOrbit(3, 0)) == (
+        (1, 2), (0, 0))
+    dual = glpq(5, 3, 4, 1)
+    assert fiber(dual, ZTILDE, IntersectionOrbit(2, 0), IntersectionOrbit(2, 1)) == (
+        (1, 1), (0, 0))
+    assert fiber(dual, ZTILDE, IntersectionOrbit(2, 0), IntersectionOrbit(3, 0)) == (
+        (0, 0), (0, 1))
     so = Setup(Kind.SO, 7, 3)
-    assert fiber(so, ResolutionKind.ZI, RadicalOrbit(1), RadicalOrbit(3)) == 2
-    assert fiber(so, ResolutionKind.ZI, RadicalOrbit(1), RadicalOrbit(1)) == 0
+    assert fiber(so, ZI, RadicalOrbit(1), RadicalOrbit(3)) == ((1, 3),)
+    assert fiber(so, ZI, RadicalOrbit(1), RadicalOrbit(1)) == ((1, 1),)
+
+
+def test_fiber_shapes_match_the_closed_forms():
+    # every applicable resolution, target and stratum strictly below it, on
+    # every normalized setup with n <= 10: each factor is a Grassmannian
+    # Gr(d, a), 0 <= d <= a, and the sum of d(a - d) is the closed form
+    cases = 0
+    for work in {normalize(setup).setup for setup in setups(10)}:
+        sides, orbits_ = RESOLUTIONS[family(work)], enumerate_orbits(work)
+        for kind in sides.applicable(work):
+            for target in orbits_:
+                for stratum in orbits_:
+                    if stratum == target or not family(work).leq(work, stratum, target):
+                        continue
+                    shape = sides.fiber(work, kind, target, stratum)
+                    assert all(0 <= d <= a for d, a in shape), (work, kind, target, stratum)
+                    assert sum(d * (a - d) for d, a in shape) == fiber_dimension(
+                        work, kind, target, stratum), (work, kind, target, stratum)
+                    cases += 1
+    assert cases == 1624
 
 
 def test_smallness_claims():
