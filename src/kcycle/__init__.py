@@ -7,8 +7,9 @@ O(n) acting on Gr(k, n), together with independent verification routes
 
 The package defines no dataclass.  Records are typing.NamedTuples; one
 with checks is a thin subclass that runs them in __new__.  The three
-orbit labels share a small slotted base class, orbits.OrbitLabel, so
-that labels of two classes never compare equal, as tuples would.
+orbit labels are NamedTuples too, with the slotted mixin
+orbits.OrbitLabel; each ends in a tag field, a crc32 of its class name,
+so that labels of two classes never compare equal, as bare tuples would.
 Importing dataclasses loads inspect, ast, dis and tokenize, which
 nothing else here needs, and decorating a class takes several times as
 long as defining a NamedTuple: together about two thirds of importing

@@ -117,69 +117,69 @@ class Setup(_SetupFields):
 
 
 class OrbitLabel:
-    """Base of the three orbit labels: a frozen value with slotted fields.
+    """Mixin of the three orbit labels, each a NamedTuple of its fields and a tag.
 
-    Labels are equal only within one class, so RadicalOrbit(1) and
-    SplitOrbit(1) never share a dict or lru_cache entry.  Labels do not
-    order: comparing two with <, <=, > or >= raises TypeError, within
-    one class too.  The repr is RadicalOrbit(i=1).  Assigning or
-    deleting a field raises AttributeError.  A subclass names its fields
-    in __slots__, and its __init__ sets them and _key, the tuple that
-    equality compares and the hash reads: the class's _tag, then the
-    fields.  _tag is a crc32 of the class name, which, unlike a str
-    hash, is the same in every process, so the hash takes the class in.
+    A label class subclasses this and a NamedTuple whose last field,
+    tag, is the crc32 of the class name.  The tuple gives equality,
+    hashing, immutability, copy and pickle; the tag keeps RadicalOrbit(1)
+    and SplitOrbit(1) unequal, so apart in dicts and lru_caches, and,
+    unlike a str hash, it hashes the same in every process.  A caller,
+    copy and pickle give the fields only: __new__ adds the class's tag,
+    and passing one raises TypeError.  valid_orbit refuses a label with
+    another tag, which only _make or _replace can build, and the label
+    caches are typed, so that neither it nor an equal plain tuple meets
+    a cached label.  This class also gives the repr without the tag,
+    RadicalOrbit(i=1), and no order: <, <=, > and >= raise TypeError,
+    within one class too.  Package code reads label fields by name only.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ()
 
-    def __init_subclass__(cls):
-        cls._tag = zlib.crc32(cls.__qualname__.encode())
+    def __new__(cls, *fields, **named):
+        return super().__new__(cls, *fields, **named, tag=cls._field_defaults["tag"])
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+    def __getnewargs__(self):
+        return tuple(self)[:-1]
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields[:-1])
         return f"{self.__class__.__qualname__}({fields})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __lt__(self, other):
+        raise TypeError(f"orbit labels do not order: {self!r}, {other!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by setting fields
-        return self.__class__, self._key[1:]
+    __le__ = __gt__ = __ge__ = __lt__
 
 
-class IntersectionOrbit(OrbitLabel):
+class _IntersectionFields(NamedTuple):
+    s: int
+    t: int
+    tag: int = zlib.crc32(b"IntersectionOrbit")
+
+
+class IntersectionOrbit(OrbitLabel, _IntersectionFields):
     """GLpq orbit: dim(U cap C^p) = s, dim(U cap C^q) = t."""
 
-    __slots__ = ("s", "t")
-
-    def __init__(self, s: int, t: int):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "_key", (self._tag, s, t))
+    __slots__ = ()
 
 
-class RadicalOrbit(OrbitLabel):
+class _RadicalFields(NamedTuple):
+    i: int
+    tag: int = zlib.crc32(b"RadicalOrbit")
+
+
+class RadicalOrbit(OrbitLabel, _RadicalFields):
     """Sp/SO orbit: dim rad(U) = i."""
 
-    __slots__ = ("i",)
-
-    def __init__(self, i: int):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "_key", (self._tag, i))
+    __slots__ = ()
 
 
-class SplitOrbit(OrbitLabel):
+class _SplitFields(NamedTuple):
+    sign: int
+    tag: int = zlib.crc32(b"SplitOrbit")
+
+
+class SplitOrbit(OrbitLabel, _SplitFields):
     """One of the two closed SO-orbits of maximal isotropics when n = 2k.
 
     sign +1 is the family of the reference point span{e_1,...,e_k};
@@ -187,11 +187,7 @@ class SplitOrbit(OrbitLabel):
     e_{n/2} and e_{n/2+1}.
     """
 
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "_key", (self._tag, sign))
+    __slots__ = ()
 
 
 class Family(NamedTuple):
@@ -225,7 +221,8 @@ def family(setup: Setup) -> Family:
 def valid_orbit(setup: Setup, orbit) -> bool:
     """True when the label denotes a non-empty orbit of this setup."""
     fam = _FAMILIES[setup.kind]
-    return orbit.__class__ in fam.labels and fam.valid(setup, orbit)
+    return (orbit.__class__ in fam.labels and orbit.tag == orbit._field_defaults["tag"]
+            and fam.valid(setup, orbit))
 
 
 def check_orbit(setup: Setup, orbit) -> None:
@@ -421,7 +418,7 @@ def _adapted_inverse(n: int, supports) -> QMatrix:
     return QMatrix(n, n, tuple([v for row in inv for v in row]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def base_point(setup: Setup, orbit) -> BasePoint:
     check_orbit(setup, orbit)
     n = setup.n
@@ -545,7 +542,7 @@ def _components(rows: list) -> list:
     return [list(block.values()) for block in blocks.values()]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def orbit_dimension(setup: Setup, orbit) -> int:
     """Rank of the action image, summed over its connected components.
 

@@ -264,7 +264,7 @@ def is_small(pos: ClosurePoset, kind: ResolutionKind, tgt) -> bool:
     setup's own.  A target that is no orbit of the poset's setup, or a
     kind that is no resolution of its family, raises ValueError.
     """
-    if tgt not in pos.dimension:
+    if not valid_orbit(pos.setup, tgt):
         raise ValueError(f"{tgt!r} is not an orbit of {pos.setup.describe()}")
     sides = RESOLUTIONS[family(pos.setup)]
     if kind not in sides.kinds:

@@ -1,13 +1,20 @@
 """Value semantics of the package's records and orbit labels.
 
-Orbit labels are values of their own class: two labels of different
-classes are never equal, so they never share a dict or lru_cache
-entry.  Labels do not order, not even within one class.  Every record
-and label refuses assignment to its fields.
+Orbit labels are values of their own class: each is a NamedTuple whose
+last field, tag, is a crc32 of the class name, so two labels of
+different classes are never equal and never share a dict or lru_cache
+entry, and a label's hash is the same under every hash seed.  A caller
+cannot set the tag, and a label with another tag, or a plain tuple, is
+no orbit.  Labels do not order, not even within one class.  Every record and label refuses assignment to its fields,
+and no label has a __dict__.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,14 +29,25 @@ from kcycle.orbits import (
     Setup,
     SplitOrbit,
     base_point,
+    check_orbit,
+    family,
     normalize,
     orbit_dimension,
+    valid_orbit,
 )
-from kcycle.resolutions import MicrolocalVerdict, Witness, draw_conormals, judge_microlocal
+from kcycle.resolutions import (
+    RESOLUTIONS,
+    MicrolocalVerdict,
+    Witness,
+    draw_conormals,
+    is_small,
+    judge_microlocal,
+)
 
 from reference import zeros
 
 SO42 = Setup(Kind.SO, 4, 2)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _labels():
@@ -95,6 +113,66 @@ def test_label_reprs():
     assert repr(RadicalOrbit(1)) == "RadicalOrbit(i=1)"
     assert repr(SplitOrbit(-1)) == "SplitOrbit(sign=-1)"
     assert repr(SO42) == "Setup(kind=<Kind.SO: 'so'>, n=4, k=2, p=None, q=None)"
+
+
+def test_a_caller_cannot_set_a_tag():
+    for build in (lambda: IntersectionOrbit(1, 0, 7), lambda: IntersectionOrbit(1, 0, tag=7),
+                  lambda: RadicalOrbit(1, SplitOrbit(1).tag), lambda: SplitOrbit(1, tag=0)):
+        with pytest.raises(TypeError):
+            build()
+    for label in _labels():  # copy and pickle rebuild through __new__, with the class's tag
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert tuple(pickle.loads(pickle.dumps(label, proto))) == tuple(label)
+        assert tuple(copy.copy(label)) == tuple(label) == tuple(copy.deepcopy(label))
+
+
+def test_a_label_or_tuple_equal_to_a_cached_label_is_no_orbit():
+    # _replace can still give a label another class's tag; as a tuple it
+    # then equals that class's label, and so does a plain tuple
+    split = SplitOrbit(1)
+    assert base_point(SO42, split).orbit == split and orbit_dimension(SO42, split) == 1
+    forged = RadicalOrbit(1)._replace(tag=split.tag)
+    assert forged == split == tuple(split) and hash(forged) == hash(split) == hash(tuple(split))
+    assert valid_orbit(SO42, RadicalOrbit(1)) and not valid_orbit(SO42, forged)
+    pos = ClosurePoset(SO42)
+    zi = RESOLUTIONS[family(SO42)].kinds[0]
+    for fake in (forged, tuple(split)):
+        for call in (lambda: base_point(SO42, fake), lambda: orbit_dimension(SO42, fake),
+                     lambda: check_orbit(SO42, fake), lambda: is_small(pos, zi, fake)):
+            with pytest.raises(ValueError, match=r"orbit"):
+                call()
+    with pytest.raises(ValueError, match=r"^rad1 is not a \(non-empty\) orbit of so\(n=4,k=2\)$"):
+        check_orbit(SO42, forged)
+
+
+def test_labels_take_no_new_attribute_and_have_no_dict():
+    # without __slots__ = () on the mixin and on each label class, every
+    # label would get a __dict__ and take new attributes
+    for label in _labels():
+        assert not hasattr(label, "__dict__"), label
+        with pytest.raises(AttributeError):
+            label.extra = 1
+        with pytest.raises(AttributeError):
+            object.__setattr__(label, "extra", 1)
+
+
+def test_label_hashes_do_not_depend_on_the_hash_seed():
+    # the tag is a crc32, not a str hash, so a label hashes the same in
+    # every process; the printed hash("kcycle") shows that the seeds differ
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "from kcycle.orbits import Kind, Setup, enumerate_orbits\n"
+        "print(hash('kcycle'))\n"
+        "for setup in (Setup(Kind.SO, 4, 2), Setup(Kind.GLPQ, 4, 2, p=2, q=2)):\n"
+        "    print([hash(o) for o in enumerate_orbits(setup)])\n"
+    )
+    outputs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+               for seed in ("0", "1")]
+    (control0, rest0), (control1, rest1) = (out.split("\n", 1) for out in outputs)
+    assert control0 != control1
+    assert rest0 == rest1 and rest0.count("[") == 2
 
 
 def test_records_and_labels_are_frozen():
