@@ -34,7 +34,6 @@ from .orbits import (
     form_flavor,
     format_orbit,
     normalize,
-    radical_size,
 )
 from .resolutions import (
     RESOLUTIONS,
@@ -82,9 +81,9 @@ def characteristic_cycle(setup: Setup, orbit) -> tuple:
     check_orbit(setup, orbit)
     mults = {orbit: 1}
     if (setup.kind, Flavor.SYMMETRIC) in family(setup).forms:
-        i = radical_size(setup, orbit)
+        i = orbit.i
         if i % 2 and i < min(setup.k, setup.n - setup.k):
-            mults.update((o, 1) for o in enumerate_orbits(setup) if radical_size(setup, o) == i + 1)
+            mults.update((o, 1) for o in enumerate_orbits(setup) if o.i == i + 1)
     return _cycle_terms(setup, orbit, mults)
 
 
@@ -104,12 +103,11 @@ def pullback_cc(setup: Setup, orbit) -> tuple:
         raise ValueError("pullback route needs an invariant form")
     norm = normalize(setup)
     work, target = norm.setup, norm.to_normalized(orbit)
-    table = cc_table(form_flavor(work.kind), work.k, work.k - radical_size(work, target))
+    table = cc_table(form_flavor(work.kind), work.k, work.k - target.i)
     mults, leq = {}, family(work).leq
-    sizes = {label: radical_size(work, label) for label in enumerate_orbits(work)}
-    for rank, mult in table:
-        for label, i in sizes.items():
-            if i == work.k - rank and leq(work, label, target):
+    for label in enumerate_orbits(work):
+        for rank, mult in table:
+            if label.i == work.k - rank and leq(work, label, target):
                 mults[label] = mult
     back = {norm.from_normalized(lab): m for lab, m in mults.items()}
     return _cycle_terms(setup, orbit, back)

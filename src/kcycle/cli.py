@@ -12,8 +12,9 @@ main builds its parser once per process, on the first call, and is
 safe to call repeatedly: each call parses, computes and prints afresh.
 
 Exit codes: 0 on success, 1 when a verify suite reports a failed check,
-2 on bad input, a setup too large for memory or an unwritable --out
-file, and 3 when the conormal sampler finds no generic covector within
+2 on bad input, a setup too large for memory or output that cannot be
+written (an unwritable --out file, a full disk or a closed pipe on
+stdout), and 3 when the conormal sampler finds no generic covector within
 its resample budget, which means a bug, not a failed check.  Codes 2
 and 3 leave stdout empty; stderr gets argparse's usage message, or one
 ``error:`` line.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -96,17 +98,6 @@ def _seed(text: str) -> int:
     if not 0 <= value <= SEED_MAX:
         raise argparse.ArgumentTypeError(f"must be between 0 and {SEED_MAX}, got {value}")
     return value
-
-
-def _setup_from_args(args) -> Setup:
-    kind = Kind(args.kind)
-    if kind == Kind.GLPQ:
-        if args.p is None or args.q is None:
-            raise ValueError("glpq setups need --p and --q")
-        return Setup(kind, args.n, args.k, p=args.p, q=args.q)
-    if args.p is not None or args.q is not None:
-        raise ValueError("--p/--q only apply to glpq setups")
-    return Setup(kind, args.n, args.k)
 
 
 def _setup_payload(setup: Setup) -> dict:
@@ -282,7 +273,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     exit_code = 0
     try:
-        setup = _setup_from_args(args)
+        setup = Setup(Kind(args.kind), args.n, args.k, p=args.p, q=args.q)
         if args.command == "orbits":
             doc = cmd_orbits(setup)
         elif args.command == "cc":
@@ -303,15 +294,22 @@ def main(argv=None) -> int:
     except NoGenericCovector as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # the interpreter flushes stdout again at exit; the unwritten
+            # text it still holds goes to devnull instead of a second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
     return exit_code
 
 

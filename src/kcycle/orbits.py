@@ -117,20 +117,24 @@ class Setup(_SetupFields):
 
 
 class OrbitLabel:
-    """Mixin of the three orbit labels, each a NamedTuple of its fields and a tag.
+    """Mixin of the two orbit labels, each a NamedTuple of its fields and a tag.
 
-    A label class subclasses this and a NamedTuple whose last field,
-    tag, is the crc32 of the class name.  The tuple gives equality,
-    hashing, immutability, copy and pickle; the tag keeps RadicalOrbit(1)
-    and SplitOrbit(1) unequal, so apart in dicts and lru_caches, and,
-    unlike a str hash, it hashes the same in every process.  A caller,
-    copy and pickle give the fields only: __new__ adds the class's tag,
-    and passing one raises TypeError.  valid_orbit refuses a label with
-    another tag, which only _make or _replace can build, and the label
-    caches are typed, so that neither it nor an equal plain tuple meets
-    a cached label.  This class also gives the repr without the tag,
-    RadicalOrbit(i=1), and no order: <, <=, > and >= raise TypeError,
-    within one class too.  Package code reads label fields by name only.
+    IntersectionOrbit labels the GLpq orbits, RadicalOrbit the Sp/SO
+    orbits; a split orbit of SO at n = 2k is a RadicalOrbit whose sign
+    names its ruling family.  A label class subclasses this and a
+    NamedTuple whose last field, tag, is the crc32 of the class name.
+    The tuple gives equality, hashing, immutability, copy and pickle;
+    the tag keeps IntersectionOrbit(1, 0) and RadicalOrbit(1, 0)
+    unequal, so apart in dicts and lru_caches, and, unlike a str hash,
+    it hashes the same in every process.  A caller, copy and pickle
+    give the fields only: __new__ adds the class's tag, and passing one
+    raises TypeError.  valid_orbit refuses a label with another tag,
+    which only _make or _replace can build, and the label caches are
+    typed, so that neither it nor an equal plain tuple meets a cached
+    label.  This class also gives the repr without the tag,
+    RadicalOrbit(i=1, sign=0), and no order: <, <=, > and >= raise
+    TypeError, within one class too.  Package code reads label fields
+    by name only.
     """
 
     __slots__ = ()
@@ -165,26 +169,18 @@ class IntersectionOrbit(OrbitLabel, _IntersectionFields):
 
 class _RadicalFields(NamedTuple):
     i: int
+    sign: int = 0
     tag: int = zlib.crc32(b"RadicalOrbit")
 
 
 class RadicalOrbit(OrbitLabel, _RadicalFields):
-    """Sp/SO orbit: dim rad(U) = i."""
+    """Sp/SO orbit: dim rad(U) = i, with sign 0 except on the split orbits.
 
-    __slots__ = ()
-
-
-class _SplitFields(NamedTuple):
-    sign: int
-    tag: int = zlib.crc32(b"SplitOrbit")
-
-
-class SplitOrbit(OrbitLabel, _SplitFields):
-    """One of the two closed SO-orbits of maximal isotropics when n = 2k.
-
-    sign +1 is the family of the reference point span{e_1,...,e_k};
-    sign -1 the family of its image under the reflection swapping
-    e_{n/2} and e_{n/2+1}.
+    For SO at n = 2k the maximal isotropics, i = k, form two closed
+    orbits, one per ruling family, RadicalOrbit(k, +1) and
+    RadicalOrbit(k, -1).  Sign +1 is the family of the reference point
+    span{e_1,...,e_k}; sign -1 the family of its image under the
+    reflection swapping e_{n/2} and e_{n/2+1}.
     """
 
     __slots__ = ()
@@ -194,10 +190,10 @@ class Family(NamedTuple):
     """The geometry of one family of setup kinds.
 
     Callables take valid labels of the setup, except that valid and text
-    take any label of the family's classes.
+    take any label of the family's class.
     """
 
-    labels: tuple          # the label classes
+    label: type            # the label class
     forms: tuple           # (kind, flavor of its invariant form) for each kind with a form
     suites: frozenset      # the verify suites with rows; a suite's route refuses other families
     valid: Callable        # (setup, label) -> bool
@@ -221,7 +217,7 @@ def family(setup: Setup) -> Family:
 def valid_orbit(setup: Setup, orbit) -> bool:
     """True when the label denotes a non-empty orbit of this setup."""
     fam = _FAMILIES[setup.kind]
-    return (orbit.__class__ in fam.labels and orbit.tag == orbit._field_defaults["tag"]
+    return (orbit.__class__ is fam.label and orbit.tag == orbit._field_defaults["tag"]
             and fam.valid(setup, orbit))
 
 
@@ -639,7 +635,7 @@ _NUMERAL = "0|[1-9][0-9]*"
 _Q_RE = re.compile(rf"q\(({_NUMERAL}),({_NUMERAL})\)")
 
 INTERSECTION = Family(
-    labels=(IntersectionOrbit,), forms=(), suites=frozenset({"microlocal", "smallness"}),
+    label=IntersectionOrbit, forms=(), suites=frozenset({"microlocal", "smallness"}),
     valid=_intersection_valid, orbits=_intersection_orbits,
     text=lambda setup, orbit: f"q({orbit.s},{orbit.t})",
     parse=lambda setup, text: (m := _Q_RE.fullmatch(text)) and IntersectionOrbit(int(m[1]), int(m[2])),
@@ -653,20 +649,14 @@ INTERSECTION = Family(
 # ---------------------------------------------------------------------------
 # the radical family: Sp and SO, labels rad{i}, and rad{k}+ / rad{k}- for SO at n = 2k
 
-def radical_size(setup: Setup, orbit) -> int:
-    """dim rad U on the orbit: i for rad{i}, k for a split label."""
-    return orbit.i if isinstance(orbit, RadicalOrbit) else setup.k
-
-
 def _radical_valid(setup: Setup, orbit) -> bool:
-    if isinstance(orbit, SplitOrbit):
-        return is_split_setup(setup) and orbit.sign in (+1, -1)
     n, k, i = setup.n, setup.k, orbit.i
     if not (0 <= i <= min(k, n - k)):
         return False
     if (k - i) % 2 and form_flavor(setup.kind) == Flavor.SKEW:
         return False  # a skew Gram matrix has even rank k - i
-    return not (i == k and is_split_setup(setup))  # replaced by the two split labels
+    # only the maximal isotropics of a split setup carry a ruling family's sign
+    return orbit.sign in ((+1, -1) if i == k and is_split_setup(setup) else (0,))
 
 
 def _radical_orbits(setup: Setup) -> list:
@@ -678,34 +668,20 @@ def _radical_orbits(setup: Setup) -> list:
 
 
 def _radical_text(setup: Setup, orbit) -> str:
-    if isinstance(orbit, SplitOrbit):
-        return f"rad{setup.k}{'+' if orbit.sign > 0 else '-'}"
-    return f"rad{orbit.i}"
+    return f"rad{orbit.i}{'+' if orbit.sign > 0 else '-' if orbit.sign < 0 else ''}"
 
 
 _RAD_RE = re.compile(rf"rad({_NUMERAL})([+-]?)")
+_SIGNS = {"": 0, "+": +1, "-": -1}
 
 
 def _radical_parse(setup: Setup, text: str):
     m = _RAD_RE.fullmatch(text)
-    if not m:
-        return None
-    i, sgn = int(m.group(1)), m.group(2)
-    if not sgn:
-        return RadicalOrbit(i)
-    if i != setup.k:
-        raise ValueError(f"split labels exist only at i=k: {text}")
-    return SplitOrbit(+1 if sgn == "+" else -1)
+    return m and RadicalOrbit(int(m[1]), _SIGNS[m[2]])
 
 
-def _radical_leq(setup: Setup, a, b) -> bool:
-    if isinstance(b, SplitOrbit):
-        return a == b  # split orbits are closed
-    return radical_size(setup, a) >= b.i
-
-
-def _radical_base_columns(setup: Setup, i: int):
-    n, k = setup.n, setup.k
+def _radical_base_columns(setup: Setup, orbit):
+    n, k, i = setup.n, setup.k, orbit.i
     f = (k - i) // 2
     cols = [(a,) for a in range(i)] + [(b,) for a in range(i, i + f) for b in (a, n - 1 - a)]
     if (k - i) % 2:
@@ -713,27 +689,16 @@ def _radical_base_columns(setup: Setup, i: int):
         cols.append(((n - 1) // 2,) if n % 2 else (a, n - 1 - a))
     # a sum column uses up its first row only: e_{n-1-a} joins the complement
     used = {col[0] for col in cols}
-    return cols + [(a,) for a in range(n) if a not in used]
-
-
-def _split_base_columns(setup: Setup, sign: int):
-    n, k = setup.n, setup.k
-    last = k - 1 if sign > 0 else k  # sign -1, the reflection image: e_{n/2} for e_{n/2+1}
-    return [(a,) for a in range(k - 1)] + [(last,)] + [(a,) for a in range(k - 1, n) if a != last]
-
-
-def _radical_columns(setup: Setup, orbit):
-    n, k = setup.n, setup.k
-    if isinstance(orbit, SplitOrbit):
-        return _split_base_columns(setup, orbit.sign), (k, 0), (n - k,)
-    return _radical_base_columns(setup, orbit.i), (orbit.i, k - orbit.i), (n - k,)
+    cols += [(a,) for a in range(n) if a not in used]
+    if orbit.sign < 0:  # the reflection swaps U's last column e_{n/2} and e_{n/2+1}
+        cols[k - 1], cols[k] = cols[k], cols[k - 1]
+    return cols, (i, k - i), (n - k,)
 
 
 def _radical_classify(setup: Setup, u: QMatrix):
     i = setup.k - rank(gram_matrix(setup, u))
-    if i == setup.k and is_split_setup(setup):
-        return SplitOrbit(split_family(setup, u))
-    return RadicalOrbit(i)
+    split = i == setup.k and is_split_setup(setup)
+    return RadicalOrbit(i, split_family(setup, u) if split else 0)
 
 
 def _radical_lie_basis(setup: Setup) -> tuple:
@@ -758,16 +723,17 @@ def _radical_normalize(setup: Setup) -> NormalizedSetup:
 
 
 RADICAL = Family(
-    labels=(RadicalOrbit, SplitOrbit), forms=((Kind.SP, Flavor.SKEW), (Kind.SO, Flavor.SYMMETRIC)),
+    label=RadicalOrbit, forms=((Kind.SP, Flavor.SKEW), (Kind.SO, Flavor.SYMMETRIC)),
     suites=frozenset({"crosscheck", "smallness", "transversality"}),
     valid=_radical_valid, orbits=_radical_orbits, text=_radical_text, parse=_radical_parse,
-    leq=_radical_leq,
-    split_labels=lambda setup: (SplitOrbit(+1), SplitOrbit(-1)) if is_split_setup(setup) else (),
-    base_columns=_radical_columns, classify=_radical_classify, lie_basis=_radical_lie_basis,
+    leq=lambda setup, a, b: a == b if b.sign else a.i >= b.i,  # split orbits are closed
+    split_labels=lambda setup: ((RadicalOrbit(setup.k, +1), RadicalOrbit(setup.k, -1))
+                                if is_split_setup(setup) else ()),
+    base_columns=_radical_base_columns, classify=_radical_classify, lie_basis=_radical_lie_basis,
     normalize=_radical_normalize,
     relabel=lambda orbit, norm, reverse: orbit,  # rad(U^perp) = rad(U)
 )
 
 _FAMILY_LIST = (INTERSECTION, RADICAL)
 _FAMILIES = {Kind.GLPQ: INTERSECTION, Kind.SP: RADICAL, Kind.SO: RADICAL}
-_BY_LABEL = {cls: fam for fam in _FAMILY_LIST for cls in fam.labels}
+_BY_LABEL = {fam.label: fam for fam in _FAMILY_LIST}

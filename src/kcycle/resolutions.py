@@ -49,7 +49,6 @@ from .orbits import (
     Setup,
     family,
     format_orbit,
-    radical_size,
     valid_orbit,
 )
 
@@ -190,7 +189,7 @@ RESOLUTIONS = {
     # ZI's fiber over rad j below rad i is Gr(i, j)
     RADICAL: FamilyResolutions(
         (ResolutionKind.ZI,), lambda work: (ResolutionKind.ZI,), False,
-        lambda work, kind, tgt, strat: ((radical_size(work, tgt), radical_size(work, strat)),)),
+        lambda work, kind, tgt, strat: ((tgt.i, strat.i),)),
 }
 
 

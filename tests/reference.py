@@ -138,7 +138,6 @@ from kcycle.orbits import (
     Kind,
     RadicalOrbit,
     Setup,
-    SplitOrbit,
     base_point,
     family,
     form_flavor,
@@ -146,7 +145,6 @@ from kcycle.orbits import (
     gram_matrix,
     is_split_setup,
     lie_algebra_basis,
-    radical_size,
 )
 from kcycle import resolutions
 from kcycle.resolutions import ResolutionKind, Witness
@@ -689,7 +687,7 @@ def orbit_of_by_intersection(setup: Setup, u: Subspace):
     g = gram_matrix(setup, u.basis)
     i = k - rank(g)
     if is_split_setup(setup) and i == k:
-        return SplitOrbit(split_family_by_intersection(setup, u))
+        return RadicalOrbit(k, split_family_by_intersection(setup, u))
     return RadicalOrbit(i)
 
 
@@ -977,8 +975,7 @@ WITNESS_ROUTES = {
 def fiber_dimension(work: Setup, kind: ResolutionKind, tgt, strat) -> int:
     """The closed-form fiber dimension over strat below tgt, on a normalized setup's labels."""
     if kind == ResolutionKind.ZI:
-        i = radical_size(work, tgt)
-        return i * (radical_size(work, strat) - i)
+        return tgt.i * (strat.i - tgt.i)
     s, t = tgt.s, tgt.t
     sp, tp = strat.s, strat.t
     if kind == ResolutionKind.Z:

@@ -24,7 +24,6 @@ from kcycle.orbits import (
     Kind,
     RadicalOrbit,
     Setup,
-    SplitOrbit,
     base_point,
     enumerate_orbits,
     family,
@@ -79,7 +78,7 @@ def test_criterion_1_cycle_table_reproduction():
                     and orbit.i == setup.k - 1):
                 assert len(cc) == 3
                 assert dict(cc) == {
-                    orbit: 1, SplitOrbit(1): 1, SplitOrbit(-1): 1,
+                    orbit: 1, RadicalOrbit(setup.k, 1): 1, RadicalOrbit(setup.k, -1): 1,
                 }
                 three_term.append((setup, orbit))
             else:

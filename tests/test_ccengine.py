@@ -21,7 +21,6 @@ from kcycle.orbits import (
     Kind,
     RadicalOrbit,
     Setup,
-    SplitOrbit,
     enumerate_orbits,
     family,
     format_orbit,
@@ -51,7 +50,7 @@ def test_orthogonal_examples():
 
     cc = characteristic_cycle(Setup(Kind.SO, 8, 4), RadicalOrbit(3))
     assert dict(cc) == {
-        RadicalOrbit(3): 1, SplitOrbit(1): 1, SplitOrbit(-1): 1,
+        RadicalOrbit(3): 1, RadicalOrbit(4, 1): 1, RadicalOrbit(4, -1): 1,
     }
     doc = cli.cmd_cc(Setup(Kind.SO, 8, 4), "rad3")
     assert cli.render(doc, "text").splitlines()[1] == "CC(rad3) = rad3 + rad4+ + rad4-"
@@ -65,7 +64,7 @@ def test_orthogonal_examples():
     assert len(cc) == 1
 
     for sign in (1, -1):
-        cc = characteristic_cycle(Setup(Kind.SO, 6, 3), SplitOrbit(sign))
+        cc = characteristic_cycle(Setup(Kind.SO, 6, 3), RadicalOrbit(3, sign))
         assert len(cc) == 1
 
 
@@ -236,7 +235,7 @@ def test_sp_so_posets_agree_with_the_normalized_setups():
         # the rows as the setup's own poset gives them
         expected = []
         for target in own.orbits:
-            if isinstance(target, SplitOrbit):
+            if target.sign:
                 continue
             small = is_small(own, ResolutionKind.ZI, target)
             assert is_small(norm, ResolutionKind.ZI, target) == small

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,10 @@ BAD_INPUT = [
     ["orbits"] + GLPQ + ["--format", "dot"],
     ["cc"] + SO63 + ["--orbit", "q(1,1)"],
     ["cc"] + SO63 + ["--orbit", "rad9"],
+    # a sign belongs to the maximal isotropics of so(2k, k) alone
+    ["cc"] + SO63 + ["--orbit", "rad1+"],
+    ["cc", "--kind", "so", "--n", "7", "--k", "3", "--orbit", "rad3+"],
+    ["cc", "--kind", "sp", "--n", "8", "--k", "4", "--orbit", "rad4-"],
     ["orbits", "--kind", "xx", "--n", "4", "--k", "2"],
     ["nonsense"],
     ["verify"] + GLPQ + ["--trials", "0"],
@@ -255,6 +260,8 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == "", argv
+        if not err.startswith("usage: "):  # argparse's errors print the usage first
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
         if argv in BAD_LABELS:
             assert err == f"error: cannot parse orbit label: {argv[-1]!r}\n"
         if argv in VACUOUS:
@@ -310,6 +317,31 @@ def test_out_into_missing_directory(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert not target.exists()
+
+
+def test_unwritable_stdout_exits_two_with_one_line():
+    # a full disk, and a pipe whose read end is closed: a short document
+    # fails when main flushes it, a long one (13 kB) already in the write;
+    # nothing is left for the flush at interpreter exit to report
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    commands = [["orbits"] + SO63,
+                ["verify", "--kind", "glpq", "--n", "8", "--k", "4", "--p", "4", "--q", "4",
+                 "--trials", "1", "--format", "json"]]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    sinks = [(write_end, "Broken pipe")]
+    if Path("/dev/full").exists():
+        sinks.append((os.open("/dev/full", os.O_WRONLY), "No space left on device"))
+    try:
+        for fd, reason in sinks:
+            for argv in commands:
+                done = subprocess.run([sys.executable, "-m", "kcycle.cli", *argv], stdout=fd,
+                                      stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+                assert (done.returncode, done.stderr) == (
+                    2, f"error: cannot write stdout: {reason}\n"), argv
+    finally:
+        for fd, _ in sinks:
+            os.close(fd)
 
 
 def test_failed_check_exits_one(capsys, monkeypatch):

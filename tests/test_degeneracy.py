@@ -15,7 +15,6 @@ from kcycle.orbits import (
     Kind,
     RadicalOrbit,
     Setup,
-    SplitOrbit,
     enumerate_orbits,
     gram_matrix,
     orbit_of,
@@ -789,10 +788,10 @@ def test_pullback_examples():
          {RadicalOrbit(1): 1, RadicalOrbit(2): 1}),
         (Setup(Kind.SO, 8, 6), RadicalOrbit(2), {RadicalOrbit(2): 1}),
         (Setup(Kind.SO, 8, 4), RadicalOrbit(3),
-         {RadicalOrbit(3): 1, SplitOrbit(1): 1, SplitOrbit(-1): 1}),
+         {RadicalOrbit(3): 1, RadicalOrbit(4, 1): 1, RadicalOrbit(4, -1): 1}),
         (Setup(Kind.SO, 8, 5), RadicalOrbit(3), {RadicalOrbit(3): 1}),
         (Setup(Kind.SO, 3, 2), RadicalOrbit(1), {RadicalOrbit(1): 1}),
-        (Setup(Kind.SO, 6, 3), SplitOrbit(-1), {SplitOrbit(-1): 1}),
+        (Setup(Kind.SO, 6, 3), RadicalOrbit(3, -1), {RadicalOrbit(3, -1): 1}),
     ]
     for setup, orbit, expected in cases:
         cc = pullback_cc(setup, orbit)

@@ -301,13 +301,7 @@ def test_start_up_loads_no_dataclasses():
                                         "poset 0 True", "before []", "after []"]
 
 
-# The only kind dispatch allowed outside orbits, by (module, function),
-# each with the reason it stays.  Everything else reads orbits.family.
-KIND_DISPATCH = {
-    ("cli", "_setup_from_args"): "argument parsing: --p/--q belong to glpq alone, "
-                                 "with messages in terms of the flags",
-}
-LABEL_CLASSES = {"OrbitLabel", "IntersectionOrbit", "RadicalOrbit", "SplitOrbit"}
+LABEL_CLASSES = {"OrbitLabel", "IntersectionOrbit", "RadicalOrbit"}
 
 
 def _name(node) -> str:
@@ -344,24 +338,18 @@ def _kind_dispatch(tree: ast.Module) -> list:
 def test_only_orbits_branches_on_the_kind():
     # the per-kind geometry is stated once, in the families of orbits; the
     # other modules read family(setup), so a new per-kind fact has one home
-    assert _kind_dispatch(ast.parse("if s.kind == Kind.SO or isinstance(o, SplitOrbit):\n"
+    assert _kind_dispatch(ast.parse("if s.kind == Kind.SO or isinstance(o, RadicalOrbit):\n"
                                     "    is_split_setup(s)\n")) == [
         ("<module>", 1, "compares with a Kind member"),
         ("<module>", 1, "calls isinstance with an orbit label class"),
         ("<module>", 2, "calls is_split_setup")]  # the walk sees all three
-    found, used = [], set()
+    found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "orbits":
-            continue
         for func, line, what in _kind_dispatch(ast.parse(path.read_text())):
-            if (path.stem, func) in KIND_DISPATCH:
-                used.add((path.stem, func))
-            else:
+            # orbits may branch on the kind, but not on a label's class, which is its family's
+            if path.stem != "orbits" or "isinstance" in what:
                 found.append(f"{path.stem}.{func} line {line} {what}")
     assert not found, "kind dispatch outside orbits; read orbits.family: " + "; ".join(found)
-    assert all(mod == "cli" for mod, _ in KIND_DISPATCH)
-    stale = sorted(f"{mod}.{func}" for mod, func in KIND_DISPATCH.keys() - used)
-    assert not stale, "allowlisted functions with no kind dispatch left: " + ", ".join(stale)
 
 
 # The only calls of format_orbit outside orbits and cli, by (module,

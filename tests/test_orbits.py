@@ -15,7 +15,6 @@ from kcycle.orbits import (
     Kind,
     RadicalOrbit,
     Setup,
-    SplitOrbit,
     base_point,
     enumerate_orbits,
     format_orbit,
@@ -90,7 +89,7 @@ def test_enumerate_examples():
     assert got == want
     assert enumerate_orbits(Setup(Kind.SP, 4, 2)) == [RadicalOrbit(0), RadicalOrbit(2)]
     assert enumerate_orbits(Setup(Kind.SO, 4, 2)) == [
-        RadicalOrbit(0), RadicalOrbit(1), SplitOrbit(+1), SplitOrbit(-1)]
+        RadicalOrbit(0), RadicalOrbit(1), RadicalOrbit(2, +1), RadicalOrbit(2, -1)]
 
 
 def test_enumerate_counts_in_generic_range():
@@ -125,12 +124,21 @@ def test_orbit_labels_round_trip():
         with pytest.raises(ValueError, match="cannot parse orbit label"):
             parse_orbit(setup, text)
     s = Setup(Kind.SO, 8, 4)
-    assert format_orbit(s, SplitOrbit(+1)) == "rad4+"
-    assert parse_orbit(s, "rad4-") == SplitOrbit(-1)
+    assert format_orbit(s, RadicalOrbit(4, +1)) == "rad4+"
+    assert parse_orbit(s, "rad4-") == RadicalOrbit(4, -1)
     with pytest.raises(ValueError):
         parse_orbit(s, "rad9")
     with pytest.raises(ValueError):
         parse_orbit(glpq(4, 2, 2, 2), "q(9,0)")
+
+
+def test_radical_labels_are_valid_exactly_when_listed():
+    # every i and sign near the valid range: the sign is +-1 on the split
+    # orbits of so(2k, k) alone, and 0 on every other radical orbit; the
+    # listed labels round-trip through their text in the test above
+    for setup in setups(8, kinds=(Kind.SP, Kind.SO)):
+        labels = [RadicalOrbit(i, sign) for i in range(-1, setup.n + 2) for sign in (-2, -1, 0, 1, 2)]
+        assert {o for o in labels if valid_orbit(setup, o)} == set(enumerate_orbits(setup))
 
 
 def test_normalize_directions():
@@ -209,9 +217,9 @@ def test_closure_order_examples():
     assert pos.leq(RadicalOrbit(2), RadicalOrbit(0))
     assert not pos.leq(RadicalOrbit(0), RadicalOrbit(2))
     pos = ClosurePoset(Setup(Kind.SO, 4, 2))
-    assert pos.leq(SplitOrbit(+1), RadicalOrbit(1))
-    assert not pos.leq(SplitOrbit(+1), SplitOrbit(-1))
-    assert not pos.leq(SplitOrbit(-1), SplitOrbit(+1))
+    assert pos.leq(RadicalOrbit(2, +1), RadicalOrbit(1))
+    assert not pos.leq(RadicalOrbit(2, +1), RadicalOrbit(2, -1))
+    assert not pos.leq(RadicalOrbit(2, -1), RadicalOrbit(2, +1))
 
 
 def test_poset_structure():
@@ -286,7 +294,7 @@ def test_base_point_invariants_sweep():
             # block ranks of the frame against Subspace intersections
             u = base_plane(bp)
             assert orbit_of(setup, bp.u_matrix) == orbit_of_by_intersection(setup, u) == orbit
-            if isinstance(orbit, SplitOrbit):
+            if isinstance(orbit, RadicalOrbit) and orbit.sign:
                 assert (split_family(setup, bp.u_matrix)
                         == split_family_by_intersection(setup, u) == orbit.sign)
             assert sum(bp.row_groups) == setup.k
@@ -296,8 +304,8 @@ def test_base_point_invariants_sweep():
 
 def test_split_families():
     setup = Setup(Kind.SO, 8, 4)
-    plus = base_plane(base_point(setup, SplitOrbit(+1)))
-    minus = base_plane(base_point(setup, SplitOrbit(-1)))
+    plus = base_plane(base_point(setup, RadicalOrbit(4, +1)))
+    minus = base_plane(base_point(setup, RadicalOrbit(4, -1)))
     assert split_family(setup, plus.basis) == +1
     assert split_family(setup, minus.basis) == -1
     assert plus.intersection(minus).dim == setup.k - 1
@@ -371,13 +379,13 @@ def test_orbit_of_matches_intersection_reference_off_the_axes():
                 plane = Subspace.from_matrix(frame)
                 assert gram_matrix(setup, frame).is_zero()
                 assert split_family(setup, frame) == split_family_by_intersection(setup, plane) == sign
-                assert orbit_of(setup, frame) == orbit_of_by_intersection(setup, plane) == SplitOrbit(sign)
+                assert orbit_of(setup, frame) == orbit_of_by_intersection(setup, plane) == RadicalOrbit(setup.k, sign)
 
 
 def test_orbit_of_rejects_wrong_frames():
     # the block-rank identity holds only for an n x k frame of rank k
     for setup, orbit in [(glpq(6, 3, 3, 3), IntersectionOrbit(1, 1)),
-                         (Setup(Kind.SO, 8, 4), SplitOrbit(-1))]:
+                         (Setup(Kind.SO, 8, 4), RadicalOrbit(4, -1))]:
         u = base_point(setup, orbit).u_matrix
         n, k = setup.n, setup.k
         for frame in [u.submatrix(range(n - 1), range(k)),     # wrong ambient dimension
@@ -550,7 +558,7 @@ def test_orbit_dimension_ranks_only_small_blocks(monkeypatch):
     assert (30, 15) in shapes and (30, 30) not in shapes
     shapes.clear()
     for orbit in labels:
-        i = orbit.i if isinstance(orbit, RadicalOrbit) else setup.k
+        i = orbit.i
         assert setup.dim_gr - orbit_dimension.__wrapped__(setup, orbit) == i * (i + 1) // 2
     assert shapes and max(r * c for r, c in shapes) <= 4
 
@@ -577,7 +585,7 @@ def test_radical_codim_closed_form():
     # symmetric flavor: i(i+1)/2; alternating flavor: i(i-1)/2
     for setup in [Setup(Kind.SO, 5, 2), Setup(Kind.SO, 7, 3), Setup(Kind.SO, 8, 4)]:
         for orbit in enumerate_orbits(setup):
-            i = orbit.i if isinstance(orbit, RadicalOrbit) else setup.k
+            i = orbit.i
             assert setup.dim_gr - orbit_dimension(setup, orbit) == i * (i + 1) // 2
     for setup in [Setup(Kind.SP, 6, 2), Setup(Kind.SP, 8, 4)]:
         for orbit in enumerate_orbits(setup):
@@ -606,7 +614,8 @@ def test_base_point_self_check_survives_optimize():
     )
     for patch, message in (("orbits.orbit_of = lambda setup, u: RadicalOrbit(0)",
                             "constructed point sits on "),
-                           ("orbits._radical_base_columns = lambda setup, i: [(0,)] * setup.n",
+                           ("orbits._FAMILIES[Kind.SO] = orbits.RADICAL._replace("
+                            "base_columns=lambda setup, orbit: ([(0,)] * setup.n, (), ()))",
                             "adapted basis must be invertible: its 5 columns give 1 ")):
         for flags, optimize in (([], 0), (["-O"], 1)):
             done = subprocess.run([sys.executable, *flags, "-c", script, patch], env=env,

@@ -13,7 +13,6 @@ from kcycle.orbits import (
     ClosurePoset,
     IntersectionOrbit,
     Kind,
-    RadicalOrbit,
     Setup,
     base_point,
     enumerate_orbits,
@@ -42,7 +41,7 @@ def closed_form_codim(setup: Setup, orbit) -> int:
     if isinstance(orbit, IntersectionOrbit):
         s, t, k = orbit.s, orbit.t, setup.k
         return s * (setup.q - k + s) + t * (setup.p - k + t)
-    i = orbit.i if isinstance(orbit, RadicalOrbit) else setup.k  # split orbits are isotropic
+    i = orbit.i
     return i * (i - 1) // 2 if setup.kind == Kind.SP else i * (i + 1) // 2
 
 

@@ -11,7 +11,6 @@ from kcycle.orbits import (
     Kind,
     RadicalOrbit,
     Setup,
-    SplitOrbit,
     base_point,
     enumerate_orbits,
     family,
@@ -536,7 +535,7 @@ def test_radical_resolution_not_small():
     assert not small(Setup(Kind.SO, 6, 3), ResolutionKind.ZI, RadicalOrbit(1))
     assert not small(Setup(Kind.SO, 7, 3), ResolutionKind.ZI, RadicalOrbit(1))
     # minimal orbits have nothing below them, so smallness holds vacuously
-    assert small(Setup(Kind.SO, 6, 3), ResolutionKind.ZI, SplitOrbit(+1))
+    assert small(Setup(Kind.SO, 6, 3), ResolutionKind.ZI, RadicalOrbit(3, +1))
 
 
 def test_smallness_rejects_labels_and_kinds_it_cannot_judge():
