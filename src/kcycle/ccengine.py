@@ -105,12 +105,12 @@ def pullback_cc(setup: Setup, orbit) -> tuple:
     work, target = norm.setup, norm.to_normalized(orbit)
     table = cc_table(form_flavor(work.kind), work.k, work.k - target.i)
     mults, leq = {}, family(work).leq
-    for label in enumerate_orbits(work):
+    for label in enumerate_orbits(setup):
+        image = norm.to_normalized(label)
         for rank, mult in table:
-            if label.i == work.k - rank and leq(work, label, target):
+            if image.i == work.k - rank and leq(work, image, target):
                 mults[label] = mult
-    back = {norm.from_normalized(lab): m for lab, m in mults.items()}
-    return _cycle_terms(setup, orbit, back)
+    return _cycle_terms(setup, orbit, mults)
 
 
 class CheckRow(NamedTuple):

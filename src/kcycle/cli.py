@@ -72,32 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     command("poset", "closure order and covers", formats=("text", "json", "dot"))
     verify = command("verify", "run verification suites")
     verify.add_argument("--suite", default="all", choices=[*SUITES, "all"])
-    verify.add_argument("--trials", type=_positive_int, default=20,
+    # the bounds on trials and seed are cross_check's to refuse, in one error: line
+    verify.add_argument("--trials", type=int, default=20,
                         help="samples per check, at least 1 (default 20)")
-    verify.add_argument("--seed", type=_seed, default=0,
+    verify.add_argument("--seed", type=int, default=0,
                         help=f"sampling seed, 0 to {SEED_MAX} (default 0)")
     return parser
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-
-
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = _int(text)
-    if not 0 <= value <= SEED_MAX:
-        raise argparse.ArgumentTypeError(f"must be between 0 and {SEED_MAX}, got {value}")
-    return value
 
 
 def _setup_payload(setup: Setup) -> dict:
@@ -295,20 +275,21 @@ def main(argv=None) -> int:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
     try:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if not args.out:
+        if args.out is None:
             # the interpreter flushes stdout again at exit; the unwritten
             # text it still holds goes to devnull instead of a second error
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        target = "stdout" if args.out is None else args.out
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return 2
     return exit_code
 

@@ -17,8 +17,9 @@ family(setup) picks it; the functions below dispatch to it once per
 call, and other modules read it instead of branching on the kind.
 
 The module provides orbit enumeration, closure posets, explicit base
-points with adapted bases, and the relabelling maps induced by swapping
-the summands or passing to annihilators / orthogonal complements.  An
+points with adapted bases, and the normalization of a setup: a second
+setup, reached by swapping the summands or passing to annihilators /
+orthogonal complements, and the map of labels onto it.  An
 adapted basis B is written from its column supports, e_a or e_a + e_b;
 B^-1 is read off the same supports, which proves B invertible.
 
@@ -205,8 +206,8 @@ class Family(NamedTuple):
     base_columns: Callable  # (setup, label) -> (column supports, row_groups, col_groups)
     classify: Callable     # (setup, n x k frame of rank k) -> label
     lie_basis: Callable    # setup -> the basis of Lie(K), as in lie_algebra_basis
-    normalize: Callable    # setup -> NormalizedSetup
-    relabel: Callable      # (label, normalization, reverse) -> label
+    normalize: Callable    # setup -> the normalized Setup
+    relabel: Callable      # (NormalizedSetup, label of its original) -> label of its setup
 
 
 def family(setup: Setup) -> Family:
@@ -253,36 +254,28 @@ def parse_orbit(setup: Setup, text: str):
 # normalization
 
 class NormalizedSetup(NamedTuple):
-    """A setup together with the relabelling that standardizes it.
+    """A setup and its normalized setup, which fix the map of labels between them.
 
-    GLpq is brought to p >= q and k <= n-k; Sp/SO to k >= n-k.  The swap
-    (if any) is applied before the duality.
+    GLpq is brought to p >= q and k <= n-k; Sp/SO to k >= n-k.  The map
+    runs one way, from original to setup: a swap of the summands where p
+    moved, then a duality where k moved.  A map back is the inverse of
+    to_normalized over enumerate_orbits(original).
     """
 
     original: Setup
     setup: Setup
-    swapped_pq: bool
-    dualized: bool
 
     def to_normalized(self, orbit):
-        return relabel_orbit(orbit, self, reverse=False)
+        """The orbit's label on the normalized setup.
 
-    def from_normalized(self, orbit):
-        return relabel_orbit(orbit, self, reverse=True)
+        Only the given label is checked: the map is a bijection of valid labels.
+        """
+        check_orbit(self.original, orbit)
+        return _FAMILIES[self.setup.kind].relabel(self, orbit)
 
 
 def normalize(setup: Setup) -> NormalizedSetup:
-    return _FAMILIES[setup.kind].normalize(setup)
-
-
-def relabel_orbit(orbit, normalization: NormalizedSetup, reverse: bool = False):
-    """The label across the normalization: to the normalized setup, or back with reverse.
-
-    Only the given label is checked: the map is a bijection of valid labels.
-    """
-    norm = normalization
-    check_orbit(norm.setup if reverse else norm.original, orbit)
-    return _FAMILIES[norm.setup.kind].relabel(orbit, norm, reverse)
+    return NormalizedSetup(setup, _FAMILIES[setup.kind].normalize(setup))
 
 
 # ---------------------------------------------------------------------------
@@ -576,28 +569,20 @@ def _intersection_orbits(setup: Setup) -> list:
     return out
 
 
-def _intersection_normalize(setup: Setup) -> NormalizedSetup:
+def _intersection_normalize(setup: Setup) -> Setup:
     """p >= q by swapping the summands, then k <= n-k by passing to annihilators."""
     n, k, p, q = setup.n, setup.k, setup.p, setup.q
-    swapped = p < q
-    if swapped:
-        p, q = q, p
-    dual = k > n - k
-    return NormalizedSetup(setup, Setup(setup.kind, n, n - k if dual else k, p=p, q=q),
-                           swapped, dual)
+    return Setup(setup.kind, n, min(k, n - k), p=max(p, q), q=min(p, q))
 
 
-def _intersection_relabel(orbit, norm: NormalizedSetup, reverse: bool):
+def _intersection_relabel(norm: NormalizedSetup, orbit):
     """Swapping the summands swaps s and t; in the (p, q, k) setup Ann(U) is q(p-k+t, q-k+s)."""
-    p, q = norm.setup.p, norm.setup.q
+    work, original = norm.setup, norm.original
     s, t = orbit.s, orbit.t
-    if norm.swapped_pq and not reverse:
+    if work.p != original.p:
         s, t = t, s
-    if norm.dualized:
-        k = norm.setup.k if reverse else norm.original.k
-        s, t = p - k + t, q - k + s
-    if norm.swapped_pq and reverse:
-        s, t = t, s
+    if work.k != original.k:
+        s, t = work.p - original.k + t, work.q - original.k + s
     return IntersectionOrbit(s, t)
 
 
@@ -715,11 +700,9 @@ def _radical_lie_basis(setup: Setup) -> tuple:
     return tuple(out)
 
 
-def _radical_normalize(setup: Setup) -> NormalizedSetup:
+def _radical_normalize(setup: Setup) -> Setup:
     """k >= n-k by passing to orthogonal complements; the split setups are already there."""
-    dual = setup.k < setup.n - setup.k
-    work = Setup(setup.kind, setup.n, setup.n - setup.k) if dual else setup
-    return NormalizedSetup(setup, work, False, dual)
+    return Setup(setup.kind, setup.n, max(setup.k, setup.n - setup.k))
 
 
 RADICAL = Family(
@@ -731,7 +714,7 @@ RADICAL = Family(
                                 if is_split_setup(setup) else ()),
     base_columns=_radical_base_columns, classify=_radical_classify, lie_basis=_radical_lie_basis,
     normalize=_radical_normalize,
-    relabel=lambda orbit, norm, reverse: orbit,  # rad(U^perp) = rad(U)
+    relabel=lambda norm, orbit: orbit,  # rad(U^perp) = rad(U)
 )
 
 _FAMILY_LIST = (INTERSECTION, RADICAL)

@@ -198,6 +198,15 @@ def test_dot_output(capsys):
         assert f'"{row["label"]}"' in out
 
 
+# trials and seed that parse as ints but are out of range: the library
+# refuses them, in one error: line with no usage
+OUT_OF_RANGE = [
+    ["verify"] + GLPQ + ["--trials", "0"],
+    ["verify"] + SO63 + ["--suite", "transversality", "--trials", "-3"],
+    # a seed outside [0, 2^64) would alias one inside it
+    ["verify"] + SO63 + ["--seed", "-1"],
+    ["verify"] + SO63 + ["--seed", str(1 << 64)],
+]
 # Bad input that cli.main meets in-process, each exiting 2 with nothing on
 # stdout; test_usage_errors runs them, and so does the call-reachability gate.
 BAD_INPUT = [
@@ -213,12 +222,8 @@ BAD_INPUT = [
     ["cc", "--kind", "sp", "--n", "8", "--k", "4", "--orbit", "rad4-"],
     ["orbits", "--kind", "xx", "--n", "4", "--k", "2"],
     ["nonsense"],
-    ["verify"] + GLPQ + ["--trials", "0"],
-    ["verify"] + SO63 + ["--suite", "transversality", "--trials", "-3"],
-    # a seed outside [0, 2^64) would alias one inside it
-    ["verify"] + SO63 + ["--seed", "-1"],
-    ["verify"] + SO63 + ["--seed", str(1 << 64)],
     ["verify"] + SO63 + ["--seed", "x"],
+    *OUT_OF_RANGE,
 ]
 # suites that examine nothing on the setup must not report a pass
 VACUOUS = [
@@ -261,6 +266,8 @@ def test_usage_errors(capsys):
         assert code == 2, argv
         assert out == "", argv
         if not err.startswith("usage: "):  # argparse's errors print the usage first
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+        if argv in OUT_OF_RANGE:
             assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
         if argv in BAD_LABELS:
             assert err == f"error: cannot parse orbit label: {argv[-1]!r}\n"
@@ -317,6 +324,13 @@ def test_out_into_missing_directory(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert not target.exists()
+
+
+def test_empty_out_path_is_no_file(capsys):
+    # an empty --out names a file that cannot be opened; it is not stdout
+    code, out, err = run(capsys, ["orbits"] + SO63 + ["--out", ""])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
 
 
 def test_unwritable_stdout_exits_two_with_one_line():
@@ -410,11 +424,13 @@ def test_help_text_is_pinned(capsys, monkeypatch):
         code, out, err = run(capsys, argv)
         assert code == 0 and err == "", argv
         assert out == text, argv
-    code, out, err = run(capsys, ["verify"] + SO63 + ["--seed", "-1"])
+    code, out, err = run(capsys, ["verify"] + SO63 + ["--seed", "x"])
     assert code == 2 and out == ""
     usage = HELP["verify"].split("\n\n")[0] + "\n"
-    assert err == usage + ("kcycle verify: error: argument --seed: must be between "
-                           "0 and 18446744073709551615, got -1\n")
+    assert err == usage + "kcycle verify: error: argument --seed: invalid int value: 'x'\n"
+    # a seed that parses is the library's to bound, in one line and no usage
+    assert run(capsys, ["verify"] + SO63 + ["--seed", "-1"]) == (
+        2, "", "error: seed must be between 0 and 18446744073709551615, as an int, got -1\n")
 
 
 def test_second_main_call_builds_no_parser(capsys, monkeypatch):
@@ -436,7 +452,7 @@ def test_second_main_call_builds_no_parser(capsys, monkeypatch):
 def test_repeated_main_calls_are_independent(capsys):
     valid = ["verify"] + SO63 + ["--suite", "all", "--trials", "3", "--seed", "9",
                                  "--format", "json"]
-    bad = ["verify"] + SO63 + ["--seed", "-1"]
+    bad = ["verify"] + SO63 + ["--seed", "x"]
     first = run(capsys, valid)
     error = run(capsys, bad)
     helped = run(capsys, ["verify", "--help"])
@@ -448,7 +464,7 @@ def test_repeated_main_calls_are_independent(capsys):
         cli.build_parser.__wrapped__().parse_args(bad)
     fresh = capsys.readouterr()
     assert exc.value.code == 2 and error == (2, "", fresh.err)
-    assert "argument --seed: must be between 0 and " in fresh.err
+    assert "argument --seed: invalid int value: 'x'" in fresh.err
 
 
 def test_readme_example_prints_what_it_says():

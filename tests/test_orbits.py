@@ -142,34 +142,90 @@ def test_radical_labels_are_valid_exactly_when_listed():
 
 
 def test_normalize_directions():
-    norm = normalize(glpq(6, 2, 3, 3))
-    assert norm.setup == norm.original and not norm.swapped_pq and not norm.dualized
-    norm = normalize(glpq(6, 4, 3, 3))
-    assert norm.dualized and norm.setup.k == 2
-    norm = normalize(glpq(6, 2, 2, 4))
-    assert norm.swapped_pq and norm.setup.p == 4 and norm.setup.q == 2
+    # a normalization is its two setups: the map of labels is read off them
+    assert normalize(glpq(6, 2, 3, 3)) == (glpq(6, 2, 3, 3), glpq(6, 2, 3, 3))
+    assert normalize(glpq(6, 4, 3, 3)) == (glpq(6, 4, 3, 3), glpq(6, 2, 3, 3))
+    assert normalize(glpq(6, 2, 2, 4)) == (glpq(6, 2, 2, 4), glpq(6, 2, 4, 2))
+    # the swap of the summands, then the duality
+    assert normalize(glpq(7, 4, 3, 4)).setup == glpq(7, 3, 4, 3)
     # Sp/SO standardize to k >= n-k, the opposite direction
-    norm = normalize(Setup(Kind.SO, 7, 2))
-    assert norm.dualized and norm.setup.k == 5
-    norm = normalize(Setup(Kind.SP, 6, 4))
-    assert not norm.dualized
-
-
-def test_relabel_involution_exhaustive():
+    assert normalize(Setup(Kind.SO, 7, 2)).setup == Setup(Kind.SO, 7, 5)
+    assert normalize(Setup(Kind.SP, 6, 4)).setup == Setup(Kind.SP, 6, 4)
     for setup in setups(8):
         norm = normalize(setup)
-        orbits = enumerate_orbits(setup)
-        images = [norm.to_normalized(o) for o in orbits]
-        assert [norm.from_normalized(o) for o in images] == orbits
-        # relabelling is a bijection onto the normalized orbit set
-        assert sorted(images, key=str) == sorted(enumerate_orbits(norm.setup), key=str)
+        assert norm.original is setup and normalize(norm.setup).setup == norm.setup
+
+
+def label_map_faults(setup) -> list:
+    """What the label map of setup's normalization fails to keep, by name.
+
+    The map must be a bijection onto the normalized setup's orbits; if
+    it is, it must keep each orbit's dimension and the closure order,
+    both ways.
+    """
+    norm = normalize(setup)
+    image = {o: norm.to_normalized(o) for o in enumerate_orbits(setup)}
+    if sorted(map(repr, image.values())) != sorted(map(repr, enumerate_orbits(norm.setup))):
+        return ["bijection"]
+    faults = []
+    if any(orbit_dimension(setup, o) != orbit_dimension(norm.setup, image[o]) for o in image):
+        faults.append("dimension")
+    here, there = ClosurePoset(setup), ClosurePoset(norm.setup)
+    if any(here.leq(a, b) != there.leq(image[a], image[b]) for a in image for b in image):
+        faults.append("order")
+    return faults
+
+
+def test_label_map_keeps_what_an_orbit_is():
+    for setup in setups(8):
+        assert label_map_faults(setup) == [], setup
+
+
+def _relabel_without_swap(norm, orbit):
+    # a mutant of the GLpq label map that forgets to swap s and t
+    work, original = norm.setup, norm.original
+    s, t = orbit.s, orbit.t
+    if work.k != original.k:
+        s, t = work.p - original.k + t, work.q - original.k + s
+    return IntersectionOrbit(s, t)
+
+
+def _relabel_with_crossed_duality(norm, orbit):
+    # a mutant of the GLpq label map whose duality reads q-k+t, p-k+s
+    work, original = norm.setup, norm.original
+    s, t = orbit.s, orbit.t
+    if work.p != original.p:
+        s, t = t, s
+    if work.k != original.k:
+        s, t = work.q - original.k + t, work.p - original.k + s
+    return IntersectionOrbit(s, t)
+
+
+@pytest.mark.parametrize("mutant, changed, bijective", [
+    (_relabel_without_swap, 62, 20),
+    (_relabel_with_crossed_duality, 56, 0),
+])
+def test_label_map_mutants_are_caught(monkeypatch, mutant, changed, bijective):
+    glpqs = setups(8, kinds=(Kind.GLPQ,))
+    right = {setup: [normalize(setup).to_normalized(o) for o in enumerate_orbits(setup)]
+             for setup in glpqs}
+    monkeypatch.setitem(orbits._FAMILIES, Kind.GLPQ, orbits.INTERSECTION._replace(relabel=mutant))
+    moved = [setup for setup in glpqs
+             if [normalize(setup).to_normalized(o) for o in enumerate_orbits(setup)]
+             != right[setup]]
+    faults = {setup: label_map_faults(setup) for setup in glpqs}
+    assert len(moved) == changed
+    # the property fails exactly where the map changed; the bijection
+    # check alone passes on some of those setups
+    assert {setup for setup in glpqs if faults[setup]} == set(moved)
+    assert sum(faults[setup] != ["bijection"] for setup in moved) == bijective
 
 
 def test_glpq_duality_against_annihilators():
     # the label map under U -> Ann(U) computed from scratch at base points
     setup = glpq(5, 3, 3, 2)
     norm = normalize(setup)
-    assert norm.dualized and norm.setup.k == 2
+    assert norm.setup == glpq(5, 2, 3, 2)
     dual_p = Subspace.span(5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
     dual_q = Subspace.span(5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
     for orbit in enumerate_orbits(setup):
@@ -200,7 +256,7 @@ def test_sp_so_duality_preserves_radical():
 def test_duality_preserves_order_and_codim():
     for setup in [glpq(5, 3, 3, 2), glpq(6, 4, 3, 3), Setup(Kind.SO, 6, 2), Setup(Kind.SP, 6, 2)]:
         norm = normalize(setup)
-        assert norm.dualized
+        assert norm.setup.k == setup.n - setup.k != setup.k
         pos = ClosurePoset(setup)
         pos2 = ClosurePoset(norm.setup)
         for a in pos.orbits:

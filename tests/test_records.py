@@ -209,7 +209,7 @@ def test_records_and_labels_are_frozen():
     }
     fields = {
         Setup: ("kind", "n", "k", "p", "q"),
-        NormalizedSetup: ("original", "setup", "swapped_pq", "dualized"),
+        NormalizedSetup: ("original", "setup"),
         BasePoint: ("setup", "orbit", "basis", "inverse", "row_groups", "col_groups"),
         IntersectionOrbit: ("s", "t"), RadicalOrbit: ("i", "sign"),
         CheckRow: ("check", "subject", "ok", "detail"),

@@ -333,7 +333,7 @@ def test_each_stratum_is_drawn_once_and_judged_per_target(monkeypatch, setup):
 def test_check_microlocal_normalizes_once(monkeypatch, setup):
     # labels are normalized and validated once per orbit, not once per
     # (target, stratum) pair; glpq(7,4,3,4) is both swapped and dualized
-    calls = {"normalize": 0, "relabel_orbit": 0, "check_orbit": 0}
+    calls = {"normalize": 0, "to_normalized": 0, "check_orbit": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -341,18 +341,20 @@ def test_check_microlocal_normalizes_once(monkeypatch, setup):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in ("normalize", "check_orbit"):
         real = getattr(orbits, name)
         for module in (orbits, ccengine, conormal, resolutions):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
+    monkeypatch.setattr(orbits.NormalizedSetup, "to_normalized",
+                        counting("to_normalized", orbits.NormalizedSetup.to_normalized))
     orbits.base_point.cache_clear()
     rows = check_microlocal(setup, trials=2, seed=5)
     seen = dict(calls)
     n_orbits = len(enumerate_orbits(setup))
     assert len(rows) == len(proper_pairs(setup)) > n_orbits
     assert seen["normalize"] == 1
-    assert seen["relabel_orbit"] == n_orbits
+    assert seen["to_normalized"] == n_orbits
     # one per relabelling, which checks the label it is given and not the
     # one it returns, and one per stratum's base point
     assert seen["check_orbit"] <= 2 * n_orbits
